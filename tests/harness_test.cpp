@@ -3,8 +3,17 @@
 // format results faithfully.
 #include <gtest/gtest.h>
 
+#include <cstdarg>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
+#include "faultplan/spec.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
+#include "trace/sink.hpp"
+#include "trace/trace.hpp"
 
 namespace turq::harness {
 namespace {
@@ -160,6 +169,205 @@ TEST(Table, RunAndRenderSmallGrid) {
   EXPECT_NE(rendered.find("n = 4"), std::string::npos);
   EXPECT_NE(rendered.find("Turquois unanimous"), std::string::npos);
   EXPECT_NE(rendered.find("Turquois divergent"), std::string::npos);
+}
+
+
+// ------------------------------------------------------ deployment golden --
+
+// One deployment row of the golden: a scenario and its label.
+struct GoldenRow {
+  std::string label;
+  ScenarioConfig cfg;
+};
+
+std::string fmt(const char* format, ...) __attribute__((format(printf, 1, 2)));
+std::string fmt(const char* format, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buf, sizeof(buf), format, args);
+  va_end(args);
+  return buf;
+}
+
+using ull = unsigned long long;
+
+/// Canonical text form of every RunResult field.
+std::string dump(const RunResult& r) {
+  std::string out;
+  out += fmt("  decided all=%d k=%d agreement=%d validity=%d decision=%s\n",
+             r.all_correct_decided ? 1 : 0, r.k_decided ? 1 : 0,
+             r.agreement_held ? 1 : 0, r.validity_held ? 1 : 0,
+             r.decision.has_value() ? to_string(*r.decision).c_str() : "-");
+  out += "  latencies_ms";
+  for (const double l : r.latencies_ms) out += fmt(" %.17g", l);
+  out += "\n";
+  const net::MediumStats& m = r.medium;
+  out += fmt("  medium bcast=%llu ucast=%llu retries=%llu collisions=%llu "
+             "collided=%llu drops=%llu deliveries=%llu omissions=%llu "
+             "unreachable=%llu hidden=%llu bytes=%llu airtime=%lld\n",
+             ull{m.broadcast_frames}, ull{m.unicast_frames},
+             ull{m.mac_retries}, ull{m.collisions}, ull{m.frames_collided},
+             ull{m.unicast_drops}, ull{m.deliveries}, ull{m.omissions},
+             ull{m.unreachable}, ull{m.hidden_terminal}, ull{m.bytes_on_air},
+             static_cast<long long>(m.airtime));
+  out += fmt("  app_messages=%llu\n", ull{r.app_messages});
+  const net::TcpHost::Stats& t = r.tcp;
+  out += fmt("  tcp messages=%llu segments=%llu retransmitted=%llu rto=%llu "
+             "fast=%llu auth_failures=%llu\n",
+             ull{t.messages_sent}, ull{t.segments_sent},
+             ull{t.segments_retransmitted}, ull{t.rto_fires},
+             ull{t.fast_retransmits}, ull{t.auth_failures});
+  if (r.sigma.has_value()) {
+    const faultplan::SigmaSummary& s = *r.sigma;
+    out += fmt("  sigma bound=%lld rounds=%llu violating=%llu omissions=%llu "
+               "max_round=%llu\n",
+               static_cast<long long>(s.bound), ull{s.rounds},
+               ull{s.violating_rounds}, ull{s.omissions},
+               ull{s.max_round_omissions});
+  } else {
+    out += "  sigma -\n";
+  }
+  if (r.audit.has_value()) {
+    out += fmt("  audit checked=%d violations=%zu\n", r.audit->checked ? 1 : 0,
+               r.audit->violations.size());
+    for (const audit::Violation& v : r.audit->violations) {
+      out += fmt("    %s p%lld: %s\n", audit::to_string(v.property),
+                 v.process == audit::kNoProcess
+                     ? -1LL
+                     : static_cast<long long>(v.process),
+                 v.detail.c_str());
+    }
+  } else {
+    out += "  audit -\n";
+  }
+  if (r.spatial.has_value()) {
+    const spatial::SpatialStats& s = *r.spatial;
+    out += fmt("  spatial samples=%llu partitions=%llu partitioned=%llu "
+               "hops=%llu pairs=%llu cs=%llu origin=%llu forwards=%llu "
+               "suppressed=%llu duplicates=%llu deliveries=%llu\n",
+               ull{s.samples}, ull{s.partition_events},
+               ull{s.partitioned_samples}, ull{s.path_hops_sum},
+               ull{s.path_pairs}, ull{s.cs_domains_sum},
+               ull{s.relay_origin_frames}, ull{s.relay_forwards},
+               ull{s.relay_suppressed}, ull{s.relay_duplicates},
+               ull{s.relay_deliveries});
+  } else {
+    out += "  spatial -\n";
+  }
+  out += r.service.has_value() ? "  service present\n" : "  service -\n";
+  return out;
+}
+
+/// FNV-1a over a traced repetition's JSONL bytes: pins the stats and trace
+/// hooks (TCP host metrics, exchange-pool counters) alongside the result.
+std::string trace_digest(const ScenarioConfig& cfg, std::uint64_t rep) {
+  std::ostringstream jsonl;
+  trace::JsonlSink sink(jsonl);
+  ScenarioConfig traced = cfg;
+  traced.trace_sink = &sink;
+  (void)run_once(traced, rep);
+  sink.close();
+  const std::string bytes = jsonl.str();
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return fmt("  trace bytes=%zu fnv=%016llx\n", bytes.size(), ull{h});
+}
+
+std::vector<GoldenRow> golden_rows() {
+  std::vector<GoldenRow> rows;
+  const auto add = [&rows](Protocol p, std::uint32_t n, const char* plan,
+                           TurquoisAttack attack, const char* topology,
+                           bool relay) {
+    ScenarioConfig cfg;
+    cfg.protocol = p;
+    cfg.n = n;
+    cfg.distribution = ProposalDist::kDivergent;
+    cfg.plan = *faultplan::plan_from_name(plan, nullptr);
+    cfg.attack = attack;
+    cfg.seed = 12;
+    cfg.repetitions = 2;
+    cfg.run_timeout = 5 * kSecond;
+    std::string error;
+    EXPECT_TRUE(spatial::parse_topology(topology, &cfg.spatial, &error))
+        << error;
+    cfg.relay_enabled = relay;
+    std::string label = to_string(p) + " n=" + std::to_string(n) + " " +
+                        cfg.fault_label() + " attack=" + to_string(attack) +
+                        " topology=" + topology;
+    if (!relay) label += " relay=off";
+    rows.push_back({label, cfg});
+  };
+  for (const Protocol p : {Protocol::kTurquois, Protocol::kBracha,
+                           Protocol::kAbba, Protocol::kCrain,
+                           Protocol::kAbsMac}) {
+    for (const std::uint32_t n : {4u, 7u}) {
+      for (const char* plan : {"none", "failstop", "byzantine", "adaptive"}) {
+        add(p, n, plan, TurquoisAttack::kValueInversion, "single", true);
+        if (p == Protocol::kTurquois && std::string(plan) == "byzantine") {
+          add(p, n, plan, TurquoisAttack::kDecidedCoinForge, "single", true);
+        }
+      }
+    }
+  }
+  for (const Protocol p : {Protocol::kTurquois, Protocol::kAbsMac}) {
+    for (const std::uint32_t n : {4u, 7u}) {
+      add(p, n, "none", TurquoisAttack::kValueInversion, "grid(r=150)", true);
+      add(p, n, "none", TurquoisAttack::kValueInversion, "grid(r=150)", false);
+    }
+  }
+  add(Protocol::kBracha, 7, "none", TurquoisAttack::kValueInversion,
+      "grid(r=150)", true);
+  return rows;
+}
+
+// The deployment contract: every protocol under every fault role, both
+// Turquois attacks, single-hop and multi-hop (relay on and off), each
+// repetition run with and without a hoisted ScenarioSetup. Any change to
+// the order in which a deployment builds its objects, draws its streams or
+// schedules its events moves these bytes. Regenerate after an intentional
+// change with:
+//   UPDATE_DEPLOYMENT_GOLDEN=1 ./tests/harness_test \
+//       --gtest_filter=Deployment.GoldenRunResults
+TEST(Deployment, GoldenRunResults) {
+  std::string text;
+  for (const GoldenRow& row : golden_rows()) {
+    text += "[" + row.label + "]\n";
+    const auto setup = make_scenario_setup(row.cfg);
+    for (std::uint64_t rep = 0; rep < row.cfg.repetitions; ++rep) {
+      const std::string plain = dump(run_once(row.cfg, rep));
+      EXPECT_EQ(dump(run_once(row.cfg, rep, setup.get())), plain)
+          << row.label << " rep " << rep << ": hoisted setup diverges";
+      text += " rep " + std::to_string(rep) + "\n" + plain;
+    }
+#if TURQ_TRACE_ENABLED
+    text += trace_digest(row.cfg, 0);
+#endif
+  }
+
+  if (std::getenv("UPDATE_DEPLOYMENT_GOLDEN") != nullptr) {
+#if !TURQ_TRACE_ENABLED
+    GTEST_SKIP() << "regenerate from a build with tracing enabled";
+#endif
+    std::ofstream out(DEPLOYMENT_GOLDEN_FILE, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << DEPLOYMENT_GOLDEN_FILE;
+    out << text;
+    GTEST_SKIP() << "golden file updated";
+  }
+
+  std::ifstream golden_in(DEPLOYMENT_GOLDEN_FILE, std::ios::binary);
+  ASSERT_TRUE(golden_in) << "missing golden file " << DEPLOYMENT_GOLDEN_FILE;
+  std::string expected;
+  for (std::string line; std::getline(golden_in, line);) {
+#if !TURQ_TRACE_ENABLED
+    if (line.rfind("  trace ", 0) == 0) continue;
+#endif
+    expected += line + "\n";
+  }
+  EXPECT_EQ(text, expected);
 }
 
 }  // namespace
