@@ -13,6 +13,7 @@
 #include "net/broadcast_endpoint.hpp"
 #include "net/fault_injector.hpp"
 #include "net/medium.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
@@ -35,22 +36,24 @@ int main() {
   const auto keys = turquois::KeyInfrastructure::setup(cfg, root);
   crypto::CostModel costs;
 
+  // The last f sensors are compromised insiders: they hold real keys but
+  // broadcast the opposite value in CONVERGE/LOCK phases and ⊥ in DECIDE
+  // phases (§7.2 of the paper).
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
   std::vector<std::unique_ptr<turquois::Process>> sensors;
   for (ProcessId id = 0; id < kSensors; ++id) {
     cpus.push_back(std::make_unique<sim::VirtualCpu>(sim));
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(sim, *cpus.back()));
     endpoints.push_back(std::make_unique<net::BroadcastEndpoint>(sim, medium, id));
+    turquois::ProcessHooks hooks;
+    if (id >= kSensors - f) {
+      hooks.mutate_outgoing = adversary::turquois_value_inversion();
+    }
     sensors.push_back(std::make_unique<turquois::Process>(
-        sim, *endpoints.back(), *cpus.back(), cfg, keys, id,
-        root.derive("sensor", id), costs));
-  }
-
-  // The last f sensors are compromised insiders: they hold real keys but
-  // broadcast the opposite value in CONVERGE/LOCK phases and ⊥ in DECIDE
-  // phases (§7.2 of the paper).
-  for (ProcessId id = kSensors - f; id < kSensors; ++id) {
-    sensors[id]->set_mutator(adversary::turquois_value_inversion());
+        *runtimes.back(), *endpoints.back(), cfg, keys, id,
+        root.derive("sensor", id), costs, std::move(hooks)));
   }
 
   // Every honest sensor reads a gas concentration above the threshold and

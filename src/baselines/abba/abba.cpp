@@ -3,7 +3,6 @@
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/serialize.hpp"
-#include "runtime/sim_runtime.hpp"
 #include "trace/trace.hpp"
 
 namespace turq::abba {
@@ -22,13 +21,11 @@ constexpr std::size_t kSharePadBytes = kModeledShareBytes - 28;
 Vote to_vote(Value v) { return v == Value::kOne ? Vote::kOne : Vote::kZero; }
 }  // namespace
 
-Process::Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
-                 net::TcpHost& transport, const Config& config,
-                 const Dealer& dealer, ProcessId id, Rng rng,
-                 const crypto::CostModel& costs, Strategy strategy,
+Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
+                 const Config& config, const Dealer& dealer, ProcessId id,
+                 Rng rng, const crypto::CostModel& costs, Strategy strategy,
                  ProcessHooks hooks)
-    : owned_rt_(std::move(owned)),
-      rt_(rt != nullptr ? *rt : *owned_rt_),
+    : rt_(rt),
       transport_(transport),
       cfg_(config),
       dealer_(dealer),
@@ -42,21 +39,6 @@ Process::Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
     on_message(src, payload);
   });
 }
-
-Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
-                 const Config& config, const Dealer& dealer, ProcessId id,
-                 Rng rng, const crypto::CostModel& costs, Strategy strategy,
-                 ProcessHooks hooks)
-    : Process(nullptr, &rt, transport, config, dealer, id, rng, costs,
-              strategy, std::move(hooks)) {}
-
-Process::Process(sim::Simulator& simulator, net::TcpHost& transport,
-                 sim::VirtualCpu& cpu, const Config& config,
-                 const Dealer& dealer, ProcessId id, Rng rng,
-                 const crypto::CostModel& costs, Strategy strategy)
-    : Process(std::make_unique<runtime::SimRuntime>(simulator, cpu), nullptr,
-              transport, config, dealer, id, rng, costs, strategy,
-              ProcessHooks{}) {}
 
 void Process::propose(Value initial) {
   TURQ_ASSERT(is_binary(initial));

@@ -4,38 +4,11 @@
 #include <memory>
 #include <stdexcept>
 
-#include "adversary/strategies.hpp"
-#include "baselines/abba/abba.hpp"
-#include "baselines/absmac/absmac.hpp"
-#include "baselines/bracha/bracha.hpp"
-#include "baselines/crain/crain.hpp"
-#include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "harness/scheduler.hpp"
-#include "net/broadcast_endpoint.hpp"
-#include "net/fault_injector.hpp"
-#include "net/reliable_channel.hpp"
-#include "runtime/sim_runtime.hpp"
-#include "sim/cpu.hpp"
-#include "sim/simulator.hpp"
-#include "sim/task_pool.hpp"
 #include "trace/trace.hpp"
-#include "turquois/exchange_pool.hpp"
-#include "turquois/key_infra.hpp"
-#include "turquois/process.hpp"
 
 namespace turq::harness {
-
-std::string to_string(Protocol p) {
-  switch (p) {
-    case Protocol::kTurquois: return "Turquois";
-    case Protocol::kBracha: return "Bracha";
-    case Protocol::kAbba: return "ABBA";
-    case Protocol::kCrain: return "Crain";
-    case Protocol::kAbsMac: return "AbsMac";
-  }
-  return "?";
-}
 
 std::string to_string(ProposalDist d) {
   return d == ProposalDist::kUnanimous ? "unanimous" : "divergent";
@@ -65,845 +38,6 @@ ScenarioConfig ScenarioBuilder::build() const {
   }
   return cfg_;
 }
-
-namespace {
-
-/// Proposal value for process `id` under the given distribution: the paper's
-/// unanimous load proposes 1 everywhere; the divergent load has odd ids
-/// propose 1 and even ids propose 0.
-Value proposal_for(ProposalDist dist, ProcessId id) {
-  if (dist == ProposalDist::kUnanimous) return Value::kOne;
-  return (id % 2 == 1) ? Value::kOne : Value::kZero;
-}
-
-/// Shared per-repetition context: the deployment and bookkeeping needed to
-/// run until all correct processes decide.
-struct Deployment {
-  sim::Simulator sim;
-  std::uint64_t rep_index = 0;
-  std::unique_ptr<net::Medium> medium;
-  std::unique_ptr<spatial::Topology> topology;  // set iff spatial.active()
-  std::unique_ptr<spatial::RelayFabric> relay;  // Turquois multi-hop only
-  faultplan::BuiltPlan faults;  // injector tree + optional σ meter
-  std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
-  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
-  std::vector<ProcessId> correct;   // processes expected to decide
-  std::vector<ProcessId> faulty;    // crashed or Byzantine
-
-  // Polled through type-erased accessors set up by the builders.
-  std::vector<std::function<bool()>> decided;
-  std::vector<std::function<std::optional<Value>()>> decision;
-  std::vector<std::function<std::uint64_t()>> sent;
-  std::vector<SimTime> start_at;
-  std::vector<std::optional<SimTime>> decide_at;
-
-  // Consensus auditor (nullptr when ScenarioConfig::audit is off). The
-  // builders feed the per-process hooks; `audit_finalize` runs the
-  // protocol-specific post-run checks (e.g. the Turquois decide-quorum view
-  // scan) before collect() closes the report.
-  std::unique_ptr<audit::ConsensusAuditor> auditor;
-  std::function<void(audit::ConsensusAuditor&)> audit_finalize;
-};
-
-void setup_auditor(const ScenarioConfig& cfg, Deployment& d) {
-  if (!cfg.audit) return;
-  audit::AuditConfig acfg;
-  acfg.n = cfg.n;
-  acfg.f = cfg.f();
-  acfg.k = cfg.k();
-  acfg.phase_bound = cfg.audit_phase_bound;
-  d.auditor = std::make_unique<audit::ConsensusAuditor>(acfg);
-}
-
-void split_roles(const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
-                 Deployment& d) {
-  // The last f processes take the faulty role, keeping the odd/even
-  // proposal pattern of the survivors intact.
-  const std::uint32_t f = cfg.f();
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    if (plan.role != faultplan::Role::kNone && id >= cfg.n - f) {
-      d.faulty.push_back(id);
-    } else {
-      d.correct.push_back(id);
-    }
-  }
-}
-
-void setup_medium(const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
-                  Deployment& d, Rng& root) {
-  d.medium = std::make_unique<net::Medium>(d.sim, cfg.medium,
-                                           root.derive("medium", 0));
-  faultplan::BuildContext ctx;
-  ctx.n = cfg.n;
-  ctx.f = cfg.f();
-  ctx.k = cfg.k();
-  ctx.t = plan.role == faultplan::Role::kNone ? 0 : cfg.f();
-  ctx.ambient_loss_rate = cfg.loss_rate;
-  ctx.ambient_bursts = cfg.bursty_loss;
-  ctx.ambient_burst_params = cfg.burst_params;
-  // σ accounting (and the adaptive adversary's budget window) is per
-  // *communication round* — the span in which every process broadcasts once
-  // (§5). One tick only fits a handful of frames on the serialized 802.11b
-  // channel, so at larger n a full exchange spans several ticks; granting a
-  // fresh σ budget every tick would hand the adversary a multiple of the
-  // paper's per-round budget and let it starve liveness while the
-  // accountant still reports the run σ-eligible (turquois_fuzz found
-  // exactly that at n=16: permanent livelock labelled liveness-eligible).
-  // 2 ms conservatively covers one justification-carrying broadcast frame.
-  // An explicit sigma(round_ms=...) clause still overrides this default.
-  constexpr SimDuration kFrameSlot = 2 * kMillisecond;
-  const SimDuration exchange =
-      static_cast<SimDuration>(cfg.n) * kFrameSlot;
-  const SimDuration ticks_per_round =
-      (exchange + cfg.tick_interval - 1) / cfg.tick_interval;
-  ctx.round_duration =
-      cfg.tick_interval * std::max<SimDuration>(SimDuration{1}, ticks_per_round);
-  ctx.root = root;  // derive()d from only; stream-neutral for the rest
-  // Spatial scenarios force σ tracking: reachability-induced omissions
-  // must count against the per-round budget so a transient partition makes
-  // the run liveness-ineligible instead of an auditor violation.
-  d.faults = cfg.spatial.active()
-                 ? faultplan::build(plan.with_sigma(), ctx)
-                 : faultplan::build(plan, ctx);
-  d.medium->set_fault_injector(d.faults.injector.get());
-  if (cfg.spatial.active()) {
-    d.topology = std::make_unique<spatial::Topology>(
-        cfg.spatial, cfg.n, root.derive("spatial", 0));
-    d.medium->set_spatial(d.topology.get());
-    if (d.faults.sigma != nullptr) {
-      d.medium->set_unreachable_hook(
-          [s = d.faults.sigma](SimTime at) { s->record_omission(at); });
-    }
-  }
-}
-
-RunResult collect(const ScenarioConfig& cfg, Deployment& d) {
-  RunResult result;
-  // Drive the simulation until every correct process decides or timeout.
-  const SimTime deadline = cfg.run_timeout;
-  while (d.sim.now() < deadline) {
-    bool all = true;
-    for (std::size_t i = 0; i < d.correct.size(); ++i) {
-      const ProcessId id = d.correct[i];
-      if (d.decided[id]()) {
-        if (!d.decide_at[id].has_value()) d.decide_at[id] = d.sim.now();
-      } else {
-        all = false;
-      }
-    }
-    if (all) break;
-    const SimTime slice = std::min<SimTime>(deadline, d.sim.now() + kMillisecond);
-    if (d.sim.run_until(slice) == 0 && d.sim.idle()) break;
-  }
-
-  std::optional<Value> agreed;
-  std::size_t decided_count = 0;
-  result.all_correct_decided = true;
-  for (const ProcessId id : d.correct) {
-    if (!d.decided[id]()) {
-      result.all_correct_decided = false;
-      continue;
-    }
-    ++decided_count;
-    const auto v = d.decision[id]();
-    TURQ_ASSERT(v.has_value());
-    if (agreed.has_value() && *agreed != *v) result.agreement_held = false;
-    agreed = *v;
-    // decide_at may not have been sampled if decision landed in the last
-    // slice; fall back to now.
-    const SimTime at = d.decide_at[id].value_or(d.sim.now());
-    result.latencies_ms.push_back(to_milliseconds(at - d.start_at[id]));
-  }
-  result.k_decided = decided_count >= cfg.k();
-  result.decision = agreed;
-
-  // Validity: under the unanimous load every correct process proposed 1.
-  if (cfg.distribution == ProposalDist::kUnanimous && agreed.has_value() &&
-      *agreed != Value::kOne) {
-    result.validity_held = false;
-  }
-
-  result.medium = d.medium->stats();
-  for (const ProcessId id : d.correct) result.app_messages += d.sent[id]();
-  if (d.faults.sigma != nullptr) {
-    result.sigma = d.faults.sigma->summary();
-  }
-  if (d.topology != nullptr) {
-    // Sample connectivity up to the end of the run so a quiet tail (e.g.
-    // everyone decided, no frames moving) still contributes samples.
-    d.topology->advance(d.sim.now());
-    spatial::SpatialStats sp = d.topology->stats();
-    if (d.relay != nullptr) {
-      const spatial::RelayFabric::Stats rs = d.relay->stats();
-      sp.relay_origin_frames = rs.origin_frames;
-      sp.relay_forwards = rs.forwards;
-      sp.relay_suppressed = rs.suppressed;
-      sp.relay_duplicates = rs.duplicates;
-      sp.relay_deliveries = rs.deliveries;
-    }
-    result.spatial = sp;
-  }
-
-  if (d.auditor != nullptr) {
-    if (d.audit_finalize) d.audit_finalize(*d.auditor);
-    result.audit = d.auditor->finish(result.sigma, result.all_correct_decided);
-  }
-
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    t->metrics().merge(d.medium->metrics());
-    if (d.topology != nullptr) t->metrics().merge(d.topology->metrics());
-    if (d.relay != nullptr) t->metrics().merge(d.relay->metrics());
-    t->metrics().counter("app.messages").add(result.app_messages);
-    if (result.sigma.has_value()) {
-      const faultplan::SigmaSummary& s = *result.sigma;
-      auto& m = t->metrics();
-      m.counter("sigma.tracked_reps").add(1);
-      m.counter("sigma.bound").add(s.bound);
-      m.counter("sigma.rounds").add(static_cast<std::int64_t>(s.rounds));
-      m.counter("sigma.violating_rounds")
-          .add(static_cast<std::int64_t>(s.violating_rounds));
-      m.counter("sigma.omissions").add(static_cast<std::int64_t>(s.omissions));
-      m.counter("sigma.eligible_reps").add(s.liveness_eligible() ? 1 : 0);
-    }
-    if (result.audit.has_value()) {
-      auto& m = t->metrics();
-      m.counter("audit.checked_reps").add(1);
-      m.counter("audit.violations")
-          .add(static_cast<std::int64_t>(result.audit->violations.size()));
-      m.counter("audit.violating_reps").add(result.audit->passed() ? 0 : 1);
-      for (const audit::Violation& v : result.audit->violations) {
-        m.counter(std::string("audit.") + audit::to_string(v.property)).add(1);
-      }
-    }
-    t->emit(trace::TraceEvent{
-        .at = d.sim.now(), .category = trace::Category::kHarness,
-        .kind = trace::Kind::kRepEnd,
-        .value = static_cast<std::int64_t>(d.rep_index)});
-  }
-#endif
-  return result;
-}
-
-// ----------------------------------------------------------- per protocol --
-
-RunResult run_turquois(const ScenarioConfig& cfg,
-                       const faultplan::FaultPlan& plan, Rng root,
-                       std::uint64_t rep_index, const ScenarioSetup* setup) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  turquois::Config tcfg = turquois::Config::for_group(cfg.n);
-  tcfg.tick_interval = cfg.tick_interval;
-  tcfg.tick_jitter = cfg.tick_jitter;
-  // Reuse the hoisted key infrastructure when the scheduler provides one;
-  // KeyInfrastructure::setup only derive()s from root (never consumes it),
-  // so skipping it leaves every other stream of this repetition untouched.
-  std::optional<turquois::KeyInfrastructure> local_keys;
-  if (setup == nullptr || !setup->turquois_keys.has_value()) {
-    local_keys = turquois::KeyInfrastructure::setup(tcfg, root);
-  }
-  const turquois::KeyInfrastructure& keys =
-      local_keys.has_value() ? *local_keys : *setup->turquois_keys;
-
-  // Intra-run acceleration: one prepared-exchange cache shared by all
-  // receivers, optionally pre-filled by lookahead workers. The cache is
-  // declared *before* the worker pool: destruction runs in reverse, so the
-  // pool drains and joins (completing any in-flight fill) while the cache
-  // entries it writes are still alive.
-  std::unique_ptr<turquois::ExchangePool> exchange_pool;
-  std::unique_ptr<sim::TaskPool> intra_pool;
-  if (sim::TaskPool::resolve(cfg.intra_jobs) > 1) {
-    intra_pool =
-        std::make_unique<sim::TaskPool>(sim::TaskPool::resolve(cfg.intra_jobs));
-  }
-  if (cfg.exchange_pool) {
-    exchange_pool = std::make_unique<turquois::ExchangePool>(
-        keys, tcfg, intra_pool.get());
-  }
-
-  std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
-  std::vector<std::unique_ptr<turquois::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
-
-  // Single-hop endpoints sit on the medium directly; multi-hop ones route
-  // through the gossip relay so every state datagram still reaches the
-  // whole group. The protocol code is identical either way.
-  net::BroadcastService* bus = d.medium.get();
-  if (cfg.spatial.active() && cfg.relay_enabled) {
-    d.relay = std::make_unique<spatial::RelayFabric>(
-        d.sim, *d.medium, cfg.relay, cfg.n, root.derive("relay", 0));
-    bus = d.relay.get();
-  }
-
-  const bool fail_stop = plan.role == faultplan::Role::kFailStop;
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    endpoints.push_back(
-        std::make_unique<net::BroadcastEndpoint>(d.sim, *bus, id));
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor =
-        correct ? d.auditor.get() : nullptr;  // observe correct processes only
-    turquois::ProcessHooks hooks;
-    hooks.exchange_pool = exchange_pool.get();
-    hooks.on_decide = [&d, id, auditor](Value v, turquois::Phase phase,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, phase, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_phase = [id, auditor](turquois::Phase phase, SimTime at) {
-        auditor->on_phase(id, phase, at);
-      };
-    }
-    if (!correct && !fail_stop) {
-      hooks.mutate_outgoing =
-          cfg.attack == TurquoisAttack::kDecidedCoinForge
-              ? adversary::turquois_decided_coin_forge()
-              : adversary::turquois_value_inversion();
-    }
-    procs.push_back(std::make_unique<turquois::Process>(
-        *d.runtimes.back(), *endpoints.back(), tcfg, keys, id,
-        root.derive("proc", id), cfg.costs, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().broadcasts; };
-  }
-
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && fail_stop) {
-      procs[id]->crash();
-      continue;
-    }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
-  }
-
-  if (d.auditor != nullptr) {
-    // Quorum sanity, Turquois-flavoured: every correct decision must be
-    // backed by a quorum of messages carrying (some DECIDE phase, value) in
-    // the decider's final view. This holds for both decision paths — an own
-    // quorum transition counts its own view, and an adopted kDecided message
-    // passed status_valid only once the receiver's view held the decide
-    // quorum (validation.cpp) — and views never shrink.
-    std::vector<turquois::Process*> raw;
-    raw.reserve(procs.size());
-    for (const auto& p : procs) raw.push_back(p.get());
-    d.audit_finalize = [&d, tcfg, raw](audit::ConsensusAuditor& auditor) {
-      for (const ProcessId id : d.correct) {
-        const turquois::Process* p = raw[id];
-        if (!p->decided()) continue;
-        const Value v = p->decision();
-        const turquois::Message* highest =
-            p->view().highest_phase_message();
-        bool evidence = false;
-        if (highest != nullptr) {
-          for (turquois::Phase dph = 3; dph <= highest->phase; dph += 3) {
-            if (tcfg.exceeds_quorum(p->view().count_phase_value(dph, v))) {
-              evidence = true;
-              break;
-            }
-          }
-        }
-        if (!evidence) {
-          auditor.note_violation(
-              audit::Property::kQuorumSanity, id,
-              "decided " + turq::to_string(v) +
-                  " without a decide-phase quorum for it in the final view");
-        }
-      }
-    };
-  }
-
-  RunResult result = collect(cfg, d);
-#if TURQ_TRACE_ENABLED
-  if (exchange_pool != nullptr) {
-    if (trace::Tracer* t = trace::current()) {
-      // Acquire-side counters only: they are measured on the simulator
-      // thread in delivery order and are bit-identical at any --intra-jobs.
-      // Fill attribution (inline vs worker, claim races) is execution-
-      // timing-dependent and deliberately stays out of the trace contract
-      // (see ExchangePool::Stats).
-      const turquois::ExchangePool::Stats& ps = exchange_pool->stats();
-      auto& m = t->metrics();
-      m.counter("exchange_pool.acquires")
-          .add(static_cast<std::int64_t>(ps.acquires));
-      m.counter("exchange_pool.hits")
-          .add(static_cast<std::int64_t>(ps.shared_hits));
-      m.counter("exchange_pool.misses")
-          .add(static_cast<std::int64_t>(ps.misses()));
-    }
-  }
-#endif
-  return result;
-}
-
-/// Shared pairwise HMAC keys (the pre-established security associations).
-std::vector<std::vector<Bytes>> make_sa_keys(std::uint32_t n, Rng& root) {
-  Rng key_rng = root.derive("sa-keys", 0);
-  std::vector<std::vector<Bytes>> keys(n, std::vector<Bytes>(n));
-  for (ProcessId a = 0; a < n; ++a) {
-    for (ProcessId b = a; b < n; ++b) {
-      Bytes key(32);
-      for (auto& byte : key) byte = static_cast<std::uint8_t>(key_rng.next());
-      keys[a][b] = key;
-      keys[b][a] = std::move(key);
-    }
-  }
-  return keys;
-}
-
-RunResult run_bracha(const ScenarioConfig& cfg,
-                     const faultplan::FaultPlan& plan, Rng root,
-                     std::uint64_t rep_index, const ScenarioSetup* setup) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  const bracha::Config bcfg = bracha::Config::for_group(cfg.n);
-  net::TcpConfig tcp = cfg.tcp;
-  tcp.authenticate = true;  // IPSec AH analogue
-
-  // make_sa_keys only consumes a derived stream, so hoisting it is
-  // stream-neutral for the rest of the repetition.
-  std::vector<std::vector<Bytes>> local_keys;
-  if (setup == nullptr || setup->sa_keys.empty()) {
-    local_keys = make_sa_keys(cfg.n, root);
-  }
-  const std::vector<std::vector<Bytes>>& keys =
-      local_keys.empty() ? setup->sa_keys : local_keys;
-
-  std::vector<std::unique_ptr<net::TcpHost>> hosts;
-  std::vector<std::unique_ptr<bracha::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
-
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    hosts.push_back(std::make_unique<net::TcpHost>(
-        d.sim, *d.medium, id, tcp, d.cpus.back().get(), &cfg.costs));
-    for (ProcessId peer = 0; peer < cfg.n; ++peer) {
-      hosts.back()->set_peer_key(peer, keys[id][peer]);
-    }
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    const auto strategy = (faulty && plan.role == faultplan::Role::kByzantine)
-                              ? bracha::Strategy::kValueInversion
-                              : bracha::Strategy::kHonest;
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor = correct ? d.auditor.get() : nullptr;
-    bracha::ProcessHooks hooks;
-    hooks.on_decide = [&d, id, auditor](Value v, std::uint32_t round,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, round, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_round = [id, auditor](std::uint32_t round, SimTime at) {
-        auditor->on_phase(id, round, at);
-      };
-    }
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    procs.push_back(std::make_unique<bracha::Process>(
-        *d.runtimes.back(), *hosts.back(), bcfg, id, root.derive("proc", id),
-        cfg.costs, strategy, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().messages_sent; };
-  }
-
-  if (plan.role == faultplan::Role::kFailStop) {
-    // Crashed-before-start processes never came up: surviving hosts have no
-    // connection to them (no frames wasted on unreachable peers).
-    for (ProcessId alive = 0; alive < cfg.n; ++alive) {
-      for (const ProcessId dead : d.faulty) {
-        hosts[alive]->disconnect_peer(dead);
-      }
-    }
-  }
-
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && plan.role == faultplan::Role::kFailStop) {
-      procs[id]->crash();
-      continue;
-    }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
-  }
-
-  RunResult result = collect(cfg, d);
-  for (const auto& host : hosts) {
-    const auto s = host->stats();
-    result.tcp.messages_sent += s.messages_sent;
-    result.tcp.segments_sent += s.segments_sent;
-    result.tcp.segments_retransmitted += s.segments_retransmitted;
-    result.tcp.rto_fires += s.rto_fires;
-    result.tcp.fast_retransmits += s.fast_retransmits;
-  }
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    for (const auto& host : hosts) t->metrics().merge(host->metrics());
-  }
-#endif
-  return result;
-}
-
-RunResult run_abba(const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
-                   Rng root, std::uint64_t rep_index) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  const abba::Config acfg = abba::Config::for_group(cfg.n);
-  // Per-repetition on purpose: the dealer's threshold shares combine into
-  // the common-coin values, so hoisting them would change every coin flip
-  // (unlike the Turquois/Bracha key material, which never steers control
-  // flow).
-  Rng dealer_rng = root.derive("dealer", 0);
-  const abba::Dealer dealer = abba::Dealer::setup(acfg, dealer_rng);
-  net::TcpConfig tcp = cfg.tcp;  // plain TCP: ABBA authenticates itself
-  tcp.authenticate = false;
-
-  std::vector<std::unique_ptr<net::TcpHost>> hosts;
-  std::vector<std::unique_ptr<abba::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
-
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    hosts.push_back(std::make_unique<net::TcpHost>(
-        d.sim, *d.medium, id, tcp, d.cpus.back().get(), &cfg.costs));
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    const auto strategy = (faulty && plan.role == faultplan::Role::kByzantine)
-                              ? abba::Strategy::kInvalidCrypto
-                              : abba::Strategy::kHonest;
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor = correct ? d.auditor.get() : nullptr;
-    abba::ProcessHooks hooks;
-    hooks.on_decide = [&d, id, auditor](Value v, std::uint32_t round,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, round, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_round = [id, auditor](std::uint32_t round, SimTime at) {
-        auditor->on_phase(id, round, at);
-      };
-    }
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    procs.push_back(std::make_unique<abba::Process>(
-        *d.runtimes.back(), *hosts.back(), acfg, dealer, id,
-        root.derive("proc", id), cfg.costs, strategy, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().messages_sent; };
-  }
-
-  if (plan.role == faultplan::Role::kFailStop) {
-    // Crashed-before-start processes never came up: surviving hosts have no
-    // connection to them (no frames wasted on unreachable peers).
-    for (ProcessId alive = 0; alive < cfg.n; ++alive) {
-      for (const ProcessId dead : d.faulty) {
-        hosts[alive]->disconnect_peer(dead);
-      }
-    }
-  }
-
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && plan.role == faultplan::Role::kFailStop) {
-      procs[id]->crash();
-      continue;
-    }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
-  }
-
-  RunResult result = collect(cfg, d);
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    for (const auto& host : hosts) t->metrics().merge(host->metrics());
-  }
-#endif
-  return result;
-}
-
-RunResult run_crain(const ScenarioConfig& cfg,
-                    const faultplan::FaultPlan& plan, Rng root,
-                    std::uint64_t rep_index, const ScenarioSetup* setup) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  const crain::Config ccfg = crain::Config::for_group(cfg.n);
-  // Per-repetition like ABBA's dealer: the combined shares ARE the common
-  // coin, so hoisting would change every coin flip.
-  Rng dealer_rng = root.derive("dealer", 0);
-  const crain::Dealer dealer = crain::Dealer::setup(ccfg, dealer_rng);
-  net::TcpConfig tcp = cfg.tcp;
-  tcp.authenticate = true;  // authenticated channels, no signatures
-
-  // make_sa_keys only consumes a derived stream, so hoisting it is
-  // stream-neutral for the rest of the repetition.
-  std::vector<std::vector<Bytes>> local_keys;
-  if (setup == nullptr || setup->sa_keys.empty()) {
-    local_keys = make_sa_keys(cfg.n, root);
-  }
-  const std::vector<std::vector<Bytes>>& keys =
-      local_keys.empty() ? setup->sa_keys : local_keys;
-
-  std::vector<std::unique_ptr<net::TcpHost>> hosts;
-  std::vector<std::unique_ptr<crain::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
-
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    hosts.push_back(std::make_unique<net::TcpHost>(
-        d.sim, *d.medium, id, tcp, d.cpus.back().get(), &cfg.costs));
-    for (ProcessId peer = 0; peer < cfg.n; ++peer) {
-      hosts.back()->set_peer_key(peer, keys[id][peer]);
-    }
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    const auto strategy = (faulty && plan.role == faultplan::Role::kByzantine)
-                              ? crain::Strategy::kValueInversion
-                              : crain::Strategy::kHonest;
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor = correct ? d.auditor.get() : nullptr;
-    crain::ProcessHooks hooks;
-    hooks.on_decide = [&d, id, auditor](Value v, std::uint32_t round,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, round, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_round = [id, auditor](std::uint32_t round, SimTime at) {
-        auditor->on_phase(id, round, at);
-      };
-    }
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    procs.push_back(std::make_unique<crain::Process>(
-        *d.runtimes.back(), *hosts.back(), ccfg, dealer, id,
-        root.derive("proc", id), cfg.costs, strategy, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().messages_sent; };
-  }
-
-  if (plan.role == faultplan::Role::kFailStop) {
-    // Crashed-before-start processes never came up: surviving hosts have no
-    // connection to them (no frames wasted on unreachable peers).
-    for (ProcessId alive = 0; alive < cfg.n; ++alive) {
-      for (const ProcessId dead : d.faulty) {
-        hosts[alive]->disconnect_peer(dead);
-      }
-    }
-  }
-
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && plan.role == faultplan::Role::kFailStop) {
-      procs[id]->crash();
-      continue;
-    }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
-  }
-
-  RunResult result = collect(cfg, d);
-  for (const auto& host : hosts) {
-    const auto s = host->stats();
-    result.tcp.messages_sent += s.messages_sent;
-    result.tcp.segments_sent += s.segments_sent;
-    result.tcp.segments_retransmitted += s.segments_retransmitted;
-    result.tcp.rto_fires += s.rto_fires;
-    result.tcp.fast_retransmits += s.fast_retransmits;
-  }
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    for (const auto& host : hosts) t->metrics().merge(host->metrics());
-  }
-#endif
-  return result;
-}
-
-RunResult run_absmac(const ScenarioConfig& cfg,
-                     const faultplan::FaultPlan& plan, Rng root,
-                     std::uint64_t rep_index) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  absmac::Config mcfg = absmac::Config::for_group(cfg.n);
-  mcfg.tick_interval = cfg.tick_interval;
-
-  std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
-  std::vector<std::unique_ptr<absmac::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
-
-  // Same transport split as Turquois: single-hop endpoints sit on the
-  // medium, multi-hop ones route through the gossip relay — the abstract
-  // MAC above is none the wiser.
-  net::BroadcastService* bus = d.medium.get();
-  if (cfg.spatial.active() && cfg.relay_enabled) {
-    d.relay = std::make_unique<spatial::RelayFabric>(
-        d.sim, *d.medium, cfg.relay, cfg.n, root.derive("relay", 0));
-    bus = d.relay.get();
-  }
-
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    endpoints.push_back(
-        std::make_unique<net::BroadcastEndpoint>(d.sim, *bus, id));
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    const auto strategy = (faulty && plan.role == faultplan::Role::kByzantine)
-                              ? absmac::Strategy::kValueInversion
-                              : absmac::Strategy::kHonest;
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor = correct ? d.auditor.get() : nullptr;
-    absmac::ProcessHooks hooks;
-    hooks.on_decide = [&d, id, auditor](Value v, std::uint32_t round,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, round, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_round = [id, auditor](std::uint32_t round, SimTime at) {
-        auditor->on_phase(id, round, at);
-      };
-    }
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    procs.push_back(std::make_unique<absmac::Process>(
-        *d.runtimes.back(), *endpoints.back(), mcfg, id,
-        root.derive("proc", id), strategy, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().messages_sent; };
-  }
-
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && plan.role == faultplan::Role::kFailStop) {
-      procs[id]->crash();
-      continue;
-    }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
-  }
-
-  return collect(cfg, d);
-}
-
-}  // namespace
 
 std::optional<std::string> validate(const ScenarioConfig& cfg) {
   if (cfg.repetitions == 0) {
@@ -963,24 +97,7 @@ std::optional<std::string> validate(const ScenarioConfig& cfg) {
 std::shared_ptr<const ScenarioSetup> make_scenario_setup(
     const ScenarioConfig& cfg) {
   auto setup = std::make_shared<ScenarioSetup>();
-  // Derived from the repetition-0 stream: repetition 0 under the hoisted
-  // path is byte-for-byte the deployment the unhoisted path builds.
-  Rng root = Rng::stream(cfg.seed, "rep", 0);
-  switch (cfg.protocol) {
-    case Protocol::kTurquois: {
-      const turquois::Config tcfg = turquois::Config::for_group(cfg.n);
-      setup->turquois_keys = turquois::KeyInfrastructure::setup(tcfg, root);
-      break;
-    }
-    case Protocol::kBracha:
-    case Protocol::kCrain:
-      setup->sa_keys = make_sa_keys(cfg.n, root);
-      break;
-    case Protocol::kAbba:
-      break;  // the dealer must stay per-repetition (see run_abba)
-    case Protocol::kAbsMac:
-      break;  // nothing to hoist: no keys, no dealer
-  }
+  protocol_info(cfg.protocol).hoist(cfg, *setup);
   return setup;
 }
 
@@ -990,9 +107,6 @@ RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index) {
 
 RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index,
                    const ScenarioSetup* setup) {
-  Rng rep = Rng::stream(cfg.seed, "rep", rep_index);
-  const faultplan::FaultPlan plan = cfg.effective_plan();
-
 #if TURQ_TRACE_ENABLED
   // Each repetition gets a fresh tracer so the ring holds one run and the
   // sink receives one begin/end-marked block per repetition.
@@ -1010,24 +124,7 @@ RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index,
   }
 #endif
 
-  RunResult result;
-  switch (cfg.protocol) {
-    case Protocol::kTurquois:
-      result = run_turquois(cfg, plan, rep, rep_index, setup);
-      break;
-    case Protocol::kBracha:
-      result = run_bracha(cfg, plan, rep, rep_index, setup);
-      break;
-    case Protocol::kAbba:
-      result = run_abba(cfg, plan, rep, rep_index);
-      break;
-    case Protocol::kCrain:
-      result = run_crain(cfg, plan, rep, rep_index, setup);
-      break;
-    case Protocol::kAbsMac:
-      result = run_absmac(cfg, plan, rep, rep_index);
-      break;
-  }
+  RunResult result = protocol_info(cfg.protocol).run(cfg, rep_index, setup);
 
 #if TURQ_TRACE_ENABLED
   if (tracer.has_value()) tracer->flush(*cfg.trace_sink);

@@ -15,7 +15,9 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -367,6 +369,30 @@ RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index);
 /// way; only wall-clock differs.
 RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index,
                    const ScenarioSetup* setup);
+
+/// One row of the protocol registry (protocols.cpp): how a protocol is
+/// named on the command line and in reports, and how one repetition of it
+/// is deployed. Adding a protocol takes one Protocol value and one row.
+struct ProtocolInfo {
+  Protocol protocol;
+  const char* flag;  ///< CLI spelling ("turquois")
+  const char* name;  ///< display name in tables and reports ("Turquois")
+  /// Honours ScenarioConfig::attack (the Turquois Byzantine strategies).
+  bool byzantine_attacks;
+  /// Builds and runs one repetition (run_once's body, under its tracer).
+  RunResult (*run)(const ScenarioConfig& cfg, std::uint64_t rep_index,
+                   const ScenarioSetup* setup);
+  /// Fills the setup make_scenario_setup hoists out of the repetitions.
+  void (*hoist)(const ScenarioConfig& cfg, ScenarioSetup& setup);
+};
+
+/// Every protocol, in Protocol order.
+[[nodiscard]] std::span<const ProtocolInfo> protocols();
+[[nodiscard]] const ProtocolInfo& protocol_info(Protocol p);
+/// The protocol whose CLI flag is `flag`, if any.
+[[nodiscard]] std::optional<Protocol> protocol_from_flag(std::string_view flag);
+/// Every CLI flag joined by `sep` ("turquois|bracha|..."), for usage text.
+[[nodiscard]] std::string protocol_flags(std::string_view sep);
 
 /// Runs the full scenario and pools the results in repetition order.
 /// cfg.jobs > 1 (or 0 = auto) fans the repetitions out across a worker

@@ -312,23 +312,11 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
       if (p->decision() != Value::kOne) result.validity_held = false;
     }
     if (inst.auditor != nullptr) {
-      // Quorum sanity, exactly the harness's Turquois view scan: every
-      // decision needs a decide-phase quorum for the value in the
-      // decider's final view.
+      // Quorum sanity, the same view scan the harness runs.
       for (const auto& p : inst.procs) {
         if (!p->decided()) continue;
         const Value v = p->decision();
-        const turquois::Message* highest = p->view().highest_phase_message();
-        bool evidence = false;
-        if (highest != nullptr) {
-          for (turquois::Phase dph = 3; dph <= highest->phase; dph += 3) {
-            if (tcfg.exceeds_quorum(p->view().count_phase_value(dph, v))) {
-              evidence = true;
-              break;
-            }
-          }
-        }
-        if (!evidence) {
+        if (!turquois::has_decide_quorum(p->view(), tcfg, v)) {
           inst.auditor->note_violation(
               audit::Property::kQuorumSanity, p->id(),
               "decided " + turq::to_string(v) +

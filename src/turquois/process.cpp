@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "runtime/sim_runtime.hpp"
 #include "trace/trace.hpp"
 #include "turquois/exchange_pool.hpp"
 
@@ -14,12 +13,11 @@ namespace {
 constexpr std::size_t kMaxPending = 4096;
 }  // namespace
 
-Process::Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
-                 net::DatagramPort& endpoint, const Config& config,
-                 const KeyInfrastructure& keys, ProcessId id, Rng rng,
-                 const crypto::CostModel& costs, ProcessHooks hooks)
-    : owned_rt_(std::move(owned)),
-      rt_(rt != nullptr ? *rt : *owned_rt_),
+Process::Process(runtime::Runtime& rt, net::DatagramPort& endpoint,
+                 const Config& config, const KeyInfrastructure& keys,
+                 ProcessId id, Rng rng, const crypto::CostModel& costs,
+                 ProcessHooks hooks)
+    : rt_(rt),
       endpoint_(endpoint),
       cfg_(config),
       keys_(keys),
@@ -35,20 +33,6 @@ Process::Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
     on_datagram(src, payload);
   });
 }
-
-Process::Process(runtime::Runtime& rt, net::DatagramPort& endpoint,
-                 const Config& config, const KeyInfrastructure& keys,
-                 ProcessId id, Rng rng, const crypto::CostModel& costs,
-                 ProcessHooks hooks)
-    : Process(nullptr, &rt, endpoint, config, keys, id, rng, costs,
-              std::move(hooks)) {}
-
-Process::Process(sim::Simulator& simulator, net::DatagramPort& endpoint,
-                 sim::VirtualCpu& cpu, const Config& config,
-                 const KeyInfrastructure& keys, ProcessId id, Rng rng,
-                 const crypto::CostModel& costs)
-    : Process(std::make_unique<runtime::SimRuntime>(simulator, cpu), nullptr,
-              endpoint, config, keys, id, rng, costs, ProcessHooks{}) {}
 
 Process::~Process() {
   // A live tick timer captures `this`; a real-time runtime may outlive the

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,11 +29,6 @@
 #include "turquois/message.hpp"
 #include "turquois/validation.hpp"
 #include "turquois/view.hpp"
-
-namespace turq::sim {
-class Simulator;
-class VirtualCpu;
-}  // namespace turq::sim
 
 namespace turq::turquois {
 
@@ -51,9 +45,8 @@ using PhaseHandler = std::function<void(Phase, SimTime)>;
 using Mutator = std::function<void(Message&)>;
 
 /// Every observation/extension point a Process exposes, bundled so
-/// construction states the full contract in one place (the former
-/// set_on_decide / set_on_phase / set_mutator / set_exchange_pool sprawl).
-/// All fields optional; default hooks observe nothing and mutate nothing.
+/// construction states the full contract in one place. All fields
+/// optional; default hooks observe nothing and mutate nothing.
 struct ProcessHooks {
   DecideHandler on_decide;
   PhaseHandler on_phase;
@@ -79,13 +72,6 @@ class Process {
           const Config& config, const KeyInfrastructure& keys, ProcessId id,
           Rng rng, const crypto::CostModel& costs, ProcessHooks hooks = {});
 
-  /// Deprecated sim-bound shim (kept for one PR): wraps `simulator` + `cpu`
-  /// in an owned runtime::SimRuntime. Prefer the runtime constructor.
-  Process(sim::Simulator& simulator, net::DatagramPort& endpoint,
-          sim::VirtualCpu& cpu, const Config& config,
-          const KeyInfrastructure& keys, ProcessId id, Rng rng,
-          const crypto::CostModel& costs);
-
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
 
@@ -96,13 +82,6 @@ class Process {
 
   /// Halts all activity (fail-stop).
   void crash();
-
-  // Deprecated setter shims (kept for one PR): pass a ProcessHooks at
-  // construction instead.
-  void set_on_decide(DecideHandler handler) { on_decide_ = std::move(handler); }
-  void set_on_phase(PhaseHandler handler) { on_phase_ = std::move(handler); }
-  void set_mutator(Mutator mutator) { mutator_ = std::move(mutator); }
-  void set_exchange_pool(ExchangePool* pool) { exchange_pool_ = pool; }
 
   [[nodiscard]] ProcessId id() const { return id_; }
   [[nodiscard]] Phase phase() const { return phase_; }
@@ -162,14 +141,6 @@ class Process {
   void append_quorum(std::vector<Message>& out, Phase phase,
                      std::optional<Value> value, std::size_t want) const;
 
-  /// Delegation target of the two public constructors: exactly one of
-  /// `owned` (a shim-built SimRuntime) or `rt` is non-null.
-  Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
-          net::DatagramPort& endpoint, const Config& config,
-          const KeyInfrastructure& keys, ProcessId id, Rng rng,
-          const crypto::CostModel& costs, ProcessHooks hooks);
-
-  std::unique_ptr<runtime::Runtime> owned_rt_;  // declared before rt_
   runtime::Runtime& rt_;
   net::DatagramPort& endpoint_;
   const Config& cfg_;

@@ -1,5 +1,7 @@
 #include "turquois/view.hpp"
 
+#include "turquois/config.hpp"
+
 namespace turq::turquois {
 
 View::View(const View& other)
@@ -109,6 +111,15 @@ std::vector<const Message*> View::messages_at_with_value(
     if (out.size() == limit) break;
   }
   return out;
+}
+
+bool has_decide_quorum(const View& view, const Config& cfg, Value v) {
+  const Message* highest = view.highest_phase_message();
+  if (highest == nullptr) return false;
+  for (Phase phase = 3; phase <= highest->phase; phase += 3) {
+    if (cfg.exceeds_quorum(view.count_phase_value(phase, v))) return true;
+  }
+  return false;
 }
 
 }  // namespace turq::turquois

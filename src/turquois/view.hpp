@@ -19,6 +19,8 @@
 
 namespace turq::turquois {
 
+struct Config;
+
 class View {
  public:
   View() = default;
@@ -101,5 +103,15 @@ class View {
   std::size_t total_ = 0;
   const Message* highest_ = nullptr;
 };
+
+/// Quorum sanity for a decision on `v`: true when some DECIDE phase (every
+/// third phase, up to the highest phase in `view`) holds more than (n+f)/2
+/// messages carrying `v`. Every correct decision passes — an own quorum
+/// transition counts its own view, an adopted kDecided message passed
+/// status_valid only once the receiver's view held the decide quorum, and
+/// views never shrink — so the consensus auditor flags any decision that
+/// fails it.
+[[nodiscard]] bool has_decide_quorum(const View& view, const Config& cfg,
+                                     Value v);
 
 }  // namespace turq::turquois

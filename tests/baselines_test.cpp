@@ -48,6 +48,7 @@ struct BrachaRig {
   crypto::CostModel costs;
   bracha::Config cfg;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<std::unique_ptr<net::TcpHost>> hosts;
   std::vector<std::unique_ptr<bracha::Process>> procs;
 
@@ -64,8 +65,10 @@ struct BrachaRig {
           sim, medium, id, tcp, cpus.back().get(), &costs));
       const auto strategy = id < strategies.size() ? strategies[id]
                                                    : bracha::Strategy::kHonest;
+      runtimes.push_back(
+          std::make_unique<runtime::SimRuntime>(sim, *cpus.back()));
       procs.push_back(std::make_unique<bracha::Process>(
-          sim, *hosts.back(), *cpus.back(), cfg, id, root.derive("p", id),
+          *runtimes.back(), *hosts.back(), cfg, id, root.derive("p", id),
           costs, strategy));
     }
     for (auto& h : hosts) {
@@ -163,6 +166,7 @@ struct AbbaRig {
   abba::Config cfg;
   abba::Dealer dealer;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<std::unique_ptr<net::TcpHost>> hosts;
   std::vector<std::unique_ptr<abba::Process>> procs;
 
@@ -183,8 +187,10 @@ struct AbbaRig {
           sim, medium, id, net::TcpConfig{}, cpus.back().get(), &costs));
       const auto strategy =
           id < strategies.size() ? strategies[id] : abba::Strategy::kHonest;
+      runtimes.push_back(
+          std::make_unique<runtime::SimRuntime>(sim, *cpus.back()));
       procs.push_back(std::make_unique<abba::Process>(
-          sim, *hosts.back(), *cpus.back(), cfg, dealer, id,
+          *runtimes.back(), *hosts.back(), cfg, dealer, id,
           root.derive("p", id), costs, strategy));
     }
   }

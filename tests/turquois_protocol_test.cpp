@@ -13,6 +13,7 @@
 #include "net/broadcast_endpoint.hpp"
 #include "net/fault_injector.hpp"
 #include "net/medium.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
@@ -26,19 +27,26 @@ namespace {
 /// Self-contained Turquois deployment for tests.
 class Cluster {
  public:
+  /// The last `insiders` processes run the value-inversion attack.
   Cluster(std::uint32_t n, std::uint64_t seed,
-          net::MediumConfig medium_cfg = {})
+          net::MediumConfig medium_cfg = {}, std::uint32_t insiders = 0)
       : cfg_(Config::for_group(n)),
         root_rng_(seed),
         medium_(sim_, medium_cfg, root_rng_.derive("medium", 0)),
         keys_(KeyInfrastructure::setup(cfg_, root_rng_)) {
     for (ProcessId id = 0; id < n; ++id) {
       cpus_.push_back(std::make_unique<sim::VirtualCpu>(sim_));
+      runtimes_.push_back(
+          std::make_unique<runtime::SimRuntime>(sim_, *cpus_.back()));
       endpoints_.push_back(
           std::make_unique<net::BroadcastEndpoint>(sim_, medium_, id));
+      ProcessHooks hooks;
+      if (id >= n - insiders) {
+        hooks.mutate_outgoing = adversary::turquois_value_inversion();
+      }
       processes_.push_back(std::make_unique<Process>(
-          sim_, *endpoints_.back(), *cpus_.back(), cfg_, keys_, id,
-          root_rng_.derive("process", id), costs_));
+          *runtimes_.back(), *endpoints_.back(), cfg_, keys_, id,
+          root_rng_.derive("process", id), costs_, std::move(hooks)));
     }
   }
 
@@ -110,6 +118,7 @@ class Cluster {
   KeyInfrastructure keys_;
   crypto::CostModel costs_;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus_;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes_;
   std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints_;
   std::vector<std::unique_ptr<Process>> processes_;
 };
@@ -269,15 +278,11 @@ INSTANTIATE_TEST_SUITE_P(SeedSweep, TurquoisSeeds,
 TEST(TurquoisByzantine, ValueInversionCannotBreakValidity) {
   // All correct processes propose 1; f insiders flip values and push ⊥.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    Cluster cluster(7, seed);
     const std::uint32_t f = 2;
+    Cluster cluster(7, seed, {}, f);
     std::vector<ProcessId> correct;
     for (ProcessId id = 0; id < 7; ++id) {
-      if (id >= 7 - f) {
-        cluster.process(id).set_mutator(adversary::turquois_value_inversion());
-      } else {
-        correct.push_back(id);
-      }
+      if (id < 7 - f) correct.push_back(id);
       cluster.process(id).propose(Value::kOne);
     }
     ASSERT_TRUE(cluster.run_until_decided(correct, 60 * kSecond))
@@ -294,16 +299,12 @@ TEST(TurquoisByzantine, DivergentUnderAttackStillTerminates) {
   // time (a straggler could never validate coin-derived values whose ⊥
   // justification cannot be attached recursively).
   for (const std::uint64_t seed : {10u, 11u, 12u, 13u, 14u, 15u}) {
-    Cluster cluster(7, seed);
     const std::uint32_t f = 2;
+    Cluster cluster(7, seed, {}, f);
     std::vector<ProcessId> correct;
     const auto proposals = divergent(7);
     for (ProcessId id = 0; id < 7; ++id) {
-      if (id >= 7 - f) {
-        cluster.process(id).set_mutator(adversary::turquois_value_inversion());
-      } else {
-        correct.push_back(id);
-      }
+      if (id < 7 - f) correct.push_back(id);
       cluster.process(id).propose(proposals[id]);
     }
     ASSERT_TRUE(cluster.run_until_decided(correct, 120 * kSecond))
