@@ -17,6 +17,7 @@
 
 #include "faultplan/spec.hpp"
 #include "harness/experiment.hpp"
+#include "harness/parse_duration.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "turquois/config.hpp"
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
     if (arg == "--quick") {
       reps = 5;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      jobs = u32_flag("--jobs", argv[++i]);
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {

@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "harness/experiment.hpp"
+#include "harness/parse_duration.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
     if (arg == "--quick") {
       reps = 5;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      jobs = u32_flag("--jobs", argv[++i]);
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {

@@ -42,6 +42,7 @@
 
 #include "crypto/sha256_batch.hpp"
 #include "harness/experiment.hpp"
+#include "harness/parse_duration.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "sim/task_pool.hpp"
@@ -106,25 +107,19 @@ int main(int argc, char** argv) {
       quick = true;
       sizes = {16, 64};
     } else if (arg == "--reps" && i + 1 < argc) {
-      reps = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      reps = u32_flag("--reps", argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      seed = unsigned_flag("--seed", argv[++i]);
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      jobs = u32_flag("--jobs", argv[++i]);
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--perf-json" && i + 1 < argc) {
       perf_path = argv[++i];
     } else if (arg == "--sizes" && i + 1 < argc) {
       sizes.clear();
-      const std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        sizes.push_back(static_cast<std::uint32_t>(
-            std::strtoul(list.c_str() + pos, nullptr, 10)));
-        pos = list.find(',', pos);
-        if (pos == std::string::npos) break;
-        ++pos;
+      for (const std::string& n : split_list(argv[++i])) {
+        sizes.push_back(u32_flag("--sizes", n));
       }
     } else {
       std::fprintf(stderr,

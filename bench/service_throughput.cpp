@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/parse_duration.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "service/service.hpp"
@@ -83,13 +84,13 @@ int main(int argc, char** argv) {
       reps = 2;
       requests = 192;
     } else if (arg == "--reps" && i + 1 < argc) {
-      reps = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      reps = u32_flag("--reps", argv[++i]);
     } else if (arg == "--requests" && i + 1 < argc) {
-      requests = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      requests = unsigned_flag("--requests", argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      seed = unsigned_flag("--seed", argv[++i]);
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      jobs = u32_flag("--jobs", argv[++i]);
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--perf-json" && i + 1 < argc) {

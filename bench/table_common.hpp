@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/parse_duration.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "harness/table.hpp"
@@ -47,23 +48,17 @@ inline TableArgs parse_table_args(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      args.reps = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      args.reps = harness::u32_flag("--reps", argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      args.seed = harness::unsigned_flag("--seed", argv[++i]);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      args.jobs = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      args.jobs = harness::u32_flag("--jobs", argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       args.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--sizes") == 0 && i + 1 < argc) {
       args.sizes.clear();
-      std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        args.sizes.push_back(
-            static_cast<std::uint32_t>(std::strtoul(list.c_str() + pos, nullptr, 10)));
-        pos = list.find(',', pos);
-        if (pos == std::string::npos) break;
-        ++pos;
+      for (const std::string& n : harness::split_list(argv[++i])) {
+        args.sizes.push_back(harness::u32_flag("--sizes", n));
       }
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       args.reps = 10;

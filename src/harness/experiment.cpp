@@ -22,6 +22,22 @@ std::string to_string(TurquoisAttack a) {
   return "?";
 }
 
+std::optional<ProposalDist> parse_dist(std::string_view text) {
+  for (const ProposalDist d :
+       {ProposalDist::kUnanimous, ProposalDist::kDivergent}) {
+    if (text == to_string(d)) return d;
+  }
+  return std::nullopt;
+}
+
+std::optional<TurquoisAttack> parse_attack(std::string_view text) {
+  for (const TurquoisAttack a :
+       {TurquoisAttack::kValueInversion, TurquoisAttack::kDecidedCoinForge}) {
+    if (text == to_string(a)) return a;
+  }
+  return std::nullopt;
+}
+
 faultplan::FaultPlan ScenarioConfig::effective_plan() const {
   return plan.has_value()
              ? *plan

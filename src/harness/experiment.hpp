@@ -52,6 +52,11 @@ std::string to_string(TurquoisAttack a);
 std::string to_string(Protocol p);
 std::string to_string(ProposalDist d);
 
+/// Inverses of to_string for the CLI spellings.
+[[nodiscard]] std::optional<ProposalDist> parse_dist(std::string_view text);
+[[nodiscard]] std::optional<TurquoisAttack> parse_attack(
+    std::string_view text);
+
 struct ScenarioConfig {
   Protocol protocol = Protocol::kTurquois;
   /// Group size; must be >= 4 (the smallest group with f >= 1).

@@ -55,10 +55,16 @@ TEST_P(HarnessGrid, CompletesWithSafety) {
   EXPECT_GT(r.mean(), 0.0);
 }
 
+/// Every registered protocol, so a new descriptor joins the grid unasked.
+std::vector<Protocol> registered_protocols() {
+  std::vector<Protocol> out;
+  for (const ProtocolInfo& info : protocols()) out.push_back(info.protocol);
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllProtocolsAllLoads, HarnessGrid,
-    ::testing::Combine(::testing::Values(Protocol::kTurquois, Protocol::kAbba,
-                                         Protocol::kBracha),
+    ::testing::Combine(::testing::ValuesIn(registered_protocols()),
                        ::testing::Values(faultplan::Role::kNone,
                                          faultplan::Role::kFailStop,
                                          faultplan::Role::kByzantine)));
@@ -66,8 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Harness, UnanimousValidityEnforced) {
   // Under the unanimous load every correct process proposes 1; deciding 0
   // would be recorded as a validity violation. It must never happen.
-  for (const Protocol p :
-       {Protocol::kTurquois, Protocol::kAbba, Protocol::kBracha}) {
+  for (const Protocol p : registered_protocols()) {
     const ScenarioResult r = run_scenario(
         quick(p, 4, ProposalDist::kUnanimous, faultplan::Role::kByzantine));
     EXPECT_EQ(r.safety_violations, 0u) << to_string(p);
@@ -301,14 +306,14 @@ std::vector<GoldenRow> golden_rows() {
     if (!relay) label += " relay=off";
     rows.push_back({label, cfg});
   };
-  for (const Protocol p : {Protocol::kTurquois, Protocol::kBracha,
-                           Protocol::kAbba, Protocol::kCrain,
-                           Protocol::kAbsMac}) {
+  for (const ProtocolInfo& info : protocols()) {
     for (const std::uint32_t n : {4u, 7u}) {
       for (const char* plan : {"none", "failstop", "byzantine", "adaptive"}) {
-        add(p, n, plan, TurquoisAttack::kValueInversion, "single", true);
-        if (p == Protocol::kTurquois && std::string(plan) == "byzantine") {
-          add(p, n, plan, TurquoisAttack::kDecidedCoinForge, "single", true);
+        add(info.protocol, n, plan, TurquoisAttack::kValueInversion, "single",
+            true);
+        if (info.byzantine_attacks && std::string(plan) == "byzantine") {
+          add(info.protocol, n, plan, TurquoisAttack::kDecidedCoinForge,
+              "single", true);
         }
       }
     }

@@ -67,6 +67,36 @@ TEST(ParseDuration, RejectsGarbage) {
   EXPECT_FALSE(parse_duration("1e300", kSecond).has_value());  // overflow
 }
 
+TEST(ParseDuration, UnsignedIsStrict) {
+  using harness::parse_unsigned;
+  EXPECT_EQ(parse_unsigned("0"), 0u);
+  EXPECT_EQ(parse_unsigned("128"), 128u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_unsigned("65535", 65535), 65535u);
+  EXPECT_FALSE(parse_unsigned("65536", 65535).has_value());  // range
+  EXPECT_FALSE(parse_unsigned("18446744073709551616").has_value());
+  EXPECT_FALSE(parse_unsigned("").has_value());
+  EXPECT_FALSE(parse_unsigned("-1").has_value());  // no sign on a count
+  EXPECT_FALSE(parse_unsigned("+4").has_value());
+  EXPECT_FALSE(parse_unsigned("4x").has_value());  // trailing garbage
+  EXPECT_FALSE(parse_unsigned(" 4").has_value());
+  EXPECT_FALSE(parse_unsigned("4.0").has_value());
+}
+
+TEST(ParseDuration, DoubleIsStrict) {
+  using harness::parse_double;
+  EXPECT_EQ(parse_double("0.05"), 0.05);
+  EXPECT_EQ(parse_double("2e6"), 2e6);
+  EXPECT_EQ(parse_double("150"), 150.0);
+  EXPECT_EQ(parse_double("-1.5"), -1.5);  // range checks belong to validate()
+  EXPECT_FALSE(parse_double("").has_value());
+  EXPECT_FALSE(parse_double("0.0x").has_value());
+  EXPECT_FALSE(parse_double("1,5").has_value());
+  EXPECT_FALSE(parse_double("inf").has_value());
+  EXPECT_FALSE(parse_double("nan").has_value());
+  EXPECT_FALSE(parse_double("1e999").has_value());  // out of range
+}
+
 // ----------------------------------------------------------- SimRuntime ---
 
 TEST(SimRuntime, ForwardsClockTimersAndRng) {

@@ -14,7 +14,6 @@
 //   $ turquois_campaign --protocols turquois,bracha --sizes 4,7
 //                       --plan adaptive --plan "ambient;jam@250-400"
 //                       --reps 20 --seed 7 --out out/
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -44,7 +43,7 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --protocols turquois,abba,bracha,crain,absmac\n"
+      "  --protocols %s\n"
       "                                      comma-separated protocol list\n"
       "                                      (default turquois)\n"
       "  --sizes 4,7,...                     comma-separated group sizes\n"
@@ -98,41 +97,8 @@ namespace {
       "  --no-audit                          skip the consensus-property\n"
       "                                      auditor (on by default; audit\n"
       "                                      violations fail the campaign)\n",
-      argv0, plans.c_str());
+      argv0, protocol_flags(",").c_str(), plans.c_str());
   std::exit(2);
-}
-
-/// Splits on top-level commas only: commas inside parentheses belong to a
-/// parameterized spec ("waypoint(vmin=1,vmax=3)" is one element).
-std::vector<std::string> split_list(const std::string& s) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  int depth = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i < s.size() && s[i] == '(') ++depth;
-    if (i < s.size() && s[i] == ')' && depth > 0) --depth;
-    if (i == s.size() || (s[i] == ',' && depth == 0)) {
-      parts.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
-}
-
-/// File-name-safe slug of a plan label: alnum preserved, everything else
-/// collapsed to single dashes ("sigma;adaptive(frac=1.0)" ->
-/// "sigma-adaptive-frac-1-0").
-std::string slug(const std::string& label) {
-  std::string out;
-  for (const char c : label) {
-    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else if (!out.empty() && out.back() != '-') {
-      out += '-';
-    }
-  }
-  while (!out.empty() && out.back() == '-') out.pop_back();
-  return out.empty() ? "plan" : out;
 }
 
 struct CellOutcome {
@@ -165,25 +131,6 @@ struct SpatialAxis {
 
 }  // namespace
 
-namespace {
-
-// Parses a duration flag via harness::parse_duration, exiting with a
-// diagnostic on garbage. Accepts bare numbers in the flag's historical
-// unit plus ns/us/ms/s/m/h suffixes.
-turq::SimDuration duration_flag(const char* flag, const char* text,
-                                turq::SimDuration default_unit) {
-  const auto d = turq::harness::parse_duration(text, default_unit);
-  if (!d.has_value()) {
-    std::fprintf(stderr,
-                 "%s: bad duration '%s' (expected e.g. 250ms, 1.5s, 2m)\n",
-                 flag, text);
-    std::exit(2);
-  }
-  return *d;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::vector<Protocol> protocols{Protocol::kTurquois};
   std::vector<std::uint32_t> sizes{4, 7};
@@ -211,17 +158,14 @@ int main(int argc, char** argv) {
     if (arg == "--protocols") {
       protocols.clear();
       for (const std::string& p : split_list(next())) {
-        if (p == "turquois") protocols.push_back(Protocol::kTurquois);
-        else if (p == "abba") protocols.push_back(Protocol::kAbba);
-        else if (p == "bracha") protocols.push_back(Protocol::kBracha);
-        else if (p == "crain") protocols.push_back(Protocol::kCrain);
-        else if (p == "absmac") protocols.push_back(Protocol::kAbsMac);
-        else usage(argv[0]);
+        const auto protocol = protocol_from_flag(p);
+        if (!protocol.has_value()) usage(argv[0]);
+        protocols.push_back(*protocol);
       }
     } else if (arg == "--sizes") {
       sizes.clear();
       for (const std::string& s : split_list(next())) {
-        sizes.push_back(static_cast<std::uint32_t>(std::atoi(s.c_str())));
+        sizes.push_back(u32_flag("--sizes", s));
       }
     } else if (arg == "--plan") {
       std::string error;
@@ -236,27 +180,26 @@ int main(int argc, char** argv) {
     } else if (arg == "--radii") {
       for (const std::string& r : split_list(next())) {
         radii.push_back(r == "inf" ? spatial::kInfiniteRadius
-                                   : std::atof(r.c_str()));
+                                   : double_flag("--radii", r));
       }
     } else if (arg == "--mobilities") {
       for (const std::string& m : split_list(next())) {
         mobility_specs.push_back(m);
       }
     } else if (arg == "--dist") {
-      const std::string d = next();
-      if (d == "unanimous") dist = ProposalDist::kUnanimous;
-      else if (d == "divergent") dist = ProposalDist::kDivergent;
-      else usage(argv[0]);
+      const auto d = parse_dist(next());
+      if (!d.has_value()) usage(argv[0]);
+      dist = *d;
     } else if (arg == "--reps") {
-      reps = static_cast<std::uint32_t>(std::atoi(next()));
+      reps = u32_flag("--reps", next());
     } else if (arg == "--loss") {
-      loss_rate = std::atof(next());
+      loss_rate = double_flag("--loss", next());
     } else if (arg == "--timeout") {
       timeout = duration_flag("--timeout", next(), kSecond);
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
+      seed = unsigned_flag("--seed", next());
     } else if (arg == "--jobs") {
-      jobs = static_cast<std::uint32_t>(std::atoi(next()));
+      jobs = u32_flag("--jobs", next());
     } else if (arg == "--out") {
       out_dir = next();
     } else if (arg == "--summary-json") {

@@ -25,7 +25,6 @@
 //
 //   $ turquois_fuzz --seeds 200 --plans none,byzantine,adaptive
 //                   --sizes 4,10,16 --quick --jobs 0 --corpus fuzz-out
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -54,8 +53,7 @@ namespace {
       "                          scenario, so reproducers are plain\n"
       "                          turquois_sim invocations\n"
       "  --seed-base <S>         scenario root seed (default 1)\n"
-      "  --protocols <list>      comma-separated: turquois,abba,bracha,\n"
-      "                          crain,absmac\n"
+      "  --protocols <list>      comma-separated: %s\n"
       "                          (default turquois)\n"
       "  --plans <list>          comma-separated named plans or clause specs\n"
       "                          (default none,byzantine,adaptive)\n"
@@ -83,25 +81,8 @@ namespace {
       "                          cell into this directory\n"
       "  --no-shrink             report the first violation as-is\n"
       "  --quick                 smoke preset: 30 s deadline\n",
-      argv0);
+      argv0, protocol_flags(",").c_str());
   std::exit(2);
-}
-
-/// Splits on top-level commas only: commas inside parentheses belong to a
-/// parameterized topology spec ("grid(r=150,area=400)" is one element).
-std::vector<std::string> split_list(const std::string& s) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  int depth = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i < s.size() && s[i] == '(') ++depth;
-    if (i < s.size() && s[i] == ')' && depth > 0) --depth;
-    if (i == s.size() || (s[i] == ',' && depth == 0)) {
-      parts.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
 }
 
 /// Parses a "--topologies" element: a topology spec optionally followed by
@@ -114,30 +95,6 @@ bool parse_topology_axis(const std::string& element,
   }
   if (plus == std::string::npos) return true;
   return spatial::parse_mobility(element.substr(plus + 1), out, error);
-}
-
-std::string slug(const std::string& label) {
-  std::string out;
-  for (const char c : label) {
-    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else if (!out.empty() && out.back() != '-') {
-      out += '-';
-    }
-  }
-  while (!out.empty() && out.back() == '-') out.pop_back();
-  return out.empty() ? "plan" : out;
-}
-
-const char* protocol_flag(Protocol p) {
-  switch (p) {
-    case Protocol::kTurquois: return "turquois";
-    case Protocol::kBracha: return "bracha";
-    case Protocol::kAbba: return "abba";
-    case Protocol::kCrain: return "crain";
-    case Protocol::kAbsMac: return "absmac";
-  }
-  return "?";
 }
 
 /// First violating repetition of `cfg`, with a one-line reason. A violation
@@ -168,11 +125,9 @@ std::optional<Violation> first_violation(const ScenarioConfig& cfg) {
 /// the violating deployment exactly; the last repetition is the violator.
 std::string repro_command(const ScenarioConfig& cfg, std::uint64_t rep_index) {
   std::string cmd = "turquois_sim --protocol ";
-  cmd += protocol_flag(cfg.protocol);
+  cmd += protocol_info(cfg.protocol).flag;
   cmd += " --n " + std::to_string(cfg.n);
-  cmd += " --dist ";
-  cmd += cfg.distribution == ProposalDist::kUnanimous ? "unanimous"
-                                                      : "divergent";
+  cmd += " --dist " + to_string(cfg.distribution);
   const faultplan::FaultPlan plan = cfg.effective_plan();
   std::string spec = faultplan::to_spec(plan);
   // --faults consults the named-plan registry before the spec grammar, so a
@@ -185,7 +140,7 @@ std::string repro_command(const ScenarioConfig& cfg, std::uint64_t rep_index) {
     spec += ";";
   }
   cmd += " --faults '" + spec + "'";
-  if (cfg.protocol == Protocol::kTurquois &&
+  if (protocol_info(cfg.protocol).byzantine_attacks &&
       cfg.attack != TurquoisAttack::kValueInversion) {
     cmd += " --attack " + to_string(cfg.attack);
   }
@@ -296,25 +251,6 @@ ShrinkResult shrink(ScenarioConfig cfg, Violation violation,
 
 }  // namespace
 
-namespace {
-
-// Parses a duration flag via harness::parse_duration, exiting with a
-// diagnostic on garbage. Accepts bare numbers in the flag's historical
-// unit plus ns/us/ms/s/m/h suffixes.
-turq::SimDuration duration_flag(const char* flag, const char* text,
-                                turq::SimDuration default_unit) {
-  const auto d = turq::harness::parse_duration(text, default_unit);
-  if (!d.has_value()) {
-    std::fprintf(stderr,
-                 "%s: bad duration '%s' (expected e.g. 250ms, 1.5s, 2m)\n",
-                 flag, text);
-    std::exit(2);
-  }
-  return *d;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::uint32_t seeds = 50;
   std::uint64_t seed_base = 1;
@@ -338,54 +274,47 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds") {
-      seeds = static_cast<std::uint32_t>(std::atoi(next()));
+      seeds = u32_flag("--seeds", next());
     } else if (arg == "--seed-base") {
-      seed_base = static_cast<std::uint64_t>(std::atoll(next()));
+      seed_base = unsigned_flag("--seed-base", next());
     } else if (arg == "--protocols") {
       protocols.clear();
       for (const std::string& p : split_list(next())) {
-        if (p == "turquois") protocols.push_back(Protocol::kTurquois);
-        else if (p == "abba") protocols.push_back(Protocol::kAbba);
-        else if (p == "bracha") protocols.push_back(Protocol::kBracha);
-        else if (p == "crain") protocols.push_back(Protocol::kCrain);
-        else if (p == "absmac") protocols.push_back(Protocol::kAbsMac);
-        else usage(argv[0]);
+        const auto protocol = protocol_from_flag(p);
+        if (!protocol.has_value()) usage(argv[0]);
+        protocols.push_back(*protocol);
       }
     } else if (arg == "--plans") {
       plan_names = split_list(next());
     } else if (arg == "--attacks") {
       attacks.clear();
       for (const std::string& a : split_list(next())) {
-        if (a == "value-inversion") {
-          attacks.push_back(TurquoisAttack::kValueInversion);
-        } else if (a == "decided-coin") {
-          attacks.push_back(TurquoisAttack::kDecidedCoinForge);
-        } else {
-          usage(argv[0]);
-        }
+        const auto attack = parse_attack(a);
+        if (!attack.has_value()) usage(argv[0]);
+        attacks.push_back(*attack);
       }
     } else if (arg == "--sizes") {
       sizes.clear();
       for (const std::string& s : split_list(next())) {
-        sizes.push_back(static_cast<std::uint32_t>(std::atoi(s.c_str())));
+        sizes.push_back(u32_flag("--sizes", s));
       }
     } else if (arg == "--topologies") {
       topology_specs = split_list(next());
     } else if (arg == "--dist") {
-      const std::string d = next();
-      if (d == "unanimous") dists = {ProposalDist::kUnanimous};
-      else if (d == "divergent") dists = {ProposalDist::kDivergent};
-      else if (d == "both") {
+      const std::string_view d = next();
+      if (d == "both") {
         dists = {ProposalDist::kUnanimous, ProposalDist::kDivergent};
+      } else if (const auto one = parse_dist(d)) {
+        dists = {*one};
       } else {
         usage(argv[0]);
       }
     } else if (arg == "--timeout") {
       timeout = duration_flag("--timeout", next(), kSecond);
     } else if (arg == "--audit-phase-bound") {
-      audit_phase_bound = static_cast<std::uint64_t>(std::atoll(next()));
+      audit_phase_bound = unsigned_flag("--audit-phase-bound", next());
     } else if (arg == "--jobs") {
-      jobs = static_cast<std::uint32_t>(std::atoi(next()));
+      jobs = u32_flag("--jobs", next());
     } else if (arg == "--corpus") {
       corpus_dir = next();
     } else if (arg == "--no-shrink") {
@@ -441,7 +370,7 @@ int main(int argc, char** argv) {
       // The attack knob only matters for Turquois Byzantine insiders; one
       // canonical pass everywhere else keeps the grid free of duplicates.
       std::vector<TurquoisAttack> cell_attacks = attacks;
-      if (protocol != Protocol::kTurquois ||
+      if (!protocol_info(protocol).byzantine_attacks ||
           plan.role != faultplan::Role::kByzantine) {
         cell_attacks = {TurquoisAttack::kValueInversion};
       }

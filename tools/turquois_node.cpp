@@ -19,7 +19,6 @@
 // 1 on timeout.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "turquois/process.hpp"
 
 using namespace turq;
+using namespace turq::harness;
 
 namespace {
 
@@ -56,18 +56,6 @@ namespace {
   std::exit(2);
 }
 
-SimDuration duration_flag(const char* flag, const char* text,
-                          SimDuration default_unit) {
-  const auto d = harness::parse_duration(text, default_unit);
-  if (!d.has_value()) {
-    std::fprintf(stderr,
-                 "%s: bad duration '%s' (expected e.g. 250ms, 1.5s, 2m)\n",
-                 flag, text);
-    std::exit(2);
-  }
-  return *d;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,22 +75,28 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (arg == "--id") id = std::atoll(next());
-    else if (arg == "--n") n = static_cast<std::uint32_t>(std::atoi(next()));
-    else if (arg == "--value") value = std::atoi(next()) ? Value::kOne
-                                                        : Value::kZero;
-    else if (arg == "--base-port") base_port =
-        static_cast<std::uint16_t>(std::atoi(next()));
-    else if (arg == "--host") hosts = next();
-    else if (arg == "--seed") seed = static_cast<std::uint64_t>(
-        std::atoll(next()));
-    else if (arg == "--tick") tick = duration_flag("--tick", next(),
-                                                   kMillisecond);
-    else if (arg == "--timeout") timeout = duration_flag("--timeout", next(),
-                                                         kSecond);
-    else if (arg == "--linger") linger = duration_flag("--linger", next(),
-                                                       kSecond);
-    else usage(argv[0]);
+    if (arg == "--id") {
+      id = static_cast<std::int64_t>(u32_flag("--id", next()));
+    } else if (arg == "--n") {
+      n = u32_flag("--n", next());
+    } else if (arg == "--value") {
+      value = unsigned_flag("--value", next(), 1) ? Value::kOne : Value::kZero;
+    } else if (arg == "--base-port") {
+      base_port =
+          static_cast<std::uint16_t>(unsigned_flag("--base-port", next(), 65535));
+    } else if (arg == "--host") {
+      hosts = next();
+    } else if (arg == "--seed") {
+      seed = unsigned_flag("--seed", next());
+    } else if (arg == "--tick") {
+      tick = duration_flag("--tick", next(), kMillisecond);
+    } else if (arg == "--timeout") {
+      timeout = duration_flag("--timeout", next(), kSecond);
+    } else if (arg == "--linger") {
+      linger = duration_flag("--linger", next(), kSecond);
+    } else {
+      usage(argv[0]);
+    }
   }
   if (n < 4 || id < 0 || id >= n) usage(argv[0]);
 

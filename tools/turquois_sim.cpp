@@ -9,7 +9,6 @@
 //                  --faults byzantine --reps 20 --loss 0.05 --seed 7
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -34,7 +33,7 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --protocol turquois|abba|bracha|crain|absmac\n"
+      "  --protocol %s\n"
       "                                    (default turquois)\n"
       "  --n <4..128>                      group size (default 7)\n"
       "  --dist unanimous|divergent        proposal distribution\n"
@@ -118,23 +117,8 @@ namespace {
       "                                    trace_inspect (default); chrome:\n"
       "                                    load in chrome://tracing/Perfetto\n"
       "  --trace-sim-events                also trace scheduler dispatches\n",
-      argv0);
+      argv0, protocol_flags("|").c_str());
   std::exit(2);
-}
-
-// Parses a duration flag via harness::parse_duration, exiting with a
-// diagnostic on garbage. Accepts bare numbers in the flag's historical
-// unit plus ns/us/ms/s/m/h suffixes.
-turq::SimDuration duration_flag(const char* flag, const char* text,
-                                turq::SimDuration default_unit) {
-  const auto d = turq::harness::parse_duration(text, default_unit);
-  if (!d.has_value()) {
-    std::fprintf(stderr,
-                 "%s: bad duration '%s' (expected e.g. 250ms, 1.5s, 2m)\n",
-                 flag, text);
-    std::exit(2);
-  }
-  return *d;
 }
 
 }  // namespace
@@ -155,20 +139,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--protocol") {
-      const std::string_view p = next();
-      if (p == "turquois") cfg.protocol = Protocol::kTurquois;
-      else if (p == "abba") cfg.protocol = Protocol::kAbba;
-      else if (p == "bracha") cfg.protocol = Protocol::kBracha;
-      else if (p == "crain") cfg.protocol = Protocol::kCrain;
-      else if (p == "absmac") cfg.protocol = Protocol::kAbsMac;
-      else usage(argv[0]);
+      const auto p = protocol_from_flag(next());
+      if (!p.has_value()) usage(argv[0]);
+      cfg.protocol = *p;
     } else if (arg == "--n") {
-      cfg.n = static_cast<std::uint32_t>(std::atoi(next()));
+      cfg.n = u32_flag("--n", next());
     } else if (arg == "--dist") {
-      const std::string_view d = next();
-      if (d == "unanimous") cfg.distribution = ProposalDist::kUnanimous;
-      else if (d == "divergent") cfg.distribution = ProposalDist::kDivergent;
-      else usage(argv[0]);
+      const auto d = parse_dist(next());
+      if (!d.has_value()) usage(argv[0]);
+      cfg.distribution = *d;
     } else if (arg == "--faults") {
       const std::string_view f = next();
       // Everything goes through the plan registry; the legacy names
@@ -182,14 +161,13 @@ int main(int argc, char** argv) {
       }
       cfg.plan = *plan;
     } else if (arg == "--attack") {
-      const std::string_view a = next();
-      if (a == "value-inversion") cfg.attack = TurquoisAttack::kValueInversion;
-      else if (a == "decided-coin") cfg.attack = TurquoisAttack::kDecidedCoinForge;
-      else usage(argv[0]);
+      const auto a = parse_attack(next());
+      if (!a.has_value()) usage(argv[0]);
+      cfg.attack = *a;
     } else if (arg == "--no-audit") {
       cfg.audit = false;
     } else if (arg == "--audit-phase-bound") {
-      cfg.audit_phase_bound = static_cast<std::uint64_t>(std::atoll(next()));
+      cfg.audit_phase_bound = unsigned_flag("--audit-phase-bound", next());
     } else if (arg == "--topology") {
       std::string error;
       if (!spatial::parse_topology(next(), &cfg.spatial, &error)) {
@@ -199,9 +177,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--radius") {
       const std::string_view r = next();
       cfg.spatial.radius_m =
-          (r == "inf") ? spatial::kInfiniteRadius : std::atof(r.data());
+          (r == "inf") ? spatial::kInfiniteRadius : double_flag("--radius", r);
     } else if (arg == "--area") {
-      cfg.spatial.area_m = std::atof(next());
+      cfg.spatial.area_m = double_flag("--area", next());
     } else if (arg == "--mobility") {
       std::string error;
       if (!spatial::parse_mobility(next(), &cfg.spatial, &error)) {
@@ -211,42 +189,40 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-relay") {
       cfg.relay_enabled = false;
     } else if (arg == "--reps") {
-      cfg.repetitions = static_cast<std::uint32_t>(std::atoi(next()));
+      cfg.repetitions = u32_flag("--reps", next());
     } else if (arg == "--loss") {
-      cfg.loss_rate = std::atof(next());
+      cfg.loss_rate = double_flag("--loss", next());
     } else if (arg == "--no-bursts") {
       cfg.bursty_loss = false;
     } else if (arg == "--tick") {
       cfg.tick_interval = duration_flag("--tick", next(), kMillisecond);
     } else if (arg == "--broadcast-rate") {
-      cfg.medium.broadcast_rate_bps = std::atof(next());
+      cfg.medium.broadcast_rate_bps = double_flag("--broadcast-rate", next());
     } else if (arg == "--timeout") {
       cfg.run_timeout = duration_flag("--timeout", next(), kSecond);
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      cfg.seed = unsigned_flag("--seed", next());
     } else if (arg == "--jobs") {
-      cfg.jobs = static_cast<std::uint32_t>(std::atoi(next()));
+      cfg.jobs = u32_flag("--jobs", next());
     } else if (arg == "--intra-jobs") {
-      cfg.intra_jobs = static_cast<std::uint32_t>(std::atoi(next()));
+      cfg.intra_jobs = u32_flag("--intra-jobs", next());
     } else if (arg == "--no-exchange-pool") {
       cfg.exchange_pool = false;
     } else if (arg == "--service") {
       cfg.service.enabled = true;
     } else if (arg == "--pipeline-depth") {
-      cfg.service.pipeline_depth =
-          static_cast<std::uint32_t>(std::atoi(next()));
+      cfg.service.pipeline_depth = u32_flag("--pipeline-depth", next());
     } else if (arg == "--batch") {
-      cfg.service.batch = static_cast<std::uint32_t>(std::atoi(next()));
+      cfg.service.batch = u32_flag("--batch", next());
     } else if (arg == "--arrival") {
       const std::string_view a = next();
       if (a == "poisson") cfg.service.arrival = service::Arrival::kPoisson;
       else if (a == "bursty") cfg.service.arrival = service::Arrival::kBursty;
       else usage(argv[0]);
     } else if (arg == "--offered-load") {
-      cfg.service.offered_load = std::atof(next());
+      cfg.service.offered_load = double_flag("--offered-load", next());
     } else if (arg == "--requests") {
-      cfg.service.total_requests =
-          static_cast<std::uint64_t>(std::atoll(next()));
+      cfg.service.total_requests = unsigned_flag("--requests", next());
     } else if (arg == "--mux-window") {
       cfg.service.mux_window =
           duration_flag("--mux-window", next(), kMillisecond);

@@ -19,7 +19,6 @@
 // audit (or, under --verify-logs, when the logs show n clean decides).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -35,6 +34,7 @@
 #include "turquois/process.hpp"
 
 using namespace turq;
+using namespace turq::harness;
 
 namespace {
 
@@ -56,18 +56,6 @@ namespace {
       "                       exit; every later argument is a log file\n",
       argv0, argv0);
   std::exit(2);
-}
-
-SimDuration duration_flag(const char* flag, const char* text,
-                          SimDuration default_unit) {
-  const auto d = harness::parse_duration(text, default_unit);
-  if (!d.has_value()) {
-    std::fprintf(stderr,
-                 "%s: bad duration '%s' (expected e.g. 250ms, 1.5s, 2m)\n",
-                 flag, text);
-    std::exit(2);
-  }
-  return *d;
 }
 
 /// Replays turquois_node output lines into a ConsensusAuditor.
@@ -134,23 +122,27 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (arg == "--n") n = static_cast<std::uint32_t>(std::atoi(next()));
-    else if (arg == "--duration") duration =
-        duration_flag("--duration", next(), kSecond);
-    else if (arg == "--instances") instances =
-        static_cast<std::uint32_t>(std::atoi(next()));
-    else if (arg == "--base-port") base_port =
-        static_cast<std::uint16_t>(std::atoi(next()));
-    else if (arg == "--seed") seed = static_cast<std::uint64_t>(
-        std::atoll(next()));
-    else if (arg == "--tick") tick = duration_flag("--tick", next(),
-                                                   kMillisecond);
-    else if (arg == "--timeout") timeout = duration_flag("--timeout", next(),
-                                                         kSecond);
-    else if (arg == "--verify-logs") {
+    if (arg == "--n") {
+      n = u32_flag("--n", next());
+    } else if (arg == "--duration") {
+      duration = duration_flag("--duration", next(), kSecond);
+    } else if (arg == "--instances") {
+      instances = u32_flag("--instances", next());
+    } else if (arg == "--base-port") {
+      base_port =
+          static_cast<std::uint16_t>(unsigned_flag("--base-port", next(), 65535));
+    } else if (arg == "--seed") {
+      seed = unsigned_flag("--seed", next());
+    } else if (arg == "--tick") {
+      tick = duration_flag("--tick", next(), kMillisecond);
+    } else if (arg == "--timeout") {
+      timeout = duration_flag("--timeout", next(), kSecond);
+    } else if (arg == "--verify-logs") {
       verify_mode = true;
       while (i + 1 < argc) log_files.emplace_back(argv[++i]);
-    } else usage(argv[0]);
+    } else {
+      usage(argv[0]);
+    }
   }
   if (n < 4) usage(argv[0]);
   if (verify_mode) {
