@@ -21,27 +21,14 @@ std::vector<std::vector<Bytes>> make_sa_keys(std::uint32_t n,
   return keys;
 }
 
-Deployment::Deployment(const ScenarioConfig& config, std::uint64_t rep_index)
-    : cfg(config),
-      root(Rng::stream(config.seed, "rep", rep_index)),
-      plan_(config.effective_plan()),
-      rep_index_(rep_index),
-      first_faulty_(plan_.role == faultplan::Role::kNone ? config.n
-                                                         : config.n - config.f()),
-      start_at_(config.n, 0),
-      decisions_(config.n),
-      undecided_(first_faulty_) {
-  // The last f processes take the faulty role, keeping the odd/even
-  // proposal pattern of the survivors intact.
-  for (ProcessId id = 0; id < first_faulty_; ++id) correct_.push_back(id);
-
-  medium_ = std::make_unique<net::Medium>(sim_, cfg.medium,
-                                          root.derive("medium", 0));
+faultplan::BuildContext fault_context(const ScenarioConfig& cfg,
+                                      const faultplan::FaultPlan& plan,
+                                      const Rng& root) {
   faultplan::BuildContext ctx;
   ctx.n = cfg.n;
   ctx.f = cfg.f();
   ctx.k = cfg.k();
-  ctx.t = plan_.role == faultplan::Role::kNone ? 0 : cfg.f();
+  ctx.t = plan.role == faultplan::Role::kNone ? 0 : cfg.f();
   ctx.ambient_loss_rate = cfg.loss_rate;
   ctx.ambient_bursts = cfg.bursty_loss;
   ctx.ambient_burst_params = cfg.burst_params;
@@ -62,6 +49,26 @@ Deployment::Deployment(const ScenarioConfig& config, std::uint64_t rep_index)
   ctx.round_duration =
       cfg.tick_interval * std::max<SimDuration>(SimDuration{1}, ticks_per_round);
   ctx.root = root;  // derive()d from only; stream-neutral for the rest
+  return ctx;
+}
+
+Deployment::Deployment(const ScenarioConfig& config, std::uint64_t rep_index)
+    : cfg(config),
+      root(Rng::stream(config.seed, "rep", rep_index)),
+      plan_(config.effective_plan()),
+      rep_index_(rep_index),
+      first_faulty_(plan_.role == faultplan::Role::kNone ? config.n
+                                                         : config.n - config.f()),
+      start_at_(config.n, 0),
+      decisions_(config.n),
+      undecided_(first_faulty_) {
+  // The last f processes take the faulty role, keeping the odd/even
+  // proposal pattern of the survivors intact.
+  for (ProcessId id = 0; id < first_faulty_; ++id) correct_.push_back(id);
+
+  medium_ = std::make_unique<net::Medium>(sim_, cfg.medium,
+                                          root.derive("medium", 0));
+  const faultplan::BuildContext ctx = fault_context(cfg, plan_, root);
   // Spatial scenarios force σ tracking: reachability-induced omissions
   // must count against the per-round budget so a transient partition makes
   // the run liveness-ineligible instead of an auditor violation.
@@ -87,8 +94,6 @@ Deployment::Deployment(const ScenarioConfig& config, std::uint64_t rep_index)
     auditor_ = std::make_unique<audit::ConsensusAuditor>(acfg);
   }
 }
-
-Deployment::~Deployment() = default;
 
 bool Deployment::byzantine(ProcessId id) const {
   return faulty(id) && plan_.role == faultplan::Role::kByzantine;
@@ -165,13 +170,12 @@ audit::ConsensusAuditor* Deployment::auditor_for(ProcessId id) const {
   return faulty(id) ? nullptr : auditor_.get();
 }
 
-SimTime Deployment::start_offset(Rng& start_rng, ProcessId id,
-                                 Value proposal) {
+SimTime Deployment::start_offset(Rng& start_rng, ProcessId id, Value v) {
   const auto offset = static_cast<SimDuration>(
       start_rng.uniform(static_cast<std::uint64_t>(cfg.start_spread) + 1));
   start_at_[id] = offset;
   if (audit::ConsensusAuditor* auditor = auditor_for(id)) {
-    auditor->on_propose(id, proposal, offset);
+    auditor->on_propose(id, v, offset);
   }
   return offset;
 }

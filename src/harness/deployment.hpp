@@ -55,9 +55,6 @@ class Deployment {
   /// Splits roles and builds the medium, fault plan and auditor for
   /// repetition `rep_index` of `cfg`.
   Deployment(const ScenarioConfig& cfg, std::uint64_t rep_index);
-  Deployment(const Deployment&) = delete;
-  Deployment& operator=(const Deployment&) = delete;
-  ~Deployment();
 
   const ScenarioConfig& cfg;
   /// The repetition's stream; only ever derive()d from.
@@ -70,7 +67,6 @@ class Deployment {
   [[nodiscard]] const std::vector<ProcessId>& correct() const {
     return correct_;
   }
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   /// Opens the shared transport: the gossip relay for multi-hop broadcast,
   /// the (hoisted or per-repetition) pairwise keys for authenticated TCP.
@@ -114,7 +110,7 @@ class Deployment {
   };
 
   /// Draws `id`'s start offset, records it and tells the auditor.
-  SimTime start_offset(Rng& start_rng, ProcessId id, Value proposal);
+  SimTime start_offset(Rng& start_rng, ProcessId id, Value v);
   [[nodiscard]] Value proposal(ProcessId id) const;
   [[nodiscard]] bool crashed(ProcessId id) const;
 
@@ -166,8 +162,21 @@ void Deployment::start(const std::vector<std::unique_ptr<P>>& procs) {
   }
 }
 
-/// Defaults for the optional parts of a protocol descriptor.
-struct DescriptorDefaults {
+/// The common shape of a protocol descriptor, with defaults for its
+/// optional parts. A descriptor names its Process and Hooks types and its
+/// Transport, builds one process (make) once its constructor has set up
+/// the protocol config and key material, and may override the rest.
+template <typename P, typename H, Transport T>
+struct Descriptor {
+  using Process = P;
+  using Hooks = H;
+  static constexpr Transport kTransport = T;
+  /// The hooks' phase (or round) callback, which feeds the auditor.
+  static auto& phase_hook(Hooks& hooks) { return hooks.on_round; }
+  /// Protocol-level sends, summed over correct processes as app_messages.
+  static std::uint64_t sent(const Process& p) {
+    return p.stats().messages_sent;
+  }
   /// Adds key material to the hoisted setup, beyond the pairwise keys an
   /// authenticated TCP transport gets anyway.
   static void hoist(const ScenarioConfig&, Rng&, ScenarioSetup&) {}
@@ -178,11 +187,14 @@ struct DescriptorDefaults {
   void report(Deployment&, RunResult&) const {}
 };
 
-/// Runs repetition `rep_index` of `cfg` with protocol descriptor `D`. A
-/// descriptor names its Process and Hooks types and its kTransport, maps
-/// its hooks' phase callback (phase_hook), counts a process's sends
-/// (sent), and builds one process (make) once its constructor has set up
-/// the protocol config and key material.
+/// A per-repetition dealer drawn from the repetition's "dealer" stream.
+template <typename Dealer, typename Config>
+Dealer deal(const Config& config, const Deployment& d) {
+  Rng rng = d.root.derive("dealer", 0);
+  return Dealer::setup(config, rng);
+}
+
+/// Runs repetition `rep_index` of `cfg` with protocol descriptor `D`.
 template <typename D>
 RunResult deploy(const ScenarioConfig& cfg, std::uint64_t rep_index,
                  const ScenarioSetup* setup) {

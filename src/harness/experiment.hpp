@@ -359,6 +359,13 @@ struct ScenarioSetup {
   std::vector<std::vector<Bytes>> sa_keys;  // [a][b] == [b][a]
 };
 
+/// The fault-plan build context of one repetition of `cfg` running `plan`,
+/// with `root` the repetition's stream. It sizes the σ accounting round,
+/// so the single-instance harness and the service share one definition.
+[[nodiscard]] faultplan::BuildContext fault_context(
+    const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
+    const Rng& root);
+
 /// Builds the setup `run_once` would derive for repetition 0 of `cfg`.
 [[nodiscard]] std::shared_ptr<const ScenarioSetup> make_scenario_setup(
     const ScenarioConfig& cfg);

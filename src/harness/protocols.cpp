@@ -23,11 +23,10 @@ namespace turq::harness {
 namespace {
 
 /// Turquois (Algorithm 1): unreliable broadcast, one-time-signature keys.
-class TurquoisDescriptor : public DescriptorDefaults {
+class TurquoisDescriptor
+    : public Descriptor<turquois::Process, turquois::ProcessHooks,
+                        Transport::kBroadcast> {
  public:
-  using Process = turquois::Process;
-  using Hooks = turquois::ProcessHooks;
-  static constexpr Transport kTransport = Transport::kBroadcast;
   static auto& phase_hook(Hooks& hooks) { return hooks.on_phase; }
   static std::uint64_t sent(const Process& p) { return p.stats().broadcasts; }
 
@@ -125,14 +124,10 @@ class TurquoisDescriptor : public DescriptorDefaults {
 };
 
 /// Bracha's randomized consensus over authenticated TCP (IPSec AH).
-class BrachaDescriptor : public DescriptorDefaults {
+class BrachaDescriptor
+    : public Descriptor<bracha::Process, bracha::ProcessHooks,
+                        Transport::kAuthenticatedTcp> {
  public:
-  using Process = bracha::Process;
-  using Hooks = bracha::ProcessHooks;
-  static constexpr Transport kTransport = Transport::kAuthenticatedTcp;
-  static auto& phase_hook(Hooks& hooks) { return hooks.on_round; }
-  static std::uint64_t sent(const Process& p) { return p.stats().messages_sent; }
-
   BrachaDescriptor(Deployment& d, const ScenarioSetup*)
       : bcfg_(bracha::Config::for_group(d.cfg.n)) {}
 
@@ -155,19 +150,15 @@ class BrachaDescriptor : public DescriptorDefaults {
 
 /// ABBA (Cachin et al.) over plain TCP: it authenticates itself with
 /// threshold signatures. Its RunResult carries no TCP totals.
-class AbbaDescriptor : public DescriptorDefaults {
+class AbbaDescriptor
+    : public Descriptor<abba::Process, abba::ProcessHooks, Transport::kTcp> {
  public:
-  using Process = abba::Process;
-  using Hooks = abba::ProcessHooks;
-  static constexpr Transport kTransport = Transport::kTcp;
-  static auto& phase_hook(Hooks& hooks) { return hooks.on_round; }
-  static std::uint64_t sent(const Process& p) { return p.stats().messages_sent; }
-
   // Per-repetition on purpose: the dealer's threshold shares combine into
   // the common-coin values, so hoisting them would change every coin flip
   // (unlike key material, which never steers control flow).
   AbbaDescriptor(Deployment& d, const ScenarioSetup*)
-      : acfg_(abba::Config::for_group(d.cfg.n)), dealer_(deal(acfg_, d)) {}
+      : acfg_(abba::Config::for_group(d.cfg.n)),
+        dealer_(deal<abba::Dealer>(acfg_, d)) {}
 
   std::unique_ptr<Process> make(Deployment& d, ProcessId id,
                                 runtime::Runtime& rt, Hooks hooks) const {
@@ -180,28 +171,20 @@ class AbbaDescriptor : public DescriptorDefaults {
   }
 
  private:
-  static abba::Dealer deal(const abba::Config& acfg, const Deployment& d) {
-    Rng dealer_rng = d.root.derive("dealer", 0);
-    return abba::Dealer::setup(acfg, dealer_rng);
-  }
-
   abba::Config acfg_;
   abba::Dealer dealer_;
 };
 
 /// Crain/MMR binary agreement over authenticated TCP, signature-free.
-class CrainDescriptor : public DescriptorDefaults {
+class CrainDescriptor
+    : public Descriptor<crain::Process, crain::ProcessHooks,
+                        Transport::kAuthenticatedTcp> {
  public:
-  using Process = crain::Process;
-  using Hooks = crain::ProcessHooks;
-  static constexpr Transport kTransport = Transport::kAuthenticatedTcp;
-  static auto& phase_hook(Hooks& hooks) { return hooks.on_round; }
-  static std::uint64_t sent(const Process& p) { return p.stats().messages_sent; }
-
   // Per-repetition like ABBA's dealer: the combined shares ARE the common
   // coin, so hoisting would change every coin flip.
   CrainDescriptor(Deployment& d, const ScenarioSetup*)
-      : ccfg_(crain::Config::for_group(d.cfg.n)), dealer_(deal(ccfg_, d)) {}
+      : ccfg_(crain::Config::for_group(d.cfg.n)),
+        dealer_(deal<crain::Dealer>(ccfg_, d)) {}
 
   std::unique_ptr<Process> make(Deployment& d, ProcessId id,
                                 runtime::Runtime& rt, Hooks hooks) const {
@@ -218,24 +201,15 @@ class CrainDescriptor : public DescriptorDefaults {
   }
 
  private:
-  static crain::Dealer deal(const crain::Config& ccfg, const Deployment& d) {
-    Rng dealer_rng = d.root.derive("dealer", 0);
-    return crain::Dealer::setup(ccfg, dealer_rng);
-  }
-
   crain::Config ccfg_;
   crain::Dealer dealer_;
 };
 
 /// Bracha over an abstract MAC layer: unreliable broadcast, no keys.
-class AbsMacDescriptor : public DescriptorDefaults {
+class AbsMacDescriptor
+    : public Descriptor<absmac::Process, absmac::ProcessHooks,
+                        Transport::kBroadcast> {
  public:
-  using Process = absmac::Process;
-  using Hooks = absmac::ProcessHooks;
-  static constexpr Transport kTransport = Transport::kBroadcast;
-  static auto& phase_hook(Hooks& hooks) { return hooks.on_round; }
-  static std::uint64_t sent(const Process& p) { return p.stats().messages_sent; }
-
   AbsMacDescriptor(Deployment& d, const ScenarioSetup*)
       : mcfg_(absmac::Config::for_group(d.cfg.n)) {
     mcfg_.tick_interval = d.cfg.tick_interval;

@@ -136,26 +136,11 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
   net::Medium medium(sim, cfg.medium, root.derive("medium", 0));
 
   // Ambient channel faults, wired exactly as the single-instance harness
-  // does it (experiment.cpp setup_medium). validate_service pins the plan
-  // to the failure-free role, so only the ambient clause injects.
+  // does it. validate_service pins the plan to the failure-free role, so
+  // only the ambient clause injects.
   const faultplan::FaultPlan plan = cfg.effective_plan();
-  faultplan::BuildContext fctx;
-  fctx.n = cfg.n;
-  fctx.f = cfg.f();
-  fctx.k = cfg.k();
-  fctx.t = 0;
-  fctx.ambient_loss_rate = cfg.loss_rate;
-  fctx.ambient_bursts = cfg.bursty_loss;
-  fctx.ambient_burst_params = cfg.burst_params;
-  constexpr SimDuration kFrameSlot = 2 * kMillisecond;
-  const SimDuration exchange = static_cast<SimDuration>(cfg.n) * kFrameSlot;
-  const SimDuration ticks_per_round =
-      (exchange + cfg.tick_interval - 1) / cfg.tick_interval;
-  fctx.round_duration =
-      cfg.tick_interval *
-      std::max<SimDuration>(SimDuration{1}, ticks_per_round);
-  fctx.root = root;
-  faultplan::BuiltPlan faults = faultplan::build(plan, fctx);
+  faultplan::BuiltPlan faults =
+      faultplan::build(plan, harness::fault_context(cfg, plan, root));
   medium.set_fault_injector(faults.injector.get());
 
   // Per physical node: one virtual CPU (crypto serializes on the node's

@@ -334,8 +334,8 @@ std::vector<GoldenRow> golden_rows() {
 // repetition run with and without a hoisted ScenarioSetup. Any change to
 // the order in which a deployment builds its objects, draws its streams or
 // schedules its events moves these bytes. Regenerate after an intentional
-// change with:
-//   UPDATE_DEPLOYMENT_GOLDEN=1 ./tests/harness_test \
+// change by running, from the build directory,
+//   UPDATE_DEPLOYMENT_GOLDEN=1 ./tests/harness_test
 //       --gtest_filter=Deployment.GoldenRunResults
 TEST(Deployment, GoldenRunResults) {
   std::string text;
