@@ -123,6 +123,13 @@ RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index) {
 
 RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index,
                    const ScenarioSetup* setup) {
+  return traced_repetition(cfg, rep_index, [&] {
+    return protocol_info(cfg.protocol).run(cfg, rep_index, setup);
+  });
+}
+
+RunResult traced_repetition(const ScenarioConfig& cfg, std::uint64_t rep_index,
+                            const std::function<RunResult()>& body) {
 #if TURQ_TRACE_ENABLED
   // Each repetition gets a fresh tracer so the ring holds one run and the
   // sink receives one begin/end-marked block per repetition.
@@ -140,7 +147,7 @@ RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index,
   }
 #endif
 
-  RunResult result = protocol_info(cfg.protocol).run(cfg, rep_index, setup);
+  RunResult result = body();
 
 #if TURQ_TRACE_ENABLED
   if (tracer.has_value()) tracer->flush(*cfg.trace_sink);
@@ -194,18 +201,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     }
     result.latency_ms.add_all(run.latencies_ms);
     result.app_messages += run.app_messages;
-    result.medium_total.broadcast_frames += run.medium.broadcast_frames;
-    result.medium_total.unicast_frames += run.medium.unicast_frames;
-    result.medium_total.collisions += run.medium.collisions;
-    result.medium_total.mac_retries += run.medium.mac_retries;
-    result.medium_total.unicast_drops += run.medium.unicast_drops;
-    result.medium_total.deliveries += run.medium.deliveries;
-    result.medium_total.omissions += run.medium.omissions;
-    result.medium_total.frames_collided += run.medium.frames_collided;
-    result.medium_total.bytes_on_air += run.medium.bytes_on_air;
-    result.medium_total.airtime += run.medium.airtime;
-    result.medium_total.unreachable += run.medium.unreachable;
-    result.medium_total.hidden_terminal += run.medium.hidden_terminal;
+    result.medium_total += run.medium;
     if (run.spatial.has_value()) {
       if (!result.spatial_total.has_value()) result.spatial_total.emplace();
       spatial::SpatialStats& agg = *result.spatial_total;

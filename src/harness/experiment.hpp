@@ -13,6 +13,7 @@
 // a worker pool (ScenarioConfig::jobs) with bit-identical pooled results.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -405,6 +406,12 @@ struct ProtocolInfo {
 [[nodiscard]] std::optional<Protocol> protocol_from_flag(std::string_view flag);
 /// Every CLI flag joined by `sep` ("turquois|bracha|..."), for usage text.
 [[nodiscard]] std::string protocol_flags(std::string_view sep);
+
+/// Runs `body`, one repetition of `cfg`, under a fresh trace::Tracer when
+/// cfg.trace_sink is set, and flushes it into the sink as one
+/// kRepBegin/kRepEnd-marked block.
+RunResult traced_repetition(const ScenarioConfig& cfg, std::uint64_t rep_index,
+                            const std::function<RunResult()>& body);
 
 /// Runs the full scenario and pools the results in repetition order.
 /// cfg.jobs > 1 (or 0 = auto) fans the repetitions out across a worker

@@ -92,6 +92,22 @@ struct MediumStats {
   std::uint64_t hidden_terminal = 0;    // hidden-terminal (frame, rcv) losses
   std::uint64_t bytes_on_air = 0;
   SimDuration airtime = 0;
+
+  MediumStats& operator+=(const MediumStats& o) {
+    broadcast_frames += o.broadcast_frames;
+    unicast_frames += o.unicast_frames;
+    mac_retries += o.mac_retries;
+    collisions += o.collisions;
+    frames_collided += o.frames_collided;
+    unicast_drops += o.unicast_drops;
+    deliveries += o.deliveries;
+    omissions += o.omissions;
+    unreachable += o.unreachable;
+    hidden_terminal += o.hidden_terminal;
+    bytes_on_air += o.bytes_on_air;
+    airtime += o.airtime;
+    return *this;
+  }
 };
 
 class Medium final : public BroadcastService {

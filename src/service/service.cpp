@@ -477,27 +477,8 @@ std::optional<std::string> validate_service(const ScenarioConfig& cfg) {
 }
 
 RunResult run_service_once(const ScenarioConfig& cfg, std::uint64_t rep_index) {
-#if TURQ_TRACE_ENABLED
-  // Mirror harness::run_once: one tracer per repetition, one
-  // kRepBegin/kRepEnd-marked block flushed into the sink.
-  std::optional<trace::Tracer> tracer;
-  std::optional<trace::TraceScope> scope;
-  if (cfg.trace_sink != nullptr) {
-    trace::TracerOptions topt;
-    topt.sim_events = cfg.trace_sim_events;
-    tracer.emplace(topt);
-    scope.emplace(&*tracer);
-    tracer->emit(trace::TraceEvent{
-        .at = 0, .category = trace::Category::kHarness,
-        .kind = trace::Kind::kRepBegin,
-        .value = static_cast<std::int64_t>(rep_index)});
-  }
-#endif
-  RunResult result = run_service_rep(cfg, rep_index);
-#if TURQ_TRACE_ENABLED
-  if (tracer.has_value()) tracer->flush(*cfg.trace_sink);
-#endif
-  return result;
+  return harness::traced_repetition(
+      cfg, rep_index, [&] { return run_service_rep(cfg, rep_index); });
 }
 
 double ServiceScenarioResult::committed_per_sim_sec() const {
@@ -579,18 +560,7 @@ ServiceScenarioResult run_service(const ScenarioConfig& cfg) {
     }
     result.latency_ms.add_all(run.latencies_ms);
     result.app_messages += run.app_messages;
-    result.medium_total.broadcast_frames += run.medium.broadcast_frames;
-    result.medium_total.unicast_frames += run.medium.unicast_frames;
-    result.medium_total.collisions += run.medium.collisions;
-    result.medium_total.mac_retries += run.medium.mac_retries;
-    result.medium_total.unicast_drops += run.medium.unicast_drops;
-    result.medium_total.deliveries += run.medium.deliveries;
-    result.medium_total.omissions += run.medium.omissions;
-    result.medium_total.frames_collided += run.medium.frames_collided;
-    result.medium_total.bytes_on_air += run.medium.bytes_on_air;
-    result.medium_total.airtime += run.medium.airtime;
-    result.medium_total.unreachable += run.medium.unreachable;
-    result.medium_total.hidden_terminal += run.medium.hidden_terminal;
+    result.medium_total += run.medium;
   }
   return result;
 }

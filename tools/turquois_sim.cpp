@@ -121,6 +121,28 @@ namespace {
   std::exit(2);
 }
 
+/// Prints the pooled audit line (counted in `unit`) and, when it failed,
+/// the violations per property. Returns whether the audit passed.
+bool print_audit(const std::optional<audit::AuditAggregate>& audit,
+                 const char* unit) {
+  if (!audit.has_value()) return true;
+  const audit::AuditAggregate& a = *audit;
+  std::printf("audit: %llu %s checked, %llu violating, %llu violations (%s)\n",
+              static_cast<unsigned long long>(a.checked_reps), unit,
+              static_cast<unsigned long long>(a.violating_reps),
+              static_cast<unsigned long long>(a.violations),
+              a.passed() ? "pass" : "FAIL");
+  if (!a.passed()) {
+    for (std::size_t i = 0; i < audit::kPropertyCount; ++i) {
+      if (a.by_property[i] == 0) continue;
+      std::printf("  %s: %llu\n",
+                  audit::to_string(static_cast<audit::Property>(i)),
+                  static_cast<unsigned long long>(a.by_property[i]));
+    }
+  }
+  return a.passed();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -352,25 +374,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(sr.medium_total.mac_retries),
         to_milliseconds(sr.medium_total.airtime),
         static_cast<unsigned long long>(sr.medium_total.bytes_on_air));
-    bool audit_passed = true;
-    if (sr.audit.has_value()) {
-      const audit::AuditAggregate& a = *sr.audit;
-      std::printf("audit: %llu instances checked, %llu violating, %llu "
-                  "violations (%s)\n",
-                  static_cast<unsigned long long>(a.checked_reps),
-                  static_cast<unsigned long long>(a.violating_reps),
-                  static_cast<unsigned long long>(a.violations),
-                  a.passed() ? "pass" : "FAIL");
-      if (!a.passed()) {
-        for (std::size_t i = 0; i < audit::kPropertyCount; ++i) {
-          if (a.by_property[i] == 0) continue;
-          std::printf("  %s: %llu\n",
-                      audit::to_string(static_cast<audit::Property>(i)),
-                      static_cast<unsigned long long>(a.by_property[i]));
-        }
-      }
-      audit_passed = a.passed();
-    }
+    const bool audit_passed = print_audit(sr.audit, "instances");
     if (sr.failed_runs > 0) {
       std::printf("warning: %u repetitions did not commit every request\n",
                   sr.failed_runs);
@@ -443,28 +447,9 @@ int main(int argc, char** argv) {
                 r.sigma->liveness_eligible() ? "liveness-eligible"
                                              : "sigma-violating");
   };
-  const auto print_audit = [&r]() -> bool {
-    if (!r.audit.has_value()) return true;
-    const audit::AuditAggregate& a = *r.audit;
-    std::printf("audit: %llu reps checked, %llu violating, %llu violations "
-                "(%s)\n",
-                static_cast<unsigned long long>(a.checked_reps),
-                static_cast<unsigned long long>(a.violating_reps),
-                static_cast<unsigned long long>(a.violations),
-                a.passed() ? "pass" : "FAIL");
-    if (!a.passed()) {
-      for (std::size_t i = 0; i < audit::kPropertyCount; ++i) {
-        if (a.by_property[i] == 0) continue;
-        std::printf("  %s: %llu\n",
-                    audit::to_string(static_cast<audit::Property>(i)),
-                    static_cast<unsigned long long>(a.by_property[i]));
-      }
-    }
-    return a.passed();
-  };
   if (r.latency_ms.empty()) {
     print_sigma();
-    print_audit();
+    print_audit(r.audit, "reps");
     std::printf("result: no successful repetitions (%u failed)\n",
                 r.failed_runs);
     return 1;
@@ -512,7 +497,7 @@ int main(int argc, char** argv) {
     }
   }
   print_sigma();
-  const bool audit_passed = print_audit();
+  const bool audit_passed = print_audit(r.audit, "reps");
   if (r.failed_runs > 0) {
     std::printf("warning: %u repetitions missed the deadline\n", r.failed_runs);
   }
