@@ -245,6 +245,7 @@ RunResult Deployment::collect(
     m.merge(medium_->metrics());
     if (topology_ != nullptr) m.merge(topology_->metrics());
     if (relay_ != nullptr) m.merge(relay_->metrics());
+    for (const auto& host : hosts_) m.merge(host->metrics());
     m.counter("app.messages").add(result.app_messages);
     if (result.sigma.has_value()) {
       const faultplan::SigmaSummary& s = *result.sigma;
@@ -283,14 +284,6 @@ void Deployment::add_tcp_totals(RunResult& result) const {
     result.tcp.rto_fires += s.rto_fires;
     result.tcp.fast_retransmits += s.fast_retransmits;
   }
-}
-
-void Deployment::trace_transport() const {
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    for (const auto& host : hosts_) t->metrics().merge(host->metrics());
-  }
-#endif
 }
 
 }  // namespace turq::harness

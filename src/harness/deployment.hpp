@@ -100,8 +100,6 @@ class Deployment {
       const std::function<void(audit::ConsensusAuditor&)>& audit_check);
   /// Adds the TCP hosts' counters to `result.tcp`.
   void add_tcp_totals(RunResult& result) const;
-  /// Merges the TCP hosts' metrics into the current trace, if any.
-  void trace_transport() const;
 
  private:
   struct Decision {
@@ -167,7 +165,7 @@ void Deployment::start(const std::vector<std::unique_ptr<P>>& procs) {
 /// Transport, builds one process (make) once its constructor has set up
 /// the protocol config and key material, and may override the rest.
 template <typename P, typename H, Transport T>
-struct Descriptor {
+struct ProtocolDescriptor {
   using Process = P;
   using Hooks = H;
   static constexpr Transport kTransport = T;
@@ -225,7 +223,6 @@ RunResult deploy(const ScenarioConfig& cfg, std::uint64_t rep_index,
     protocol.audit(d, procs, auditor);
   });
   protocol.report(d, result);
-  d.trace_transport();
   return result;
 }
 

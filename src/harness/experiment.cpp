@@ -128,7 +128,8 @@ RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index,
   });
 }
 
-RunResult traced_repetition(const ScenarioConfig& cfg, std::uint64_t rep_index,
+RunResult traced_repetition([[maybe_unused]] const ScenarioConfig& cfg,
+                            [[maybe_unused]] std::uint64_t rep_index,
                             const std::function<RunResult()>& body) {
 #if TURQ_TRACE_ENABLED
   // Each repetition gets a fresh tracer so the ring holds one run and the

@@ -24,8 +24,8 @@ namespace {
 
 /// Turquois (Algorithm 1): unreliable broadcast, one-time-signature keys.
 class TurquoisDescriptor
-    : public Descriptor<turquois::Process, turquois::ProcessHooks,
-                        Transport::kBroadcast> {
+    : public ProtocolDescriptor<turquois::Process, turquois::ProcessHooks,
+                                Transport::kBroadcast> {
  public:
   static auto& phase_hook(Hooks& hooks) { return hooks.on_phase; }
   static std::uint64_t sent(const Process& p) { return p.stats().broadcasts; }
@@ -125,8 +125,8 @@ class TurquoisDescriptor
 
 /// Bracha's randomized consensus over authenticated TCP (IPSec AH).
 class BrachaDescriptor
-    : public Descriptor<bracha::Process, bracha::ProcessHooks,
-                        Transport::kAuthenticatedTcp> {
+    : public ProtocolDescriptor<bracha::Process, bracha::ProcessHooks,
+                                Transport::kAuthenticatedTcp> {
  public:
   BrachaDescriptor(Deployment& d, const ScenarioSetup*)
       : bcfg_(bracha::Config::for_group(d.cfg.n)) {}
@@ -151,7 +151,8 @@ class BrachaDescriptor
 /// ABBA (Cachin et al.) over plain TCP: it authenticates itself with
 /// threshold signatures. Its RunResult carries no TCP totals.
 class AbbaDescriptor
-    : public Descriptor<abba::Process, abba::ProcessHooks, Transport::kTcp> {
+    : public ProtocolDescriptor<abba::Process, abba::ProcessHooks,
+                                Transport::kTcp> {
  public:
   // Per-repetition on purpose: the dealer's threshold shares combine into
   // the common-coin values, so hoisting them would change every coin flip
@@ -177,8 +178,8 @@ class AbbaDescriptor
 
 /// Crain/MMR binary agreement over authenticated TCP, signature-free.
 class CrainDescriptor
-    : public Descriptor<crain::Process, crain::ProcessHooks,
-                        Transport::kAuthenticatedTcp> {
+    : public ProtocolDescriptor<crain::Process, crain::ProcessHooks,
+                                Transport::kAuthenticatedTcp> {
  public:
   // Per-repetition like ABBA's dealer: the combined shares ARE the common
   // coin, so hoisting would change every coin flip.
@@ -207,8 +208,8 @@ class CrainDescriptor
 
 /// Bracha over an abstract MAC layer: unreliable broadcast, no keys.
 class AbsMacDescriptor
-    : public Descriptor<absmac::Process, absmac::ProcessHooks,
-                        Transport::kBroadcast> {
+    : public ProtocolDescriptor<absmac::Process, absmac::ProcessHooks,
+                                Transport::kBroadcast> {
  public:
   AbsMacDescriptor(Deployment& d, const ScenarioSetup*)
       : mcfg_(absmac::Config::for_group(d.cfg.n)) {

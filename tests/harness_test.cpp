@@ -264,6 +264,7 @@ std::string dump(const RunResult& r) {
   return out;
 }
 
+#if TURQ_TRACE_ENABLED
 /// FNV-1a over a traced repetition's JSONL bytes: pins the stats and trace
 /// hooks (TCP host metrics, exchange-pool counters) alongside the result.
 std::string trace_digest(const ScenarioConfig& cfg, std::uint64_t rep) {
@@ -281,6 +282,7 @@ std::string trace_digest(const ScenarioConfig& cfg, std::uint64_t rep) {
   }
   return fmt("  trace bytes=%zu fnv=%016llx\n", bytes.size(), ull{h});
 }
+#endif
 
 std::vector<GoldenRow> golden_rows() {
   std::vector<GoldenRow> rows;
