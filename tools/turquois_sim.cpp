@@ -121,6 +121,17 @@ namespace {
   std::exit(2);
 }
 
+void print_medium(const net::MediumStats& m) {
+  std::printf("medium (totals): %llu bcast frames, %llu unicast frames, "
+              "%llu collisions, %llu MAC retries, %.1f ms airtime, %llu bytes\n",
+              static_cast<unsigned long long>(m.broadcast_frames),
+              static_cast<unsigned long long>(m.unicast_frames),
+              static_cast<unsigned long long>(m.collisions),
+              static_cast<unsigned long long>(m.mac_retries),
+              to_milliseconds(m.airtime),
+              static_cast<unsigned long long>(m.bytes_on_air));
+}
+
 /// Prints the pooled audit line (counted in `unit`) and, when it failed,
 /// the violations per property. Returns whether the audit passed.
 bool print_audit(const std::optional<audit::AuditAggregate>& audit,
@@ -365,15 +376,7 @@ int main(int argc, char** argv) {
                   sr.latency_ms.percentile(0.99), sr.latency_ms.max(),
                   sr.latency_ms.count());
     }
-    std::printf(
-        "medium (totals): %llu bcast frames, %llu unicast frames, "
-        "%llu collisions, %llu MAC retries, %.1f ms airtime, %llu bytes\n",
-        static_cast<unsigned long long>(sr.medium_total.broadcast_frames),
-        static_cast<unsigned long long>(sr.medium_total.unicast_frames),
-        static_cast<unsigned long long>(sr.medium_total.collisions),
-        static_cast<unsigned long long>(sr.medium_total.mac_retries),
-        to_milliseconds(sr.medium_total.airtime),
-        static_cast<unsigned long long>(sr.medium_total.bytes_on_air));
+    print_medium(sr.medium_total);
     const bool audit_passed = print_audit(sr.audit, "instances");
     if (sr.failed_runs > 0) {
       std::printf("warning: %u repetitions did not commit every request\n",
@@ -459,14 +462,7 @@ int main(int argc, char** argv) {
               r.mean(), r.ci95(), r.latency_ms.min(),
               r.latency_ms.percentile(0.5), r.latency_ms.percentile(0.95),
               r.latency_ms.max(), r.latency_ms.count());
-  std::printf("medium (totals): %llu bcast frames, %llu unicast frames, "
-              "%llu collisions, %llu MAC retries, %.1f ms airtime, %llu bytes\n",
-              static_cast<unsigned long long>(r.medium_total.broadcast_frames),
-              static_cast<unsigned long long>(r.medium_total.unicast_frames),
-              static_cast<unsigned long long>(r.medium_total.collisions),
-              static_cast<unsigned long long>(r.medium_total.mac_retries),
-              to_milliseconds(r.medium_total.airtime),
-              static_cast<unsigned long long>(r.medium_total.bytes_on_air));
+  print_medium(r.medium_total);
   if (r.spatial_total.has_value()) {
     const spatial::SpatialStats& sp = *r.spatial_total;
     const unsigned long long losses = r.medium_total.omissions +
