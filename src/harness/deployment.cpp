@@ -52,13 +52,15 @@ faultplan::BuildContext fault_context(const ScenarioConfig& cfg,
   return ctx;
 }
 
-Deployment::Deployment(const ScenarioConfig& config, std::uint64_t rep_index)
+Deployment::Deployment(const ScenarioConfig& config, std::uint64_t rep_index,
+                       Transport transport, const ScenarioSetup* setup)
     : cfg(config),
       root(Rng::stream(config.seed, "rep", rep_index)),
       plan_(config.effective_plan()),
       rep_index_(rep_index),
       first_faulty_(plan_.role == faultplan::Role::kNone ? config.n
                                                          : config.n - config.f()),
+      transport_(transport),
       start_at_(config.n, 0),
       decisions_(config.n),
       undecided_(first_faulty_) {
@@ -93,26 +95,7 @@ Deployment::Deployment(const ScenarioConfig& config, std::uint64_t rep_index)
     acfg.phase_bound = cfg.audit_phase_bound;
     auditor_ = std::make_unique<audit::ConsensusAuditor>(acfg);
   }
-}
 
-bool Deployment::byzantine(ProcessId id) const {
-  return faulty(id) && plan_.role == faultplan::Role::kByzantine;
-}
-
-bool Deployment::crashed(ProcessId id) const {
-  return faulty(id) && plan_.role == faultplan::Role::kFailStop;
-}
-
-Value Deployment::proposal(ProcessId id) const {
-  // The paper's unanimous load proposes 1 everywhere; the divergent load
-  // has odd ids propose 1 and even ids propose 0.
-  if (cfg.distribution == ProposalDist::kUnanimous) return Value::kOne;
-  return (id % 2 == 1) ? Value::kOne : Value::kZero;
-}
-
-void Deployment::open_transport(Transport transport,
-                                const ScenarioSetup* setup) {
-  transport_ = transport;
   if (transport == Transport::kBroadcast) {
     // Multi-hop endpoints route through the gossip relay so every frame
     // still reaches the whole group; the protocol above is none the wiser.
@@ -130,6 +113,21 @@ void Deployment::open_transport(Transport transport,
       sa_keys_ = &setup->sa_keys;
     }
   }
+}
+
+bool Deployment::byzantine(ProcessId id) const {
+  return faulty(id) && plan_.role == faultplan::Role::kByzantine;
+}
+
+bool Deployment::crashed(ProcessId id) const {
+  return faulty(id) && plan_.role == faultplan::Role::kFailStop;
+}
+
+Value Deployment::proposal(ProcessId id) const {
+  // The paper's unanimous load proposes 1 everywhere; the divergent load
+  // has odd ids propose 1 and even ids propose 0.
+  if (cfg.distribution == ProposalDist::kUnanimous) return Value::kOne;
+  return (id % 2 == 1) ? Value::kOne : Value::kZero;
 }
 
 runtime::Runtime& Deployment::add_node(ProcessId id) {

@@ -53,8 +53,11 @@ enum class Transport : std::uint8_t {
 class Deployment {
  public:
   /// Splits roles and builds the medium, fault plan and auditor for
-  /// repetition `rep_index` of `cfg`.
-  Deployment(const ScenarioConfig& cfg, std::uint64_t rep_index);
+  /// repetition `rep_index` of `cfg`, then opens the shared `transport`:
+  /// the gossip relay for multi-hop broadcast, or the pairwise keys
+  /// (hoisted in `setup` or derived here) for authenticated TCP.
+  Deployment(const ScenarioConfig& cfg, std::uint64_t rep_index,
+             Transport transport, const ScenarioSetup* setup);
 
   const ScenarioConfig& cfg;
   /// The repetition's stream; only ever derive()d from.
@@ -68,9 +71,6 @@ class Deployment {
     return correct_;
   }
 
-  /// Opens the shared transport: the gossip relay for multi-hop broadcast,
-  /// the (hoisted or per-repetition) pairwise keys for authenticated TCP.
-  void open_transport(Transport transport, const ScenarioSetup* setup);
   /// Builds process `id`'s virtual CPU, runtime and transport endpoint, in
   /// that order, and returns the runtime.
   runtime::Runtime& add_node(ProcessId id);
@@ -124,7 +124,7 @@ class Deployment {
   faultplan::BuiltPlan faults_;  // injector tree + optional σ meter
   std::unique_ptr<audit::ConsensusAuditor> auditor_;
 
-  Transport transport_ = Transport::kBroadcast;
+  const Transport transport_;
   std::vector<std::vector<Bytes>> local_sa_keys_;
   const std::vector<std::vector<Bytes>>* sa_keys_ = nullptr;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus_;
@@ -196,9 +196,8 @@ Dealer deal(const Config& config, const Deployment& d) {
 template <typename D>
 RunResult deploy(const ScenarioConfig& cfg, std::uint64_t rep_index,
                  const ScenarioSetup* setup) {
-  Deployment d(cfg, rep_index);
+  Deployment d(cfg, rep_index, D::kTransport, setup);
   D protocol(d, setup);
-  d.open_transport(D::kTransport, setup);
 
   std::vector<std::unique_ptr<typename D::Process>> procs;
   for (ProcessId id = 0; id < cfg.n; ++id) {

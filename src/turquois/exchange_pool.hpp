@@ -70,7 +70,7 @@ class ExchangePool {
   /// The acquire-side counters (acquires / hits / misses()) are measured on
   /// the simulator thread in delivery order, so they are bit-identical for
   /// any --intra-jobs value and are exported as `exchange_pool.*` trace
-  /// metrics (run_turquois, the service driver).
+  /// metrics (the harness Turquois descriptor, the service driver).
   ///
   /// The fill-attribution counters (entries / legacy hits / inline_fills /
   /// wait_races) depend on whether a prefetch worker won the claim race and

@@ -202,7 +202,7 @@ TEST(AuditRegression, AdaptiveSigmaRoundCoversFullExchangeAtN16) {
   // full-budget adaptive adversary got a multiple of σ per exchange —
   // permanent livelock that the accountant still labelled
   // liveness-eligible. The default round now scales with n
-  // (setup_medium in experiment.cpp). Reproducer:
+  // (harness::fault_context). Reproducer:
   //   turquois_sim --protocol turquois --n 16 --dist unanimous
   //     --faults 'sigma;adaptive(frac=1)' --seed 1 --reps 1 --timeout 30
   const ScenarioResult r = run_scenario(
