@@ -12,6 +12,7 @@
 #include "faultplan/spec.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
+#include "service/service.hpp"
 #include "trace/sink.hpp"
 #include "trace/trace.hpp"
 
@@ -260,8 +261,33 @@ std::string dump(const RunResult& r) {
   } else {
     out += "  spatial -\n";
   }
-  out += r.service.has_value() ? "  service present\n" : "  service -\n";
+  if (r.service.has_value()) {
+    const service::RepSummary& s = *r.service;
+    out += fmt("  service arrivals=%llu committed=%llu rejected=%llu "
+               "launched=%llu decided=%llu failed=%llu key_batches=%llu "
+               "audit_checked=%llu audit_violating=%llu finished_at=%lld "
+               "mux_frames=%llu mux_payloads=%llu mux_splits=%llu "
+               "mux_late_drops=%llu mux_superseded=%llu\n",
+               ull{s.arrivals}, ull{s.committed}, ull{s.rejected},
+               ull{s.instances_launched}, ull{s.instances_decided},
+               ull{s.instances_failed}, ull{s.key_batches},
+               ull{s.audit_checked_instances},
+               ull{s.audit_violating_instances},
+               static_cast<long long>(s.finished_at), ull{s.mux_frames},
+               ull{s.mux_payloads}, ull{s.mux_splits}, ull{s.mux_late_drops},
+               ull{s.mux_superseded});
+  } else {
+    out += "  service -\n";
+  }
   return out;
+}
+
+/// One repetition of a golden row: the service driver for service rows,
+/// the deployment builder otherwise.
+RunResult run_row(const ScenarioConfig& cfg, std::uint64_t rep,
+                  const ScenarioSetup* setup) {
+  if (cfg.service.enabled) return service::run_service_once(cfg, rep);
+  return run_once(cfg, rep, setup);
 }
 
 #if TURQ_TRACE_ENABLED
@@ -272,7 +298,7 @@ std::string trace_digest(const ScenarioConfig& cfg, std::uint64_t rep) {
   trace::JsonlSink sink(jsonl);
   ScenarioConfig traced = cfg;
   traced.trace_sink = &sink;
-  (void)run_once(traced, rep);
+  (void)run_row(traced, rep, nullptr);
   sink.close();
   const std::string bytes = jsonl.str();
   std::uint64_t h = 1469598103934665603ULL;
@@ -328,12 +354,57 @@ std::vector<GoldenRow> golden_rows() {
   }
   add(Protocol::kBracha, 7, "none", TurquoisAttack::kValueInversion,
       "grid(r=150)", true);
+
+  // The pipelined service on the same medium: group size × pipeline depth ×
+  // arrival process, then backpressure, a deadline that strands instances,
+  // and ambient iid loss. σ-tracking plans are pinned by service_test.
+  const auto add_service = [&rows](std::uint32_t n, std::uint32_t depth,
+                                   service::Arrival arrival,
+                                   const char* variant) {
+    ScenarioConfig cfg;
+    cfg.n = n;
+    cfg.seed = 12;
+    cfg.repetitions = 2;
+    cfg.service.enabled = true;
+    cfg.service.pipeline_depth = depth;
+    cfg.service.batch = 4;
+    cfg.service.arrival = arrival;
+    cfg.service.total_requests = 24;
+    const std::string v = variant;
+    if (v == "tiny-queue") {
+      cfg.service.batch = 1;
+      cfg.service.queue_capacity = 2;
+      cfg.service.offered_load = 50000.0;
+    } else if (v == "short-timeout") {
+      cfg.run_timeout = 800 * kMillisecond;
+    } else if (v == "iid") {
+      cfg.plan = *faultplan::plan_from_name("iid(p=0.05)", nullptr);
+    }
+    std::string label = "Service n=" + std::to_string(n) +
+                        " W=" + std::to_string(depth) + " " +
+                        service::to_string(arrival) + " " +
+                        cfg.fault_label();
+    if (!v.empty()) label += " " + v;
+    rows.push_back({label, cfg});
+  };
+  for (const std::uint32_t n : {4u, 16u}) {
+    for (const std::uint32_t depth : {1u, 8u}) {
+      for (const service::Arrival arrival :
+           {service::Arrival::kPoisson, service::Arrival::kBursty}) {
+        add_service(n, depth, arrival, "");
+      }
+    }
+  }
+  add_service(4, 1, service::Arrival::kPoisson, "tiny-queue");
+  add_service(16, 8, service::Arrival::kPoisson, "short-timeout");
+  add_service(4, 8, service::Arrival::kPoisson, "iid");
   return rows;
 }
 
 // The deployment contract: every protocol under every fault role, both
 // Turquois attacks, single-hop and multi-hop (relay on and off), each
-// repetition run with and without a hoisted ScenarioSetup. Any change to
+// repetition run with and without a hoisted ScenarioSetup, plus the
+// pipelined service. Any change to
 // the order in which a deployment builds its objects, draws its streams or
 // schedules its events moves these bytes. Regenerate after an intentional
 // change by running, from the build directory,
@@ -345,9 +416,11 @@ TEST(Deployment, GoldenRunResults) {
     text += "[" + row.label + "]\n";
     const auto setup = make_scenario_setup(row.cfg);
     for (std::uint64_t rep = 0; rep < row.cfg.repetitions; ++rep) {
-      const std::string plain = dump(run_once(row.cfg, rep));
-      EXPECT_EQ(dump(run_once(row.cfg, rep, setup.get())), plain)
-          << row.label << " rep " << rep << ": hoisted setup diverges";
+      const std::string plain = dump(run_row(row.cfg, rep, nullptr));
+      if (!row.cfg.service.enabled) {
+        EXPECT_EQ(dump(run_row(row.cfg, rep, setup.get())), plain)
+            << row.label << " rep " << rep << ": hoisted setup diverges";
+      }
       text += " rep " + std::to_string(rep) + "\n" + plain;
     }
 #if TURQ_TRACE_ENABLED
