@@ -215,6 +215,7 @@ RunResult Deployment::collect(
 
   result.medium = medium_->stats();
   result.app_messages = app_messages;
+  for (const auto& host : hosts_) result.tcp += host->stats();
   if (faults_.sigma != nullptr) result.sigma = faults_.sigma->summary();
   if (topology_ != nullptr) {
     // Sample connectivity up to the end of the run so a quiet tail (e.g.
@@ -271,17 +272,6 @@ RunResult Deployment::collect(
   }
 #endif
   return result;
-}
-
-void Deployment::add_tcp_totals(RunResult& result) const {
-  for (const auto& host : hosts_) {
-    const net::TcpHost::Stats s = host->stats();
-    result.tcp.messages_sent += s.messages_sent;
-    result.tcp.segments_sent += s.segments_sent;
-    result.tcp.segments_retransmitted += s.segments_retransmitted;
-    result.tcp.rto_fires += s.rto_fires;
-    result.tcp.fast_retransmits += s.fast_retransmits;
-  }
 }
 
 }  // namespace turq::harness

@@ -98,8 +98,6 @@ class Deployment {
   RunResult collect(
       std::uint64_t app_messages,
       const std::function<void(audit::ConsensusAuditor&)>& audit_check);
-  /// Adds the TCP hosts' counters to `result.tcp`.
-  void add_tcp_totals(RunResult& result) const;
 
  private:
   struct Decision {

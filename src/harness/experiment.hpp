@@ -283,7 +283,7 @@ struct RunResult {
   std::vector<double> latencies_ms;  // one per decided correct process
   net::MediumStats medium;           // channel counters for this repetition
   std::uint64_t app_messages = 0;    // protocol-level point-to-point sends
-  net::TcpHost::Stats tcp;           // summed over hosts (baselines only)
+  net::TcpHost::Stats tcp;           // summed over hosts (TCP transports)
   /// Per-round σ accounting; present iff the effective plan tracks σ
   /// (always the case for spatial scenarios).
   std::optional<faultplan::SigmaSummary> sigma;

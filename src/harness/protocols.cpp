@@ -140,16 +140,12 @@ class BrachaDescriptor
         std::move(hooks));
   }
 
-  void report(Deployment& d, RunResult& result) const {
-    d.add_tcp_totals(result);
-  }
-
  private:
   bracha::Config bcfg_;
 };
 
 /// ABBA (Cachin et al.) over plain TCP: it authenticates itself with
-/// threshold signatures. Its RunResult carries no TCP totals.
+/// threshold signatures.
 class AbbaDescriptor
     : public ProtocolDescriptor<abba::Process, abba::ProcessHooks,
                                 Transport::kTcp> {
@@ -195,10 +191,6 @@ class CrainDescriptor
         d.byzantine(id) ? crain::Strategy::kValueInversion
                         : crain::Strategy::kHonest,
         std::move(hooks));
-  }
-
-  void report(Deployment& d, RunResult& result) const {
-    d.add_tcp_totals(result);
   }
 
  private:

@@ -103,6 +103,16 @@ class TcpHost {
     std::uint64_t rto_fires = 0;
     std::uint64_t fast_retransmits = 0;
     std::uint64_t auth_failures = 0;
+
+    Stats& operator+=(const Stats& o) {
+      messages_sent += o.messages_sent;
+      segments_sent += o.segments_sent;
+      segments_retransmitted += o.segments_retransmitted;
+      rto_fires += o.rto_fires;
+      fast_retransmits += o.fast_retransmits;
+      auth_failures += o.auth_failures;
+      return *this;
+    }
   };
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const trace::MetricsRegistry& metrics() const {

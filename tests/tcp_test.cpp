@@ -158,6 +158,17 @@ TEST(Tcp, AuthenticationRejectsKeyMismatch) {
   EXPECT_GE(rig.hosts[1]->stats().auth_failures, 1u);
 }
 
+TEST(Tcp, StatsSumEveryField) {
+  TcpHost::Stats total{1, 2, 3, 4, 5, 6};
+  total += TcpHost::Stats{10, 20, 30, 40, 50, 60};
+  EXPECT_EQ(total.messages_sent, 11u);
+  EXPECT_EQ(total.segments_sent, 22u);
+  EXPECT_EQ(total.segments_retransmitted, 33u);
+  EXPECT_EQ(total.rto_fires, 44u);
+  EXPECT_EQ(total.fast_retransmits, 55u);
+  EXPECT_EQ(total.auth_failures, 66u);
+}
+
 TEST(Tcp, DisconnectedPeerGetsNothingAndCostsNothing) {
   Rig rig(2);
   rig.hosts[0]->disconnect_peer(1);
