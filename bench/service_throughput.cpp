@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
       cfg.service.total_requests = requests;
 
       const auto leg_start = std::chrono::steady_clock::now();
-      service::ServiceScenarioResult r;
+      ScenarioResult r;
       try {
         r = service::run_service(cfg);
       } catch (const std::invalid_argument& e) {
@@ -176,7 +176,8 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      const double rate = r.committed_per_sim_sec();
+      const service::RepSummary& totals = *r.service_total;
+      const double rate = totals.committed_per_sim_sec();
       if (leg.pipeline_depth == 1) seq_rate = rate;
       const double speedup = seq_rate > 0.0 ? rate / seq_rate : 0.0;
       if (n == 16 && leg.pipeline_depth == 64) speedup_n16 = speedup;
@@ -194,19 +195,19 @@ int main(int argc, char** argv) {
       cell.audit = r.audit;
       cell.extra["pipeline_depth"] = static_cast<double>(leg.pipeline_depth);
       cell.extra["batch"] = static_cast<double>(leg.batch);
-      cell.extra["committed"] = static_cast<double>(r.totals.committed);
+      cell.extra["committed"] = static_cast<double>(totals.committed);
       cell.extra["committed_per_sim_sec"] = rate;
-      cell.extra["instances_per_sim_sec"] = r.instances_per_sim_sec();
+      cell.extra["instances_per_sim_sec"] = totals.instances_per_sim_sec();
       cell.extra["instances_decided"] =
-          static_cast<double>(r.totals.instances_decided);
-      cell.extra["key_batches"] = static_cast<double>(r.totals.key_batches);
-      cell.extra["mux_frames"] = static_cast<double>(r.totals.mux_frames);
-      cell.extra["mux_payloads"] = static_cast<double>(r.totals.mux_payloads);
+          static_cast<double>(totals.instances_decided);
+      cell.extra["key_batches"] = static_cast<double>(totals.key_batches);
+      cell.extra["mux_frames"] = static_cast<double>(totals.mux_frames);
+      cell.extra["mux_payloads"] = static_cast<double>(totals.mux_payloads);
       report.cells.push_back(std::move(cell));
 
       const std::string tag = std::string(leg.name) + "_n" + std::to_string(n);
       perf["committed_per_sec_" + tag] = rate;
-      perf["instances_per_sec_" + tag] = r.instances_per_sim_sec();
+      perf["instances_per_sec_" + tag] = totals.instances_per_sim_sec();
       perf["wall_" + tag] = wall;
       if (n == 16 && leg.pipeline_depth == 64) {
         perf["latency_p50_ms"] = r.latency_ms.percentile(0.5);
@@ -215,7 +216,7 @@ int main(int argc, char** argv) {
       }
 
       std::printf("%5u | %7s | %12.1f | %12.2f | %9.2f | %8.2fx\n", n,
-                  leg.name, rate, r.instances_per_sim_sec(),
+                  leg.name, rate, totals.instances_per_sim_sec(),
                   r.latency_ms.percentile(0.95), speedup);
     }
   }

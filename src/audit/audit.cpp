@@ -174,8 +174,13 @@ AuditReport ConsensusAuditor::finish(
 
 void AuditAggregate::merge(const AuditReport& report) {
   if (!report.checked) return;
-  ++checked_reps;
-  if (!report.passed()) ++violating_reps;
+  merge(report, 1, report.passed() ? 0 : 1);
+}
+
+void AuditAggregate::merge(const AuditReport& report, std::uint64_t checked,
+                           std::uint64_t violating) {
+  checked_reps += checked;
+  violating_reps += violating;
   violations += report.violations.size();
   for (const Violation& v : report.violations) {
     ++by_property[static_cast<std::size_t>(v.property)];

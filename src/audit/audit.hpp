@@ -146,7 +146,12 @@ struct AuditAggregate {
   std::uint64_t violations = 0;
   std::uint64_t by_property[kPropertyCount] = {};
 
+  /// Counts `report` as one audited repetition.
   void merge(const AuditReport& report);
+  /// Counts `report` as `checked` audited units of which `violating`
+  /// violated (a service repetition audits each instance on its own).
+  void merge(const AuditReport& report, std::uint64_t checked,
+             std::uint64_t violating);
   [[nodiscard]] bool passed() const { return violations == 0; }
 
   bool operator==(const AuditAggregate&) const = default;

@@ -2,24 +2,29 @@
 //
 // The paper's evaluation (§7.2) runs every protocol through the same cell:
 // n processes on one 802.11b medium under one fault plan, started within a
-// small window, each measured from its propose() to its decision. A
-// Deployment does everything those runs share, once:
-//   - the role split (the last f processes are faulty), the medium, the
-//     fault plan with its σ meter, and the spatial layer;
-//   - the consensus auditor and the hooks that feed it;
-//   - each process's virtual CPU, runtime and transport: a broadcast
-//     endpoint (through the gossip relay when multi-hop) or a TCP host,
-//     authenticated with pairwise keys or not;
-//   - fail-stop crashes and TCP disconnects, and the start offsets;
-//   - the run loop, stopped by a count of outstanding decisions, and the
-//     RunResult.
-// A protocol descriptor (protocols.cpp) supplies only what differs: its
-// transport, its key material, the role→strategy map, a post-run audit
-// check and a stats hook. deploy<D>() joins the two.
+// small window, each measured from its propose() to its decision. The
+// builder splits that cell along the line its two users share:
+//   - a Repetition is the world: the simulator, the medium, the fault plan
+//     with its σ meter, the spatial layer and gossip relay, one virtual CPU
+//     per node, the 1 ms-slice run loop, and the medium/σ/spatial side of
+//     the outcome with the trace counters every repetition reports;
+//   - a ConsensusInstance is one run of consensus inside it: its auditor,
+//     its start offsets, its decisions, and the verdicts on agreement,
+//     validity and (for Turquois) quorum sanity.
+// A Deployment is a Repetition running one instance: it adds the role split
+// (the last f processes are faulty), each process's runtime and transport
+// (a broadcast endpoint, through the relay when multi-hop, or a TCP host,
+// authenticated with pairwise keys or not), fail-stop crashes and TCP
+// disconnects, and the RunResult. A protocol descriptor (protocols.cpp)
+// supplies only what differs: its transport, its key material, the
+// role→strategy map and a post-run audit check. deploy<D>() joins the two.
+// The pipelined service (service/service.cpp) is the builder's second
+// user: one Repetition with up to W instances in flight.
 //
-// The order in which deploy() builds objects, derives streams and
-// schedules events is part of the determinism contract: every field of
-// every protocol's RunResult is pinned by tests/golden/deployments.txt.
+// The order in which objects are built, streams are derived and events are
+// scheduled is part of the determinism contract: every field of every
+// protocol's and the service's RunResult is pinned by
+// tests/golden/deployments.txt.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +40,11 @@
 #include "runtime/sim_runtime.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
+#include "turquois/exchange_pool.hpp"
+
+namespace turq::turquois {
+class Process;
+}  // namespace turq::turquois
 
 namespace turq::harness {
 
@@ -50,18 +60,108 @@ enum class Transport : std::uint8_t {
 [[nodiscard]] std::vector<std::vector<Bytes>> make_sa_keys(std::uint32_t n,
                                                            const Rng& root);
 
-class Deployment {
+/// The world of one repetition, shared by everything that runs in it.
+class Repetition {
  public:
-  /// Splits roles and builds the medium, fault plan and auditor for
-  /// repetition `rep_index` of `cfg`, then opens the shared `transport`:
-  /// the gossip relay for multi-hop broadcast, or the pairwise keys
-  /// (hoisted in `setup` or derived here) for authenticated TCP.
-  Deployment(const ScenarioConfig& cfg, std::uint64_t rep_index,
-             Transport transport, const ScenarioSetup* setup);
+  /// Builds the medium, the fault plan with its σ meter and the spatial
+  /// layer of repetition `rep_index` of `cfg`, the gossip relay when
+  /// `relay` is set and the scenario is multi-hop, and one virtual CPU per
+  /// node.
+  Repetition(const ScenarioConfig& cfg, std::uint64_t rep_index, bool relay);
 
   const ScenarioConfig& cfg;
   /// The repetition's stream; only ever derive()d from.
   Rng root;
+  /// Acquire-side exchange-pool counters summed over the repetition's
+  /// pools, traced as exchange_pool.*; unset when no pool shares decodes.
+  std::optional<turquois::ExchangePool::Stats> exchange_pool;
+
+  [[nodiscard]] const faultplan::FaultPlan& plan() const { return plan_; }
+  [[nodiscard]] sim::Simulator& sim() { return sim_; }
+  [[nodiscard]] net::Medium& medium() { return *medium_; }
+  /// What a broadcast endpoint attaches to: the relay when there is one,
+  /// the medium otherwise.
+  [[nodiscard]] net::BroadcastService& bus();
+  /// Node `id`'s processor: crypto serializes on it whichever instance or
+  /// transport it serves.
+  [[nodiscard]] sim::VirtualCpu& cpu(ProcessId id) { return *cpus_[id]; }
+
+  /// Runs the simulation in 1 ms slices. `step` runs before every slice
+  /// and returns false to stop; the loop also stops at the deadline or
+  /// when nothing is left to run.
+  void run(const std::function<bool()>& step);
+  /// Fills the medium, σ and spatial side of `result`.
+  void measure(RunResult& result);
+  /// Adds the repetition's trace counters (medium, spatial, app.messages,
+  /// sigma.*, audit.*, exchange_pool.*) and ends its trace block.
+  void report(const RunResult& result);
+
+ private:
+  const faultplan::FaultPlan plan_;
+  const std::uint64_t rep_index_;
+  sim::Simulator sim_;
+  std::unique_ptr<net::Medium> medium_;
+  std::unique_ptr<spatial::Topology> topology_;  // set iff spatial.active()
+  std::unique_ptr<spatial::RelayFabric> relay_;  // multi-hop broadcast only
+  faultplan::BuiltPlan faults_;  // injector tree + optional σ meter
+  std::vector<std::unique_ptr<sim::VirtualCpu>> cpus_;
+};
+
+/// One consensus instance: who proposed when, who decided what, and the
+/// auditor that judges it.
+class ConsensusInstance {
+ public:
+  /// Processes [0, deciders) are the ones expected to decide; only they
+  /// are audited and counted.
+  ConsensusInstance(const ScenarioConfig& cfg, ProcessId deciders);
+
+  /// Draws `id`'s start offset from `start_rng`, records `now` plus it as
+  /// `id`'s proposal time, tells the auditor, and returns that time.
+  SimTime start(Rng& start_rng, ProcessId id, Value v, SimTime now);
+  /// The decide hook of every process.
+  void on_decide(ProcessId id, Value v, std::uint64_t phase, SimTime at);
+  /// The auditor that observes `id`; null for non-deciders or when the
+  /// scenario runs unaudited.
+  [[nodiscard]] audit::ConsensusAuditor* auditor_for(ProcessId id) const;
+  [[nodiscard]] std::size_t decided() const { return deciders_ - undecided_; }
+  [[nodiscard]] bool all_decided() const { return undecided_ == 0; }
+
+  /// Quorum sanity (Turquois): `p` must not have decided without a
+  /// decide-phase quorum for its value in its final view.
+  void check_decide_quorum(const turquois::Process& p,
+                           const turquois::Config& tcfg);
+  /// Clears `result`'s agreement and validity verdicts when the deciders
+  /// disagree or, under a unanimous load (every proposal 1), when one
+  /// decided 0. Returns the last decided value.
+  std::optional<Value> judge(RunResult& result, bool unanimous) const;
+  /// Each decided decider's propose→decide latency, in id order.
+  [[nodiscard]] std::vector<double> latencies_ms() const;
+  /// Closes the auditor's report; std::nullopt when unaudited.
+  std::optional<audit::AuditReport> finish(
+      const std::optional<faultplan::SigmaSummary>& sigma, bool all_decided);
+
+ private:
+  struct Decision {
+    Value value;
+    SimTime at;
+  };
+
+  const ProcessId deciders_;
+  const SimDuration start_spread_;
+  std::unique_ptr<audit::ConsensusAuditor> auditor_;
+  std::vector<SimTime> start_at_;
+  std::vector<std::optional<Decision>> decisions_;
+  std::size_t undecided_;  // deciders yet to decide
+};
+
+class Deployment : public Repetition {
+ public:
+  /// Splits roles and builds repetition `rep_index` of `cfg` with its one
+  /// consensus instance, then opens the shared `transport`: the gossip
+  /// relay for multi-hop broadcast, or the pairwise keys (hoisted in
+  /// `setup` or derived here) for authenticated TCP.
+  Deployment(const ScenarioConfig& cfg, std::uint64_t rep_index,
+             Transport transport, const ScenarioSetup* setup);
 
   [[nodiscard]] bool faulty(ProcessId id) const { return id >= first_faulty_; }
   /// Faulty under a Byzantine plan: runs the protocol's attack strategy.
@@ -70,74 +170,43 @@ class Deployment {
   [[nodiscard]] const std::vector<ProcessId>& correct() const {
     return correct_;
   }
+  [[nodiscard]] ConsensusInstance& instance() { return instance_; }
 
-  /// Builds process `id`'s virtual CPU, runtime and transport endpoint, in
-  /// that order, and returns the runtime.
+  /// Builds process `id`'s runtime and transport endpoint, in that order,
+  /// and returns the runtime.
   runtime::Runtime& add_node(ProcessId id);
   [[nodiscard]] net::BroadcastEndpoint& endpoint(ProcessId id) {
     return *endpoints_[id];
   }
   [[nodiscard]] net::TcpHost& host(ProcessId id) { return *hosts_[id]; }
 
-  /// The decide hook of every process.
-  void on_decide(ProcessId id, Value v, std::uint64_t phase, SimTime at);
-  /// The auditor that observes `id`; null for faulty processes or when the
-  /// scenario runs unaudited.
-  [[nodiscard]] audit::ConsensusAuditor* auditor_for(ProcessId id) const;
-
   /// Crashes the fail-stop processes (and cuts their TCP connections) and
   /// schedules every other process's proposal at its start offset.
   template <typename P>
   void start(const std::vector<std::unique_ptr<P>>& procs);
-  /// Runs the simulation in 1 ms slices until every correct process has
-  /// decided, the deadline passes, or nothing is left to run.
-  void run();
   /// The repetition's outcome. `app_messages` is the correct processes'
-  /// protocol-level sends; `audit_check` runs the protocol's post-run audit
-  /// check before the auditor closes its report.
-  RunResult collect(
-      std::uint64_t app_messages,
-      const std::function<void(audit::ConsensusAuditor&)>& audit_check);
+  /// protocol-level sends.
+  RunResult collect(std::uint64_t app_messages);
 
  private:
-  struct Decision {
-    Value value;
-    SimTime at;
-  };
-
-  /// Draws `id`'s start offset, records it and tells the auditor.
-  SimTime start_offset(Rng& start_rng, ProcessId id, Value v);
   [[nodiscard]] Value proposal(ProcessId id) const;
   [[nodiscard]] bool crashed(ProcessId id) const;
 
-  const faultplan::FaultPlan plan_;
-  const std::uint64_t rep_index_;
   ProcessId first_faulty_;
   std::vector<ProcessId> correct_;
-
-  sim::Simulator sim_;
-  std::unique_ptr<net::Medium> medium_;
-  std::unique_ptr<spatial::Topology> topology_;  // set iff spatial.active()
-  std::unique_ptr<spatial::RelayFabric> relay_;  // multi-hop broadcast only
-  faultplan::BuiltPlan faults_;  // injector tree + optional σ meter
-  std::unique_ptr<audit::ConsensusAuditor> auditor_;
+  ConsensusInstance instance_;
 
   const Transport transport_;
   std::vector<std::vector<Bytes>> local_sa_keys_;
   const std::vector<std::vector<Bytes>>* sa_keys_ = nullptr;
-  std::vector<std::unique_ptr<sim::VirtualCpu>> cpus_;
   std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes_;
   std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints_;
   std::vector<std::unique_ptr<net::TcpHost>> hosts_;
-
-  std::vector<SimTime> start_at_;
-  std::vector<std::optional<Decision>> decisions_;
-  std::size_t undecided_;  // correct processes yet to decide
 };
 
 template <typename P>
 void Deployment::start(const std::vector<std::unique_ptr<P>>& procs) {
-  if (plan_.role == faultplan::Role::kFailStop) {
+  if (plan().role == faultplan::Role::kFailStop) {
     // Crashed-before-start processes never came up: surviving hosts have
     // no connection to them (no frames wasted on unreachable peers).
     for (const auto& host : hosts_) {
@@ -153,8 +222,8 @@ void Deployment::start(const std::vector<std::unique_ptr<P>>& procs) {
       continue;
     }
     const Value v = proposal(id);
-    sim_.schedule_at(start_offset(start_rng, id, v),
-                     [p = procs[id].get(), v] { p->propose(v); });
+    sim().schedule_at(instance_.start(start_rng, id, v, sim().now()),
+                      [p = procs[id].get(), v] { p->propose(v); });
   }
 }
 
@@ -178,9 +247,11 @@ struct ProtocolDescriptor {
   static void hoist(const ScenarioConfig&, Rng&, ScenarioSetup&) {}
   /// Post-run audit check over the protocol's processes.
   template <typename Procs>
-  void audit(const Deployment&, const Procs&, audit::ConsensusAuditor&) const {}
-  /// Stats and trace hook, after the run is collected.
-  void report(Deployment&, RunResult&) const {}
+  void audit(Deployment&, const Procs&) const {}
+  /// The exchange pool the processes share, if any.
+  [[nodiscard]] const turquois::ExchangePool* exchange_pool() const {
+    return nullptr;
+  }
 };
 
 /// A per-repetition dealer drawn from the repetition's "dealer" stream.
@@ -202,9 +273,9 @@ RunResult deploy(const ScenarioConfig& cfg, std::uint64_t rep_index,
     runtime::Runtime& rt = d.add_node(id);
     typename D::Hooks hooks;
     hooks.on_decide = [&d, id](Value v, auto phase, SimTime at) {
-      d.on_decide(id, v, phase, at);
+      d.instance().on_decide(id, v, phase, at);
     };
-    if (audit::ConsensusAuditor* auditor = d.auditor_for(id)) {
+    if (audit::ConsensusAuditor* auditor = d.instance().auditor_for(id)) {
       D::phase_hook(hooks) = [id, auditor](auto phase, SimTime at) {
         auditor->on_phase(id, phase, at);
       };
@@ -212,15 +283,15 @@ RunResult deploy(const ScenarioConfig& cfg, std::uint64_t rep_index,
     procs.push_back(protocol.make(d, id, rt, std::move(hooks)));
   }
   d.start(procs);
-  d.run();
+  d.run([&d] { return !d.instance().all_decided(); });
 
   std::uint64_t sent = 0;
   for (const ProcessId id : d.correct()) sent += D::sent(*procs[id]);
-  RunResult result = d.collect(sent, [&](audit::ConsensusAuditor& auditor) {
-    protocol.audit(d, procs, auditor);
-  });
-  protocol.report(d, result);
-  return result;
+  protocol.audit(d, procs);
+  if (const turquois::ExchangePool* pool = protocol.exchange_pool()) {
+    d.exchange_pool = pool->stats();
+  }
+  return d.collect(sent);
 }
 
 /// The setup make_scenario_setup hoists for descriptor `D`, derived from

@@ -156,16 +156,13 @@ RunResult traced_repetition([[maybe_unused]] const ScenarioConfig& cfg,
   return result;
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& cfg) {
-  if (const auto reason = validate(cfg)) {
-    throw std::invalid_argument("invalid scenario: " + *reason);
-  }
-
+ScenarioResult pool(const ScenarioConfig& cfg,
+                    const std::vector<RepResult>& reps) {
   ScenarioResult result;
   result.config = cfg;
   // The scheduler returns repetitions ordered by index whatever cfg.jobs
   // is, so this merge — and everything derived from it — is deterministic.
-  for (const RepResult& rep : run_repetitions(cfg)) {
+  for (const RepResult& rep : reps) {
     if (rep.crashed) {
       TURQ_WARN("repetition %llu crashed: %s",
                 static_cast<unsigned long long>(rep.rep_index),
@@ -175,9 +172,10 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     }
     const RunResult& run = rep.run;
     if (!run.agreement_held || !run.validity_held) ++result.safety_violations;
+    // σ, audit and service counters are merged before the decided check: a
+    // timed-out σ-violating or auditor-flagged repetition is exactly what
+    // they exist to report.
     if (run.sigma.has_value()) {
-      // Merged before the decided check: timed-out sigma-violating runs must
-      // still count against liveness eligibility.
       if (!result.sigma.has_value()) result.sigma.emplace();
       SigmaAggregate& agg = *result.sigma;
       const faultplan::SigmaSummary& s = *run.sigma;
@@ -191,10 +189,17 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       if (s.liveness_eligible()) ++agg.eligible_reps;
     }
     if (run.audit.has_value()) {
-      // Also ahead of the decided check: a violating timed-out repetition is
-      // exactly what the auditor exists to report.
       if (!result.audit.has_value()) result.audit.emplace();
-      result.audit->merge(*run.audit);
+      if (run.service.has_value()) {
+        result.audit->merge(*run.audit, run.service->audit_checked_instances,
+                            run.service->audit_violating_instances);
+      } else {
+        result.audit->merge(*run.audit);
+      }
+    }
+    if (run.service.has_value()) {
+      if (!result.service_total.has_value()) result.service_total.emplace();
+      *result.service_total += *run.service;
     }
     if (!run.all_correct_decided) {
       ++result.failed_runs;
@@ -205,22 +210,17 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     result.medium_total += run.medium;
     if (run.spatial.has_value()) {
       if (!result.spatial_total.has_value()) result.spatial_total.emplace();
-      spatial::SpatialStats& agg = *result.spatial_total;
-      const spatial::SpatialStats& s = *run.spatial;
-      agg.samples += s.samples;
-      agg.partition_events += s.partition_events;
-      agg.partitioned_samples += s.partitioned_samples;
-      agg.path_hops_sum += s.path_hops_sum;
-      agg.path_pairs += s.path_pairs;
-      agg.cs_domains_sum += s.cs_domains_sum;
-      agg.relay_origin_frames += s.relay_origin_frames;
-      agg.relay_forwards += s.relay_forwards;
-      agg.relay_suppressed += s.relay_suppressed;
-      agg.relay_duplicates += s.relay_duplicates;
-      agg.relay_deliveries += s.relay_deliveries;
+      *result.spatial_total += *run.spatial;
     }
   }
   return result;
+}
+
+ScenarioResult run_scenario(const ScenarioConfig& cfg) {
+  if (const auto reason = validate(cfg)) {
+    throw std::invalid_argument("invalid scenario: " + *reason);
+  }
+  return pool(cfg, run_repetitions(cfg));
 }
 
 }  // namespace turq::harness

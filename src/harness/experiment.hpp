@@ -337,6 +337,11 @@ struct ScenarioResult {
   /// included — partition metrics of a stalled run are the point);
   /// present iff the scenario is spatial.
   std::optional<spatial::SpatialStats> spatial_total;
+  /// Service counters summed over every repetition (timed-out ones
+  /// included); present iff the scenario ran under service::run_service,
+  /// whose latency_ms then pools per-request arrival->commit latencies and
+  /// whose audit counts audited instances rather than repetitions.
+  std::optional<service::RepSummary> service_total;
 
   /// Mean pooled latency in milliseconds.
   [[nodiscard]] double mean() const { return latency_ms.mean(); }
@@ -359,13 +364,6 @@ struct ScenarioSetup {
   std::optional<turquois::KeyInfrastructure> turquois_keys;
   std::vector<std::vector<Bytes>> sa_keys;  // [a][b] == [b][a]
 };
-
-/// The fault-plan build context of one repetition of `cfg` running `plan`,
-/// with `root` the repetition's stream. It sizes the σ accounting round,
-/// so the single-instance harness and the service share one definition.
-[[nodiscard]] faultplan::BuildContext fault_context(
-    const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
-    const Rng& root);
 
 /// Builds the setup `run_once` would derive for repetition 0 of `cfg`.
 [[nodiscard]] std::shared_ptr<const ScenarioSetup> make_scenario_setup(

@@ -1,8 +1,7 @@
 // The protocol registry: one descriptor per protocol, one row per
 // descriptor. A descriptor states only what its protocol does differently
 // inside the shared deployment (deployment.hpp): its transport, its key
-// material, how a role maps to a strategy, a post-run audit check and a
-// stats hook.
+// material, how a role maps to a strategy, and a post-run audit check.
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -14,7 +13,6 @@
 #include "baselines/crain/crain.hpp"
 #include "harness/deployment.hpp"
 #include "sim/task_pool.hpp"
-#include "trace/trace.hpp"
 #include "turquois/exchange_pool.hpp"
 #include "turquois/key_infra.hpp"
 #include "turquois/process.hpp"
@@ -76,40 +74,15 @@ class TurquoisDescriptor
 
   /// Quorum sanity: every correct decision must be backed by a decide
   /// quorum for its value in the decider's final view.
-  void audit(const Deployment& d,
-             const std::vector<std::unique_ptr<Process>>& procs,
-             audit::ConsensusAuditor& auditor) const {
+  void audit(Deployment& d,
+             const std::vector<std::unique_ptr<Process>>& procs) const {
     for (const ProcessId id : d.correct()) {
-      const Process& p = *procs[id];
-      if (!p.decided() ||
-          turquois::has_decide_quorum(p.view(), tcfg_, p.decision())) {
-        continue;
-      }
-      auditor.note_violation(
-          audit::Property::kQuorumSanity, id,
-          "decided " + turq::to_string(p.decision()) +
-              " without a decide-phase quorum for it in the final view");
+      d.instance().check_decide_quorum(*procs[id], tcfg_);
     }
   }
 
-  void report(Deployment&, RunResult&) const {
-#if TURQ_TRACE_ENABLED
-    trace::Tracer* t = trace::current();
-    if (exchange_pool_ == nullptr || t == nullptr) return;
-    // Acquire-side counters only: they are measured on the simulator
-    // thread in delivery order and are bit-identical at any --intra-jobs.
-    // Fill attribution (inline vs worker, claim races) is execution-
-    // timing-dependent and deliberately stays out of the trace contract
-    // (see ExchangePool::Stats).
-    const turquois::ExchangePool::Stats& ps = exchange_pool_->stats();
-    auto& m = t->metrics();
-    m.counter("exchange_pool.acquires")
-        .add(static_cast<std::int64_t>(ps.acquires));
-    m.counter("exchange_pool.hits")
-        .add(static_cast<std::int64_t>(ps.shared_hits));
-    m.counter("exchange_pool.misses")
-        .add(static_cast<std::int64_t>(ps.misses()));
-#endif
+  [[nodiscard]] const turquois::ExchangePool* exchange_pool() const {
+    return exchange_pool_.get();
   }
 
  private:

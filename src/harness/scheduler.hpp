@@ -63,4 +63,9 @@ using RepRunner = std::function<RunResult(const ScenarioConfig&,
 [[nodiscard]] std::vector<RepResult> run_repetitions(const ScenarioConfig& cfg,
                                                      const RepRunner& runner);
 
+/// Pools `reps`, ordered by index, into one scenario result: run_scenario's
+/// merge, shared by service::run_service.
+[[nodiscard]] ScenarioResult pool(const ScenarioConfig& cfg,
+                                  const std::vector<RepResult>& reps);
+
 }  // namespace turq::harness

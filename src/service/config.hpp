@@ -1,9 +1,9 @@
 // Configuration and per-repetition summary of the consensus service layer.
 //
 // Plain structs only: harness/experiment.hpp embeds ServiceConfig in
-// ScenarioConfig and RepSummary in RunResult, while the service *driver*
-// (service.hpp) links against the harness — keeping this header free of
-// heavy includes breaks the would-be dependency cycle.
+// ScenarioConfig and RepSummary in RunResult and ScenarioResult, while the
+// service *driver* (service.hpp) links against the harness — keeping this
+// header free of heavy includes breaks the would-be dependency cycle.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +64,11 @@ struct ServiceConfig {
   }
 };
 
-/// Per-repetition service outcome (RunResult::service). Request latencies
-/// ride in RunResult::latencies_ms (arrival -> commit, one per committed
-/// request) so the existing pooling/percentile machinery applies untouched.
+/// Per-repetition service outcome (RunResult::service), summed over a
+/// scenario's repetitions in ScenarioResult::service_total. Request
+/// latencies ride in RunResult::latencies_ms (arrival -> commit, one per
+/// committed request) so the existing pooling/percentile machinery applies
+/// untouched.
 struct RepSummary {
   std::uint64_t arrivals = 0;            // requests the generator produced
   std::uint64_t committed = 0;           // requests decided by >= k processes
@@ -86,6 +88,44 @@ struct RepSummary {
   std::uint64_t mux_splits = 0;
   std::uint64_t mux_late_drops = 0;
   std::uint64_t mux_superseded = 0;
+
+  /// Sums every counter; finished_at sums to the total simulated time, the
+  /// denominator of the throughput figures.
+  RepSummary& operator+=(const RepSummary& o) {
+    arrivals += o.arrivals;
+    committed += o.committed;
+    rejected += o.rejected;
+    instances_launched += o.instances_launched;
+    instances_decided += o.instances_decided;
+    instances_failed += o.instances_failed;
+    key_batches += o.key_batches;
+    audit_checked_instances += o.audit_checked_instances;
+    audit_violating_instances += o.audit_violating_instances;
+    finished_at += o.finished_at;
+    mux_frames += o.mux_frames;
+    mux_payloads += o.mux_payloads;
+    mux_splits += o.mux_splits;
+    mux_late_drops += o.mux_late_drops;
+    mux_superseded += o.mux_superseded;
+    return *this;
+  }
+
+  /// Committed requests per simulated second — a machine-independent
+  /// throughput figure.
+  [[nodiscard]] double committed_per_sim_sec() const {
+    return per_sim_sec(committed);
+  }
+  /// Fully decided instances per simulated second.
+  [[nodiscard]] double instances_per_sim_sec() const {
+    return per_sim_sec(instances_decided);
+  }
+
+ private:
+  [[nodiscard]] double per_sim_sec(std::uint64_t count) const {
+    const double secs =
+        static_cast<double>(finished_at) / static_cast<double>(kSecond);
+    return secs > 0.0 ? static_cast<double>(count) / secs : 0.0;
+  }
 };
 
 }  // namespace turq::service

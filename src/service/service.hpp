@@ -16,14 +16,18 @@
 //     RSA pair per process;
 //   * proposal batching — B requests per instance slot, so one decision
 //     commits B requests.
-// Every instance is judged by its own ConsensusAuditor (Validity /
-// Agreement / Unanimity per instance id): throughput never buys silent
-// incorrectness. A request's end-to-end latency is stamped arrival ->
-// commit (the k-th process decide of its instance).
+// Each repetition runs on the deployment builder (harness/deployment.hpp):
+// a harness::Repetition supplies the medium, fault plan, σ meter, CPUs and
+// run loop, and every in-flight instance is a harness::ConsensusInstance
+// judged by its own ConsensusAuditor (Validity / Agreement / Unanimity /
+// quorum sanity per instance): throughput never buys silent incorrectness.
+// A request's end-to-end latency is stamped arrival -> commit (the k-th
+// process decide of its instance).
 //
-// Repetitions run through harness::run_repetitions — the same scheduler,
-// per-repetition trace capture, and crash isolation as run_scenario — so
-// pooled output is bit-identical at any --jobs × --intra-jobs.
+// Repetitions run through harness::run_repetitions and pool through
+// harness::pool — the same scheduler, per-repetition trace capture, crash
+// isolation and ScenarioResult as run_scenario — so pooled output is
+// bit-identical at any --jobs × --intra-jobs.
 #pragma once
 
 #include <optional>
@@ -33,29 +37,6 @@
 #include "service/config.hpp"
 
 namespace turq::service {
-
-/// Pooled outcome of a service scenario (the analogue of ScenarioResult).
-struct ServiceScenarioResult {
-  harness::ScenarioConfig config;
-  /// Per-request arrival->commit latencies pooled over all repetitions, in
-  /// repetition order.
-  SampleStats latency_ms;
-  std::uint32_t failed_runs = 0;        // crashed or incomplete repetitions
-  std::uint32_t safety_violations = 0;  // reps with a violating instance
-  net::MediumStats medium_total;
-  /// Instance-grained audit: checked_reps counts audited *instances*.
-  std::optional<audit::AuditAggregate> audit;
-  /// Counter totals summed over repetitions (finished_at sums to the total
-  /// simulated seconds, the denominator of the throughput figures).
-  RepSummary totals;
-  std::uint64_t app_messages = 0;
-
-  /// Committed requests per simulated second, pooled over repetitions — a
-  /// machine-independent throughput figure.
-  [[nodiscard]] double committed_per_sim_sec() const;
-  /// Fully decided instances per simulated second.
-  [[nodiscard]] double instances_per_sim_sec() const;
-};
 
 /// Arrival->commit latency in ms under half-open interval semantics: the
 /// request occupies [arrival, commit), and a commit landing in the same
@@ -77,9 +58,12 @@ struct ServiceScenarioResult {
     const harness::ScenarioConfig& cfg, std::uint64_t rep_index);
 
 /// Runs cfg.repetitions service repetitions (cfg.service.enabled must be
-/// set) and pools in repetition order. Throws std::invalid_argument when
-/// validate()/validate_service() reports a problem.
-[[nodiscard]] ServiceScenarioResult run_service(
+/// set) and pools them in repetition order with run_scenario's merge:
+/// latency_ms holds per-request latencies, service_total the summed
+/// counters, and the audit aggregate counts audited instances. Throws
+/// std::invalid_argument when validate()/validate_service() reports a
+/// problem.
+[[nodiscard]] harness::ScenarioResult run_service(
     const harness::ScenarioConfig& cfg);
 
 }  // namespace turq::service

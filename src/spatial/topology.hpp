@@ -99,6 +99,21 @@ struct SpatialStats {
   std::uint64_t relay_suppressed = 0;     // forwards cancelled by duplicates
   std::uint64_t relay_duplicates = 0;     // duplicate receptions discarded
   std::uint64_t relay_deliveries = 0;     // unique non-origin app deliveries
+
+  SpatialStats& operator+=(const SpatialStats& o) {
+    samples += o.samples;
+    partition_events += o.partition_events;
+    partitioned_samples += o.partitioned_samples;
+    path_hops_sum += o.path_hops_sum;
+    path_pairs += o.path_pairs;
+    cs_domains_sum += o.cs_domains_sum;
+    relay_origin_frames += o.relay_origin_frames;
+    relay_forwards += o.relay_forwards;
+    relay_suppressed += o.relay_suppressed;
+    relay_duplicates += o.relay_duplicates;
+    relay_deliveries += o.relay_deliveries;
+    return *this;
+  }
 };
 
 struct Position {

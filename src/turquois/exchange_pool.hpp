@@ -96,6 +96,16 @@ class ExchangePool {
     [[nodiscard]] std::uint64_t misses() const {
       return acquires - shared_hits;
     }
+
+    Stats& operator+=(const Stats& o) {
+      entries += o.entries;
+      hits += o.hits;
+      inline_fills += o.inline_fills;
+      wait_races += o.wait_races;
+      acquires += o.acquires;
+      shared_hits += o.shared_hits;
+      return *this;
+    }
   };
 
   /// `workers` may be null: every fill then runs inline in acquire().

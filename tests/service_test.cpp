@@ -11,6 +11,8 @@
 #include "crypto/onetime_sig.hpp"
 #include "net/frame_mux.hpp"
 #include "net/medium.hpp"
+#include "faultplan/spec.hpp"
+#include "harness/scheduler.hpp"
 #include "service/service.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
@@ -227,45 +229,47 @@ TEST(Service, CommitLatencyIsStrictlyPositiveEvenForSameTickCommits) {
 
 TEST(Service, MinimumObservedLatencyIsPositive) {
   const harness::ScenarioConfig cfg = small_service_config();
-  const service::ServiceScenarioResult r = service::run_service(cfg);
+  const harness::ScenarioResult r = service::run_service(cfg);
   ASSERT_GT(r.latency_ms.count(), 0u);
   EXPECT_GT(r.latency_ms.percentile(0.0), 0.0);  // min sample
 }
 
 TEST(Service, CommitsEveryRequestAndAuditsEveryInstance) {
   const harness::ScenarioConfig cfg = small_service_config();
-  const service::ServiceScenarioResult r = service::run_service(cfg);
+  const harness::ScenarioResult r = service::run_service(cfg);
 
   EXPECT_EQ(r.failed_runs, 0u);
   EXPECT_EQ(r.safety_violations, 0u);
-  EXPECT_EQ(r.totals.arrivals, 64u);  // 2 reps x 32 requests
-  EXPECT_EQ(r.totals.committed, 64u);
-  EXPECT_EQ(r.totals.rejected, 0u);
-  EXPECT_EQ(r.totals.instances_failed, 0u);
-  EXPECT_GE(r.totals.instances_launched, 2u);
-  EXPECT_EQ(r.totals.instances_decided, r.totals.instances_launched);
+  ASSERT_TRUE(r.service_total.has_value());
+  EXPECT_EQ(r.service_total->arrivals, 64u);  // 2 reps x 32 requests
+  EXPECT_EQ(r.service_total->committed, 64u);
+  EXPECT_EQ(r.service_total->rejected, 0u);
+  EXPECT_EQ(r.service_total->instances_failed, 0u);
+  EXPECT_GE(r.service_total->instances_launched, 2u);
+  EXPECT_EQ(r.service_total->instances_decided, r.service_total->instances_launched);
   // One latency sample per committed request.
   EXPECT_EQ(r.latency_ms.count(), 64u);
   EXPECT_GT(r.latency_ms.mean(), 0.0);
   // Every constituent instance was audited, none violating.
   ASSERT_TRUE(r.audit.has_value());
-  EXPECT_EQ(r.audit->checked_reps, r.totals.instances_decided);
+  EXPECT_EQ(r.audit->checked_reps, r.service_total->instances_decided);
   EXPECT_EQ(r.audit->violating_reps, 0u);
   EXPECT_TRUE(r.audit->passed());
   // The mux actually multiplexed: fewer frames than instance payloads.
-  EXPECT_GT(r.totals.mux_frames, 0u);
-  EXPECT_GE(r.totals.mux_payloads, r.totals.mux_frames);
-  EXPECT_GT(r.committed_per_sim_sec(), 0.0);
-  EXPECT_GT(r.instances_per_sim_sec(), 0.0);
+  EXPECT_GT(r.service_total->mux_frames, 0u);
+  EXPECT_GE(r.service_total->mux_payloads, r.service_total->mux_frames);
+  EXPECT_GT(r.service_total->committed_per_sim_sec(), 0.0);
+  EXPECT_GT(r.service_total->instances_per_sim_sec(), 0.0);
 }
 
 TEST(Service, BurstyArrivalsCommitEverything) {
   harness::ScenarioConfig cfg = small_service_config();
   cfg.repetitions = 1;
   cfg.service.arrival = service::Arrival::kBursty;
-  const service::ServiceScenarioResult r = service::run_service(cfg);
+  const harness::ScenarioResult r = service::run_service(cfg);
   EXPECT_EQ(r.failed_runs, 0u);
-  EXPECT_EQ(r.totals.committed, 32u);
+  ASSERT_TRUE(r.service_total.has_value());
+  EXPECT_EQ(r.service_total->committed, 32u);
   ASSERT_TRUE(r.audit.has_value());
   EXPECT_TRUE(r.audit->passed());
 }
@@ -277,31 +281,88 @@ TEST(Service, TinyQueueCapacityBackpressuresExcessLoad) {
   cfg.service.batch = 1;
   cfg.service.queue_capacity = 2;
   cfg.service.offered_load = 50000.0;  // far above one slot's service rate
-  const service::ServiceScenarioResult r = service::run_service(cfg);
-  EXPECT_GT(r.totals.rejected, 0u);
-  EXPECT_EQ(r.totals.committed + r.totals.rejected, r.totals.arrivals);
-  EXPECT_EQ(r.latency_ms.count(), r.totals.committed);
+  const harness::ScenarioResult r = service::run_service(cfg);
+  ASSERT_TRUE(r.service_total.has_value());
+  EXPECT_GT(r.service_total->rejected, 0u);
+  EXPECT_EQ(r.service_total->committed + r.service_total->rejected, r.service_total->arrivals);
+  EXPECT_EQ(r.latency_ms.count(), r.service_total->committed);
 }
 
 TEST(Service, PooledResultsAreBitIdenticalAcrossJobCounts) {
   harness::ScenarioConfig cfg = small_service_config();
   cfg.repetitions = 4;
   cfg.jobs = 1;
-  const service::ServiceScenarioResult seq = service::run_service(cfg);
+  const harness::ScenarioResult seq = service::run_service(cfg);
   cfg.jobs = 4;
-  const service::ServiceScenarioResult par = service::run_service(cfg);
+  const harness::ScenarioResult par = service::run_service(cfg);
 
+  ASSERT_TRUE(seq.service_total.has_value() && par.service_total.has_value());
   EXPECT_EQ(seq.latency_ms.count(), par.latency_ms.count());
   EXPECT_EQ(seq.latency_ms.mean(), par.latency_ms.mean());
   EXPECT_EQ(seq.latency_ms.percentile(0.99), par.latency_ms.percentile(0.99));
-  EXPECT_EQ(seq.totals.committed, par.totals.committed);
-  EXPECT_EQ(seq.totals.instances_decided, par.totals.instances_decided);
-  EXPECT_EQ(seq.totals.finished_at, par.totals.finished_at);
-  EXPECT_EQ(seq.totals.mux_frames, par.totals.mux_frames);
+  EXPECT_EQ(seq.service_total->committed, par.service_total->committed);
+  EXPECT_EQ(seq.service_total->instances_decided, par.service_total->instances_decided);
+  EXPECT_EQ(seq.service_total->finished_at, par.service_total->finished_at);
+  EXPECT_EQ(seq.service_total->mux_frames, par.service_total->mux_frames);
   EXPECT_EQ(seq.app_messages, par.app_messages);
   EXPECT_EQ(seq.medium_total.deliveries, par.medium_total.deliveries);
   ASSERT_TRUE(seq.audit.has_value() && par.audit.has_value());
   EXPECT_EQ(*seq.audit, *par.audit);
+}
+
+TEST(Service, SigmaTrackingPlanCarriesTheRepetitionSummary) {
+  // The service runs on the deployment's repetition, so a σ-tracking plan
+  // reports its per-round accounting like any single-instance run. The
+  // per-instance auditors still skip the σ-liveness clause.
+  harness::ScenarioConfig cfg = small_service_config();
+  cfg.plan = *faultplan::plan_from_name("adaptive", nullptr);
+  const harness::RunResult run = service::run_service_once(cfg, 0);
+  ASSERT_TRUE(run.sigma.has_value());
+  EXPECT_GT(run.sigma->rounds, 0u);
+  EXPECT_GT(run.sigma->omissions, 0u);
+  EXPECT_EQ(run.sigma->violating_rounds, 0u);
+  ASSERT_TRUE(run.audit.has_value());
+  EXPECT_TRUE(run.audit->passed());
+
+  const harness::ScenarioResult r = service::run_service(cfg);
+  ASSERT_TRUE(r.sigma.has_value());
+  EXPECT_EQ(r.sigma->tracked_reps, 2u);
+  EXPECT_EQ(r.sigma->eligible_reps, 2u);
+  EXPECT_EQ(r.sigma->omissions, run.sigma->omissions +
+                                    service::run_service_once(cfg, 1)
+                                        .sigma->omissions);
+  EXPECT_EQ(r.failed_runs, 0u);
+}
+
+TEST(Service, PoolCountsAuditedInstancesAndViolations) {
+  // Pooled through run_scenario's merge, a service repetition counts its
+  // audited instances, and one violating instance fails the audit.
+  harness::RunResult run;
+  run.all_correct_decided = true;
+  run.latencies_ms = {1.0};
+  run.service.emplace();
+  run.service->committed = 1;
+  run.service->audit_checked_instances = 5;
+  run.service->audit_violating_instances = 1;
+  run.audit.emplace();
+  run.audit->checked = true;
+  run.audit->violations.push_back(
+      {audit::Property::kQuorumSanity, 0, "forged quorum"});
+  std::vector<harness::RepResult> reps(2);
+  for (std::uint64_t i = 0; i < reps.size(); ++i) {
+    reps[i].rep_index = i;
+    reps[i].run = run;
+  }
+  const harness::ScenarioResult r =
+      harness::pool(small_service_config(), reps);
+  ASSERT_TRUE(r.audit.has_value());
+  EXPECT_EQ(r.audit->checked_reps, 10u);
+  EXPECT_EQ(r.audit->violating_reps, 2u);
+  EXPECT_EQ(r.audit->violations, 2u);
+  EXPECT_FALSE(r.audit->passed());
+  ASSERT_TRUE(r.service_total.has_value());
+  EXPECT_EQ(r.service_total->committed, 2u);
+  EXPECT_EQ(r.latency_ms.count(), 2u);
 }
 
 TEST(Service, ValidateRejectsDegenerateConfigs) {

@@ -132,6 +132,50 @@ void print_medium(const net::MediumStats& m) {
               static_cast<unsigned long long>(m.bytes_on_air));
 }
 
+void print_sigma(const std::optional<SigmaAggregate>& sigma) {
+  if (!sigma.has_value()) return;
+  const SigmaAggregate& s = *sigma;
+  std::printf("sigma: bound %lld/round, %llu rounds (%llu violating), "
+              "%llu omissions, max %llu in one round -> %u/%u reps "
+              "liveness-eligible (%s)\n",
+              static_cast<long long>(s.bound),
+              static_cast<unsigned long long>(s.rounds),
+              static_cast<unsigned long long>(s.violating_rounds),
+              static_cast<unsigned long long>(s.omissions),
+              static_cast<unsigned long long>(s.max_round_omissions),
+              s.eligible_reps, s.tracked_reps,
+              s.liveness_eligible() ? "liveness-eligible" : "sigma-violating");
+}
+
+/// The service totals, simulated throughput and frame-mux lines.
+void print_service(const service::RepSummary& t, std::uint32_t reps,
+                   double wall) {
+  std::printf("service totals: %llu arrivals, %llu committed, %llu "
+              "rejected; %llu instances launched, %llu decided, %llu "
+              "failed; %llu key batches\n",
+              static_cast<unsigned long long>(t.arrivals),
+              static_cast<unsigned long long>(t.committed),
+              static_cast<unsigned long long>(t.rejected),
+              static_cast<unsigned long long>(t.instances_launched),
+              static_cast<unsigned long long>(t.instances_decided),
+              static_cast<unsigned long long>(t.instances_failed),
+              static_cast<unsigned long long>(t.key_batches));
+  std::printf("throughput: %.1f committed req/s, %.2f instances/s "
+              "(simulated; %.2f s sim over %u reps, %.2f s wall)\n",
+              t.committed_per_sim_sec(), t.instances_per_sim_sec(),
+              static_cast<double>(t.finished_at) / kSecond, reps, wall);
+  std::printf("mux: %llu frames carried %llu payloads (%.2f/frame), "
+              "%llu splits, %llu superseded, %llu late drops\n",
+              static_cast<unsigned long long>(t.mux_frames),
+              static_cast<unsigned long long>(t.mux_payloads),
+              t.mux_frames > 0 ? static_cast<double>(t.mux_payloads) /
+                                     static_cast<double>(t.mux_frames)
+                               : 0.0,
+              static_cast<unsigned long long>(t.mux_splits),
+              static_cast<unsigned long long>(t.mux_superseded),
+              static_cast<unsigned long long>(t.mux_late_drops));
+}
+
 /// Prints the pooled audit line (counted in `unit`) and, when it failed,
 /// the violations per property. Returns whether the audit passed.
 bool print_audit(const std::optional<audit::AuditAggregate>& audit,
@@ -324,81 +368,7 @@ int main(int argc, char** argv) {
                 cfg.service.offered_load,
                 static_cast<unsigned long long>(cfg.service.total_requests),
                 to_milliseconds(cfg.service.mux_window));
-    const auto started = std::chrono::steady_clock::now();
-    service::ServiceScenarioResult sr;
-    try {
-      sr = service::run_service(cfg);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "invalid scenario: %s\n", e.what());
-      return 2;
-    }
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - started)
-                            .count();
-    if (trace_sink) {
-      trace_sink->close();
-      std::printf("trace: wrote %s (%s); inspect with: trace_inspect %s\n",
-                  trace_path.c_str(), trace_format.c_str(),
-                  trace_format == "jsonl" ? trace_path.c_str()
-                                          : "<jsonl traces only>");
-    }
-    const service::RepSummary& t = sr.totals;
-    std::printf("service totals: %llu arrivals, %llu committed, %llu "
-                "rejected; %llu instances launched, %llu decided, %llu "
-                "failed; %llu key batches\n",
-                static_cast<unsigned long long>(t.arrivals),
-                static_cast<unsigned long long>(t.committed),
-                static_cast<unsigned long long>(t.rejected),
-                static_cast<unsigned long long>(t.instances_launched),
-                static_cast<unsigned long long>(t.instances_decided),
-                static_cast<unsigned long long>(t.instances_failed),
-                static_cast<unsigned long long>(t.key_batches));
-    std::printf("throughput: %.1f committed req/s, %.2f instances/s "
-                "(simulated; %.2f s sim over %u reps, %.2f s wall)\n",
-                sr.committed_per_sim_sec(), sr.instances_per_sim_sec(),
-                static_cast<double>(t.finished_at) / kSecond,
-                cfg.repetitions, wall);
-    std::printf("mux: %llu frames carried %llu payloads (%.2f/frame), "
-                "%llu splits, %llu superseded, %llu late drops\n",
-                static_cast<unsigned long long>(t.mux_frames),
-                static_cast<unsigned long long>(t.mux_payloads),
-                t.mux_frames > 0 ? static_cast<double>(t.mux_payloads) /
-                                       static_cast<double>(t.mux_frames)
-                                 : 0.0,
-                static_cast<unsigned long long>(t.mux_splits),
-                static_cast<unsigned long long>(t.mux_superseded),
-                static_cast<unsigned long long>(t.mux_late_drops));
-    if (!sr.latency_ms.empty()) {
-      std::printf("latency (arrival->commit): mean %.2f ms, p50 %.2f, "
-                  "p95 %.2f, p99 %.2f, max %.2f over %zu requests\n",
-                  sr.latency_ms.mean(), sr.latency_ms.percentile(0.5),
-                  sr.latency_ms.percentile(0.95),
-                  sr.latency_ms.percentile(0.99), sr.latency_ms.max(),
-                  sr.latency_ms.count());
-    }
-    print_medium(sr.medium_total);
-    const bool audit_passed = print_audit(sr.audit, "instances");
-    if (sr.failed_runs > 0) {
-      std::printf("warning: %u repetitions did not commit every request\n",
-                  sr.failed_runs);
-    }
-    if (sr.safety_violations > 0) {
-      std::printf("SAFETY VIOLATIONS: %u\n", sr.safety_violations);
-      return 1;
-    }
-    if (!audit_passed) {
-      std::printf("AUDIT VIOLATIONS: see the audit lines above\n");
-      return 1;
-    }
-    if (sr.latency_ms.empty()) {
-      std::printf("result: no requests committed (%u failed reps)\n",
-                  sr.failed_runs);
-      return 1;
-    }
-    return 0;
-  }
-
-  if (verbose) {
+  } else if (verbose) {
     // The preview pass re-runs the same repetitions run_scenario runs;
     // leave tracing to the scenario pass so each rep appears once.
     ScenarioConfig preview = cfg;
@@ -414,7 +384,13 @@ int main(int argc, char** argv) {
   }
 
   const auto started = std::chrono::steady_clock::now();
-  const ScenarioResult r = run_scenario(cfg);
+  ScenarioResult r;
+  try {
+    r = cfg.service.enabled ? service::run_service(cfg) : run_scenario(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "invalid scenario: %s\n", e.what());
+    return 2;
+  }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
@@ -436,32 +412,31 @@ int main(int argc, char** argv) {
                 trace_format == "jsonl" ? trace_path.c_str()
                                         : "<jsonl traces only>");
   }
-  const auto print_sigma = [&r] {
-    if (!r.sigma.has_value()) return;
-    std::printf("sigma: bound %lld/round, %llu rounds (%llu violating), "
-                "%llu omissions, max %llu in one round -> %u/%u reps "
-                "liveness-eligible (%s)\n",
-                static_cast<long long>(r.sigma->bound),
-                static_cast<unsigned long long>(r.sigma->rounds),
-                static_cast<unsigned long long>(r.sigma->violating_rounds),
-                static_cast<unsigned long long>(r.sigma->omissions),
-                static_cast<unsigned long long>(r.sigma->max_round_omissions),
-                r.sigma->eligible_reps, r.sigma->tracked_reps,
-                r.sigma->liveness_eligible() ? "liveness-eligible"
-                                             : "sigma-violating");
-  };
+  // A service run counts its audit in instances and its samples in
+  // requests; a plain scenario counts repetitions and processes.
+  const bool svc = r.service_total.has_value();
+  const char* audit_unit = svc ? "instances" : "reps";
+  if (svc) print_service(*r.service_total, cfg.repetitions, wall);
   if (r.latency_ms.empty()) {
-    print_sigma();
-    print_audit(r.audit, "reps");
+    print_sigma(r.sigma);
+    print_audit(r.audit, audit_unit);
     std::printf("result: no successful repetitions (%u failed)\n",
                 r.failed_runs);
     return 1;
   }
-  std::printf("latency: mean %.2f ms ± %.2f (95%% CI), min %.2f, p50 %.2f, "
-              "p95 %.2f, max %.2f over %zu samples\n",
-              r.mean(), r.ci95(), r.latency_ms.min(),
-              r.latency_ms.percentile(0.5), r.latency_ms.percentile(0.95),
-              r.latency_ms.max(), r.latency_ms.count());
+  if (svc) {
+    std::printf("latency (arrival->commit): mean %.2f ms, p50 %.2f, "
+                "p95 %.2f, p99 %.2f, max %.2f over %zu requests\n",
+                r.mean(), r.latency_ms.percentile(0.5),
+                r.latency_ms.percentile(0.95), r.latency_ms.percentile(0.99),
+                r.latency_ms.max(), r.latency_ms.count());
+  } else {
+    std::printf("latency: mean %.2f ms ± %.2f (95%% CI), min %.2f, p50 %.2f, "
+                "p95 %.2f, max %.2f over %zu samples\n",
+                r.mean(), r.ci95(), r.latency_ms.min(),
+                r.latency_ms.percentile(0.5), r.latency_ms.percentile(0.95),
+                r.latency_ms.max(), r.latency_ms.count());
+  }
   print_medium(r.medium_total);
   if (r.spatial_total.has_value()) {
     const spatial::SpatialStats& sp = *r.spatial_total;
@@ -492,10 +467,12 @@ int main(int argc, char** argv) {
               static_cast<double>(sp.relay_origin_frames));
     }
   }
-  print_sigma();
-  const bool audit_passed = print_audit(r.audit, "reps");
+  print_sigma(r.sigma);
+  const bool audit_passed = print_audit(r.audit, audit_unit);
   if (r.failed_runs > 0) {
-    std::printf("warning: %u repetitions missed the deadline\n", r.failed_runs);
+    std::printf(svc ? "warning: %u repetitions did not commit every request\n"
+                    : "warning: %u repetitions missed the deadline\n",
+                r.failed_runs);
   }
   if (r.safety_violations > 0) {
     std::printf("SAFETY VIOLATIONS: %u\n", r.safety_violations);
