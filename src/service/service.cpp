@@ -56,11 +56,11 @@ class ArrivalGen {
  public:
   ArrivalGen(const ServiceConfig& svc, Rng rng)
       : svc_(svc), rng_(std::move(rng)) {
-    // mean rate = base * ((1 - frac) + frac * factor)  =>  solve for base.
-    const double boost =
-        1.0 - svc.burst_fraction + svc.burst_fraction * svc.burst_factor;
-    base_rate_ = svc.offered_load / boost;
+    base_rate_ = svc.offered_load;
     if (svc.arrival == Arrival::kBursty) {
+      // mean rate = base * ((1 - frac) + frac * factor)  =>  solve for base.
+      base_rate_ /=
+          1.0 - svc.burst_fraction + svc.burst_fraction * svc.burst_factor;
       next_switch_ = exp_gap(rng_, to_rate(good_dwell()));
     }
   }

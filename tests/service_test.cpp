@@ -274,6 +274,24 @@ TEST(Service, BurstyArrivalsCommitEverything) {
   EXPECT_TRUE(r.audit->passed());
 }
 
+TEST(Service, PoissonArrivalsRealizeTheOfferedLoad) {
+  // 2 000 requests offered at 1 000 req/s arrive over about 2 s of
+  // simulated time. Dividing the Poisson rate by the bursty boost (1.875
+  // at the default burst knobs) stretched them over about 3.75 s.
+  harness::ScenarioConfig cfg = small_service_config();
+  // 11 Mb/s and W = B = 8: capacity well above the offered load.
+  cfg.medium.broadcast_rate_bps = 11e6;
+  cfg.service.pipeline_depth = 8;
+  cfg.service.batch = 8;
+  cfg.service.offered_load = 1000.0;
+  cfg.service.total_requests = 2000;
+  const harness::RunResult run = service::run_service_once(cfg, 0);
+  ASSERT_TRUE(run.service.has_value());
+  EXPECT_EQ(run.service->committed, 2000u);
+  EXPECT_GT(run.service->finished_at, 1800 * kMillisecond);
+  EXPECT_LT(run.service->finished_at, 2400 * kMillisecond);
+}
+
 TEST(Service, TinyQueueCapacityBackpressuresExcessLoad) {
   harness::ScenarioConfig cfg = small_service_config();
   cfg.repetitions = 1;
