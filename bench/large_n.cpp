@@ -163,17 +163,16 @@ int main(int argc, char** argv) {
     std::uint64_t deliveries = 0;
     for (std::size_t li = 0; li < std::size(kLegs); ++li) {
       const Leg& leg = kLegs[li];
-      ScenarioConfig cfg = ScenarioBuilder{}
-                               .protocol(Protocol::kTurquois)
-                               .group_size(n)
-                               .distribution(ProposalDist::kDivergent)
-                               .repetitions(reps)
-                               .seed(seed)
-                               .jobs(jobs)
-                               .intra_jobs(leg.intra_jobs)
-                               .exchange_pool(leg.pool)
-                               .tick(40 * kMillisecond)
-                               .build();
+      ScenarioConfig cfg;
+      cfg.protocol = Protocol::kTurquois;
+      cfg.n = n;
+      cfg.distribution = ProposalDist::kDivergent;
+      cfg.repetitions = reps;
+      cfg.seed = seed;
+      cfg.jobs = jobs;
+      cfg.intra_jobs = leg.intra_jobs;
+      cfg.exchange_pool = leg.pool;
+      cfg.tick_interval = 40 * kMillisecond;
       cfg.medium.broadcast_rate_bps = 11e6;
 
       const auto leg_start = std::chrono::steady_clock::now();

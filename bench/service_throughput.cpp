@@ -135,14 +135,13 @@ int main(int argc, char** argv) {
   for (const std::uint32_t n : sizes) {
     double seq_rate = 0.0;
     for (const Leg& leg : kLegs) {
-      ScenarioConfig cfg = ScenarioBuilder{}
-                               .protocol(Protocol::kTurquois)
-                               .group_size(n)
-                               .distribution(ProposalDist::kUnanimous)
-                               .repetitions(reps)
-                               .seed(seed)
-                               .jobs(jobs)
-                               .build();
+      ScenarioConfig cfg;
+      cfg.protocol = Protocol::kTurquois;
+      cfg.n = n;
+      cfg.distribution = ProposalDist::kUnanimous;
+      cfg.repetitions = reps;
+      cfg.seed = seed;
+      cfg.jobs = jobs;
       cfg.medium.broadcast_rate_bps = 11e6;
       cfg.service.enabled = true;
       cfg.service.pipeline_depth = leg.pipeline_depth;

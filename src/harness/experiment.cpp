@@ -48,13 +48,6 @@ std::string ScenarioConfig::fault_label() const {
   return effective_plan().name;
 }
 
-ScenarioConfig ScenarioBuilder::build() const {
-  if (const auto reason = validate(cfg_)) {
-    throw std::invalid_argument("invalid scenario: " + *reason);
-  }
-  return cfg_;
-}
-
 std::optional<std::string> validate(const ScenarioConfig& cfg) {
   if (cfg.repetitions == 0) {
     return "repetitions must be >= 1 (a scenario with 0 repetitions has "

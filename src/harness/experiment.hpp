@@ -185,82 +185,6 @@ struct ScenarioConfig {
   [[nodiscard]] std::string fault_label() const;
 };
 
-/// Fluent construction of a ScenarioConfig. Each setter returns *this for
-/// chaining; build() validates and throws std::invalid_argument with the
-/// validate() reason on a degenerate config, so campaign code can assemble
-/// grid cells declaratively and fail per cell rather than mid-run.
-///
-///   auto cfg = ScenarioBuilder{}
-///                  .protocol(Protocol::kTurquois)
-///                  .group_size(10)
-///                  .plan(faultplan::plan_from_name("adaptive", nullptr).value())
-///                  .repetitions(20)
-///                  .build();
-class ScenarioBuilder {
- public:
-  ScenarioBuilder() = default;
-  explicit ScenarioBuilder(ScenarioConfig base) : cfg_(std::move(base)) {}
-
-  ScenarioBuilder& protocol(Protocol p) { cfg_.protocol = p; return *this; }
-  ScenarioBuilder& group_size(std::uint32_t n) { cfg_.n = n; return *this; }
-  ScenarioBuilder& distribution(ProposalDist d) {
-    cfg_.distribution = d;
-    return *this;
-  }
-  ScenarioBuilder& plan(faultplan::FaultPlan p) {
-    cfg_.plan = std::move(p);
-    return *this;
-  }
-  ScenarioBuilder& attack(TurquoisAttack a) { cfg_.attack = a; return *this; }
-  ScenarioBuilder& audit(bool on) { cfg_.audit = on; return *this; }
-  ScenarioBuilder& audit_phase_bound(std::uint64_t bound) {
-    cfg_.audit_phase_bound = bound;
-    return *this;
-  }
-  ScenarioBuilder& seed(std::uint64_t s) { cfg_.seed = s; return *this; }
-  ScenarioBuilder& repetitions(std::uint32_t reps) {
-    cfg_.repetitions = reps;
-    return *this;
-  }
-  ScenarioBuilder& jobs(std::uint32_t j) { cfg_.jobs = j; return *this; }
-  ScenarioBuilder& intra_jobs(std::uint32_t j) {
-    cfg_.intra_jobs = j;
-    return *this;
-  }
-  ScenarioBuilder& exchange_pool(bool on) {
-    cfg_.exchange_pool = on;
-    return *this;
-  }
-  ScenarioBuilder& loss(double rate) { cfg_.loss_rate = rate; return *this; }
-  ScenarioBuilder& bursts(bool on) { cfg_.bursty_loss = on; return *this; }
-  ScenarioBuilder& topology(spatial::SpatialConfig sp) {
-    cfg_.spatial = sp;
-    return *this;
-  }
-  ScenarioBuilder& relay(bool on) { cfg_.relay_enabled = on; return *this; }
-  ScenarioBuilder& tick(SimDuration interval) {
-    cfg_.tick_interval = interval;
-    return *this;
-  }
-  ScenarioBuilder& timeout(SimDuration deadline) {
-    cfg_.run_timeout = deadline;
-    return *this;
-  }
-  ScenarioBuilder& trace(trace::Sink* sink) {
-    cfg_.trace_sink = sink;
-    return *this;
-  }
-
-  /// The config assembled so far, unvalidated.
-  [[nodiscard]] const ScenarioConfig& peek() const { return cfg_; }
-  /// Validates and returns the config; throws std::invalid_argument with
-  /// the validate() reason when it is degenerate.
-  [[nodiscard]] ScenarioConfig build() const;
-
- private:
-  ScenarioConfig cfg_;
-};
-
 /// Checks a config for values that would silently run a degenerate
 /// scenario. Returns a human-readable reason when invalid, std::nullopt
 /// when the config is runnable. run_scenario() enforces this by throwing

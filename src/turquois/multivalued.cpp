@@ -28,17 +28,6 @@ std::optional<bool> MultiValuedConsensus::run_binary_round(
   Rng round_rng = rng_.derive("round", round_index);
   const KeyInfrastructure keys = KeyInfrastructure::setup(cfg_, round_rng);
 
-  // Instance-tagged path: persistent per-node muxes, this round's traffic
-  // tagged with its round index (retired on teardown). The muxes outlive
-  // rounds — that is the point: the service layer multiplexes many live
-  // instances over them, and this runner exercises the same framing one
-  // instance at a time.
-  if (instance_mux_ && muxes_.empty()) {
-    for (ProcessId id = 0; id < cfg_.n; ++id) {
-      muxes_.push_back(std::make_unique<net::FrameMux>(sim_, medium_, id));
-    }
-  }
-
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
   std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
@@ -47,20 +36,15 @@ std::optional<bool> MultiValuedConsensus::run_binary_round(
     cpus.push_back(std::make_unique<sim::VirtualCpu>(sim_));
     runtimes.push_back(
         std::make_unique<runtime::SimRuntime>(sim_, *cpus.back()));
-    net::DatagramPort* port;
-    if (instance_mux_) {
-      port = &muxes_[id]->port(round_index);
-    } else {
-      endpoints.push_back(
-          std::make_unique<net::BroadcastEndpoint>(sim_, medium_, id));
-      port = endpoints.back().get();
-    }
+    endpoints.push_back(
+        std::make_unique<net::BroadcastEndpoint>(sim_, medium_, id));
     ProcessHooks hooks;
     if (id < byzantine.size() && byzantine[id]) {
       hooks.mutate_outgoing = adversary::turquois_value_inversion();
     }
     procs.push_back(std::make_unique<Process>(
-        *runtimes.back(), *port, cfg_, keys, id, round_rng.derive("proc", id),
+        *runtimes.back(), *endpoints.back(), cfg_, keys, id,
+        round_rng.derive("proc", id),
         costs_, std::move(hooks)));
   }
   for (ProcessId id = 0; id < cfg_.n; ++id) {
@@ -92,10 +76,7 @@ std::optional<bool> MultiValuedConsensus::run_binary_round(
   // the medium of in-flight frames and scheduled MAC events before this
   // round's stack is destroyed — the next round re-attaches under the same
   // node ids and must not inherit stale contention or delivery events.
-  for (auto& p : procs) p->crash();  // closes the ports first
-  if (instance_mux_) {
-    for (auto& mux : muxes_) mux->retire(round_index);
-  }
+  for (auto& p : procs) p->crash();  // closes the endpoints first
   sim_.run_until(sim_.now() + 50 * kMillisecond);
   return decided;
 }

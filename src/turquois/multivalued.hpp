@@ -28,7 +28,6 @@
 #include "common/rng.hpp"
 #include "crypto/cost_model.hpp"
 #include "net/broadcast_endpoint.hpp"
-#include "net/frame_mux.hpp"
 #include "net/medium.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "sim/cpu.hpp"
@@ -61,14 +60,6 @@ class MultiValuedConsensus {
                         const std::vector<bool>& byzantine = {},
                         SimDuration deadline = 120 * kSecond);
 
-  /// Routes the sequential binary rounds through persistent per-node
-  /// FrameMux fabrics, tagging each round's traffic with its round index —
-  /// the same instance-tagged path the multi-instance service layer uses
-  /// (service/service.hpp), exercised one instance at a time. Default off:
-  /// rounds build plain BroadcastEndpoints, byte-identical to the
-  /// pre-service behaviour.
-  void set_instance_mux(bool on) { instance_mux_ = on; }
-
  private:
   /// Runs one binary instance; returns the decided bit, or nullopt on
   /// timeout. Processes in `proposals` propose the given bit values.
@@ -83,10 +74,6 @@ class MultiValuedConsensus {
   std::uint32_t bits_;
   Rng rng_;
   const crypto::CostModel& costs_;
-  bool instance_mux_ = false;
-  /// Lazily built on the first round when instance_mux_ is set; persists
-  /// across rounds (one radio per node, rounds as retired instances).
-  std::vector<std::unique_ptr<net::FrameMux>> muxes_;
 };
 
 /// Convenience: leader election among n processes. Every process nominates

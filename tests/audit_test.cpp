@@ -163,16 +163,16 @@ namespace {
 ///   turquois_sim --protocol turquois --n 4 --dist <dist>
 ///     --faults 'byzantine;' --attack decided-coin --seed 1 --reps <reps>
 ScenarioConfig decided_coin_repro(ProposalDist dist, std::uint32_t reps) {
-  return ScenarioBuilder{}
-      .protocol(Protocol::kTurquois)
-      .group_size(4)
-      .distribution(dist)
-      .plan(*faultplan::plan_from_name("byzantine;", nullptr))
-      .attack(TurquoisAttack::kDecidedCoinForge)
-      .seed(1)
-      .repetitions(reps)
-      .timeout(30 * kSecond)
-      .build();
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kTurquois;
+  cfg.n = 4;
+  cfg.distribution = dist;
+  cfg.plan = *faultplan::plan_from_name("byzantine;", nullptr);
+  cfg.attack = TurquoisAttack::kDecidedCoinForge;
+  cfg.seed = 1;
+  cfg.repetitions = reps;
+  cfg.run_timeout = 30 * kSecond;
+  return cfg;
 }
 
 TEST(AuditRegression, DecidedCoinForgeUnanimous) {
@@ -205,16 +205,15 @@ TEST(AuditRegression, AdaptiveSigmaRoundCoversFullExchangeAtN16) {
   // (harness::fault_context). Reproducer:
   //   turquois_sim --protocol turquois --n 16 --dist unanimous
   //     --faults 'sigma;adaptive(frac=1)' --seed 1 --reps 1 --timeout 30
-  const ScenarioResult r = run_scenario(
-      ScenarioBuilder{}
-          .protocol(Protocol::kTurquois)
-          .group_size(16)
-          .distribution(ProposalDist::kUnanimous)
-          .plan(*faultplan::plan_from_name("sigma;adaptive(frac=1)", nullptr))
-          .seed(1)
-          .repetitions(1)
-          .timeout(30 * kSecond)
-          .build());
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kTurquois;
+  cfg.n = 16;
+  cfg.distribution = ProposalDist::kUnanimous;
+  cfg.plan = *faultplan::plan_from_name("sigma;adaptive(frac=1)", nullptr);
+  cfg.seed = 1;
+  cfg.repetitions = 1;
+  cfg.run_timeout = 30 * kSecond;
+  const ScenarioResult r = run_scenario(cfg);
   EXPECT_EQ(r.failed_runs, 0u) << "adaptive n=16 livelocked again";
   ASSERT_TRUE(r.sigma.has_value());
   EXPECT_TRUE(r.sigma->liveness_eligible());
@@ -223,20 +222,19 @@ TEST(AuditRegression, AdaptiveSigmaRoundCoversFullExchangeAtN16) {
 }
 
 TEST(AuditScenario, AuditOnByDefaultAndOptOut) {
-  ScenarioConfig cfg = ScenarioBuilder{}
-                           .protocol(Protocol::kTurquois)
-                           .group_size(4)
-                           .repetitions(2)
-                           .seed(11)
-                           .build();
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kTurquois;
+  cfg.n = 4;
+  cfg.repetitions = 2;
+  cfg.seed = 11;
   EXPECT_TRUE(cfg.audit);
   const ScenarioResult on = run_scenario(cfg);
   ASSERT_TRUE(on.audit.has_value());
   EXPECT_EQ(on.audit->checked_reps, 2u);
   EXPECT_TRUE(on.audit->passed());
 
-  const ScenarioResult off =
-      run_scenario(ScenarioBuilder{cfg}.audit(false).build());
+  cfg.audit = false;
+  const ScenarioResult off = run_scenario(cfg);
   EXPECT_FALSE(off.audit.has_value());
   // The auditor is observational: disabling it must not move a sample.
   ASSERT_EQ(off.latency_ms.count(), on.latency_ms.count());
@@ -245,12 +243,12 @@ TEST(AuditScenario, AuditOnByDefaultAndOptOut) {
 
 TEST(AuditScenario, BaselinesAreAuditedToo) {
   for (const Protocol p : {Protocol::kBracha, Protocol::kAbba}) {
-    const ScenarioResult r = run_scenario(ScenarioBuilder{}
-                                              .protocol(p)
-                                              .group_size(4)
-                                              .repetitions(2)
-                                              .seed(5)
-                                              .build());
+    ScenarioConfig cfg;
+    cfg.protocol = p;
+    cfg.n = 4;
+    cfg.repetitions = 2;
+    cfg.seed = 5;
+    const ScenarioResult r = run_scenario(cfg);
     ASSERT_TRUE(r.audit.has_value()) << to_string(p);
     EXPECT_EQ(r.audit->checked_reps, 2u) << to_string(p);
     EXPECT_TRUE(r.audit->passed()) << to_string(p);
@@ -268,8 +266,7 @@ TEST(AuditScenario, GroupsBeyondBitsetWidthAreRejected) {
   const std::optional<std::string> err = validate(cfg);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("128"), std::string::npos);
-  EXPECT_THROW((void)ScenarioBuilder{}.group_size(129).build(),
-               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the fault-plan subsystem: σ-bound arithmetic against
 // hand-computed values, the per-round accountant, the spec grammar, plan
-// validation (directly and through the ScenarioBuilder), the per-clause
+// validation (directly and through harness::validate), the per-clause
 // Rng stream pinning that fixes the injector aliasing bug, equivalence of
 // the registry's named plans with explicitly-built canned plans, and
 // bit-identity of plan-driven scenarios across scheduler job counts —
@@ -26,7 +26,6 @@ namespace {
 
 using harness::Protocol;
 using harness::ProposalDist;
-using harness::ScenarioBuilder;
 using harness::ScenarioConfig;
 using harness::ScenarioResult;
 
@@ -234,29 +233,26 @@ TEST(PlanValidation, RejectsOutOfRangeClauses) {
   EXPECT_TRUE(plan.validate(4).has_value());
 }
 
-TEST(ScenarioBuilderTest, BuildValidatesPlanFields) {
+TEST(PlanValidation, ScenarioValidateChecksPlanFields) {
+  ScenarioConfig cfg;
   FaultPlan bad;
   bad.clauses.push_back(Clause{.kind = ClauseKind::kIid, .p = 2.0});
-  EXPECT_THROW((void)ScenarioBuilder{}.plan(bad).build(),
-               std::invalid_argument);
+  cfg.plan = bad;
+  const std::optional<std::string> reason = harness::validate(cfg);
+  ASSERT_TRUE(reason.has_value());
+  EXPECT_EQ(reason->rfind("fault plan: ", 0), 0u) << *reason;
+  EXPECT_THROW((void)harness::run_scenario(cfg), std::invalid_argument);
 
-  const ScenarioConfig ok = ScenarioBuilder{}
-                                .protocol(Protocol::kTurquois)
-                                .group_size(7)
-                                .plan(*plan_from_name("adaptive", nullptr))
-                                .repetitions(3)
-                                .build();
-  EXPECT_EQ(ok.n, 7u);
-  ASSERT_TRUE(ok.plan.has_value());
-  EXPECT_EQ(ok.fault_label(), "adaptive");
+  cfg.n = 7;
+  cfg.plan = *plan_from_name("adaptive", nullptr);
+  cfg.repetitions = 3;
+  EXPECT_FALSE(harness::validate(cfg).has_value());
+  EXPECT_EQ(cfg.fault_label(), "adaptive");
 
-  // plan() replaces any previously-set plan wholesale.
-  const ScenarioConfig swapped =
-      ScenarioBuilder{ok}
-          .plan(canned_plan(Role::kByzantine, "Byzantine"))
-          .build();
-  ASSERT_TRUE(swapped.plan.has_value());
-  EXPECT_EQ(swapped.fault_label(), "Byzantine");
+  // A plan replaces any previously-set plan wholesale.
+  cfg.plan = canned_plan(Role::kByzantine, "Byzantine");
+  EXPECT_FALSE(harness::validate(cfg).has_value());
+  EXPECT_EQ(cfg.fault_label(), "Byzantine");
 
   // An unset plan resolves to the canned failure-free plan.
   EXPECT_EQ(ScenarioConfig{}.fault_label(), "failure-free");
@@ -367,15 +363,15 @@ TEST(CannedAlias, RegistryNamesMatchExplicitCannedPlansByteForByte) {
 
 ScenarioConfig plan_scenario(const std::string& plan_name,
                              std::uint32_t jobs) {
-  return ScenarioBuilder{}
-      .protocol(Protocol::kTurquois)
-      .group_size(4)
-      .distribution(ProposalDist::kDivergent)
-      .plan(*plan_from_name(plan_name, nullptr))
-      .seed(0xFAD)
-      .repetitions(6)
-      .jobs(jobs)
-      .build();
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kTurquois;
+  cfg.n = 4;
+  cfg.distribution = ProposalDist::kDivergent;
+  cfg.plan = *plan_from_name(plan_name, nullptr);
+  cfg.seed = 0xFAD;
+  cfg.repetitions = 6;
+  cfg.jobs = jobs;
+  return cfg;
 }
 
 class PlanDeterminism : public ::testing::TestWithParam<const char*> {};
@@ -438,9 +434,8 @@ TEST(AdaptivePlan, RunExportsSigmaAccounting) {
 }
 
 TEST(AdaptivePlan, OverBudgetFractionViolatesEveryActiveRound) {
-  ScenarioConfig cfg = ScenarioBuilder{plan_scenario("sigma-violating", 1)}
-                           .timeout(2 * kSecond)
-                           .build();
+  ScenarioConfig cfg = plan_scenario("sigma-violating", 1);
+  cfg.run_timeout = 2 * kSecond;
   const ScenarioResult r = harness::run_scenario(cfg);
   ASSERT_TRUE(r.sigma.has_value());
   EXPECT_GT(r.sigma->violating_rounds, 0u);
@@ -470,14 +465,13 @@ TEST(Campaign, GoldenCellReport) {
   // adaptive --seed 7`: any byte drift in the per-cell report (outside the
   // environment line) is a regression of the campaign determinism
   // contract.
-  const ScenarioConfig cfg = ScenarioBuilder{}
-                                 .protocol(Protocol::kTurquois)
-                                 .group_size(4)
-                                 .plan(*plan_from_name("adaptive", nullptr))
-                                 .seed(7)
-                                 .repetitions(2)
-                                 .timeout(30 * kSecond)
-                                 .build();
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kTurquois;
+  cfg.n = 4;
+  cfg.plan = *plan_from_name("adaptive", nullptr);
+  cfg.seed = 7;
+  cfg.repetitions = 2;
+  cfg.run_timeout = 30 * kSecond;
   const std::string json =
       strip_environment(report_json(cfg, "campaign_Turquois_adaptive_n4"));
 

@@ -1,23 +1,20 @@
 // Tests for the multi-instance consensus service stack: the per-node frame
-// multiplexer, the batched trusted setup, the instance-tagged multi-valued
-// path, and the service driver itself.
+// multiplexer, the batched trusted setup, and the service driver itself.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "crypto/cost_model.hpp"
 #include "crypto/onetime_sig.hpp"
-#include "net/frame_mux.hpp"
-#include "net/medium.hpp"
 #include "faultplan/spec.hpp"
 #include "harness/scheduler.hpp"
+#include "net/frame_mux.hpp"
+#include "net/medium.hpp"
 #include "service/service.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
 #include "turquois/key_infra.hpp"
-#include "turquois/multivalued.hpp"
 
 namespace turq {
 namespace {
@@ -180,23 +177,6 @@ TEST(KeyInfraBatch, BatchedSetupIsDeterministicInTheSeed) {
                 y[inst].verification_keys(id).serialize());
     }
   }
-}
-
-// -------------------------------------------- multi-valued, instance-tagged --
-
-TEST(MultiValuedMux, UnanimousCandidatesDecideThroughInstanceTaggedPath) {
-  // The sequential bit rounds ride the same FrameMux fabric the service
-  // layer multiplexes — one mux per node, round index as instance tag.
-  sim::Simulator sim;
-  net::Medium medium(sim, net::MediumConfig{}, Rng(3));
-  crypto::CostModel costs;
-  turquois::Config cfg = turquois::Config::for_group(4);
-  turquois::MultiValuedConsensus mvc(sim, medium, cfg, 3, Rng(11), costs);
-  mvc.set_instance_mux(true);
-  const auto result = mvc.run({6, 6, 6, 6});
-  EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.value, 6u);
-  EXPECT_EQ(result.rounds, 3u);
 }
 
 // ------------------------------------------------------------------ service --

@@ -289,19 +289,19 @@ int main(int argc, char** argv) {
         std::fflush(stdout);
         const auto started = std::chrono::steady_clock::now();
         try {
-          const ScenarioConfig cfg = ScenarioBuilder{}
-                                         .protocol(protocol)
-                                         .group_size(n)
-                                         .distribution(dist)
-                                         .plan(plan)
-                                         .topology(axis.config)
-                                         .seed(seed)
-                                         .repetitions(reps)
-                                         .jobs(jobs)
-                                         .loss(loss_rate)
-                                         .timeout(timeout)
-                                         .audit(audit)
-                                         .build();
+          // run_scenario validates the cell and throws on a degenerate one.
+          ScenarioConfig cfg;
+          cfg.protocol = protocol;
+          cfg.n = n;
+          cfg.distribution = dist;
+          cfg.plan = plan;
+          cfg.spatial = axis.config;
+          cfg.seed = seed;
+          cfg.repetitions = reps;
+          cfg.jobs = jobs;
+          cfg.loss_rate = loss_rate;
+          cfg.run_timeout = timeout;
+          cfg.audit = audit;
           const ScenarioResult r = run_scenario(cfg);
           const double wall = std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - started)
