@@ -154,6 +154,8 @@ class ConsensusInstance {
   std::size_t undecided_;  // deciders yet to decide
 };
 
+/// A Repetition running one consensus instance: the deployment every
+/// protocol's run_once builds.
 class Deployment : public Repetition {
  public:
   /// Splits roles and builds repetition `rep_index` of `cfg` with its one

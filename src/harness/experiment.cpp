@@ -149,8 +149,8 @@ RunResult traced_repetition([[maybe_unused]] const ScenarioConfig& cfg,
   return result;
 }
 
-ScenarioResult pool(const ScenarioConfig& cfg,
-                    const std::vector<RepResult>& reps) {
+ScenarioResult pool_repetitions(const ScenarioConfig& cfg,
+                                const std::vector<RepResult>& reps) {
   ScenarioResult result;
   result.config = cfg;
   // The scheduler returns repetitions ordered by index whatever cfg.jobs
@@ -213,7 +213,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   if (const auto reason = validate(cfg)) {
     throw std::invalid_argument("invalid scenario: " + *reason);
   }
-  return pool(cfg, run_repetitions(cfg));
+  return pool_repetitions(cfg, run_repetitions(cfg));
 }
 
 }  // namespace turq::harness

@@ -65,7 +65,7 @@ using RepRunner = std::function<RunResult(const ScenarioConfig&,
 
 /// Pools `reps`, ordered by index, into one scenario result: run_scenario's
 /// merge, shared by service::run_service.
-[[nodiscard]] ScenarioResult pool(const ScenarioConfig& cfg,
-                                  const std::vector<RepResult>& reps);
+[[nodiscard]] ScenarioResult pool_repetitions(
+    const ScenarioConfig& cfg, const std::vector<RepResult>& reps);
 
 }  // namespace turq::harness

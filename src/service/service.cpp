@@ -112,8 +112,8 @@ class ArrivalGen {
 /// admission of a batch of requests, with its processes and its shared
 /// prepared-exchange cache.
 struct Slot {
-  Slot(const ScenarioConfig& cfg, std::uint32_t seq_)
-      : seq(seq_), consensus(cfg, cfg.n) {}
+  Slot(const ScenarioConfig& cfg, std::uint32_t index)
+      : seq(index), consensus(cfg, cfg.n) {}
 
   std::uint32_t seq;
   harness::ConsensusInstance consensus;  // every process is correct
@@ -409,7 +409,8 @@ harness::ScenarioResult run_service(const ScenarioConfig& cfg) {
   if (const auto reason = validate_service(cfg)) {
     throw std::invalid_argument("invalid scenario: " + *reason);
   }
-  return harness::pool(cfg, harness::run_repetitions(cfg, run_service_once));
+  return harness::pool_repetitions(
+      cfg, harness::run_repetitions(cfg, run_service_once));
 }
 
 }  // namespace turq::service

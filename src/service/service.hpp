@@ -25,9 +25,9 @@
 // process decide of its instance).
 //
 // Repetitions run through harness::run_repetitions and pool through
-// harness::pool — the same scheduler, per-repetition trace capture, crash
-// isolation and ScenarioResult as run_scenario — so pooled output is
-// bit-identical at any --jobs × --intra-jobs.
+// harness::pool_repetitions — the same scheduler, per-repetition trace
+// capture, crash isolation and ScenarioResult as run_scenario — so pooled
+// output is bit-identical at any --jobs × --intra-jobs.
 #pragma once
 
 #include <optional>

@@ -352,7 +352,7 @@ TEST(Service, PoolCountsAuditedInstancesAndViolations) {
     reps[i].run = run;
   }
   const harness::ScenarioResult r =
-      harness::pool(small_service_config(), reps);
+      harness::pool_repetitions(small_service_config(), reps);
   ASSERT_TRUE(r.audit.has_value());
   EXPECT_EQ(r.audit->checked_reps, 10u);
   EXPECT_EQ(r.audit->violating_reps, 2u);
