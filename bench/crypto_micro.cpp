@@ -13,6 +13,8 @@
 #include "crypto/sha256.hpp"
 #include "crypto/threshold.hpp"
 #include "crypto/toy_rsa.hpp"
+#include "turquois/config.hpp"
+#include "turquois/key_infra.hpp"
 
 namespace {
 
@@ -47,7 +49,7 @@ BENCHMARK(BM_HmacSha256);
 void BM_OneTimeSig_Verify(benchmark::State& state) {
   Rng rng(7);
   const auto chain = OneTimeKeyChain::generate(0, 1, 16, rng);
-  const Bytes& sk = chain.secret_key(4, Value::kOne);
+  const BytesView sk = chain.secret_key(4, Value::kOne);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ots_verify(chain.public_keys(), 4, Value::kOne, sk));
@@ -121,6 +123,33 @@ void BM_KeyChain_Generate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyChain_Generate)->Arg(64)->Arg(512);
+
+// The trusted setup a failure-free n=64 deployment hoists out of its
+// repetitions: 64 chains of 512 phases, each VK array RSA-signed and checked.
+void BM_KeyInfra_Setup(benchmark::State& state) {
+  turquois::Config cfg = turquois::Config::for_group(64);
+  cfg.phases_per_epoch = 512;
+  const Rng rng(7);
+  for (auto _ : state) {
+    Rng setup_rng = rng;
+    benchmark::DoNotOptimize(
+        turquois::KeyInfrastructure::setup(cfg, setup_rng));
+  }
+}
+BENCHMARK(BM_KeyInfra_Setup)->Unit(benchmark::kMillisecond);
+
+// One key batch of the pipelined service at n=16: 8 instances of 48 phases.
+void BM_KeyInfra_SetupBatch(benchmark::State& state) {
+  turquois::Config cfg = turquois::Config::for_group(16);
+  cfg.phases_per_epoch = 48;
+  const Rng rng(7);
+  for (auto _ : state) {
+    Rng setup_rng = rng;
+    benchmark::DoNotOptimize(
+        turquois::KeyInfrastructure::setup_batch(cfg, setup_rng, 8));
+  }
+}
+BENCHMARK(BM_KeyInfra_SetupBatch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -188,13 +188,14 @@ VerifyBench bench_verifies(std::uint64_t rounds) {
   for (ProcessId sender = 0; sender < cfg.n; ++sender) {
     for (crypto::Phase phase = 1; phase <= 8; ++phase) {
       for (const Value v : {Value::kZero, Value::kOne}) {
+        const BytesView sk = keys.chain(sender).secret_key(phase, v);
         mix.push_back(turquois::Message{
             .sender = sender,
             .phase = phase,
             .value = v,
             .status = Status::kUndecided,
             .from_coin = false,
-            .auth_sk = keys.chain(sender).secret_key(phase, v)});
+            .auth_sk = Bytes(sk.begin(), sk.end())});
       }
     }
   }

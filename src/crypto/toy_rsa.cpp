@@ -7,9 +7,8 @@
 namespace turq::crypto {
 
 namespace {
-std::uint64_t message_representative(BytesView message, std::uint64_t n) {
-  const Digest d = Sha256::hash(message);
-  std::uint64_t h = digest_to_u64(d) % n;
+std::uint64_t message_representative(const Digest& digest, std::uint64_t n) {
+  std::uint64_t h = digest_to_u64(digest) % n;
   if (h < 2) h = 2;  // avoid the trivial fixed points 0 and 1
   return h;
 }
@@ -32,13 +31,22 @@ RsaKeyPair rsa_generate(Rng& rng, int prime_bits) {
 }
 
 std::uint64_t rsa_sign(const RsaKeyPair& key, BytesView message) {
-  const std::uint64_t h = message_representative(message, key.pub.n);
-  return powmod(h, key.d, key.pub.n);
+  return rsa_sign_digest(key, Sha256::hash(message));
 }
 
 bool rsa_verify(const RsaPublicKey& pub, BytesView message, std::uint64_t sig) {
+  return rsa_verify_digest(pub, Sha256::hash(message), sig);
+}
+
+std::uint64_t rsa_sign_digest(const RsaKeyPair& key, const Digest& digest) {
+  const std::uint64_t h = message_representative(digest, key.pub.n);
+  return powmod(h, key.d, key.pub.n);
+}
+
+bool rsa_verify_digest(const RsaPublicKey& pub, const Digest& digest,
+                       std::uint64_t sig) {
   if (pub.n == 0 || sig >= pub.n) return false;
-  const std::uint64_t h = message_representative(message, pub.n);
+  const std::uint64_t h = message_representative(digest, pub.n);
   return powmod(sig, pub.e, pub.n) == h;
 }
 

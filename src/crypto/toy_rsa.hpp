@@ -12,6 +12,7 @@
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 
 namespace turq::crypto {
 
@@ -29,9 +30,21 @@ struct RsaKeyPair {
 RsaKeyPair rsa_generate(Rng& rng, int prime_bits = 31);
 
 /// Signature = (H(message) mod n) ^ d mod n, full-domain-hash style.
+/// Equals rsa_sign_digest(key, Sha256::hash(message)).
 std::uint64_t rsa_sign(const RsaKeyPair& key, BytesView message);
 
 /// Verify sig^e mod n == H(message) mod n.
+/// Equals rsa_verify_digest(pub, Sha256::hash(message), sig).
 bool rsa_verify(const RsaPublicKey& pub, BytesView message, std::uint64_t sig);
+
+/// The signing step for an already computed H(message), so that callers
+/// holding many messages can hash them in one batched sweep
+/// (sha256_batch.hpp) and sign the digests.
+std::uint64_t rsa_sign_digest(const RsaKeyPair& key, const Digest& digest);
+
+/// The verification step for an already computed H(message). Rejects a
+/// signature >= n and a key with n == 0.
+bool rsa_verify_digest(const RsaPublicKey& pub, const Digest& digest,
+                       std::uint64_t sig);
 
 }  // namespace turq::crypto

@@ -128,7 +128,9 @@ void Process::broadcast_state() {
     // hold real keys and can authenticate any value in the allowed domain.
     if (keys_.chain(id_).covers(d.main.phase) &&
         crypto::ots_value_allowed(d.main.phase, d.main.value)) {
-      d.main.auth_sk = keys_.chain(id_).secret_key(d.main.phase, d.main.value);
+      const BytesView sk =
+          keys_.chain(id_).secret_key(d.main.phase, d.main.value);
+      d.main.auth_sk.assign(sk.begin(), sk.end());
     }
     return d.encode();
   };

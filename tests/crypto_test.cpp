@@ -1,6 +1,8 @@
 // Unit tests for the cryptographic substrate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -194,6 +196,32 @@ TEST(ToyRsa, RejectsWrongKeyAndGarbageSig) {
   EXPECT_FALSE(rsa_verify(a.pub, msg, a.pub.n + 5));  // out of range
 }
 
+TEST(ToyRsa, DigestFormMatchesMessageForm) {
+  Rng rng(11);
+  const RsaKeyPair key = rsa_generate(rng);
+  const Bytes msg = to_bytes("verification key array");
+  const Digest digest = Sha256::hash(msg);
+  EXPECT_EQ(rsa_sign_digest(key, digest), rsa_sign(key, msg));
+  EXPECT_TRUE(rsa_verify_digest(key.pub, digest, rsa_sign(key, msg)));
+}
+
+TEST(ToyRsa, DigestVerifyRejectsTamperingAndBadKeys) {
+  Rng rng(11);
+  const RsaKeyPair key = rsa_generate(rng);
+  const Digest digest = Sha256::hash(to_bytes("verification key array"));
+  const std::uint64_t sig = rsa_sign_digest(key, digest);
+  ASSERT_TRUE(rsa_verify_digest(key.pub, digest, sig));
+
+  // One flipped bit inside the leading 8 bytes the toy representative reads.
+  Digest flipped = digest;
+  flipped[0] ^= 1;
+  EXPECT_FALSE(rsa_verify_digest(key.pub, flipped, sig));
+  // sig + n is congruent to a valid signature but out of range.
+  EXPECT_FALSE(rsa_verify_digest(key.pub, digest, sig + key.pub.n));
+  EXPECT_FALSE(rsa_verify_digest(RsaPublicKey{.n = 0, .e = key.pub.e}, digest,
+                                 sig));
+}
+
 // ------------------------------------------------------------------- group
 
 TEST(Group, ParametersAreConsistent) {
@@ -382,7 +410,7 @@ TEST(OneTimeSig, RevealForOtherSlotRejected) {
   Rng rng(23);
   const auto chain = OneTimeKeyChain::generate(4, 1, 12, rng);
   // Key for (5, 1) does not authenticate (5, 0) or (6, 1).
-  const Bytes& sk = chain.secret_key(5, Value::kOne);
+  const BytesView sk = chain.secret_key(5, Value::kOne);
   EXPECT_FALSE(ots_verify(chain.public_keys(), 5, Value::kZero, sk));
   EXPECT_FALSE(ots_verify(chain.public_keys(), 6, Value::kOne, sk));
 }
@@ -414,6 +442,29 @@ TEST(OneTimeSig, SignedKeyArrayRoundTrip) {
   Rng rng2(31);
   const RsaKeyPair other = rsa_generate(rng2);
   EXPECT_FALSE(verify_key_array(signed_keys, other.pub));
+}
+
+TEST(OneTimeSig, SignedKeyArrayRejectsAlteredDigest) {
+  Rng rng(29);
+  const auto chain = OneTimeKeyChain::generate(2, 1, 6, rng);
+  const RsaKeyPair rsa = rsa_generate(rng);
+  const SignedKeyArray signed_keys = sign_key_array(chain.public_keys(), rsa);
+  ASSERT_TRUE(verify_key_array(signed_keys, rsa.pub));
+
+  // The same array with the VK of (4, 1) altered keeps the signature.
+  std::vector<Digest> keys;
+  for (Phase phase = 1; phase <= 6; ++phase) {
+    for (const Value v : {Value::kZero, Value::kOne, Value::kBottom}) {
+      if (!ots_value_allowed(phase, v)) continue;
+      keys.push_back(chain.public_keys().key(phase, v));
+      if (phase == 4 && v == Value::kOne) keys.back()[5] ^= 0x80;
+    }
+  }
+  const SignedKeyArray altered{
+      .keys = VerificationKeyArray(2, 1, std::move(keys)),
+      .signature = signed_keys.signature};
+  ASSERT_NE(altered.keys.serialize(), signed_keys.keys.serialize());
+  EXPECT_FALSE(verify_key_array(altered, rsa.pub));
 }
 
 TEST(OneTimeSig, EpochCoverage) {

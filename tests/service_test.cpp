@@ -5,8 +5,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "crypto/onetime_sig.hpp"
+#include "crypto/toy_rsa.hpp"
 #include "faultplan/spec.hpp"
 #include "harness/scheduler.hpp"
 #include "net/frame_mux.hpp"
@@ -142,7 +144,7 @@ TEST(KeyInfraBatch, BatchedSetupKeysVerifyAndStayDisjoint) {
       EXPECT_TRUE(crypto::verify_key_array(infra.signed_array(id),
                                            infra.rsa_public(id)));
       // ...and a revealed secret authenticates its (phase, value) slot.
-      const Bytes& sk = infra.chain(id).secret_key(2, Value::kOne);
+      const BytesView sk = infra.chain(id).secret_key(2, Value::kOne);
       EXPECT_TRUE(
           crypto::ots_verify(infra.verification_keys(id), 2, Value::kOne, sk));
     }
@@ -153,9 +155,9 @@ TEST(KeyInfraBatch, BatchedSetupKeysVerifyAndStayDisjoint) {
   // revealed SK must never authenticate the same slot of instance 1.
   for (ProcessId id = 0; id < 4; ++id) {
     EXPECT_EQ(batch[0].rsa_public(id).n, batch[1].rsa_public(id).n);
-    const Bytes& sk0 = batch[0].chain(id).secret_key(2, Value::kOne);
-    const Bytes& sk1 = batch[1].chain(id).secret_key(2, Value::kOne);
-    EXPECT_NE(sk0, sk1);
+    const BytesView sk0 = batch[0].chain(id).secret_key(2, Value::kOne);
+    const BytesView sk1 = batch[1].chain(id).secret_key(2, Value::kOne);
+    EXPECT_NE(to_hex(sk0), to_hex(sk1));
     EXPECT_FALSE(
         crypto::ots_verify(batch[1].verification_keys(id), 2, Value::kOne,
                            sk0));
@@ -171,10 +173,73 @@ TEST(KeyInfraBatch, BatchedSetupIsDeterministicInTheSeed) {
   const auto y = turquois::KeyInfrastructure::setup_batch(cfg, b, 2);
   for (std::size_t inst = 0; inst < 2; ++inst) {
     for (ProcessId id = 0; id < 4; ++id) {
-      EXPECT_EQ(x[inst].chain(id).secret_key(3, Value::kZero),
-                y[inst].chain(id).secret_key(3, Value::kZero));
+      EXPECT_EQ(to_hex(x[inst].chain(id).secret_key(3, Value::kZero)),
+                to_hex(y[inst].chain(id).secret_key(3, Value::kZero)));
       EXPECT_EQ(x[inst].verification_keys(id).serialize(),
                 y[inst].verification_keys(id).serialize());
+    }
+  }
+}
+
+// Every secret of a chain, concatenated in (phase, value) order.
+Bytes all_secrets(const crypto::OneTimeKeyChain& chain,
+                  crypto::Phase phases) {
+  Bytes out;
+  for (crypto::Phase phase = 1; phase <= phases; ++phase) {
+    for (const Value v : {Value::kZero, Value::kOne, Value::kBottom}) {
+      if (!crypto::ots_value_allowed(phase, v)) continue;
+      const BytesView sk = chain.secret_key(phase, v);
+      out.insert(out.end(), sk.begin(), sk.end());
+    }
+  }
+  return out;
+}
+
+TEST(KeyInfraBatch, SetupMatchesPerProcessReference) {
+  // setup() is setup_batch(…, 1); it must hand out exactly the keys that
+  // per-process assembly from the primitives gives.
+  for (const std::uint32_t n : {4u, 64u}) {
+    SCOPED_TRACE(n);
+    const turquois::Config cfg = turquois::Config::for_group(n);
+    Rng rng(42);
+    const auto infra = turquois::KeyInfrastructure::setup(cfg, rng);
+    ASSERT_EQ(infra.n(), n);
+    for (ProcessId id = 0; id < n; ++id) {
+      Rng chain_rng = rng.derive("ots-chain", id);
+      const auto chain = crypto::OneTimeKeyChain::generate(
+          id, 1, cfg.phases_per_epoch, chain_rng);
+      Rng rsa_rng = rng.derive("rsa", id);
+      const crypto::RsaKeyPair rsa = crypto::rsa_generate(rsa_rng);
+      const crypto::SignedKeyArray ref =
+          crypto::sign_key_array(chain.public_keys(), rsa);
+
+      EXPECT_EQ(all_secrets(infra.chain(id), cfg.phases_per_epoch),
+                all_secrets(chain, cfg.phases_per_epoch));
+      EXPECT_EQ(infra.chain(id).public_keys().serialize(),
+                chain.public_keys().serialize());
+      EXPECT_EQ(infra.verification_keys(id).serialize(),
+                ref.keys.serialize());
+      EXPECT_EQ(infra.rsa_public(id).n, rsa.pub.n);
+      EXPECT_EQ(infra.rsa_public(id).e, rsa.pub.e);
+      EXPECT_EQ(infra.signed_array(id).signature, ref.signature);
+    }
+  }
+}
+
+TEST(KeyInfraBatch, BatchSignaturesMatchScalarSigning) {
+  turquois::Config cfg = turquois::Config::for_group(16);
+  cfg.phases_per_epoch = 48;
+  Rng rng(42);
+  const auto batch = turquois::KeyInfrastructure::setup_batch(cfg, rng, 8);
+  ASSERT_EQ(batch.size(), 8u);
+  for (ProcessId id = 0; id < cfg.n; ++id) {
+    Rng rsa_rng = rng.derive("rsa", id);
+    const crypto::RsaKeyPair rsa = crypto::rsa_generate(rsa_rng);
+    for (std::size_t inst = 0; inst < batch.size(); ++inst) {
+      EXPECT_EQ(batch[inst].signed_array(id).signature,
+                crypto::sign_key_array(batch[inst].verification_keys(id), rsa)
+                    .signature)
+          << "process " << id << " instance " << inst;
     }
   }
 }

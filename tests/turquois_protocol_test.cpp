@@ -357,12 +357,13 @@ TEST(TurquoisByzantine, ReplayedStatusCannotForgeDecision) {
   Config cfg = Config::for_group(4);
   Rng rng(5);
   const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
+  const BytesView sk = keys.chain(1).secret_key(4, Value::kOne);
   Message honest{.sender = 1,
                  .phase = 4,
                  .value = Value::kOne,
                  .status = Status::kUndecided,
                  .from_coin = false,
-                 .auth_sk = keys.chain(1).secret_key(4, Value::kOne)};
+                 .auth_sk = Bytes(sk.begin(), sk.end())};
   Message replayed = honest;
   replayed.status = Status::kDecided;
   EXPECT_TRUE(authentic(keys, cfg, replayed));  // the forgery authenticates…

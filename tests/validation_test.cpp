@@ -309,7 +309,8 @@ TEST(Authenticity, GenuineMessagesPassForgeryFails) {
   const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
 
   Message m = msg(2, 5, Value::kOne);
-  m.auth_sk = keys.chain(2).secret_key(5, Value::kOne);
+  const BytesView sk = keys.chain(2).secret_key(5, Value::kOne);
+  m.auth_sk.assign(sk.begin(), sk.end());
   EXPECT_TRUE(authentic(keys, cfg, m));
 
   // Claiming another sender with the same key fails.
