@@ -354,6 +354,13 @@ std::vector<GoldenRow> golden_rows() {
   }
   add(Protocol::kBracha, 7, "none", TurquoisAttack::kValueInversion,
       "grid(r=150)", true);
+  // Turquois at n=64: the quorum (43) exceeds the 42-attachment cap on a
+  // justified datagram, so these rows pin which messages a stalled process
+  // selects, not only how many.
+  for (const char* plan : {"none", "byzantine;adaptive"}) {
+    add(Protocol::kTurquois, 64, plan, TurquoisAttack::kValueInversion,
+        "single", true);
+  }
 
   // The pipelined service on the same medium: group size × pipeline depth ×
   // arrival process, then backpressure, a deadline that strands instances,
