@@ -40,7 +40,7 @@ Outcome run_broadcast(std::uint32_t n, double rate_bps) {
     eps.back()->set_handler(
         [&delivered](ProcessId, BytesView) { ++delivered; });
   }
-  eps[0]->send(Bytes(64, 0xAA));
+  eps[0]->send(std::make_shared<const Bytes>(64, 0xAA));
   sim.run();
   return Outcome{
       .frames = medium.stats().broadcast_frames + medium.stats().unicast_frames,

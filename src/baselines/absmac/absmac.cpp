@@ -67,7 +67,7 @@ void Process::broadcast_current(bool is_retransmit) {
   w.u8(step_);
   w.u8(static_cast<std::uint8_t>(sv.value));
   w.u8(sv.flag ? 1 : 0);
-  current_frame_ = w.take();
+  current_frame_ = std::make_shared<const Bytes>(w.take());
   sent_frames_[{.round = round_, .step = step_}] = current_frame_;
   ack_pending_ = true;
   ++stats_.messages_sent;
@@ -120,8 +120,9 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
   if (src == id_) {
     // Loopback: the medium delivered our own frame after it actually
     // cleared the air — this IS the abstract-MAC ack.
-    if (std::equal(payload.begin(), payload.end(), current_frame_.begin(),
-                   current_frame_.end())) {
+    if (current_frame_ != nullptr &&
+        std::equal(payload.begin(), payload.end(), current_frame_->begin(),
+                   current_frame_->end())) {
       if (ack_pending_) {
         ack_pending_ = false;
         ++stats_.acks_observed;

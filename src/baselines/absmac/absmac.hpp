@@ -168,7 +168,7 @@ class Process {
   std::vector<std::pair<StepKey, std::pair<ProcessId, StepValue>>> buffered_;
 
   // Abstract-MAC progress/ack state for the current (round, step) frame.
-  Bytes current_frame_;
+  SharedBytes current_frame_;
   bool ack_pending_ = false;
   std::uint32_t backoff_ = 1;  // current tick multiplier
   runtime::TimerId tick_timer_ = runtime::kInvalidTimer;
@@ -178,7 +178,7 @@ class Process {
   // (collision, superseded MAC queue slot) would otherwise be stranded one
   // message short of a quorum forever. A frame from a position behind ours
   // triggers a rate-limited re-broadcast of our frame at that position.
-  std::map<StepKey, Bytes> sent_frames_;
+  std::map<StepKey, SharedBytes> sent_frames_;
   std::map<StepKey, SimTime> helped_at_;
 
   DecideHandler on_decide_;

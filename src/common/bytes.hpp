@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -11,6 +12,9 @@ namespace turq {
 
 using Bytes = std::vector<std::uint8_t>;
 using BytesView = std::span<const std::uint8_t>;
+/// An immutable buffer shared by reference: one encoded payload handed from
+/// its producer down to every consumer (and re-sent) without a copy.
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 /// Hex-encode a byte span ("deadbeef" style, lowercase).
 std::string to_hex(BytesView data);

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -28,7 +27,7 @@ class BroadcastService {
   /// One immutable frame payload shared by the sender's queue and every
   /// receiver's delivery event — a broadcast costs one allocation total
   /// instead of one deep copy per receiver.
-  using FramePayload = std::shared_ptr<const Bytes>;
+  using FramePayload = SharedBytes;
 
   virtual ~BroadcastService() = default;
 

@@ -6,6 +6,11 @@
 // single-instance shape. FrameMux implements it per *instance*, packing the
 // payloads of many concurrent instances into shared broadcast frames
 // (frame_mux.hpp). The protocol code is identical over either.
+//
+// A sent payload is a SharedBytes: immutable once handed over, and a sender
+// may hand the same object over again (Turquois re-broadcasts an unchanged
+// state every tick). Transports keep the reference for as long as they need
+// the bytes and never copy them per receiver.
 #pragma once
 
 #include <functional>
@@ -26,7 +31,8 @@ class DatagramPort {
   virtual void set_handler(DatagramHandler handler) = 0;
 
   /// Broadcasts `payload` to every node, including the local one (loopback).
-  virtual void send(Bytes payload) = 0;
+  /// `payload` must be non-null and is never modified.
+  virtual void send(SharedBytes payload) = 0;
 
   /// Stops sending and receiving (crash).
   virtual void close() = 0;

@@ -54,7 +54,7 @@ void FrameMux::close() {
   endpoint_.close();
 }
 
-void FrameMux::stage(std::uint32_t instance, Bytes payload) {
+void FrameMux::stage(std::uint32_t instance, SharedBytes payload) {
   if (!open_) return;
   for (auto& [id, staged] : staged_) {
     if (id == instance) {
@@ -84,12 +84,12 @@ void FrameMux::flush() {
     w.u32(0);  // patched below
     while (i < staged_.size()) {
       const auto& [instance, payload] = staged_[i];
-      const std::size_t need = kPerPayloadBytes + payload.size();
+      const std::size_t need = kPerPayloadBytes + payload->size();
       TURQ_ASSERT_MSG(kHeaderBytes + need <= cfg_.max_payload_bytes,
                       "instance payload exceeds the mux frame budget");
       if (used + need > cfg_.max_payload_bytes) break;
       w.u32(instance);
-      w.bytes(payload);
+      w.bytes(*payload);
       used += need;
       ++count;
       ++i;
@@ -100,7 +100,8 @@ void FrameMux::flush() {
     // The first frame of a flush supersedes this node's stale queued mux
     // frames (their payloads were superseded in-place anyway); continuation
     // frames of the same flush must not cancel their siblings.
-    endpoint_.send(std::move(frame), /*replace_queued=*/first_frame);
+    endpoint_.send(std::make_shared<const Bytes>(std::move(frame)),
+                   /*replace_queued=*/first_frame);
     ++stats_.frames_sent;
     stats_.payloads_sent += count;
     if (!first_frame) ++stats_.frame_splits;

@@ -90,7 +90,7 @@ class FrameMux {
     void set_handler(DatagramHandler handler) override {
       handler_ = std::move(handler);
     }
-    void send(Bytes payload) override {
+    void send(SharedBytes payload) override {
       if (open_) mux_.stage(instance_, std::move(payload));
     }
     void close() override { open_ = false; }
@@ -107,7 +107,7 @@ class FrameMux {
     bool open_ = true;
   };
 
-  void stage(std::uint32_t instance, Bytes payload);
+  void stage(std::uint32_t instance, SharedBytes payload);
   void flush();
   void on_frame(ProcessId src, BytesView frame);
 
@@ -117,8 +117,9 @@ class FrameMux {
   BroadcastEndpoint endpoint_;
   // Ordered map: deterministic routing/teardown order, stable addresses.
   std::map<std::uint32_t, std::unique_ptr<InstancePort>> ports_;
-  // Staged payloads in first-staged order; at most one per instance.
-  std::vector<std::pair<std::uint32_t, Bytes>> staged_;
+  // Staged payloads in first-staged order; at most one per instance. The
+  // instance's own payload object is held until the flush copies it in.
+  std::vector<std::pair<std::uint32_t, SharedBytes>> staged_;
   bool flush_scheduled_ = false;
   bool open_ = true;
   Stats stats_;

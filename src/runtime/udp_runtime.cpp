@@ -215,15 +215,15 @@ void UdpRuntime::UdpPort::set_handler(net::DatagramHandler handler) {
   handler_ = std::move(handler);
 }
 
-void UdpRuntime::UdpPort::send(Bytes payload) {
+void UdpRuntime::UdpPort::send(SharedBytes payload) {
   if (fd_ < 0) return;
   Bytes frame;
-  frame.reserve(kHeaderSize + payload.size());
+  frame.reserve(kHeaderSize + payload->size());
   frame.push_back(kMagic0);
   frame.push_back(kMagic1);
   frame.push_back(kVersion);
   frame.push_back(static_cast<std::uint8_t>(self_));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  frame.insert(frame.end(), payload->begin(), payload->end());
   for (const UdpEndpoint& peer : rt_.peers_) {
     const sockaddr_in addr = to_sockaddr(peer);
     const ssize_t rc =

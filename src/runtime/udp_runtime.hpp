@@ -70,7 +70,7 @@ class UdpRuntime final : public Runtime {
   class UdpPort final : public net::DatagramPort {
    public:
     void set_handler(net::DatagramHandler handler) override;
-    void send(Bytes payload) override;
+    void send(SharedBytes payload) override;
     void close() override;
 
     /// The locally bound port (resolves 0 = ephemeral after binding).

@@ -36,33 +36,40 @@ bool same_bytes(BytesView a, const Bytes& b) {
 
 }  // namespace
 
-ExchangePool::Prepared& ExchangePool::lookup(BytesView payload, bool& existed) {
-  // A broadcast's deliveries arrive back to back, so most lookups repeat
-  // the previous payload: one memcmp short-circuits hash + bucket scan.
-  if (last_ != nullptr && same_bytes(payload, last_->payload)) {
+ExchangePool::Prepared& ExchangePool::lookup(ProcessId src, BytesView payload,
+                                             bool& existed) {
+  // Every delivery of a sender's broadcast, and each of its unchanged
+  // re-sends, repeats that sender's previous payload: one memcmp against
+  // its memo short-circuits hash + bucket scan. Senders outside the group
+  // (none in a deployment) take the hashed path every time.
+  const bool memoized = src < last_by_sender_.size();
+  Prepared* const memo = memoized ? last_by_sender_[src] : nullptr;
+  if (memo != nullptr && same_bytes(payload, memo->payload)) {
     existed = true;
-    return *last_;
+    return *memo;
   }
+  const auto remember = [&](Prepared& entry) -> Prepared& {
+    if (memoized) last_by_sender_[src] = &entry;
+    return entry;
+  };
   auto& bucket = map_[content_hash(payload)];
   for (const auto& entry : bucket) {
     if (same_bytes(payload, entry->payload)) {
       existed = true;
-      last_ = entry.get();
-      return *entry;
+      return remember(*entry);
     }
   }
   existed = false;
   bucket.push_back(std::make_unique<Prepared>());
   bucket.back()->payload.assign(payload.begin(), payload.end());
   ++stats_.entries;
-  last_ = bucket.back().get();
-  return *bucket.back();
+  return remember(*bucket.back());
 }
 
-void ExchangePool::prefetch(BytesView payload) {
+void ExchangePool::prefetch(ProcessId src, BytesView payload) {
   if (workers_ == nullptr) return;
   bool existed = false;
-  Prepared& entry = lookup(payload, existed);
+  Prepared& entry = lookup(src, payload, existed);
   if (existed) return;
   workers_->submit([&entry, this] {
     std::uint8_t expected = kEmpty;
@@ -76,9 +83,10 @@ void ExchangePool::prefetch(BytesView payload) {
   });
 }
 
-const ExchangePool::Prepared& ExchangePool::acquire(BytesView payload) {
+const ExchangePool::Prepared& ExchangePool::acquire(ProcessId src,
+                                                   BytesView payload) {
   bool existed = false;
-  Prepared& entry = lookup(payload, existed);
+  Prepared& entry = lookup(src, payload, existed);
   if (existed) ++stats_.hits;
   ++stats_.acquires;
   if (entry.acquired) {

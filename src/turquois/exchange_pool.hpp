@@ -22,6 +22,14 @@
 // so the simulation is bit-identical whether the fill ran inline, on a
 // worker, early, or late.
 //
+// Lookups go through a per-sender memo first: each sender's broadcasts
+// reach every receiver (and its own loopback) as the same bytes, and a
+// stalled sender re-sends an unchanged payload every tick, so the entry its
+// previous payload mapped to is the likely match. A memo hit is confirmed by
+// the full-byte compare the bucket scan uses; a miss falls through to the
+// content hash. The memo only decides how fast an entry is found, never
+// which entry, so every counter and verdict is the same without it.
+//
 // Virtual time is untouched: every receiver still charges
 // udp_recv + contained × ots_verify() to its own CPU (crypto::CostModel) —
 // in the simulated world each node hashes independently.
@@ -111,21 +119,22 @@ class ExchangePool {
   /// `workers` may be null: every fill then runs inline in acquire().
   ExchangePool(const KeyInfrastructure& keys, const Config& cfg,
                sim::TaskPool* workers)
-      : keys_(keys), cfg_(cfg), workers_(workers) {}
+      : keys_(keys), cfg_(cfg), workers_(workers), last_by_sender_(cfg.n) {}
 
-  /// Send-time hook: start preparing `payload` on a worker. No-op without
-  /// workers or when the payload is already known. Simulator thread only.
-  void prefetch(BytesView payload);
+  /// Send-time hook: start preparing `payload`, broadcast by `src`, on a
+  /// worker. No-op without workers or when the payload is already known.
+  /// Simulator thread only.
+  void prefetch(ProcessId src, BytesView payload);
 
-  /// Delivery-time lookup; fills inline on miss, waits out an in-flight
-  /// worker fill on a prefetched entry. The reference lives as long as the
-  /// pool. Simulator thread only.
-  const Prepared& acquire(BytesView payload);
+  /// Delivery-time lookup of `payload` received from `src`; fills inline on
+  /// miss, waits out an in-flight worker fill on a prefetched entry. The
+  /// reference lives as long as the pool. Simulator thread only.
+  const Prepared& acquire(ProcessId src, BytesView payload);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  Prepared& lookup(BytesView payload, bool& existed);
+  Prepared& lookup(ProcessId src, BytesView payload, bool& existed);
   void fill(Prepared& entry);
 
   const KeyInfrastructure& keys_;
@@ -139,7 +148,9 @@ class ExchangePool {
   // worker fills and Process callbacks can hold them.
   std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<Prepared>>>
       map_;
-  Prepared* last_ = nullptr;  // most recent lookup; entries are never freed
+  /// Per sender (ids below cfg.n), the entry its latest lookup resolved
+  /// to; entries are never freed.
+  std::vector<Prepared*> last_by_sender_;
   Stats stats_;
 };
 

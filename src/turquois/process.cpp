@@ -114,7 +114,7 @@ void Process::broadcast_state() {
   ++stats_.broadcasts;
   rt_.charge(costs_.udp_send);
 
-  const auto assemble = [&]() -> Bytes {
+  const auto assemble = [&]() -> SharedBytes {
     Datagram d;
     d.main = Message{.sender = id_,
                      .phase = phase_,
@@ -132,10 +132,10 @@ void Process::broadcast_state() {
           keys_.chain(id_).secret_key(d.main.phase, d.main.value);
       d.main.auth_sk.assign(sk.begin(), sk.end());
     }
-    return d.encode();
+    return std::make_shared<const Bytes>(d.encode());
   };
 
-  Bytes encoded;
+  SharedBytes encoded;
   if (justify && !mutator_) {
     // Stalled retransmissions re-send byte-identical justified payloads
     // whenever nothing the assembly reads has changed; skip the rebuild +
@@ -153,12 +153,12 @@ void Process::broadcast_state() {
   }
   // The payload is frozen from here on; hand it to the pool so a worker can
   // decode + batch-verify it inside the delivery lookahead window.
-  if (exchange_pool_ != nullptr) exchange_pool_->prefetch(encoded);
+  if (exchange_pool_ != nullptr) exchange_pool_->prefetch(id_, *encoded);
   TURQ_TRACE_EVENT(.at = rt_.now(), .category = trace::Category::kProtocol,
                    .kind = trace::Kind::kStateBroadcast, .process = id_,
                    .phase = phase_,
                    .value = static_cast<std::int64_t>(value_),
-                   .bytes = static_cast<std::uint32_t>(encoded.size()));
+                   .bytes = static_cast<std::uint32_t>(encoded->size()));
   trace::count("turquois.broadcasts");
   trace::observe("turquois.broadcast_phase",
                  {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20, 30}, phase_);
@@ -187,10 +187,11 @@ Process::BroadcastFingerprint Process::fingerprint(bool root_evidence) const {
   return fp;
 }
 
-std::vector<Message> Process::build_justification(bool with_root_evidence) const {
+const std::vector<Message>& Process::build_justification(
+    bool with_root_evidence) const {
   const BroadcastFingerprint fp = fingerprint(with_root_evidence);
   if (just_cache_.key == fp) return just_cache_.messages;
-  std::vector<Message> out;
+  std::vector<const Message*> out;
 
   // Phase-1 evidence first (stall escalation only): every deeper
   // validation chain (⊥ values, undecided statuses, converge majorities)
@@ -208,7 +209,7 @@ std::vector<Message> Process::build_justification(bool with_root_evidence) const
     if (cfg_.exceeds_quorum(view_.count_phase(phase_ - 1))) {
       append_quorum(out, phase_ - 1, std::nullopt, cfg_.quorum_size());
     } else if (jump_source_.has_value()) {
-      out.push_back(*jump_source_);
+      out.push_back(&*jump_source_);
     }
   }
 
@@ -250,36 +251,35 @@ std::vector<Message> Process::build_justification(bool with_root_evidence) const
     append_quorum(out, decide, Value::kOne, 1);
   }
 
-  // Deduplicate by (sender, phase); justification messages never nest.
-  std::vector<Message> deduped;
-  for (Message& m : out) {
-    const bool dup = std::any_of(
-        deduped.begin(), deduped.end(), [&](const Message& existing) {
-          return existing.dedup_key() == m.dedup_key();
-        });
-    if (!dup) deduped.push_back(std::move(m));
+  // Keep the first occurrence of each (sender, phase) in rule order, up to
+  // the cap; justification messages never nest. The candidates span a
+  // handful of phases, so one sender set per phase makes each check O(1).
+  std::vector<std::pair<Phase, SenderSet>> seen;
+  std::vector<Message>& picked = just_cache_.messages;
+  picked.clear();
+  for (const Message* m : out) {
+    auto book = std::find_if(seen.begin(), seen.end(),
+                             [&](const auto& s) { return s.first == m->phase; });
+    if (book == seen.end()) book = seen.insert(seen.end(), {m->phase, {}});
+    if (book->second.contains(m->sender)) continue;
+    book->second.insert(m->sender);
+    picked.push_back(*m);
+    if (picked.size() == kMaxAttachments) break;
   }
-  // Keep the datagram within one MSDU (each attachment is ~47 bytes with
-  // its revealed key; the medium enforces the hard limit).
-  constexpr std::size_t kMaxAttachments = 42;
-  if (deduped.size() > kMaxAttachments) deduped.resize(kMaxAttachments);
-  just_cache_ = {fp, std::move(deduped)};
-  return just_cache_.messages;
+  just_cache_.key = fp;
+  return picked;
 }
 
-void Process::append_quorum(std::vector<Message>& out, Phase phase,
+void Process::append_quorum(std::vector<const Message*>& out, Phase phase,
                             std::optional<Value> value,
                             std::size_t want) const {
   if (phase == 0) return;
   const auto msgs = value.has_value()
                         ? view_.messages_at_with_value(phase, *value, want)
                         : view_.messages_at(phase);
-  std::size_t taken = 0;
-  for (const Message* m : msgs) {
-    if (taken == want) break;
-    out.push_back(*m);
-    ++taken;
-  }
+  out.insert(out.end(), msgs.begin(),
+             msgs.begin() + static_cast<std::ptrdiff_t>(
+                                std::min(want, msgs.size())));
 }
 
 // ---------------------------------------------------------------- task T2 --
@@ -291,7 +291,6 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
     prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
     return;
   }
-  (void)src;
   // Decode + authenticate on the host: shared across all receivers via the
   // prepared-exchange pool when one is installed, otherwise privately with
   // the per-message memo inside ingest() (the original path — kept verbatim
@@ -301,7 +300,7 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
   const ExchangePool::Prepared* prep = nullptr;
   std::optional<Datagram> local;
   if (exchange_pool_ != nullptr) {
-    prep = &exchange_pool_->acquire(payload);
+    prep = &exchange_pool_->acquire(src, payload);
     if (!prep->datagram.has_value()) return;  // malformed — Byzantine garbage
   } else {
     local = Datagram::decode(payload);

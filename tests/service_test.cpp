@@ -29,6 +29,11 @@ Bytes make_payload(std::size_t len, std::uint8_t tag) {
   return b;
 }
 
+/// make_payload() as the shared object a DatagramPort sends.
+SharedBytes shared_payload(std::size_t len, std::uint8_t tag) {
+  return std::make_shared<const Bytes>(make_payload(len, tag));
+}
+
 // ---------------------------------------------------------------- FrameMux --
 
 TEST(FrameMux, PacksStagedInstancesIntoOneFrame) {
@@ -44,9 +49,9 @@ TEST(FrameMux, PacksStagedInstancesIntoOneFrame) {
       got.emplace_back(inst, Bytes(p.begin(), p.end()));
     });
   }
-  tx.port(3).send(make_payload(40, 1));
-  tx.port(7).send(make_payload(50, 2));
-  tx.port(11).send(make_payload(60, 3));
+  tx.port(3).send(shared_payload(40, 1));
+  tx.port(7).send(shared_payload(50, 2));
+  tx.port(11).send(shared_payload(60, 3));
   sim.run();
 
   // One coalescing window, one frame, three sub-payloads.
@@ -74,8 +79,8 @@ TEST(FrameMux, StagingIsLatestWinsWithinTheWindow) {
   rx.port(5).set_handler([&got](ProcessId, BytesView p) {
     got.emplace_back(p.begin(), p.end());
   });
-  tx.port(5).send(make_payload(30, 9));   // superseded before the flush
-  tx.port(5).send(make_payload(30, 77));  // the payload that airs
+  tx.port(5).send(shared_payload(30, 9));   // superseded before the flush
+  tx.port(5).send(shared_payload(30, 77));  // the payload that airs
   sim.run();
 
   EXPECT_EQ(tx.stats().superseded, 1u);
@@ -94,8 +99,8 @@ TEST(FrameMux, RoutesUnknownInstancesToLateDrops) {
   int got = 0;
   rx.port(1).set_handler([&got](ProcessId, BytesView) { ++got; });
   rx.retire(1);                       // receiver finished this instance
-  tx.port(1).send(make_payload(20, 4));
-  tx.port(2).send(make_payload(20, 5));  // rx never opened instance 2
+  tx.port(1).send(shared_payload(20, 4));
+  tx.port(2).send(shared_payload(20, 5));  // rx never opened instance 2
   sim.run();
 
   EXPECT_EQ(got, 0);
@@ -118,7 +123,7 @@ TEST(FrameMux, SplitsOversizedFlushesAcrossFrames) {
           EXPECT_EQ(p.size(), 800u);
           got.push_back(inst);
         });
-    tx.port(inst).send(make_payload(800, static_cast<std::uint8_t>(inst)));
+    tx.port(inst).send(shared_payload(800, static_cast<std::uint8_t>(inst)));
   }
   sim.run();
 
