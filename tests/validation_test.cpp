@@ -3,6 +3,7 @@
 
 #include "common/rng.hpp"
 #include "turquois/config.hpp"
+#include "turquois/exchange_pool.hpp"
 #include "turquois/key_infra.hpp"
 #include "turquois/message.hpp"
 #include "turquois/validation.hpp"
@@ -332,6 +333,61 @@ TEST(Authenticity, GenuineMessagesPassForgeryFails) {
   Message bad_sender = m;
   bad_sender.sender = 99;
   EXPECT_FALSE(authentic(keys, cfg, bad_sender));
+}
+
+// ---------------------------------------------------------- exchange pool
+
+TEST(ExchangePool, PerSenderMemoConfirmsBytes) {
+  // Interleaved deliveries from two senders. The pool's per-sender memo
+  // must only speed up finding an entry: a sender's next payload that
+  // differs in one byte gets its own entry (a memo trusting the sender
+  // would hand back the old one), and equal bytes share one entry
+  // whichever sender delivered them.
+  const Config cfg = Config::for_group(4);
+  Rng rng(3);
+  const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
+  ExchangePool pool(keys, cfg, nullptr);
+
+  Datagram d;
+  d.main = msg(1, 2, Value::kOne);
+  const BytesView sk = keys.chain(1).secret_key(2, Value::kOne);
+  d.main.auth_sk.assign(sk.begin(), sk.end());
+  Datagram forged = d;
+  forged.main.auth_sk.back() ^= 0x01;
+  const Bytes genuine = d.encode();
+  const Bytes tampered = forged.encode();
+  ASSERT_EQ(tampered.size(), genuine.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < genuine.size(); ++i) {
+    differing += genuine[i] != tampered[i] ? 1 : 0;
+  }
+  ASSERT_EQ(differing, 1u);
+
+  const ExchangePool::Prepared& a = pool.acquire(1, genuine);
+  ASSERT_TRUE(a.datagram.has_value());
+  EXPECT_EQ(a.datagram->main, d.main);
+  EXPECT_EQ(a.auth, (std::vector<std::uint8_t>{1}));
+
+  const ExchangePool::Prepared& b = pool.acquire(1, tampered);
+  EXPECT_NE(&b, &a);
+  ASSERT_TRUE(b.datagram.has_value());
+  EXPECT_EQ(b.datagram->main, forged.main);
+  EXPECT_EQ(b.auth, (std::vector<std::uint8_t>{0}));
+
+  // Sender 2 delivers both byte strings, then sender 1 repeats them.
+  EXPECT_EQ(&pool.acquire(2, genuine), &a);
+  EXPECT_EQ(&pool.acquire(2, tampered), &b);
+  EXPECT_EQ(&pool.acquire(1, genuine), &a);
+  EXPECT_EQ(&pool.acquire(2, genuine), &a);
+  EXPECT_EQ(&pool.acquire(1, tampered), &b);
+
+  const ExchangePool::Stats& s = pool.stats();
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.acquires, 7u);
+  EXPECT_EQ(s.shared_hits, 5u);  // every acquire after each payload's first
+  EXPECT_EQ(s.hits, 5u);
+  EXPECT_EQ(s.misses(), 2u);
+  EXPECT_EQ(s.inline_fills, 2u);
 }
 
 // ------------------------------------------------------------------ codec
