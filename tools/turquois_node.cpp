@@ -149,10 +149,11 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   };
 
+  const crypto::CostModel costs;  // the process keeps a reference
   turquois::Process proc(rt, port, cfg, keys, static_cast<ProcessId>(id),
                          Rng::stream(seed, "proc",
                                      static_cast<std::uint64_t>(id)),
-                         crypto::CostModel{}, std::move(hooks));
+                         costs, std::move(hooks));
 
   std::printf("PROPOSE node=%lld value=%d at_ms=%.3f\n",
               static_cast<long long>(id), value == Value::kOne ? 1 : 0,

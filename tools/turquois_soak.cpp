@@ -192,6 +192,7 @@ int main(int argc, char** argv) {
     bool agreement = true;
     const SimTime started = rt.now();
 
+    const crypto::CostModel costs;  // referenced by every process
     std::vector<std::unique_ptr<turquois::Process>> procs;
     for (ProcessId id = 0; id < n; ++id) {
       turquois::ProcessHooks hooks;
@@ -206,7 +207,7 @@ int main(int argc, char** argv) {
       procs.push_back(std::make_unique<turquois::Process>(
           rt, *ports[id], cfg, keys, id, Rng::stream(seed, "proc",
           static_cast<std::uint64_t>(seq) * n + id),
-          crypto::CostModel{}, std::move(hooks)));
+          costs, std::move(hooks)));
     }
     for (ProcessId id = 0; id < n; ++id) {
       const Value v = (id % 2 == 0) ? Value::kOne : Value::kZero;  // divergent
