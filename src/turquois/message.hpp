@@ -39,11 +39,6 @@ struct Message {
   }
   static std::optional<Message> decode_core(Reader& r);
 
-  /// Identity for deduplication in V: one message per (sender, phase).
-  [[nodiscard]] std::uint64_t dedup_key() const {
-    return (static_cast<std::uint64_t>(sender) << 32) | phase;
-  }
-
   bool operator==(const Message& other) const {
     return sender == other.sender && phase == other.phase &&
            value == other.value && status == other.status &&
