@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "crypto/sha256_batch.hpp"
+#include "crypto/sha256_k.hpp"
 
 namespace turq::crypto {
 
@@ -27,13 +28,15 @@ HmacKey::HmacKey(BytesView key) {
 }
 
 Digest HmacKey::mac(BytesView message) const {
-  Sha256 inner = inner_;  // resume from the pre-absorbed pad state
-  inner.update(message);
-  const Digest inner_digest = inner.finalize();
-
-  Sha256 outer = outer_;
-  outer.update(BytesView(inner_digest.data(), inner_digest.size()));
-  return outer.finalize();
+  // Resume both hashes from their pre-absorbed pad states.
+  const Digest inner_digest =
+      sha256_resume({.state = inner_.state_words(),
+                     .prefix_len = inner_.bytes_absorbed(),
+                     .data = message});
+  return sha256_resume(
+      {.state = outer_.state_words(),
+       .prefix_len = outer_.bytes_absorbed(),
+       .data = BytesView(inner_digest.data(), inner_digest.size())});
 }
 
 bool HmacKey::verify(BytesView message, const Digest& expected) const {

@@ -17,8 +17,16 @@
 //     individual ots_verify() costs in virtual time, so simulated latencies,
 //     schedules, and every downstream statistic are unchanged.
 //
-// When a caller has ≥2 independent digests to compute on the host, prefer
-// sha256_batch() (see sha256_batch.hpp for lane-count selection rules).
+// Block kernel: every whole 64-byte block goes through one internal kernel
+// (sha256_k.hpp), chosen once at runtime. On CPUs with the SHA extensions
+// (SHA-NI) it runs sha256rnds2/msg1/msg2, compiled with a function-level
+// target attribute so the binary stays generic; elsewhere it runs portable
+// rounds. update() hands all of its whole blocks to one kernel call. Both
+// kernels produce identical digests; sha256_batch_force_impl() pins which
+// one runs (SHA-NI under kShaNi, portable under any other impl).
+//
+// When a caller has independent digests to compute on the host, prefer
+// sha256_batch() (see sha256_batch.hpp for implementation selection).
 #pragma once
 
 #include <array>
@@ -61,8 +69,6 @@ class Sha256 {
   std::uint64_t bytes_absorbed() const { return total_len_; }
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, kSha256BlockSize> buffer_{};
   std::size_t buffer_len_ = 0;

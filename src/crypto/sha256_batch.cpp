@@ -195,9 +195,12 @@ Sha256Impl g_forced = Sha256Impl::kAuto;
 using CompressFn = void (*)(LaneState&, const std::uint8_t* const[8],
                             unsigned);
 
+// kAuto tries SHA-NI, then AVX2, then the scalar lanes; a forced impl the
+// CPU lacks falls back one step down the same order.
 Sha256Impl resolve(Sha256Impl impl) {
-  if (impl == Sha256Impl::kAuto) {
-    return cpu_has_avx2() ? Sha256Impl::kAvx2 : Sha256Impl::kScalarLanes;
+  if (impl == Sha256Impl::kAuto || impl == Sha256Impl::kShaNi) {
+    if (sha256_cpu_has_sha_ni()) return Sha256Impl::kShaNi;
+    impl = Sha256Impl::kAvx2;
   }
   if (impl == Sha256Impl::kAvx2 && !cpu_has_avx2()) {
     return Sha256Impl::kScalarLanes;
@@ -298,16 +301,36 @@ const char* to_string(Sha256Impl impl) {
     case Sha256Impl::kAuto: return "auto";
     case Sha256Impl::kScalarLanes: return "scalar-lanes";
     case Sha256Impl::kAvx2: return "avx2";
+    case Sha256Impl::kShaNi: return "sha-ni";
   }
   return "?";
 }
 
 Sha256Impl sha256_batch_resolved_impl() { return resolve(g_forced); }
 
-void sha256_batch_force_impl(Sha256Impl impl) { g_forced = impl; }
+void sha256_batch_force_impl(Sha256Impl impl) {
+  g_forced = impl;
+  sha256_select_sha_ni(resolve(impl) == Sha256Impl::kShaNi);
+}
 
 void sha256_batch_resume(const Sha256Resume* lanes, std::size_t count,
                          Digest* out) {
+  if (resolve(g_forced) == Sha256Impl::kShaNi) {
+    // Lanes run through the block kernel in order, two at a time when
+    // neighbours have equal lengths: whole blocks are hashed in place and
+    // only the padded tails are assembled.
+    for (std::size_t i = 0; i < count;) {
+      if (i + 1 < count &&
+          lanes[i + 1].data.size() == lanes[i].data.size()) {
+        sha256_resume_pair(lanes[i], lanes[i + 1], out[i], out[i + 1]);
+        i += 2;
+      } else {
+        out[i] = sha256_resume(lanes[i]);
+        i += 1;
+      }
+    }
+    return;
+  }
   const CompressFn compress = pick_compress();
   for (std::size_t done = 0; done < count; done += kSha256Lanes) {
     const std::size_t group = std::min(kSha256Lanes, count - done);

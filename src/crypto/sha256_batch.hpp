@@ -1,26 +1,30 @@
-// 8-way message-parallel SHA-256 (FIPS 180-4).
+// Batched SHA-256 (FIPS 180-4): many independent digests per call.
 //
-// The batched compressor runs eight *independent* hash streams through the
-// 64-round compression function at once: one lane per message, with the
-// working state held transposed (one register per state word, one 32-bit
-// lane per message). Two implementations sit behind one entry point:
+// Three kernels sit behind one entry point, resolved at *runtime* from
+// cpuid (kAuto tries them in this order):
 //
-//   * kScalarLanes — portable lane-interleaved C++. Every round operates on
+//   * kShaNi — the CPU's SHA extensions. Lanes run through the scalar
+//     block kernel (sha256_k.hpp) in order: whole blocks are hashed in
+//     place and only the padded tail is assembled. Equal-length neighbours
+//     go two at a time through an interleaved kernel, which hides the
+//     round instruction's latency. Per message this matches or beats an
+//     8-lane AVX2 sweep at any count, and it never idles lanes when a call
+//     brings one or two messages.
+//   * kAvx2 — 8-way message-parallel: the working state is held transposed,
+//     each state word one __m256i holding all 8 lanes (one lane per
+//     message). For x86 hosts with AVX2 but no SHA-NI (e.g. Cascade Lake).
+//   * kScalarLanes — the same 8-way sweep in portable lane-interleaved C++:
 //     uint32_t[8] arrays with the lane index innermost, which compilers
-//     auto-vectorize to whatever SIMD width the target offers (SSE2 gives
-//     4 lanes per op, AVX2 all 8). This is the fallback and is always built.
-//   * kAvx2 — each state word is one __m256i holding all 8 lanes. Compiled
-//     with a function-level target attribute, so the rest of the binary
-//     stays generic; selected at *runtime* via cpuid.
+//     auto-vectorize to whatever SIMD width the target offers. Always built.
 //
-// Lane-count selection rules: the batch APIs take any count. Messages are
-// processed 8 per sweep; a final partial group still compresses 8 lanes
-// (idle lanes chew a dummy block whose result is discarded) — batching is
-// profitable from 2 messages up, and callers should simply hand over
-// whatever they have rather than padding to a multiple of 8. Lanes of
-// different lengths are handled per sweep: each lane pads and finishes on
-// its own schedule, and lanes that run out keep the compressor fed with a
-// dummy block while longer lanes drain.
+// The SHA-NI and AVX2 bodies are compiled with function-level target
+// attributes, so the rest of the binary stays generic.
+//
+// Lane counts: the batch APIs take any count. The 8-way kernels process 8
+// messages per sweep; a final partial group still compresses 8 lanes (idle
+// lanes chew a dummy block whose result is discarded), and lanes of
+// different lengths pad and finish on their own schedules while longer
+// lanes drain. Callers simply hand over whatever they have.
 //
 // Host-time vs virtual-time: everything here is a WALL-CLOCK optimization
 // only. Digests are bit-identical to Sha256::hash() per message, and the
@@ -38,13 +42,15 @@
 
 namespace turq::crypto {
 
-/// Messages per compression sweep (the AVX2 register width in 32-bit lanes).
+/// Messages per 8-way compression sweep (the AVX2 register width in 32-bit
+/// lanes).
 inline constexpr std::size_t kSha256Lanes = 8;
 
 enum class Sha256Impl {
-  kAuto,         ///< resolve at runtime: AVX2 when the CPU has it
+  kAuto,         ///< resolve at runtime: SHA-NI, then AVX2, then scalar lanes
   kScalarLanes,  ///< portable lane-interleaved C++ (auto-vectorizable)
   kAvx2,         ///< one YMM register per state word, 8 lanes each
+  kShaNi,        ///< SHA extensions, one or two lanes at a time
 };
 
 [[nodiscard]] const char* to_string(Sha256Impl impl);
@@ -53,8 +59,11 @@ enum class Sha256Impl {
 [[nodiscard]] Sha256Impl sha256_batch_resolved_impl();
 
 /// Pins the implementation (equivalence tests, A/B benchmarks). Requesting
-/// kAvx2 on a machine without it silently resolves to kScalarLanes — the
-/// caller can confirm with sha256_batch_resolved_impl(). Not thread-safe:
+/// a kernel the CPU lacks silently falls back one step (kShaNi to kAvx2,
+/// kAvx2 to kScalarLanes) — the caller can confirm with
+/// sha256_batch_resolved_impl(). The pin also governs the Sha256 context:
+/// it runs SHA-NI when the pin resolves to kShaNi and the portable kernel
+/// otherwise, so tests reach every kernel on one machine. Not thread-safe:
 /// set once before any worker threads hash.
 void sha256_batch_force_impl(Sha256Impl impl);
 

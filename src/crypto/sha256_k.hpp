@@ -1,9 +1,13 @@
-// Internal: the SHA-256 round constants (FIPS 180-4 §4.2.2), shared by the
-// scalar context (sha256.cpp) and the 8-way batched compressor
-// (sha256_batch.cpp). Not part of the public crypto surface.
+// Internal: the SHA-256 round constants (FIPS 180-4 §4.2.2) and the block
+// kernel, shared by the scalar context (sha256.cpp) and the batched
+// compressor (sha256_batch.cpp). Not part of the public crypto surface.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+
+#include "crypto/sha256.hpp"
+#include "crypto/sha256_batch.hpp"
 
 namespace turq::crypto {
 
@@ -24,5 +28,29 @@ inline constexpr std::uint32_t kSha256K[64] = {
 inline constexpr std::uint32_t kSha256Init[8] = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// Compresses `nblocks` whole 64-byte blocks starting at `data` into
+/// `state`. Runs on the CPU's SHA extensions (SHA-NI) when the process
+/// selected them, otherwise on portable rounds; both give the same words.
+void sha256_compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t nblocks);
+
+/// The digest of one resumable lane (see Sha256Resume): whole blocks of
+/// `lane.data` are hashed in place and only the padded tail is assembled.
+Digest sha256_resume(const Sha256Resume& lane);
+
+/// Two lanes whose data have the same length, hashed side by side: on
+/// SHA-NI the two streams interleave, which hides the round latency.
+void sha256_resume_pair(const Sha256Resume& a, const Sha256Resume& b,
+                        Digest& out_a, Digest& out_b);
+
+/// True when this CPU can run the SHA-NI block kernel.
+bool sha256_cpu_has_sha_ni();
+
+/// Selects the block kernel behind sha256_compress_blocks: SHA-NI when
+/// `sha_ni` is set and the CPU has it, the portable rounds otherwise.
+/// Called by sha256_batch_force_impl; until then the first hash picks
+/// SHA-NI whenever the CPU has it. Not thread-safe against hashing.
+void sha256_select_sha_ni(bool sha_ni);
 
 }  // namespace turq::crypto

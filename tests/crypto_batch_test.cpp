@@ -1,8 +1,11 @@
-// Equivalence tests for the 8-way batched SHA-256 path (sha256_batch.hpp)
-// against the scalar context: NIST CAVP short-message vectors, random
-// lengths straddling block boundaries, batched HMAC, batched OTS, and the
-// batched key-chain generator. Every test runs under both implementations
-// (scalar-lanes and whatever kAuto resolves to on this machine).
+// Equivalence tests for the SHA-256 kernels (sha256_batch.hpp, and the
+// Sha256 context the same pin steers) against published vectors and the
+// portable kernel: NIST CAVP short-message vectors, FIPS 180 and RFC 4231
+// vectors, random lengths straddling block boundaries, incremental context
+// updates at every split point, batched HMAC, batched OTS, and the batched
+// key-chain generator. Every test runs under each forced implementation
+// (scalar-lanes, AVX2, SHA-NI) and under whatever kAuto resolves to; a
+// forced kernel this CPU lacks skips its cases.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -19,8 +22,24 @@ namespace {
 
 class Sha256BatchTest : public ::testing::TestWithParam<Sha256Impl> {
  protected:
-  void SetUp() override { sha256_batch_force_impl(GetParam()); }
+  void SetUp() override {
+    sha256_batch_force_impl(GetParam());
+    if (GetParam() != Sha256Impl::kAuto &&
+        sha256_batch_resolved_impl() != GetParam()) {
+      GTEST_SKIP() << to_string(GetParam()) << " not available, resolves to "
+                   << to_string(sha256_batch_resolved_impl());
+    }
+  }
   void TearDown() override { sha256_batch_force_impl(Sha256Impl::kAuto); }
+
+  /// Runs `fn` with the portable kernels pinned, then restores the pin.
+  template <typename Fn>
+  auto portable(Fn fn) {
+    sha256_batch_force_impl(Sha256Impl::kScalarLanes);
+    auto result = fn();
+    sha256_batch_force_impl(GetParam());
+    return result;
+  }
 };
 
 // NIST CAVP SHA256ShortMsg.rsp excerpts (msg hex, digest hex).
@@ -56,6 +75,79 @@ TEST_P(Sha256BatchTest, CavpVectors) {
   for (std::size_t i = 0; i < views.size(); ++i) {
     EXPECT_EQ(to_hex(digest_bytes(out[i])), kCavp[i].digest) << "i=" << i;
     EXPECT_EQ(out[i], Sha256::hash(views[i])) << "i=" << i;
+  }
+}
+
+TEST_P(Sha256BatchTest, Fips180AndRfc4231Vectors) {
+  EXPECT_EQ(to_hex(digest_bytes(Sha256::hash(std::string_view("abc")))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      to_hex(digest_bytes(Sha256::hash(std::string_view(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")))),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  Sha256 ctx;
+  const Bytes chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) ctx.update(chunk);
+  EXPECT_EQ(to_hex(digest_bytes(ctx.finalize())),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+
+  // RFC 4231 cases 1, 2 and 6 (key longer than a block), through the
+  // context and the batch path.
+  const Bytes key1(20, 0x0b);
+  const Bytes key6(131, 0xaa);
+  const HmacKey keys[] = {HmacKey(key1), HmacKey(as_bytes("Jefe")),
+                          HmacKey(key6)};
+  const Bytes msgs[] = {
+      to_bytes("Hi There"), to_bytes("what do ya want for nothing?"),
+      to_bytes("Test Using Larger Than Block-Size Key - Hash Key First")};
+  const char* const want[] = {
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"};
+  HmacJob jobs[3];
+  for (int i = 0; i < 3; ++i) jobs[i] = {.key = &keys[i], .message = msgs[i]};
+  Digest batched[3];
+  hmac_sha256_batch(jobs, 3, batched);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(to_hex(digest_bytes(keys[i].mac(msgs[i]))), want[i]) << i;
+    EXPECT_EQ(to_hex(digest_bytes(batched[i])), want[i]) << i;
+  }
+}
+
+TEST_P(Sha256BatchTest, ContextMatchesPortableOneShot) {
+  Rng rng(0xc0ffeeu);
+  Bytes data(300);
+  for (auto& c : data) c = static_cast<std::uint8_t>(rng.next());
+  const auto prefix = [&](std::size_t len) {
+    return BytesView(data.data(), len);
+  };
+  const std::vector<Digest> want = portable([&] {
+    std::vector<Digest> d;
+    for (std::size_t len = 0; len <= data.size(); ++len) {
+      d.push_back(Sha256::hash(prefix(len)));
+    }
+    return d;
+  });
+
+  // Every length 0..300, one-shot and fed in uneven chunks (1, 2, 3, ...
+  // bytes) so the buffered tail and multi-block updates both run.
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    EXPECT_EQ(Sha256::hash(prefix(len)), want[len]) << "len=" << len;
+    Sha256 ctx;
+    for (std::size_t at = 0, step = 1; at < len; at += step, ++step) {
+      ctx.update(BytesView(data.data() + at, std::min(step, len - at)));
+    }
+    EXPECT_EQ(ctx.finalize(), want[len]) << "chunked len=" << len;
+  }
+  // Every split point of the lengths around the padding boundaries.
+  for (const std::size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {
+    for (std::size_t split = 0; split <= len; ++split) {
+      Sha256 ctx;
+      ctx.update(BytesView(data.data(), split));
+      ctx.update(BytesView(data.data() + split, len - split));
+      EXPECT_EQ(ctx.finalize(), want[len]) << "len=" << len
+                                           << " split=" << split;
+    }
   }
 }
 
@@ -118,6 +210,41 @@ TEST_P(Sha256BatchTest, ResumeMatchesScalarFromBlockBoundary) {
   }
 }
 
+TEST_P(Sha256BatchTest, EqualLengthNeighboursMatchPortable) {
+  // Equal-length neighbours may be hashed side by side (SHA-NI pairs); an
+  // odd count leaves one lane alone, and the resume prefixes differ.
+  Rng rng(0x9a1fu);
+  for (const std::size_t len :
+       {0u, 1u, 32u, 55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u, 300u}) {
+    std::vector<Bytes> streams;
+    std::vector<Sha256Resume> lanes;
+    for (std::size_t i = 0; i < 5; ++i) {
+      const std::size_t prefix = 64 * (1 + i % 2);
+      Bytes b(prefix + len);
+      for (auto& c : b) c = static_cast<std::uint8_t>(rng.next());
+      streams.push_back(std::move(b));
+    }
+    for (const Bytes& b : streams) {
+      const std::size_t prefix = b.size() - len;
+      Sha256 ctx;
+      ctx.update(BytesView(b.data(), prefix));
+      lanes.push_back({.state = ctx.state_words(),
+                       .prefix_len = prefix,
+                       .data = BytesView(b.data() + prefix, len)});
+    }
+    const std::vector<Digest> want = portable([&] {
+      std::vector<Digest> d;
+      for (const Bytes& b : streams) d.push_back(Sha256::hash(b));
+      return d;
+    });
+    std::vector<Digest> out(lanes.size());
+    sha256_batch_resume(lanes.data(), lanes.size(), out.data());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      EXPECT_EQ(out[i], want[i]) << "len=" << len << " i=" << i;
+    }
+  }
+}
+
 TEST_P(Sha256BatchTest, HmacBatchMatchesScalar) {
   Rng rng(0x77u);
   std::vector<HmacKey> keys;
@@ -134,10 +261,18 @@ TEST_P(Sha256BatchTest, HmacBatchMatchesScalar) {
   for (std::size_t i = 0; i < keys.size(); ++i) {
     jobs[i] = {.key = &keys[i], .message = msgs[i]};
   }
+  const std::vector<Digest> want = portable([&] {
+    std::vector<Digest> d;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      d.push_back(keys[i].mac(msgs[i]));
+    }
+    return d;
+  });
   std::vector<Digest> out(jobs.size());
   hmac_sha256_batch(jobs.data(), jobs.size(), out.data());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(out[i], keys[i].mac(msgs[i])) << "i=" << i;
+    EXPECT_EQ(out[i], want[i]) << "i=" << i;
+    EXPECT_EQ(keys[i].mac(msgs[i]), want[i]) << "i=" << i;
   }
 }
 
@@ -198,9 +333,16 @@ TEST_P(Sha256BatchTest, KeyChainGenerationIsImplIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Impls, Sha256BatchTest,
-    ::testing::Values(Sha256Impl::kScalarLanes, Sha256Impl::kAuto),
+    ::testing::Values(Sha256Impl::kScalarLanes, Sha256Impl::kAvx2,
+                      Sha256Impl::kShaNi, Sha256Impl::kAuto),
     [](const ::testing::TestParamInfo<Sha256Impl>& pinfo) {
-      return pinfo.param == Sha256Impl::kAuto ? "Auto" : "ScalarLanes";
+      switch (pinfo.param) {
+        case Sha256Impl::kScalarLanes: return "ScalarLanes";
+        case Sha256Impl::kAvx2: return "Avx2";
+        case Sha256Impl::kShaNi: return "ShaNi";
+        case Sha256Impl::kAuto: break;
+      }
+      return "Auto";
     });
 
 TEST(Sha256Batch, ForcedAvx2ResolvesSomewhere) {
@@ -209,6 +351,17 @@ TEST(Sha256Batch, ForcedAvx2ResolvesSomewhere) {
   EXPECT_TRUE(got == Sha256Impl::kAvx2 || got == Sha256Impl::kScalarLanes);
   sha256_batch_force_impl(Sha256Impl::kAuto);
   EXPECT_NE(sha256_batch_resolved_impl(), Sha256Impl::kAuto);
+}
+
+TEST(Sha256Batch, ForcedShaNiFallsBackOneStep) {
+  sha256_batch_force_impl(Sha256Impl::kShaNi);
+  const Sha256Impl got = sha256_batch_resolved_impl();
+  sha256_batch_force_impl(Sha256Impl::kAvx2);
+  const Sha256Impl avx2 = sha256_batch_resolved_impl();
+  sha256_batch_force_impl(Sha256Impl::kAuto);
+  // Without SHA-NI, kShaNi lands where kAvx2 does; kAuto picks the best.
+  EXPECT_TRUE(got == Sha256Impl::kShaNi || got == avx2);
+  EXPECT_EQ(sha256_batch_resolved_impl(), got);
 }
 
 }  // namespace
