@@ -8,6 +8,28 @@
 
 namespace turq::net {
 
+namespace {
+
+/// Bytes a segment authenticates: type, seq, ack and the u32 payload length.
+constexpr std::size_t kSegmentHeaderBytes = 1 + 4 + 4 + 4;
+
+/// Appends one framed message (u32 little-endian length, then the bytes, as
+/// Writer::bytes lays them out) to a connection's outgoing stream.
+void append_framed(std::deque<std::uint8_t>& stream, BytesView message) {
+  const auto len = static_cast<std::uint32_t>(message.size());
+  const std::uint8_t prefix[4] = {
+      static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(len >> 16),
+      static_cast<std::uint8_t>(len >> 24)};
+  const std::size_t at = stream.size();
+  stream.resize(at + sizeof(prefix) + message.size());
+  const auto body = std::copy(prefix, prefix + sizeof(prefix),
+                              stream.begin() + static_cast<std::ptrdiff_t>(at));
+  std::copy(message.begin(), message.end(), body);
+}
+
+}  // namespace
+
 TcpHost::TcpHost(sim::Simulator& simulator, Medium& medium, ProcessId self,
                  TcpConfig config, sim::VirtualCpu* cpu,
                  const crypto::CostModel* costs)
@@ -90,11 +112,7 @@ void TcpHost::send(ProcessId dst, Bytes message) {
     });
     return;
   }
-  Connection& c = conn(dst);
-  // Frame: u32 length prefix then payload bytes, appended to the stream.
-  Writer framed;
-  framed.bytes(message);
-  for (const std::uint8_t byte : framed.data()) c.out_stream.push_back(byte);
+  append_framed(conn(dst).out_stream, message);
   pump(dst);
 }
 
@@ -107,9 +125,7 @@ void TcpHost::send_many(ProcessId dst, const std::vector<Bytes>& messages) {
   Connection& c = conn(dst);
   for (const Bytes& m : messages) {
     ctr_.messages_sent->add();
-    Writer framed;
-    framed.bytes(m);
-    for (const std::uint8_t byte : framed.data()) c.out_stream.push_back(byte);
+    append_framed(c.out_stream, m);
   }
   pump(dst);
 }
@@ -141,7 +157,7 @@ Bytes TcpHost::encode_segment(Connection& c, std::uint8_t type,
                               std::uint32_t seq, std::uint32_t ack,
                               BytesView payload) const {
   Writer w;
-  w.reserve(1 + 4 + 4 + 4 + payload.size() +
+  w.reserve(kSegmentHeaderBytes + payload.size() +
             (config_.authenticate ? crypto::kSha256DigestSize : 0) +
             config_.tcp_ip_overhead);
   w.u8(type);
@@ -254,19 +270,14 @@ void TcpHost::on_frame(ProcessId src, BytesView frame) {
   if (!type || !seq || !ack || !payload) return;  // malformed
 
   if (config_.authenticate) {
-    const auto mac_bytes = r.raw(crypto::kSha256DigestSize);
-    if (!mac_bytes) return;
+    // The authenticated bytes are the frame's own prefix: verify in place.
+    const std::size_t authed = kSegmentHeaderBytes + payload->size();
+    if (frame.size() < authed + crypto::kSha256DigestSize) return;
     charge_auth(payload->size());
-    // Recompute over the authenticated prefix.
-    Writer w;
-    w.reserve(1 + 4 + 4 + 4 + payload->size());
-    w.u8(*type);
-    w.u32(*seq);
-    w.u32(*ack);
-    w.bytes(*payload);
     crypto::Digest mac;
-    std::copy(mac_bytes->begin(), mac_bytes->end(), mac.begin());
-    if (!c.hmac.verify(w.data(), mac)) {
+    std::copy_n(frame.begin() + static_cast<std::ptrdiff_t>(authed),
+                mac.size(), mac.begin());
+    if (!c.hmac.verify(frame.first(authed), mac)) {
       ctr_.auth_failures->add();
       return;
     }

@@ -11,6 +11,12 @@
 //   * optional per-segment HMAC-SHA256 authentication (the IPSec AH
 //     analogue), with CPU cost charged to the node's virtual CPU.
 //
+// Segment wire format: type u8, seq u32, ack u32, payload length u32, the
+// payload, then (when authenticating) a 32-byte MAC over everything before
+// it, then tcp_ip_overhead bytes of zero padding standing in for the TCP/IP
+// headers. A receiver verifies the MAC in place over the frame's own prefix;
+// the padding is not authenticated, as it carries nothing.
+//
 // Unicast frames below already get MAC-level ACK/retry, so the RTO mainly
 // fires under sustained injected omissions — matching real TCP over 802.11.
 #pragma once

@@ -1,11 +1,14 @@
 // Unit tests for the TCP-like reliable channel.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "crypto/cost_model.hpp"
+#include "crypto/sha256.hpp"
 #include "net/fault_injector.hpp"
 #include "net/medium.hpp"
 #include "net/reliable_channel.hpp"
@@ -156,6 +159,129 @@ TEST(Tcp, AuthenticationRejectsKeyMismatch) {
   rig.sim.run_until(2 * kSecond);
   EXPECT_TRUE(rig.inbox[1].empty());
   EXPECT_GE(rig.hosts[1]->stats().auth_failures, 1u);
+}
+
+// A TcpHost at id 0 facing a raw medium endpoint at id 1 that records what
+// the host sends it and can inject arbitrary frames back.
+struct RawPeerRig {
+  static constexpr ProcessId kHost = 0;
+  static constexpr ProcessId kRaw = 1;
+
+  sim::Simulator sim;
+  Medium medium{sim, MediumConfig{}, Rng(1)};
+  crypto::CostModel costs;
+  sim::VirtualCpu cpu{sim};
+  TcpHost host;
+  std::vector<Bytes> inbox;
+  std::vector<Bytes> captured;
+
+  explicit RawPeerRig(TcpConfig cfg)
+      : host(sim, medium, kHost, cfg, &cpu, &costs) {
+    host.set_peer_key(kRaw, Bytes(32, 0x77));
+    host.set_handler([this](ProcessId, const Bytes& m) { inbox.push_back(m); });
+    medium.attach(kRaw, [this](ProcessId, BytesView frame, bool) {
+      captured.emplace_back(frame.begin(), frame.end());
+    });
+  }
+
+  void inject(Bytes frame) { medium.send_unicast(kRaw, kHost, std::move(frame)); }
+};
+
+TEST(Tcp, AuthenticatedBytesAreExactlyTheSegmentPrefix) {
+  TcpConfig cfg;
+  cfg.authenticate = true;
+  const Bytes message = {1, 2, 3, 4, 5};
+  // Capture a data segment from the host, then replay it back as if the raw
+  // peer had sent it (one key serves both directions), which makes the host
+  // deliver it and answer with a pure ACK.
+  Bytes data_frame;
+  Bytes ack_frame;
+  {
+    RawPeerRig rig(cfg);
+    rig.host.send(RawPeerRig::kRaw, message);
+    rig.sim.run_until(5 * kMillisecond);
+    ASSERT_EQ(rig.captured.size(), 1u);
+    data_frame = rig.captured[0];
+    rig.inject(data_frame);
+    rig.sim.run_until(100 * kMillisecond);
+    ASSERT_EQ(rig.inbox.size(), 1u);
+    ASSERT_EQ(rig.captured.size(), 2u);
+    ack_frame = rig.captured[1];
+  }
+  const std::size_t digest = crypto::kSha256DigestSize;
+  const std::size_t data_authed = 13 + 4 + message.size();  // framed message
+  const std::size_t ack_authed = 13;
+  ASSERT_EQ(data_frame[0], 1);  // data
+  ASSERT_EQ(ack_frame[0], 2);   // pure ACK
+  ASSERT_EQ(data_frame.size(), data_authed + digest + cfg.tcp_ip_overhead);
+  ASSERT_EQ(ack_frame.size(), ack_authed + digest + cfg.tcp_ip_overhead);
+
+  // Replays data_frame with `mutate` applied to a fresh host; returns
+  // (delivered, auth_failures).
+  const auto replay_data = [&](const std::function<void(Bytes&)>& mutate) {
+    RawPeerRig rig(cfg);
+    Bytes frame = data_frame;
+    mutate(frame);
+    rig.inject(std::move(frame));
+    rig.sim.run_until(100 * kMillisecond);
+    return std::make_pair(rig.inbox.size(),
+                          rig.host.stats().auth_failures);
+  };
+  // Replays ack_frame to a fresh host whose one segment it acknowledges;
+  // returns (rto_fires, auth_failures). An accepted ACK stops the RTO.
+  const auto replay_ack = [&](const std::function<void(Bytes&)>& mutate) {
+    RawPeerRig rig(cfg);
+    rig.host.send(RawPeerRig::kRaw, message);
+    rig.sim.run_until(5 * kMillisecond);
+    Bytes frame = ack_frame;
+    mutate(frame);
+    rig.inject(std::move(frame));
+    rig.sim.run_until(1 * kSecond);
+    return std::make_pair(rig.host.stats().rto_fires,
+                          rig.host.stats().auth_failures);
+  };
+
+  EXPECT_EQ(replay_data([](Bytes&) {}), std::make_pair(std::size_t{1},
+                                                       std::uint64_t{0}));
+  EXPECT_EQ(replay_ack([](Bytes&) {}), std::make_pair(std::uint64_t{0},
+                                                      std::uint64_t{0}));
+
+  // Type, seq, ack, length, payload and MAC: any flip is an auth failure.
+  // The exception is the length's upper three bytes (10..12): their low bit
+  // makes the length overrun the frame, which drops it as malformed before
+  // the MAC check. Either way nothing is delivered.
+  const auto overruns = [](std::size_t i) { return i >= 10 && i < 13; };
+  for (std::size_t i = 0; i < data_authed + digest; ++i) {
+    const auto [delivered, failures] =
+        replay_data([i](Bytes& f) { f[i] ^= 1; });
+    EXPECT_EQ(delivered, 0u) << "data byte " << i;
+    EXPECT_EQ(failures, overruns(i) ? 0u : 1u) << "data byte " << i;
+  }
+  for (std::size_t i = 0; i < ack_authed + digest; ++i) {
+    const auto [rto_fires, failures] =
+        replay_ack([i](Bytes& f) { f[i] ^= 1; });
+    EXPECT_GE(rto_fires, 1u) << "ack byte " << i;
+    EXPECT_EQ(failures, overruns(i) ? 0u : 1u) << "ack byte " << i;
+  }
+
+  // The TCP/IP tail padding is not authenticated.
+  for (std::size_t i = data_authed + digest; i < data_frame.size(); ++i) {
+    EXPECT_EQ(replay_data([i](Bytes& f) { f[i] ^= 0x80; }),
+              std::make_pair(std::size_t{1}, std::uint64_t{0}))
+        << "data pad byte " << i;
+  }
+  for (std::size_t i = ack_authed + digest; i < ack_frame.size(); ++i) {
+    EXPECT_EQ(replay_ack([i](Bytes& f) { f[i] ^= 0x80; }),
+              std::make_pair(std::uint64_t{0}, std::uint64_t{0}))
+        << "ack pad byte " << i;
+  }
+
+  // Truncated inside the MAC: dropped before verification.
+  for (std::size_t keep = data_authed; keep < data_authed + digest; ++keep) {
+    EXPECT_EQ(replay_data([keep](Bytes& f) { f.resize(keep); }),
+              std::make_pair(std::size_t{0}, std::uint64_t{0}))
+        << "kept " << keep;
+  }
 }
 
 TEST(Tcp, StatsSumEveryField) {
