@@ -22,6 +22,8 @@ Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
       strategy_(strategy),
       on_decide_(std::move(hooks.on_decide)),
       on_round_(std::move(hooks.on_round)) {
+  TURQ_ASSERT_MSG(cfg_.n <= SenderSet::kCapacity,
+                  "bracha tallies require n <= SenderSet::kCapacity");
   transport_.set_handler([this](ProcessId src, const Bytes& payload) {
     on_message(src, payload);
   });
@@ -112,7 +114,9 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
   const auto value_raw = r.u8();
   const auto flag_raw = r.u8();
   if (!round || !step || !kind || !origin || !value_raw || !flag_raw) return;
-  if (*origin >= cfg_.n || *value_raw > 1 || *flag_raw > 1) return;
+  if (src >= cfg_.n || *origin >= cfg_.n || *value_raw > 1 || *flag_raw > 1) {
+    return;
+  }
   if (*step < 1 || *step > 3 || *round == 0) return;
   ++stats_.messages_received;
 
@@ -132,25 +136,27 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
       break;
     }
     case kEcho: {
-      auto& echoers = state.echoes[sv];
-      if (!echoers.insert(src).second) return;
+      SenderSet& echoers = state.echoes[sv.tally_slot()];
+      if (echoers.contains(src)) return;
+      echoers.insert(src);
       if (!state.sent_ready &&
-          cfg_.exceeds_echo_threshold(echoers.size())) {
+          cfg_.exceeds_echo_threshold(echoers.count())) {
         state.sent_ready = true;
         send_to_all(key.round, key.step, kReady, key.origin, sv);
       }
       break;
     }
     case kReady: {
-      auto& readiers = state.readies[sv];
-      if (!readiers.insert(src).second) return;
+      SenderSet& readiers = state.readies[sv.tally_slot()];
+      if (readiers.contains(src)) return;
+      readiers.insert(src);
       // f+1 readies amplify into our own ready (if not yet sent).
-      if (!state.sent_ready && readiers.size() >= cfg_.f + 1) {
+      if (!state.sent_ready && readiers.count() >= cfg_.f + 1) {
         state.sent_ready = true;
         send_to_all(key.round, key.step, kReady, key.origin, sv);
       }
       // 2f+1 readies deliver.
-      if (!state.delivered && readiers.size() >= 2 * cfg_.f + 1) {
+      if (!state.delivered && readiers.count() >= 2 * cfg_.f + 1) {
         state.delivered = true;
         ++stats_.delivered;
         on_rbc_deliver(key, sv);

@@ -21,14 +21,15 @@
 // HMAC — the analogue of the paper's TCP + IPSec AH deployment.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/sender_set.hpp"
 #include "common/types.hpp"
 #include "crypto/cost_model.hpp"
 #include "net/reliable_channel.hpp"
@@ -76,7 +77,8 @@ class Process {
 
   /// Runtime-agnostic constructor; `rt` and `transport` must outlive the
   /// process. (The TcpHost transport is currently sim-only, but the
-  /// protocol logic itself schedules through `rt` alone.)
+  /// protocol logic itself schedules through `rt` alone.) Requires
+  /// config.n <= SenderSet::kCapacity.
   Process(runtime::Runtime& rt, net::TcpHost& transport, const Config& config,
           ProcessId id, Rng rng, const crypto::CostModel& costs,
           Strategy strategy = Strategy::kHonest, ProcessHooks hooks = {});
@@ -112,11 +114,11 @@ class Process {
   struct StepValue {
     Value value = Value::kZero;
     bool flag = false;
-    bool operator<(const StepValue& o) const {
-      return std::tie(value, flag) < std::tie(o.value, o.flag);
-    }
-    bool operator==(const StepValue& o) const {
-      return value == o.value && flag == o.flag;
+
+    /// Slot in an RbcState tally: (value, flag) are validated binary before
+    /// any tally, so four slots cover every pair.
+    [[nodiscard]] std::size_t tally_slot() const {
+      return 2 * static_cast<std::size_t>(value) + (flag ? 1 : 0);
     }
   };
 
@@ -130,9 +132,11 @@ class Process {
     }
   };
 
+  /// Echo and ready senders per StepValue::tally_slot(). Thresholds count
+  /// distinct senders, so a replayed echo or ready adds nothing.
   struct RbcState {
-    std::map<StepValue, std::set<ProcessId>> echoes;
-    std::map<StepValue, std::set<ProcessId>> readies;
+    std::array<SenderSet, 4> echoes;
+    std::array<SenderSet, 4> readies;
     bool sent_echo = false;
     bool sent_ready = false;
     bool delivered = false;

@@ -30,6 +30,8 @@ Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
       strategy_(strategy),
       on_decide_(std::move(hooks.on_decide)),
       on_round_(std::move(hooks.on_round)) {
+  TURQ_ASSERT_MSG(cfg_.n <= SenderSet::kCapacity,
+                  "crain tallies require n <= SenderSet::kCapacity");
   transport_.set_handler([this](ProcessId src, const Bytes& payload) {
     on_message(src, payload);
   });
@@ -144,6 +146,7 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
     prestart_.emplace_back(src, payload);  // OS buffer until propose()
     return;
   }
+  if (src >= cfg_.n) return;  // not a group member
   Reader r(payload);
   const auto type = r.u8();
   const auto round = r.u32();
@@ -197,11 +200,13 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
 void Process::handle_est(ProcessId src, std::uint32_t round, Value v) {
   RoundState& st = state(round);
   const auto idx = static_cast<std::size_t>(v);
-  if (!st.est_senders[idx].insert(src).second) return;
+  SenderSet& senders = st.est_senders[idx];
+  if (senders.contains(src)) return;
+  senders.insert(src);
   // BV-broadcast amplification: f+1 distinct senders force our own
   // broadcast of v (a value with at least one correct backer reaches all).
   if (!st.est_broadcast[idx] &&
-      st.est_senders[idx].size() >= cfg_.bv_echo_threshold()) {
+      senders.count() >= cfg_.bv_echo_threshold()) {
     st.est_broadcast[idx] = true;
     ++stats_.bv_echoes;
     send_est(round, v);
@@ -209,7 +214,7 @@ void Process::handle_est(ProcessId src, std::uint32_t round, Value v) {
   // 2f+1 distinct senders admit v into bin_values: at least one correct
   // process proposed it, so no Byzantine-only value ever gets in.
   if (!st.bin_values[idx] &&
-      st.est_senders[idx].size() >= cfg_.bv_deliver_threshold()) {
+      senders.count() >= cfg_.bv_deliver_threshold()) {
     st.bin_values[idx] = true;
     ++stats_.bin_admissions;
     if (!st.first_bin.has_value()) st.first_bin = v;

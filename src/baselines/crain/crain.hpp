@@ -30,15 +30,16 @@
 // authentication on), the paper's asynchronous-network model.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/sender_set.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "crypto/cost_model.hpp"
@@ -111,7 +112,7 @@ class Process {
   using RoundHandler = crain::RoundHandler;
 
   /// Runtime-agnostic constructor; `rt` and `transport` must outlive the
-  /// process.
+  /// process. Requires config.n <= SenderSet::kCapacity.
   Process(runtime::Runtime& rt, net::TcpHost& transport, const Config& config,
           const Dealer& dealer, ProcessId id, Rng rng,
           const crypto::CostModel& costs,
@@ -147,7 +148,7 @@ class Process {
   static constexpr std::uint8_t kCoinShare = 3;
 
   struct RoundState {
-    std::set<ProcessId> est_senders[2];  // EST(r, v) senders per value
+    std::array<SenderSet, 2> est_senders;  // EST(r, v) senders per value
     bool est_broadcast[2] = {false, false};  // own EST(r, v) already sent
     bool bin_values[2] = {false, false};
     std::optional<Value> first_bin;  // first value admitted (AUX payload)

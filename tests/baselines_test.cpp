@@ -11,6 +11,8 @@
 #include "baselines/bracha/bracha.hpp"
 #include "baselines/crain/crain.hpp"
 #include "common/rng.hpp"
+#include "common/sender_set.hpp"
+#include "common/serialize.hpp"
 #include "crypto/cost_model.hpp"
 #include "net/broadcast_endpoint.hpp"
 #include "net/fault_injector.hpp"
@@ -124,6 +126,54 @@ TEST(Bracha, ToleratesCrashedProcesses) {
   for (const ProcessId id : alive) {
     EXPECT_EQ(rig.procs[id]->decision(), Value::kOne);
   }
+}
+
+TEST(Bracha, ReplayedEchoesAndReadiesCountOnce) {
+  // p0 runs alone beside one raw TcpHost peer (id 1); 2 and 3 are down. The
+  // peer replays the same ECHO and READY for p0's own broadcast 2f+1 times
+  // each. Thresholds count distinct senders: p0's own echo plus the peer's
+  // is 2 (the echo threshold needs 3 at n=4), and one distinct ready is
+  // below both f+1 and 2f+1, so p0 neither sends READY nor delivers.
+  BrachaRig rig(4);
+  std::vector<Bytes> from_p0;
+  rig.hosts[1]->set_handler([&](ProcessId src, const Bytes& m) {
+    if (src == 0) from_p0.push_back(m);
+  });
+  for (const ProcessId dead : {2u, 3u}) {
+    rig.procs[dead]->crash();
+    rig.hosts[0]->disconnect_peer(dead);
+  }
+  rig.procs[0]->propose(Value::kZero);
+  const auto rbc_message = [](std::uint8_t kind) {
+    Writer w;
+    w.u32(1);  // round
+    w.u8(1);   // step
+    w.u8(kind);
+    w.u32(0);  // origin: p0's own broadcast
+    w.u8(static_cast<std::uint8_t>(Value::kZero));
+    w.u8(0);  // flag
+    return w.take();
+  };
+  constexpr std::uint8_t kEcho = 2;
+  constexpr std::uint8_t kReady = 3;
+  for (std::uint32_t i = 0; i < 2 * rig.cfg.f + 1; ++i) {
+    rig.hosts[1]->send(0, rbc_message(kEcho));
+    rig.hosts[1]->send(0, rbc_message(kReady));
+  }
+  rig.sim.run_until(5 * kSecond);
+
+  EXPECT_EQ(rig.procs[0]->stats().delivered, 0u);
+  EXPECT_FALSE(rig.procs[0]->decided());
+  ASSERT_FALSE(from_p0.empty());  // p0's INITIAL and ECHO did arrive
+  for (const Bytes& m : from_p0) {
+    ASSERT_GE(m.size(), 6u);
+    EXPECT_NE(m[5], kReady) << "p0 sent READY";
+  }
+}
+
+TEST(BrachaDeathTest, GroupLargerThanSenderSetCapacityAborts) {
+  EXPECT_DEATH({ BrachaRig rig(SenderSet::kCapacity + 1); },
+               "n <= SenderSet::kCapacity");
 }
 
 TEST(Bracha, ValueInversionCannotBreakValidity) {
