@@ -114,7 +114,9 @@ FaultPlan canned_plan(Role role, std::string name) {
   FaultPlan plan;
   plan.name = std::move(name);
   plan.role = role;
-  plan.clauses.push_back(Clause{.kind = ClauseKind::kAmbient});
+  Clause ambient;
+  ambient.kind = ClauseKind::kAmbient;
+  plan.clauses.push_back(std::move(ambient));
   return plan;
 }
 

@@ -107,7 +107,9 @@ void RelayFabric::broadcast(ProcessId src, FramePayload payload,
   TURQ_ASSERT(src < nodes_.size());
   TURQ_ASSERT_MSG(payload != nullptr, "broadcast payload must be non-null");
   const std::uint32_t seq = next_seq_[src]++;
-  mark_seen(nodes_[src], src, seq);  // forwards of our own frame are dupes
+  // Marked so forwards of our own frame count as dupes. The seq is fresh,
+  // so the "already seen" result is always false and carries nothing.
+  (void)mark_seen(nodes_[src], src, seq);
   origin_frames_->add();
   Bytes wrapped(kHeaderBytes + payload->size());
   write_header(wrapped, src, 0, seq);
