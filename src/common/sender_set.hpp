@@ -31,6 +31,20 @@ class SenderSet {
                                       __builtin_popcountll(words_[1]));
   }
 
+  /// The smallest member >= `from`, or kCapacity when there is none.
+  /// `for (id = s.next(0); id < kCapacity; id = s.next(id + 1))` visits the
+  /// members in ascending order.
+  [[nodiscard]] std::uint32_t next(std::uint32_t from) const {
+    for (std::uint32_t w = from >> 6; w < 2; ++w) {
+      const std::uint64_t bits =
+          w == (from >> 6) ? words_[w] & (~0ULL << (from & 63)) : words_[w];
+      if (bits != 0) {
+        return (w << 6) + static_cast<std::uint32_t>(__builtin_ctzll(bits));
+      }
+    }
+    return kCapacity;
+  }
+
   [[nodiscard]] constexpr bool empty() const {
     return (words_[0] | words_[1]) == 0;
   }

@@ -4,7 +4,8 @@
 // are written with Writer and parsed with Reader. Reader never reads past
 // the end of its buffer; malformed input yields a clean failure instead of
 // undefined behaviour, which matters because Byzantine nodes may craft
-// arbitrary byte strings.
+// arbitrary byte strings. Reader::bytes_view() borrows a length-prefixed
+// field instead of copying it, for hot decoders that keep no heap state.
 #pragma once
 
 #include <cstdint>
@@ -76,13 +77,22 @@ class Reader {
 
   /// Length-prefixed byte string.
   std::optional<Bytes> bytes() {
+    const auto view = bytes_view();
+    if (!view) return std::nullopt;
+    return Bytes(view->begin(), view->end());
+  }
+
+  /// Length-prefixed byte string, borrowed: the span points into the
+  /// Reader's buffer and lives as long as that buffer does. Decoders that
+  /// copy the bytes into a fixed-size field read through this and skip the
+  /// heap copy bytes() makes.
+  std::optional<BytesView> bytes_view() {
     const auto len = u32();
     if (!len || remaining() < *len) {
       failed_ = true;
       return std::nullopt;
     }
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + *len));
+    const BytesView out = data_.subspan(pos_, *len);
     pos_ += *len;
     return out;
   }

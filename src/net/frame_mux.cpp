@@ -79,6 +79,7 @@ void FrameMux::flush() {
   bool first_frame = true;
   while (i < staged_.size()) {
     Writer w;
+    w.reserve(cfg_.max_payload_bytes);  // one allocation per frame
     std::size_t count = 0;
     std::size_t used = kHeaderBytes;
     w.u32(0);  // patched below

@@ -19,6 +19,8 @@
 //
 // Wire format (fits the MSDU budget; flushes split when they don't):
 //   u32 count, then count × [u32 instance, u32 len, raw bytes].
+// A flush reserves the whole budget for each frame's buffer up front, so
+// packing a frame is one allocation, not one regrowth per appended field.
 //
 // Determinism: staging order is the deterministic send order of the
 // simulation, flushes run at scheduled sim times, and receivers route in

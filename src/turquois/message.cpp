@@ -1,9 +1,13 @@
 #include "turquois/message.hpp"
 
+#include <algorithm>
+
 namespace turq::turquois {
 
 namespace {
 constexpr std::uint8_t kDatagramTag = 0x54;  // 'T'
+/// encode_core() of a message with an empty key.
+constexpr std::size_t kMinCoreBytes = 4 + 4 + 1 + 1 + 1 + 4;
 
 std::optional<Value> decode_value(std::uint8_t raw) {
   if (raw > 2) return std::nullopt;
@@ -26,12 +30,13 @@ std::optional<Message> Message::decode_core(Reader& r) {
   const auto value_raw = r.u8();
   const auto status_raw = r.u8();
   const auto coin_raw = r.u8();
-  auto sk = r.bytes();
+  const auto sk = r.bytes_view();
   if (!sender || !phase || !value_raw || !status_raw || !coin_raw || !sk) {
     return std::nullopt;
   }
   const auto value = decode_value(*value_raw);
-  if (!value || *status_raw > 1 || *coin_raw > 1 || *phase == 0) {
+  if (!value || *status_raw > 1 || *coin_raw > 1 || *phase == 0 ||
+      sk->size() > AuthKey::kMaxBytes) {
     return std::nullopt;
   }
   return Message{.sender = *sender,
@@ -39,7 +44,7 @@ std::optional<Message> Message::decode_core(Reader& r) {
                  .value = *value,
                  .status = static_cast<Status>(*status_raw),
                  .from_coin = *coin_raw == 1,
-                 .auth_sk = std::move(*sk)};
+                 .auth_sk = *sk};
 }
 
 Bytes Datagram::encode() const {
@@ -62,12 +67,15 @@ std::optional<Datagram> Datagram::decode(BytesView bytes) {
   if (!main) return std::nullopt;
   const auto count = r.u16();
   if (!count) return std::nullopt;
-  Datagram d{.main = std::move(*main), .justification = {}};
-  d.justification.reserve(*count);
+  Datagram d{.main = *main, .justification = {}};
+  // One allocation for the whole set, capped by what the remaining bytes
+  // could hold so a forged count cannot reserve more than the frame carries.
+  d.justification.reserve(
+      std::min<std::size_t>(*count, r.remaining() / kMinCoreBytes));
   for (std::uint16_t i = 0; i < *count; ++i) {
-    auto m = Message::decode_core(r);
+    const auto m = Message::decode_core(r);
     if (!m) return std::nullopt;
-    d.justification.push_back(std::move(*m));
+    d.justification.push_back(*m);
   }
   return d;
 }

@@ -115,14 +115,18 @@ void Process::broadcast_state() {
   rt_.charge(costs_.udp_send);
 
   const auto assemble = [&]() -> SharedBytes {
-    Datagram d;
+    Datagram& d = outgoing_;
     d.main = Message{.sender = id_,
                      .phase = phase_,
                      .value = value_,
                      .status = status_,
                      .from_coin = from_coin_,
                      .auth_sk = {}};
-    if (justify) d.justification = build_justification(root_evidence);
+    d.justification.clear();
+    if (justify) {
+      const std::vector<Message>& picked = build_justification(root_evidence);
+      d.justification.assign(picked.begin(), picked.end());
+    }
     if (mutator_) mutator_(d.main);
     // Sign (reveal the one-time key) after any Byzantine mutation: insiders
     // hold real keys and can authenticate any value in the allowed domain.
@@ -191,7 +195,8 @@ const std::vector<Message>& Process::build_justification(
     bool with_root_evidence) const {
   const BroadcastFingerprint fp = fingerprint(with_root_evidence);
   if (just_cache_.key == fp) return just_cache_.messages;
-  std::vector<const Message*> out;
+  std::vector<const Message*>& out = just_cache_.candidates;
+  out.clear();
 
   // Phase-1 evidence first (stall escalation only): every deeper
   // validation chain (⊥ values, undecided statuses, converge majorities)
@@ -200,14 +205,14 @@ const std::vector<Message>& Process::build_justification(
   // opening exchange and would otherwise be permanently unable to validate
   // legitimate ⊥ states.
   if (with_root_evidence && phase_ > 2) {
-    append_quorum(out, 1, Value::kZero, cfg_.half_quorum_size());
-    append_quorum(out, 1, Value::kOne, cfg_.half_quorum_size());
+    view_.append_at(out, 1, Value::kZero, cfg_.half_quorum_size());
+    view_.append_at(out, 1, Value::kOne, cfg_.half_quorum_size());
   }
 
   // Phase justification: a quorum at φ-1, or the message we jumped on.
   if (phase_ > 1) {
     if (cfg_.exceeds_quorum(view_.count_phase(phase_ - 1))) {
-      append_quorum(out, phase_ - 1, std::nullopt, cfg_.quorum_size());
+      view_.append_at(out, phase_ - 1, std::nullopt, cfg_.quorum_size());
     } else if (jump_source_.has_value()) {
       out.push_back(&*jump_source_);
     }
@@ -218,43 +223,44 @@ const std::vector<Message>& Process::build_justification(
     case 1:
       if (phase_ > 1) {
         if (from_coin_) {
-          append_quorum(out, phase_ - 1, Value::kBottom, cfg_.quorum_size());
+          view_.append_at(out, phase_ - 1, Value::kBottom, cfg_.quorum_size());
         } else {
-          append_quorum(out, phase_ - 2, value_, cfg_.quorum_size());
+          view_.append_at(out, phase_ - 2, value_, cfg_.quorum_size());
         }
       }
       break;
     case 2:
-      append_quorum(out, phase_ - 1, value_, cfg_.half_quorum_size());
+      view_.append_at(out, phase_ - 1, value_, cfg_.half_quorum_size());
       break;
     default:  // phase_ % 3 == 0
       if (is_binary(value_)) {
-        append_quorum(out, phase_ - 1, value_, cfg_.quorum_size());
+        view_.append_at(out, phase_ - 1, value_, cfg_.quorum_size());
       } else {
-        append_quorum(out, phase_ - 2, Value::kZero, cfg_.half_quorum_size());
-        append_quorum(out, phase_ - 2, Value::kOne, cfg_.half_quorum_size());
+        view_.append_at(out, phase_ - 2, Value::kZero, cfg_.half_quorum_size());
+        view_.append_at(out, phase_ - 2, Value::kOne, cfg_.half_quorum_size());
       }
       break;
   }
 
   // Status justification.
   if (status_ == Status::kDecided && decide_phase_ >= 3) {
-    append_quorum(out, decide_phase_, value_, cfg_.quorum_size());
+    view_.append_at(out, decide_phase_, value_, cfg_.quorum_size());
   } else if (status_ == Status::kUndecided && phase_ > 3) {
     const Phase lock = SemanticValidator::highest_lock_phase_below(phase_);
-    append_quorum(out, lock, Value::kZero, cfg_.half_quorum_size());
-    append_quorum(out, lock, Value::kOne, cfg_.half_quorum_size());
+    view_.append_at(out, lock, Value::kZero, cfg_.half_quorum_size());
+    view_.append_at(out, lock, Value::kOne, cfg_.half_quorum_size());
     // Direct evidence of a non-uniform DECIDE quorum (see validation.cpp).
     const Phase decide = SemanticValidator::highest_decide_phase_below(phase_);
-    append_quorum(out, decide, Value::kBottom, 1);
-    append_quorum(out, decide, Value::kZero, 1);
-    append_quorum(out, decide, Value::kOne, 1);
+    view_.append_at(out, decide, Value::kBottom, 1);
+    view_.append_at(out, decide, Value::kZero, 1);
+    view_.append_at(out, decide, Value::kOne, 1);
   }
 
   // Keep the first occurrence of each (sender, phase) in rule order, up to
   // the cap; justification messages never nest. The candidates span a
   // handful of phases, so one sender set per phase makes each check O(1).
-  std::vector<std::pair<Phase, SenderSet>> seen;
+  std::vector<std::pair<Phase, SenderSet>>& seen = just_cache_.seen;
+  seen.clear();
   std::vector<Message>& picked = just_cache_.messages;
   picked.clear();
   for (const Message* m : out) {
@@ -268,18 +274,6 @@ const std::vector<Message>& Process::build_justification(
   }
   just_cache_.key = fp;
   return picked;
-}
-
-void Process::append_quorum(std::vector<const Message*>& out, Phase phase,
-                            std::optional<Value> value,
-                            std::size_t want) const {
-  if (phase == 0) return;
-  const auto msgs = value.has_value()
-                        ? view_.messages_at_with_value(phase, *value, want)
-                        : view_.messages_at(phase);
-  out.insert(out.end(), msgs.begin(),
-             msgs.begin() + static_cast<std::ptrdiff_t>(
-                                std::min(want, msgs.size())));
 }
 
 // ---------------------------------------------------------------- task T2 --

@@ -151,10 +151,6 @@ class Process {
   /// kMaxAttachments. The reference stays valid until the next call.
   [[nodiscard]] const std::vector<Message>& build_justification(
       bool with_root_evidence) const;
-  /// Appends up to `want` messages of `phase` (carrying `value`, if given)
-  /// from the view, as pointers into its stable nodes.
-  void append_quorum(std::vector<const Message*>& out, Phase phase,
-                     std::optional<Value> value, std::size_t want) const;
 
   runtime::Runtime& rt_;
   net::DatagramPort& endpoint_;
@@ -216,8 +212,17 @@ class Process {
   struct JustificationCache {
     std::optional<BroadcastFingerprint> key;
     std::vector<Message> messages;
+    // Scratch reused across rebuilds, so a rebuild allocates nothing once
+    // the vectors have grown: the rule-ordered candidates (pointers into
+    // the view, which is not mutated during assembly) and one sender set
+    // per phase they span.
+    std::vector<const Message*> candidates;
+    std::vector<std::pair<Phase, SenderSet>> seen;
   };
   mutable JustificationCache just_cache_;
+  /// The outgoing datagram, reused by every broadcast for its
+  /// justification vector's capacity.
+  Datagram outgoing_;
 
   // Whole-payload memo: when the fingerprint matches and no Byzantine
   // mutator is installed (a mutator may consume randomness, so it must

@@ -59,7 +59,7 @@ class VerifyMemo {
   static constexpr std::size_t kMaxEntriesPerKey = 8;
 
   struct Entry {
-    Bytes sk;
+    AuthKey sk;
     bool ok;
   };
 

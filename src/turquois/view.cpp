@@ -1,86 +1,75 @@
 #include "turquois/view.hpp"
 
+#include <algorithm>
+
 #include "turquois/config.hpp"
 
 namespace turq::turquois {
 
-View::View(const View& other)
-    : phases_(other.phases_), total_(other.total_) {
-  if (other.highest_ != nullptr) {
-    highest_ = &phases_.at(other.highest_->phase)
-                    .by_sender.at(other.highest_->sender);
-  }
+namespace {
+template <typename Books>
+auto lower_bound_phase(Books& books, Phase phase) {
+  return std::lower_bound(
+      books.begin(), books.end(), phase,
+      [](const auto& book, Phase p) { return book.phase < p; });
 }
+}  // namespace
 
-View& View::operator=(const View& other) {
-  if (this == &other) return *this;
-  phases_ = other.phases_;
-  total_ = other.total_;
-  highest_ = nullptr;
-  if (other.highest_ != nullptr) {
-    highest_ = &phases_.at(other.highest_->phase)
-                    .by_sender.at(other.highest_->sender);
-  }
-  return *this;
+const View::PhaseBook* View::find(Phase phase) const {
+  const auto it = lower_bound_phase(books_, phase);
+  return it != books_.end() && it->phase == phase ? &*it : nullptr;
 }
 
 void View::clear() {
-  phases_.clear();
+  books_.clear();
   total_ = 0;
-  highest_ = nullptr;
 }
 
 bool View::insert(const Message& m) {
-  PhaseBook& book = phases_[m.phase];
-  const auto [it, inserted] = book.by_sender.emplace(m.sender, m);
-  if (!inserted) return false;
-  if (m.sender < SenderSet::kCapacity) book.senders.insert(m.sender);
+  TURQ_ASSERT_MSG(m.sender < SenderSet::kCapacity,
+                  "view senders must be below SenderSet::kCapacity");
+  auto it = lower_bound_phase(books_, m.phase);
+  if (it == books_.end() || it->phase != m.phase) {
+    it = books_.emplace(it);
+    it->phase = m.phase;
+    it->slots.resize(slot_width_);
+  } else if (it->senders.contains(m.sender)) {
+    return false;
+  }
+  PhaseBook& book = *it;
+  if (m.sender >= book.slots.size()) {
+    book.slots.resize(m.sender + 1);
+    slot_width_ = std::max(slot_width_, book.slots.size());
+  }
+  book.slots[m.sender] = m;
+  book.senders.insert(m.sender);
   ++book.value_count[static_cast<std::size_t>(m.value)];
   ++total_;
-  if (highest_ == nullptr || m.phase > highest_->phase ||
-      (m.phase == highest_->phase && m.sender < highest_->sender)) {
-    highest_ = &it->second;
-  }
   return true;
 }
 
 bool View::has(ProcessId sender, Phase phase) const {
-  const auto it = phases_.find(phase);
-  if (it == phases_.end()) return false;
-  if (sender < SenderSet::kCapacity) return it->second.senders.contains(sender);
-  return it->second.by_sender.contains(sender);
+  const PhaseBook* book = find(phase);
+  return book != nullptr && book->senders.contains(sender);
 }
 
 std::size_t View::count_phase(Phase phase) const {
-  const auto it = phases_.find(phase);
-  return it == phases_.end() ? 0 : it->second.by_sender.size();
+  const PhaseBook* book = find(phase);
+  return book == nullptr ? 0 : book->senders.count();
 }
 
 std::size_t View::count_phase_value(Phase phase, Value v) const {
-  const auto it = phases_.find(phase);
-  return it == phases_.end()
-             ? 0
-             : it->second.value_count[static_cast<std::size_t>(v)];
+  const PhaseBook* book = find(phase);
+  return book == nullptr ? 0
+                         : book->value_count[static_cast<std::size_t>(v)];
 }
 
 std::size_t View::count_phase_at_least(Phase phase) const {
-  // Distinct senders with any message at phase >= `phase`: union the
-  // per-phase bitsets; ids beyond the bitset capacity (hand-built test
-  // views only) fall back to a scan.
   SenderSet seen;
-  std::vector<ProcessId> seen_large;
-  for (auto it = phases_.lower_bound(phase); it != phases_.end(); ++it) {
-    const PhaseBook& book = it->second;
-    seen |= book.senders;
-    if (book.senders.count() == book.by_sender.size()) continue;
-    for (const auto& [sender, msg] : book.by_sender) {
-      if (sender < SenderSet::kCapacity) continue;
-      bool dup = false;
-      for (const ProcessId s : seen_large) dup |= (s == sender);
-      if (!dup) seen_large.push_back(sender);
-    }
+  for (auto it = lower_bound_phase(books_, phase); it != books_.end(); ++it) {
+    seen |= it->senders;
   }
-  return seen.count() + seen_large.size();
+  return seen.count();
 }
 
 Value View::majority_value(Phase phase) const {
@@ -89,28 +78,25 @@ Value View::majority_value(Phase phase) const {
   return zeros > ones ? Value::kZero : Value::kOne;
 }
 
-const Message* View::highest_phase_message() const { return highest_; }
-
-std::vector<const Message*> View::messages_at(Phase phase) const {
-  std::vector<const Message*> out;
-  const auto it = phases_.find(phase);
-  if (it == phases_.end()) return out;
-  out.reserve(it->second.by_sender.size());
-  for (const auto& [sender, msg] : it->second.by_sender) out.push_back(&msg);
-  return out;
+const Message* View::highest_phase_message() const {
+  if (books_.empty()) return nullptr;
+  const PhaseBook& top = books_.back();
+  return &top.slots[top.senders.next(0)];
 }
 
-std::vector<const Message*> View::messages_at_with_value(
-    Phase phase, Value v, std::size_t limit) const {
-  std::vector<const Message*> out;
-  const auto it = phases_.find(phase);
-  if (it == phases_.end()) return out;
-  for (const auto& [sender, msg] : it->second.by_sender) {
-    if (msg.value != v) continue;
-    out.push_back(&msg);
-    if (out.size() == limit) break;
+void View::append_at(std::vector<const Message*>& out, Phase phase,
+                     std::optional<Value> value, std::size_t limit) const {
+  const PhaseBook* book = find(phase);
+  if (book == nullptr) return;
+  std::size_t added = 0;
+  for (ProcessId s = book->senders.next(0);
+       s < SenderSet::kCapacity && added < limit;
+       s = book->senders.next(s + 1)) {
+    const Message& m = book->slots[s];
+    if (value.has_value() && m.value != *value) continue;
+    out.push_back(&m);
+    ++added;
   }
-  return out;
 }
 
 bool has_decide_quorum(const View& view, const Config& cfg, Value v) {

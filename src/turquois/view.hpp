@@ -6,10 +6,21 @@
 // same sender at the same phase is Byzantine equivocation and is ignored.
 // This also keeps all quorum counts bounded by n, which the intersection
 // arguments behind the (n+f)/2 thresholds rely on.
+//
+// Layout: one PhaseBook per phase that holds a message, in a vector sorted
+// by phase. A book stores its messages in a slot array indexed by sender,
+// the SenderSet of occupied slots, and per-value counts, so membership and
+// every count are O(1) once the book is found (a binary search over the few
+// live phases). New books start as wide as the widest book so far, so once
+// any message from the highest sender id is in, an insert into an existing
+// book never allocates.
+// Messages are trivially copyable (message.hpp) and the highest-phase
+// message is derived from the last book, so the defaulted copies and moves
+// are correct. Senders must be below SenderSet::kCapacity (128), the same
+// ceiling Config::validate puts on n; insert() aborts otherwise.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -23,23 +34,11 @@ struct Config;
 
 class View {
  public:
-  View() = default;
-
-  // `highest_` points into a map node of `phases_`. Node-based map storage
-  // makes it stable across every mutation the class performs (insert never
-  // invalidates map iterators/references, and nothing here erases), and a
-  // move transfers the nodes themselves, so the defaulted moves keep the
-  // pointer valid. A memberwise *copy*, however, would leave the new view's
-  // `highest_` aimed at the source's nodes — so copies rebind it explicitly.
-  View(const View& other);
-  View& operator=(const View& other);
-  View(View&&) noexcept = default;
-  View& operator=(View&&) noexcept = default;
-
   /// Inserts a validated message. Returns false on duplicate (sender, phase).
+  /// Aborts if m.sender >= SenderSet::kCapacity.
   bool insert(const Message& m);
 
-  /// Drops every message and resets the highest-phase cursor.
+  /// Drops every message.
   void clear();
 
   /// True if a message from `sender` at `phase` is already present.
@@ -76,32 +75,33 @@ class View {
   }
 
   /// The message with the highest phase (ties -> lowest sender), if any.
+  /// The pointer is valid until the view is next mutated.
   [[nodiscard]] const Message* highest_phase_message() const;
 
-  /// All messages at `phase` (for justification assembly).
-  [[nodiscard]] std::vector<const Message*> messages_at(Phase phase) const;
-
-  /// Up to `limit` messages at `phase` carrying value v.
-  [[nodiscard]] std::vector<const Message*> messages_at_with_value(
-      Phase phase, Value v, std::size_t limit) const;
+  /// Appends to `out` up to `limit` messages at `phase` (only those carrying
+  /// `value`, if given), in ascending sender order — for justification
+  /// assembly. The pointers are valid until the view is next mutated.
+  void append_at(std::vector<const Message*>& out, Phase phase,
+                 std::optional<Value> value, std::size_t limit) const;
 
   [[nodiscard]] std::size_t size() const { return total_; }
 
  private:
   struct PhaseBook {
-    std::map<ProcessId, Message> by_sender;
-    /// Mirrors by_sender's keys below SenderSet::kCapacity — has() is the
-    /// hottest query (every ingest gate at every receiver) and the bitset
-    /// answers it without walking the tree. Larger ids (possible only in
-    /// hand-built unit-test views; deployments cap n at 128) stay on the
-    /// map path.
+    Phase phase = 0;
+    /// Indexed by sender; only the slots in `senders` hold messages.
+    std::vector<Message> slots;
     SenderSet senders;
     std::size_t value_count[3] = {0, 0, 0};
   };
 
-  std::map<Phase, PhaseBook> phases_;
+  /// The book for `phase`, or null when the view holds no message there.
+  [[nodiscard]] const PhaseBook* find(Phase phase) const;
+
+  std::vector<PhaseBook> books_;  // ascending phase, none empty
   std::size_t total_ = 0;
-  const Message* highest_ = nullptr;
+  /// Slot count new books start with: the widest book so far.
+  std::size_t slot_width_ = 0;
 };
 
 /// Quorum sanity for a decision on `v`: true when some DECIDE phase (every

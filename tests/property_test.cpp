@@ -66,9 +66,9 @@ TEST_P(ViewFuzz, CountsAlwaysConsistent) {
 
 TEST_P(ViewFuzz, WideSendersExtremePhasesAndDecidedMixes) {
   // Stresses the paths the n<=16 fuzz above never reaches: sender ids
-  // straddling the 64-bit bitmask fast path of count_phase_at_least,
-  // phases at the max_phase end of the range, and kDecided/from_coin
-  // header mixes (which must not affect any count).
+  // across both 64-bit words of the SenderSet that count_phase_at_least
+  // unions, phases at the max_phase end of the range, and kDecided/
+  // from_coin header mixes (which must not affect any count).
   Rng rng(GetParam());
   turquois::View view;
   std::map<std::pair<ProcessId, turquois::Phase>, Value> reference;
@@ -107,8 +107,8 @@ TEST_P(ViewFuzz, WideSendersExtremePhasesAndDecidedMixes) {
     }
   }
 
-  // count_phase_at_least must agree with a reference distinct-sender scan
-  // across both the <64 bitmask path and the >=64 vector fallback.
+  // count_phase_at_least must agree with a reference distinct-sender scan,
+  // with senders below and above 64.
   for (const turquois::Phase cutoff :
        {turquois::Phase{1}, turquois::Phase{5}, kMaxPhase - 7, kMaxPhase}) {
     std::set<ProcessId> senders;
@@ -121,10 +121,11 @@ TEST_P(ViewFuzz, WideSendersExtremePhasesAndDecidedMixes) {
 }
 
 TEST_P(ViewFuzz, HighestPointerSurvivesCopyMoveClearInterleavings) {
-  // `highest_` points into the view's own map nodes; copies must rebind it
-  // and moves/clears must keep it coherent. Hammer random interleavings of
+  // The view's copies and moves are the defaulted ones: a copy must be
+  // independent of its source, and moves/clears must keep the
+  // highest-phase message coherent. Hammer random interleavings of
   // insert / copy-construct / copy-assign / move / clear and compare the
-  // cursor against a reference recomputation after every step.
+  // highest-phase message against a reference after every step.
   Rng rng(GetParam());
   turquois::View view;
   std::map<std::pair<ProcessId, turquois::Phase>, Value> reference;
@@ -153,8 +154,8 @@ TEST_P(ViewFuzz, HighestPointerSurvivesCopyMoveClearInterleavings) {
 
   for (int step = 0; step < 600; ++step) {
     switch (rng.uniform(10)) {
-      case 0: {  // copy-construct, then mutate the source: the copy's
-                 // cursor must not chase the source's nodes.
+      case 0: {  // copy-construct, then mutate the source: the copy
+                 // must not see the source's insert.
         turquois::View copy(view);
         auto ref_copy = reference;
         turquois::Message m;
@@ -247,8 +248,107 @@ TEST_P(CodecFuzz, TruncationsOfValidDatagramsFailCleanly) {
   }
 }
 
+TEST_P(CodecFuzz, BitFlipsOfValidDatagramsNeverAbort) {
+  Rng rng(GetParam());
+  turquois::Datagram d;
+  d.main = turquois::Message{.sender = 3,
+                             .phase = 6,
+                             .value = Value::kBottom,
+                             .status = Status::kUndecided,
+                             .from_coin = false,
+                             .auth_sk = Bytes(32, 0x5A)};
+  for (int j = 0; j < 4; ++j) {
+    d.justification.push_back(d.main);
+    d.justification.back().sender = static_cast<ProcessId>(j);
+    d.justification.back().auth_sk =
+        Bytes(static_cast<std::size_t>(8 * j), 0x11);
+  }
+  const Bytes enc = d.encode();
+  for (int i = 0; i < 5000; ++i) {
+    Bytes flipped = enc;
+    const std::uint64_t flips = 1 + rng.uniform(4);
+    for (std::uint64_t k = 0; k < flips; ++k) {
+      flipped[rng.uniform(flipped.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform(8));
+    }
+    // A flip in a length field may claim any key size; the decoder must
+    // fail cleanly or yield a datagram that re-encodes to the same bytes.
+    const auto decoded = turquois::Datagram::decode(flipped);
+    if (!decoded.has_value()) continue;
+    EXPECT_LE(decoded->main.auth_sk.size(), turquois::AuthKey::kMaxBytes);
+    for (const turquois::Message& m : decoded->justification) {
+      EXPECT_LE(m.auth_sk.size(), turquois::AuthKey::kMaxBytes);
+    }
+    if (decoded->encode().size() == flipped.size()) {
+      EXPECT_EQ(decoded->encode(), flipped);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,
                          ::testing::Range<std::uint64_t>(10, 14));
+
+/// A datagram whose main message claims a `key_len`-byte key and carries
+/// `present` key bytes, followed by `attachments` copies of the same core
+/// (hand-encoded: Message::encode_core cannot write an oversized key).
+Bytes datagram_with_key_field(std::uint32_t key_len, std::size_t present,
+                              std::uint16_t attachments = 0) {
+  const auto core = [&](Writer& w) {
+    w.u32(1);  // sender
+    w.u32(4);  // phase
+    w.u8(static_cast<std::uint8_t>(Value::kOne));
+    w.u8(static_cast<std::uint8_t>(Status::kUndecided));
+    w.u8(0);  // from_coin
+    w.u32(key_len);
+    for (std::size_t i = 0; i < present; ++i) {
+      w.u8(static_cast<std::uint8_t>(0xC0 + i));
+    }
+  };
+  Writer w;
+  w.u8(0x54);  // datagram tag
+  core(w);
+  w.u16(attachments);
+  for (std::uint16_t i = 0; i < attachments; ++i) core(w);
+  return w.take();
+}
+
+TEST(CodecKeyLength, KeysUpTo32BytesRoundTripLongerOnesAreRejected) {
+  for (std::uint32_t len = 0; len <= 33; ++len) {
+    for (const std::uint16_t attachments :
+         {std::uint16_t{0}, std::uint16_t{2}}) {
+      const Bytes enc = datagram_with_key_field(len, len, attachments);
+      const auto decoded = turquois::Datagram::decode(enc);
+      if (len > turquois::AuthKey::kMaxBytes) {
+        EXPECT_FALSE(decoded.has_value()) << "key length " << len;
+        continue;
+      }
+      ASSERT_TRUE(decoded.has_value()) << "key length " << len;
+      ASSERT_EQ(decoded->main.auth_sk.size(), len);
+      for (std::uint32_t i = 0; i < len; ++i) {
+        EXPECT_EQ(decoded->main.auth_sk.data()[i], 0xC0 + i);
+      }
+      ASSERT_EQ(decoded->justification.size(), attachments);
+      for (const turquois::Message& m : decoded->justification) {
+        EXPECT_EQ(m, decoded->main);
+      }
+      EXPECT_EQ(decoded->encode(), enc) << "key length " << len;
+    }
+  }
+  // Oversized keys are rejected whether or not their bytes are present,
+  // and a length no buffer can satisfy fails cleanly.
+  EXPECT_FALSE(turquois::Datagram::decode(datagram_with_key_field(64, 64)));
+  EXPECT_FALSE(turquois::Datagram::decode(datagram_with_key_field(64, 8)));
+  EXPECT_FALSE(
+      turquois::Datagram::decode(datagram_with_key_field(0xFFFFFFFFu, 32)));
+  EXPECT_FALSE(
+      turquois::Datagram::decode(datagram_with_key_field(0xFFFFFFFFu, 0, 3)));
+  // One oversized attachment makes the whole datagram malformed.
+  Bytes mixed = datagram_with_key_field(32, 32, 1);
+  const std::size_t attached_len_at = mixed.size() - 32 - 4;
+  mixed[attached_len_at] = 33;
+  mixed.push_back(0xEE);
+  EXPECT_FALSE(turquois::Datagram::decode(mixed).has_value());
+}
 
 // ------------------------------------------------------ medium invariants
 

@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "crypto/cost_model.hpp"
 #include "net/broadcast_endpoint.hpp"
 #include "net/broadcast_service.hpp"
@@ -19,6 +20,7 @@
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
+#include "turquois/exchange_pool.hpp"
 #include "turquois/key_infra.hpp"
 #include "adversary/strategies.hpp"
 #include "turquois/process.hpp"
@@ -459,6 +461,84 @@ TEST(TurquoisByzantine, ReplayedStatusCannotForgeDecision) {
   View empty_view;
   const SemanticValidator validator(cfg, empty_view);
   EXPECT_FALSE(validator.status_valid(replayed));  // …but cannot validate
+}
+
+/// A port that hands inbound payloads straight to the process's handler
+/// and drops whatever the process sends: no loopback, no medium.
+class InjectPort final : public net::DatagramPort {
+ public:
+  void set_handler(net::DatagramHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void send(SharedBytes) override {}
+  void close() override {}
+  void deliver(ProcessId src, const Bytes& payload) { handler_(src, payload); }
+
+ private:
+  net::DatagramHandler handler_;
+};
+
+/// A datagram from `sender` at phase 1 revealing `key`, encoded by hand so
+/// that the key may be longer than an AuthKey holds.
+Bytes phase1_datagram(ProcessId sender, Value v, BytesView key) {
+  Writer w;
+  w.u8(0x54);  // datagram tag
+  w.u32(sender);
+  w.u32(1);  // phase
+  w.u8(static_cast<std::uint8_t>(v));
+  w.u8(static_cast<std::uint8_t>(Status::kUndecided));
+  w.u8(0);  // from_coin
+  w.bytes(key);
+  w.u16(0);  // no justification
+  return w.take();
+}
+
+TEST(TurquoisCodec, OversizedKeyIsMalformedNotAnAuthFailure) {
+  // A revealed key longer than 32 bytes can never hash to a VK (VK is the
+  // hash of a 32-byte SK), so the decoder drops its datagram as malformed:
+  // the exchange pool records a malformed entry and the receiving process
+  // neither ingests it nor counts an authentication failure. Controls: the
+  // genuine key is accepted, and a wrong 32-byte key is an auth failure.
+  const Config cfg = Config::for_group(4);
+  Rng rng(11);
+  const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
+  const crypto::CostModel costs;
+  sim::Simulator sim;
+  sim::VirtualCpu cpu(sim);
+  runtime::SimRuntime rt(sim, cpu);
+  InjectPort port;
+  ExchangePool pool(keys, cfg, nullptr);
+  ProcessHooks hooks;
+  hooks.exchange_pool = &pool;
+  Process p(rt, port, cfg, keys, 0, Rng(12), costs, std::move(hooks));
+  p.propose(Value::kOne);
+
+  const BytesView genuine = keys.chain(1).secret_key(1, Value::kOne);
+  Bytes oversized(genuine.begin(), genuine.end());
+  oversized.push_back(0x00);
+  const Bytes too_long = phase1_datagram(1, Value::kOne, oversized);
+  EXPECT_FALSE(pool.acquire(1, too_long).datagram.has_value());
+
+  port.deliver(1, too_long);
+  sim.run_until(kSecond);
+  EXPECT_EQ(p.stats().datagrams_received, 0u);
+  EXPECT_EQ(p.stats().messages_authenticated, 0u);
+  EXPECT_EQ(p.stats().auth_failures, 0u);
+  EXPECT_FALSE(p.view().has(1, 1));
+
+  Bytes wrong(genuine.begin(), genuine.end());
+  wrong.back() ^= 0x01;
+  port.deliver(1, phase1_datagram(1, Value::kOne, wrong));
+  sim.run_until(2 * kSecond);
+  EXPECT_EQ(p.stats().datagrams_received, 1u);
+  EXPECT_EQ(p.stats().auth_failures, 1u);
+  EXPECT_FALSE(p.view().has(1, 1));
+
+  port.deliver(1, phase1_datagram(1, Value::kOne, genuine));
+  sim.run_until(3 * kSecond);
+  EXPECT_EQ(p.stats().datagrams_received, 2u);
+  EXPECT_EQ(p.stats().messages_authenticated, 1u);
+  EXPECT_TRUE(p.view().has(1, 1));
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ TEST(View, CopyRebindsHighestAndClearResets) {
   v.insert(msg(2, 4, Value::kZero));
 
   View copy(v);
-  v.clear();  // the copy's highest cursor must not dangle into `v`
+  v.clear();  // the copy must not share storage with `v`
   EXPECT_EQ(v.highest_phase_message(), nullptr);
   EXPECT_EQ(v.size(), 0u);
   EXPECT_EQ(v.count_phase(9), 0u);
@@ -101,7 +101,7 @@ TEST(View, CopyRebindsHighestAndClearResets) {
   copy.clear();
   ASSERT_NE(assigned.highest_phase_message(), nullptr);
   EXPECT_EQ(assigned.highest_phase_message()->phase, 9u);
-  // The view stays usable after clear(): inserts restart the cursor.
+  // The view stays usable after clear(): a later insert is the new highest.
   copy.insert(msg(7, 3, Value::kOne));
   ASSERT_NE(copy.highest_phase_message(), nullptr);
   EXPECT_EQ(copy.highest_phase_message()->sender, 7u);
@@ -128,12 +128,54 @@ TEST(View, CountPhaseAtLeastCountsDistinctSenders) {
   EXPECT_EQ(v.count_phase_at_least(10), 0u);
 }
 
-TEST(View, MessagesAtWithValueRespectsLimit) {
+TEST(View, AppendAtRespectsLimitAndSenderOrder) {
   View v;
-  fill(v, 2, Value::kOne, 5, 0);
-  EXPECT_EQ(v.messages_at_with_value(2, Value::kOne, 3).size(), 3u);
-  EXPECT_EQ(v.messages_at_with_value(2, Value::kZero, 3).size(), 0u);
-  EXPECT_EQ(v.messages_at(2).size(), 5u);
+  // Five kOne messages at phase 2, inserted out of sender order.
+  for (const ProcessId s : {4u, 0u, 3u, 1u, 2u}) {
+    v.insert(msg(s, 2, Value::kOne));
+  }
+  const auto at = [&](Phase phase, std::optional<Value> value,
+                      std::size_t limit) {
+    std::vector<const Message*> out;
+    v.append_at(out, phase, value, limit);
+    return out;
+  };
+  EXPECT_EQ(at(2, Value::kOne, 3).size(), 3u);
+  EXPECT_EQ(at(2, Value::kZero, 3).size(), 0u);
+  EXPECT_EQ(at(2, std::nullopt, 100).size(), 5u);
+
+  // Ascending sender order, whatever the insertion order.
+  const auto all = at(2, std::nullopt, 100);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i]->sender, i);
+  }
+  // The value filter skips senders without counting them toward the limit.
+  v.insert(msg(0, 4, Value::kZero));
+  v.insert(msg(1, 4, Value::kOne));
+  v.insert(msg(2, 4, Value::kZero));
+  v.insert(msg(3, 4, Value::kZero));
+  const auto zeros = at(4, Value::kZero, 2);
+  ASSERT_EQ(zeros.size(), 2u);
+  EXPECT_EQ(zeros[0]->sender, 0u);
+  EXPECT_EQ(zeros[1]->sender, 2u);
+
+  // Appends after what `out` already holds.
+  std::vector<const Message*> out{nullptr};
+  v.append_at(out, 4, Value::kOne, 5);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1]->sender, 1u);
+
+  // An absent phase (and phase 0) appends nothing.
+  EXPECT_TRUE(at(3, std::nullopt, 100).empty());
+  EXPECT_TRUE(at(0, Value::kOne, 100).empty());
+}
+
+TEST(ViewDeathTest, InsertRejectsSendersBeyondTheBitset) {
+  View v;
+  EXPECT_DEATH(v.insert(msg(SenderSet::kCapacity, 1, Value::kOne)),
+               "view senders must be below SenderSet::kCapacity");
+  v.insert(msg(SenderSet::kCapacity - 1, 1, Value::kOne));
+  EXPECT_TRUE(v.has(SenderSet::kCapacity - 1, 1));
 }
 
 // ------------------------------------------------------------- phase rule
