@@ -3,15 +3,13 @@
 // default saturates the channel well before n = 128 — see EXPERIMENTS.md,
 // "Large-n scaling").
 //
-// Each group size runs three legs over the *same seeds*:
-//   legacy    --no-exchange-pool, --intra-jobs 1: every receiver decodes
-//             and verifies each delivery privately — the pre-pool hot path
-//             (and a conservative stand-in for the pre-PR binary, which
-//             rejects n > 64 outright)
+// Each group size runs two legs over the *same seeds*:
+//   legacy    --no-exchange-pool: every receiver decodes and verifies each
+//             delivery privately — the pre-pool hot path (and a
+//             conservative stand-in for the pre-PR binary, which rejects
+//             n > 64 outright)
 //   pooled    the default path: one decode + batched-SHA-256 verify per
 //             unique payload, shared across all receivers
-//   parallel  pooled + --intra-jobs auto: fills run on TaskPool workers
-//             inside the DIFS/backoff/airtime lookahead window
 //
 // The legs must be *bit-identical* in everything simulated — the bench
 // asserts it by serializing each leg's report cell and comparing bytes
@@ -19,8 +17,8 @@
 //
 // Output:
 //   --json PATH       turquois-bench/1 report, one cell per (n, leg); the
-//                     deterministic artifact (byte-identical at any --jobs
-//                     / --intra-jobs, modulo the environment line)
+//                     deterministic artifact (byte-identical at any --jobs,
+//                     modulo the environment line)
 //   --perf-json PATH  flat wall-clock metrics (schema turquois-large-n/1,
 //                     machine-dependent by nature) — the committed
 //                     BENCH_large_n.json, gated by tools/check_perf.sh on
@@ -45,7 +43,6 @@
 #include "harness/parse_duration.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
-#include "sim/task_pool.hpp"
 
 using namespace turq;
 using namespace turq::harness;
@@ -55,13 +52,11 @@ namespace {
 struct Leg {
   const char* name;
   bool pool;
-  std::uint32_t intra_jobs;  // requested value (0 = auto)
 };
 
 constexpr Leg kLegs[] = {
-    {"legacy", false, 1},
-    {"pooled", true, 1},
-    {"parallel", true, 0},
+    {"legacy", false},
+    {"pooled", true},
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -139,7 +134,6 @@ int main(int argc, char** argv) {
   report.name = "large_n";
   report.seed = seed;
   report.jobs = effective_jobs(jobs);
-  report.intra_jobs = sim::TaskPool::resolve(0);  // the parallel leg's pool
   std::map<std::string, double> perf;  // ordered => deterministic key order
   const auto started = std::chrono::steady_clock::now();
 
@@ -148,9 +142,9 @@ int main(int argc, char** argv) {
       "tick\n(%u repetitions per leg, seed %llu; all legs bit-identical by "
       "construction,\n verified per cell)\n\n",
       reps, static_cast<unsigned long long>(seed));
-  std::printf("%5s | %10s | %10s | %10s | %9s | %9s\n", "n", "legacy",
-              "pooled", "parallel", "pool gain", "par gain");
-  std::printf("%s\n", std::string(68, '-').c_str());
+  std::printf("%5s | %10s | %10s | %9s\n", "n", "legacy", "pooled",
+              "pool gain");
+  std::printf("%s\n", std::string(44, '-').c_str());
 
   std::uint32_t gate_n = 0;  // largest n <= 64: the CI-comparable anchor
   for (const std::uint32_t n : sizes) {
@@ -158,7 +152,7 @@ int main(int argc, char** argv) {
   }
 
   for (const std::uint32_t n : sizes) {
-    double wall[3] = {0.0, 0.0, 0.0};
+    double wall[std::size(kLegs)] = {};
     std::string fingerprint;
     std::uint64_t deliveries = 0;
     for (std::size_t li = 0; li < std::size(kLegs); ++li) {
@@ -170,7 +164,6 @@ int main(int argc, char** argv) {
       cfg.repetitions = reps;
       cfg.seed = seed;
       cfg.jobs = jobs;
-      cfg.intra_jobs = leg.intra_jobs;
       cfg.exchange_pool = leg.pool;
       cfg.tick_interval = 40 * kMillisecond;
       cfg.medium.broadcast_rate_bps = 11e6;
@@ -200,33 +193,28 @@ int main(int argc, char** argv) {
         return 1;
       }
       cell.extra["exchange_pool"] = leg.pool ? 1.0 : 0.0;
-      cell.extra["intra_jobs_requested"] =
-          static_cast<double>(leg.intra_jobs);
       report.cells.push_back(std::move(cell));
     }
 
     const std::string tag = std::to_string(n);
     perf["wall_legacy_n" + tag] = wall[0];
     perf["wall_pooled_n" + tag] = wall[1];
-    perf["wall_parallel_n" + tag] = wall[2];
     perf["speedup_pooled_n" + tag] = wall[0] / wall[1];
-    perf["speedup_parallel_n" + tag] = wall[0] / wall[2];
     if (n == gate_n) {
       perf["events_per_sec"] = static_cast<double>(deliveries) / wall[1];
       perf["speedup_vs_legacy"] = wall[0] / wall[1];
     }
-    std::printf("%5u | %9.3fs | %9.3fs | %9.3fs | %8.2fx | %8.2fx\n", n,
-                wall[0], wall[1], wall[2], wall[0] / wall[1],
-                wall[0] / wall[2]);
+    std::printf("%5u | %9.3fs | %9.3fs | %8.2fx\n", n, wall[0], wall[1],
+                wall[0] / wall[1]);
   }
 
   const double total_wall = seconds_since(started);
   report.wall_seconds = total_wall;
   std::printf(
-      "\npool gain = legacy / pooled wall clock; par gain = legacy / "
-      "parallel.\nThe legacy leg already shares this build's broadcast-path "
-      "caches, so the\ngains above understate the speedup over the pre-pool "
-      "binary (which caps\nat n = 64; see EXPERIMENTS.md for the "
+      "\npool gain = legacy / pooled wall clock.\nThe legacy leg already "
+      "shares this build's broadcast-path caches, so the\ngains above "
+      "understate the speedup over the pre-pool binary (which caps\nat "
+      "n = 64; see EXPERIMENTS.md for the "
       "cross-binary comparison).\n");
   std::fprintf(stderr, "wall-clock: %.2f s\n", total_wall);
 
@@ -253,17 +241,17 @@ int main(int argc, char** argv) {
                    ++emitted == perf.size() ? "" : ",");
     }
     // The environment line records what this run *actually* executed with —
-    // worker counts, the SHA-256 implementation kAuto resolved to on this
+    // the worker count, the SHA-256 implementation kAuto resolved to on this
     // machine, and the legs the sweep ran — not the compile-time defaults.
     // It is excluded from the determinism contract (see report.hpp).
     std::fprintf(f,
                  "  },\n"
-                 "  \"environment\": {\"jobs\": %u, \"intra_jobs\": %u, "
+                 "  \"environment\": {\"jobs\": %u, "
                  "\"sha256_impl\": \"%s\", \"legs\": "
-                 "[\"legacy\", \"pooled\", \"parallel\"], "
+                 "[\"legacy\", \"pooled\"], "
                  "\"wall_clock_seconds\": %.3f}\n"
                  "}\n",
-                 report.jobs, report.intra_jobs,
+                 report.jobs,
                  crypto::to_string(crypto::sha256_batch_resolved_impl()),
                  total_wall);
     std::fclose(f);

@@ -38,7 +38,6 @@
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "service/service.hpp"
-#include "sim/task_pool.hpp"
 
 using namespace turq;
 using namespace turq::harness;
@@ -115,7 +114,6 @@ int main(int argc, char** argv) {
   report.name = "service_throughput";
   report.seed = seed;
   report.jobs = effective_jobs(jobs);
-  report.intra_jobs = sim::TaskPool::resolve(1);
   std::map<std::string, double> perf;  // ordered => deterministic key order
   const auto started = std::chrono::steady_clock::now();
 
@@ -267,10 +265,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "  },\n"
-                 "  \"environment\": {\"jobs\": %u, \"intra_jobs\": %u, "
+                 "  \"environment\": {\"jobs\": %u, "
                  "\"wall_clock_seconds\": %.3f}\n"
                  "}\n",
-                 report.jobs, report.intra_jobs, total_wall);
+                 report.jobs, total_wall);
     std::fclose(f);
     std::fprintf(stderr, "perf report: %s\n", perf_path.c_str());
   }

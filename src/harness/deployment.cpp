@@ -157,11 +157,7 @@ void Repetition::report([[maybe_unused]] const RunResult& result) {
     }
   }
   if (exchange_pool.has_value()) {
-    // Acquire-side counters only: they are measured on the simulator
-    // thread in delivery order and are bit-identical at any --intra-jobs.
-    // Fill attribution (inline vs worker, claim races) is execution-
-    // timing-dependent and deliberately stays out of the trace contract
-    // (see ExchangePool::Stats).
+    // Measured in delivery order, so deterministic (ExchangePool::Stats).
     m.counter("exchange_pool.acquires")
         .add(static_cast<std::int64_t>(exchange_pool->acquires));
     m.counter("exchange_pool.hits")

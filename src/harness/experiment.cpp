@@ -64,6 +64,9 @@ std::optional<std::string> validate(const ScenarioConfig& cfg) {
   if (cfg.loss_rate < 0.0 || cfg.loss_rate > 1.0) {
     return "loss_rate must be a probability in [0, 1]";
   }
+  if (cfg.intra_jobs != 1) {
+    return "intra_jobs must be 1 (a repetition runs on one thread)";
+  }
   if (cfg.plan.has_value()) {
     if (const auto reason = cfg.plan->validate(cfg.n)) {
       return "fault plan: " + *reason;

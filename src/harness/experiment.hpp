@@ -96,15 +96,9 @@ struct ScenarioConfig {
   /// harness).
   std::uint32_t jobs = 1;
 
-  /// Worker threads *inside* one repetition, used to pre-fill the shared
-  /// prepared-exchange cache during the DIFS/backoff/airtime lookahead
-  /// window (decode + batched SHA-256 authenticity per unique payload).
-  /// Same encoding as `jobs`: 1 = serial on the simulation thread (the
-  /// default), 0 = auto-detect, N > 1 = a pool of N workers. The commit
-  /// stage stays serial, so runs are bit-identical at any value (see
-  /// turquois/exchange_pool.hpp and DESIGN.md §14). Composes
-  /// multiplicatively with `jobs`; prefer intra_jobs for few large-n
-  /// repetitions and `jobs` for many small ones.
+  /// Always 1: a repetition runs on one thread (DESIGN.md §14). The field
+  /// remains only because perfbench/, which is frozen, assigns it;
+  /// validate() rejects any other value.
   std::uint32_t intra_jobs = 1;
   /// Share one decode+verify per unique broadcast payload across all
   /// receivers of a repetition (authenticity is receiver-independent).

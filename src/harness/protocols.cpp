@@ -12,7 +12,6 @@
 #include "baselines/bracha/bracha.hpp"
 #include "baselines/crain/crain.hpp"
 #include "harness/deployment.hpp"
-#include "sim/task_pool.hpp"
 #include "turquois/exchange_pool.hpp"
 #include "turquois/key_infra.hpp"
 #include "turquois/process.hpp"
@@ -46,15 +45,9 @@ class TurquoisDescriptor
       local_keys_ = turquois::KeyInfrastructure::setup(tcfg_, d.root);
     }
     keys_ = local_keys_.has_value() ? &*local_keys_ : &*setup->turquois_keys;
-    // Intra-run acceleration: one prepared-exchange cache shared by all
-    // receivers, optionally pre-filled by lookahead workers.
-    if (sim::TaskPool::resolve(d.cfg.intra_jobs) > 1) {
-      intra_pool_ = std::make_unique<sim::TaskPool>(
-          sim::TaskPool::resolve(d.cfg.intra_jobs));
-    }
+    // One prepared-exchange cache shared by all receivers.
     if (d.cfg.exchange_pool) {
-      exchange_pool_ = std::make_unique<turquois::ExchangePool>(
-          *keys_, tcfg_, intra_pool_.get());
+      exchange_pool_ = std::make_unique<turquois::ExchangePool>(*keys_, tcfg_);
     }
   }
 
@@ -89,11 +82,7 @@ class TurquoisDescriptor
   turquois::Config tcfg_;
   std::optional<turquois::KeyInfrastructure> local_keys_;
   const turquois::KeyInfrastructure* keys_ = nullptr;
-  // The cache is declared before the worker pool: destruction runs in
-  // reverse, so the pool drains and joins (completing any in-flight fill)
-  // while the cache entries it writes are still alive.
   std::unique_ptr<turquois::ExchangePool> exchange_pool_;
-  std::unique_ptr<sim::TaskPool> intra_pool_;
 };
 
 /// Bracha's randomized consensus over authenticated TCP (IPSec AH).

@@ -165,7 +165,6 @@ std::string to_json(const BenchReport& report) {
   // Kept to one line so report-diffing tools can drop it; everything above
   // is seed-deterministic.
   out += "\"environment\":{\"jobs\":" + json_u64(report.jobs) +
-         ",\"intra_jobs\":" + json_u64(report.intra_jobs) +
          ",\"wall_clock_seconds\":" + json_double(report.wall_seconds) +
          "}\n";
   out += "}\n";

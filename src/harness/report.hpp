@@ -9,8 +9,7 @@
 //     "name": "table1_failure_free",
 //     "seed": 2010,
 //     "cells": [ { one object per scenario / grid cell }, ... ],
-//     "environment": {"jobs": 4, "intra_jobs": 1,
-//                     "wall_clock_seconds": 1.234}
+//     "environment": {"jobs": 4, "wall_clock_seconds": 1.234}
 //   }
 //
 // Each cell carries the scenario coordinates (protocol, n, distribution,
@@ -21,10 +20,10 @@
 //
 // Determinism contract: every byte of the document EXCEPT the one-line
 // "environment" object is a pure function of the bench's seed and grid —
-// the same seed yields byte-identical cells at any --jobs or --intra-jobs
-// value. The environment line records how the run was executed (worker
-// counts, wall-clock) and is explicitly excluded; tooling that diffs reports
-// should drop that line (tests/scheduler_test.cpp does exactly this).
+// the same seed yields byte-identical cells at any --jobs value. The
+// environment line records how the run was executed (worker count,
+// wall-clock) and is explicitly excluded; tooling that diffs reports should
+// drop that line (tests/scheduler_test.cpp does exactly this).
 #pragma once
 
 #include <cstdint>
@@ -84,9 +83,6 @@ struct BenchReport {
   // --- environment (excluded from the determinism contract) ---
   /// Worker threads the run actually used (after auto-detection).
   unsigned jobs = 1;
-  /// Intra-repetition lookahead workers actually used (after
-  /// auto-detection); 1 = the serial prepare path.
-  unsigned intra_jobs = 1;
   /// Real elapsed seconds for the whole grid.
   double wall_seconds = 0.0;
 };

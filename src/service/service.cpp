@@ -14,7 +14,6 @@
 #include "net/frame_mux.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "sim/simulator.hpp"
-#include "sim/task_pool.hpp"
 #include "trace/trace.hpp"
 #include "turquois/exchange_pool.hpp"
 #include "turquois/process.hpp"
@@ -149,19 +148,9 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
         std::make_unique<net::FrameMux>(sim, rep.medium(), id, mux_cfg));
   }
 
-  // Slot state is declared BEFORE the worker pool: teardown runs in
-  // reverse, so the pool drains and joins (completing any in-flight
-  // prefetch fill) while the ExchangePool entries and key material it
-  // reads are still alive. For the same reason retired slots and spent
-  // key batches stay allocated until the repetition ends.
   std::vector<std::vector<turquois::KeyInfrastructure>> key_batches;
   std::vector<std::unique_ptr<Slot>> slots;
   std::vector<std::uint32_t> active;  // seqs in flight, ascending
-  std::unique_ptr<sim::TaskPool> intra_pool;
-  if (sim::TaskPool::resolve(cfg.intra_jobs) > 1) {
-    intra_pool =
-        std::make_unique<sim::TaskPool>(sim::TaskPool::resolve(cfg.intra_jobs));
-  }
   // Traced even when no instance finishes.
   if (cfg.exchange_pool) rep.exchange_pool.emplace();
 
@@ -213,8 +202,7 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
                                   queue.begin() + static_cast<long>(take));
     queue.erase(queue.begin(), queue.begin() + static_cast<long>(take));
     if (cfg.exchange_pool) {
-      slot->pool = std::make_unique<turquois::ExchangePool>(infra, tcfg,
-                                                            intra_pool.get());
+      slot->pool = std::make_unique<turquois::ExchangePool>(infra, tcfg);
     }
 
     // Every process proposes kOne: the servers all hold the replicated

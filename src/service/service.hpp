@@ -28,7 +28,7 @@
 // Repetitions run through harness::run_repetitions and pool through
 // harness::pool_repetitions — the same scheduler, per-repetition trace
 // capture, crash isolation and ScenarioResult as run_scenario — so pooled
-// output is bit-identical at any --jobs × --intra-jobs.
+// output is bit-identical at any --jobs.
 #pragma once
 
 #include <optional>

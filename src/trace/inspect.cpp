@@ -311,9 +311,7 @@ std::string inspect_jsonl(std::istream& in) {
 
   // Exchange-pool accounting, present when the broadcast path shared one
   // decode + verify per unique payload across receivers (the default;
-  // --no-exchange-pool drops the counters). Only the acquire side is
-  // traced — it is deterministic at any --intra-jobs; fill attribution
-  // (who computed a verdict first) is host-dependent and stays out.
+  // --no-exchange-pool drops the counters).
   if (counters.find("exchange_pool.acquires") != counters.end()) {
     const unsigned long long acq = counter("exchange_pool.acquires");
     const unsigned long long hits = counter("exchange_pool.hits");

@@ -155,9 +155,6 @@ void Process::broadcast_state() {
   } else {
     encoded = assemble();
   }
-  // The payload is frozen from here on; hand it to the pool so a worker can
-  // decode + batch-verify it inside the delivery lookahead window.
-  if (exchange_pool_ != nullptr) exchange_pool_->prefetch(id_, *encoded);
   TURQ_TRACE_EVENT(.at = rt_.now(), .category = trace::Category::kProtocol,
                    .kind = trace::Kind::kStateBroadcast, .process = id_,
                    .phase = phase_,

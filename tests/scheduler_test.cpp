@@ -161,6 +161,16 @@ TEST(Validation, RejectsDegenerateConfigs) {
   cfg.loss_rate = 1.5;
   EXPECT_TRUE(validate(cfg).has_value());
   EXPECT_THROW((void)run_scenario(cfg), std::invalid_argument);
+
+  // A repetition runs on one thread: the legacy auto (0) and parallel
+  // (N > 1) intra_jobs values are gone.
+  for (const std::uint32_t intra_jobs : {0u, 2u}) {
+    cfg = small_scenario(1);
+    cfg.intra_jobs = intra_jobs;
+    ASSERT_TRUE(validate(cfg).has_value());
+    EXPECT_NE(validate(cfg)->find("intra_jobs"), std::string::npos);
+    EXPECT_THROW((void)run_scenario(cfg), std::invalid_argument);
+  }
 }
 
 TEST(BufferSink, ReplayPreservesCallSequence) {

@@ -507,7 +507,7 @@ TEST(TurquoisCodec, OversizedKeyIsMalformedNotAnAuthFailure) {
   sim::VirtualCpu cpu(sim);
   runtime::SimRuntime rt(sim, cpu);
   InjectPort port;
-  ExchangePool pool(keys, cfg, nullptr);
+  ExchangePool pool(keys, cfg);
   ProcessHooks hooks;
   hooks.exchange_pool = &pool;
   Process p(rt, port, cfg, keys, 0, Rng(12), costs, std::move(hooks));

@@ -12,10 +12,11 @@
 #    or EXPERIMENTS.md (an orphan baseline is stale), every baseline the
 #    docs/CI/gate scripts name exists in the repo (a dangling reference
 #    means a renamed or deleted file), and each carries a "schema" line.
-# 3. Flag check: every `--flag` mentioned in README.md must appear in the
-#    --help/usage output of at least one built binary, so the README can
-#    never document a flag that doesn't exist. Needs a build; skipped
-#    under --links-only.
+# 3. Flag check: every `--flag` mentioned in README.md, DESIGN.md or
+#    EXPERIMENTS.md must appear in the --help/usage output of at least one
+#    built binary, so the docs can never describe a flag that doesn't
+#    exist (or no longer exists). Needs a build; skipped under
+#    --links-only.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,11 +90,12 @@ if [ "$links_only" -eq 1 ]; then
 fi
 
 # ---------------------------------------------------------------- 3. flags --
-# Flags whose documentation in README refers to third-party tools (cmake,
-# ctest, google-benchmark) rather than to our binaries.
+# Flags whose documentation refers to third-party tools (cmake, ctest,
+# google-benchmark) rather than to our binaries.
 ignore_flags="--output-on-failure --test-dir --benchmark_out --build"
 
-echo "== README flag check (build dir: $build_dir) =="
+flag_docs=(README.md DESIGN.md EXPERIMENTS.md)
+echo "== doc flag check (${flag_docs[*]}; build dir: $build_dir) =="
 binaries=(
   "$build_dir/tools/turquois_sim"
   "$build_dir/tools/turquois_campaign"
@@ -117,16 +119,16 @@ done
 # Usage text of every binary (they print usage and exit non-zero on --help).
 help_text=$(for bin in "${binaries[@]}"; do "$bin" --help 2>&1 || true; done)
 
-while IFS= read -r flag; do
+while IFS=: read -r doc flag; do
   case " $ignore_flags " in
     *" $flag "*) continue ;;
   esac
   if ! grep -qF -- "$flag" <<<"$help_text"; then
-    echo "UNDOCUMENTED-IN-HELP: README.md mentions '$flag' but no binary's"
+    echo "UNDOCUMENTED-IN-HELP: $doc mentions '$flag' but no binary's"
     echo "  usage output contains it"
     fail=1
   fi
-done < <(grep -oE '\-\-[a-z][a-z_-]+' README.md | sort -u)
+done < <(grep -oE '\-\-[a-z][a-z_-]+' "${flag_docs[@]}" | sort -u)
 [ "$fail" -eq 0 ] && echo "flags ok"
 
 exit "$fail"

@@ -21,7 +21,6 @@
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "service/service.hpp"
-#include "sim/task_pool.hpp"
 #include "trace/sink.hpp"
 
 using namespace turq;
@@ -74,11 +73,6 @@ namespace {
       "                                    (default 1, 0 = auto-detect);\n"
       "                                    results are bit-identical for\n"
       "                                    any N\n"
-      "  --intra-jobs <N>                  lookahead workers *inside* each\n"
-      "                                    repetition, pre-verifying queued\n"
-      "                                    frames during airtime (default 1,\n"
-      "                                    0 = auto-detect); bit-identical\n"
-      "                                    for any N (Turquois only)\n"
       "  --no-exchange-pool                decode + verify each delivery\n"
       "                                    privately per receiver instead of\n"
       "                                    once per unique payload\n"
@@ -281,8 +275,6 @@ int main(int argc, char** argv) {
       cfg.seed = unsigned_flag("--seed", next());
     } else if (arg == "--jobs") {
       cfg.jobs = u32_flag("--jobs", next());
-    } else if (arg == "--intra-jobs") {
-      cfg.intra_jobs = u32_flag("--intra-jobs", next());
     } else if (arg == "--no-exchange-pool") {
       cfg.exchange_pool = false;
     } else if (arg == "--service") {
@@ -399,7 +391,6 @@ int main(int argc, char** argv) {
     report.name = "turquois_sim";
     report.seed = cfg.seed;
     report.jobs = effective_jobs(cfg.jobs);
-    report.intra_jobs = sim::TaskPool::resolve(cfg.intra_jobs);
     report.wall_seconds = wall;
     report.cells.push_back(make_cell(r));
     if (!write_json_report(report, json_path)) return 2;
