@@ -55,6 +55,14 @@ class SenderSet {
     return *this;
   }
 
+  /// The members of this set that are not in `o`.
+  [[nodiscard]] constexpr SenderSet operator-(const SenderSet& o) const {
+    SenderSet out;
+    out.words_[0] = words_[0] & ~o.words_[0];
+    out.words_[1] = words_[1] & ~o.words_[1];
+    return out;
+  }
+
   constexpr bool operator==(const SenderSet& o) const = default;
 
  private:

@@ -4,7 +4,7 @@
 // are written with Writer and parsed with Reader. Reader never reads past
 // the end of its buffer; malformed input yields a clean failure instead of
 // undefined behaviour, which matters because Byzantine nodes may craft
-// arbitrary byte strings. Reader::bytes_view() borrows a length-prefixed
+// arbitrary byte strings. Reader::bytes_view() and raw_view() borrow a
 // field instead of copying it, for hot decoders that keep no heap state.
 #pragma once
 
@@ -111,6 +111,18 @@ class Reader {
     }
     Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+    pos_ += len;
+    return out;
+  }
+
+  /// Raw fixed-size read, borrowed like bytes_view(): one bounds check for
+  /// a whole fixed-layout header, which the caller then parses in place.
+  std::optional<BytesView> raw_view(std::size_t len) {
+    if (remaining() < len) {
+      failed_ = true;
+      return std::nullopt;
+    }
+    const BytesView out = data_.subspan(pos_, len);
     pos_ += len;
     return out;
   }

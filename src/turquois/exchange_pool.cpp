@@ -65,9 +65,33 @@ const ExchangePool::Prepared& ExchangePool::acquire(ProcessId src,
   return remember(entry);
 }
 
+ExchangeSummary ExchangeSummary::of(const Datagram& d, const Config& cfg) {
+  ExchangeSummary s;
+  const auto add = [&](const Message& m) {
+    if (m.sender >= cfg.n || m.phase == 0 || m.phase > cfg.max_phase) return;
+    for (std::size_t i = 0; i < s.count; ++i) {
+      if (s.phases[i] == m.phase) {
+        s.senders[i].insert(m.sender);
+        return;
+      }
+    }
+    if (s.count == kMaxPhases) {
+      s.overflow = true;
+      return;
+    }
+    s.phases[s.count] = m.phase;
+    s.senders[s.count].insert(m.sender);
+    ++s.count;
+  };
+  for (const Message& m : d.justification) add(m);
+  add(d.main);
+  return s;
+}
+
 void ExchangePool::fill(Prepared& entry) {
   entry.datagram = Datagram::decode(entry.payload);
   if (!entry.datagram.has_value()) return;
+  entry.summary = ExchangeSummary::of(*entry.datagram, cfg_);
   // Fills share a pool-wide memo: the same justification attachment (e.g.
   // the phase-1 quorum) recurs across many senders' payloads, and
   // VerifyMemo::check_batch collapses those repeats while still

@@ -18,6 +18,9 @@
 // content hash. The memo only decides how fast an entry is found, never
 // which entry, so every counter and verdict is the same without it.
 //
+// Each entry also carries an ExchangeSummary, the per-phase sender sets a
+// receiver compares with its view to skip the messages it already holds.
+//
 // Virtual time is untouched: every receiver still charges
 // udp_recv + contained × ots_verify() to its own CPU (crypto::CostModel) —
 // in the simulated world each node hashes independently.
@@ -26,6 +29,7 @@
 // delivery order.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -33,12 +37,33 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/sender_set.hpp"
 #include "turquois/config.hpp"
 #include "turquois/key_infra.hpp"
 #include "turquois/message.hpp"
 #include "turquois/validation.hpp"
 
 namespace turq::turquois {
+
+/// What a datagram can add to a receiver's view, computed once per unique
+/// payload: its distinct phases and, per phase, the senders of the
+/// contained messages that pass Process::ingest()'s range gate
+/// (sender < n, 1 <= phase <= max_phase). A receiver subtracts the senders
+/// its view already holds at each phase; only the pairs left can change its
+/// state (Process::process_exchange). Most datagrams span one to four
+/// phases. One that spans more sets `overflow`: the listed phases keep
+/// complete sender sets, and every message at an unlisted phase is a
+/// candidate.
+struct ExchangeSummary {
+  static constexpr std::size_t kMaxPhases = 4;
+
+  std::array<Phase, kMaxPhases> phases{};
+  std::array<SenderSet, kMaxPhases> senders{};
+  std::uint8_t count = 0;  // phases in use
+  bool overflow = false;
+
+  static ExchangeSummary of(const Datagram& d, const Config& cfg);
+};
 
 class ExchangePool {
  public:
@@ -48,6 +73,7 @@ class ExchangePool {
     /// Authenticity verdict per contained message: justification entries
     /// in order, then the main message last (== authentic() per message).
     std::vector<std::uint8_t> auth;
+    ExchangeSummary summary;  // of *datagram; empty when malformed
   };
 
   /// Measured in delivery order, so bit-identical run to run; exported as

@@ -1,17 +1,15 @@
 #include "turquois/message.hpp"
 
-#include <algorithm>
-
 namespace turq::turquois {
 
 namespace {
 constexpr std::uint8_t kDatagramTag = 0x54;  // 'T'
-/// encode_core() of a message with an empty key.
-constexpr std::size_t kMinCoreBytes = 4 + 4 + 1 + 1 + 1 + 4;
 
-std::optional<Value> decode_value(std::uint8_t raw) {
-  if (raw > 2) return std::nullopt;
-  return static_cast<Value>(raw);
+std::uint32_t load_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 }  // namespace
 
@@ -24,27 +22,28 @@ void Message::encode_core(Writer& w) const {
   w.bytes(auth_sk);
 }
 
-std::optional<Message> Message::decode_core(Reader& r) {
-  const auto sender = r.u32();
-  const auto phase = r.u32();
-  const auto value_raw = r.u8();
-  const auto status_raw = r.u8();
-  const auto coin_raw = r.u8();
-  const auto sk = r.bytes_view();
-  if (!sender || !phase || !value_raw || !status_raw || !coin_raw || !sk) {
-    return std::nullopt;
+bool Message::decode_core(Reader& r, Message& out) {
+  const auto header = r.raw_view(kCoreHeaderBytes);
+  if (!header) return false;
+  const std::uint8_t* h = header->data();
+  const std::uint32_t phase_raw = load_u32(h + 4);
+  const std::uint8_t value_raw = h[8];
+  const std::uint8_t status_raw = h[9];
+  const std::uint8_t coin_raw = h[10];
+  const std::uint32_t key_len = load_u32(h + 11);
+  if (value_raw > 2 || status_raw > 1 || coin_raw > 1 || phase_raw == 0 ||
+      key_len > AuthKey::kMaxBytes) {
+    return false;
   }
-  const auto value = decode_value(*value_raw);
-  if (!value || *status_raw > 1 || *coin_raw > 1 || *phase == 0 ||
-      sk->size() > AuthKey::kMaxBytes) {
-    return std::nullopt;
-  }
-  return Message{.sender = *sender,
-                 .phase = *phase,
-                 .value = *value,
-                 .status = static_cast<Status>(*status_raw),
-                 .from_coin = *coin_raw == 1,
-                 .auth_sk = *sk};
+  const auto key = r.raw_view(key_len);
+  if (!key) return false;
+  out.sender = load_u32(h);
+  out.phase = phase_raw;
+  out.value = static_cast<Value>(value_raw);
+  out.status = static_cast<Status>(status_raw);
+  out.from_coin = coin_raw == 1;
+  out.auth_sk.assign(key->begin(), key->end());
+  return true;
 }
 
 Bytes Datagram::encode() const {
@@ -63,19 +62,21 @@ std::optional<Datagram> Datagram::decode(BytesView bytes) {
   Reader r(bytes);
   const auto tag = r.u8();
   if (!tag || *tag != kDatagramTag) return std::nullopt;
-  auto main = Message::decode_core(r);
-  if (!main) return std::nullopt;
+  std::optional<Datagram> d(std::in_place);
+  if (!Message::decode_core(r, d->main)) return std::nullopt;
   const auto count = r.u16();
   if (!count) return std::nullopt;
-  Datagram d{.main = *main, .justification = {}};
-  // One allocation for the whole set, capped by what the remaining bytes
-  // could hold so a forged count cannot reserve more than the frame carries.
-  d.justification.reserve(
-      std::min<std::size_t>(*count, r.remaining() / kMinCoreBytes));
+  // Every core takes at least kCoreHeaderBytes, so a count the remaining
+  // bytes cannot hold is malformed before any attachment is read; past
+  // this check the one reservation is never exceeded.
+  if (*count > r.remaining() / Message::kCoreHeaderBytes) {
+    return std::nullopt;
+  }
+  d->justification.reserve(*count);
   for (std::uint16_t i = 0; i < *count; ++i) {
-    const auto m = Message::decode_core(r);
-    if (!m) return std::nullopt;
-    d.justification.push_back(*m);
+    if (!Message::decode_core(r, d->justification.emplace_back())) {
+      return std::nullopt;
+    }
   }
   return d;
 }

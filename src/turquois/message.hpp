@@ -96,13 +96,19 @@ struct Message {
   /// justification inside other messages.
   void encode_core(Writer& w) const;
 
+  /// The fixed part of encode_core(): sender, phase, value, status,
+  /// from_coin and the key's length prefix — the size of a core with an
+  /// empty key.
+  static constexpr std::size_t kCoreHeaderBytes = 4 + 4 + 1 + 1 + 1 + 4;
+
   /// Exact number of bytes encode_core() appends.
   [[nodiscard]] std::size_t encoded_core_size() const {
-    return 4 + 4 + 1 + 1 + 1 + 4 + auth_sk.size();
+    return kCoreHeaderBytes + auth_sk.size();
   }
-  /// Reads one core; nullopt on a truncated field, an out-of-range enum
-  /// byte, phase 0, or a revealed key longer than AuthKey::kMaxBytes.
-  static std::optional<Message> decode_core(Reader& r);
+  /// Reads one core into `out`, overwriting every field; false on a
+  /// truncated field, an out-of-range enum byte, phase 0, or a revealed key
+  /// longer than AuthKey::kMaxBytes (`out` is then unspecified).
+  static bool decode_core(Reader& r, Message& out);
 
   bool operator==(const Message& other) const {
     return sender == other.sender && phase == other.phase &&
@@ -121,7 +127,11 @@ struct Datagram {
   std::vector<Message> justification;
 
   [[nodiscard]] Bytes encode() const;
+  /// Decodes every message in place into the returned datagram; the
+  /// justification vector is its only allocation.
   static std::optional<Datagram> decode(BytesView bytes);
+
+  bool operator==(const Datagram&) const = default;
 };
 
 }  // namespace turq::turquois

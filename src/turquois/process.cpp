@@ -282,12 +282,12 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
     prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
     return;
   }
-  // Decode + authenticate on the host: shared across all receivers via the
-  // prepared-exchange pool when one is installed, otherwise privately with
-  // the per-message memo inside ingest() (the original path — kept verbatim
-  // as the A/B baseline the benches measure against). Verdicts are pure
-  // functions of the payload bytes, so both paths drive the identical
-  // protocol behaviour.
+  // Decode, summarize and authenticate on the host: shared across all
+  // receivers via the prepared-exchange pool when one is installed,
+  // otherwise privately per delivery, with the per-message memo inside
+  // ingest() (the A/B baseline the benches measure against). Verdicts and
+  // summaries are pure functions of the payload bytes, so both paths drive
+  // the identical protocol behaviour.
   const ExchangePool::Prepared* prep = nullptr;
   std::optional<Datagram> local;
   if (exchange_pool_ != nullptr) {
@@ -319,27 +319,59 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
     // The pool entry (and its payload/datagram/verdicts) outlives the run.
     rt_.execute(cost, [this, prep] {
       if (!running_) return;
-      process_exchange(*prep->datagram, prep->auth);
+      process_exchange(*prep->datagram, prep->summary, prep->auth);
     });
   } else {
     rt_.execute(cost, [this, d = std::move(*local)] {
       if (!running_) return;
-      process_exchange(d, {});
+      process_exchange(d, ExchangeSummary::of(d, cfg_), {});
     });
   }
 }
 
 void Process::process_exchange(const Datagram& d,
+                               const ExchangeSummary& summary,
                                const std::vector<std::uint8_t>& auth) {
+  // ingest() returns at its range and view gates for every message whose
+  // (sender, phase) is out of range or already in V, and V does not change
+  // while the messages are ingested. So subtracting V's senders per phase
+  // up front leaves exactly the messages that get past those gates; the
+  // rest are skipped, and a datagram with nothing new returns here. A
+  // phase the summary could not list (overflow) leaves its messages to
+  // ingest()'s own gates.
+  std::array<SenderSet, ExchangeSummary::kMaxPhases> fresh;
+  bool any_fresh = summary.overflow;
+  for (std::size_t i = 0; i < summary.count; ++i) {
+    fresh[i] = summary.senders[i] - view_.senders_at(summary.phases[i]);
+    any_fresh = any_fresh || !fresh[i].empty();
+  }
+  if (!any_fresh) return;
+  const auto candidate = [&](const Message& m) {
+    for (std::size_t i = 0; i < summary.count; ++i) {
+      if (summary.phases[i] == m.phase) return fresh[i].contains(m.sender);
+    }
+    return summary.overflow;  // out of range, or a phase beyond the list
+  };
   // An empty `auth` means no pre-computed verdicts: every ingest falls
   // back to the per-message memo (the pool-less path).
   const auto verdict_at = [&](std::size_t i) -> int {
     return auth.empty() ? -1 : static_cast<int>(auth[i]);
   };
+  bool pushed = false;
   for (std::size_t i = 0; i < d.justification.size(); ++i) {
-    ingest(d.justification[i], verdict_at(i));
+    if (candidate(d.justification[i]) &&
+        ingest(d.justification[i], verdict_at(i))) {
+      pushed = true;
+    }
   }
-  ingest(d.main, verdict_at(d.justification.size()));
+  if (candidate(d.main) && ingest(d.main, verdict_at(d.justification.size()))) {
+    pushed = true;
+  }
+  // The fixpoint reads only V, pending_, claimed_ and corroboration_;
+  // outside it those change only when ingest() stages a message, and every
+  // fixpoint runs to completion. So with nothing newly pending it would
+  // accept nothing: skip it and the transitions.
+  if (!pushed) return;
   const Phase before = phase_;
   bool grew = drain_pending();
   while (grew) {
@@ -353,9 +385,11 @@ void Process::process_exchange(const Datagram& d,
   if (phase_ != before) broadcast_state();
 }
 
-void Process::ingest(const Message& m, int pre_verdict) {
-  if (m.sender >= cfg_.n || m.phase == 0 || m.phase > cfg_.max_phase) return;
-  if (view_.has(m.sender, m.phase)) return;
+bool Process::ingest(const Message& m, int pre_verdict) {
+  if (m.sender >= cfg_.n || m.phase == 0 || m.phase > cfg_.max_phase) {
+    return false;
+  }
+  if (view_.has(m.sender, m.phase)) return false;
   // Pending deduplication is by full content, not (sender, phase): the
   // status field is not covered by the one-time signature, so an attacker
   // can replay an honest message with a mutated status (§6.1 caveat). Both
@@ -363,13 +397,13 @@ void Process::ingest(const Message& m, int pre_verdict) {
   const bool already_pending =
       std::any_of(pending_.begin(), pending_.end(),
                   [&](const Message& p) { return p == m; });
-  if (already_pending) return;
+  if (already_pending) return false;
   const bool authentic_m = pre_verdict >= 0
                                ? pre_verdict != 0
                                : verify_memo_.check(keys_, cfg_, m);
   if (!authentic_m) {
     ++stats_.auth_failures;
-    return;
+    return false;
   }
   ++stats_.messages_authenticated;
   claimed_[m.sender] = std::max(claimed_[m.sender], m.phase);
@@ -379,6 +413,7 @@ void Process::ingest(const Message& m, int pre_verdict) {
   if (pending_.size() > kMaxPending) prune_pending();
   stats_.still_pending = std::max(stats_.still_pending,
                                   static_cast<std::uint64_t>(pending_.size()));
+  return true;
 }
 
 bool Process::drain_pending() {
@@ -564,17 +599,19 @@ void Process::quorum_transition() {
 }
 
 std::string Process::explain_pending() const {
-  const SemanticValidator validator(cfg_, view_);
+  const SemanticValidator validator(cfg_, view_, &claimed_, &corroboration_);
   std::string out;
   for (const Message& m : pending_) {
-    char line[160];
+    char line[176];
     std::snprintf(line, sizeof(line),
-                  "  <s=%u phi=%u v=%s st=%s coin=%d> phase=%d value=%d status=%d\n",
+                  "  <s=%u phi=%u v=%s st=%s coin=%d> phase=%d value=%d "
+                  "status=%d corr=%d\n",
                   m.sender, m.phase, to_string(m.value).c_str(),
                   to_string(m.status).c_str(), m.from_coin ? 1 : 0,
                   validator.phase_valid(m) ? 1 : 0,
                   validator.value_valid(m) ? 1 : 0,
-                  validator.status_valid(m) ? 1 : 0);
+                  validator.status_valid(m) ? 1 : 0,
+                  validator.corroborated(m) ? 1 : 0);
     out += line;
   }
   return out;

@@ -38,6 +38,7 @@
 namespace turq::turquois {
 
 class ExchangePool;
+struct ExchangeSummary;
 
 /// Decision callback: value, the phase at which it was reached, sim time.
 using DecideHandler = std::function<void(Value, Phase, SimTime)>;
@@ -115,11 +116,14 @@ class Process {
     std::uint64_t quorum_transitions = 0;
     std::uint64_t phase_jumps = 0;
     std::uint64_t coin_flips = 0;
+    bool operator==(const Stats&) const = default;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Human-readable dump of the pending pool and which validation rule each
-  /// entry currently fails — diagnostics for tests and debugging.
+  /// Human-readable dump of the pending pool and, per entry, which
+  /// validation rule it currently passes (1) or fails (0), judged exactly as
+  /// drain_pending() judges it: phase, value and status, plus `corr`, the
+  /// corroboration rule that admits an undecided entry outright.
   [[nodiscard]] std::string explain_pending() const;
 
  private:
@@ -130,13 +134,15 @@ class Process {
 
   // T2.
   void on_datagram(ProcessId src, BytesView payload);
-  /// Stages `m` as pending after the dedup gates. `pre_verdict` carries the
-  /// batch-computed authenticity verdict (0/1); -1 falls back to the
-  /// per-message memo. Verdicts are pure, so both paths behave identically.
-  void ingest(const Message& m, int pre_verdict = -1);
-  /// The T2 body shared by both delivery paths: ingest every contained
-  /// message with its verdict, run the validation fixpoint + transitions.
-  void process_exchange(const Datagram& d,
+  /// Stages `m` as pending after the dedup gates; true if it did.
+  /// `pre_verdict` carries the batch-computed authenticity verdict (0/1);
+  /// -1 falls back to the per-message memo. Verdicts are pure, so both
+  /// paths behave identically.
+  bool ingest(const Message& m, int pre_verdict = -1);
+  /// The T2 body shared by both delivery paths: ingest the contained
+  /// messages that `summary` shows are new to V, then run the validation
+  /// fixpoint + transitions if anything became pending.
+  void process_exchange(const Datagram& d, const ExchangeSummary& summary,
                         const std::vector<std::uint8_t>& auth);
   bool drain_pending();                   // fixpoint; true if V grew
   bool apply_decision_certificates();     // collective quorum acceptance

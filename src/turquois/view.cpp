@@ -53,6 +53,11 @@ bool View::has(ProcessId sender, Phase phase) const {
   return book != nullptr && book->senders.contains(sender);
 }
 
+SenderSet View::senders_at(Phase phase) const {
+  const PhaseBook* book = find(phase);
+  return book == nullptr ? SenderSet{} : book->senders;
+}
+
 std::size_t View::count_phase(Phase phase) const {
   const PhaseBook* book = find(phase);
   return book == nullptr ? 0 : book->senders.count();

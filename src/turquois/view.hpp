@@ -44,6 +44,9 @@ class View {
   /// True if a message from `sender` at `phase` is already present.
   [[nodiscard]] bool has(ProcessId sender, Phase phase) const;
 
+  /// The senders with a message at exactly this phase (empty if none).
+  [[nodiscard]] SenderSet senders_at(Phase phase) const;
+
   /// Number of messages with exactly this phase.
   [[nodiscard]] std::size_t count_phase(Phase phase) const;
 

@@ -34,7 +34,9 @@ void check_agreement_validity(const std::vector<std::unique_ptr<Proc>>& procs,
     ASSERT_TRUE(procs[id]->decided()) << "p" << id << " undecided";
     const Value v = procs[id]->decision();
     EXPECT_TRUE(is_binary(v));
-    if (agreed.has_value()) EXPECT_EQ(*agreed, v) << "agreement broken";
+    if (agreed.has_value()) {
+      EXPECT_EQ(*agreed, v) << "agreement broken";
+    }
     agreed = v;
     EXPECT_NE(std::find(proposals.begin(), proposals.end(), v),
               proposals.end())

@@ -358,6 +358,9 @@ TEST_F(ThresholdTest, CoinBitsVaryAcrossNames) {
   int ones = 0;
   for (std::uint32_t round = 0; round < 64; ++round) {
     Writer w;
+    // Sized up front: appending the round to an exactly-full buffer trips
+    // a GCC 12 -Wstringop-overflow false positive in the inlined growth.
+    w.reserve(4 + 4 + 4);
     w.str("coin");
     w.u32(round);
     std::vector<ThresholdShare> shares;

@@ -207,36 +207,52 @@ TEST(SpecRoundTrip, ToSpecReparsesToTheSamePlan) {
 
 // ----------------------------------------------------------- validation ---
 
+/// A clause of `kind` with the fields `set` assigns; the rest default.
+template <typename Set>
+Clause clause(ClauseKind kind, Set set) {
+  Clause c;
+  c.kind = kind;
+  set(c);
+  return c;
+}
+
+Clause iid_clause(double p) {
+  return clause(ClauseKind::kIid, [p](Clause& c) { c.p = p; });
+}
+
 TEST(PlanValidation, RejectsOutOfRangeClauses) {
   FaultPlan plan;
-  plan.clauses.push_back(Clause{.kind = ClauseKind::kIid, .p = 1.5});
+  plan.clauses.push_back(iid_clause(1.5));
   ASSERT_TRUE(plan.validate(4).has_value());
 
-  plan.clauses[0] = Clause{.kind = ClauseKind::kCrash,
-                           .processes = {7}};  // id outside n = 4
+  plan.clauses[0] = clause(ClauseKind::kCrash, [](Clause& c) {
+    c.processes = {7};  // id outside n = 4
+  });
   ASSERT_TRUE(plan.validate(4).has_value());
   EXPECT_EQ(plan.validate(8), std::nullopt);
 
-  plan.clauses[0] = Clause{.kind = ClauseKind::kAdaptive,
-                           .sigma_fraction = -0.5};
+  plan.clauses[0] = clause(ClauseKind::kAdaptive,
+                           [](Clause& c) { c.sigma_fraction = -0.5; });
   EXPECT_TRUE(plan.validate(4).has_value());
 
-  plan.clauses[0] = Clause{.kind = ClauseKind::kIid,
-                           .windows = {{.start = 20, .end = 20}},
-                           .p = 0.1};
+  plan.clauses[0] = clause(ClauseKind::kIid, [](Clause& c) {
+    c.windows = {{.start = 20, .end = 20}};
+    c.p = 0.1;
+  });
   EXPECT_TRUE(plan.validate(4).has_value());
 
-  plan.clauses[0] = Clause{.kind = ClauseKind::kCrash,
-                           .crash_count = 1,
-                           .crash_at = 100,
-                           .recover_at = 50};
+  plan.clauses[0] = clause(ClauseKind::kCrash, [](Clause& c) {
+    c.crash_count = 1;
+    c.crash_at = 100;
+    c.recover_at = 50;
+  });
   EXPECT_TRUE(plan.validate(4).has_value());
 }
 
 TEST(PlanValidation, ScenarioValidateChecksPlanFields) {
   ScenarioConfig cfg;
   FaultPlan bad;
-  bad.clauses.push_back(Clause{.kind = ClauseKind::kIid, .p = 2.0});
+  bad.clauses.push_back(iid_clause(2.0));
   cfg.plan = bad;
   const std::optional<std::string> reason = harness::validate(cfg);
   ASSERT_TRUE(reason.has_value());
@@ -266,8 +282,8 @@ TEST(StreamPinning, ClausesDrawDedicatedIndexedStreams) {
   // and the first clause is bit-compatible with the legacy single-loss
   // path.
   FaultPlan plan;
-  plan.clauses.push_back(Clause{.kind = ClauseKind::kIid, .p = 0.3});
-  plan.clauses.push_back(Clause{.kind = ClauseKind::kIid, .p = 0.2});
+  plan.clauses.push_back(iid_clause(0.3));
+  plan.clauses.push_back(iid_clause(0.2));
   BuildContext ctx;
   ctx.root = Rng(123);
   BuiltPlan built = build(plan, ctx);
@@ -457,8 +473,8 @@ TEST(CannedPlans, FailureFreeRunExportsNoSigma) {
 
 // ------------------------------------------------------- golden campaign --
 
-// Regenerate after an intentional format change with:
-//   UPDATE_CAMPAIGN_GOLDEN=1 ./tests/faultplan_test \
+// Regenerate after an intentional format change with (one command line):
+//   UPDATE_CAMPAIGN_GOLDEN=1 ./tests/faultplan_test
 //       --gtest_filter=Campaign.GoldenCellReport
 TEST(Campaign, GoldenCellReport) {
   // Mirrors one cell of `turquois_campaign --quick --sizes 4 --plan

@@ -288,6 +288,123 @@ TEST_P(CodecFuzz, BitFlipsOfValidDatagramsNeverAbort) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,
                          ::testing::Range<std::uint64_t>(10, 14));
 
+// --------------------------------------------------------- codec contract
+
+/// A random message: every field anywhere in its accepted range, the key
+/// 0..32 bytes long so that empty and short keys occur.
+turquois::Message random_message(Rng& rng) {
+  turquois::Message m;
+  m.sender = static_cast<ProcessId>(rng.next());
+  m.phase = 1 + static_cast<turquois::Phase>(rng.uniform(0xFFFFFFFFu));
+  m.value = static_cast<Value>(rng.uniform(3));
+  m.status = rng.coin() ? Status::kDecided : Status::kUndecided;
+  m.from_coin = rng.coin();
+  Bytes key(rng.uniform(turquois::AuthKey::kMaxBytes + 1));
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng.next());
+  m.auth_sk = key;
+  return m;
+}
+
+turquois::Datagram random_datagram(Rng& rng, std::uint64_t max_attachments) {
+  turquois::Datagram d;
+  d.main = random_message(rng);
+  const std::uint64_t count = rng.uniform(max_attachments + 1);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    d.justification.push_back(random_message(rng));
+  }
+  return d;
+}
+
+class CodecContract : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CodecContract, DecodeInvertsEncode) {
+  Rng rng(GetParam());
+  std::size_t empty_keys = 0;
+  std::size_t empty_sets = 0;
+  for (int i = 0; i < 400; ++i) {
+    const turquois::Datagram d = random_datagram(rng, 42);
+    empty_sets += d.justification.empty() ? 1 : 0;
+    empty_keys += d.main.auth_sk.size() == 0 ? 1 : 0;
+    for (const turquois::Message& m : d.justification) {
+      empty_keys += m.auth_sk.size() == 0 ? 1 : 0;
+    }
+    const auto decoded = turquois::Datagram::decode(d.encode());
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, d);
+  }
+  EXPECT_GT(empty_keys, 0u);
+  EXPECT_GT(empty_sets, 0u);
+}
+
+TEST_P(CodecContract, EveryStrictPrefixIsRejected) {
+  Rng rng(GetParam());
+  for (int i = 0; i < 40; ++i) {
+    const Bytes enc = random_datagram(rng, 4).encode();
+    ASSERT_TRUE(turquois::Datagram::decode(enc).has_value());
+    for (std::size_t cut = 0; cut < enc.size(); ++cut) {
+      EXPECT_FALSE(turquois::Datagram::decode(BytesView(enc).first(cut)))
+          << "prefix of " << cut << " of " << enc.size() << " bytes";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodecContract,
+                         ::testing::Range<std::uint64_t>(20, 24));
+
+/// Little-endian u32 at `at`, as the codec writes it.
+void put_u32(Bytes& b, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(CodecFields, EachOutOfRangeFieldIsRejected) {
+  // Offsets within one encoded core: sender, phase, value, status,
+  // from_coin, key length, key.
+  constexpr std::size_t kPhase = 4, kValue = 8, kStatus = 9, kCoin = 10,
+                        kKeyLen = 11, kKey = 15;
+  turquois::Datagram d;
+  d.main = turquois::Message{.sender = 2,
+                             .phase = 6,
+                             .value = Value::kBottom,
+                             .status = Status::kUndecided,
+                             .from_coin = false,
+                             .auth_sk = Bytes(32, 0x3C)};
+  d.justification = {d.main, d.main};
+  d.justification[1].sender = 3;
+  const Bytes enc = d.encode();
+  ASSERT_TRUE(turquois::Datagram::decode(enc).has_value());
+  const std::size_t core = kKey + 32;
+  const std::size_t count_at = 1 + core;
+  // The main message's core, then the last attachment's.
+  for (const std::size_t base : {std::size_t{1}, count_at + 2 + core}) {
+    const auto rejected = [&](const char* what, auto patch) {
+      Bytes bad = enc;
+      patch(bad);
+      EXPECT_FALSE(turquois::Datagram::decode(bad).has_value())
+          << what << " in the core at byte " << base;
+    };
+    rejected("value 3", [&](Bytes& b) { b[base + kValue] = 3; });
+    rejected("status 2", [&](Bytes& b) { b[base + kStatus] = 2; });
+    rejected("coin 2", [&](Bytes& b) { b[base + kCoin] = 2; });
+    rejected("phase 0", [&](Bytes& b) { put_u32(b, base + kPhase, 0); });
+    // A 33-byte key with all 33 bytes present: rejected for its length,
+    // not for truncation.
+    rejected("key length 33", [&](Bytes& b) {
+      put_u32(b, base + kKeyLen, 33);
+      b.insert(b.begin() + static_cast<long>(base + kKey + 32), 0x3C);
+    });
+  }
+  // A justification count beyond what the remaining bytes hold.
+  for (const std::uint16_t count : {std::uint16_t{3}, std::uint16_t{0xFFFF}}) {
+    Bytes bad = enc;
+    bad[count_at] = static_cast<std::uint8_t>(count);
+    bad[count_at + 1] = static_cast<std::uint8_t>(count >> 8);
+    EXPECT_FALSE(turquois::Datagram::decode(bad).has_value())
+        << "count " << count;
+  }
+}
+
 /// A datagram whose main message claims a `key_len`-byte key and carries
 /// `present` key bytes, followed by `attachments` copies of the same core
 /// (hand-encoded: Message::encode_core cannot write an oversized key).

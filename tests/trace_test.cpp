@@ -193,8 +193,8 @@ TEST(TraceDeterminism, TracingDoesNotPerturbTheRun) {
 }
 
 // The golden file pins the full trace_inspect report for a tiny n=4 run.
-// Regenerate after an intentional format change with:
-//   UPDATE_TRACE_GOLDEN=1 ./tests/trace_test \
+// Regenerate after an intentional format change with (one command line):
+//   UPDATE_TRACE_GOLDEN=1 ./tests/trace_test
 //       --gtest_filter=TraceInspect.GoldenReport
 TEST(TraceInspect, GoldenReport) {
 #if !TURQ_TRACE_ENABLED

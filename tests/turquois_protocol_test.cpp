@@ -5,9 +5,11 @@
 // problem's three properties: validity, agreement, termination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -539,6 +541,221 @@ TEST(TurquoisCodec, OversizedKeyIsMalformedNotAnAuthFailure) {
   EXPECT_EQ(p.stats().datagrams_received, 2u);
   EXPECT_EQ(p.stats().messages_authenticated, 1u);
   EXPECT_TRUE(p.view().has(1, 1));
+}
+
+// ------------------------------------------------- receive-path filtering
+
+/// A lone receiver (process 0) fed crafted datagrams through an InjectPort,
+/// with or without an exchange pool. Nothing it sends goes anywhere, so its
+/// view holds only what the tests deliver.
+class Receiver {
+ public:
+  Receiver(bool pooled, Config cfg)
+      : cfg_(cfg),
+        keys_rng_(21),
+        keys_(KeyInfrastructure::setup(cfg_, keys_rng_)),
+        cpu_(sim_),
+        rt_(sim_, cpu_) {
+    if (pooled) pool_ = std::make_unique<ExchangePool>(keys_, cfg_);
+    ProcessHooks hooks;
+    hooks.exchange_pool = pool_.get();
+    process_ = std::make_unique<Process>(rt_, port_, cfg_, keys_, 0, Rng(22),
+                                         costs_, std::move(hooks));
+    process_->propose(Value::kOne);
+  }
+
+  /// A message carrying the sender's genuine one-time key.
+  Message signed_msg(ProcessId sender, Phase phase, Value v,
+                     Status status = Status::kUndecided) const {
+    const BytesView sk = keys_.chain(sender).secret_key(phase, v);
+    return Message{.sender = sender,
+                   .phase = phase,
+                   .value = v,
+                   .status = status,
+                   .from_coin = false,
+                   .auth_sk = sk};
+  }
+
+  /// Delivers `d` from `src` and runs the receiver past its CPU charge.
+  void deliver(ProcessId src, const Datagram& d) {
+    port_.deliver(src, d.encode());
+    sim_.run_until(sim_.now() + 50 * kMillisecond);
+  }
+
+  Process& process() { return *process_; }
+
+  /// The receive-side counters: broadcasts come from the receiver's own
+  /// ticks and datagrams_received counts every delivery.
+  Process::Stats receive_stats() const {
+    Process::Stats s = process_->stats();
+    s.broadcasts = 0;
+    s.datagrams_received = 0;
+    return s;
+  }
+
+  std::size_t pending() const {
+    const std::string dump = process_->explain_pending();
+    return static_cast<std::size_t>(std::count(dump.begin(), dump.end(), '\n'));
+  }
+
+ private:
+  Config cfg_;
+  Rng keys_rng_;
+  KeyInfrastructure keys_;
+  crypto::CostModel costs_;
+  sim::Simulator sim_;
+  sim::VirtualCpu cpu_;
+  runtime::SimRuntime rt_;
+  InjectPort port_;
+  std::unique_ptr<ExchangePool> pool_;
+  std::unique_ptr<Process> process_;
+};
+
+Datagram datagram_of(const std::vector<Message>& messages) {
+  Datagram d;
+  d.main = messages.back();
+  d.justification.assign(messages.begin(), messages.end() - 1);
+  return d;
+}
+
+class ReceiveFilter : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ReceiveFilter, StatusVariantsOfOnePairBothReachPending) {
+  // The one-time signature does not cover the status (§6.1 caveat), so an
+  // insider can replay an honest message with another status. Both
+  // variants carry the same (sender, phase); the filter passes the pair
+  // once it is absent from V, and both become candidates.
+  Receiver r(GetParam(), Config::for_group(4));
+  const Message honest = r.signed_msg(1, 4, Value::kOne);
+  Message replayed = honest;
+  replayed.status = Status::kDecided;
+  r.deliver(1, datagram_of({replayed, honest}));
+  EXPECT_EQ(r.pending(), 2u);
+  EXPECT_EQ(r.process().stats().messages_authenticated, 2u);
+  EXPECT_FALSE(r.process().view().has(1, 4));
+
+  // A later variant of the same still-absent pair is a candidate too.
+  Message coin = honest;
+  coin.from_coin = true;
+  r.deliver(1, datagram_of({coin}));
+  EXPECT_EQ(r.pending(), 3u);
+  EXPECT_EQ(r.process().stats().messages_authenticated, 3u);
+}
+
+TEST_P(ReceiveFilter, DatagramWithNothingNewChangesNothing) {
+  Receiver r(GetParam(), Config::for_group(4));
+  const Message a = r.signed_msg(1, 1, Value::kOne);
+  const Message b = r.signed_msg(2, 1, Value::kZero);
+  r.deliver(1, datagram_of({a}));
+  r.deliver(2, datagram_of({b}));
+  r.deliver(3, datagram_of({r.signed_msg(3, 4, Value::kOne)}));  // pending
+  ASSERT_TRUE(r.process().view().has(1, 1));
+  ASSERT_TRUE(r.process().view().has(2, 1));
+  ASSERT_EQ(r.pending(), 1u);
+
+  const Process::Stats before = r.receive_stats();
+  const std::uint64_t received = r.process().stats().datagrams_received;
+  const std::string pending_before = r.process().explain_pending();
+  const Phase phase_before = r.process().phase();
+  const std::size_t view_before = r.process().view().size();
+  // Every pair is already in V: a duplicate, a variant with another status
+  // and a copy with a forged key (V's gate comes before authentication).
+  Message variant = a;
+  variant.status = Status::kDecided;
+  Message forged = b;
+  forged.auth_sk.back() ^= 0x01;
+  r.deliver(2, datagram_of({a, variant, forged, b}));
+
+  EXPECT_EQ(r.process().stats().datagrams_received, received + 1);
+  EXPECT_EQ(r.receive_stats(), before);
+  EXPECT_EQ(r.process().explain_pending(), pending_before);
+  EXPECT_EQ(r.process().phase(), phase_before);
+  EXPECT_EQ(r.process().view().size(), view_before);
+}
+
+TEST_P(ReceiveFilter, OutOfRangeSenderOrPhaseIsDropped) {
+  Config cfg = Config::for_group(4);
+  cfg.max_phase = 8;
+  Receiver r(GetParam(), cfg);
+  Message stranger = r.signed_msg(1, 1, Value::kOne);
+  stranger.sender = 7;  // no such process in n = 4
+  const Message too_deep = r.signed_msg(2, 9, Value::kOne);
+  r.deliver(1, datagram_of({stranger, too_deep, r.signed_msg(1, 1, Value::kOne)}));
+
+  EXPECT_TRUE(r.process().view().has(1, 1));
+  EXPECT_EQ(r.process().view().size(), 1u);
+  EXPECT_EQ(r.pending(), 0u);
+  EXPECT_EQ(r.process().stats().messages_authenticated, 1u);
+  EXPECT_EQ(r.process().stats().auth_failures, 0u);
+}
+
+TEST_P(ReceiveFilter, DatagramSpanningManyPhasesBehavesLikeSmallOnes) {
+  // Six distinct phases overflow the summary, which then makes every
+  // message a candidate; the outcome must match the same messages
+  // delivered in datagrams the summary holds whole.
+  Receiver big(GetParam(), Config::for_group(4));
+  Receiver small(GetParam(), Config::for_group(4));
+  std::vector<Message> messages = {big.signed_msg(1, 1, Value::kOne),
+                                   big.signed_msg(2, 1, Value::kZero)};
+  for (Phase p = 2; p <= 6; ++p) {
+    messages.push_back(big.signed_msg(1, p, Value::kOne));
+  }
+  Message forged = big.signed_msg(3, 5, Value::kOne);
+  forged.auth_sk.back() ^= 0x01;
+  messages.insert(messages.begin() + 4, forged);
+  Message stranger = messages.front();
+  stranger.sender = 9;
+  messages.insert(messages.begin() + 2, stranger);
+  // Again, so the big datagram also carries pairs V will already hold.
+  messages.push_back(messages.front());
+
+  const Datagram whole = datagram_of(messages);
+  ASSERT_TRUE(ExchangeSummary::of(whole, Config::for_group(4)).overflow);
+  big.deliver(1, whole);
+  for (std::size_t i = 0; i < messages.size(); i += 3) {
+    const std::size_t end = std::min(messages.size(), i + 3);
+    const Datagram part = datagram_of(
+        std::vector<Message>(messages.begin() + static_cast<long>(i),
+                             messages.begin() + static_cast<long>(end)));
+    ASSERT_FALSE(ExchangeSummary::of(part, Config::for_group(4)).overflow);
+    small.deliver(1, part);
+  }
+
+  EXPECT_EQ(big.process().explain_pending(), small.process().explain_pending());
+  EXPECT_EQ(big.pending(), 5u);  // phases 2..6 of sender 1
+  EXPECT_EQ(big.process().view().size(), small.process().view().size());
+  EXPECT_EQ(big.process().view().size(), 2u);
+  const Process::Stats& b = big.process().stats();
+  const Process::Stats& s = small.process().stats();
+  EXPECT_EQ(b.messages_authenticated, s.messages_authenticated);
+  EXPECT_EQ(b.auth_failures, s.auth_failures);
+  EXPECT_EQ(b.auth_failures, 1u);
+  EXPECT_EQ(b.accepted, s.accepted);
+  EXPECT_EQ(big.process().phase(), small.process().phase());
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolOnOff, ReceiveFilter, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Pooled" : "PoolLess";
+                         });
+
+TEST(TurquoisDiagnostics, ExplainPendingJudgesByTheDrainRules) {
+  // Two authentic phase-5 messages with different values: neither is
+  // corroborated (f + 1 = 2 senders per (phase, value) needed) and V holds
+  // no phase-4 quorum, but two distinct senders claim phase 5, so the
+  // transitive phase rule admits the phase. explain_pending() must say so,
+  // as drain_pending() judges it; its value rule still fails.
+  Receiver r(true, Config::for_group(4));
+  r.deliver(1, datagram_of({r.signed_msg(1, 5, Value::kZero)}));
+  EXPECT_EQ(r.process().explain_pending(),
+            "  <s=1 phi=5 v=0 st=undecided coin=0> phase=0 value=0 "
+            "status=0 corr=0\n");
+  r.deliver(2, datagram_of({r.signed_msg(2, 5, Value::kOne)}));
+  EXPECT_EQ(r.process().explain_pending(),
+            "  <s=1 phi=5 v=0 st=undecided coin=0> phase=1 value=0 "
+            "status=0 corr=0\n"
+            "  <s=2 phi=5 v=1 st=undecided coin=0> phase=1 value=0 "
+            "status=0 corr=0\n");
 }
 
 }  // namespace

@@ -170,6 +170,35 @@ TEST(View, AppendAtRespectsLimitAndSenderOrder) {
   EXPECT_TRUE(at(0, Value::kOne, 100).empty());
 }
 
+TEST(View, SendersAtListsExactlyThePhaseBook) {
+  View v;
+  EXPECT_TRUE(v.senders_at(1).empty());
+  v.insert(msg(3, 2, Value::kOne));
+  v.insert(msg(70, 2, Value::kZero));  // second bitset word
+  v.insert(msg(5, 4, Value::kOne));
+  SenderSet expected;
+  expected.insert(3);
+  expected.insert(70);
+  EXPECT_EQ(v.senders_at(2), expected);
+  EXPECT_TRUE(v.senders_at(3).empty());
+  EXPECT_EQ(v.senders_at(4).count(), 1u);
+  EXPECT_TRUE(v.senders_at(4).contains(5));
+}
+
+TEST(SenderSetDifference, KeepsOnlyMembersAbsentFromTheOther) {
+  SenderSet a;
+  SenderSet b;
+  for (const std::uint32_t id : {0u, 1u, 63u, 64u, 127u}) a.insert(id);
+  for (const std::uint32_t id : {1u, 64u, 100u}) b.insert(id);
+  const SenderSet d = a - b;
+  EXPECT_EQ(d.count(), 3u);
+  for (const std::uint32_t id : {0u, 63u, 127u}) EXPECT_TRUE(d.contains(id));
+  EXPECT_FALSE(d.contains(1));
+  EXPECT_FALSE(d.contains(100));
+  EXPECT_TRUE((a - a).empty());
+  EXPECT_EQ(a - SenderSet{}, a);
+}
+
 TEST(ViewDeathTest, InsertRejectsSendersBeyondTheBitset) {
   View v;
   EXPECT_DEATH(v.insert(msg(SenderSet::kCapacity, 1, Value::kOne)),
@@ -427,6 +456,65 @@ TEST(ExchangePool, PerSenderMemoConfirmsBytes) {
   EXPECT_EQ(s.acquires, 7u);
   EXPECT_EQ(s.shared_hits, 5u);  // every acquire after each payload's first
   EXPECT_EQ(s.misses(), 2u);     // one prepare per distinct payload
+}
+
+TEST(ExchangeSummary, GroupsInRangeSendersByPhase) {
+  Config cfg = Config::for_group(4);
+  cfg.max_phase = 10;
+  Datagram d;
+  d.main = msg(2, 5, Value::kOne);
+  d.justification = {msg(1, 4, Value::kOne), msg(3, 4, Value::kZero),
+                     msg(1, 4, Value::kOne, Status::kDecided),
+                     msg(9, 4, Value::kOne),    // sender >= n
+                     msg(0, 11, Value::kOne)};  // phase > max_phase
+  const ExchangeSummary s = ExchangeSummary::of(d, cfg);
+  EXPECT_FALSE(s.overflow);
+  ASSERT_EQ(s.count, 2u);
+  EXPECT_EQ(s.phases[0], 4u);
+  EXPECT_EQ(s.phases[1], 5u);
+  SenderSet at4;
+  at4.insert(1);
+  at4.insert(3);
+  EXPECT_EQ(s.senders[0], at4);
+  EXPECT_EQ(s.senders[1].count(), 1u);
+  EXPECT_TRUE(s.senders[1].contains(2));
+}
+
+TEST(ExchangeSummary, MorePhasesThanItHoldsSetsOverflow) {
+  const Config cfg = Config::for_group(4);
+  Datagram d;
+  d.main = msg(0, 1, Value::kOne);
+  for (Phase p = 2; p <= ExchangeSummary::kMaxPhases; ++p) {
+    d.justification.push_back(msg(1, p, Value::kOne));
+  }
+  EXPECT_FALSE(ExchangeSummary::of(d, cfg).overflow);
+  d.justification.push_back(msg(2, ExchangeSummary::kMaxPhases + 1,
+                                Value::kOne));
+  // Phases 2..5 fill the list, so the main message's phase 1 overflows; a
+  // listed phase keeps collecting senders after that.
+  d.justification.push_back(msg(3, 2, Value::kZero));
+  const ExchangeSummary s = ExchangeSummary::of(d, cfg);
+  EXPECT_TRUE(s.overflow);
+  EXPECT_EQ(s.count, ExchangeSummary::kMaxPhases);
+  ASSERT_EQ(s.phases[0], 2u);
+  EXPECT_TRUE(s.senders[0].contains(3));
+  for (const Phase p : s.phases) EXPECT_NE(p, 1u);
+}
+
+TEST(ExchangeSummary, PoolEntriesCarryTheSummaryOfTheirDatagram) {
+  const Config cfg = Config::for_group(4);
+  Rng rng(8);
+  const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
+  ExchangePool pool(keys, cfg);
+  Datagram d;
+  d.main = msg(1, 2, Value::kOne);
+  d.justification = {msg(0, 1, Value::kOne), msg(2, 1, Value::kZero)};
+  const ExchangePool::Prepared& entry = pool.acquire(1, d.encode());
+  const ExchangeSummary expected = ExchangeSummary::of(d, cfg);
+  ASSERT_EQ(entry.summary.count, expected.count);
+  EXPECT_EQ(entry.summary.phases, expected.phases);
+  EXPECT_EQ(entry.summary.senders, expected.senders);
+  EXPECT_EQ(entry.summary.overflow, expected.overflow);
 }
 
 // ------------------------------------------------------------------ codec
