@@ -128,9 +128,7 @@ int main(int argc, char** argv) {
       "reliable unicast pays n-1 data frames plus TCP acknowledgements.\n");
 
   if (!json_path.empty()) {
-    report.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - started)
-                              .count();
+    report.wall_seconds = harness::seconds_since(started);
     if (!harness::write_json_report(report, json_path)) return 1;
     std::fprintf(stderr, "json report: %s\n", json_path.c_str());
   }

@@ -97,9 +97,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     report.seed = 0xD0;  // per-cell seed is 0xD0 + n
-    report.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - started)
-                              .count();
+    report.wall_seconds = seconds_since(started);
     if (!write_json_report(report, json_path)) return 1;
     std::fprintf(stderr, "json report: %s\n", json_path.c_str());
   }

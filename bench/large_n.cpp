@@ -19,12 +19,13 @@
 //   --json PATH       turquois-bench/1 report, one cell per (n, leg); the
 //                     deterministic artifact (byte-identical at any --jobs,
 //                     modulo the environment line)
-//   --perf-json PATH  flat wall-clock metrics (schema turquois-large-n/1,
+//   --perf-json PATH  wall-clock metrics (schema turquois-perf/1,
 //                     machine-dependent by nature) — the committed
-//                     BENCH_large_n.json, gated by tools/check_perf.sh on
-//                     `events_per_sec` and `speedup_vs_legacy`. Both gated
-//                     numbers come from the largest n ≤ 64 in the sweep so
-//                     quick CI runs stay comparable to the full baseline.
+//                     BENCH_large_n.json, gated by tools/check_perf.py on
+//                     `deliveries_per_wall_s` and `speedup_vs_legacy`. Both
+//                     gated numbers come from the largest n ≤ 64 in the
+//                     sweep so quick CI runs stay comparable to the full
+//                     baseline.
 //
 // Usage: large_n [--quick] [--reps R] [--sizes 16,32,...] [--seed S]
 //                [--jobs N] [--json PATH] [--perf-json PATH]
@@ -33,8 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,6 +45,8 @@
 
 using namespace turq;
 using namespace turq::harness;
+using enum Better;
+using enum Domain;
 
 namespace {
 
@@ -58,29 +59,6 @@ constexpr Leg kLegs[] = {
     {"legacy", false},
     {"pooled", true},
 };
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// The deterministic bytes of one cell: a single-cell report with the
-/// environment line stripped. Legs of the same n must agree on this.
-std::string cell_fingerprint(const ReportCell& cell) {
-  BenchReport probe;
-  probe.name = "large_n";
-  probe.seed = 0;
-  probe.cells.push_back(cell);
-  std::istringstream in(to_json(probe));
-  std::string out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"environment\"") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -96,9 +74,9 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--quick") {
       // Trims the sweep to n <= 64 but keeps the repetition count: the
-      // gated events_per_sec comes from the n = 64 pooled leg, and cutting
-      // reps would shift its setup-cost fraction away from the committed
-      // full-run baseline.
+      // gated deliveries_per_wall_s comes from the n = 64 pooled leg, and
+      // cutting reps would shift its setup-cost fraction away from the
+      // committed full-run baseline.
       quick = true;
       sizes = {16, 64};
     } else if (arg == "--reps" && i + 1 < argc) {
@@ -134,7 +112,12 @@ int main(int argc, char** argv) {
   report.name = "large_n";
   report.seed = seed;
   report.jobs = effective_jobs(jobs);
-  std::map<std::string, double> perf;  // ordered => deterministic key order
+  PerfReport perf;
+  perf.name = "large_n";
+  perf.quick = quick;
+  perf.jobs = report.jobs;
+  // What kAuto resolved to on this machine, not the compile-time default.
+  perf.sha256_impl = crypto::to_string(crypto::sha256_batch_resolved_impl());
   const auto started = std::chrono::steady_clock::now();
 
   std::printf(
@@ -173,7 +156,8 @@ int main(int argc, char** argv) {
       wall[li] = seconds_since(leg_start);
 
       ReportCell cell = make_cell(r);
-      const std::string fp = cell_fingerprint(cell);
+      // The cell's deterministic bytes: legs of the same n must agree.
+      const std::string fp = to_json(cell);
       if (fingerprint.empty()) {
         fingerprint = fp;
         deliveries = r.medium_total.deliveries;
@@ -197,12 +181,17 @@ int main(int argc, char** argv) {
     }
 
     const std::string tag = std::to_string(n);
-    perf["wall_legacy_n" + tag] = wall[0];
-    perf["wall_pooled_n" + tag] = wall[1];
-    perf["speedup_pooled_n" + tag] = wall[0] / wall[1];
+    perf.add("wall_legacy_n" + tag, wall[0], "s", kHost, kLower);
+    perf.add("wall_pooled_n" + tag, wall[1], "s", kHost, kLower);
+    perf.add("speedup_pooled_n" + tag, wall[0] / wall[1], "x", kHost, kHigher);
     if (n == gate_n) {
-      perf["events_per_sec"] = static_cast<double>(deliveries) / wall[1];
-      perf["speedup_vs_legacy"] = wall[0] / wall[1];
+      perf.add("deliveries_per_wall_s", deliveries / wall[1], "1/s", kHost,
+               kHigher)
+          .max_drop = kThroughputMaxDrop;
+      // A ratio of two legs of the same run, so a hard floor rather than a
+      // comparison with the committed baseline.
+      perf.add("speedup_vs_legacy", wall[0] / wall[1], "x", kHost, kHigher)
+          .limit = 1.20;
     }
     std::printf("%5u | %9.3fs | %9.3fs | %8.2fx\n", n, wall[0], wall[1],
                 wall[0] / wall[1]);
@@ -210,6 +199,7 @@ int main(int argc, char** argv) {
 
   const double total_wall = seconds_since(started);
   report.wall_seconds = total_wall;
+  perf.wall_seconds = total_wall;
   std::printf(
       "\npool gain = legacy / pooled wall clock.\nThe legacy leg already "
       "shares this build's broadcast-path caches, so the\ngains above "
@@ -222,40 +212,5 @@ int main(int argc, char** argv) {
     if (!write_json_report(report, json_path)) return 1;
     std::fprintf(stderr, "json report: %s\n", json_path.c_str());
   }
-  if (!perf_path.empty()) {
-    std::FILE* f = std::fopen(perf_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "large_n: cannot write %s\n", perf_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema\": \"turquois-large-n/1\",\n"
-                 "  \"name\": \"large_n\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"metrics\": {\n",
-                 quick ? "true" : "false");
-    std::size_t emitted = 0;
-    for (const auto& [key, value] : perf) {
-      std::fprintf(f, "    \"%s\": %.3f%s\n", key.c_str(), value,
-                   ++emitted == perf.size() ? "" : ",");
-    }
-    // The environment line records what this run *actually* executed with —
-    // the worker count, the SHA-256 implementation kAuto resolved to on this
-    // machine, and the legs the sweep ran — not the compile-time defaults.
-    // It is excluded from the determinism contract (see report.hpp).
-    std::fprintf(f,
-                 "  },\n"
-                 "  \"environment\": {\"jobs\": %u, "
-                 "\"sha256_impl\": \"%s\", \"legs\": "
-                 "[\"legacy\", \"pooled\"], "
-                 "\"wall_clock_seconds\": %.3f}\n"
-                 "}\n",
-                 report.jobs,
-                 crypto::to_string(crypto::sha256_batch_resolved_impl()),
-                 total_wall);
-    std::fclose(f);
-    std::fprintf(stderr, "perf report: %s\n", perf_path.c_str());
-  }
-  return 0;
+  return finish_perf_report(perf, perf_path);
 }

@@ -13,15 +13,15 @@
 // The headline metric is committed requests per *simulated* second, so the
 // speedup column is machine-independent: it measures how much of the
 // channel/crypto cost the pipeline actually amortizes, not host noise.
-// The n=16 pipe64/seq ratio is exported as `speedup_vs_sequential` and
-// gated (>= 5x) both here and by tools/check_perf.sh on the committed
-// BENCH_service_throughput.json.
+// The n=16 pipe64/seq ratio is exported as `speedup_vs_sequential` with a
+// declared floor of 5x, which this bench enforces on its exit status and
+// tools/check_perf.py on the committed BENCH_service_throughput.json.
 //
 // Output:
 //   --json PATH       turquois-bench/1 report, one cell per (n, leg), with
 //                     service scalars in each cell's `extra` map
-//   --perf-json PATH  flat metrics (schema turquois-service/1): the
-//                     committed BENCH_service_throughput.json
+//   --perf-json PATH  metrics (schema turquois-perf/1): the committed
+//                     BENCH_service_throughput.json
 //
 // Usage: service_throughput [--quick] [--reps R] [--requests N] [--seed S]
 //                           [--jobs N] [--json PATH] [--perf-json PATH]
@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -41,6 +40,8 @@
 
 using namespace turq;
 using namespace turq::harness;
+using enum Better;
+using enum Domain;
 
 namespace {
 
@@ -55,14 +56,6 @@ constexpr Leg kLegs[] = {
     {"pipe8", 8, 8},
     {"pipe64", 64, 8},
 };
-
-/// The n=16 pipe64 vs seq floor asserted here and by check_perf.sh.
-constexpr double kMinSpeedup = 5.0;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 }  // namespace
 
@@ -114,7 +107,10 @@ int main(int argc, char** argv) {
   report.name = "service_throughput";
   report.seed = seed;
   report.jobs = effective_jobs(jobs);
-  std::map<std::string, double> perf;  // ordered => deterministic key order
+  PerfReport perf;
+  perf.name = "service_throughput";
+  perf.quick = quick;
+  perf.jobs = report.jobs;
   const auto started = std::chrono::steady_clock::now();
 
   std::printf(
@@ -179,17 +175,7 @@ int main(int argc, char** argv) {
       const double speedup = seq_rate > 0.0 ? rate / seq_rate : 0.0;
       if (n == 16 && leg.pipeline_depth == 64) speedup_n16 = speedup;
 
-      ReportCell cell;
-      cell.protocol = "Turquois";
-      cell.n = n;
-      cell.distribution = "unanimous";
-      cell.fault_load = "failure-free";
-      cell.repetitions = reps;
-      cell.failed_runs = r.failed_runs;
-      cell.safety_violations = r.safety_violations;
-      cell.latencies_ms = r.latency_ms.samples();
-      cell.medium = r.medium_total;
-      cell.audit = r.audit;
+      ReportCell cell = make_cell(r);
       cell.extra["pipeline_depth"] = static_cast<double>(leg.pipeline_depth);
       cell.extra["batch"] = static_cast<double>(leg.batch);
       cell.extra["committed"] = static_cast<double>(totals.committed);
@@ -203,13 +189,15 @@ int main(int argc, char** argv) {
       report.cells.push_back(std::move(cell));
 
       const std::string tag = std::string(leg.name) + "_n" + std::to_string(n);
-      perf["committed_per_sec_" + tag] = rate;
-      perf["instances_per_sec_" + tag] = totals.instances_per_sim_sec();
-      perf["wall_" + tag] = wall;
+      perf.add("committed_per_sim_s_" + tag, rate, "1/s", kSim, kHigher);
+      perf.add("instances_per_sim_s_" + tag, totals.instances_per_sim_sec(),
+               "1/s", kSim, kHigher);
+      perf.add("wall_" + tag, wall, "s", kHost, kLower);
       if (n == 16 && leg.pipeline_depth == 64) {
-        perf["latency_p50_ms"] = r.latency_ms.percentile(0.5);
-        perf["latency_p95_ms"] = r.latency_ms.percentile(0.95);
-        perf["latency_p99_ms"] = r.latency_ms.percentile(0.99);
+        const SampleStats& latency = r.latency_ms;
+        perf.add("latency_p50_ms", latency.percentile(0.5), "ms", kSim, kLower);
+        perf.add("latency_p95_ms", latency.percentile(0.95), "ms", kSim, kLower);
+        perf.add("latency_p99_ms", latency.percentile(0.99), "ms", kSim, kLower);
       }
 
       std::printf("%5u | %7s | %12.1f | %12.2f | %9.2f | %8.2fx\n", n,
@@ -220,57 +208,25 @@ int main(int argc, char** argv) {
 
   const double total_wall = seconds_since(started);
   report.wall_seconds = total_wall;
-  perf["speedup_vs_sequential"] = speedup_n16;
-  perf["events_per_sec"] =
-      total_wall > 0.0 ? static_cast<double>(total_deliveries) / total_wall
-                       : 0.0;
+  perf.wall_seconds = total_wall;
+  perf.add("deliveries_per_wall_s", total_deliveries / total_wall, "1/s",
+           kHost, kHigher)
+      .max_drop = kThroughputMaxDrop;
+  // Both legs in simulated time: machine-independent, so a hard floor.
+  PerfMetric& speedup =
+      perf.add("speedup_vs_sequential", speedup_n16, "x", kSim, kHigher);
+  speedup.limit = 5.0;
 
   std::printf(
       "\nspeedup = committed req/s vs the same n's seq leg (W=1, B=1), in "
       "simulated\ntime — machine-independent. n=16 pipe64 floor: %.1fx "
-      "(checked here and by\ntools/check_perf.sh).\n",
-      kMinSpeedup);
+      "(checked here and by\ntools/check_perf.py).\n",
+      *speedup.limit);
   std::fprintf(stderr, "wall-clock: %.2f s\n", total_wall);
-
-  if (speedup_n16 < kMinSpeedup) {
-    std::fprintf(stderr,
-                 "service_throughput: FAIL — n=16 pipe64 speedup %.2fx "
-                 "below the %.2fx floor\n",
-                 speedup_n16, kMinSpeedup);
-    return 1;
-  }
 
   if (!json_path.empty()) {
     if (!write_json_report(report, json_path)) return 1;
     std::fprintf(stderr, "json report: %s\n", json_path.c_str());
   }
-  if (!perf_path.empty()) {
-    std::FILE* f = std::fopen(perf_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "service_throughput: cannot write %s\n",
-                   perf_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema\": \"turquois-service/1\",\n"
-                 "  \"name\": \"service_throughput\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"metrics\": {\n",
-                 quick ? "true" : "false");
-    std::size_t emitted = 0;
-    for (const auto& [key, value] : perf) {
-      std::fprintf(f, "    \"%s\": %.3f%s\n", key.c_str(), value,
-                   ++emitted == perf.size() ? "" : ",");
-    }
-    std::fprintf(f,
-                 "  },\n"
-                 "  \"environment\": {\"jobs\": %u, "
-                 "\"wall_clock_seconds\": %.3f}\n"
-                 "}\n",
-                 report.jobs, total_wall);
-    std::fclose(f);
-    std::fprintf(stderr, "perf report: %s\n", perf_path.c_str());
-  }
-  return 0;
+  return finish_perf_report(perf, perf_path);
 }

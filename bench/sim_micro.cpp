@@ -1,29 +1,24 @@
 // Microbenchmark for the three hot paths of the simulation stack:
 //
-//   events/sec   — Simulator schedule/execute throughput on a
+//   sim_events_per_wall_s — Simulator schedule/execute throughput on a
 //                  self-perpetuating event chain with a cancel-heavy side
 //                  load (exercises the slot arena, the tombstone counter,
 //                  and heap compaction);
-//   frames/sec   — Medium broadcast delivery throughput (one shared frame
-//                  fanned out to every attached receiver);
-//   verifies/sec — memoized one-time-signature validation throughput
+//   deliveries_per_wall_s — Medium broadcast delivery throughput (one
+//                  shared frame fanned out to every attached receiver);
+//   verifies_per_wall_s — memoized one-time-signature validation throughput
 //                  (VerifyMemo over a realistic (sender, phase, value) mix).
 //
 // The binary also proves the zero-allocation claim of DESIGN.md §10: this
 // translation unit replaces the global allocator with a counting wrapper,
-// and the events benchmark asserts that its steady-state measured region
-// performs ZERO heap allocations (after a warmup that grows the arena and
-// heap vectors to steady-state capacity). A non-zero count is a hard
-// failure (exit 1), so CI catches any allocation regression on the hot
-// path, not just a throughput drop.
+// and the events benchmark counts the heap allocations of its steady-state
+// measured region (after a warmup that grows the arena and heap vectors to
+// steady-state capacity). The report declares that count with a ceiling of
+// zero, and a broken ceiling is a hard failure (exit 1), so CI catches any
+// allocation regression on the hot path, not just a throughput drop.
 //
-// Usage: sim_micro [--quick] [--json PATH]
-//
-// The JSON report (schema "turquois-sim-micro/1") carries the three
-// throughput numbers plus the steady-state allocation count; throughput is
-// machine-dependent (documented in the "environment" sense), while
-// steady_state_allocs is exact and must stay 0. tools/check_perf.sh
-// compares events_per_sec against a committed baseline in CI.
+// Usage: sim_micro [--quick] [--json PATH]  (a turquois-perf/1 report,
+// gated against the committed BENCH_sim_micro.json by tools/check_perf.py)
 
 #include <chrono>
 #include <cstdio>
@@ -33,6 +28,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "harness/report.hpp"
 #include "net/medium.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
@@ -70,20 +66,14 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 namespace turq {
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
+using harness::PerfReport;
+using harness::seconds_since;
+using enum harness::Better;
+using enum harness::Domain;
 
 // ---------------------------------------------------------------------------
-// events/sec — self-perpetuating chain + cancel side load.
+// sim_events_per_wall_s — self-perpetuating chain + cancel side load.
 // ---------------------------------------------------------------------------
-
-struct EventBench {
-  double events_per_sec = 0.0;
-  std::uint64_t events_executed = 0;
-  std::uint64_t steady_state_allocs = 0;
-};
 
 // Each fire() executes one event, cancels the previous decoy (tombstoning
 // it), schedules a fresh decoy, and reschedules itself — so every iteration
@@ -101,7 +91,7 @@ struct Ticker {
   }
 };
 
-EventBench bench_events(std::uint64_t iters) {
+void bench_events(std::uint64_t iters, PerfReport& report) {
   sim::Simulator sim;
   Ticker ticker{.sim = sim, .remaining = iters / 10 + 2};
 
@@ -118,24 +108,20 @@ EventBench bench_events(std::uint64_t iters) {
   sim.schedule(0, [&ticker] { ticker.fire(); });
   sim.run_until(kSecond * 100000000);
   const double elapsed = seconds_since(start);
+  const std::uint64_t allocs = g_alloc_count - allocs_before;
+  const std::uint64_t executed = sim.events_executed() - executed_before;
 
-  EventBench out;
-  out.events_executed = sim.events_executed() - executed_before;
-  out.steady_state_allocs = g_alloc_count - allocs_before;
-  out.events_per_sec = static_cast<double>(out.events_executed) / elapsed;
-  return out;
+  report.add("sim_events_per_wall_s", executed / elapsed, "1/s", kHost, kHigher)
+      .max_drop = harness::kThroughputMaxDrop;
+  report.add("events_executed", executed, "count", kSim, kLower);
+  report.add("steady_state_allocs", allocs, "count", kHost, kLower).limit = 0;
 }
 
 // ---------------------------------------------------------------------------
-// frames/sec — broadcast fan-out through the shared-frame Medium.
+// deliveries_per_wall_s — broadcast fan-out through the shared-frame Medium.
 // ---------------------------------------------------------------------------
 
-struct FrameBench {
-  double frames_per_sec = 0.0;  // deliveries (src, frame) → receiver per sec
-  std::uint64_t deliveries = 0;
-};
-
-FrameBench bench_frames(std::uint64_t frames) {
+void bench_frames(std::uint64_t frames, PerfReport& report) {
   constexpr ProcessId kNodes = 8;
   sim::Simulator sim;
   net::Medium medium(sim, net::MediumConfig{}, Rng::stream(7, "medium", 0));
@@ -157,23 +143,17 @@ FrameBench bench_frames(std::uint64_t frames) {
   }
   const double elapsed = seconds_since(start);
 
-  FrameBench out;
-  out.deliveries = delivered;
-  out.frames_per_sec = static_cast<double>(delivered) / elapsed;
-  return out;
+  // A delivery is one (source, frame) reaching one receiver.
+  report.add("deliveries_per_wall_s", delivered / elapsed, "1/s", kHost,
+             kHigher);
+  report.add("frame_deliveries", delivered, "count", kSim, kHigher);
 }
 
 // ---------------------------------------------------------------------------
-// verifies/sec — memoized one-time-signature checks.
+// verifies_per_wall_s — memoized one-time-signature checks.
 // ---------------------------------------------------------------------------
 
-struct VerifyBench {
-  double verifies_per_sec = 0.0;
-  std::uint64_t checks = 0;
-  std::uint64_t memo_misses = 0;
-};
-
-VerifyBench bench_verifies(std::uint64_t rounds) {
+void bench_verifies(std::uint64_t rounds, PerfReport& report) {
   turquois::Config cfg;
   cfg.n = 4;
   cfg.f = 1;
@@ -210,15 +190,14 @@ VerifyBench bench_verifies(std::uint64_t rounds) {
   }
   const double elapsed = seconds_since(start);
 
-  VerifyBench out;
-  out.checks = rounds * mix.size();
-  out.memo_misses = memo.misses();
-  out.verifies_per_sec = static_cast<double>(out.checks) / elapsed;
-  if (ok != out.checks) {
+  const std::uint64_t checks = rounds * mix.size();
+  if (ok != checks) {
     std::fprintf(stderr, "sim_micro: verify mix unexpectedly rejected\n");
     std::exit(1);
   }
-  return out;
+  report.add("verifies_per_wall_s", checks / elapsed, "1/s", kHost, kHigher);
+  report.add("verify_checks", checks, "count", kHost, kLower);
+  report.add("verify_memo_misses", memo.misses(), "count", kHost, kLower);
 }
 
 int run(int argc, char** argv) {
@@ -239,67 +218,18 @@ int run(int argc, char** argv) {
   const std::uint64_t frame_iters = quick ? 100'000 : 1'000'000;
   const std::uint64_t verify_rounds = quick ? 20'000 : 200'000;
 
+  PerfReport report;
+  report.name = "sim_micro";
+  report.quick = quick;
   const auto started = std::chrono::steady_clock::now();
-  const EventBench ev = bench_events(event_iters);
-  const FrameBench fr = bench_frames(frame_iters);
-  const VerifyBench vf = bench_verifies(verify_rounds);
-  const double wall = seconds_since(started);
+  bench_events(event_iters, report);
+  bench_frames(frame_iters, report);
+  bench_verifies(verify_rounds, report);
+  report.wall_seconds = seconds_since(started);
 
-  std::printf("sim_micro (%s)\n", quick ? "quick" : "full");
-  std::printf("  events:   %12.0f /s  (%llu executed, %llu steady-state allocs)\n",
-              ev.events_per_sec,
-              static_cast<unsigned long long>(ev.events_executed),
-              static_cast<unsigned long long>(ev.steady_state_allocs));
-  std::printf("  frames:   %12.0f /s  (%llu deliveries)\n", fr.frames_per_sec,
-              static_cast<unsigned long long>(fr.deliveries));
-  std::printf("  verifies: %12.0f /s  (%llu checks, %llu memo misses)\n",
-              vf.verifies_per_sec, static_cast<unsigned long long>(vf.checks),
-              static_cast<unsigned long long>(vf.memo_misses));
-  std::fprintf(stderr, "wall-clock: %.2f s\n", wall);
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "sim_micro: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema\": \"turquois-sim-micro/1\",\n"
-                 "  \"name\": \"sim_micro\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"metrics\": {\n"
-                 "    \"events_per_sec\": %.1f,\n"
-                 "    \"events_executed\": %llu,\n"
-                 "    \"steady_state_allocs\": %llu,\n"
-                 "    \"frames_per_sec\": %.1f,\n"
-                 "    \"frame_deliveries\": %llu,\n"
-                 "    \"verifies_per_sec\": %.1f,\n"
-                 "    \"verify_checks\": %llu,\n"
-                 "    \"verify_memo_misses\": %llu\n"
-                 "  },\n"
-                 "  \"environment\": {\"wall_clock_seconds\": %.3f}\n"
-                 "}\n",
-                 quick ? "true" : "false", ev.events_per_sec,
-                 static_cast<unsigned long long>(ev.events_executed),
-                 static_cast<unsigned long long>(ev.steady_state_allocs),
-                 fr.frames_per_sec,
-                 static_cast<unsigned long long>(fr.deliveries),
-                 vf.verifies_per_sec,
-                 static_cast<unsigned long long>(vf.checks),
-                 static_cast<unsigned long long>(vf.memo_misses), wall);
-    std::fclose(f);
-    std::fprintf(stderr, "json report: %s\n", json_path.c_str());
-  }
-
-  if (ev.steady_state_allocs != 0) {
-    std::fprintf(stderr,
-                 "sim_micro: FAIL — %llu heap allocations in the steady-state "
-                 "schedule/execute loop (expected 0)\n",
-                 static_cast<unsigned long long>(ev.steady_state_allocs));
-    return 1;
-  }
-  return 0;
+  harness::print_metrics(report);
+  std::fprintf(stderr, "wall-clock: %.2f s\n", *report.wall_seconds);
+  return harness::finish_perf_report(report, json_path);
 }
 
 }  // namespace

@@ -6,17 +6,17 @@
 // medium's per-receiver delivery loop with carrier-sense arbitration, and
 // the relay's assessment timers, duplicate counters, and rebroadcasts.
 //
-// Metrics (schema "turquois-spatial-grid/1", flat like sim_micro's):
-//   events_per_sec  — simulator events executed per wall second; the gated
-//                     number (tools/check_perf.sh, floor = baseline x 0.7)
-//   frames_per_sec  — origin frames fully flooded per wall second
+// Metrics (schema turquois-perf/1, harness/report.hpp):
+//   sim_events_per_wall_s — simulator events executed per wall second; the
+//                     gated number (tools/check_perf.py, at most a 30 %
+//                     drop against the committed BENCH_spatial_grid.json)
+//   floods_per_wall_s — origin frames fully flooded per wall second
 //   relay_coverage  — unique deliveries per origin frame / (n-1): how much
 //                     of the group each flood reached (sanity, not gated)
 //
-// Unlike sim_micro there is no steady_state_allocs field: the relay's
+// Unlike sim_micro there is no steady_state_allocs metric: the relay's
 // duplicate-suppression table and per-frame assessment state allocate by
-// design, so the zero-alloc claim does not extend here and check_perf.sh
-// skips that gate when the field is absent.
+// design, so the zero-alloc claim does not extend here.
 //
 // Usage: spatial_grid [--quick] [--json PATH]
 
@@ -27,6 +27,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "harness/report.hpp"
 #include "net/medium.hpp"
 #include "sim/simulator.hpp"
 #include "spatial/relay.hpp"
@@ -35,21 +36,12 @@
 namespace turq {
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
+using harness::PerfReport;
+using harness::seconds_since;
+using enum harness::Better;
+using enum harness::Domain;
 
-struct GridBench {
-  double events_per_sec = 0.0;
-  double frames_per_sec = 0.0;
-  double relay_coverage = 0.0;
-  std::uint64_t events_executed = 0;
-  std::uint64_t origin_frames = 0;
-  std::uint64_t relay_deliveries = 0;
-};
-
-GridBench bench_grid(std::uint64_t frames) {
+void bench_grid(std::uint64_t frames, PerfReport& report) {
   constexpr std::uint32_t kNodes = 16;
   spatial::SpatialConfig scfg;
   scfg.placement = spatial::Placement::kGrid;
@@ -88,15 +80,19 @@ GridBench bench_grid(std::uint64_t frames) {
   const double elapsed = seconds_since(start);
   const spatial::RelayFabric::Stats after = relay.stats();
 
-  GridBench out;
-  out.events_executed = sim.events_executed() - executed_before;
-  out.origin_frames = after.origin_frames - before.origin_frames;
-  out.relay_deliveries = after.deliveries - before.deliveries;
-  out.events_per_sec = static_cast<double>(out.events_executed) / elapsed;
-  out.frames_per_sec = static_cast<double>(out.origin_frames) / elapsed;
-  out.relay_coverage = static_cast<double>(out.relay_deliveries) /
-                       (static_cast<double>(out.origin_frames) * (kNodes - 1));
-  return out;
+  const std::uint64_t executed = sim.events_executed() - executed_before;
+  const std::uint64_t origins = after.origin_frames - before.origin_frames;
+  const std::uint64_t deliveries = after.deliveries - before.deliveries;
+
+  report.add("sim_events_per_wall_s", executed / elapsed, "1/s", kHost, kHigher)
+      .max_drop = harness::kThroughputMaxDrop;
+  report.add("events_executed", executed, "count", kSim, kLower);
+  report.add("floods_per_wall_s", origins / elapsed, "1/s", kHost, kHigher);
+  report.add("origin_frames", origins, "count", kSim, kHigher);
+  report.add("relay_deliveries", deliveries, "count", kSim, kHigher);
+  report.add("relay_coverage",
+             static_cast<double>(deliveries) / (origins * (kNodes - 1.0)),
+             "fraction", kSim, kHigher);
 }
 
 int run(int argc, char** argv) {
@@ -113,54 +109,16 @@ int run(int argc, char** argv) {
     }
   }
 
-  const std::uint64_t frames = quick ? 2'000 : 20'000;
+  PerfReport report;
+  report.name = "spatial_grid";
+  report.quick = quick;
   const auto started = std::chrono::steady_clock::now();
-  const GridBench gb = bench_grid(frames);
-  const double wall = seconds_since(started);
+  bench_grid(quick ? 2'000 : 20'000, report);
+  report.wall_seconds = seconds_since(started);
 
-  std::printf("spatial_grid (%s)\n", quick ? "quick" : "full");
-  std::printf("  events:   %12.0f /s  (%llu executed)\n", gb.events_per_sec,
-              static_cast<unsigned long long>(gb.events_executed));
-  std::printf("  floods:   %12.0f /s  (%llu origin frames)\n",
-              gb.frames_per_sec,
-              static_cast<unsigned long long>(gb.origin_frames));
-  std::printf("  coverage: %11.1f%%   (%llu unique deliveries)\n",
-              gb.relay_coverage * 100.0,
-              static_cast<unsigned long long>(gb.relay_deliveries));
-  std::fprintf(stderr, "wall-clock: %.2f s\n", wall);
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "spatial_grid: cannot write %s\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema\": \"turquois-spatial-grid/1\",\n"
-                 "  \"name\": \"spatial_grid\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"metrics\": {\n"
-                 "    \"events_per_sec\": %.1f,\n"
-                 "    \"events_executed\": %llu,\n"
-                 "    \"frames_per_sec\": %.1f,\n"
-                 "    \"origin_frames\": %llu,\n"
-                 "    \"relay_deliveries\": %llu,\n"
-                 "    \"relay_coverage\": %.4f\n"
-                 "  },\n"
-                 "  \"environment\": {\"wall_clock_seconds\": %.3f}\n"
-                 "}\n",
-                 quick ? "true" : "false", gb.events_per_sec,
-                 static_cast<unsigned long long>(gb.events_executed),
-                 gb.frames_per_sec,
-                 static_cast<unsigned long long>(gb.origin_frames),
-                 static_cast<unsigned long long>(gb.relay_deliveries),
-                 gb.relay_coverage, wall);
-    std::fclose(f);
-    std::fprintf(stderr, "json report: %s\n", json_path.c_str());
-  }
-  return 0;
+  harness::print_metrics(report);
+  std::fprintf(stderr, "wall-clock: %.2f s\n", *report.wall_seconds);
+  return harness::finish_perf_report(report, json_path);
 }
 
 }  // namespace

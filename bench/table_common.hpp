@@ -104,9 +104,7 @@ inline int run_paper_table(int argc, char** argv,
                harness::effective_jobs(args.jobs));
   const auto started = std::chrono::steady_clock::now();
   const auto results = harness::run_table(spec, base);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
+  const double wall = harness::seconds_since(started);
   std::printf("%s\n", harness::render_table(spec, results).c_str());
   std::printf("Paper reference (Emulab 802.11b testbed):\n%s\n",
               paper_reference);

@@ -1,6 +1,8 @@
 #include "harness/report.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -21,6 +23,18 @@ std::string json_u64(std::uint64_t x) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(x));
   return buf;
+}
+
+/// Shortest fixed-notation text that round-trips `x` ("24968733.2", "0.3",
+/// "2000000"): equal doubles give equal bytes, and no exponent. JSON has no
+/// infinity or NaN, so those become null.
+std::string json_number(double x) {
+  if (!std::isfinite(x)) return "null";
+  char buf[512];
+  const auto result =
+      std::to_chars(buf, buf + sizeof(buf), x, std::chars_format::fixed);
+  if (result.ec != std::errc()) return json_double(x);
+  return std::string(buf, result.ptr);
 }
 
 void append_stats(std::string& out, const std::vector<double>& samples) {
@@ -131,6 +145,58 @@ void append_cell(std::string& out, const ReportCell& cell) {
   out += "}";
 }
 
+bool write_file(const std::string& text, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  out << text << std::flush;
+  if (!out) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return static_cast<bool>(out);
+}
+
+std::string join(const std::vector<std::string>& parts, const char* sep) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    out += (i == 0 ? "" : sep) + parts[i];
+  }
+  return out;
+}
+
+/// One row per line, indented under its top-level key.
+std::string json_rows(const std::vector<std::string>& rows) {
+  return rows.empty() ? "[]" : "[\n    " + join(rows, ",\n    ") + "\n  ]";
+}
+
+std::string metric_json(const PerfMetric& m) {
+  const bool higher = m.better == Better::kHigher;
+  std::vector<std::string> bound;
+  if (m.max_drop) bound.push_back("\"max_drop\": " + json_number(*m.max_drop));
+  if (m.limit) {
+    bound.push_back((higher ? "\"floor\": " : "\"ceiling\": ") +
+                    json_number(*m.limit));
+  }
+  return "{\"name\": \"" + m.name + "\", \"value\": " + json_number(m.value) +
+         ", \"unit\": \"" + m.unit + "\", \"domain\": \"" +
+         (m.domain == Domain::kSim ? "sim" : "host") + "\", \"better\": \"" +
+         (higher ? "higher" : "lower") + "\"" +
+         (bound.empty() ? "" : ", \"bound\": {" + join(bound, ", ") + "}") +
+         "}";
+}
+
+std::string cell_json(const PerfCell& c) {
+  const double per_decision =
+      c.decisions > 0 ? static_cast<double>(c.messages) / c.decisions : 0.0;
+  char figures[256];
+  std::snprintf(figures, sizeof(figures),
+                "\"decisions\": %llu, \"mean_ms\": %.4f, \"p99_ms\": %.4f, "
+                "\"messages\": %llu, \"msgs_per_decision\": %.4f, "
+                "\"failed_runs\": %u}",
+                static_cast<unsigned long long>(c.decisions), c.mean_ms,
+                c.p99_ms, static_cast<unsigned long long>(c.messages),
+                per_decision, c.failed_runs);
+  return "{\"protocol\": \"" + c.protocol + "\", \"plan\": \"" + c.plan +
+         "\", \"n\": " + json_u64(c.n) + ", \"reps\": " + json_u64(c.reps) +
+         ", " + figures;
+}
+
 }  // namespace
 
 ReportCell make_cell(const ScenarioResult& result) {
@@ -148,6 +214,12 @@ ReportCell make_cell(const ScenarioResult& result) {
   cell.audit = result.audit;
   cell.spatial = result.spatial_total;
   return cell;
+}
+
+std::string to_json(const ReportCell& cell) {
+  std::string out;
+  append_cell(out, cell);
+  return out;
 }
 
 std::string to_json(const BenchReport& report) {
@@ -172,18 +244,76 @@ std::string to_json(const BenchReport& report) {
 }
 
 bool write_json_report(const BenchReport& report, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
+  return write_file(to_json(report), path);
+}
+
+PerfMetric& PerfReport::add(std::string metric, double value, std::string unit,
+                            Domain domain, Better better) {
+  metrics.push_back({std::move(metric), value, std::move(unit), domain, better,
+                     std::nullopt, std::nullopt});
+  return metrics.back();
+}
+
+std::string to_json(const PerfReport& report) {
+  std::vector<std::string> metrics;
+  std::vector<std::string> grid;
+  std::vector<std::string> env;
+  for (const PerfMetric& m : report.metrics) metrics.push_back(metric_json(m));
+  for (const PerfCell& c : report.grid) grid.push_back(cell_json(c));
+  if (report.jobs) env.push_back("\"jobs\": " + json_u64(*report.jobs));
+  if (!report.sha256_impl.empty()) {
+    env.push_back("\"sha256_impl\": \"" + report.sha256_impl + "\"");
   }
-  out << to_json(report);
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "short write to %s\n", path.c_str());
-    return false;
+  if (report.wall_seconds) {
+    env.push_back("\"wall_clock_seconds\": " +
+                  json_number(*report.wall_seconds));
   }
-  return true;
+  std::vector<std::string> fields = {
+      "\"schema\": \"" + std::string(kPerfSchema) + "\"",
+      "\"name\": \"" + report.name + "\"",
+      std::string("\"quick\": ") + (report.quick ? "true" : "false")};
+  if (report.seed) fields.push_back("\"seed\": " + json_u64(*report.seed));
+  fields.push_back("\"metrics\": " + json_rows(metrics));
+  if (!grid.empty()) fields.push_back("\"grid\": " + json_rows(grid));
+  if (!env.empty()) {
+    fields.push_back("\"environment\": {" + join(env, ", ") + "}");
+  }
+  return "{\n  " + join(fields, ",\n  ") + "\n}\n";
+}
+
+bool write_perf_json(const PerfReport& report, const std::string& path) {
+  return write_file(to_json(report), path);
+}
+
+void print_metrics(const PerfReport& report) {
+  std::printf("%s (%s)\n", report.name.c_str(),
+              report.quick ? "quick" : "full");
+  for (const PerfMetric& m : report.metrics) {
+    const int decimals = m.value == std::floor(m.value) ? 0 : 3;
+    std::printf("  %-24s %16.*f %s\n", m.name.c_str(), decimals, m.value,
+                m.unit.c_str());
+  }
+}
+
+int finish_perf_report(const PerfReport& report, const std::string& path) {
+  if (!path.empty()) {
+    if (!write_perf_json(report, path)) return 1;
+    std::fprintf(stderr, "perf report: %s\n", path.c_str());
+  }
+  int status = 0;
+  for (const PerfMetric& m : report.metrics) {
+    const bool higher = m.better == Better::kHigher;
+    if (!m.limit || (higher ? m.value >= *m.limit : m.value <= *m.limit)) {
+      continue;
+    }
+    std::fprintf(stderr, "%s: FAIL — %s = %s %s, %s %s\n",
+                 report.name.c_str(), m.name.c_str(),
+                 json_number(m.value).c_str(), m.unit.c_str(),
+                 higher ? "below its floor" : "above its ceiling",
+                 json_number(*m.limit).c_str());
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace turq::harness

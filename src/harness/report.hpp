@@ -26,6 +26,7 @@
 // drop that line (tests/scheduler_test.cpp does exactly this).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -72,6 +73,15 @@ struct ReportCell {
 /// Builds a cell from a pooled scenario result.
 [[nodiscard]] ReportCell make_cell(const ScenarioResult& result);
 
+/// One cell's bytes, exactly as to_json(BenchReport) writes them.
+[[nodiscard]] std::string to_json(const ReportCell& cell);
+
+/// Wall-clock seconds since `start`, for a report's environment.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 /// A full report: name + seed + cells + (non-deterministic) environment.
 struct BenchReport {
   /// Bench binary name, e.g. "table1_failure_free"; names the output file
@@ -94,5 +104,79 @@ struct BenchReport {
 /// Writes to_json(report) to `path`. Returns false (after printing a note
 /// to stderr) when the file cannot be written.
 bool write_json_report(const BenchReport& report, const std::string& path);
+
+// ---------------------------------------------------------------------------
+// Perf reports (schema turquois-perf/1, layout in DESIGN.md §9): declared
+// metrics, checked one by one against a committed baseline by
+// tools/check_perf.py. Same determinism contract as above: the host's
+// wall-clock appears only on the optional "environment" line.
+// ---------------------------------------------------------------------------
+
+inline constexpr const char* kPerfSchema = "turquois-perf/1";
+
+/// How far a gated throughput may fall below its committed baseline: loose
+/// on purpose, it catches algorithmic regressions, not scheduler jitter.
+inline constexpr double kThroughputMaxDrop = 0.30;
+
+/// kSim: the simulated system (virtual time, simulated counts), the same on
+/// every machine. kHost: the machine running the bench (wall-clock, heap).
+enum class Domain { kSim, kHost };
+enum class Better { kHigher, kLower };
+
+struct PerfMetric {
+  std::string name;
+  double value = 0.0;
+  std::string unit;
+  Domain domain = Domain::kHost;
+  Better better = Better::kHigher;
+  /// Largest relative change in the worse direction against the baseline.
+  std::optional<double> max_drop;
+  /// Absolute floor (Better::kHigher) or ceiling (Better::kLower).
+  std::optional<double> limit;
+};
+
+/// One campaign grid cell: protocol, plan, n and reps name it; the rest is
+/// what it measured.
+struct PerfCell {
+  std::string protocol;
+  std::string plan;
+  std::uint32_t n = 0;
+  std::uint32_t reps = 0;
+  std::uint64_t decisions = 0;
+  double mean_ms = 0.0;
+  double p99_ms = 0.0;
+  std::uint64_t messages = 0;
+  std::uint32_t failed_runs = 0;
+};
+
+struct PerfReport {
+  std::string name;
+  bool quick = false;
+  std::optional<std::uint64_t> seed;
+  std::vector<PerfMetric> metrics;
+  std::vector<PerfCell> grid;
+  // Environment: how the run was executed; each field is written when set.
+  std::optional<unsigned> jobs;
+  std::string sha256_impl;
+  std::optional<double> wall_seconds;
+
+  /// Appends an unbounded metric; returns it so a bound can be declared.
+  PerfMetric& add(std::string metric, double value, std::string unit,
+                  Domain domain, Better better);
+};
+
+[[nodiscard]] std::string to_json(const PerfReport& report);
+
+/// Writes to_json(report); false (with a note on stderr) on failure.
+bool write_perf_json(const PerfReport& report, const std::string& path);
+
+/// Prints one line per metric to stdout.
+void print_metrics(const PerfReport& report);
+
+/// A bench's exit status: writes the report to `path` (unless empty), then
+/// returns 1 after printing every broken floor or ceiling to stderr, or
+/// when the write failed, else 0. Bounds relative to the committed
+/// baseline are left to tools/check_perf.py.
+int finish_perf_report(const PerfReport& report, const std::string& path);
 
 }  // namespace turq::harness

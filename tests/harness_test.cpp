@@ -11,6 +11,7 @@
 
 #include "faultplan/spec.hpp"
 #include "harness/experiment.hpp"
+#include "harness/report.hpp"
 #include "harness/table.hpp"
 #include "service/service.hpp"
 #include "trace/sink.hpp"
@@ -177,6 +178,99 @@ TEST(Table, RunAndRenderSmallGrid) {
   EXPECT_NE(rendered.find("Turquois divergent"), std::string::npos);
 }
 
+// A perf report is a pure function of its PerfReport: fixed key order,
+// metrics in declaration order, and the host's wall-clock only on the
+// environment line. write_perf_json writes exactly those bytes.
+TEST(PerfReport, WritesDeterministicJson) {
+  PerfReport report;
+  report.name = "fixture";
+  report.quick = true;
+  report.seed = 7;
+  report.add("sim_events_per_wall_s", 24968733.2, "1/s", Domain::kHost,
+             Better::kHigher)
+      .max_drop = kThroughputMaxDrop;
+  report.add("steady_state_allocs", 0.0, "count", Domain::kHost,
+             Better::kLower)
+      .limit = 0.0;
+  report.add("speedup_vs_sequential", 6.5, "x", Domain::kSim, Better::kHigher)
+      .limit = 5.0;
+  report.grid.push_back(PerfCell{.protocol = "Crain",
+                                 .plan = "failure-free",
+                                 .n = 4,
+                                 .reps = 2,
+                                 .decisions = 8,
+                                 .mean_ms = 44.94334,
+                                 .p99_ms = 54.7659,
+                                 .messages = 136,
+                                 .failed_runs = 0});
+  report.jobs = 4;
+  report.wall_seconds = 0.136;
+
+  const std::string json = to_json(report);
+  EXPECT_EQ(json,
+            "{\n"
+            "  \"schema\": \"turquois-perf/1\",\n"
+            "  \"name\": \"fixture\",\n"
+            "  \"quick\": true,\n"
+            "  \"seed\": 7,\n"
+            "  \"metrics\": [\n"
+            "    {\"name\": \"sim_events_per_wall_s\", \"value\": 24968733.2, "
+            "\"unit\": \"1/s\", \"domain\": \"host\", \"better\": \"higher\", "
+            "\"bound\": {\"max_drop\": 0.3}},\n"
+            "    {\"name\": \"steady_state_allocs\", \"value\": 0, "
+            "\"unit\": \"count\", \"domain\": \"host\", \"better\": \"lower\", "
+            "\"bound\": {\"ceiling\": 0}},\n"
+            "    {\"name\": \"speedup_vs_sequential\", \"value\": 6.5, "
+            "\"unit\": \"x\", \"domain\": \"sim\", \"better\": \"higher\", "
+            "\"bound\": {\"floor\": 5}}\n"
+            "  ],\n"
+            "  \"grid\": [\n"
+            "    {\"protocol\": \"Crain\", \"plan\": \"failure-free\", "
+            "\"n\": 4, "
+            "\"reps\": 2, \"decisions\": 8, \"mean_ms\": 44.9433, "
+            "\"p99_ms\": 54.7659, \"messages\": 136, "
+            "\"msgs_per_decision\": 17.0000, \"failed_runs\": 0}\n"
+            "  ],\n"
+            "  \"environment\": {\"jobs\": 4, \"wall_clock_seconds\": 0.136}\n"
+            "}\n");
+  EXPECT_EQ(to_json(report), json);
+
+  // Another run's wall-clock moves the environment line and nothing else.
+  PerfReport later = report;
+  later.wall_seconds = 12.5;
+  const std::string later_json = to_json(later);
+  const auto env = json.find("  \"environment\"");
+  ASSERT_NE(env, std::string::npos);
+  EXPECT_EQ(later_json.substr(0, env), json.substr(0, env));
+  EXPECT_NE(later_json, json);
+
+  const std::string path =
+      ::testing::TempDir() + "harness_test_perf_report.json";
+  ASSERT_TRUE(write_perf_json(report, path));
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), json);
+  std::remove(path.c_str());
+}
+
+// A bench's exit status reads the declared floors and ceilings.
+TEST(PerfReport, FinishFailsOnABrokenLimit) {
+  PerfReport report;
+  report.name = "fixture";
+  report.add("speedup_vs_sequential", 5.0, "x", Domain::kSim, Better::kHigher)
+      .limit = 5.0;
+  EXPECT_EQ(finish_perf_report(report, ""), 0);
+  report.metrics[0].value = 4.99;
+  EXPECT_EQ(finish_perf_report(report, ""), 1);
+  report.metrics[0].value = 6.0;
+  report.add("steady_state_allocs", 1.0, "count", Domain::kHost,
+             Better::kLower);
+  EXPECT_EQ(finish_perf_report(report, ""), 0)
+      << "an unbounded metric never fails";
+  report.metrics[1].limit = 0.0;
+  EXPECT_EQ(finish_perf_report(report, ""), 1);
+}
 
 // ------------------------------------------------------ deployment golden --
 

@@ -10,7 +10,7 @@
 # 2. Baseline check: the committed BENCH_*.json baselines and the docs
 #    must agree — every committed baseline is referenced from README.md
 #    or EXPERIMENTS.md (an orphan baseline is stale), every baseline the
-#    docs/CI/gate scripts name exists in the repo (a dangling reference
+#    docs/CI/perf checker name exists in the repo (a dangling reference
 #    means a renamed or deleted file), and each carries a "schema" line.
 # 3. Flag check: every `--flag` mentioned in README.md, DESIGN.md or
 #    EXPERIMENTS.md must appear in the --help/usage output of at least one
@@ -72,7 +72,7 @@ for bench in BENCH_*.json; do
   fi
 done
 # Dangling references the other way: every BENCH_<name>.json the docs, CI
-# config, or perf gate name must exist (wildcard references like
+# config, or perf checker name must exist (wildcard references like
 # BENCH_campaign_*.json don't match the pattern and are skipped).
 while IFS= read -r ref; do
   if [ ! -e "$ref" ]; then
@@ -81,7 +81,7 @@ while IFS= read -r ref; do
   fi
 done < <(grep -ohE 'BENCH_[A-Za-z0-9_]+\.json' \
            README.md EXPERIMENTS.md .github/workflows/ci.yml \
-           tools/check_perf.sh | sort -u |
+           tools/check_perf.py | sort -u |
          grep -vE '^BENCH_(table2_fail_stop|table3_byzantine|ablation_[a-z]+|campaign[A-Za-z0-9_]*)\.json$')
 [ "$fail" -eq 0 ] && echo "baselines ok"
 

@@ -31,6 +31,8 @@
 
 using namespace turq;
 using namespace turq::harness;
+using enum Better;
+using enum Domain;
 
 namespace {
 
@@ -81,16 +83,10 @@ namespace {
       "  --out <dir>                         directory for the per-cell\n"
       "                                      BENCH_*.json files (default .)\n"
       "  --summary-json <path>               also write one aggregate\n"
-      "                                      turquois-bench/1 report for the\n"
-      "                                      whole grid: per-cell decision\n"
-      "                                      latency and message complexity,\n"
-      "                                      plus pooled decisions per\n"
-      "                                      simulated second as\n"
-      "                                      events_per_sec (deterministic —\n"
-      "                                      no wall-clock fields — so the\n"
-      "                                      file is byte-identical at any\n"
-      "                                      --jobs and gateable by\n"
-      "                                      tools/check_perf.sh)\n"
+      "                                      turquois-perf/1 report for the\n"
+      "                                      whole grid (no wall-clock, so\n"
+      "                                      byte-identical at any --jobs and\n"
+      "                                      gateable by tools/check_perf.py)\n"
       "  --quick                             smoke preset: 2 reps, 30 s\n"
       "                                      deadline (overrides --reps and\n"
       "                                      --timeout)\n"
@@ -103,17 +99,12 @@ namespace {
 
 struct CellOutcome {
   std::string label;        // "<protocol> n=<N> <plan> [<topology>]"
-  std::string protocol;     // grid coordinates, for the summary report
-  std::string plan;
-  std::uint32_t n = 0;
   bool failed = false;      // config rejected or harness crashed
   std::string error;
   std::string json_path;
-  double mean_ms = 0.0;
-  double p99_ms = 0.0;
-  std::uint64_t messages = 0;  // protocol messages pooled over repetitions
-  std::size_t samples = 0;
-  std::uint32_t failed_runs = 0;
+  /// Grid coordinates and pooled figures (messages: protocol sends by
+  /// correct processes), as the summary report lists them.
+  PerfCell row;
   std::uint32_t safety_violations = 0;
   /// Per-hop (frame,receiver) delivery ratio; only meaningful (and only
   /// printed) for multi-hop cells.
@@ -280,9 +271,10 @@ int main(int argc, char** argv) {
       for (const std::uint32_t n : sizes) {
         for (const SpatialAxis& axis : spatial_axes) {
         CellOutcome cell;
-        cell.protocol = to_string(protocol);
-        cell.plan = plan.name;
-        cell.n = n;
+        cell.row.protocol = to_string(protocol);
+        cell.row.plan = plan.name;
+        cell.row.n = n;
+        cell.row.reps = reps;
         cell.label = to_string(protocol) + " n=" + std::to_string(n) + " " +
                      plan.name + axis.label;
         std::printf("[cell] %s ...\n", cell.label.c_str());
@@ -303,9 +295,7 @@ int main(int argc, char** argv) {
           cfg.run_timeout = timeout;
           cfg.audit = audit;
           const ScenarioResult r = run_scenario(cfg);
-          const double wall = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - started)
-                                  .count();
+          const double wall = seconds_since(started);
           const std::string name = "campaign_" + to_string(protocol) + "_" +
                                    slug(plan.name) + "_n" + std::to_string(n) +
                                    axis.suffix;
@@ -320,12 +310,12 @@ int main(int argc, char** argv) {
             cell.failed = true;
             cell.error = "cannot write " + cell.json_path;
           }
-          cell.mean_ms = r.latency_ms.empty() ? 0.0 : r.mean();
-          cell.p99_ms =
+          cell.row.mean_ms = r.latency_ms.empty() ? 0.0 : r.mean();
+          cell.row.p99_ms =
               r.latency_ms.empty() ? 0.0 : r.latency_ms.percentile(0.99);
-          cell.messages = r.app_messages;
-          cell.samples = r.latency_ms.count();
-          cell.failed_runs = r.failed_runs;
+          cell.row.messages = r.app_messages;
+          cell.row.decisions = r.latency_ms.count();
+          cell.row.failed_runs = r.failed_runs;
           cell.safety_violations = r.safety_violations;
           if (r.spatial_total.has_value()) {
             const unsigned long long attempts =
@@ -376,8 +366,10 @@ int main(int argc, char** argv) {
       std::snprintf(delivery_col, sizeof(delivery_col), "%.1f%%",
                     100.0 * *cell.delivery_ratio);
     }
-    std::printf("%-34s %12.2f %8zu %8u %9s %8s %s\n", cell.label.c_str(),
-                cell.mean_ms, cell.samples, cell.failed_runs, delivery_col,
+    std::printf("%-34s %12.2f %8llu %8u %9s %8s %s\n", cell.label.c_str(),
+                cell.row.mean_ms,
+                static_cast<unsigned long long>(cell.row.decisions),
+                cell.row.failed_runs, delivery_col,
                 audit_col.c_str(), sigma.c_str());
     if (cell.safety_violations > 0) {
       any_failed = true;
@@ -398,10 +390,11 @@ int main(int argc, char** argv) {
   if (!summary_path.empty()) {
     // One aggregate report for the whole grid. Every field is a pure
     // function of (seed, grid coordinates) — no wall-clock anywhere — so
-    // the file is byte-identical at any --jobs value. events_per_sec is
-    // pooled decisions per *simulated* second (total decisions over total
-    // decision-latency), the machine-independent throughput figure
-    // tools/check_perf.sh gates.
+    // the file is byte-identical at any --jobs value.
+    PerfReport summary;
+    summary.name = "campaign_summary";
+    summary.quick = quick;
+    summary.seed = seed;
     std::uint64_t decisions = 0;
     std::uint64_t messages = 0;
     std::uint32_t failed_cells = 0;
@@ -413,58 +406,26 @@ int main(int argc, char** argv) {
         ++failed_cells;
         continue;
       }
-      decisions += cell.samples;
-      messages += cell.messages;
-      failed_runs += cell.failed_runs;
+      decisions += cell.row.decisions;
+      messages += cell.row.messages;
+      failed_runs += cell.row.failed_runs;
       violations += cell.safety_violations;
-      latency_ms_sum += cell.mean_ms * static_cast<double>(cell.samples);
+      latency_ms_sum +=
+          cell.row.mean_ms * static_cast<double>(cell.row.decisions);
+      summary.grid.push_back(cell.row);
     }
-    const double events_per_sec =
-        latency_ms_sum > 0.0
-            ? 1000.0 * static_cast<double>(decisions) / latency_ms_sum
-            : 0.0;
-    FILE* out = std::fopen(summary_path.c_str(), "wb");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", summary_path.c_str());
-      return 2;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"schema\": \"turquois-bench/1\",\n");
-    std::fprintf(out, "  \"name\": \"campaign_summary\",\n");
-    std::fprintf(out, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(out, "  \"cells\": %zu,\n", outcomes.size());
-    std::fprintf(out, "  \"failed_cells\": %u,\n", failed_cells);
-    std::fprintf(out, "  \"failed_runs\": %u,\n", failed_runs);
-    std::fprintf(out, "  \"safety_violations\": %u,\n", violations);
-    std::fprintf(out, "  \"decisions\": %llu,\n",
-                 static_cast<unsigned long long>(decisions));
-    std::fprintf(out, "  \"messages\": %llu,\n",
-                 static_cast<unsigned long long>(messages));
-    std::fprintf(out, "  \"events_per_sec\": %.4f,\n", events_per_sec);
-    std::fprintf(out, "  \"grid\": [\n");
-    bool first = true;
-    for (const CellOutcome& cell : outcomes) {
-      if (cell.failed) continue;
-      const double msgs_per_decision =
-          cell.samples > 0
-              ? static_cast<double>(cell.messages) /
-                    static_cast<double>(cell.samples)
-              : 0.0;
-      std::fprintf(
-          out,
-          "%s    {\"protocol\": \"%s\", \"plan\": \"%s\", \"n\": %u, "
-          "\"decisions\": %zu, \"mean_ms\": %.4f, \"p99_ms\": %.4f, "
-          "\"messages\": %llu, \"msgs_per_decision\": %.4f, "
-          "\"failed_runs\": %u}",
-          first ? "" : ",\n", cell.protocol.c_str(), cell.plan.c_str(), cell.n,
-          cell.samples, cell.mean_ms, cell.p99_ms,
-          static_cast<unsigned long long>(cell.messages), msgs_per_decision,
-          cell.failed_runs);
-      first = false;
-    }
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
+    summary.add("failed_cells", failed_cells, "count", kSim, kLower);
+    summary.add("failed_runs", failed_runs, "count", kSim, kLower);
+    summary.add("safety_violations", violations, "count", kSim, kLower);
+    summary.add("decisions", decisions, "count", kSim, kHigher);
+    summary.add("messages", messages, "count", kSim, kLower);
+    // Pooled decisions per second of simulated decision latency (total
+    // decisions over total latency): machine-independent.
+    const double rate =
+        latency_ms_sum > 0.0 ? 1000.0 * decisions / latency_ms_sum : 0.0;
+    summary.add("decisions_per_latency_s", rate, "1/s", kSim, kHigher)
+        .max_drop = kThroughputMaxDrop;
+    if (!write_perf_json(summary, summary_path)) return 2;
     std::printf("summary: wrote %s\n", summary_path.c_str());
   }
   return any_failed ? 1 : 0;

@@ -383,9 +383,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "invalid scenario: %s\n", e.what());
     return 2;
   }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
+  const double wall = seconds_since(started);
   if (!json_path.empty()) {
     BenchReport report;
     report.name = "turquois_sim";
