@@ -1,6 +1,7 @@
 #include "crypto/onetime_sig.hpp"
 
-#include <vector>
+#include <algorithm>
+#include <cstring>
 
 #include "common/assert.hpp"
 #include "common/serialize.hpp"
@@ -10,6 +11,9 @@ namespace turq::crypto {
 
 namespace {
 constexpr std::size_t kSecretKeyLen = 32;  // h bytes, matching SHA-256 output
+/// Messages per sha256_batch call where the views and digests sit on the
+/// stack: eight 8-lane groups, so no heap buffer is needed.
+constexpr std::size_t kSweep = 64;
 
 bool is_decide_phase(Phase phase) { return phase % 3 == 0; }
 }  // namespace
@@ -19,77 +23,79 @@ bool ots_value_allowed(Phase phase, Value v) {
   return true;
 }
 
-std::size_t VerificationKeyArray::slots_for_phase(Phase phase) {
-  return is_decide_phase(phase) ? 3 : 2;  // {0,1} plus ⊥ in DECIDE phases
-}
-
 VerificationKeyArray::VerificationKeyArray(ProcessId owner, Phase first_phase,
-                                           std::vector<Digest> keys)
-    : owner_(owner), first_phase_(first_phase), keys_(std::move(keys)) {
-  TURQ_ASSERT(first_phase_ >= 1);
-  // Rebuild the per-phase offsets from the slot layout.
-  std::size_t off = 0;
-  Phase phase = first_phase_;
-  while (off < keys_.size()) {
-    phase_off_.push_back(off);
-    off += slots_for_phase(phase);
-    ++phase;
-  }
-  TURQ_ASSERT_MSG(off == keys_.size(), "key vector does not tile into phases");
-}
-
-Phase VerificationKeyArray::num_phases() const {
-  return static_cast<Phase>(phase_off_.size());
+                                           Phase num_phases)
+    : owner_(owner), first_phase_(first_phase), num_phases_(num_phases) {
+  TURQ_ASSERT(first_phase_ >= 1 && num_phases_ >= 1);
+  const std::size_t keys = slots();
+  Writer w;
+  w.reserve(kHeaderSize + keys * kSha256DigestSize);
+  w.u32(owner_);
+  w.u32(first_phase_);
+  w.u32(static_cast<std::uint32_t>(keys));
+  bytes_ = w.take();
+  bytes_.resize(kHeaderSize + keys * kSha256DigestSize);
 }
 
 bool VerificationKeyArray::covers(Phase phase) const {
-  return phase >= first_phase_ && phase < first_phase_ + num_phases();
+  return phase >= first_phase_ && phase - first_phase_ < num_phases_;
 }
 
+// Every phase holds slots 0 and 1; DECIDE phases (φ ≡ 0 mod 3) add ⊥. So
+// the slots before phase φ are two per earlier phase plus one per DECIDE
+// phase in [first_phase, φ).
 std::size_t VerificationKeyArray::index_of(Phase phase, Value v) const {
   TURQ_ASSERT(covers(phase));
   TURQ_ASSERT_MSG(ots_value_allowed(phase, v),
                   "no one-time key for this (phase, value)");
-  const std::size_t base = phase_off_[phase - first_phase_];
+  const std::size_t base =
+      2 * std::size_t{phase - first_phase_} + (phase - 1) / 3 -
+      (first_phase_ - 1) / 3;
   return base + static_cast<std::size_t>(v);  // kZero=0, kOne=1, kBottom=2
 }
 
-const Digest& VerificationKeyArray::key(Phase phase, Value v) const {
-  return keys_[index_of(phase, v)];
+std::size_t VerificationKeyArray::slots() const {
+  const Phase end = first_phase_ + num_phases_;
+  return 2 * std::size_t{num_phases_} + (end - 1) / 3 - (first_phase_ - 1) / 3;
 }
 
-Bytes VerificationKeyArray::serialize() const {
-  Writer w;
-  w.reserve(4 + 4 + 4 + keys_.size() * kSha256DigestSize);
-  w.u32(owner_);
-  w.u32(first_phase_);
-  w.u32(static_cast<std::uint32_t>(keys_.size()));
-  for (const Digest& d : keys_) w.raw(BytesView(d.data(), d.size()));
-  return w.take();
+BytesView VerificationKeyArray::key(Phase phase, Value v) const {
+  return BytesView(bytes_).subspan(
+      kHeaderSize + index_of(phase, v) * kSha256DigestSize, kSha256DigestSize);
 }
 
 OneTimeKeyChain OneTimeKeyChain::generate(ProcessId owner, Phase first_phase,
                                           Phase num_phases, Rng& rng) {
-  TURQ_ASSERT(first_phase >= 1 && num_phases >= 1);
-  std::size_t slots = 0;
-  for (Phase phase = first_phase; phase < first_phase + num_phases; ++phase) {
-    slots += VerificationKeyArray::slots_for_phase(phase);
-  }
-  // Draw every secret, then derive all VKs in one batched sweep; hashing
-  // never touches the stream.
   OneTimeKeyChain chain;
+  chain.public_keys_ = VerificationKeyArray(owner, first_phase, num_phases);
+  const std::size_t slots = chain.public_keys_.slots();
+  // Draw every secret, then derive the VKs in batched sweeps straight into
+  // the array's key bytes; hashing never touches the stream. The draws run
+  // on a local copy of the generator: a store through a byte pointer may
+  // alias anything, so drawing through the reference would reload and
+  // store its state for every byte.
   chain.secrets_.resize(slots * kSecretKeyLen);
+  Rng draws = rng;
   for (auto& byte : chain.secrets_) {
-    byte = static_cast<std::uint8_t>(rng.next());
+    byte = static_cast<std::uint8_t>(draws.next());
   }
-  std::vector<BytesView> views(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    views[i] =
-        BytesView(chain.secrets_).subspan(i * kSecretKeyLen, kSecretKeyLen);
+  rng = draws;
+  BytesView views[kSweep];
+  Digest vks[kSweep];
+  std::uint8_t* out =
+      chain.public_keys_.bytes_.data() + VerificationKeyArray::kHeaderSize;
+  for (std::size_t done = 0; done < slots; done += kSweep) {
+    const std::size_t count = std::min(kSweep, slots - done);
+    for (std::size_t i = 0; i < count; ++i) {
+      views[i] = BytesView(chain.secrets_)
+                     .subspan((done + i) * kSecretKeyLen, kSecretKeyLen);
+    }
+    sha256_batch(views, count, vks);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::memcpy(out + (done + i) * kSha256DigestSize, vks[i].data(),
+                  kSha256DigestSize);
+    }
   }
-  std::vector<Digest> vks(slots);
-  sha256_batch(views.data(), views.size(), vks.data());
-  chain.public_keys_ = VerificationKeyArray(owner, first_phase, std::move(vks));
   return chain;
 }
 
@@ -102,41 +108,36 @@ bool ots_verify(const VerificationKeyArray& vk_array, Phase phase, Value v,
                 BytesView revealed_sk) {
   if (!vk_array.covers(phase) || !ots_value_allowed(phase, v)) return false;
   const Digest computed = Sha256::hash(revealed_sk);
-  const Digest& expected = vk_array.key(phase, v);
   return constant_time_equal(BytesView(computed.data(), computed.size()),
-                             BytesView(expected.data(), expected.size()));
+                             vk_array.key(phase, v));
 }
 
 void ots_verify_batch(const OtsCheck* checks, std::size_t count, bool* out) {
-  if (count == 0) return;
-  std::vector<BytesView> msgs(count);
-  for (std::size_t i = 0; i < count; ++i) msgs[i] = checks[i].revealed_sk;
-  std::vector<Digest> digests(count);
-  sha256_batch(msgs.data(), count, digests.data());
-  for (std::size_t i = 0; i < count; ++i) {
-    const OtsCheck& c = checks[i];
-    if (c.vk_array == nullptr || !c.vk_array->covers(c.phase) ||
-        !ots_value_allowed(c.phase, c.v)) {
-      out[i] = false;
-      continue;
+  BytesView msgs[kSweep];
+  Digest digests[kSweep];
+  for (std::size_t done = 0; done < count; done += kSweep) {
+    const std::size_t n = std::min(kSweep, count - done);
+    for (std::size_t i = 0; i < n; ++i) msgs[i] = checks[done + i].revealed_sk;
+    sha256_batch(msgs, n, digests);
+    for (std::size_t i = 0; i < n; ++i) {
+      const OtsCheck& c = checks[done + i];
+      out[done + i] =
+          c.vk_array != nullptr && c.vk_array->covers(c.phase) &&
+          ots_value_allowed(c.phase, c.v) &&
+          constant_time_equal(BytesView(digests[i].data(), digests[i].size()),
+                              c.vk_array->key(c.phase, c.v));
     }
-    const Digest& expected = c.vk_array->key(c.phase, c.v);
-    out[i] = constant_time_equal(
-        BytesView(digests[i].data(), digests[i].size()),
-        BytesView(expected.data(), expected.size()));
   }
 }
 
-SignedKeyArray sign_key_array(const VerificationKeyArray& keys,
-                              const RsaKeyPair& rsa) {
-  return SignedKeyArray{.keys = keys,
-                        .signature = rsa_sign(rsa, keys.serialize())};
+std::uint64_t sign_key_array(const VerificationKeyArray& keys,
+                             const RsaKeyPair& rsa) {
+  return rsa_sign(rsa, keys.serialize());
 }
 
-bool verify_key_array(const SignedKeyArray& signed_keys,
+bool verify_key_array(const VerificationKeyArray& keys, std::uint64_t signature,
                       const RsaPublicKey& rsa_pub) {
-  return rsa_verify(rsa_pub, signed_keys.keys.serialize(),
-                    signed_keys.signature);
+  return rsa_verify(rsa_pub, keys.serialize(), signature);
 }
 
 }  // namespace turq::crypto

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -38,35 +37,44 @@ bool ots_value_allowed(Phase phase, Value v);
 
 /// Public verification-key array for one process and one key-exchange epoch,
 /// covering phases [first_phase, first_phase + num_phases).
+///
+/// The array's storage is its canonical serialization, the bytes the RSA
+/// signature covers: a 12-byte header (owner, first phase and key count, each
+/// a little-endian u32), then the 32-byte keys in [phase][value] order. A
+/// phase's slot block starts at an offset computed from the slot layout, so
+/// serialize() is a view and signing hashes the stored bytes in place.
 class VerificationKeyArray {
  public:
+  static constexpr std::size_t kHeaderSize = 12;
+
   VerificationKeyArray() = default;
-  VerificationKeyArray(ProcessId owner, Phase first_phase,
-                       std::vector<Digest> keys);
 
   [[nodiscard]] ProcessId owner() const { return owner_; }
   [[nodiscard]] Phase first_phase() const { return first_phase_; }
-  [[nodiscard]] Phase num_phases() const;
+  [[nodiscard]] Phase num_phases() const { return num_phases_; }
   [[nodiscard]] bool covers(Phase phase) const;
 
-  /// The verification key for (phase, value); phase must be covered and the
-  /// value allowed for that phase.
-  [[nodiscard]] const Digest& key(Phase phase, Value v) const;
+  /// The 32-byte verification key for (phase, value); phase must be covered
+  /// and the value allowed for that phase.
+  [[nodiscard]] BytesView key(Phase phase, Value v) const;
 
-  /// Canonical serialization (what the RSA signature covers).
-  [[nodiscard]] Bytes serialize() const;
+  /// Canonical serialization (what the RSA signature covers): a view of
+  /// this array's storage.
+  [[nodiscard]] BytesView serialize() const { return bytes_; }
 
-  /// Number of per-(phase,value) slots per phase (0, 1, and ⊥ when allowed).
-  static std::size_t slots_for_phase(Phase phase);
+  bool operator==(const VerificationKeyArray&) const = default;
 
  private:
   friend class OneTimeKeyChain;
+  /// An array of zeroed keys with its header written.
+  VerificationKeyArray(ProcessId owner, Phase first_phase, Phase num_phases);
   [[nodiscard]] std::size_t index_of(Phase phase, Value v) const;
+  [[nodiscard]] std::size_t slots() const;
 
   ProcessId owner_ = kInvalidProcess;
   Phase first_phase_ = 1;
-  std::vector<Digest> keys_;            // flattened [phase][value]
-  std::vector<std::size_t> phase_off_;  // offset of each phase's slot block
+  Phase num_phases_ = 0;
+  Bytes bytes_;  // header, then the keys flattened [phase][value]
 };
 
 /// A process's private side: the SK array plus the matching public array.
@@ -113,16 +121,12 @@ struct OtsCheck {
 /// sweep; profitable from 2 checks up (see sha256_batch.hpp for lane rules).
 void ots_verify_batch(const OtsCheck* checks, std::size_t count, bool* out);
 
-/// A VK array signed with the owner's RSA key (the key-exchange payload).
-struct SignedKeyArray {
-  VerificationKeyArray keys;
-  std::uint64_t signature = 0;
-};
+/// The owner's RSA signature over a VK array's canonical bytes (the
+/// key-exchange payload is the array plus this signature).
+std::uint64_t sign_key_array(const VerificationKeyArray& keys,
+                             const RsaKeyPair& rsa);
 
-SignedKeyArray sign_key_array(const VerificationKeyArray& keys,
-                              const RsaKeyPair& rsa);
-
-bool verify_key_array(const SignedKeyArray& signed_keys,
+bool verify_key_array(const VerificationKeyArray& keys, std::uint64_t signature,
                       const RsaPublicKey& rsa_pub);
 
 }  // namespace turq::crypto

@@ -215,28 +215,26 @@ const Kernel& kernel() {
 
 /// Writes `tail` (fewer than 64 bytes) and the FIPS 180-4 padding for a
 /// `total_len`-byte stream into `block`: 0x80, zeros to 56 mod 64, then the
-/// 64-bit big-endian bit length. Returns the block count, 1 or 2.
+/// 64-bit big-endian bit length. Returns the block count, 1 or 2. Each
+/// block is zeroed at a fixed size, which compiles to a few wide stores
+/// instead of a call per message.
 std::size_t pad_tail(std::uint8_t (&block)[2 * kSha256BlockSize],
                      BytesView tail, std::uint64_t total_len) {
   const std::size_t nblocks = tail.size() < 56 ? 1 : 2;
-  const std::size_t len_at = nblocks * kSha256BlockSize - 8;
+  std::memset(block, 0, kSha256BlockSize);
+  if (nblocks == 2) std::memset(block + kSha256BlockSize, 0, kSha256BlockSize);
   if (!tail.empty()) std::memcpy(block, tail.data(), tail.size());
   block[tail.size()] = 0x80;
-  std::memset(block + tail.size() + 1, 0, len_at - tail.size() - 1);
-  const std::uint64_t bit_len = total_len * 8;
-  for (int i = 0; i < 8; ++i) {
-    block[len_at + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
+  const std::uint64_t bit_len = __builtin_bswap64(total_len * 8);
+  std::memcpy(block + nblocks * kSha256BlockSize - 8, &bit_len, 8);
   return nblocks;
 }
 
 Digest digest_of(const std::uint32_t* state) {
   Digest out;
   for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state[i]);
+    const std::uint32_t word = __builtin_bswap32(state[i]);
+    std::memcpy(out.data() + 4 * i, &word, 4);
   }
   return out;
 }
@@ -282,28 +280,43 @@ Digest sha256_resume(const Sha256Resume& lane) {
                 lane.prefix_len + lane.data.size());
 }
 
-void sha256_resume_pair(const Sha256Resume& a, const Sha256Resume& b,
-                        Digest& out_a, Digest& out_b) {
-  TURQ_ASSERT(a.data.size() == b.data.size());
-  TURQ_ASSERT_MSG((a.prefix_len | b.prefix_len) % kSha256BlockSize == 0,
-                  "resume state must sit on a block boundary");
-  std::array<std::uint32_t, 8> state_a = a.state;
-  std::array<std::uint32_t, 8> state_b = b.state;
-  const Kernel& k = kernel();
-  const std::size_t whole = a.data.size() / kSha256BlockSize;
-  if (whole > 0) {
-    k.pair(state_a.data(), a.data.data(), state_b.data(), b.data.data(),
-           whole);
+void sha256_resume_group(const Sha256Resume* lanes, std::size_t count,
+                         Digest* out) {
+  TURQ_ASSERT(count <= kSha256Lanes);
+  // Every tail is padded before the first block is compressed, so the
+  // kernel's wide loads of a tail do not follow right behind the narrower
+  // stores that assembled it (such a load waits for those stores to drain).
+  std::uint32_t state[kSha256Lanes][8];
+  std::uint8_t tail[kSha256Lanes][2 * kSha256BlockSize];
+  std::size_t tail_blocks[kSha256Lanes];
+  for (std::size_t l = 0; l < count; ++l) {
+    const Sha256Resume& lane = lanes[l];
+    TURQ_ASSERT_MSG(lane.prefix_len % kSha256BlockSize == 0,
+                    "resume state must sit on a block boundary");
+    std::copy(lane.state.begin(), lane.state.end(), state[l]);
+    const std::size_t whole = lane.data.size() / kSha256BlockSize;
+    tail_blocks[l] =
+        pad_tail(tail[l], lane.data.subspan(whole * kSha256BlockSize),
+                 lane.prefix_len + lane.data.size());
   }
-  std::uint8_t tail_a[2 * kSha256BlockSize];
-  std::uint8_t tail_b[2 * kSha256BlockSize];
-  const std::size_t skip = whole * kSha256BlockSize;
-  const std::size_t tail_blocks = pad_tail(
-      tail_a, a.data.subspan(skip), a.prefix_len + a.data.size());
-  pad_tail(tail_b, b.data.subspan(skip), b.prefix_len + b.data.size());
-  k.pair(state_a.data(), tail_a, state_b.data(), tail_b, tail_blocks);
-  out_a = digest_of(state_a.data());
-  out_b = digest_of(state_b.data());
+  const Kernel& k = kernel();
+  for (std::size_t l = 0; l < count;) {
+    const BytesView data = lanes[l].data;
+    const std::size_t whole = data.size() / kSha256BlockSize;
+    if (l + 1 < count && lanes[l + 1].data.size() == data.size()) {
+      if (whole > 0) {
+        k.pair(state[l], data.data(), state[l + 1], lanes[l + 1].data.data(),
+               whole);
+      }
+      k.pair(state[l], tail[l], state[l + 1], tail[l + 1], tail_blocks[l]);
+      l += 2;
+    } else {
+      if (whole > 0) k.blocks(state[l], data.data(), whole);
+      k.blocks(state[l], tail[l], tail_blocks[l]);
+      l += 1;
+    }
+  }
+  for (std::size_t l = 0; l < count; ++l) out[l] = digest_of(state[l]);
 }
 
 void Sha256::reset() {

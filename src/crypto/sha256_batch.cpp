@@ -1,6 +1,8 @@
 #include "crypto/sha256_batch.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/assert.hpp"
 #include "crypto/sha256_k.hpp"
@@ -208,13 +210,6 @@ Sha256Impl resolve(Sha256Impl impl) {
   return impl;
 }
 
-CompressFn pick_compress() {
-#if TURQ_SHA256_BUILD_AVX2
-  if (resolve(g_forced) == Sha256Impl::kAvx2) return &compress8_avx2;
-#endif
-  return &compress8_scalar;
-}
-
 // ------------------------------------------------------------ lane driver --
 
 /// Number of 64-byte blocks lane data of `len` bytes expands to, including
@@ -294,6 +289,25 @@ void run_group(CompressFn compress, const Sha256Resume* lanes,
   }
 }
 
+/// Up to kSha256Lanes lanes through the resolved kernel: the SHA-NI block
+/// kernel a lane or two at a time, or one 8-way sweep.
+void hash_group(Sha256Impl impl, const Sha256Resume* lanes, std::size_t count,
+                Digest* out) {
+  switch (impl) {
+    case Sha256Impl::kShaNi:
+      sha256_resume_group(lanes, count, out);
+      return;
+#if TURQ_SHA256_BUILD_AVX2
+    case Sha256Impl::kAvx2:
+      run_group(&compress8_avx2, lanes, count, out);
+      return;
+#endif
+    default:
+      run_group(&compress8_scalar, lanes, count, out);
+      return;
+  }
+}
+
 }  // namespace
 
 const char* to_string(Sha256Impl impl) {
@@ -315,39 +329,24 @@ void sha256_batch_force_impl(Sha256Impl impl) {
 
 void sha256_batch_resume(const Sha256Resume* lanes, std::size_t count,
                          Digest* out) {
-  if (resolve(g_forced) == Sha256Impl::kShaNi) {
-    // Lanes run through the block kernel in order, two at a time when
-    // neighbours have equal lengths: whole blocks are hashed in place and
-    // only the padded tails are assembled.
-    for (std::size_t i = 0; i < count;) {
-      if (i + 1 < count &&
-          lanes[i + 1].data.size() == lanes[i].data.size()) {
-        sha256_resume_pair(lanes[i], lanes[i + 1], out[i], out[i + 1]);
-        i += 2;
-      } else {
-        out[i] = sha256_resume(lanes[i]);
-        i += 1;
-      }
-    }
-    return;
-  }
-  const CompressFn compress = pick_compress();
+  const Sha256Impl impl = resolve(g_forced);
   for (std::size_t done = 0; done < count; done += kSha256Lanes) {
-    const std::size_t group = std::min(kSha256Lanes, count - done);
-    run_group(compress, lanes + done, group, out + done);
+    hash_group(impl, lanes + done, std::min(kSha256Lanes, count - done),
+               out + done);
   }
 }
 
 void sha256_batch(const BytesView* msgs, std::size_t count, Digest* out) {
+  const Sha256Impl impl = resolve(g_forced);
   Sha256Resume lanes[kSha256Lanes];
+  for (Sha256Resume& lane : lanes) {
+    std::copy(std::begin(kSha256Init), std::end(kSha256Init),
+              lane.state.begin());
+  }
   for (std::size_t done = 0; done < count; done += kSha256Lanes) {
     const std::size_t group = std::min(kSha256Lanes, count - done);
-    for (std::size_t l = 0; l < group; ++l) {
-      for (int i = 0; i < 8; ++i) lanes[l].state[i] = kSha256Init[i];
-      lanes[l].prefix_len = 0;
-      lanes[l].data = msgs[done + l];
-    }
-    sha256_batch_resume(lanes, group, out + done);
+    for (std::size_t l = 0; l < group; ++l) lanes[l].data = msgs[done + l];
+    hash_group(impl, lanes, group, out + done);
   }
 }
 

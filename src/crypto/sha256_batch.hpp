@@ -4,10 +4,11 @@
 // cpuid (kAuto tries them in this order):
 //
 //   * kShaNi — the CPU's SHA extensions. Lanes run through the scalar
-//     block kernel (sha256_k.hpp) in order: whole blocks are hashed in
-//     place and only the padded tail is assembled. Equal-length neighbours
-//     go two at a time through an interleaved kernel, which hides the
-//     round instruction's latency. Per message this matches or beats an
+//     block kernel (sha256_k.hpp) in order, eight at a time: whole blocks
+//     are hashed in place, and the eight padded tails are assembled before
+//     the first block is compressed. Equal-length neighbours go two at a
+//     time through an interleaved kernel, which hides the round
+//     instruction's latency. Per message this matches or beats an
 //     8-lane AVX2 sweep at any count, and it never idles lanes when a call
 //     brings one or two messages.
 //   * kAvx2 — 8-way message-parallel: the working state is held transposed,

@@ -39,10 +39,12 @@ void sha256_compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
 /// `lane.data` are hashed in place and only the padded tail is assembled.
 Digest sha256_resume(const Sha256Resume& lane);
 
-/// Two lanes whose data have the same length, hashed side by side: on
-/// SHA-NI the two streams interleave, which hides the round latency.
-void sha256_resume_pair(const Sha256Resume& a, const Sha256Resume& b,
-                        Digest& out_a, Digest& out_b);
+/// The digests of up to kSha256Lanes resumable lanes through the block
+/// kernel: whole blocks are hashed in place, every padded tail is assembled
+/// up front, and equal-length neighbours run side by side (on SHA-NI the two
+/// streams interleave, which hides the round latency).
+void sha256_resume_group(const Sha256Resume* lanes, std::size_t count,
+                         Digest* out);
 
 /// True when this CPU can run the SHA-NI block kernel.
 bool sha256_cpu_has_sha_ni();

@@ -193,8 +193,8 @@ std::string cell_json(const PerfCell& c) {
                 c.p99_ms, static_cast<unsigned long long>(c.messages),
                 per_decision, c.failed_runs);
   return "{\"protocol\": \"" + c.protocol + "\", \"plan\": \"" + c.plan +
-         "\", \"n\": " + json_u64(c.n) + ", \"reps\": " + json_u64(c.reps) +
-         ", " + figures;
+         "\", \"topology\": \"" + c.topology + "\", \"n\": " + json_u64(c.n) +
+         ", \"reps\": " + json_u64(c.reps) + ", " + figures;
 }
 
 }  // namespace

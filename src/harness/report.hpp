@@ -135,11 +135,12 @@ struct PerfMetric {
   std::optional<double> limit;
 };
 
-/// One campaign grid cell: protocol, plan, n and reps name it; the rest is
-/// what it measured.
+/// One campaign grid cell: protocol, plan, topology, n and reps name it; the
+/// rest is what it measured.
 struct PerfCell {
   std::string protocol;
   std::string plan;
+  std::string topology;  // spatial::describe() of the cell's spatial axis
   std::uint32_t n = 0;
   std::uint32_t reps = 0;
   std::uint64_t decisions = 0;

@@ -50,12 +50,12 @@ namespace turq::turquois {
 /// contained messages that pass Process::ingest()'s range gate
 /// (sender < n, 1 <= phase <= max_phase). A receiver subtracts the senders
 /// its view already holds at each phase; only the pairs left can change its
-/// state (Process::process_exchange). Most datagrams span one to four
-/// phases. One that spans more sets `overflow`: the listed phases keep
-/// complete sender sets, and every message at an unlisted phase is a
-/// candidate.
+/// state (Process::process_exchange). An honest datagram spans one to five
+/// phases (DESIGN.md §14). One that spans more sets `overflow`: the listed
+/// phases keep complete sender sets, and every message at an unlisted phase
+/// is a candidate.
 struct ExchangeSummary {
-  static constexpr std::size_t kMaxPhases = 4;
+  static constexpr std::size_t kMaxPhases = 5;
 
   std::array<Phase, kMaxPhases> phases{};
   std::array<SenderSet, kMaxPhases> senders{};

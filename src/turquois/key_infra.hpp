@@ -31,8 +31,9 @@ class KeyInfrastructure {
   /// amortizes the RSA step: one key pair per process signs every
   /// instance's VK array (the paper's trapdoor key is per process, not per
   /// consensus run), all n × instances VK arrays are hashed for signing in
-  /// one sweep, and the check re-serializes the stored arrays and hashes
-  /// them in a second sweep. Keys depend only on streams derived from
+  /// one sweep, and the check hashes the stored arrays again in a second
+  /// sweep. Each array's storage is its canonical serialization, so both
+  /// sweeps hash it in place. Keys depend only on streams derived from
   /// `rng` ("ots-chain", id and "rsa", id), which setup_batch never
   /// advances. Returns one infrastructure per instance.
   static std::vector<KeyInfrastructure> setup_batch(const Config& cfg,
@@ -45,14 +46,16 @@ class KeyInfrastructure {
   }
 
   /// The verified VK array of any process (distribution + RSA verification
-  /// already happened during setup, as the paper does offline).
+  /// already happened during setup, as the paper does offline). It is the
+  /// array the owner's chain holds: one copy per process and instance.
   [[nodiscard]] const crypto::VerificationKeyArray& verification_keys(
       ProcessId id) const {
-    return signed_arrays_[id].keys;
+    return chains_[id].public_keys();
   }
 
-  [[nodiscard]] const crypto::SignedKeyArray& signed_array(ProcessId id) const {
-    return signed_arrays_[id];
+  /// The owner's RSA signature over verification_keys(id).
+  [[nodiscard]] std::uint64_t signature(ProcessId id) const {
+    return signatures_[id];
   }
 
   [[nodiscard]] const crypto::RsaPublicKey& rsa_public(ProcessId id) const {
@@ -65,7 +68,7 @@ class KeyInfrastructure {
 
  private:
   std::vector<crypto::OneTimeKeyChain> chains_;
-  std::vector<crypto::SignedKeyArray> signed_arrays_;
+  std::vector<std::uint64_t> signatures_;
   std::vector<crypto::RsaPublicKey> rsa_publics_;
 };
 

@@ -439,35 +439,43 @@ TEST(OneTimeSig, SignedKeyArrayRoundTrip) {
   Rng rng(29);
   const auto chain = OneTimeKeyChain::generate(2, 1, 6, rng);
   const RsaKeyPair rsa = rsa_generate(rng);
-  const SignedKeyArray signed_keys = sign_key_array(chain.public_keys(), rsa);
-  EXPECT_TRUE(verify_key_array(signed_keys, rsa.pub));
+  const std::uint64_t signature = sign_key_array(chain.public_keys(), rsa);
+  EXPECT_TRUE(verify_key_array(chain.public_keys(), signature, rsa.pub));
 
   Rng rng2(31);
   const RsaKeyPair other = rsa_generate(rng2);
-  EXPECT_FALSE(verify_key_array(signed_keys, other.pub));
+  EXPECT_FALSE(verify_key_array(chain.public_keys(), signature, other.pub));
 }
 
 TEST(OneTimeSig, SignedKeyArrayRejectsAlteredDigest) {
   Rng rng(29);
   const auto chain = OneTimeKeyChain::generate(2, 1, 6, rng);
+  const VerificationKeyArray& vks = chain.public_keys();
   const RsaKeyPair rsa = rsa_generate(rng);
-  const SignedKeyArray signed_keys = sign_key_array(chain.public_keys(), rsa);
-  ASSERT_TRUE(verify_key_array(signed_keys, rsa.pub));
+  const std::uint64_t signature = sign_key_array(vks, rsa);
+  ASSERT_TRUE(verify_key_array(vks, signature, rsa.pub));
 
-  // The same array with the VK of (4, 1) altered keeps the signature.
-  std::vector<Digest> keys;
+  // The canonical bytes are the header (owner, first phase, key count) and
+  // then the keys in (phase, value) order; the signature covers all of them.
+  const BytesView canonical = vks.serialize();
+  Bytes expected = {2, 0, 0, 0, 1, 0, 0, 0, 14, 0, 0, 0};
   for (Phase phase = 1; phase <= 6; ++phase) {
     for (const Value v : {Value::kZero, Value::kOne, Value::kBottom}) {
       if (!ots_value_allowed(phase, v)) continue;
-      keys.push_back(chain.public_keys().key(phase, v));
-      if (phase == 4 && v == Value::kOne) keys.back()[5] ^= 0x80;
+      const BytesView key = vks.key(phase, v);
+      expected.insert(expected.end(), key.begin(), key.end());
     }
   }
-  const SignedKeyArray altered{
-      .keys = VerificationKeyArray(2, 1, std::move(keys)),
-      .signature = signed_keys.signature};
-  ASSERT_NE(altered.keys.serialize(), signed_keys.keys.serialize());
-  EXPECT_FALSE(verify_key_array(altered, rsa.pub));
+  ASSERT_EQ(Bytes(canonical.begin(), canonical.end()), expected);
+
+  // The same array with the VK of (4, 1), slot 8, altered keeps the
+  // signature.
+  const std::size_t at = VerificationKeyArray::kHeaderSize + 8 * 32 + 5;
+  ASSERT_EQ(canonical.data() + at, vks.key(4, Value::kOne).data() + 5);
+  Bytes altered = expected;
+  altered[at] ^= 0x80;
+  EXPECT_TRUE(rsa_verify(rsa.pub, expected, signature));
+  EXPECT_FALSE(rsa_verify(rsa.pub, altered, signature));
 }
 
 TEST(OneTimeSig, EpochCoverage) {

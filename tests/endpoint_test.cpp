@@ -169,9 +169,11 @@ TEST(KeyInfrastructure, ChainsCoverEpochAndCrossVerify) {
     EXPECT_TRUE(keys.chain(id).covers(32));
     EXPECT_FALSE(keys.chain(id).covers(33));
     // The signed VK arrays verify under the right RSA key and no other.
-    EXPECT_TRUE(crypto::verify_key_array(keys.signed_array(id),
+    EXPECT_TRUE(crypto::verify_key_array(keys.verification_keys(id),
+                                         keys.signature(id),
                                          keys.rsa_public(id)));
-    EXPECT_FALSE(crypto::verify_key_array(keys.signed_array(id),
+    EXPECT_FALSE(crypto::verify_key_array(keys.verification_keys(id),
+                                          keys.signature(id),
                                           keys.rsa_public((id + 1) % 4)));
   }
 }

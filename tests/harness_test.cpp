@@ -196,6 +196,7 @@ TEST(PerfReport, WritesDeterministicJson) {
       .limit = 5.0;
   report.grid.push_back(PerfCell{.protocol = "Crain",
                                  .plan = "failure-free",
+                                 .topology = "single-hop",
                                  .n = 4,
                                  .reps = 2,
                                  .decisions = 8,
@@ -226,7 +227,7 @@ TEST(PerfReport, WritesDeterministicJson) {
             "  ],\n"
             "  \"grid\": [\n"
             "    {\"protocol\": \"Crain\", \"plan\": \"failure-free\", "
-            "\"n\": 4, "
+            "\"topology\": \"single-hop\", \"n\": 4, "
             "\"reps\": 2, \"decisions\": 8, \"mean_ms\": 44.9433, "
             "\"p99_ms\": 54.7659, \"messages\": 136, "
             "\"msgs_per_decision\": 17.0000, \"failed_runs\": 0}\n"

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "crypto/onetime_sig.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/toy_rsa.hpp"
 #include "faultplan/spec.hpp"
 #include "harness/scheduler.hpp"
@@ -146,7 +148,8 @@ TEST(KeyInfraBatch, BatchedSetupKeysVerifyAndStayDisjoint) {
     ASSERT_EQ(infra.n(), 4u);
     for (ProcessId id = 0; id < 4; ++id) {
       // The RSA-signed VK array of every process checks out...
-      EXPECT_TRUE(crypto::verify_key_array(infra.signed_array(id),
+      EXPECT_TRUE(crypto::verify_key_array(infra.verification_keys(id),
+                                           infra.signature(id),
                                            infra.rsa_public(id)));
       // ...and a revealed secret authenticates its (phase, value) slot.
       const BytesView sk = infra.chain(id).secret_key(2, Value::kOne);
@@ -180,8 +183,7 @@ TEST(KeyInfraBatch, BatchedSetupIsDeterministicInTheSeed) {
     for (ProcessId id = 0; id < 4; ++id) {
       EXPECT_EQ(to_hex(x[inst].chain(id).secret_key(3, Value::kZero)),
                 to_hex(y[inst].chain(id).secret_key(3, Value::kZero)));
-      EXPECT_EQ(x[inst].verification_keys(id).serialize(),
-                y[inst].verification_keys(id).serialize());
+      EXPECT_EQ(x[inst].verification_keys(id), y[inst].verification_keys(id));
     }
   }
 }
@@ -215,20 +217,61 @@ TEST(KeyInfraBatch, SetupMatchesPerProcessReference) {
           id, 1, cfg.phases_per_epoch, chain_rng);
       Rng rsa_rng = rng.derive("rsa", id);
       const crypto::RsaKeyPair rsa = crypto::rsa_generate(rsa_rng);
-      const crypto::SignedKeyArray ref =
-          crypto::sign_key_array(chain.public_keys(), rsa);
 
       EXPECT_EQ(all_secrets(infra.chain(id), cfg.phases_per_epoch),
                 all_secrets(chain, cfg.phases_per_epoch));
-      EXPECT_EQ(infra.chain(id).public_keys().serialize(),
-                chain.public_keys().serialize());
-      EXPECT_EQ(infra.verification_keys(id).serialize(),
-                ref.keys.serialize());
+      EXPECT_EQ(infra.verification_keys(id), chain.public_keys());
       EXPECT_EQ(infra.rsa_public(id).n, rsa.pub.n);
       EXPECT_EQ(infra.rsa_public(id).e, rsa.pub.e);
-      EXPECT_EQ(infra.signed_array(id).signature, ref.signature);
+      EXPECT_EQ(infra.signature(id),
+                crypto::sign_key_array(chain.public_keys(), rsa));
     }
   }
+}
+
+// One SHA-256 over every key byte a setup hands out: per instance and
+// process, the VK array's canonical serialization, its RSA signature (8
+// bytes, big-endian) and every one-time secret.
+std::string key_material_digest(
+    const std::vector<turquois::KeyInfrastructure>& infras,
+    crypto::Phase phases) {
+  crypto::Sha256 h;
+  for (const auto& infra : infras) {
+    for (ProcessId id = 0; id < infra.n(); ++id) {
+      h.update(infra.verification_keys(id).serialize());
+      const std::uint64_t sig = infra.signature(id);
+      std::uint8_t sig_be[8];
+      for (int i = 0; i < 8; ++i) {
+        sig_be[i] = static_cast<std::uint8_t>(sig >> (56 - 8 * i));
+      }
+      h.update(BytesView(sig_be, 8));
+      h.update(all_secrets(infra.chain(id), phases));
+    }
+  }
+  const crypto::Digest d = h.finalize();
+  return to_hex(BytesView(d.data(), d.size()));
+}
+
+TEST(KeyInfraBatch, KeyMaterialMatchesKnownAnswer) {
+  // Constants generated before the VK arrays were stored as their
+  // canonical bytes: a setup at n=4 (12 phases, 3 instances) and the n=64
+  // one a failure-free deployment hoists (512 phases). Any change to a
+  // secret, VK or signature moves them.
+  turquois::Config small = turquois::Config::for_group(4);
+  small.phases_per_epoch = 12;
+  Rng small_rng(2010);
+  EXPECT_EQ(key_material_digest(
+                turquois::KeyInfrastructure::setup_batch(small, small_rng, 3),
+                small.phases_per_epoch),
+            "b2c2d3f32cddac5fd34fe1f0f80a2219a98549c5e5db4825959567828c0ba157");
+
+  turquois::Config large = turquois::Config::for_group(64);
+  large.phases_per_epoch = 512;
+  Rng large_rng(2010);
+  std::vector<turquois::KeyInfrastructure> one;
+  one.push_back(turquois::KeyInfrastructure::setup(large, large_rng));
+  EXPECT_EQ(key_material_digest(one, large.phases_per_epoch),
+            "f002ca337bb1779732ffc7500fd58b579b3e377ceee9c850050b6afecbe0138f");
 }
 
 TEST(KeyInfraBatch, BatchSignaturesMatchScalarSigning) {
@@ -241,9 +284,8 @@ TEST(KeyInfraBatch, BatchSignaturesMatchScalarSigning) {
     Rng rsa_rng = rng.derive("rsa", id);
     const crypto::RsaKeyPair rsa = crypto::rsa_generate(rsa_rng);
     for (std::size_t inst = 0; inst < batch.size(); ++inst) {
-      EXPECT_EQ(batch[inst].signed_array(id).signature,
-                crypto::sign_key_array(batch[inst].verification_keys(id), rsa)
-                    .signature)
+      EXPECT_EQ(batch[inst].signature(id),
+                crypto::sign_key_array(batch[inst].verification_keys(id), rsa))
           << "process " << id << " instance " << inst;
     }
   }

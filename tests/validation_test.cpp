@@ -490,8 +490,8 @@ TEST(ExchangeSummary, MorePhasesThanItHoldsSetsOverflow) {
   EXPECT_FALSE(ExchangeSummary::of(d, cfg).overflow);
   d.justification.push_back(msg(2, ExchangeSummary::kMaxPhases + 1,
                                 Value::kOne));
-  // Phases 2..5 fill the list, so the main message's phase 1 overflows; a
-  // listed phase keeps collecting senders after that.
+  // Phases 2..kMaxPhases + 1 fill the list, so the main message's phase 1
+  // overflows; a listed phase keeps collecting senders after that.
   d.justification.push_back(msg(3, 2, Value::kZero));
   const ExchangeSummary s = ExchangeSummary::of(d, cfg);
   EXPECT_TRUE(s.overflow);

@@ -13,7 +13,7 @@ import sys
 from itertools import zip_longest
 
 SCHEMA = "turquois-perf/1"
-CELL_KEYS = ("protocol", "plan", "n", "reps")
+CELL_KEYS = ("protocol", "plan", "topology", "n", "reps")
 
 
 def load(path):

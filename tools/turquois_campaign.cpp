@@ -273,6 +273,7 @@ int main(int argc, char** argv) {
         CellOutcome cell;
         cell.row.protocol = to_string(protocol);
         cell.row.plan = plan.name;
+        cell.row.topology = spatial::describe(axis.config);
         cell.row.n = n;
         cell.row.reps = reps;
         cell.label = to_string(protocol) + " n=" + std::to_string(n) + " " +
