@@ -269,7 +269,7 @@ BuiltPlan build(const FaultPlan& plan, const BuildContext& ctx) {
           composite->add(scoped(
               clause, std::make_unique<net::GilbertElliott>(
                           ctx.ambient_burst_params,
-                          ctx.root.derive("burst", burst_streams++))));
+                          ctx.root.derive("burst", burst_streams++), ctx.n)));
         }
         break;
       }
@@ -282,7 +282,7 @@ BuiltPlan build(const FaultPlan& plan, const BuildContext& ctx) {
         composite->add(scoped(
             clause, std::make_unique<net::GilbertElliott>(
                         clause.burst,
-                        ctx.root.derive("burst", burst_streams++))));
+                        ctx.root.derive("burst", burst_streams++), ctx.n)));
         break;
       case ClauseKind::kJam: {
         std::vector<std::pair<SimTime, SimTime>> windows;

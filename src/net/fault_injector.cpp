@@ -1,12 +1,23 @@
 #include "net/fault_injector.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace turq::net {
 
 GilbertElliott::LinkState& GilbertElliott::link(ProcessId src, ProcessId dst) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
-  return links_[key];  // default-constructed good state on first touch
+  if (src >= n_ || dst >= n_) grow(std::max(src, dst) + 1);
+  return links_[static_cast<std::size_t>(src) * n_ + dst];
+}
+
+void GilbertElliott::grow(std::uint32_t n) {
+  std::vector<LinkState> links(static_cast<std::size_t>(n) * n);
+  for (std::size_t src = 0; src < n_; ++src) {
+    std::copy_n(links_.begin() + static_cast<std::ptrdiff_t>(src * n_), n_,
+                links.begin() + static_cast<std::ptrdiff_t>(src * n));
+  }
+  links_ = std::move(links);
+  n_ = n;
 }
 
 bool GilbertElliott::drop(ProcessId src, ProcessId dst, SimTime now,

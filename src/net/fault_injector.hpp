@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -66,7 +65,8 @@ class IidLoss final : public FaultInjector {
 
 /// Two-state Gilbert–Elliott burst-loss model, evolved per link in
 /// continuous time: dwell times in the good/bad state are exponential with
-/// the given means; each state has its own loss probability.
+/// the given means; each state has its own loss probability. Every link
+/// starts in the good state at t=0.
 class GilbertElliott final : public FaultInjector {
  public:
   struct Params {
@@ -76,7 +76,11 @@ class GilbertElliott final : public FaultInjector {
     double loss_bad = 0.6;
   };
 
-  GilbertElliott(Params params, Rng rng) : params_(params), rng_(rng) {}
+  /// `n` sizes the link table for ids [0, n); a larger id grows it.
+  GilbertElliott(Params params, Rng rng, std::uint32_t n = 0)
+      : params_(params), rng_(rng) {
+    grow(n);
+  }
 
   bool drop(ProcessId src, ProcessId dst, SimTime now, std::size_t) override;
 
@@ -87,14 +91,15 @@ class GilbertElliott final : public FaultInjector {
   };
 
   LinkState& link(ProcessId src, ProcessId dst);
+  void grow(std::uint32_t n);
 
   Params params_;
   Rng rng_;
-  // Keyed by (src << 32) | dst. Hashed, not scanned: a full mesh holds
-  // n*(n-1) links (~16k at n=128) and drop() consults one per delivery.
-  // Iteration order is never observed, so the container choice cannot
-  // affect the random stream or any simulated outcome.
-  std::unordered_map<std::uint64_t, LinkState> links_;
+  // Dense n x n table, row src, column dst: drop() consults one link per
+  // delivery. Links are only ever read and written one at a time, so the
+  // layout cannot affect the random stream or any simulated outcome.
+  std::uint32_t n_ = 0;
+  std::vector<LinkState> links_;
 };
 
 /// Drops every frame that ends inside one of the given [start, end) windows

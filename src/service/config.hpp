@@ -77,6 +77,11 @@ struct RepSummary {
   std::uint64_t instances_decided = 0;   // all n processes decided
   std::uint64_t instances_failed = 0;    // still undecided at the deadline
   std::uint64_t key_batches = 0;         // trusted-setup passes
+  /// Decided instances destroyed before the repetition ended, and decided
+  /// instances that finalized while a node's CPU still had work queued, so
+  /// their reclaim waited for it to drain (DESIGN.md §15).
+  std::uint64_t instances_reclaimed = 0;
+  std::uint64_t instances_drained = 0;
   /// Instance-grained audit tallies (the per-violation detail rides in
   /// RunResult::audit, whose report merges every instance's).
   std::uint64_t audit_checked_instances = 0;
@@ -99,6 +104,8 @@ struct RepSummary {
     instances_decided += o.instances_decided;
     instances_failed += o.instances_failed;
     key_batches += o.key_batches;
+    instances_reclaimed += o.instances_reclaimed;
+    instances_drained += o.instances_drained;
     audit_checked_instances += o.audit_checked_instances;
     audit_violating_instances += o.audit_violating_instances;
     finished_at += o.finished_at;

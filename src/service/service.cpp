@@ -121,7 +121,17 @@ struct Slot {
   std::unique_ptr<turquois::ExchangePool> pool;
   std::vector<SimTime> request_arrivals;  // the admitted batch's stamps
   bool committed = false;
-  bool finalized = false;
+  /// Set at finalize: the latest time any node's CPU is busy with work
+  /// queued so far, which includes every completion the crashed processes
+  /// still have pending. The slot may be destroyed once time passes it.
+  SimTime reclaim_at = 0;
+};
+
+/// One trusted-setup pass: the keys of `kb` consecutive instances, freed
+/// when the last of them is reclaimed (processes and pools hold references).
+struct KeyBatch {
+  std::vector<turquois::KeyInfrastructure> keys;
+  std::uint32_t reclaimed = 0;
 };
 
 RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
@@ -148,9 +158,13 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
         std::make_unique<net::FrameMux>(sim, rep.medium(), id, mux_cfg));
   }
 
-  std::vector<std::vector<turquois::KeyInfrastructure>> key_batches;
-  std::vector<std::unique_ptr<Slot>> slots;
-  std::vector<std::uint32_t> active;  // seqs in flight, ascending
+  // Instance lifecycle (DESIGN.md §15): launch into `active`; finalize
+  // (crash, retire ports) into `draining`; destroy once every CPU has run
+  // what was queued at finalize; free the key batch after its last
+  // instance. Declared after key_batches, so slots die before their keys.
+  std::vector<KeyBatch> key_batches;
+  std::vector<std::unique_ptr<Slot>> active;    // in flight, ascending seq
+  std::vector<std::unique_ptr<Slot>> draining;  // finalized, CPUs busy
   // Traced even when no instance finishes.
   if (cfg.exchange_pool) rep.exchange_pool.emplace();
 
@@ -189,11 +203,11 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
       // pass, one 8-way SHA-256 sweep, one RSA pair per process.
       Rng key_rng = rep.root.derive("svc-keys", batch_index);
       key_batches.push_back(
-          turquois::KeyInfrastructure::setup_batch(tcfg, key_rng, kb));
+          {turquois::KeyInfrastructure::setup_batch(tcfg, key_rng, kb)});
       ++sum.key_batches;
     }
     const turquois::KeyInfrastructure& infra =
-        key_batches[batch_index][seq % kb];
+        key_batches[batch_index].keys[seq % kb];
 
     auto owned = std::make_unique<Slot>(cfg, seq);
     Slot* slot = owned.get();
@@ -241,13 +255,11 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
           slot->consensus.start(start_rng, id, Value::kOne, sim.now()),
           [p = slot->procs.back().get()] { p->propose(Value::kOne); });
     }
-    active.push_back(seq);
-    slots.push_back(std::move(owned));
+    active.push_back(std::move(owned));
     ++sum.instances_launched;
   };
 
   auto finalize = [&](Slot& slot) {
-    slot.finalized = true;
     ++sum.instances_decided;
     slot.consensus.judge(result, /*unanimous=*/true);
     for (const auto& p : slot.procs) {
@@ -270,20 +282,40 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
       p->crash();  // closes the instance port before the mux retires it
     }
     if (slot.pool != nullptr) *rep.exchange_pool += slot.pool->stats();
-    for (ProcessId id = 0; id < cfg.n; ++id) muxes[id]->retire(slot.seq);
+    for (ProcessId id = 0; id < cfg.n; ++id) {
+      muxes[id]->retire(slot.seq);
+      // No new work can reach the crashed processes, but deliveries before
+      // the crash queued completions that capture them and pool entries.
+      slot.reclaim_at = std::max(slot.reclaim_at, rep.cpu(id).free_at());
+    }
+    if (slot.reclaim_at > sim.now()) ++sum.instances_drained;
   };
 
-  // Between slices finalize fully decided instances, refill the pipeline
-  // window from the queue, and test for completion. Refilling between
-  // slices quantizes launch times to the slice boundary — deterministically.
+  // Between slices reclaim drained instances, finalize fully decided ones,
+  // refill the pipeline window from the queue, and test for completion.
+  // Refilling between slices quantizes launch times to the slice boundary —
+  // deterministically.
   rep.run([&] {
-    for (std::size_t i = 0; i < active.size();) {
-      Slot& slot = *slots[active[i]];
-      if (!slot.finalized && slot.consensus.all_decided()) {
-        finalize(slot);
-        active.erase(active.begin() + static_cast<long>(i));
+    for (auto it = draining.begin(); it != draining.end();) {
+      if (sim.now() <= (*it)->reclaim_at) {
+        ++it;
+        continue;
+      }
+      // Destroy the drained slot, then its key batch after the batch's last.
+      KeyBatch& batch = key_batches[(*it)->seq / kb];
+      it = draining.erase(it);
+      ++sum.instances_reclaimed;
+      if (++batch.reclaimed == kb) {
+        batch.keys = std::vector<turquois::KeyInfrastructure>{};
+      }
+    }
+    for (auto it = active.begin(); it != active.end();) {
+      if ((*it)->consensus.all_decided()) {
+        finalize(**it);
+        draining.push_back(std::move(*it));
+        it = active.erase(it);
       } else {
-        ++i;
+        ++it;
       }
     }
     while (active.size() < svc.pipeline_depth && !queue.empty()) launch();

@@ -315,8 +315,13 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
   trace::observe("crypto.verify_us",
                  {10, 20, 50, 100, 200, 500, 1000, 2000, 5000},
                  static_cast<double>(cost) / 1000.0);
+  // Both completions capture `this`, and the pooled one a pool entry (its
+  // payload, datagram and verdicts). After crash() they return at once, but
+  // they still run: an owner may destroy a crashed Process (and its pool)
+  // only after its runtime has run every completion queued before the
+  // crash. The service reclaims finished instances on that contract
+  // (DESIGN.md §15).
   if (prep != nullptr) {
-    // The pool entry (and its payload/datagram/verdicts) outlives the run.
     rt_.execute(cost, [this, prep] {
       if (!running_) return;
       process_exchange(*prep->datagram, prep->summary, prep->auth);

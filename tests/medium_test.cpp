@@ -227,5 +227,35 @@ TEST(FaultInjectors, GilbertElliottProducesBurstyLoss) {
   EXPECT_GT(adjacent_same, trace.size() * 6 / 10);
 }
 
+TEST(FaultInjectors, GilbertElliottDropSequenceIsPinned) {
+  // Every link evolves its own chain from a good state at t=0, and all
+  // links draw from one stream in query order. The count and hash pin the
+  // drop sequence bit for bit: any change of per-link state, default state
+  // or draw order moves them. The second half addresses ids past the ones
+  // the injector was sized for, so links must keep their state when the
+  // table grows.
+  GilbertElliott::Params params;
+  params.mean_good_dwell = 20 * kMillisecond;
+  params.mean_bad_dwell = 5 * kMillisecond;
+  params.loss_good = 0.05;
+  params.loss_bad = 0.7;
+  GilbertElliott ge(params, Rng(2010), /*n=*/5);
+  std::uint64_t fnv = 1469598103934665603ULL;
+  std::size_t drops = 0;
+  SimTime now = 0;
+  for (std::uint64_t q = 0; q < 4000; ++q) {
+    const std::uint64_t ids = q < 2000 ? 5 : 7;
+    const auto src = static_cast<ProcessId>((q * 7) % ids);
+    auto dst = static_cast<ProcessId>((q * 3 + 1) % ids);
+    if (dst == src) dst = static_cast<ProcessId>((dst + 1) % ids);
+    now += static_cast<SimDuration>(100 + (q * 37) % 900) * kMicrosecond;
+    const bool dropped = ge.drop(src, dst, now, 64);
+    drops += dropped ? 1 : 0;
+    fnv = (fnv ^ (dropped ? 1U : 0U)) * 1099511628211ULL;
+  }
+  EXPECT_EQ(drops, 703u);
+  EXPECT_EQ(fnv, 3599198332021951514ULL);
+}
+
 }  // namespace
 }  // namespace turq::net

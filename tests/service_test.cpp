@@ -398,6 +398,30 @@ TEST(Service, TinyQueueCapacityBackpressuresExcessLoad) {
   EXPECT_EQ(r.latency_ms.count(), r.service_total->committed);
 }
 
+TEST(Service, ReclaimsAnInstanceOnlyAfterItsQueuedCompletionsRan) {
+  // A slow verifier keeps every node's CPU queued with receive completions
+  // past the slice in which an instance finalizes. Those completions
+  // capture the crashed processes and their pool entries, so destroying
+  // an instance at finalize would use freed memory (an ASan build reports
+  // it). Each instance must wait for the drain, and the run must still
+  // commit everything.
+  harness::ScenarioConfig cfg = small_service_config();
+  cfg.costs.sha256_base = 200 * kMicrosecond;  // ots_verify() ~ 0.2 ms
+  const harness::RunResult run = service::run_service_once(cfg, 0);
+  EXPECT_TRUE(run.all_correct_decided);
+  ASSERT_TRUE(run.service.has_value());
+  const service::RepSummary& sum = *run.service;
+  EXPECT_EQ(sum.committed, cfg.service.total_requests);
+  EXPECT_EQ(run.latencies_ms.size(), cfg.service.total_requests);
+  EXPECT_EQ(sum.instances_decided, sum.instances_launched);
+  ASSERT_TRUE(run.audit.has_value());
+  EXPECT_TRUE(run.audit->passed());
+  // Every instance finalized with work still queued, and some of them were
+  // destroyed before the run ended: a reclaim waited for a drain.
+  EXPECT_EQ(sum.instances_drained, sum.instances_decided);
+  EXPECT_GT(sum.instances_reclaimed, 0u);
+}
+
 TEST(Service, PooledResultsAreBitIdenticalAcrossJobCounts) {
   harness::ScenarioConfig cfg = small_service_config();
   cfg.repetitions = 4;
