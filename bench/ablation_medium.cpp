@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 
 #include "common/rng.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "net/broadcast_endpoint.hpp"
 #include "net/medium.hpp"
@@ -72,14 +72,10 @@ Outcome run_unicast(std::uint32_t n) {
 
 int main(int argc, char** argv) {
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--json PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  harness::parse_flags(argc, argv,
+                       {harness::flag("--json", "<path>",
+                                      "write a machine-readable report",
+                                      json_path)});
   harness::BenchReport report;
   report.name = "ablation_medium";
   report.seed = 1;  // the fixed Rng(1) used by both transports

@@ -17,7 +17,7 @@
 
 #include "faultplan/spec.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "turquois/config.hpp"
@@ -26,26 +26,20 @@ using namespace turq;
 using namespace turq::harness;
 
 int main(int argc, char** argv) {
-  std::uint32_t reps = 20;
-  std::uint32_t jobs = 1;
+  // --jobs and the repetition count; every cell copies it.
+  ScenarioConfig base;
+  base.repetitions = 20;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
-      reps = 5;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = u32_flag("--jobs", argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--jobs N] [--json PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  Flags flags = scenario_flags(base, {"--jobs"});
+  flags.insert(flags.end(),
+               {flag("--json", "<path>", "write a machine-readable report",
+                     json_path),
+                {"--quick", "", "5 repetitions per cell instead of 20",
+                 [&](std::string_view) { base.repetitions = 5; }, {}}});
+  parse_flags(argc, argv, flags);
   BenchReport report;
   report.name = "ablation_sigma";
-  report.jobs = effective_jobs(jobs);
+  report.jobs = effective_jobs(base.jobs);
   const auto started = std::chrono::steady_clock::now();
 
   std::printf(
@@ -61,16 +55,14 @@ int main(int argc, char** argv) {
     const std::uint32_t k = n - f;
     const auto bound = turquois::sigma_bound(n, k, 0);
     for (const double loss : {0.0, 0.1, 0.25, 0.4, 0.6}) {
-      ScenarioConfig cfg;
+      ScenarioConfig cfg = base;
       cfg.protocol = Protocol::kTurquois;
       cfg.n = n;
       cfg.distribution = ProposalDist::kDivergent;
-      cfg.repetitions = reps;
       cfg.seed = 0x51617 + n;
       cfg.loss_rate = loss;
       cfg.bursty_loss = false;
       cfg.run_timeout = 20 * kSecond;
-      cfg.jobs = jobs;
       // Same ambient channel as before (the plan's ambient clause draws
       // the identical ("loss", 0) stream), plus per-round σ metering.
       cfg.plan = *faultplan::parse_spec("sigma;ambient", nullptr);

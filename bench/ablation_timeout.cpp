@@ -13,7 +13,7 @@
 #include <string_view>
 
 #include "harness/experiment.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 
@@ -21,26 +21,20 @@ using namespace turq;
 using namespace turq::harness;
 
 int main(int argc, char** argv) {
-  std::uint32_t reps = 20;
-  std::uint32_t jobs = 1;
+  // --jobs and the repetition count; every cell copies it.
+  ScenarioConfig base;
+  base.repetitions = 20;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
-      reps = 5;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = u32_flag("--jobs", argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--jobs N] [--json PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  Flags flags = scenario_flags(base, {"--jobs"});
+  flags.insert(flags.end(),
+               {flag("--json", "<path>", "write a machine-readable report",
+                     json_path),
+                {"--quick", "", "5 repetitions per cell instead of 20",
+                 [&](std::string_view) { base.repetitions = 5; }, {}}});
+  parse_flags(argc, argv, flags);
   BenchReport report;
   report.name = "ablation_timeout";
-  report.jobs = effective_jobs(jobs);
+  report.jobs = effective_jobs(base.jobs);
   const auto started = std::chrono::steady_clock::now();
 
   std::printf(
@@ -59,18 +53,16 @@ int main(int argc, char** argv) {
       int cell = 0;
       for (const faultplan::Role role :
            {faultplan::Role::kNone, faultplan::Role::kFailStop}) {
-        ScenarioConfig cfg;
+        ScenarioConfig cfg = base;
         cfg.protocol = Protocol::kTurquois;
         cfg.n = n;
         cfg.distribution = ProposalDist::kDivergent;
         cfg.plan = faultplan::canned_plan(
             role, role == faultplan::Role::kNone ? "failure-free"
                                                  : "fail-stop");
-        cfg.repetitions = reps;
         cfg.seed = 0xD0 + n;
         cfg.tick_interval = tick;
         cfg.tick_jitter = tick / 5;
-        cfg.jobs = jobs;
         const ScenarioResult r = run_scenario(cfg);
         ReportCell jcell = make_cell(r);
         jcell.extra["tick_ms"] =

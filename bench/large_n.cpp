@@ -26,20 +26,16 @@
 //                     gated numbers come from the largest n ≤ 64 in the
 //                     sweep so quick CI runs stay comparable to the full
 //                     baseline.
-//
-// Usage: large_n [--quick] [--reps R] [--sizes 16,32,...] [--seed S]
-//                [--jobs N] [--json PATH] [--perf-json PATH]
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "crypto/sha256_batch.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 
@@ -64,45 +60,34 @@ constexpr Leg kLegs[] = {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::uint32_t reps = 5;
   std::vector<std::uint32_t> sizes = {16, 32, 64, 128};
-  std::uint64_t seed = 3;
-  std::uint32_t jobs = 1;
   std::string json_path;
   std::string perf_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
-      // Trims the sweep to n <= 64 but keeps the repetition count: the
-      // gated deliveries_per_wall_s comes from the n = 64 pooled leg, and
-      // cutting reps would shift its setup-cost fraction away from the
-      // committed full-run baseline.
-      quick = true;
-      sizes = {16, 64};
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = u32_flag("--reps", argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = unsigned_flag("--seed", argv[++i]);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = u32_flag("--jobs", argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--perf-json" && i + 1 < argc) {
-      perf_path = argv[++i];
-    } else if (arg == "--sizes" && i + 1 < argc) {
-      sizes.clear();
-      for (const std::string& n : split_list(argv[++i])) {
-        sizes.push_back(u32_flag("--sizes", n));
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--reps R] [--sizes 16,32,...] "
-                   "[--seed S] [--jobs N] [--json PATH] [--perf-json PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (reps == 0 || sizes.empty()) {
+  // --reps, --seed and --jobs; every leg copies it.
+  ScenarioConfig base;
+  base.repetitions = 5;
+  base.seed = 3;
+  Flags flags = scenario_flags(base, {"--reps", "--seed", "--jobs"});
+  // --quick trims the sweep to n <= 64 but keeps the repetition count:
+  // the gated deliveries_per_wall_s comes from the n = 64 pooled leg, and
+  // cutting reps would shift its setup-cost fraction away from the
+  // committed full-run baseline.
+  flags.insert(
+      flags.end(),
+      {flag("--sizes", "16,32,...",
+            "comma-separated group sizes (default 16,32,64,128)", sizes),
+       flag("--json", "<path>", "write the turquois-bench/1 report",
+            json_path),
+       flag("--perf-json", "<path>",
+            "write the turquois-perf/1 wall-clock metrics", perf_path),
+       {"--quick", "", "sizes 16,64 only (CI smoke run)",
+        [&](std::string_view) {
+          quick = true;
+          sizes = {16, 64};
+        },
+        {}}});
+  parse_flags(argc, argv, flags);
+  if (base.repetitions == 0 || sizes.empty()) {
     std::fprintf(stderr, "%s: need --reps >= 1 and a non-empty --sizes\n",
                  argv[0]);
     return 2;
@@ -110,8 +95,8 @@ int main(int argc, char** argv) {
 
   BenchReport report;
   report.name = "large_n";
-  report.seed = seed;
-  report.jobs = effective_jobs(jobs);
+  report.seed = base.seed;
+  report.jobs = effective_jobs(base.jobs);
   PerfReport perf;
   perf.name = "large_n";
   perf.quick = quick;
@@ -124,7 +109,7 @@ int main(int argc, char** argv) {
       "Large-n scaling — failure-free Turquois, 11 Mbps broadcast, 40 ms "
       "tick\n(%u repetitions per leg, seed %llu; all legs bit-identical by "
       "construction,\n verified per cell)\n\n",
-      reps, static_cast<unsigned long long>(seed));
+      base.repetitions, static_cast<unsigned long long>(base.seed));
   std::printf("%5s | %10s | %10s | %9s\n", "n", "legacy", "pooled",
               "pool gain");
   std::printf("%s\n", std::string(44, '-').c_str());
@@ -140,13 +125,10 @@ int main(int argc, char** argv) {
     std::uint64_t deliveries = 0;
     for (std::size_t li = 0; li < std::size(kLegs); ++li) {
       const Leg& leg = kLegs[li];
-      ScenarioConfig cfg;
+      ScenarioConfig cfg = base;
       cfg.protocol = Protocol::kTurquois;
       cfg.n = n;
       cfg.distribution = ProposalDist::kDivergent;
-      cfg.repetitions = reps;
-      cfg.seed = seed;
-      cfg.jobs = jobs;
       cfg.exchange_pool = leg.pool;
       cfg.tick_interval = 40 * kMillisecond;
       cfg.medium.broadcast_rate_bps = 11e6;

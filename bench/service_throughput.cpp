@@ -22,9 +22,6 @@
 //                     service scalars in each cell's `extra` map
 //   --perf-json PATH  metrics (schema turquois-perf/1): the committed
 //                     BENCH_service_throughput.json
-//
-// Usage: service_throughput [--quick] [--reps R] [--requests N] [--seed S]
-//                           [--jobs N] [--json PATH] [--perf-json PATH]
 
 #include <chrono>
 #include <cstdio>
@@ -33,7 +30,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "service/service.hpp"
@@ -61,41 +58,32 @@ constexpr Leg kLegs[] = {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::uint32_t reps = 3;
-  std::uint64_t requests = 512;
-  std::uint64_t seed = 8;
-  std::uint32_t jobs = 1;
   std::string json_path;
   std::string perf_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
-      // Keeps both group sizes (the gated speedup comes from n = 16) but
-      // trims the request stream and repetition count.
-      quick = true;
-      reps = 2;
-      requests = 192;
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = u32_flag("--reps", argv[++i]);
-    } else if (arg == "--requests" && i + 1 < argc) {
-      requests = unsigned_flag("--requests", argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = unsigned_flag("--seed", argv[++i]);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = u32_flag("--jobs", argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--perf-json" && i + 1 < argc) {
-      perf_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--reps R] [--requests N] [--seed S] "
-                   "[--jobs N] [--json PATH] [--perf-json PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (reps == 0 || requests == 0) {
+  // --reps, --requests, --seed and --jobs; every leg copies it.
+  ScenarioConfig base;
+  base.repetitions = 3;
+  base.seed = 8;
+  base.service.total_requests = 512;
+  Flags flags =
+      scenario_flags(base, {"--reps", "--requests", "--seed", "--jobs"});
+  // --quick keeps both group sizes (the gated speedup comes from n = 16)
+  // but trims the request stream and repetition count.
+  flags.insert(
+      flags.end(),
+      {flag("--json", "<path>", "write the turquois-bench/1 report",
+            json_path),
+       flag("--perf-json", "<path>", "write the turquois-perf/1 metrics",
+            perf_path),
+       {"--quick", "", "2 reps x 192 requests (CI smoke run)",
+        [&](std::string_view) {
+          quick = true;
+          base.repetitions = 2;
+          base.service.total_requests = 192;
+        },
+        {}}});
+  parse_flags(argc, argv, flags);
+  if (base.repetitions == 0 || base.service.total_requests == 0) {
     std::fprintf(stderr, "%s: need --reps >= 1 and --requests >= 1\n",
                  argv[0]);
     return 2;
@@ -105,8 +93,8 @@ int main(int argc, char** argv) {
 
   BenchReport report;
   report.name = "service_throughput";
-  report.seed = seed;
-  report.jobs = effective_jobs(jobs);
+  report.seed = base.seed;
+  report.jobs = effective_jobs(base.jobs);
   PerfReport perf;
   perf.name = "service_throughput";
   perf.quick = quick;
@@ -118,8 +106,9 @@ int main(int argc, char** argv) {
       "broadcast\n(%u repetitions x %llu requests per leg, seed %llu; "
       "offered load saturates\n the pipeline, so committed req/s measures "
       "capacity)\n\n",
-      reps, static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(seed));
+      base.repetitions,
+      static_cast<unsigned long long>(base.service.total_requests),
+      static_cast<unsigned long long>(base.seed));
   std::printf("%5s | %7s | %12s | %12s | %9s | %9s\n", "n", "leg", "req/s sim",
               "inst/s sim", "p95 ms", "speedup");
   std::printf("%s\n", std::string(68, '-').c_str());
@@ -129,13 +118,10 @@ int main(int argc, char** argv) {
   for (const std::uint32_t n : sizes) {
     double seq_rate = 0.0;
     for (const Leg& leg : kLegs) {
-      ScenarioConfig cfg;
+      ScenarioConfig cfg = base;
       cfg.protocol = Protocol::kTurquois;
       cfg.n = n;
       cfg.distribution = ProposalDist::kUnanimous;
-      cfg.repetitions = reps;
-      cfg.seed = seed;
-      cfg.jobs = jobs;
       cfg.medium.broadcast_rate_bps = 11e6;
       cfg.service.enabled = true;
       cfg.service.pipeline_depth = leg.pipeline_depth;
@@ -144,7 +130,6 @@ int main(int argc, char** argv) {
       // the run drains at the pipeline's own rate, so committed req/s is
       // the capacity figure, not an echo of the arrival rate.
       cfg.service.offered_load = 50000.0;
-      cfg.service.total_requests = requests;
 
       const auto leg_start = std::chrono::steady_clock::now();
       ScenarioResult r;

@@ -23,11 +23,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
 
 #include "common/rng.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "net/medium.hpp"
 #include "sim/simulator.hpp"
@@ -203,16 +203,12 @@ void bench_verifies(std::uint64_t rounds, PerfReport& report) {
 int run(int argc, char** argv) {
   bool quick = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  harness::parse_flags(
+      argc, argv,
+      {harness::flag("--quick", "a tenth of the iterations (CI smoke run)",
+                     quick),
+       harness::flag("--json", "<path>",
+                     "write the turquois-perf/1 report", json_path)});
 
   const std::uint64_t event_iters = quick ? 2'000'000 : 20'000'000;
   const std::uint64_t frame_iters = quick ? 100'000 : 1'000'000;

@@ -64,6 +64,18 @@ std::optional<std::string> validate(const ScenarioConfig& cfg) {
   if (cfg.loss_rate < 0.0 || cfg.loss_rate > 1.0) {
     return "loss_rate must be a probability in [0, 1]";
   }
+  if (cfg.run_timeout <= 0) {
+    return "run_timeout must be > 0 (every repetition would miss its "
+           "deadline at once)";
+  }
+  if (cfg.tick_interval <= 0) {
+    return "tick_interval must be > 0 (the sigma round is a whole number "
+           "of ticks)";
+  }
+  if (!(cfg.medium.broadcast_rate_bps > 0.0)) {
+    return "medium broadcast rate must be > 0 bps (a frame would take "
+           "forever on the air)";
+  }
   if (cfg.intra_jobs != 1) {
     return "intra_jobs must be 1 (a repetition runs on one thread)";
   }

@@ -239,48 +239,4 @@ void BufferSink::replay(Sink& sink) const {
   }
 }
 
-// -------------------------------------------------------------- CSV summary --
-
-void CsvSummarySink::on_metrics(const MetricsRegistry& metrics) {
-  merged_.merge(metrics);
-}
-
-void CsvSummarySink::on_end(std::uint64_t emitted, std::uint64_t dropped) {
-  emitted_ += emitted;
-  dropped_ += dropped;
-}
-
-void CsvSummarySink::close() {
-  if (closed_) return;
-  closed_ = true;
-  char buf[192];
-  out_ << "metric,value\n";
-  std::snprintf(buf, sizeof(buf), "trace.events,%llu\ntrace.dropped,%llu\n",
-                static_cast<unsigned long long>(emitted_),
-                static_cast<unsigned long long>(dropped_));
-  out_ << buf;
-  for (const auto& [name, c] : merged_.counters()) {
-    std::snprintf(buf, sizeof(buf), "%s,%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(c.value()));
-    out_ << buf;
-  }
-  for (const auto& [name, h] : merged_.histograms()) {
-    for (std::size_t i = 0; i < h.counts().size(); ++i) {
-      if (i < h.bounds().size()) {
-        std::snprintf(buf, sizeof(buf), "%s.le_%g,%llu\n", name.c_str(),
-                      h.bounds()[i],
-                      static_cast<unsigned long long>(h.counts()[i]));
-      } else {
-        std::snprintf(buf, sizeof(buf), "%s.overflow,%llu\n", name.c_str(),
-                      static_cast<unsigned long long>(h.counts()[i]));
-      }
-      out_ << buf;
-    }
-    std::snprintf(buf, sizeof(buf), "%s.count,%llu\n%s.sum,%.6f\n",
-                  name.c_str(), static_cast<unsigned long long>(h.count()),
-                  name.c_str(), h.sum());
-    out_ << buf;
-  }
-}
-
 }  // namespace turq::trace

@@ -5,15 +5,13 @@
 // harness flushes once per repetition, so a multi-repetition scenario
 // produces one begin/end-marked block per repetition in the same sink.
 //
-// Three formats:
+// Two formats:
 //   * JsonlSink — one JSON object per line; the canonical machine format,
 //     read back by trace::inspect and tools/trace_inspect. Integers only on
 //     the event path, so byte-identical across identically seeded runs.
 //   * ChromeTraceSink — Chrome trace_event JSON ("Trace Event Format"),
 //     loadable directly in chrome://tracing or https://ui.perfetto.dev.
 //     One lane per process plus a channel lane; repetitions map to pids.
-//   * CsvSummarySink — metrics only, as name,value rows (histograms
-//     expanded per bucket), merged over all repetitions.
 #pragma once
 
 #include <cstdint>
@@ -107,24 +105,6 @@ class BufferSink final : public Sink {
   std::vector<TraceEvent> events_;
   std::vector<MetricsRegistry> metrics_;
   std::vector<End> ends_;
-};
-
-class CsvSummarySink final : public Sink {
- public:
-  explicit CsvSummarySink(std::ostream& out) : out_(out) {}
-  ~CsvSummarySink() override { close(); }
-
-  void on_event(const TraceEvent& event) override { (void)event; }
-  void on_metrics(const MetricsRegistry& metrics) override;
-  void on_end(std::uint64_t emitted, std::uint64_t dropped) override;
-  void close() override;
-
- private:
-  std::ostream& out_;
-  MetricsRegistry merged_;
-  std::uint64_t emitted_ = 0;
-  std::uint64_t dropped_ = 0;
-  bool closed_ = false;
 };
 
 }  // namespace turq::trace

@@ -16,7 +16,7 @@
 #include "common/rng.hpp"
 #include "crypto/cost_model.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "harness/table.hpp"
 #include "runtime/sim_runtime.hpp"

@@ -171,6 +171,25 @@ TEST(Validation, RejectsDegenerateConfigs) {
     EXPECT_NE(validate(cfg)->find("intra_jobs"), std::string::npos);
     EXPECT_THROW((void)run_scenario(cfg), std::invalid_argument);
   }
+
+  // A zero tick would divide the σ round by zero, a zero broadcast rate
+  // would schedule a frame's end before its start, and a zero deadline
+  // fails every repetition at once.
+  const std::pair<const char*, void (*)(ScenarioConfig&)> degenerate[] = {
+      {"tick_interval", [](ScenarioConfig& c) { c.tick_interval = 0; }},
+      {"broadcast rate",
+       [](ScenarioConfig& c) { c.medium.broadcast_rate_bps = 0.0; }},
+      {"broadcast rate",
+       [](ScenarioConfig& c) { c.medium.broadcast_rate_bps = -2e6; }},
+      {"run_timeout", [](ScenarioConfig& c) { c.run_timeout = 0; }},
+  };
+  for (const auto& [field, spoil] : degenerate) {
+    cfg = small_scenario(1);
+    spoil(cfg);
+    ASSERT_TRUE(validate(cfg).has_value()) << field;
+    EXPECT_NE(validate(cfg)->find(field), std::string::npos) << *validate(cfg);
+    EXPECT_THROW((void)run_scenario(cfg), std::invalid_argument);
+  }
 }
 
 TEST(BufferSink, ReplayPreservesCallSequence) {

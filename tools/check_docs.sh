@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Documentation consistency checks, run by the CI docs job and usable
-# locally:
+# Documentation consistency checks, run by the CI docs job and by ctest
+# (check_docs), and usable locally:
 #
 #   tools/check_docs.sh [--links-only] [BUILD_DIR]
 #
@@ -105,6 +105,9 @@ binaries=(
   "$build_dir/tools/turquois_soak"
   "$build_dir/bench/table1_failure_free"
   "$build_dir/bench/large_n"
+  "$build_dir/bench/service_throughput"
+  "$build_dir/bench/sim_micro"
+  "$build_dir/bench/spatial_grid"
   "$build_dir/bench/ablation_sigma"
   "$build_dir/bench/ablation_medium"
   "$build_dir/bench/ablation_timeout"

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -25,7 +24,7 @@
 
 #include "faultplan/spec.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 
@@ -35,67 +34,6 @@ using enum Better;
 using enum Domain;
 
 namespace {
-
-[[noreturn]] void usage(const char* argv0) {
-  std::string plans;
-  for (const auto& [name, description] : faultplan::named_plans()) {
-    plans += "                                      " + name + " — " +
-             description + "\n";
-  }
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --protocols %s\n"
-      "                                      comma-separated protocol list\n"
-      "                                      (default turquois)\n"
-      "  --sizes 4,7,...                     comma-separated group sizes\n"
-      "                                      (default 4,7)\n"
-      "  --plan <name-or-spec>               repeatable; a named plan or a\n"
-      "                                      clause spec (see DESIGN.md\n"
-      "                                      Sec. 11). Default grid: none,\n"
-      "                                      failstop, byzantine, adaptive.\n"
-      "                                      Named plans:\n"
-      "%s"
-      "  --topology <spec>                   repeatable; adds a topology to\n"
-      "                                      the sweep: single, grid, ring or\n"
-      "                                      random with optional parameters\n"
-      "                                      ('grid(r=150,area=400)').\n"
-      "                                      Default: single (the legacy\n"
-      "                                      everyone-hears-everyone medium;\n"
-      "                                      cell file names are unchanged)\n"
-      "  --radii 100,150,...                 radio-range axis in meters,\n"
-      "                                      applied to every multi-hop\n"
-      "                                      topology (density sweep);\n"
-      "                                      default: the spec's radius\n"
-      "  --mobilities static,waypoint        mobility axis for multi-hop\n"
-      "                                      topologies (default static);\n"
-      "                                      parameterized specs accepted\n"
-      "  --dist unanimous|divergent          proposal distribution\n"
-      "  --reps <N>                          repetitions per cell (default 20)\n"
-      "  --loss <p>                          ambient iid frame loss\n"
-      "                                      (default 0.01)\n"
-      "  --timeout <s>                       per-run deadline (default 120)\n"
-      "  --seed <S>                          root seed (default 1)\n"
-      "  --jobs <N>                          worker threads per cell\n"
-      "                                      (default 1, 0 = auto); cell\n"
-      "                                      reports are bit-identical for\n"
-      "                                      any N\n"
-      "  --out <dir>                         directory for the per-cell\n"
-      "                                      BENCH_*.json files (default .)\n"
-      "  --summary-json <path>               also write one aggregate\n"
-      "                                      turquois-perf/1 report for the\n"
-      "                                      whole grid (no wall-clock, so\n"
-      "                                      byte-identical at any --jobs and\n"
-      "                                      gateable by tools/check_perf.py)\n"
-      "  --quick                             smoke preset: 2 reps, 30 s\n"
-      "                                      deadline (overrides --reps and\n"
-      "                                      --timeout)\n"
-      "  --no-audit                          skip the consensus-property\n"
-      "                                      auditor (on by default; audit\n"
-      "                                      violations fail the campaign)\n",
-      argv0, protocol_flags(",").c_str(), plans.c_str());
-  std::exit(2);
-}
 
 struct CellOutcome {
   std::string label;        // "<protocol> n=<N> <plan> [<topology>]"
@@ -129,83 +67,85 @@ int main(int argc, char** argv) {
   std::vector<std::string> topology_specs;
   std::vector<std::string> mobility_specs;
   std::vector<double> radii;
-  ProposalDist dist = ProposalDist::kUnanimous;
-  std::uint32_t reps = 20;
-  double loss_rate = 0.01;
-  SimDuration timeout = 120 * kSecond;
-  std::uint64_t seed = 1;
-  std::uint32_t jobs = 1;
+  // Every cell is a copy of `base` with its grid coordinates filled in.
+  ScenarioConfig base;
+  base.repetitions = 20;
   std::string out_dir = ".";
   std::string summary_path;
   bool quick = false;
-  bool audit = true;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--protocols") {
-      protocols.clear();
-      for (const std::string& p : split_list(next())) {
-        const auto protocol = protocol_from_flag(p);
-        if (!protocol.has_value()) usage(argv[0]);
-        protocols.push_back(*protocol);
-      }
-    } else if (arg == "--sizes") {
-      sizes.clear();
-      for (const std::string& s : split_list(next())) {
-        sizes.push_back(u32_flag("--sizes", s));
-      }
-    } else if (arg == "--plan") {
-      std::string error;
-      const auto plan = faultplan::plan_from_name(next(), &error);
-      if (!plan.has_value()) {
-        std::fprintf(stderr, "bad --plan: %s\n", error.c_str());
-        return 2;
-      }
-      plans.push_back(*plan);
-    } else if (arg == "--topology") {
-      topology_specs.emplace_back(next());
-    } else if (arg == "--radii") {
-      for (const std::string& r : split_list(next())) {
-        radii.push_back(r == "inf" ? spatial::kInfiniteRadius
-                                   : double_flag("--radii", r));
-      }
-    } else if (arg == "--mobilities") {
-      for (const std::string& m : split_list(next())) {
-        mobility_specs.push_back(m);
-      }
-    } else if (arg == "--dist") {
-      const auto d = parse_dist(next());
-      if (!d.has_value()) usage(argv[0]);
-      dist = *d;
-    } else if (arg == "--reps") {
-      reps = u32_flag("--reps", next());
-    } else if (arg == "--loss") {
-      loss_rate = double_flag("--loss", next());
-    } else if (arg == "--timeout") {
-      timeout = duration_flag("--timeout", next(), kSecond);
-    } else if (arg == "--seed") {
-      seed = unsigned_flag("--seed", next());
-    } else if (arg == "--jobs") {
-      jobs = u32_flag("--jobs", next());
-    } else if (arg == "--out") {
-      out_dir = next();
-    } else if (arg == "--summary-json") {
-      summary_path = next();
-    } else if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--no-audit") {
-      audit = false;
-    } else {
-      usage(argv[0]);
-    }
+  std::string named;
+  for (const auto& [name, description] : faultplan::named_plans()) {
+    named += "\n" + name + " — " + description;
   }
+  Flags flags = {
+      list_flag("--protocols", protocol_flags(","),
+                "comma-separated protocol list (default turquois)", protocols,
+                protocol_from_flag),
+      flag("--sizes", "4,7,...", "comma-separated group sizes (default 4,7)",
+           sizes),
+      {"--plan", "<name-or-spec>",
+       "repeatable; a named plan or a clause spec (see DESIGN.md Sec. 11). "
+       "Default grid: none, failstop, byzantine, adaptive. Named plans:" +
+           named,
+       [&](std::string_view v) {
+         std::string error;
+         const auto plan = faultplan::plan_from_name(v, &error);
+         if (!plan.has_value()) {
+           bad_value("--plan", v, "a plan name or spec: " + error);
+         }
+         plans.push_back(*plan);
+       },
+       {}},
+      {"--topology", "<spec>",
+       "repeatable; adds a topology to the sweep: single, grid, ring or "
+       "random with optional parameters ('grid(r=150,area=400)'). Default: "
+       "single (the legacy everyone-hears-everyone medium; cell file names "
+       "are unchanged)",
+       [&](std::string_view v) { topology_specs.emplace_back(v); },
+       {}},
+      {"--radii", "100,150,...",
+       "radio-range axis in meters, applied to every multi-hop topology "
+       "(density sweep); default: the spec's radius",
+       [&](std::string_view v) {
+         for (const std::string& r : split_list(v)) {
+           radii.push_back(r == "inf" ? spatial::kInfiniteRadius
+                                      : double_flag("--radii", r));
+         }
+       },
+       {}},
+      {"--mobilities", "static,waypoint",
+       "mobility axis for multi-hop topologies (default static); "
+       "parameterized specs accepted",
+       [&](std::string_view v) {
+         for (std::string& m : split_list(v)) {
+           mobility_specs.push_back(std::move(m));
+         }
+       },
+       {}},
+  };
+  const Flags scenario =
+      scenario_flags(base, {"--dist", "--reps", "--loss", "--timeout",
+                            "--seed", "--jobs", "--no-audit"});
+  flags.insert(flags.end(), scenario.begin(), scenario.end());
+  flags.insert(
+      flags.end(),
+      {flag("--out", "<dir>",
+            "directory for the per-cell BENCH_*.json files (default .)",
+            out_dir),
+       flag("--summary-json", "<path>",
+            "also write one aggregate turquois-perf/1 report for the whole "
+            "grid (no wall-clock, so byte-identical at any --jobs and "
+            "gateable by tools/check_perf.py)",
+            summary_path),
+       flag("--quick",
+            "smoke preset: 2 reps, 30 s deadline (overrides --reps and "
+            "--timeout)",
+            quick)});
+  parse_flags(argc, argv, flags);
   if (quick) {
-    reps = 2;
-    timeout = 30 * kSecond;
+    base.repetitions = 2;
+    base.run_timeout = 30 * kSecond;
   }
   if (plans.empty()) {
     for (const char* name : {"none", "failstop", "byzantine", "adaptive"}) {
@@ -220,25 +160,25 @@ int main(int argc, char** argv) {
   if (mobility_specs.empty()) mobility_specs.emplace_back("static");
   std::vector<SpatialAxis> spatial_axes;
   for (const std::string& tspec : topology_specs) {
-    spatial::SpatialConfig base;
+    spatial::SpatialConfig placed;
     std::string error;
-    if (!spatial::parse_topology(tspec, &base, &error)) {
+    if (!spatial::parse_topology(tspec, &placed, &error)) {
       std::fprintf(stderr, "bad --topology spec '%s': %s\n", tspec.c_str(),
                    error.c_str());
       return 2;
     }
-    if (!base.topology_set()) {
+    if (!placed.topology_set()) {
       // Single-hop: the radius and mobility axes are meaningless, emit
       // exactly one legacy cell per grid coordinate.
-      spatial_axes.push_back({base, "", ""});
+      spatial_axes.push_back({placed, "", ""});
       continue;
     }
     const std::vector<double> radius_axis =
-        radii.empty() ? std::vector<double>{base.radius_m} : radii;
+        radii.empty() ? std::vector<double>{placed.radius_m} : radii;
     for (const double radius : radius_axis) {
       for (const std::string& mspec : mobility_specs) {
         SpatialAxis axis;
-        axis.config = base;
+        axis.config = placed;
         axis.config.radius_m = radius;
         if (!spatial::parse_mobility(mspec, &axis.config, &error)) {
           std::fprintf(stderr, "bad --mobilities spec '%s': %s\n",
@@ -275,7 +215,7 @@ int main(int argc, char** argv) {
         cell.row.plan = plan.name;
         cell.row.topology = spatial::describe(axis.config);
         cell.row.n = n;
-        cell.row.reps = reps;
+        cell.row.reps = base.repetitions;
         cell.label = to_string(protocol) + " n=" + std::to_string(n) + " " +
                      plan.name + axis.label;
         std::printf("[cell] %s ...\n", cell.label.c_str());
@@ -283,18 +223,11 @@ int main(int argc, char** argv) {
         const auto started = std::chrono::steady_clock::now();
         try {
           // run_scenario validates the cell and throws on a degenerate one.
-          ScenarioConfig cfg;
+          ScenarioConfig cfg = base;
           cfg.protocol = protocol;
           cfg.n = n;
-          cfg.distribution = dist;
           cfg.plan = plan;
           cfg.spatial = axis.config;
-          cfg.seed = seed;
-          cfg.repetitions = reps;
-          cfg.jobs = jobs;
-          cfg.loss_rate = loss_rate;
-          cfg.run_timeout = timeout;
-          cfg.audit = audit;
           const ScenarioResult r = run_scenario(cfg);
           const double wall = seconds_since(started);
           const std::string name = "campaign_" + to_string(protocol) + "_" +
@@ -302,8 +235,8 @@ int main(int argc, char** argv) {
                                    axis.suffix;
           BenchReport report;
           report.name = name;
-          report.seed = seed;
-          report.jobs = effective_jobs(jobs);
+          report.seed = base.seed;
+          report.jobs = effective_jobs(base.jobs);
           report.wall_seconds = wall;
           report.cells.push_back(make_cell(r));
           cell.json_path = out_dir + "/BENCH_" + name + ".json";
@@ -395,7 +328,7 @@ int main(int argc, char** argv) {
     PerfReport summary;
     summary.name = "campaign_summary";
     summary.quick = quick;
-    summary.seed = seed;
+    summary.seed = base.seed;
     std::uint64_t decisions = 0;
     std::uint64_t messages = 0;
     std::uint32_t failed_cells = 0;

@@ -36,54 +36,13 @@
 
 #include "faultplan/spec.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "harness/scheduler.hpp"
 
 using namespace turq;
 using namespace turq::harness;
 
 namespace {
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --seeds <N>             deployments scanned per cell (default 50);\n"
-      "                          seed i of a cell is repetition i of the\n"
-      "                          scenario, so reproducers are plain\n"
-      "                          turquois_sim invocations\n"
-      "  --seed-base <S>         scenario root seed (default 1)\n"
-      "  --protocols <list>      comma-separated: %s\n"
-      "                          (default turquois)\n"
-      "  --plans <list>          comma-separated named plans or clause specs\n"
-      "                          (default none,byzantine,adaptive)\n"
-      "  --attacks <list>        comma-separated Turquois Byzantine\n"
-      "                          strategies: value-inversion,decided-coin\n"
-      "                          (default both; only swept for plans with\n"
-      "                          the byzantine role)\n"
-      "  --sizes <list>          comma-separated group sizes (default 4,7,10)\n"
-      "  --topologies <list>     comma-separated topology specs swept as an\n"
-      "                          axis: single, grid, ring, random, optionally\n"
-      "                          parameterized ('grid(r=150)'); commas inside\n"
-      "                          parentheses stay within one spec. A\n"
-      "                          'waypoint' suffix after '+' adds mobility:\n"
-      "                          'grid(r=150)+waypoint'. Default: single.\n"
-      "                          The shrinker tries single-hop, then static\n"
-      "                          mobility, before shrinking the group\n"
-      "  --dist unanimous|divergent|both   proposal distribution (default\n"
-      "                          unanimous)\n"
-      "  --timeout <s>           per-repetition deadline (default 120)\n"
-      "  --audit-phase-bound <P> liveness phase ceiling (default 0 = off)\n"
-      "  --jobs <N>              scheduler workers per cell (default 1,\n"
-      "                          0 = auto); the scan and every shrink step\n"
-      "                          are bit-identical for any N\n"
-      "  --corpus <dir>          write one reproducer file per violating\n"
-      "                          cell into this directory\n"
-      "  --no-shrink             report the first violation as-is\n"
-      "  --quick                 smoke preset: 30 s deadline\n",
-      argv0, protocol_flags(",").c_str());
-  std::exit(2);
-}
 
 /// Parses a "--topologies" element: a topology spec optionally followed by
 /// "+<mobility spec>" ("grid(r=150)+waypoint(vmin=2,vmax=4)").
@@ -118,47 +77,6 @@ std::optional<Violation> first_violation(const ScenarioConfig& cfg) {
     }
   }
   return std::nullopt;
-}
-
-/// The reproducer as a turquois_sim invocation: repetitions are pure in
-/// (seed, index), so running the first `rep_index + 1` repetitions replays
-/// the violating deployment exactly; the last repetition is the violator.
-std::string repro_command(const ScenarioConfig& cfg, std::uint64_t rep_index) {
-  std::string cmd = "turquois_sim --protocol ";
-  cmd += protocol_info(cfg.protocol).flag;
-  cmd += " --n " + std::to_string(cfg.n);
-  cmd += " --dist " + to_string(cfg.distribution);
-  const faultplan::FaultPlan plan = cfg.effective_plan();
-  std::string spec = faultplan::to_spec(plan);
-  // --faults consults the named-plan registry before the spec grammar, so a
-  // spec that happens to spell a registry name ("byzantine" after the
-  // ambient clause was shrunk away) would resolve to a different plan. A
-  // trailing ';' (an empty clause, skipped by the parser) forces the
-  // grammar path without changing the parse.
-  if (const auto named = faultplan::plan_from_name(spec, nullptr);
-      named.has_value() && faultplan::to_spec(*named) != spec) {
-    spec += ";";
-  }
-  cmd += " --faults '" + spec + "'";
-  if (protocol_info(cfg.protocol).byzantine_attacks &&
-      cfg.attack != TurquoisAttack::kValueInversion) {
-    cmd += " --attack " + to_string(cfg.attack);
-  }
-  if (cfg.spatial.topology_set()) {
-    cmd += " --topology '" + spatial::to_spec_topology(cfg.spatial) + "'";
-    if (cfg.spatial.mobility != spatial::Mobility::kStatic) {
-      cmd += " --mobility '" + spatial::to_spec_mobility(cfg.spatial) + "'";
-    }
-    if (!cfg.relay_enabled) cmd += " --no-relay";
-  }
-  cmd += " --seed " + std::to_string(cfg.seed);
-  cmd += " --reps " + std::to_string(rep_index + 1);
-  cmd += " --timeout " +
-         std::to_string(cfg.run_timeout / kSecond);
-  if (cfg.audit_phase_bound > 0) {
-    cmd += " --audit-phase-bound " + std::to_string(cfg.audit_phase_bound);
-  }
-  return cmd;
 }
 
 struct ShrinkResult {
@@ -252,8 +170,10 @@ ShrinkResult shrink(ScenarioConfig cfg, Violation violation,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint32_t seeds = 50;
-  std::uint64_t seed_base = 1;
+  // Every cell is a copy of `base` with its grid coordinates filled in;
+  // its repetitions are the cell's seeds.
+  ScenarioConfig base;
+  base.repetitions = 50;
   std::vector<Protocol> protocols{Protocol::kTurquois};
   std::vector<std::string> plan_names{"none", "byzantine", "adaptive"};
   std::vector<TurquoisAttack> attacks{TurquoisAttack::kValueInversion,
@@ -261,71 +181,67 @@ int main(int argc, char** argv) {
   std::vector<std::uint32_t> sizes{4, 7, 10};
   std::vector<std::string> topology_specs{"single"};
   std::vector<ProposalDist> dists{ProposalDist::kUnanimous};
-  SimDuration timeout = 120 * kSecond;
-  std::uint64_t audit_phase_bound = 0;
-  std::uint32_t jobs = 1;
   std::string corpus_dir;
   bool do_shrink = true;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--seeds") {
-      seeds = u32_flag("--seeds", next());
-    } else if (arg == "--seed-base") {
-      seed_base = unsigned_flag("--seed-base", next());
-    } else if (arg == "--protocols") {
-      protocols.clear();
-      for (const std::string& p : split_list(next())) {
-        const auto protocol = protocol_from_flag(p);
-        if (!protocol.has_value()) usage(argv[0]);
-        protocols.push_back(*protocol);
-      }
-    } else if (arg == "--plans") {
-      plan_names = split_list(next());
-    } else if (arg == "--attacks") {
-      attacks.clear();
-      for (const std::string& a : split_list(next())) {
-        const auto attack = parse_attack(a);
-        if (!attack.has_value()) usage(argv[0]);
-        attacks.push_back(*attack);
-      }
-    } else if (arg == "--sizes") {
-      sizes.clear();
-      for (const std::string& s : split_list(next())) {
-        sizes.push_back(u32_flag("--sizes", s));
-      }
-    } else if (arg == "--topologies") {
-      topology_specs = split_list(next());
-    } else if (arg == "--dist") {
-      const std::string_view d = next();
-      if (d == "both") {
-        dists = {ProposalDist::kUnanimous, ProposalDist::kDivergent};
-      } else if (const auto one = parse_dist(d)) {
-        dists = {*one};
-      } else {
-        usage(argv[0]);
-      }
-    } else if (arg == "--timeout") {
-      timeout = duration_flag("--timeout", next(), kSecond);
-    } else if (arg == "--audit-phase-bound") {
-      audit_phase_bound = unsigned_flag("--audit-phase-bound", next());
-    } else if (arg == "--jobs") {
-      jobs = u32_flag("--jobs", next());
-    } else if (arg == "--corpus") {
-      corpus_dir = next();
-    } else if (arg == "--no-shrink") {
-      do_shrink = false;
-    } else if (arg == "--quick") {
-      timeout = 30 * kSecond;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (seeds == 0) usage(argv[0]);
+  Flags flags = {
+      flag("--seeds", "<N>",
+           "deployments scanned per cell (default 50); seed i of a cell is "
+           "repetition i of the scenario, so reproducers are plain "
+           "turquois_sim invocations",
+           base.repetitions),
+      flag("--seed-base", "<S>", "scenario root seed (default 1)", base.seed),
+      list_flag("--protocols", protocol_flags(","),
+                "comma-separated protocol list (default turquois)", protocols,
+                protocol_from_flag),
+      {"--plans", "<list>",
+       "comma-separated named plans or clause specs (default "
+       "none,byzantine,adaptive)",
+       [&](std::string_view v) { plan_names = split_list(v); },
+       {}},
+      list_flag("--attacks", "value-inversion,decided-coin",
+                "comma-separated Turquois Byzantine strategies (default "
+                "both; only swept for plans with the byzantine role)",
+                attacks, parse_attack),
+      flag("--sizes", "<list>", "comma-separated group sizes (default 4,7,10)",
+           sizes),
+      {"--topologies", "<list>",
+       "comma-separated topology specs swept as an axis: single, grid, "
+       "ring, random, optionally parameterized ('grid(r=150)'); commas "
+       "inside parentheses stay within one spec. A 'waypoint' suffix after "
+       "'+' adds mobility: 'grid(r=150)+waypoint'. Default: single. The "
+       "shrinker tries single-hop, then static mobility, before shrinking "
+       "the group",
+       [&](std::string_view v) { topology_specs = split_list(v); },
+       {}},
+      {"--dist", "unanimous|divergent|both",
+       "proposal distribution (default unanimous)",
+       [&](std::string_view v) {
+         if (v == "both") {
+           dists = {ProposalDist::kUnanimous, ProposalDist::kDivergent};
+         } else if (const auto one = parse_dist(v)) {
+           dists = {*one};
+         } else {
+           bad_value("--dist", v, "unanimous|divergent|both");
+         }
+       },
+       {}},
+  };
+  const Flags scenario =
+      scenario_flags(base, {"--timeout", "--audit-phase-bound", "--jobs"});
+  flags.insert(flags.end(), scenario.begin(), scenario.end());
+  flags.insert(
+      flags.end(),
+      {flag("--corpus", "<dir>",
+            "write one reproducer file per violating cell into this "
+            "directory",
+            corpus_dir),
+       flag("--no-shrink", "report the first violation as-is", do_shrink,
+            false),
+       {"--quick", "", "smoke preset: 30 s deadline",
+        [&](std::string_view) { base.run_timeout = 30 * kSecond; }, {}}});
+  parse_flags(argc, argv, flags);
+  if (base.repetitions == 0) usage(argv[0], flags);
 
   std::vector<faultplan::FaultPlan> plans;
   for (const std::string& name : plan_names) {
@@ -378,18 +294,13 @@ int main(int argc, char** argv) {
         for (const ProposalDist dist : dists) {
           for (const spatial::SpatialConfig& topo : topologies) {
           for (const std::uint32_t n : sizes) {
-            ScenarioConfig cfg;
+            ScenarioConfig cfg = base;
             cfg.protocol = protocol;
             cfg.n = n;
             cfg.distribution = dist;
             cfg.plan = plan;
             cfg.attack = attack;
             cfg.spatial = topo;
-            cfg.seed = seed_base;
-            cfg.repetitions = seeds;
-            cfg.jobs = jobs;
-            cfg.run_timeout = timeout;
-            cfg.audit_phase_bound = audit_phase_bound;
             if (const auto reason = validate(cfg)) {
               std::fprintf(stderr, "skipping cell (%s)\n", reason->c_str());
               continue;
@@ -398,17 +309,24 @@ int main(int argc, char** argv) {
             std::string label = to_string(protocol) + " " + plan.name;
             if (cell_attacks.size() > 1 ||
                 attack != TurquoisAttack::kValueInversion) {
-              label += " attack=" + to_string(attack);
+              label += " attack=";
+              label += to_string(attack);
             }
-            if (dists.size() > 1) label += " " + to_string(dist);
+            if (dists.size() > 1) {
+              label += " ";
+              label += to_string(dist);
+            }
             if (topo.topology_set()) {
-              label += " topo=" + spatial::to_spec_topology(topo);
+              label += " topo=";
+              label += spatial::to_spec_topology(topo);
               if (topo.mobility != spatial::Mobility::kStatic) {
-                label += "+" + spatial::to_spec_mobility(topo);
+                label += "+";
+                label += spatial::to_spec_mobility(topo);
               }
             }
             label += " n=" + std::to_string(n);
-            std::printf("[fuzz] %s: %u seeds ... ", label.c_str(), seeds);
+            std::printf("[fuzz] %s: %u seeds ... ", label.c_str(),
+                        base.repetitions);
             std::fflush(stdout);
             const auto violation = first_violation(cfg);
             if (!violation.has_value()) {
@@ -429,8 +347,13 @@ int main(int argc, char** argv) {
                           static_cast<unsigned long long>(
                               minimal.violation.rep_index));
             }
-            const std::string cmd =
-                repro_command(minimal.cfg, minimal.violation.rep_index);
+            // Repetitions are pure in (seed, index), so running the first
+            // rep_index + 1 replays the violating deployment exactly; the
+            // last repetition is the violator.
+            ScenarioConfig replay = minimal.cfg;
+            replay.repetitions =
+                static_cast<std::uint32_t>(minimal.violation.rep_index) + 1;
+            const std::string cmd = sim_command(replay);
             std::printf("  reproduce: %s\n", cmd.c_str());
             if (!corpus_dir.empty()) {
               const std::string path =

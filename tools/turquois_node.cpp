@@ -18,14 +18,14 @@
 // udp-smoke job. Exits 0 on decide (after --linger of helping laggards),
 // 1 on timeout.
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "crypto/cost_model.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "runtime/udp_runtime.hpp"
 #include "turquois/key_infra.hpp"
 #include "turquois/process.hpp"
@@ -33,33 +33,8 @@
 using namespace turq;
 using namespace turq::harness;
 
-namespace {
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --id I --n N [options]\n"
-      "  --id <0..n-1>        this node's process id (required)\n"
-      "  --n <4..128>         group size (required)\n"
-      "  --value 0|1          proposal (default 1)\n"
-      "  --base-port <P>      node i binds P+i (default 42000)\n"
-      "  --host <H>           peers' IPv4 address, one shared address or a\n"
-      "                       comma-list of n (default 127.0.0.1);\n"
-      "                       255.255.255.255 = LAN broadcast\n"
-      "  --seed <S>           shared key-setup seed; must match on every\n"
-      "                       node (default 2010)\n"
-      "  --tick <dur>         T1 tick interval (default 10ms)\n"
-      "  --timeout <dur>      give up if undecided (default 30s)\n"
-      "  --linger <dur>       keep broadcasting after deciding so laggards\n"
-      "                       can catch up (default 2s)\n",
-      argv0);
-  std::exit(2);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::int64_t id = -1;
+  std::uint32_t id = std::numeric_limits<std::uint32_t>::max();  // required
   std::uint32_t n = 0;
   Value value = Value::kOne;
   std::uint16_t base_port = 42000;
@@ -69,36 +44,35 @@ int main(int argc, char** argv) {
   SimDuration timeout = 30 * kSecond;
   SimDuration linger = 2 * kSecond;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--id") {
-      id = static_cast<std::int64_t>(u32_flag("--id", next()));
-    } else if (arg == "--n") {
-      n = u32_flag("--n", next());
-    } else if (arg == "--value") {
-      value = unsigned_flag("--value", next(), 1) ? Value::kOne : Value::kZero;
-    } else if (arg == "--base-port") {
-      base_port =
-          static_cast<std::uint16_t>(unsigned_flag("--base-port", next(), 65535));
-    } else if (arg == "--host") {
-      hosts = next();
-    } else if (arg == "--seed") {
-      seed = unsigned_flag("--seed", next());
-    } else if (arg == "--tick") {
-      tick = duration_flag("--tick", next(), kMillisecond);
-    } else if (arg == "--timeout") {
-      timeout = duration_flag("--timeout", next(), kSecond);
-    } else if (arg == "--linger") {
-      linger = duration_flag("--linger", next(), kSecond);
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (n < 4 || id < 0 || id >= n) usage(argv[0]);
+  const Flags flags = {
+      flag("--id", "<0..n-1>", "this node's process id (required)", id),
+      flag("--n", "<4..128>", "group size (required)", n),
+      {"--value", "0|1", "proposal (default 1)",
+       [&](std::string_view v) {
+         value = unsigned_flag("--value", v, 1) ? Value::kOne : Value::kZero;
+       },
+       {}},
+      flag("--base-port", "<P>", "node i binds P+i (default 42000)",
+           base_port),
+      flag("--host", "<H>",
+           "peers' IPv4 address, one shared address or a comma-list of n "
+           "(default 127.0.0.1); 255.255.255.255 = LAN broadcast",
+           hosts),
+      flag("--seed", "<S>",
+           "shared key-setup seed; must match on every node (default 2010)",
+           seed),
+      flag("--tick", "<dur>", "T1 tick interval (default 10ms)", tick,
+           kMillisecond),
+      flag("--timeout", "<dur>", "give up if undecided (default 30s)", timeout,
+           kSecond),
+      flag("--linger", "<dur>",
+           "keep broadcasting after deciding so laggards can catch up "
+           "(default 2s)",
+           linger, kSecond),
+  };
+  const char* const synopsis = "--id I --n N [options]";
+  parse_flags(argc, argv, flags, synopsis);
+  if (n < 4 || id >= n) usage(argv[0], flags, synopsis);
 
   turquois::Config cfg = turquois::Config::for_group(n);
   cfg.tick_interval = tick;
@@ -114,15 +88,7 @@ int main(int argc, char** argv) {
   // One shared host for all peers, or a comma-list of exactly n.
   std::vector<runtime::UdpEndpoint> peers;
   {
-    std::vector<std::string> parts;
-    std::size_t pos = 0;
-    while (pos <= hosts.size()) {
-      const std::size_t comma = hosts.find(',', pos);
-      parts.push_back(hosts.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
+    const std::vector<std::string> parts = split_list(hosts);
     if (parts.size() != 1 && parts.size() != n) {
       std::fprintf(stderr, "--host wants one address or exactly n\n");
       return 2;

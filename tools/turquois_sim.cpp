@@ -12,12 +12,12 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <chrono>
 
-#include "faultplan/spec.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "harness/scheduler.hpp"
 #include "service/service.hpp"
@@ -28,91 +28,17 @@ using namespace turq::harness;
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --protocol %s\n"
-      "                                    (default turquois)\n"
-      "  --n <4..128>                      group size (default 7)\n"
-      "  --dist unanimous|divergent        proposal distribution\n"
-      "  --faults <plan>                   fault plan: a named plan (none|\n"
-      "                                    failstop|byzantine|jamming|churn|\n"
-      "                                    adaptive|adaptive-half|\n"
-      "                                    sigma-violating) or a clause spec\n"
-      "                                    such as 'ambient;jam@250-400'\n"
-      "                                    (default none)\n"
-      "  --attack value-inversion|decided-coin\n"
-      "                                    Byzantine strategy for Turquois\n"
-      "                                    faulty processes (default\n"
-      "                                    value-inversion, the paper's §7.2\n"
-      "                                    attack; decided-coin forges the\n"
-      "                                    unsigned status/from_coin header\n"
-      "                                    bits)\n"
-      "  --topology <spec>                 node placement: single (default),\n"
-      "                                    grid, ring or random, optionally\n"
-      "                                    with parameters, e.g.\n"
-      "                                    'grid(r=150,area=400,cs=2.2)';\n"
-      "                                    r=inf keeps the single-hop medium\n"
-      "  --radius <m>                      radio range shorthand (overrides\n"
-      "                                    the spec's r=)\n"
-      "  --area <m>                        deployment area side in meters\n"
-      "  --mobility <spec>                 static (default) or waypoint, e.g.\n"
-      "                                    'waypoint(vmin=1,vmax=3,pause=500)'\n"
-      "  --no-relay                        multi-hop without the gossip relay\n"
-      "                                    (Turquois only; frames reach radio\n"
-      "                                    neighbours, nothing is forwarded)\n"
-      "  --reps <N>                        repetitions (default 20)\n"
-      "  --loss <p>                        extra iid frame loss (default 0.01)\n"
-      "  --no-bursts                       disable Gilbert-Elliott bursts\n"
-      "  --tick <ms>                       Turquois tick interval (default 10)\n"
-      "  --broadcast-rate <bps>            e.g. 2e6 or 11e6 (default 2e6)\n"
-      "  --timeout <s>                     per-run deadline (default 120)\n"
-      "  --seed <S>                        root seed (default 1)\n"
-      "  --jobs <N>                        worker threads for repetitions\n"
-      "                                    (default 1, 0 = auto-detect);\n"
-      "                                    results are bit-identical for\n"
-      "                                    any N\n"
-      "  --no-exchange-pool                decode + verify each delivery\n"
-      "                                    privately per receiver instead of\n"
-      "                                    once per unique payload\n"
-      "                                    (bit-identical, slower)\n"
-      "  --service                         run the multi-instance consensus\n"
-      "                                    service: a replicated queue of\n"
-      "                                    pipelined Turquois instances under\n"
-      "                                    an open-loop client workload\n"
-      "                                    (Turquois, failure-free only)\n"
-      "  --pipeline-depth <W>              service: instances in flight at\n"
-      "                                    once (default 8)\n"
-      "  --batch <B>                       service: client requests committed\n"
-      "                                    per instance slot (default 8)\n"
-      "  --arrival poisson|bursty          service: client arrival process\n"
-      "                                    (default poisson)\n"
-      "  --offered-load <R>                service: mean client requests per\n"
-      "                                    simulated second (default 2000)\n"
-      "  --requests <N>                    service: requests per repetition\n"
-      "                                    (default 512)\n"
-      "  --mux-window <ms>                 service: frame-mux coalescing\n"
-      "                                    window (default 2)\n"
-      "  --json <path>                     write the pooled result as a\n"
-      "                                    machine-readable report\n"
-      "  --no-audit                        skip the consensus-property\n"
-      "                                    auditor (validity, agreement,\n"
-      "                                    unanimity, phase monotonicity,\n"
-      "                                    quorum sanity, sigma liveness);\n"
-      "                                    on by default, results land in\n"
-      "                                    the report's \"audit\" object\n"
-      "  --audit-phase-bound <P>           flag liveness-eligible reps whose\n"
-      "                                    decisions land above phase P\n"
-      "                                    (default 0 = deadline-only)\n"
-      "  --verbose                         per-repetition output\n"
-      "  --trace <path>                    write a structured event trace\n"
-      "  --trace-format jsonl|chrome       jsonl: one event per line, for\n"
-      "                                    trace_inspect (default); chrome:\n"
-      "                                    load in chrome://tracing/Perfetto\n"
-      "  --trace-sim-events                also trace scheduler dispatches\n",
-      argv0, protocol_flags("|").c_str());
-  std::exit(2);
+/// One line per repetition: its outcome, decision and latencies.
+void print_reps(const std::vector<RepResult>& reps) {
+  for (const RepResult& rep : reps) {
+    const RunResult& r = rep.run;
+    std::printf("  rep %2llu: %s decision=%s latencies(ms):",
+                static_cast<unsigned long long>(rep.rep_index),
+                r.all_correct_decided ? "ok    " : "FAILED",
+                r.decision.has_value() ? to_string(*r.decision).c_str() : "-");
+    for (const double l : r.latencies_ms) std::printf(" %.1f", l);
+    std::printf("\n");
+  }
 }
 
 void print_medium(const net::MediumStats& m) {
@@ -203,113 +129,24 @@ int main(int argc, char** argv) {
   std::string trace_format = "jsonl";
   std::string json_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--protocol") {
-      const auto p = protocol_from_flag(next());
-      if (!p.has_value()) usage(argv[0]);
-      cfg.protocol = *p;
-    } else if (arg == "--n") {
-      cfg.n = u32_flag("--n", next());
-    } else if (arg == "--dist") {
-      const auto d = parse_dist(next());
-      if (!d.has_value()) usage(argv[0]);
-      cfg.distribution = *d;
-    } else if (arg == "--faults") {
-      const std::string_view f = next();
-      // Everything goes through the plan registry; the legacy names
-      // ("none", "failstop", "byzantine") resolve to the canned plans with
-      // the legacy labels and Rng streams.
-      std::string error;
-      const auto plan = faultplan::plan_from_name(f, &error);
-      if (!plan.has_value()) {
-        std::fprintf(stderr, "bad --faults plan: %s\n", error.c_str());
-        return 2;
-      }
-      cfg.plan = *plan;
-    } else if (arg == "--attack") {
-      const auto a = parse_attack(next());
-      if (!a.has_value()) usage(argv[0]);
-      cfg.attack = *a;
-    } else if (arg == "--no-audit") {
-      cfg.audit = false;
-    } else if (arg == "--audit-phase-bound") {
-      cfg.audit_phase_bound = unsigned_flag("--audit-phase-bound", next());
-    } else if (arg == "--topology") {
-      std::string error;
-      if (!spatial::parse_topology(next(), &cfg.spatial, &error)) {
-        std::fprintf(stderr, "bad --topology spec: %s\n", error.c_str());
-        return 2;
-      }
-    } else if (arg == "--radius") {
-      const std::string_view r = next();
-      cfg.spatial.radius_m =
-          (r == "inf") ? spatial::kInfiniteRadius : double_flag("--radius", r);
-    } else if (arg == "--area") {
-      cfg.spatial.area_m = double_flag("--area", next());
-    } else if (arg == "--mobility") {
-      std::string error;
-      if (!spatial::parse_mobility(next(), &cfg.spatial, &error)) {
-        std::fprintf(stderr, "bad --mobility spec: %s\n", error.c_str());
-        return 2;
-      }
-    } else if (arg == "--no-relay") {
-      cfg.relay_enabled = false;
-    } else if (arg == "--reps") {
-      cfg.repetitions = u32_flag("--reps", next());
-    } else if (arg == "--loss") {
-      cfg.loss_rate = double_flag("--loss", next());
-    } else if (arg == "--no-bursts") {
-      cfg.bursty_loss = false;
-    } else if (arg == "--tick") {
-      cfg.tick_interval = duration_flag("--tick", next(), kMillisecond);
-    } else if (arg == "--broadcast-rate") {
-      cfg.medium.broadcast_rate_bps = double_flag("--broadcast-rate", next());
-    } else if (arg == "--timeout") {
-      cfg.run_timeout = duration_flag("--timeout", next(), kSecond);
-    } else if (arg == "--seed") {
-      cfg.seed = unsigned_flag("--seed", next());
-    } else if (arg == "--jobs") {
-      cfg.jobs = u32_flag("--jobs", next());
-    } else if (arg == "--no-exchange-pool") {
-      cfg.exchange_pool = false;
-    } else if (arg == "--service") {
-      cfg.service.enabled = true;
-    } else if (arg == "--pipeline-depth") {
-      cfg.service.pipeline_depth = u32_flag("--pipeline-depth", next());
-    } else if (arg == "--batch") {
-      cfg.service.batch = u32_flag("--batch", next());
-    } else if (arg == "--arrival") {
-      const std::string_view a = next();
-      if (a == "poisson") cfg.service.arrival = service::Arrival::kPoisson;
-      else if (a == "bursty") cfg.service.arrival = service::Arrival::kBursty;
-      else usage(argv[0]);
-    } else if (arg == "--offered-load") {
-      cfg.service.offered_load = double_flag("--offered-load", next());
-    } else if (arg == "--requests") {
-      cfg.service.total_requests = unsigned_flag("--requests", next());
-    } else if (arg == "--mux-window") {
-      cfg.service.mux_window =
-          duration_flag("--mux-window", next(), kMillisecond);
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--trace-format") {
-      trace_format = next();
-      if (trace_format != "jsonl" && trace_format != "chrome") usage(argv[0]);
-    } else if (arg == "--trace-sim-events") {
-      cfg.trace_sim_events = true;
-    } else {
-      usage(argv[0]);
-    }
-  }
+  Flags flags = scenario_flags(cfg);
+  flags.insert(
+      flags.end(),
+      {flag("--json", "<path>",
+            "write the pooled result as a machine-readable report", json_path),
+       flag("--verbose", "per-repetition output", verbose),
+       flag("--trace", "<path>", "write a structured event trace", trace_path),
+       {"--trace-format", "jsonl|chrome",
+        "jsonl: one event per line, for trace_inspect (default); chrome: "
+        "load in chrome://tracing/Perfetto",
+        [&](std::string_view v) {
+          if (v != "jsonl" && v != "chrome") {
+            bad_value("--trace-format", v, "jsonl|chrome");
+          }
+          trace_format = v;
+        },
+        {}}});
+  parse_flags(argc, argv, flags);
 
   if (const auto reason = validate(cfg)) {
     // validate() covers the whole surface, including the n <= 128 sender-
@@ -360,25 +197,18 @@ int main(int argc, char** argv) {
                 cfg.service.offered_load,
                 static_cast<unsigned long long>(cfg.service.total_requests),
                 to_milliseconds(cfg.service.mux_window));
-  } else if (verbose) {
-    // The preview pass re-runs the same repetitions run_scenario runs;
-    // leave tracing to the scenario pass so each rep appears once.
-    ScenarioConfig preview = cfg;
-    preview.trace_sink = nullptr;
-    for (std::uint32_t rep = 0; rep < cfg.repetitions; ++rep) {
-      const RunResult r = run_once(preview, rep);
-      std::printf("  rep %2u: %s decision=%s latencies(ms):", rep,
-                  r.all_correct_decided ? "ok    " : "FAILED",
-                  r.decision.has_value() ? to_string(*r.decision).c_str() : "-");
-      for (const double l : r.latencies_ms) std::printf(" %.1f", l);
-      std::printf("\n");
-    }
   }
 
   const auto started = std::chrono::steady_clock::now();
   ScenarioResult r;
   try {
-    r = cfg.service.enabled ? service::run_service(cfg) : run_scenario(cfg);
+    if (cfg.service.enabled) {
+      r = service::run_service(cfg);
+    } else {
+      const std::vector<RepResult> reps = run_repetitions(cfg);
+      if (verbose) print_reps(reps);
+      r = pool_repetitions(cfg, reps);
+    }
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "invalid scenario: %s\n", e.what());
     return 2;

@@ -18,7 +18,6 @@
 // Exit status: 0 when every instance decided unanimously with a clean
 // audit (or, under --verify-logs, when the logs show n clean decides).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -28,7 +27,7 @@
 #include "audit/audit.hpp"
 #include "common/rng.hpp"
 #include "crypto/cost_model.hpp"
-#include "harness/parse_duration.hpp"
+#include "harness/flags.hpp"
 #include "runtime/udp_runtime.hpp"
 #include "turquois/key_infra.hpp"
 #include "turquois/process.hpp"
@@ -37,26 +36,6 @@ using namespace turq;
 using namespace turq::harness;
 
 namespace {
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "       %s --n N --verify-logs FILE...\n"
-      "  --n <4..128>         group size (default 4)\n"
-      "  --duration <dur>     stop starting new instances after this long\n"
-      "                       (default 10s)\n"
-      "  --instances <K>      run exactly K instances instead (0 = until\n"
-      "                       --duration; default 0)\n"
-      "  --base-port <P>      first port to bind (default 0 = ephemeral)\n"
-      "  --seed <S>           root seed for keys and jitter (default 2010)\n"
-      "  --tick <dur>         T1 tick interval (default 10ms)\n"
-      "  --timeout <dur>      per-instance deadline (default 10s)\n"
-      "  --verify-logs F...   audit turquois_node PROPOSE/DECIDE logs and\n"
-      "                       exit; every later argument is a log file\n",
-      argv0, argv0);
-  std::exit(2);
-}
 
 /// Replays turquois_node output lines into a ConsensusAuditor.
 int verify_logs(std::uint32_t n, const std::vector<std::string>& files) {
@@ -114,41 +93,34 @@ int main(int argc, char** argv) {
   SimDuration tick = 10 * kMillisecond;
   SimDuration timeout = 10 * kSecond;
   std::vector<std::string> log_files;
-  bool verify_mode = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--n") {
-      n = u32_flag("--n", next());
-    } else if (arg == "--duration") {
-      duration = duration_flag("--duration", next(), kSecond);
-    } else if (arg == "--instances") {
-      instances = u32_flag("--instances", next());
-    } else if (arg == "--base-port") {
-      base_port =
-          static_cast<std::uint16_t>(unsigned_flag("--base-port", next(), 65535));
-    } else if (arg == "--seed") {
-      seed = unsigned_flag("--seed", next());
-    } else if (arg == "--tick") {
-      tick = duration_flag("--tick", next(), kMillisecond);
-    } else if (arg == "--timeout") {
-      timeout = duration_flag("--timeout", next(), kSecond);
-    } else if (arg == "--verify-logs") {
-      verify_mode = true;
-      while (i + 1 < argc) log_files.emplace_back(argv[++i]);
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (n < 4) usage(argv[0]);
-  if (verify_mode) {
-    if (log_files.empty()) usage(argv[0]);
-    return verify_logs(n, log_files);
-  }
+  const Flags flags = {
+      flag("--n", "<4..128>", "group size (default 4)", n),
+      flag("--duration", "<dur>",
+           "stop starting new instances after this long (default 10s)",
+           duration, kSecond),
+      flag("--instances", "<K>",
+           "run exactly K instances instead (0 = until --duration; default "
+           "0)",
+           instances),
+      flag("--base-port", "<P>", "first port to bind (default 0 = ephemeral)",
+           base_port),
+      flag("--seed", "<S>", "root seed for keys and jitter (default 2010)",
+           seed),
+      flag("--tick", "<dur>", "T1 tick interval (default 10ms)", tick,
+           kMillisecond),
+      flag("--timeout", "<dur>", "per-instance deadline (default 10s)",
+           timeout, kSecond),
+      {"--verify-logs", "FILE...",
+       "audit turquois_node PROPOSE/DECIDE logs and exit; every later "
+       "argument is a log file",
+       [&](std::string_view v) { log_files.emplace_back(v); },
+       {},
+       /*rest=*/true},
+  };
+  parse_flags(argc, argv, flags);
+  if (n < 4) usage(argv[0], flags);
+  if (!log_files.empty()) return verify_logs(n, log_files);
 
   turquois::Config cfg = turquois::Config::for_group(n);
   cfg.tick_interval = tick;
