@@ -7,7 +7,9 @@
 //   deliveries_per_wall_s — Medium broadcast delivery throughput (one
 //                  shared frame fanned out to every attached receiver);
 //   verifies_per_wall_s — memoized one-time-signature validation throughput
-//                  (VerifyMemo over a realistic (sender, phase, value) mix).
+//                  (VerifyMemo::check_batch, the path every ExchangePool
+//                  fill runs, over a realistic (sender, phase, value) mix
+//                  packed into datagrams).
 //
 // The binary also proves the zero-allocation claim of DESIGN.md §10: this
 // translation unit replaces the global allocator with a counting wrapper,
@@ -150,7 +152,8 @@ void bench_frames(std::uint64_t frames, PerfReport& report) {
 }
 
 // ---------------------------------------------------------------------------
-// verifies_per_wall_s — memoized one-time-signature checks.
+// verifies_per_wall_s — memoized one-time-signature checks, a datagram at a
+// time.
 // ---------------------------------------------------------------------------
 
 void bench_verifies(std::uint64_t rounds, PerfReport& report) {
@@ -180,12 +183,25 @@ void bench_verifies(std::uint64_t rounds, PerfReport& report) {
     }
   }
 
+  // The mix in order, eight messages per datagram: seven attachments and
+  // the main message, as a justified broadcast carries them.
+  constexpr std::ptrdiff_t kPerDatagram = 8;
+  std::vector<turquois::Datagram> datagrams;
+  for (auto it = mix.begin(); it != mix.end(); it += kPerDatagram) {
+    turquois::Datagram d;
+    d.justification.assign(it, it + kPerDatagram - 1);
+    d.main = *(it + kPerDatagram - 1);
+    datagrams.push_back(std::move(d));
+  }
+
   turquois::VerifyMemo memo;
+  std::vector<std::uint8_t> verdicts;
   std::uint64_t ok = 0;
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    for (const turquois::Message& m : mix) {
-      ok += memo.check(keys, cfg, m) ? 1 : 0;
+    for (const turquois::Datagram& d : datagrams) {
+      memo.check_batch(keys, cfg, d, verdicts);
+      for (const std::uint8_t v : verdicts) ok += v;
     }
   }
   const double elapsed = seconds_since(start);

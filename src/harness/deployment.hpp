@@ -73,7 +73,8 @@ class Repetition {
   /// The repetition's stream; only ever derive()d from.
   Rng root;
   /// Acquire-side exchange-pool counters summed over the repetition's
-  /// pools, traced as exchange_pool.*; unset when no pool shares decodes.
+  /// pools, traced as exchange_pool.*; unset for the protocols without a
+  /// pool (every baseline).
   std::optional<turquois::ExchangePool::Stats> exchange_pool;
 
   [[nodiscard]] const faultplan::FaultPlan& plan() const { return plan_; }

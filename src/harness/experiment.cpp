@@ -79,6 +79,10 @@ std::optional<std::string> validate(const ScenarioConfig& cfg) {
   if (cfg.intra_jobs != 1) {
     return "intra_jobs must be 1 (a repetition runs on one thread)";
   }
+  if (!cfg.exchange_pool) {
+    return "exchange_pool must be true (every Turquois delivery is decoded "
+           "through a shared exchange pool)";
+  }
   if (cfg.plan.has_value()) {
     if (const auto reason = cfg.plan->validate(cfg.n)) {
       return "fault plan: " + *reason;

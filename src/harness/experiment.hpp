@@ -100,10 +100,10 @@ struct ScenarioConfig {
   /// remains only because perfbench/, which is frozen, assigns it;
   /// validate() rejects any other value.
   std::uint32_t intra_jobs = 1;
-  /// Share one decode+verify per unique broadcast payload across all
-  /// receivers of a repetition (authenticity is receiver-independent).
-  /// Off = every delivery decodes and verifies privately; observable
-  /// output is bit-identical either way.
+  /// Always true: every repetition shares one decode+verify per unique
+  /// broadcast payload across its receivers (DESIGN.md §14). The field
+  /// remains only because perfbench/, which is frozen, reads it;
+  /// validate() rejects false.
   bool exchange_pool = true;
 
   /// Wall guard per repetition (simulated time).

@@ -420,10 +420,6 @@ Flags all_scenario_rows(ScenarioConfig& c) {
            "worker threads for repetitions, 0 = auto-detect; results are "
            "bit-identical for any N",
            c.jobs),
-      flag("--no-exchange-pool",
-           "decode + verify each delivery privately per receiver instead "
-           "of once per unique payload (bit-identical, slower)",
-           c.exchange_pool, false),
       flag("--service",
            "run the multi-instance consensus service: a replicated queue "
            "of pipelined Turquois instances under an open-loop client "

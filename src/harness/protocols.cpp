@@ -46,9 +46,7 @@ class TurquoisDescriptor
     }
     keys_ = local_keys_.has_value() ? &*local_keys_ : &*setup->turquois_keys;
     // One prepared-exchange cache shared by all receivers.
-    if (d.cfg.exchange_pool) {
-      exchange_pool_ = std::make_unique<turquois::ExchangePool>(*keys_, tcfg_);
-    }
+    exchange_pool_ = std::make_unique<turquois::ExchangePool>(*keys_, tcfg_);
   }
 
   std::unique_ptr<Process> make(Deployment& d, ProcessId id,

@@ -166,7 +166,7 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
   std::vector<std::unique_ptr<Slot>> active;    // in flight, ascending seq
   std::vector<std::unique_ptr<Slot>> draining;  // finalized, CPUs busy
   // Traced even when no instance finishes.
-  if (cfg.exchange_pool) rep.exchange_pool.emplace();
+  rep.exchange_pool.emplace();
 
   RunResult result;
   RepSummary sum;
@@ -215,9 +215,7 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
     slot->request_arrivals.assign(queue.begin(),
                                   queue.begin() + static_cast<long>(take));
     queue.erase(queue.begin(), queue.begin() + static_cast<long>(take));
-    if (cfg.exchange_pool) {
-      slot->pool = std::make_unique<turquois::ExchangePool>(infra, tcfg);
-    }
+    slot->pool = std::make_unique<turquois::ExchangePool>(infra, tcfg);
 
     // Every process proposes kOne: the servers all hold the replicated
     // batch, so admission is the unanimous load (Validity then pins the
@@ -281,7 +279,7 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
       result.app_messages += p->stats().broadcasts;
       p->crash();  // closes the instance port before the mux retires it
     }
-    if (slot.pool != nullptr) *rep.exchange_pool += slot.pool->stats();
+    *rep.exchange_pool += slot.pool->stats();
     for (ProcessId id = 0; id < cfg.n; ++id) {
       muxes[id]->retire(slot.seq);
       // No new work can reach the crashed processes, but deliveries before

@@ -309,9 +309,9 @@ std::string inspect_jsonl(std::istream& in) {
     appendf(out, "verdict: %s\n", audit_violations == 0 ? "pass" : "FAIL");
   }
 
-  // Exchange-pool accounting, present when the broadcast path shared one
-  // decode + verify per unique payload across receivers (the default;
-  // --no-exchange-pool drops the counters).
+  // Exchange-pool accounting: one decode + verify per unique payload,
+  // shared across receivers. Present in every Turquois trace; the
+  // baselines have no pool.
   if (counters.find("exchange_pool.acquires") != counters.end()) {
     const unsigned long long acq = counter("exchange_pool.acquires");
     const unsigned long long hits = counter("exchange_pool.hits");

@@ -1,14 +1,19 @@
 // Content-keyed cache of prepared broadcast exchanges.
 //
 // A Turquois broadcast is one immutable frame delivered to every attached
-// node, yet each receiver used to re-decode the datagram and re-verify its
-// contained one-time signatures independently — n-fold duplicated host work
-// for byte-identical input (and the gossip relay multiplies it further).
-// This pool prepares each *unique payload* exactly once: decode plus a
-// batched authenticity verdict per contained message (8-way SHA-256,
-// sha256_batch.hpp), shared by every receiver. Authenticity is receiver-
-// independent — a pure function of (payload bytes, key infrastructure) —
-// so sharing verdicts changes nothing observable.
+// node; decoding it and verifying its one-time signatures per receiver
+// would be n-fold duplicated host work for byte-identical input (and the
+// gossip relay multiplies it further). This pool prepares each *unique
+// payload* exactly once: decode plus a batched authenticity verdict per
+// contained message (8-way SHA-256, sha256_batch.hpp), shared by every
+// receiver. Authenticity is receiver-independent — a pure function of
+// (payload bytes, key infrastructure) — so sharing verdicts changes nothing
+// observable.
+//
+// Every Process receives through a pool: the one its deployment shares
+// (ProcessHooks::exchange_pool), or else a private one it owns. A private
+// pool still collapses a sender's unchanged re-sends and repeated
+// justification attachments; only the sharing across receivers is lost.
 //
 // Lookups go through a per-sender memo first: each sender's broadcasts
 // reach every receiver (and its own loopback) as the same bytes, and a

@@ -24,7 +24,10 @@ Process::Process(runtime::Runtime& rt, net::DatagramPort& endpoint,
       id_(id),
       rng_(rng),
       costs_(costs),
-      exchange_pool_(hooks.exchange_pool),
+      own_pool_(hooks.exchange_pool == nullptr
+                    ? std::make_unique<ExchangePool>(keys, config)
+                    : nullptr),
+      exchange_pool_(own_pool_ ? *own_pool_ : *hooks.exchange_pool),
       on_decide_(std::move(hooks.on_decide)),
       on_phase_(std::move(hooks.on_phase)),
       mutator_(std::move(hooks.mutate_outgoing)) {
@@ -282,29 +285,17 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
     prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
     return;
   }
-  // Decode, summarize and authenticate on the host: shared across all
-  // receivers via the prepared-exchange pool when one is installed,
-  // otherwise privately per delivery, with the per-message memo inside
-  // ingest() (the A/B baseline the benches measure against). Verdicts and
-  // summaries are pure functions of the payload bytes, so both paths drive
-  // the identical protocol behaviour.
-  const ExchangePool::Prepared* prep = nullptr;
-  std::optional<Datagram> local;
-  if (exchange_pool_ != nullptr) {
-    prep = &exchange_pool_->acquire(src, payload);
-    if (!prep->datagram.has_value()) return;  // malformed — Byzantine garbage
-  } else {
-    local = Datagram::decode(payload);
-    if (!local) return;  // malformed — Byzantine garbage
-  }
-  const Datagram& decoded = prep ? *prep->datagram : *local;
+  // Decode, summarize and authenticate on the host through the pool: once
+  // per unique payload, shared by every receiver of a shared pool.
+  const ExchangePool::Prepared& prep = exchange_pool_.acquire(src, payload);
+  if (!prep.datagram.has_value()) return;  // malformed — Byzantine garbage
   ++stats_.datagrams_received;
 
   // Authenticating each contained message costs one hash in *virtual* time
   // regardless of how the host computed the verdicts (each simulated node
   // hashes independently); charge the CPU and process once the virtual
   // verification work completes.
-  const std::size_t contained = 1 + decoded.justification.size();
+  const std::size_t contained = 1 + prep.datagram->justification.size();
   const SimDuration cost =
       costs_.udp_recv +
       static_cast<SimDuration>(contained) * costs_.ots_verify();
@@ -315,28 +306,20 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
   trace::observe("crypto.verify_us",
                  {10, 20, 50, 100, 200, 500, 1000, 2000, 5000},
                  static_cast<double>(cost) / 1000.0);
-  // Both completions capture `this`, and the pooled one a pool entry (its
-  // payload, datagram and verdicts). After crash() they return at once, but
-  // they still run: an owner may destroy a crashed Process (and its pool)
-  // only after its runtime has run every completion queued before the
-  // crash. The service reclaims finished instances on that contract
-  // (DESIGN.md §15).
-  if (prep != nullptr) {
-    rt_.execute(cost, [this, prep] {
-      if (!running_) return;
-      process_exchange(*prep->datagram, prep->summary, prep->auth);
-    });
-  } else {
-    rt_.execute(cost, [this, d = std::move(*local)] {
-      if (!running_) return;
-      process_exchange(d, ExchangeSummary::of(d, cfg_), {});
-    });
-  }
+  // The completion captures `this` and a pool entry (its payload, datagram
+  // and verdicts). After crash() it returns at once, but it still runs: an
+  // owner may destroy a crashed Process (and its pool) only after its
+  // runtime has run every completion queued before the crash. The service
+  // reclaims finished instances on that contract (DESIGN.md §15).
+  rt_.execute(cost, [this, p = &prep] {
+    if (!running_) return;
+    process_exchange(*p);
+  });
 }
 
-void Process::process_exchange(const Datagram& d,
-                               const ExchangeSummary& summary,
-                               const std::vector<std::uint8_t>& auth) {
+void Process::process_exchange(const ExchangePool::Prepared& prep) {
+  const Datagram& d = *prep.datagram;
+  const ExchangeSummary& summary = prep.summary;
   // ingest() returns at its range and view gates for every message whose
   // (sender, phase) is out of range or already in V, and V does not change
   // while the messages are ingested. So subtracting V's senders per phase
@@ -357,19 +340,15 @@ void Process::process_exchange(const Datagram& d,
     }
     return summary.overflow;  // out of range, or a phase beyond the list
   };
-  // An empty `auth` means no pre-computed verdicts: every ingest falls
-  // back to the per-message memo (the pool-less path).
-  const auto verdict_at = [&](std::size_t i) -> int {
-    return auth.empty() ? -1 : static_cast<int>(auth[i]);
-  };
   bool pushed = false;
   for (std::size_t i = 0; i < d.justification.size(); ++i) {
     if (candidate(d.justification[i]) &&
-        ingest(d.justification[i], verdict_at(i))) {
+        ingest(d.justification[i], prep.auth[i] != 0)) {
       pushed = true;
     }
   }
-  if (candidate(d.main) && ingest(d.main, verdict_at(d.justification.size()))) {
+  if (candidate(d.main) &&
+      ingest(d.main, prep.auth[d.justification.size()] != 0)) {
     pushed = true;
   }
   // The fixpoint reads only V, pending_, claimed_ and corroboration_;
@@ -390,7 +369,7 @@ void Process::process_exchange(const Datagram& d,
   if (phase_ != before) broadcast_state();
 }
 
-bool Process::ingest(const Message& m, int pre_verdict) {
+bool Process::ingest(const Message& m, bool authentic_m) {
   if (m.sender >= cfg_.n || m.phase == 0 || m.phase > cfg_.max_phase) {
     return false;
   }
@@ -403,9 +382,6 @@ bool Process::ingest(const Message& m, int pre_verdict) {
       std::any_of(pending_.begin(), pending_.end(),
                   [&](const Message& p) { return p == m; });
   if (already_pending) return false;
-  const bool authentic_m = pre_verdict >= 0
-                               ? pre_verdict != 0
-                               : verify_memo_.check(keys_, cfg_, m);
   if (!authentic_m) {
     ++stats_.auth_failures;
     return false;

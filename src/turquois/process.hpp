@@ -22,6 +22,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,15 +31,13 @@
 #include "net/datagram_port.hpp"
 #include "runtime/runtime.hpp"
 #include "turquois/config.hpp"
+#include "turquois/exchange_pool.hpp"
 #include "turquois/key_infra.hpp"
 #include "turquois/message.hpp"
 #include "turquois/validation.hpp"
 #include "turquois/view.hpp"
 
 namespace turq::turquois {
-
-class ExchangePool;
-struct ExchangeSummary;
 
 /// Decision callback: value, the phase at which it was reached, sim time.
 using DecideHandler = std::function<void(Value, Phase, SimTime)>;
@@ -59,8 +58,9 @@ struct ProcessHooks {
   Mutator mutate_outgoing;
   /// Shares a per-repetition prepared-exchange cache (decode + batched
   /// authenticity, computed once per unique payload across all receivers).
-  /// Optional; without it each delivery decodes and verifies privately.
-  /// Either way the observable run is bit-identical — see exchange_pool.hpp.
+  /// Optional; without it the process builds a private pool of its own.
+  /// Verdicts are pure functions of the payload bytes, so the observable
+  /// run is the same either way — see exchange_pool.hpp.
   ExchangePool* exchange_pool = nullptr;
 };
 
@@ -135,15 +135,12 @@ class Process {
   // T2.
   void on_datagram(ProcessId src, BytesView payload);
   /// Stages `m` as pending after the dedup gates; true if it did.
-  /// `pre_verdict` carries the batch-computed authenticity verdict (0/1);
-  /// -1 falls back to the per-message memo. Verdicts are pure, so both
-  /// paths behave identically.
-  bool ingest(const Message& m, int pre_verdict = -1);
-  /// The T2 body shared by both delivery paths: ingest the contained
-  /// messages that `summary` shows are new to V, then run the validation
-  /// fixpoint + transitions if anything became pending.
-  void process_exchange(const Datagram& d, const ExchangeSummary& summary,
-                        const std::vector<std::uint8_t>& auth);
+  /// `authentic_m` is the pool's batch-computed authenticity verdict.
+  bool ingest(const Message& m, bool authentic_m);
+  /// The T2 body: ingest the contained messages that the entry's summary
+  /// shows are new to V, then run the validation fixpoint + transitions if
+  /// anything became pending.
+  void process_exchange(const ExchangePool::Prepared& prep);
   bool drain_pending();                   // fixpoint; true if V grew
   bool apply_decision_certificates();     // collective quorum acceptance
   bool run_transitions();                 // lines 10-39; true if state changed
@@ -178,8 +175,8 @@ class Process {
   std::vector<Message> pending_;            // authentic, not yet semantically valid
   std::vector<Phase> claimed_;              // per-sender max authentic phase
   CorroborationIndex corroboration_;        // senders per (phase, value)
-  VerifyMemo verify_memo_;                  // collapses repeat ots_verify calls
-  ExchangePool* exchange_pool_ = nullptr;   // optional shared prepared cache
+  std::unique_ptr<ExchangePool> own_pool_;  // when the hooks share none
+  ExchangePool& exchange_pool_;             // decodes + verifies deliveries
   std::optional<Message> jump_source_;      // justification for a jumped phase
   bool running_ = false;
   bool halted_ = false;

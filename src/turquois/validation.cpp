@@ -9,27 +9,6 @@ bool authentic(const KeyInfrastructure& keys, const Config& cfg,
                             m.auth_sk);
 }
 
-bool VerifyMemo::check(const KeyInfrastructure& keys, const Config& cfg,
-                       const Message& m) {
-  if (m.sender >= cfg.n) return false;
-  // sender < n <= 2^8 here and value is a byte, so the packed key is
-  // collision-free for any 32-bit phase.
-  const std::uint64_t key = (static_cast<std::uint64_t>(m.phase) << 16) |
-                            (static_cast<std::uint64_t>(m.sender) << 8) |
-                            static_cast<std::uint64_t>(m.value);
-  std::vector<Entry>& entries = cache_[key];
-  for (const Entry& e : entries) {
-    if (e.sk == m.auth_sk) {
-      ++hits_;
-      return e.ok;
-    }
-  }
-  ++misses_;
-  const bool ok = authentic(keys, cfg, m);
-  if (entries.size() < kMaxEntriesPerKey) entries.push_back({m.auth_sk, ok});
-  return ok;
-}
-
 void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
                              const Datagram& d,
                              std::vector<std::uint8_t>& out) {
@@ -45,13 +24,15 @@ void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
   };
   std::vector<Miss> misses;
   // Aliases: (message index, index into `misses`) for messages identical to
-  // an earlier miss of this same batch — sequential check() would have
-  // memoized that first miss already and scored these as hits.
+  // an earlier miss of this same batch; they score as hits, as if that first
+  // miss had been memoized before they were looked up.
   std::vector<std::pair<std::size_t, std::size_t>> aliases;
 
   for (std::size_t i = 0; i < contained; ++i) {
     const Message& m = msg_at(i);
     if (m.sender >= cfg.n) continue;  // out[i] stays false, no counters
+    // sender < n <= 2^8 here and value is a byte, so the packed key is
+    // collision-free for any 32-bit phase.
     const std::uint64_t key = (static_cast<std::uint64_t>(m.phase) << 16) |
                               (static_cast<std::uint64_t>(m.sender) << 8) |
                               static_cast<std::uint64_t>(m.value);

@@ -28,36 +28,34 @@ namespace turq::turquois {
 bool authentic(const KeyInfrastructure& keys, const Config& cfg,
                const Message& m);
 
-/// Per-process memo over authentic(): ots_verify is a pure function of
-/// (sender, phase, value, revealed key) for a fixed key infrastructure, so
-/// the n-fold re-hash of an identical broadcast — and every retransmission
-/// tick repeating it — collapses to one hash. Results are cached for
-/// rejections too (a wrong key stays wrong), so auth_failure counters are
-/// unchanged. This is a wall-clock optimization only: the *virtual* cost
-/// model keeps charging every verification (see Process::on_datagram),
-/// matching a real deployment where each receiver hashes independently.
+/// Memo over authentic(): ots_verify is a pure function of (sender, phase,
+/// value, revealed key) for a fixed key infrastructure, so the n-fold
+/// re-hash of an identical broadcast — and every retransmission tick
+/// repeating it — collapses to one hash. Results are cached for rejections
+/// too (a wrong key stays wrong), so auth_failure counters are unchanged.
+/// This is a wall-clock optimization only: the *virtual* cost model keeps
+/// charging every verification (see Process::on_datagram), matching a real
+/// deployment where each receiver hashes independently. Each ExchangePool
+/// holds one, shared by all of its fills.
 class VerifyMemo {
  public:
-  /// Same result as authentic(keys, cfg, m), memoized.
-  bool check(const KeyInfrastructure& keys, const Config& cfg,
-             const Message& m);
-
-  /// Per-exchange batch queue: verdicts, memo mutations, and hit/miss
-  /// counters all identical to calling check() once per message of the
-  /// datagram in order (justification entries first, main last, matching
-  /// Prepared::auth layout) — but the cache misses are hashed 8 per
-  /// compression sweep via ots_verify_batch instead of one at a time.
+  /// Verdicts for one datagram, in Prepared::auth layout (justification
+  /// entries first, main last): out[i] == authentic(keys, cfg, message i).
+  /// A message whose (sender, phase, value, key) the memo or an earlier
+  /// message of the batch already holds is a hit; every other in-range
+  /// message is a miss, and the misses are hashed 8 per compression sweep
+  /// via ots_verify_batch. Senders >= n are rejected without counting.
   void check_batch(const KeyInfrastructure& keys, const Config& cfg,
                    const Datagram& d, std::vector<std::uint8_t>& out);
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
- private:
   /// Distinct revealed keys per (sender, phase, value) are capped; beyond
   /// that (a Byzantine key-grinding flood) we verify without memoizing.
   static constexpr std::size_t kMaxEntriesPerKey = 8;
 
+ private:
   struct Entry {
     AuthKey sk;
     bool ok;

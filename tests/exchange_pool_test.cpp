@@ -1,58 +1,102 @@
-// End-to-end bit-identity test for the shared prepared-exchange cache
-// (turquois/exchange_pool.hpp): a multi-hop spatial run at n = 64 must
-// produce the same report bytes — pooled statistics, medium and spatial
-// counters, consensus-audit verdicts — with the pool as with the legacy
-// per-receiver verification path (exchange_pool = false).
+// End-to-end checks that the prepared-exchange cache
+// (turquois/exchange_pool.hpp) is shared across receivers, read from each
+// repetition's trace counters rather than from host timing.
 //
-// This is the end-to-end companion to the unit-level guarantee: verdicts
-// are pure functions of (payload bytes, key infrastructure), so sharing
-// them across receivers changes nothing observable. See DESIGN.md §14.
+// Every delivery, including a sender's loopback of its own broadcast, is
+// one acquire, so acquires == broadcasts + deliveries. Receivers that share
+// the pool pay one prepare (a miss) per distinct payload, and each
+// broadcast adds at most one distinct payload, so misses <= broadcasts.
+// Without sharing, every receiver would prepare each payload it hears, and
+// misses would grow with n × distinct payloads — at n = 64 far beyond the
+// broadcast count. See DESIGN.md §14.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
-#include "harness/report.hpp"
+#include "trace/metrics.hpp"
+#include "trace/sink.hpp"
+#include "trace/trace.hpp"
 
 namespace turq::harness {
 namespace {
 
-/// A multi-hop n = 64 Turquois scenario on the large-n channel shape
-/// (11 Mbps, 40 ms tick): grid placement with waypoint motion, gossip
-/// relay on, consensus audit on. Two repetitions keep the test quick
-/// while still crossing a repetition boundary (pool lifetime is per rep).
-ScenarioConfig spatial_n64(bool pool) {
+/// Keeps each repetition's counters; events are ignored.
+class CounterSink final : public trace::Sink {
+ public:
+  void on_event(const trace::TraceEvent& /*event*/) override {}
+  void on_metrics(const trace::MetricsRegistry& metrics) override {
+    auto& rep = reps.emplace_back();
+    for (const auto& [name, counter] : metrics.counters()) {
+      rep[name] = counter.value();
+    }
+  }
+
+  std::vector<std::map<std::string, std::uint64_t>> reps;
+};
+
+/// The large_n shape: n = 64 failure-free Turquois with divergent
+/// proposals on an 11 Mbps collision domain with a 40 ms tick.
+ScenarioConfig large_n64(std::uint64_t seed) {
   ScenarioConfig cfg;
   cfg.protocol = Protocol::kTurquois;
   cfg.n = 64;
   cfg.distribution = ProposalDist::kDivergent;
   cfg.repetitions = 2;
-  cfg.seed = 0x1A46E;
-  cfg.exchange_pool = pool;
+  cfg.seed = seed;
   cfg.tick_interval = 40 * kMillisecond;
   cfg.medium.broadcast_rate_bps = 11e6;
+  return cfg;
+}
+
+/// The same shape multi-hop: grid placement with waypoint motion, gossip
+/// relay on, consensus audit on. Two repetitions cross a repetition
+/// boundary (pool lifetime is per repetition).
+ScenarioConfig spatial_n64() {
+  ScenarioConfig cfg = large_n64(0x1A46E);
   cfg.spatial.placement = spatial::Placement::kGrid;
   cfg.spatial.radius_m = 180.0;
   cfg.spatial.mobility = spatial::Mobility::kWaypoint;
   return cfg;
 }
 
-/// The report bytes collapse the full observable surface (latencies,
-/// medium, audit, spatial counters). The environment is fixed, so the
-/// whole document is compared.
-std::string report_for(const ScenarioConfig& cfg) {
-  BenchReport report;
-  report.name = "exchange_pool_test";
-  report.seed = cfg.seed;
-  report.cells.push_back(make_cell(run_scenario(cfg)));
-  return to_json(report);
+/// Runs `cfg` traced and checks the sharing identities per repetition;
+/// `deliveries` names the counter of non-loopback deliveries.
+void expect_shared(ScenarioConfig cfg, const std::string& deliveries) {
+  CounterSink sink;
+  cfg.trace_sink = &sink;
+  const ScenarioResult result = run_scenario(cfg);
+  EXPECT_EQ(result.failed_runs, 0u);
+  EXPECT_EQ(result.safety_violations, 0u);
+  ASSERT_EQ(sink.reps.size(), cfg.repetitions);
+  for (std::size_t rep = 0; rep < sink.reps.size(); ++rep) {
+    std::map<std::string, std::uint64_t>& c = sink.reps[rep];
+    const std::uint64_t broadcasts = c["turquois.broadcasts"];
+    ASSERT_GT(broadcasts, 0u) << "rep " << rep;
+    EXPECT_LE(c["exchange_pool.misses"], broadcasts) << "rep " << rep;
+    EXPECT_EQ(c["exchange_pool.acquires"], broadcasts + c[deliveries])
+        << "rep " << rep;
+    EXPECT_EQ(c["exchange_pool.acquires"],
+              c["exchange_pool.hits"] + c["exchange_pool.misses"])
+        << "rep " << rep;
+  }
 }
 
-TEST(ExchangePool, OffIsBitIdenticalAtN64MultiHop) {
-  const std::string legacy = report_for(spatial_n64(false));
-  const std::string pooled = report_for(spatial_n64(true));
-  EXPECT_NE(legacy.find("\"spatial\""), std::string::npos);
-  EXPECT_EQ(legacy, pooled);
+TEST(ExchangePool, ReceiversShareOnePreparePerPayloadAtN64MultiHop) {
+#if !TURQ_TRACE_ENABLED
+  GTEST_SKIP() << "the counters come from the trace";
+#endif
+  expect_shared(spatial_n64(), "spatial.relay.deliveries");
+}
+
+TEST(ExchangePool, ReceiversShareOnePreparePerPayloadAtN64SingleHop) {
+#if !TURQ_TRACE_ENABLED
+  GTEST_SKIP() << "the counters come from the trace";
+#endif
+  expect_shared(large_n64(3), "medium.deliveries");
 }
 
 }  // namespace

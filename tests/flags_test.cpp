@@ -131,7 +131,7 @@ TEST(ScenarioFlags, EveryRowRoundTrips) {
              "--radius 120.5 --area 250 --mobility waypoint --no-relay "
              "--reps 3 --loss 0.05 --no-bursts --tick 2.5 "
              "--broadcast-rate 11e6 --timeout 1.5 --seed 99 --jobs 0 "
-             "--no-exchange-pool --service --pipeline-depth 16 --batch 4 "
+             "--service --pipeline-depth 16 --batch 4 "
              "--arrival bursty --offered-load 1234.5 --requests 77 "
              "--mux-window 300us --no-audit --audit-phase-bound 9 "
              "--trace-sim-events",

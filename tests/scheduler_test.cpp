@@ -182,6 +182,8 @@ TEST(Validation, RejectsDegenerateConfigs) {
       {"broadcast rate",
        [](ScenarioConfig& c) { c.medium.broadcast_rate_bps = -2e6; }},
       {"run_timeout", [](ScenarioConfig& c) { c.run_timeout = 0; }},
+      // Every Turquois delivery goes through a pool; no run may opt out.
+      {"exchange_pool", [](ScenarioConfig& c) { c.exchange_pool = false; }},
   };
   for (const auto& [field, spoil] : degenerate) {
     cfg = small_scenario(1);

@@ -6,8 +6,8 @@
 # The golden pins per-repetition decisions and latencies, the latency
 # summary, the medium totals and the audit lines of Turquois runs that the
 # deployment golden (n <= 7) does not reach: n=16 under the Byzantine and
-# adaptive-omission adversaries, n=16 Byzantine with divergent proposals
-# (pooled and pool-less), and n=64 failure-free. Seed 5 is one whose eight
+# adaptive-omission adversaries, n=16 Byzantine with divergent proposals,
+# and n=64 failure-free. Seed 5 is one whose eight
 # divergent Byzantine repetitions all decide; some seeds stall (see the
 # ROADMAP's livelock item).
 #
@@ -25,7 +25,6 @@ golden="$2"
 runs=(
   "--n 16 --faults byzantine;adaptive --dist unanimous --reps 8 --seed 3 --timeout 60 --verbose"
   "--n 16 --faults byzantine --dist divergent --reps 8 --seed 5 --timeout 60 --verbose"
-  "--n 16 --faults byzantine --dist divergent --reps 8 --seed 5 --timeout 60 --verbose --no-exchange-pool"
   "--n 64 --reps 3 --seed 1 --verbose"
 )
 

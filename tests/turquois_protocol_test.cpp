@@ -34,13 +34,17 @@ namespace {
 /// Self-contained Turquois deployment for tests.
 class Cluster {
  public:
-  /// The last `insiders` processes run the value-inversion attack.
+  /// The last `insiders` processes run the value-inversion attack. With
+  /// `shared_pool` every process receives through one ExchangePool, as a
+  /// harness deployment does; otherwise each builds its own.
   Cluster(std::uint32_t n, std::uint64_t seed,
-          net::MediumConfig medium_cfg = {}, std::uint32_t insiders = 0)
+          net::MediumConfig medium_cfg = {}, std::uint32_t insiders = 0,
+          bool shared_pool = false)
       : cfg_(Config::for_group(n)),
         root_rng_(seed),
         medium_(sim_, medium_cfg, root_rng_.derive("medium", 0)),
         keys_(KeyInfrastructure::setup(cfg_, root_rng_)) {
+    if (shared_pool) pool_ = std::make_unique<ExchangePool>(keys_, cfg_);
     for (ProcessId id = 0; id < n; ++id) {
       cpus_.push_back(std::make_unique<sim::VirtualCpu>(sim_));
       runtimes_.push_back(
@@ -48,6 +52,7 @@ class Cluster {
       endpoints_.push_back(
           std::make_unique<net::BroadcastEndpoint>(sim_, medium_, id));
       ProcessHooks hooks;
+      hooks.exchange_pool = pool_.get();
       if (id >= n - insiders) {
         hooks.mutate_outgoing = adversary::turquois_value_inversion();
       }
@@ -124,6 +129,7 @@ class Cluster {
   net::Medium medium_;
   KeyInfrastructure keys_;
   crypto::CostModel costs_;
+  std::unique_ptr<ExchangePool> pool_;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus_;
   std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes_;
   std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints_;
@@ -279,6 +285,45 @@ TEST_P(TurquoisSeeds, DivergentSevenProcessesManySeeds) {
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, TurquoisSeeds,
                          ::testing::Range<std::uint64_t>(1000, 1010));
+
+/// Every message in `view`, in ascending phase and then sender order.
+std::vector<Message> view_messages(const View& view) {
+  std::vector<Message> out;
+  const Message* top = view.highest_phase_message();
+  if (top == nullptr) return out;
+  std::vector<const Message*> at;
+  for (Phase phase = 1; phase <= top->phase; ++phase) {
+    at.clear();
+    view.append_at(at, phase, std::nullopt, view.size());
+    for (const Message* m : at) out.push_back(*m);
+  }
+  return out;
+}
+
+TEST(TurquoisReceivePath, PrivatePoolsRunLikeOneSharedPool) {
+  // Verdicts and summaries are pure functions of the payload bytes, so
+  // whether the receivers share one pool or each hold a private one must
+  // change nothing a process does.
+  const auto proposals = divergent(7);
+  Cluster shared(7, /*seed=*/1003, {}, 0, /*shared_pool=*/true);
+  Cluster private_pools(7, /*seed=*/1003);
+  shared.propose_all(proposals);
+  private_pools.propose_all(proposals);
+  ASSERT_TRUE(shared.run_until_decided(shared.all_ids(), 120 * kSecond));
+  ASSERT_TRUE(
+      private_pools.run_until_decided(private_pools.all_ids(), 120 * kSecond));
+  EXPECT_EQ(shared.simulator().now(), private_pools.simulator().now());
+  for (const ProcessId id : shared.all_ids()) {
+    const Process& a = shared.process(id);
+    const Process& b = private_pools.process(id);
+    EXPECT_EQ(a.decision(), b.decision()) << "p" << id;
+    EXPECT_EQ(a.decide_phase(), b.decide_phase()) << "p" << id;
+    EXPECT_EQ(a.phase(), b.phase()) << "p" << id;
+    EXPECT_EQ(a.stats(), b.stats()) << "p" << id;
+    EXPECT_EQ(view_messages(a.view()), view_messages(b.view())) << "p" << id;
+    EXPECT_EQ(a.explain_pending(), b.explain_pending()) << "p" << id;
+  }
+}
 
 // --------------------------------------------------------------- Byzantine
 
@@ -546,8 +591,9 @@ TEST(TurquoisCodec, OversizedKeyIsMalformedNotAnAuthFailure) {
 // ------------------------------------------------- receive-path filtering
 
 /// A lone receiver (process 0) fed crafted datagrams through an InjectPort,
-/// with or without an exchange pool. Nothing it sends goes anywhere, so its
-/// view holds only what the tests deliver.
+/// receiving through an exchange pool passed in its hooks (`pooled`) or
+/// through the private one it builds without. Nothing it sends goes
+/// anywhere, so its view holds only what the tests deliver.
 class Receiver {
  public:
   Receiver(bool pooled, Config cfg)
@@ -734,6 +780,7 @@ TEST_P(ReceiveFilter, DatagramSpanningManyPhasesBehavesLikeSmallOnes) {
   EXPECT_EQ(big.process().phase(), small.process().phase());
 }
 
+// "PoolLess": the hooks pass no pool, so the process uses its private one.
 INSTANTIATE_TEST_SUITE_P(PoolOnOff, ReceiveFilter, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& param) {
                            return param.param ? "Pooled" : "PoolLess";

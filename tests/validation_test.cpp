@@ -406,6 +406,89 @@ TEST(Authenticity, GenuineMessagesPassForgeryFails) {
   EXPECT_FALSE(authentic(keys, cfg, bad_sender));
 }
 
+// -------------------------------------------------------------- verify memo
+
+/// `d`'s messages in Prepared::auth order: justification first, main last.
+std::vector<std::uint8_t> reference_verdicts(const KeyInfrastructure& keys,
+                                             const Config& cfg,
+                                             const Datagram& d) {
+  std::vector<std::uint8_t> out;
+  for (const Message& m : d.justification) {
+    out.push_back(authentic(keys, cfg, m) ? 1 : 0);
+  }
+  out.push_back(authentic(keys, cfg, d.main) ? 1 : 0);
+  return out;
+}
+
+TEST(VerifyMemo, CheckBatchMatchesAuthenticAndCountsHitsAndMisses) {
+  const Config cfg = Config::for_group(4);
+  Rng rng(5);
+  const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
+  const auto signed_msg = [&](ProcessId sender, Phase phase, Value v) {
+    Message m = msg(sender, phase, v);
+    const BytesView sk = keys.chain(sender).secret_key(phase, v);
+    m.auth_sk.assign(sk.begin(), sk.end());
+    return m;
+  };
+  VerifyMemo memo;
+  std::vector<std::uint8_t> verdicts;
+  const auto check = [&](const Datagram& d) {
+    memo.check_batch(keys, cfg, d, verdicts);
+    EXPECT_EQ(verdicts, reference_verdicts(keys, cfg, d));
+  };
+
+  // A genuine key, a forged one, a sender beyond n carrying a genuine
+  // key, then repeats of the genuine and forged messages: the repeats are
+  // hits on this batch's own misses, and the stranger counts nowhere.
+  const Message genuine = signed_msg(1, 2, Value::kOne);
+  Message forged = genuine;
+  forged.auth_sk.back() ^= 0x01;
+  Message stranger = genuine;
+  stranger.sender = 9;
+  Datagram mixed;
+  mixed.justification = {genuine, forged, stranger, genuine, forged};
+  mixed.main = signed_msg(2, 3, Value::kZero);
+  check(mixed);
+  EXPECT_EQ(verdicts, (std::vector<std::uint8_t>{1, 0, 0, 1, 0, 1}));
+  EXPECT_EQ(memo.misses(), 3u);
+  EXPECT_EQ(memo.hits(), 2u);
+  // Again: every in-range message is now memoized, rejections included.
+  check(mixed);
+  EXPECT_EQ(memo.misses(), 3u);
+  EXPECT_EQ(memo.hits(), 7u);
+
+  // A key-grinding flood: more distinct forged keys for one (sender,
+  // phase, value) than the memo keeps. The first kMaxEntriesPerKey are
+  // memoized; the rest are verified every time they arrive.
+  constexpr std::size_t kFlood = VerifyMemo::kMaxEntriesPerKey + 2;
+  const Message target = signed_msg(3, 4, Value::kOne);
+  std::vector<Message> grind;
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    Message m = target;
+    m.auth_sk.back() ^= static_cast<std::uint8_t>(i + 1);
+    grind.push_back(m);
+  }
+  Datagram flood;
+  flood.justification.assign(grind.begin(), grind.end() - 1);
+  flood.main = grind.back();
+  check(flood);
+  EXPECT_EQ(verdicts, std::vector<std::uint8_t>(kFlood, 0));
+  EXPECT_EQ(memo.misses(), 3u + kFlood);
+  EXPECT_EQ(memo.hits(), 7u);
+  check(flood);
+  EXPECT_EQ(memo.misses(), 3u + kFlood + 2);
+  EXPECT_EQ(memo.hits(), 7u + VerifyMemo::kMaxEntriesPerKey);
+
+  // The genuine key for the flooded triple still verifies, uncached.
+  Datagram honest;
+  honest.main = target;
+  check(honest);
+  EXPECT_EQ(verdicts, (std::vector<std::uint8_t>{1}));
+  check(honest);
+  EXPECT_EQ(memo.misses(), 3u + kFlood + 4);
+  EXPECT_EQ(memo.hits(), 7u + VerifyMemo::kMaxEntriesPerKey);
+}
+
 // ---------------------------------------------------------- exchange pool
 
 TEST(ExchangePool, PerSenderMemoConfirmsBytes) {
