@@ -110,6 +110,7 @@ void Repetition::run(const std::function<bool()>& step) {
 
 void Repetition::measure(RunResult& result) {
   result.medium = medium_->stats();
+  result.sim_events = sim_.events_executed();
   if (faults_.sigma != nullptr) result.sigma = faults_.sigma->summary();
   if (topology_ != nullptr) {
     // Sample connectivity up to the end of the run so a quiet tail (e.g.

@@ -201,6 +201,10 @@ struct RunResult {
   std::vector<double> latencies_ms;  // one per decided correct process
   net::MediumStats medium;           // channel counters for this repetition
   std::uint64_t app_messages = 0;    // protocol-level point-to-point sends
+  /// Simulator events dispatched in this repetition (host work, not a
+  /// paper quantity); bench/large_n gates it per decision. Reports do not
+  /// print it.
+  std::uint64_t sim_events = 0;
   net::TcpHost::Stats tcp;           // summed over hosts (TCP transports)
   /// Per-round σ accounting; present iff the effective plan tracks σ
   /// (always the case for spatial scenarios).
@@ -243,6 +247,8 @@ struct ScenarioResult {
   /// Protocol-level sends by correct processes, summed over completed
   /// repetitions — the message-complexity numerator of campaign tables.
   std::uint64_t app_messages = 0;
+  /// Simulator events dispatched, summed over completed repetitions.
+  std::uint64_t sim_events = 0;
   net::MediumStats medium_total;     // channel counters summed over reps
   /// Pooled σ accounting; present iff the effective plan tracks σ. Failed
   /// (timed-out) repetitions still contribute — a σ-violating stall is the

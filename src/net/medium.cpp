@@ -193,8 +193,7 @@ void Medium::resolve_contention() {
   // redraw matches measured DCF collision rates better and avoids the
   // small-residual pile-up an event-lumped freeze model produces.)
   std::uint32_t min_slot = ~0U;
-  std::vector<std::pair<ProcessId, std::uint32_t>> draws;
-  draws.reserve(contenders_.size());
+  draws_.clear();
   for (const ProcessId id : contenders_) {
     const NodeState& node = nodes_[id];
     TURQ_ASSERT(!node.queue.empty());
@@ -204,14 +203,14 @@ void Medium::resolve_contention() {
     TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                      .kind = trace::Kind::kBackoffDraw, .process = id,
                      .value = slot, .frame = node.queue.front().trace_id);
-    draws.emplace_back(id, slot);
+    draws_.emplace_back(id, slot);
     min_slot = std::min(min_slot, slot);
   }
 
-  std::vector<ProcessId> winners;
+  winners_.clear();
   if (spatial_ == nullptr) {
-    for (const auto& [id, slot] : draws) {
-      if (slot == min_slot) winners.push_back(id);
+    for (const auto& [id, slot] : draws_) {
+      if (slot == min_slot) winners_.push_back(id);
     }
   } else {
     // Per-carrier-sense-domain minima: a contender defers only to a
@@ -220,24 +219,24 @@ void Medium::resolve_contention() {
     // hidden-terminal overlaps finish_overlap() resolves per receiver.
     // With an infinite sense range this reduces exactly to the global
     // min-slot tie set above.
-    for (const auto& [id, slot] : draws) {
+    for (const auto& [id, slot] : draws_) {
       bool deferred = false;
-      for (const auto& [other, other_slot] : draws) {
+      for (const auto& [other, other_slot] : draws_) {
         if (other != id && other_slot < slot &&
             spatial_->carrier_sense(id, other, sim_.now())) {
           deferred = true;
           break;
         }
       }
-      if (!deferred) winners.push_back(id);
+      if (!deferred) winners_.push_back(id);
     }
   }
 
   // Winners leave the contention set for the duration of their transmission.
   std::erase_if(contenders_, [&](ProcessId id) {
-    return std::find(winners.begin(), winners.end(), id) != winners.end();
+    return std::find(winners_.begin(), winners_.end(), id) != winners_.end();
   });
-  for (const ProcessId id : winners) {
+  for (const ProcessId id : winners_) {
     NodeState& node = nodes_[id];
     node.contending = false;
     node.transmitting = true;
@@ -246,8 +245,8 @@ void Medium::resolve_contention() {
   const SimTime start = sim_.now() + static_cast<SimDuration>(min_slot) *
                                          config_.slot_time;
 
-  if (winners.size() == 1) {
-    const ProcessId winner = winners.front();
+  if (winners_.size() == 1) {
+    const ProcessId winner = winners_.front();
     const Frame& frame = nodes_[winner].queue.front();
     const SimDuration air = airtime_of(frame);
     ctr_.bytes_on_air->add(frame.size() + config_.mac_overhead_bytes);
@@ -270,7 +269,7 @@ void Medium::resolve_contention() {
     // per receiver and charges frames_collided there.
     ctr_.collisions->add();
     SimDuration longest = 0;
-    for (const ProcessId id : winners) {
+    for (const ProcessId id : winners_) {
       const Frame& frame = nodes_[id].queue.front();
       const SimDuration air = airtime_of(frame);
       ctr_.bytes_on_air->add(frame.size() + config_.mac_overhead_bytes);
@@ -288,9 +287,7 @@ void Medium::resolve_contention() {
     }
     ctr_.airtime_ns->add(static_cast<std::uint64_t>(longest));
     busy_until_ = start + longest;
-    sim_.schedule_at(busy_until_, [this, winners = std::move(winners)] {
-      finish_collision(winners);
-    });
+    sim_.schedule_at(busy_until_, [this] { finish_collision(); });
   }
 }
 
@@ -413,12 +410,12 @@ void Medium::finish_single(ProcessId winner) {
   }
 }
 
-void Medium::finish_collision(std::vector<ProcessId> winners) {
+void Medium::finish_collision() {
   if (spatial_ != nullptr) {
-    finish_overlap(winners);
+    finish_overlap(winners_);
     return;
   }
-  for (const ProcessId id : winners) {
+  for (const ProcessId id : winners_) {
     NodeState* node = node_of(id);
     if (node == nullptr) continue;
     TURQ_ASSERT(!node->queue.empty());

@@ -238,7 +238,8 @@ class Medium final : public BroadcastService {
   void maybe_schedule_resolution();
   void resolve_contention();
   void finish_single(ProcessId winner);
-  void finish_collision(std::vector<ProcessId> winners);
+  /// Ends the overlapping transmissions of winners_.
+  void finish_collision();
   void finish_overlap(const std::vector<ProcessId>& winners);
   void complete_frame(ProcessId node, bool popped_ok);
   void retry_or_drop(ProcessId node);
@@ -256,6 +257,12 @@ class Medium final : public BroadcastService {
   UnreachableHook unreachable_hook_;
   std::vector<NodeState> nodes_;
   std::vector<ProcessId> contenders_;
+  // resolve_contention()'s scratch, reused every round. winners_ also
+  // holds the colliding set until finish_collision() runs: at most one
+  // transmission set is on the air, because the next round fires no earlier
+  // than DIFS after busy_until_ and re-arms when it finds the channel busy.
+  std::vector<std::pair<ProcessId, std::uint32_t>> draws_;
+  std::vector<ProcessId> winners_;
   bool resolution_pending_ = false;
   SimTime busy_until_ = 0;
   std::uint64_t next_trace_id_ = 0;

@@ -8,12 +8,18 @@
 // recycled Slot (callback + generation tag), addressed by a free-list.
 // EventId packs (generation << 32) | slot, so cancel() is an O(1) array
 // probe — a stale id simply fails the generation check — instead of a hash
-// map erase. The ready queue is a binary heap of (time, seq) keys over slot
-// ids; cancelled entries become tombstones that are skipped on pop and
-// compacted away whenever they outnumber the live entries, which bounds the
-// queue at 2x the pending-event count. In steady state (slots and heap
-// capacity warmed up, captures within InlineFunction's inline buffer)
-// schedule/cancel/execute perform zero heap allocations.
+// map erase. The ready queue has two parts: a binary heap of (time, seq)
+// keys over slot ids for future events, and a FIFO lane for events
+// scheduled at the current instant (loopbacks, deliveries, zero-delay
+// work), which skip the heap's sifts. Both parts are sorted by (time, seq)
+// — lane entries are appended with time = now(), which never decreases, and
+// a growing seq — so popping the smaller of the two fronts is exactly the
+// single-heap order. Cancelled entries in either part become tombstones
+// that are skipped on pop and compacted away whenever they outnumber the
+// live entries, which bounds the queue at 2x the pending-event count. In
+// steady state (slots, heap and lane capacity warmed up, captures within
+// InlineFunction's inline buffer) schedule/cancel/execute perform zero heap
+// allocations.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +75,12 @@ class Simulator {
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::size_t events_executed() const { return executed_; }
 
-  /// Number of heap entries currently held, live + tombstones. Compaction
-  /// keeps this <= 2 * pending events + 1 (observable in tests).
-  [[nodiscard]] std::size_t queue_entries() const { return heap_.size(); }
+  /// Number of queue entries (heap and lane) currently held, live +
+  /// tombstones. Compaction keeps this <= 2 * pending events + 1
+  /// (observable in tests).
+  [[nodiscard]] std::size_t queue_entries() const {
+    return heap_.size() + (lane_.size() - lane_head_);
+  }
   /// Cancelled entries still awaiting skip-on-pop or compaction.
   [[nodiscard]] std::size_t queue_tombstones() const { return dead_; }
   /// Slots in the arena (high-water mark of concurrently pending events).
@@ -115,21 +124,35 @@ class Simulator {
   void release_slot(std::uint32_t slot);
   /// True when `id` names the live event its generation was minted for.
   [[nodiscard]] bool is_live(EventId id) const;
-  /// Drops every tombstone from the heap and restores the heap property.
-  /// Safe because pop order is a strict total order on (at, seq).
+  /// Drops every tombstone from the heap and the lane, and restores the
+  /// heap property. Safe because pop order is a strict total order on
+  /// (at, seq).
   void compact();
 
-  bool execute_next();  // returns false when queue is empty
+  /// Pops tombstones off the fronts of the heap and the lane, then names
+  /// the part holding the next live event in (at, seq) order. Returns null
+  /// when no event is pending.
+  [[nodiscard]] const QueueEntry* peek_next(bool& from_lane);
+
+  /// Executes the next event if it is due at or before `deadline`; returns
+  /// false when none is.
+  bool execute_next(SimTime deadline);
 
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;  // pre-incremented: first event gets seq 1
   std::size_t pending_ = 0;
   std::size_t executed_ = 0;
-  std::size_t dead_ = 0;  // tombstones currently in heap_
+  std::size_t dead_ = 0;  // tombstones currently in heap_ and the lane
   bool stopped_ = false;
   std::uint32_t free_head_ = kNoSlot;
   std::vector<Slot> slots_;
   std::vector<QueueEntry> heap_;
+  /// Events due at the instant they were scheduled at, in insertion
+  /// order; the entries before lane_head_ have been popped, and
+  /// schedule_at() drops them (keeping the capacity) once they make up
+  /// half the lane.
+  std::vector<QueueEntry> lane_;
+  std::size_t lane_head_ = 0;
 };
 
 }  // namespace turq::sim

@@ -306,6 +306,13 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
   trace::observe("crypto.verify_us",
                  {10, 20, 50, 100, 200, 500, 1000, 2000, 5000},
                  static_cast<double>(cost) / 1000.0);
+  // V only grows, so a datagram with nothing new now has nothing new when
+  // its verification completes, and process_exchange would return at once:
+  // charge the CPU the same cost and schedule no completion.
+  if (!fresh_senders(prep.summary).any) {
+    rt_.charge(cost);
+    return;
+  }
   // The completion captures `this` and a pool entry (its payload, datagram
   // and verdicts). After crash() it returns at once, but it still runs: an
   // owner may destroy a crashed Process (and its pool) only after its
@@ -315,6 +322,17 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
     if (!running_) return;
     process_exchange(*p);
   });
+}
+
+Process::Freshness Process::fresh_senders(
+    const ExchangeSummary& summary) const {
+  Freshness out;
+  out.any = summary.overflow;
+  for (std::size_t i = 0; i < summary.count; ++i) {
+    out.senders[i] = summary.senders[i] - view_.senders_at(summary.phases[i]);
+    out.any = out.any || !out.senders[i].empty();
+  }
+  return out;
 }
 
 void Process::process_exchange(const ExchangePool::Prepared& prep) {
@@ -327,16 +345,13 @@ void Process::process_exchange(const ExchangePool::Prepared& prep) {
   // rest are skipped, and a datagram with nothing new returns here. A
   // phase the summary could not list (overflow) leaves its messages to
   // ingest()'s own gates.
-  std::array<SenderSet, ExchangeSummary::kMaxPhases> fresh;
-  bool any_fresh = summary.overflow;
-  for (std::size_t i = 0; i < summary.count; ++i) {
-    fresh[i] = summary.senders[i] - view_.senders_at(summary.phases[i]);
-    any_fresh = any_fresh || !fresh[i].empty();
-  }
-  if (!any_fresh) return;
+  const Freshness fresh = fresh_senders(summary);
+  if (!fresh.any) return;
   const auto candidate = [&](const Message& m) {
     for (std::size_t i = 0; i < summary.count; ++i) {
-      if (summary.phases[i] == m.phase) return fresh[i].contains(m.sender);
+      if (summary.phases[i] == m.phase) {
+        return fresh.senders[i].contains(m.sender);
+      }
     }
     return summary.overflow;  // out of range, or a phase beyond the list
   };

@@ -137,6 +137,14 @@ class Process {
   /// Stages `m` as pending after the dedup gates; true if it did.
   /// `authentic_m` is the pool's batch-computed authenticity verdict.
   bool ingest(const Message& m, bool authentic_m);
+  /// Per summary phase, the listed senders V does not hold yet; `any` is
+  /// true when some contained message can get past ingest()'s range and
+  /// view gates (an overflowed summary always counts as fresh).
+  struct Freshness {
+    std::array<SenderSet, ExchangeSummary::kMaxPhases> senders;
+    bool any = false;
+  };
+  [[nodiscard]] Freshness fresh_senders(const ExchangeSummary& summary) const;
   /// The T2 body: ingest the contained messages that the entry's summary
   /// shows are new to V, then run the validation fixpoint + transitions if
   /// anything became pending.

@@ -60,7 +60,10 @@ SenderSet View::senders_at(Phase phase) const {
 
 std::size_t View::count_phase(Phase phase) const {
   const PhaseBook* book = find(phase);
-  return book == nullptr ? 0 : book->senders.count();
+  if (book == nullptr) return 0;
+  // Every message counts under exactly one value, so the per-value counts
+  // sum to senders.count() without a popcount.
+  return book->value_count[0] + book->value_count[1] + book->value_count[2];
 }
 
 std::size_t View::count_phase_value(Phase phase, Value v) const {

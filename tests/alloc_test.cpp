@@ -23,6 +23,7 @@
 #include "common/bytes.hpp"
 #include "harness/experiment.hpp"
 #include "service/service.hpp"
+#include "sim/simulator.hpp"
 #include "turquois/message.hpp"
 #include "turquois/process.hpp"
 #include "turquois/view.hpp"
@@ -170,6 +171,46 @@ TEST(Allocations, InsertingIntoAnExistingPhaseBookAllocatesNothing) {
             }),
             0u);
   EXPECT_EQ(view.count_phase_value(2, Value::kZero), n);
+}
+
+TEST(Allocations, SameInstantLaneReusesItsCapacity) {
+  // Each tick fans out a burst of same-instant events (the medium's
+  // deliveries), one of which chains another same-instant event and one
+  // of which is cancelled. Once a first run of ticks has grown the slot
+  // arena, heap and lane, more ticks allocate nothing.
+  sim::Simulator sim;
+  int remaining = 0;
+  std::uint64_t fired = 0;
+  std::vector<sim::EventId> burst(64);
+  struct Tick {
+    sim::Simulator* sim;
+    int* remaining;
+    std::uint64_t* fired;
+    std::vector<sim::EventId>* burst;
+    void operator()() const {
+      for (std::size_t i = 0; i < burst->size(); ++i) {
+        (*burst)[i] = sim->schedule(0, [s = sim, f = fired, i] {
+          ++*f;
+          if (i == 0) s->schedule(0, [f] { ++*f; });
+        });
+      }
+      sim->cancel((*burst)[7]);
+      if (--*remaining > 0) sim->schedule(10, *this);
+    }
+  };
+  const Tick tick{&sim, &remaining, &fired, &burst};
+  remaining = 100;
+  sim.schedule(10, tick);
+  sim.run();
+  const std::uint64_t warm = fired;
+  remaining = 1000;
+  EXPECT_EQ(allocations_in([&] {
+              sim.schedule(10, tick);
+              sim.run();
+            }),
+            0u);
+  EXPECT_EQ(fired - warm, 1000u * 64u);
+  EXPECT_EQ(sim.queue_entries(), 0u);
 }
 
 TEST(Allocations, LiveBytesFollowAllocationAndRelease) {

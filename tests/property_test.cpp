@@ -201,6 +201,26 @@ TEST_P(ViewFuzz, HighestPointerSurvivesCopyMoveClearInterleavings) {
   }
 }
 
+TEST_P(ViewFuzz, CountPhaseMatchesSenderSetAfterEveryInsert) {
+  // count_phase sums the book's per-value counts; it must equal the
+  // popcount of the book's sender set, across both words of the set.
+  Rng rng(GetParam());
+  turquois::View view;
+  for (int i = 0; i < 3000; ++i) {
+    turquois::Message m;
+    m.sender = static_cast<ProcessId>(rng.uniform(SenderSet::kCapacity));
+    m.phase = static_cast<turquois::Phase>(1 + rng.uniform(12));
+    m.value = static_cast<Value>(rng.uniform(3));
+    view.insert(m);
+    EXPECT_EQ(view.count_phase(m.phase), view.senders_at(m.phase).count())
+        << "phase " << m.phase << " after insert " << i;
+  }
+  for (turquois::Phase phase = 0; phase <= 13; ++phase) {
+    EXPECT_EQ(view.count_phase(phase), view.senders_at(phase).count())
+        << "phase " << phase;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ViewFuzz,
                          ::testing::Range<std::uint64_t>(0, 6));
 

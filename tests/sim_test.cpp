@@ -1,8 +1,12 @@
 // Unit tests for the discrete-event simulator and virtual CPU.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 
@@ -203,6 +207,97 @@ TEST(Simulator, ArenaReusesSlotsInsteadOfGrowing) {
   sim.run();
   EXPECT_EQ(fired, 10000);
   EXPECT_LE(sim.arena_slots(), 4u);
+}
+
+TEST(Simulator, LaneAndHeapMatchAReferenceOrderedByTimeThenSequence) {
+  // Events due at the current instant go to the FIFO lane, the rest to the
+  // heap. Drive both with a random mix — many zero delays, cancels of lane
+  // and heap events, same-instant events scheduled from callbacks,
+  // run_until deadlines and stop() — against a reference that pops the
+  // least (time, schedule order) of the live events.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    Simulator sim;
+    std::vector<EventId> ids;  // by schedule order
+    std::set<std::pair<SimTime, std::size_t>> live;
+    std::vector<std::size_t> order;
+    bool stop_requested = false;
+
+    std::function<void(std::size_t, SimTime)> fire;
+    const auto schedule = [&](SimDuration delay) {
+      const std::size_t index = ids.size();
+      const SimTime at = sim.now() + delay;
+      live.emplace(at, index);
+      ids.push_back(sim.schedule(delay, [&fire, index, at] { fire(index, at); }));
+    };
+    const auto random_delay = [&]() -> SimDuration {
+      return rng.uniform(3) == 0 ? 0 : static_cast<SimDuration>(rng.uniform(4));
+    };
+    const auto cancel_random = [&] {
+      if (ids.empty()) return;
+      const std::size_t victim = rng.uniform(ids.size());
+      sim.cancel(ids[victim]);  // may already have run or been cancelled
+      std::erase_if(live, [victim](const auto& e) { return e.second == victim; });
+      EXPECT_LE(sim.queue_entries(), 2 * sim.pending() + 1);
+    };
+    fire = [&](std::size_t index, SimTime at) {
+      ASSERT_FALSE(live.empty());
+      EXPECT_EQ(*live.begin(), std::pair(at, index)) << "seed " << seed;
+      EXPECT_EQ(sim.now(), at);
+      live.erase(live.begin());
+      order.push_back(index);
+      const std::uint64_t spawn = rng.uniform(3);
+      for (std::uint64_t i = 0; i < spawn && ids.size() < 4000; ++i) {
+        schedule(random_delay());
+      }
+      if (rng.uniform(4) == 0) cancel_random();
+      if (rng.uniform(40) == 0) {
+        sim.stop();
+        stop_requested = true;
+      }
+    };
+
+    for (int round = 0; round < 200; ++round) {
+      for (std::uint64_t i = rng.uniform(6); i > 0; --i) {
+        schedule(random_delay());
+      }
+      for (std::uint64_t i = rng.uniform(3); i > 0; --i) cancel_random();
+      const SimTime before = sim.now();
+      const SimTime deadline = before + static_cast<SimTime>(rng.uniform(3));
+      stop_requested = false;
+      sim.run_until(deadline);
+      EXPECT_EQ(sim.pending(), live.size());
+      if (stop_requested) {
+        EXPECT_LE(sim.now(), deadline);
+      } else {
+        // Drained up to the deadline, and the clock advanced to it.
+        EXPECT_EQ(sim.now(), deadline);
+        EXPECT_TRUE(live.empty() || live.begin()->first > deadline);
+      }
+    }
+    while (!sim.idle()) sim.run();
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(sim.events_executed(), order.size());
+    EXPECT_EQ(sim.queue_entries(), 0u);
+    EXPECT_EQ(sim.queue_tombstones(), 0u);
+  }
+}
+
+TEST(Simulator, SameInstantEventsGoFirstAfterHeapEventsDueNow) {
+  // A heap event due now was scheduled before time reached now, so it
+  // runs before a same-instant event scheduled at now, which runs before
+  // the next heap event due now scheduled later — pure FIFO by sequence.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(10, [&] {
+    order.push_back(1);
+    sim.schedule(0, [&] { order.push_back(3); });
+    sim.schedule(0, [&] { order.push_back(4); });
+  });
+  sim.schedule(10, [&] { order.push_back(2); });
+  sim.schedule(11, [&] { order.push_back(5); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(VirtualCpu, SerializesWork) {

@@ -628,7 +628,16 @@ class Receiver {
     sim_.run_until(sim_.now() + 50 * kMillisecond);
   }
 
+  /// Hands `d` to the receiver and runs nothing: whatever it queues stays
+  /// pending in the simulator.
+  void inject(ProcessId src, const Datagram& d) {
+    port_.deliver(src, d.encode());
+  }
+
   Process& process() { return *process_; }
+  sim::Simulator& simulator() { return sim_; }
+  const sim::VirtualCpu& cpu() const { return cpu_; }
+  const crypto::CostModel& costs() const { return costs_; }
 
   /// The receive-side counters: broadcasts come from the receiver's own
   /// ticks and datagrams_received counts every delivery.
@@ -717,6 +726,46 @@ TEST_P(ReceiveFilter, DatagramWithNothingNewChangesNothing) {
   EXPECT_EQ(r.process().explain_pending(), pending_before);
   EXPECT_EQ(r.process().phase(), phase_before);
   EXPECT_EQ(r.process().view().size(), view_before);
+}
+
+TEST_P(ReceiveFilter, DatagramWithNothingNewQueuesNoCompletion) {
+  // V only grows, so a datagram whose every pair V holds is charged its
+  // receive and verification cost at once and queues no completion; the
+  // CPU timeline moves exactly as if the completion had been queued.
+  Receiver r(GetParam(), Config::for_group(4));
+  const Message a = r.signed_msg(1, 1, Value::kOne);
+  const Message b = r.signed_msg(2, 1, Value::kZero);
+  r.deliver(1, datagram_of({a}));
+  r.deliver(2, datagram_of({b}));
+  ASSERT_TRUE(r.process().view().has(1, 1));
+  ASSERT_TRUE(r.process().view().has(2, 1));
+
+  const auto cost_of = [&](std::size_t contained) {
+    return r.costs().udp_recv +
+           static_cast<SimDuration>(contained) * r.costs().ots_verify();
+  };
+  const std::size_t pending = r.simulator().pending();
+  const SimTime free_at = r.cpu().free_at();
+  const SimDuration busy = r.cpu().total_busy();
+  r.inject(2, datagram_of({a, b}));
+  EXPECT_EQ(r.simulator().pending(), pending);
+  EXPECT_EQ(r.cpu().free_at(), free_at + cost_of(2));
+  EXPECT_EQ(r.cpu().total_busy(), busy + cost_of(2));
+
+  // Six phases overflow the summary, which counts as fresh even though the
+  // phase-1 pairs are in V: the completion is queued behind that charge.
+  std::vector<Message> spanning = {a};
+  for (Phase p = 2; p <= 6; ++p) {
+    spanning.push_back(r.signed_msg(1, p, Value::kOne));
+  }
+  ASSERT_TRUE(
+      ExchangeSummary::of(datagram_of(spanning), Config::for_group(4)).overflow);
+  r.inject(1, datagram_of(spanning));
+  EXPECT_EQ(r.simulator().pending(), pending + 1);
+  EXPECT_EQ(r.cpu().free_at(), free_at + cost_of(2) + cost_of(6));
+  EXPECT_EQ(r.cpu().total_busy(), busy + cost_of(2) + cost_of(6));
+  r.simulator().run_until(r.cpu().free_at());
+  EXPECT_EQ(r.pending(), 5u);  // phases 2..6 of sender 1
 }
 
 TEST_P(ReceiveFilter, OutOfRangeSenderOrPhaseIsDropped) {
