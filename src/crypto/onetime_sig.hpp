@@ -4,9 +4,11 @@
 // random secret key SK[φ][v]; the corresponding verification key is
 // VK[φ][v] = H(SK[φ][v]). Broadcasting ⟨i, φ, v, status⟩ reveals SK[φ][v];
 // receivers check H(SK) == VK[φ][v]. This authenticates (φ, v) with a single
-// hash — no public-key cryptography on the critical path. The VK array
-// itself is signed once with the trapdoor function F (toy RSA here) and
-// distributed out of band before the run.
+// hash — no public-key cryptography on the critical path. Each VK array
+// covers one key-exchange epoch and is signed once with the trapdoor
+// function F (toy RSA here); the first epoch's arrays are distributed out
+// of band before the run, later ones as a run reaches them
+// (turquois/key_infra.hpp).
 //
 // Per the paper's footnote, SK[φ][⊥] exists only for φ (mod 3) = 0, the
 // only phases in which ⊥ is an acceptable proposal value.

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "common/types.hpp"
+#include "turquois/config.hpp"
 
 namespace turq::service {
 
@@ -46,10 +47,10 @@ struct ServiceConfig {
   /// Coalescing window of the per-node frame mux (net/frame_mux.hpp).
   SimDuration mux_window = 2 * kMillisecond;
 
-  /// OTS chain length per instance. Instances decide in a handful of
-  /// phases, so the single-run default (512) would waste almost the whole
-  /// chain; must be a multiple of 3 so every chain ends on a DECIDE phase.
-  std::uint32_t phases_per_instance = 48;
+  /// OTS epoch length per instance (turquois::Config::phases_per_epoch);
+  /// an instance that runs past it rolls over to a freshly keyed epoch.
+  /// Must be a multiple of 3 so every epoch ends on a DECIDE phase.
+  std::uint32_t phases_per_instance = turquois::kPhasesPerEpoch;
   /// Instances keyed per trusted-setup pass (KeyInfrastructure::
   /// setup_batch); 0 = pipeline_depth.
   std::uint32_t key_batch = 0;

@@ -8,6 +8,13 @@
 
 namespace turq::turquois {
 
+/// Phases one key-exchange epoch covers (the paper's m), for a single run
+/// and for each service instance alike. No benchmark repetition gets past
+/// phase 7, so the trusted setup keys only what runs reach; a run that goes
+/// further rolls over to a freshly keyed epoch (KeyInfrastructure). 48 is a
+/// DECIDE phase, so an epoch ends where a consensus cycle does.
+inline constexpr std::uint32_t kPhasesPerEpoch = 48;
+
 struct Config {
   std::uint32_t n = 4;  // total processes
   std::uint32_t f = 1;  // tolerated Byzantine processes, f < n/3
@@ -23,7 +30,7 @@ struct Config {
   SimDuration tick_jitter = 2 * kMillisecond;
 
   /// Number of phases covered by one key-exchange epoch (the paper's m).
-  std::uint32_t phases_per_epoch = 512;
+  std::uint32_t phases_per_epoch = kPhasesPerEpoch;
 
   /// Attach explicit justification when re-broadcasting an unchanged state
   /// (paper §6.2: implicit first, explicit on the following tick).

@@ -133,12 +133,20 @@ void Process::broadcast_state() {
     if (mutator_) mutator_(d.main);
     // Sign (reveal the one-time key) after any Byzantine mutation: insiders
     // hold real keys and can authenticate any value in the allowed domain.
-    if (keys_.chain(id_).covers(d.main.phase) &&
-        crypto::ots_value_allowed(d.main.phase, d.main.value)) {
-      const BytesView sk =
-          keys_.chain(id_).secret_key(d.main.phase, d.main.value);
-      d.main.auth_sk.assign(sk.begin(), sk.end());
+    // A correct process only ever holds such a value, and a mutator must
+    // keep it there, so every broadcast goes out signed.
+    TURQ_ASSERT_MSG(crypto::ots_value_allowed(d.main.phase, d.main.value),
+                    "a broadcast must carry a value its phase can sign");
+    const std::uint32_t epoch = keys_.epoch_of(d.main.phase);
+    if (epoch > signing_epoch_) {
+      // The first broadcast of a later epoch: the key infrastructure rolls
+      // the chain over (the paper's in-run exchange of the next VK array).
+      signing_epoch_ = epoch;
+      ++stats_.key_rollovers;
+      trace::count("turquois.key_rollovers");
     }
+    const BytesView sk = keys_.secret_key(id_, d.main.phase, d.main.value);
+    d.main.auth_sk.assign(sk.begin(), sk.end());
     return std::make_shared<const Bytes>(d.encode());
   };
 

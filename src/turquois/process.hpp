@@ -116,6 +116,9 @@ class Process {
     std::uint64_t quorum_transitions = 0;
     std::uint64_t phase_jumps = 0;
     std::uint64_t coin_flips = 0;
+    /// Key epochs past the first that this process signed in: one per
+    /// epoch its broadcasts rolled over into.
+    std::uint64_t key_rollovers = 0;
     bool operator==(const Stats&) const = default;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -196,6 +199,8 @@ class Process {
   // consecutive ticks re-sent it (escalation counter).
   std::optional<std::tuple<Phase, Value, Status>> last_sent_;
   std::uint32_t repeat_count_ = 0;
+  /// The latest key epoch this process has signed in.
+  std::uint32_t signing_epoch_ = 0;
 
   // Memos for the broadcast path. A stalled process re-sends the same
   // justified state every tick, reassembling (and re-encoding) up to 42

@@ -5,8 +5,8 @@ namespace turq::turquois {
 bool authentic(const KeyInfrastructure& keys, const Config& cfg,
                const Message& m) {
   if (m.sender >= cfg.n) return false;
-  return crypto::ots_verify(keys.verification_keys(m.sender), m.phase, m.value,
-                            m.auth_sk);
+  return crypto::ots_verify(keys.verification_keys(m.sender, m.phase), m.phase,
+                            m.value, m.auth_sk);
 }
 
 void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
@@ -66,7 +66,7 @@ void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
   std::vector<crypto::OtsCheck> checks(misses.size());
   for (std::size_t j = 0; j < misses.size(); ++j) {
     const Message& m = msg_at(misses[j].index);
-    checks[j] = {.vk_array = &keys.verification_keys(m.sender),
+    checks[j] = {.vk_array = &keys.verification_keys(m.sender, m.phase),
                  .phase = m.phase,
                  .v = m.value,
                  .revealed_sk = m.auth_sk};

@@ -175,7 +175,9 @@ TEST(FuzzCorpus, ReproducersRoundTripByteForByte) {
       ++checked;
     }
   }
-  EXPECT_GE(checked, 10u);
+  // The corpus holds 3 top-level entries and 4 stalls; fewer means some
+  // went unread.
+  EXPECT_GE(checked, 7u);
 }
 
 TEST(FuzzCorpus, SubSecondTimeoutRoundTrips) {

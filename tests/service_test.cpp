@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -188,11 +190,13 @@ TEST(KeyInfraBatch, BatchedSetupIsDeterministicInTheSeed) {
   }
 }
 
-// Every secret of a chain, concatenated in (phase, value) order.
+// The secrets of a chain's first `phases` phases, concatenated in
+// (phase, value) order.
 Bytes all_secrets(const crypto::OneTimeKeyChain& chain,
                   crypto::Phase phases) {
   Bytes out;
-  for (crypto::Phase phase = 1; phase <= phases; ++phase) {
+  const crypto::Phase first = chain.public_keys().first_phase();
+  for (crypto::Phase phase = first; phase < first + phases; ++phase) {
     for (const Value v : {Value::kZero, Value::kOne, Value::kBottom}) {
       if (!crypto::ots_value_allowed(phase, v)) continue;
       const BytesView sk = chain.secret_key(phase, v);
@@ -229,23 +233,24 @@ TEST(KeyInfraBatch, SetupMatchesPerProcessReference) {
   }
 }
 
-// One SHA-256 over every key byte a setup hands out: per instance and
-// process, the VK array's canonical serialization, its RSA signature (8
-// bytes, big-endian) and every one-time secret.
+// One SHA-256 over every key byte a setup hands out for one epoch (`phases`
+// phases long): per instance and process, the VK array's canonical
+// serialization, its RSA signature (8 bytes, big-endian) and every one-time
+// secret.
 std::string key_material_digest(
     const std::vector<turquois::KeyInfrastructure>& infras,
-    crypto::Phase phases) {
+    crypto::Phase phases, std::uint32_t epoch = 0) {
   crypto::Sha256 h;
   for (const auto& infra : infras) {
     for (ProcessId id = 0; id < infra.n(); ++id) {
-      h.update(infra.verification_keys(id).serialize());
-      const std::uint64_t sig = infra.signature(id);
+      h.update(infra.chain(id, epoch).public_keys().serialize());
+      const std::uint64_t sig = infra.signature(id, epoch);
       std::uint8_t sig_be[8];
       for (int i = 0; i < 8; ++i) {
         sig_be[i] = static_cast<std::uint8_t>(sig >> (56 - 8 * i));
       }
       h.update(BytesView(sig_be, 8));
-      h.update(all_secrets(infra.chain(id), phases));
+      h.update(all_secrets(infra.chain(id, epoch), phases));
     }
   }
   const crypto::Digest d = h.finalize();
@@ -272,6 +277,146 @@ TEST(KeyInfraBatch, KeyMaterialMatchesKnownAnswer) {
   one.push_back(turquois::KeyInfrastructure::setup(large, large_rng));
   EXPECT_EQ(key_material_digest(one, large.phases_per_epoch),
             "f002ca337bb1779732ffc7500fd58b579b3e377ceee9c850050b6afecbe0138f");
+}
+
+TEST(KeyInfraBatch, RolloverKeyMaterialMatchesKnownAnswer) {
+  // Epochs 1 and 2 of the small known-answer setup, pinned when rollover
+  // was introduced: any change to a later epoch's stream, secret, VK or
+  // signature moves them.
+  turquois::Config small = turquois::Config::for_group(4);
+  small.phases_per_epoch = 12;
+  Rng rng(2010);
+  const auto batch = turquois::KeyInfrastructure::setup_batch(small, rng, 3);
+  EXPECT_EQ(key_material_digest(batch, small.phases_per_epoch, 1),
+            "d07482ba214c46e1ae74c5b7641966cad4f6da6e6c9f2c99eb34184067285e45");
+  EXPECT_EQ(key_material_digest(batch, small.phases_per_epoch, 2),
+            "78021a7a0fb9f4025253353f2129150ab79d5508b045839107eedf12e8458b89");
+}
+
+TEST(KeyInfraBatch, LaterEpochsVerifyUnderTheirOwnersKey) {
+  turquois::Config cfg = turquois::Config::for_group(4);
+  cfg.phases_per_epoch = 6;
+  Rng rng(42);
+  const auto batch = turquois::KeyInfrastructure::setup_batch(cfg, rng, 3);
+  for (std::uint32_t inst = 0; inst < batch.size(); ++inst) {
+    const auto& infra = batch[inst];
+    for (ProcessId id = 0; id < 4; ++id) {
+      Rng rsa_rng = rng.derive("rsa", id);
+      const crypto::RsaKeyPair rsa = crypto::rsa_generate(rsa_rng);
+      for (std::uint32_t epoch = 1; epoch <= 3; ++epoch) {
+        SCOPED_TRACE(testing::Message() << "instance " << inst << " p" << id
+                                        << " epoch " << epoch);
+        // Per-epoch reference from the primitives: the stream of this
+        // (process, instance, epoch), signed with the process's RSA pair.
+        Rng chain_rng = rng.derive("ots-epoch", id)
+                            .derive("instance", inst)
+                            .derive("epoch", epoch);
+        const auto reference = crypto::OneTimeKeyChain::generate(
+            id, 6 * epoch + 1, 6, chain_rng);
+        EXPECT_EQ(all_secrets(infra.chain(id, epoch), 6),
+                  all_secrets(reference, 6));
+        EXPECT_EQ(infra.chain(id, epoch).public_keys(),
+                  reference.public_keys());
+        EXPECT_EQ(infra.signature(id, epoch),
+                  crypto::sign_key_array(reference.public_keys(), rsa));
+
+        const crypto::VerificationKeyArray& vk =
+            infra.chain(id, epoch).public_keys();
+        EXPECT_EQ(vk.owner(), id);
+        EXPECT_EQ(vk.first_phase(), 6 * epoch + 1);
+        EXPECT_EQ(vk.num_phases(), 6u);
+        EXPECT_TRUE(crypto::verify_key_array(vk, infra.signature(id, epoch),
+                                             infra.rsa_public(id)));
+        EXPECT_FALSE(crypto::verify_key_array(vk, infra.signature(id, epoch),
+                                              infra.rsa_public((id + 1) % 4)));
+        for (crypto::Phase phase = 6 * epoch + 1; phase <= 6 * epoch + 6;
+             ++phase) {
+          EXPECT_EQ(infra.epoch_of(phase), epoch);
+          // Receivers look up the same array the owner signs from.
+          EXPECT_EQ(&infra.verification_keys(id, phase), &vk);
+          const BytesView sk = infra.secret_key(id, phase, Value::kOne);
+          EXPECT_TRUE(crypto::ots_verify(vk, phase, Value::kOne, sk));
+          // Epoch 0's array does not cover a later epoch's phases.
+          EXPECT_FALSE(crypto::ots_verify(infra.verification_keys(id), phase,
+                                          Value::kOne, sk));
+        }
+      }
+    }
+  }
+}
+
+TEST(KeyInfraBatch, EverySecretIsDisjointAcrossInstancesAndEpochs) {
+  turquois::Config cfg = turquois::Config::for_group(4);
+  cfg.phases_per_epoch = 6;
+  Rng rng(42);
+  const auto batch = turquois::KeyInfrastructure::setup_batch(cfg, rng, 3);
+  std::set<std::string> seen;
+  std::size_t total = 0;
+  for (const auto& infra : batch) {
+    for (ProcessId id = 0; id < 4; ++id) {
+      for (std::uint32_t epoch = 0; epoch <= 3; ++epoch) {
+        const Bytes secrets = all_secrets(infra.chain(id, epoch), 6);
+        for (std::size_t off = 0; off < secrets.size(); off += 32) {
+          seen.insert(to_hex(BytesView(secrets.data() + off, 32)));
+          ++total;
+        }
+      }
+    }
+  }
+  // 3 instances × 4 processes × 4 epochs × 14 keys (two DECIDE phases).
+  EXPECT_EQ(total, 3u * 4u * 4u * 14u);
+  EXPECT_EQ(seen.size(), total);
+}
+
+TEST(KeyInfraBatch, RolloverBytesDoNotDependOnRequestOrder) {
+  // Three copies of one setup, their later epochs built in order, in
+  // reverse, and by four threads at once (the harness shares one
+  // infrastructure across --jobs workers): every byte must agree.
+  turquois::Config cfg = turquois::Config::for_group(4);
+  cfg.phases_per_epoch = 6;
+  const auto make = [&] {
+    Rng rng(2010);
+    return turquois::KeyInfrastructure::setup_batch(cfg, rng, 3);
+  };
+  const auto forward = make();
+  for (const auto& infra : forward) {
+    for (ProcessId id = 0; id < 4; ++id) {
+      for (std::uint32_t epoch = 1; epoch <= 3; ++epoch) {
+        (void)infra.chain(id, epoch);
+      }
+    }
+  }
+  const auto reverse = make();
+  for (std::size_t inst = 3; inst-- > 0;) {
+    for (ProcessId id = 4; id-- > 0;) {
+      for (std::uint32_t epoch = 3; epoch >= 1; --epoch) {
+        (void)reverse[inst].verification_keys(id, 6 * epoch + 1);
+      }
+    }
+  }
+  const auto threaded = make();
+  std::vector<std::thread> workers;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    workers.emplace_back([&threaded, t] {
+      // Each thread walks every (instance, process, epoch) from its own
+      // starting point, so first requests land on different threads.
+      for (std::uint32_t k = 0; k < 3 * 4 * 3; ++k) {
+        const std::uint32_t i = (k + 9 * t) % 36;
+        const auto& infra = threaded[i / 12];
+        const ProcessId id = (i / 3) % 4;
+        const std::uint32_t epoch = i % 3 + 1;
+        (void)infra.secret_key(id, 6 * epoch + 2, Value::kZero);
+        (void)infra.signature(id, epoch);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (std::uint32_t epoch = 1; epoch <= 3; ++epoch) {
+    SCOPED_TRACE(epoch);
+    const std::string want = key_material_digest(forward, 6, epoch);
+    EXPECT_EQ(key_material_digest(reverse, 6, epoch), want);
+    EXPECT_EQ(key_material_digest(threaded, 6, epoch), want);
+  }
 }
 
 TEST(KeyInfraBatch, BatchSignaturesMatchScalarSigning) {

@@ -40,12 +40,18 @@ class Cluster {
   Cluster(std::uint32_t n, std::uint64_t seed,
           net::MediumConfig medium_cfg = {}, std::uint32_t insiders = 0,
           bool shared_pool = false)
-      : cfg_(Config::for_group(n)),
+      : Cluster(Config::for_group(n), seed, medium_cfg, insiders,
+                shared_pool) {}
+
+  Cluster(const Config& cfg, std::uint64_t seed,
+          net::MediumConfig medium_cfg = {}, std::uint32_t insiders = 0,
+          bool shared_pool = false)
+      : cfg_(cfg),
         root_rng_(seed),
         medium_(sim_, medium_cfg, root_rng_.derive("medium", 0)),
         keys_(KeyInfrastructure::setup(cfg_, root_rng_)) {
     if (shared_pool) pool_ = std::make_unique<ExchangePool>(keys_, cfg_);
-    for (ProcessId id = 0; id < n; ++id) {
+    for (ProcessId id = 0; id < cfg_.n; ++id) {
       cpus_.push_back(std::make_unique<sim::VirtualCpu>(sim_));
       runtimes_.push_back(
           std::make_unique<runtime::SimRuntime>(sim_, *cpus_.back()));
@@ -53,7 +59,7 @@ class Cluster {
           std::make_unique<net::BroadcastEndpoint>(sim_, medium_, id));
       ProcessHooks hooks;
       hooks.exchange_pool = pool_.get();
-      if (id >= n - insiders) {
+      if (id >= cfg_.n - insiders) {
         hooks.mutate_outgoing = adversary::turquois_value_inversion();
       }
       processes_.push_back(std::make_unique<Process>(
@@ -381,24 +387,89 @@ TEST(TurquoisByzantine, SilentByzantineIsJustFailStop) {
   }
 }
 
-TEST(TurquoisByzantine, StragglerCatchesUpToDecision) {
-  // One correct process is cut off from the network until long after the
-  // rest decide; once reconnected it must import the decision via the
-  // catch-up machinery (transitive phase rule + decision certificates).
-  Cluster cluster(7, 31);
-  const ProcessId straggler = 0;
+/// One correct process (p0) is cut off from the network until long after
+/// the rest decide; once reconnected it must import the decision via the
+/// catch-up machinery (transitive phase rule + decision certificates).
+/// What that scenario did, run at a given key-epoch length.
+struct StragglerRun {
+  bool others_decided = false;           // within 2 s
+  bool straggler_decided_early = false;  // by then
+  bool straggler_decided = false;        // within 30 s more
+  std::vector<Value> decisions;
+  std::vector<Phase> phases;
+  std::vector<Process::Stats> stats;
+  SimTime end = 0;
+  std::size_t events = 0;
+};
+
+StragglerRun run_straggler(std::uint32_t phases_per_epoch) {
+  Config cfg = Config::for_group(7);
+  cfg.phases_per_epoch = phases_per_epoch;
+  Cluster cluster(cfg, 31);
   net::TargetedOmission cutoff([](ProcessId src, ProcessId dst, SimTime now) {
     return (src == 0 || dst == 0) && now < 1 * kSecond;
   });
   cluster.medium().set_fault_injector(&cutoff);
   cluster.propose_all(unanimous(7, Value::kOne));
+  StragglerRun run;
+  run.others_decided =
+      cluster.run_until_decided({1, 2, 3, 4, 5, 6}, 2 * kSecond);
+  run.straggler_decided_early = cluster.process(0).decided();
+  run.straggler_decided = cluster.run_until_decided({0}, 30 * kSecond);
+  for (ProcessId id = 0; id < cluster.n(); ++id) {
+    Process& p = cluster.process(id);
+    run.decisions.push_back(p.decided() ? p.decision() : Value::kBottom);
+    run.phases.push_back(p.phase());
+    run.stats.push_back(p.stats());
+  }
+  run.end = cluster.simulator().now();
+  run.events = cluster.simulator().events_executed();
+  return run;
+}
 
-  std::vector<ProcessId> others = {1, 2, 3, 4, 5, 6};
-  ASSERT_TRUE(cluster.run_until_decided(others, 2 * kSecond));
-  EXPECT_FALSE(cluster.process(straggler).decided());
+TEST(TurquoisByzantine, StragglerCatchesUpToDecision) {
+  const StragglerRun run = run_straggler(kPhasesPerEpoch);
+  ASSERT_TRUE(run.others_decided);
+  EXPECT_FALSE(run.straggler_decided_early);
+  ASSERT_TRUE(run.straggler_decided);
+  EXPECT_EQ(run.decisions[0], Value::kOne);
+}
 
-  ASSERT_TRUE(cluster.run_until_decided({straggler}, 30 * kSecond));
-  EXPECT_EQ(cluster.process(straggler).decision(), Value::kOne);
+TEST(TurquoisByzantine, StragglerSignsPastTheFirstKeyEpoch) {
+  // The straggler scenario at a 6-phase key epoch: the straggler climbs far
+  // past phase 6 to catch up, so broadcasts span several epochs. Each one
+  // must be signed with its epoch's rolled-over keys: no receiver may
+  // reject a single message as unauthentic.
+  const StragglerRun run = run_straggler(6);
+  ASSERT_TRUE(run.others_decided && run.straggler_decided);
+  EXPECT_EQ(run.decisions[0], Value::kOne);
+  EXPECT_GT(run.phases[0], 6u);
+  std::uint64_t rollovers = 0;
+  for (ProcessId id = 0; id < run.stats.size(); ++id) {
+    EXPECT_EQ(run.stats[id].auth_failures, 0u) << "p" << id;
+    EXPECT_GT(run.stats[id].messages_authenticated, 0u) << "p" << id;
+    rollovers += run.stats[id].key_rollovers;
+  }
+  EXPECT_GT(rollovers, 0u);
+}
+
+TEST(TurquoisByzantine, KeyEpochLengthChangesNothingSimulated) {
+  // Key bytes never steer the protocol and every secret is 32 bytes in
+  // every epoch, so rolling over every 6 phases must give the very run a
+  // single 512-phase epoch gives, down to the event count.
+  const StragglerRun rolled = run_straggler(6);
+  const StragglerRun single = run_straggler(512);
+  ASSERT_TRUE(single.straggler_decided);
+  EXPECT_EQ(rolled.decisions, single.decisions);
+  EXPECT_EQ(rolled.phases, single.phases);
+  EXPECT_EQ(rolled.end, single.end);
+  EXPECT_EQ(rolled.events, single.events);
+  for (ProcessId id = 0; id < rolled.stats.size(); ++id) {
+    EXPECT_EQ(single.stats[id].key_rollovers, 0u);
+    Process::Stats without = rolled.stats[id];
+    without.key_rollovers = 0;
+    EXPECT_EQ(without, single.stats[id]) << "p" << id;
+  }
 }
 
 /// Decodes every frame a process hands to the medium and checks the
