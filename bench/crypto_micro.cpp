@@ -98,6 +98,16 @@ void BM_ToyRsa_Sign(benchmark::State& state) {
 }
 BENCHMARK(BM_ToyRsa_Sign);
 
+// One process's key pair in the trusted setup: two random 31-bit primes
+// and the private exponent.
+void BM_ToyRsa_Generate(benchmark::State& state) {
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rsa_generate(rng));
+  }
+}
+BENCHMARK(BM_ToyRsa_Generate);
+
 void BM_ToyRsa_Verify(benchmark::State& state) {
   Rng rng(7);
   const RsaKeyPair key = rsa_generate(rng);
@@ -156,8 +166,8 @@ void BM_KeyChain_Generate(benchmark::State& state) {
 BENCHMARK(BM_KeyChain_Generate)->Arg(64)->Arg(512);
 
 // The trusted setup a failure-free n=64 deployment hoists out of its
-// repetitions: 64 chains of one default-sized epoch (48 phases), each VK
-// array RSA-signed and checked.
+// repetitions: 64 chains of one default-sized epoch (kPhasesPerEpoch
+// phases), each VK array RSA-signed and checked.
 void BM_KeyInfra_Setup(benchmark::State& state) {
   const turquois::Config cfg = turquois::Config::for_group(64);
   const Rng rng(7);
@@ -188,39 +198,45 @@ void BM_KeyInfra_Rollover(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyInfra_Rollover)->Unit(benchmark::kMillisecond);
 
-// One key batch of the pipelined service at n=16: 8 instances of 48 phases.
+// One key batch of the pipelined service at n=16: 8 instances of one
+// default-sized epoch.
+constexpr std::uint32_t kServiceN = 16;
+constexpr std::uint32_t kServiceBatch = 8;
+
 void BM_KeyInfra_SetupBatch(benchmark::State& state) {
-  turquois::Config cfg = turquois::Config::for_group(16);
-  cfg.phases_per_epoch = 48;
+  const turquois::Config cfg = turquois::Config::for_group(kServiceN);
   const Rng rng(7);
   for (auto _ : state) {
     Rng setup_rng = rng;
     benchmark::DoNotOptimize(
-        turquois::KeyInfrastructure::setup_batch(cfg, setup_rng, 8));
+        turquois::KeyInfrastructure::setup_batch(cfg, setup_rng,
+                                                 kServiceBatch));
   }
 }
 BENCHMARK(BM_KeyInfra_SetupBatch)->Unit(benchmark::kMillisecond);
 
-// The verification-key hashes of that batch: 16 × 8 chains of 112 slots,
-// 14 336 one-block hashes of 32-byte secrets laid out back to back as a
+// The verification-key hashes of that batch: 16 × 8 chains of one epoch's
+// keys, one-block hashes of 32-byte secrets laid out back to back as a
 // chain holds them. Time per hash via items/s.
 void BM_KeyInfra_VkHashes(benchmark::State& state) {
-  constexpr std::size_t kSecrets = 14336;
-  Bytes secrets(kSecrets * 32);
+  const std::size_t hashes =
+      std::size_t{kServiceN} * kServiceBatch *
+      ots_key_count(1, turquois::kPhasesPerEpoch);
+  Bytes secrets(hashes * 32);
   Rng rng(7);
   for (auto& byte : secrets) byte = static_cast<std::uint8_t>(rng.next());
-  std::vector<BytesView> views(kSecrets);
-  for (std::size_t i = 0; i < kSecrets; ++i) {
+  std::vector<BytesView> views(hashes);
+  for (std::size_t i = 0; i < hashes; ++i) {
     views[i] = BytesView(secrets).subspan(i * 32, 32);
   }
-  std::vector<Digest> vks(kSecrets);
+  std::vector<Digest> vks(hashes);
   for (auto _ : state) {
-    sha256_batch(views.data(), kSecrets, vks.data());
+    sha256_batch(views.data(), hashes, vks.data());
     benchmark::DoNotOptimize(vks.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSecrets));
+                          static_cast<std::int64_t>(hashes));
 }
 BENCHMARK(BM_KeyInfra_VkHashes)->Unit(benchmark::kMicrosecond);
 

@@ -16,6 +16,10 @@
 // The n=16 pipe64/seq ratio is exported as `speedup_vs_sequential` with a
 // declared floor of 5x, which this bench enforces on its exit status and
 // tools/check_perf.py on the committed BENCH_service_throughput.json.
+// `ots_keys_per_instance` counts the one-time keys the n=16 pipe8 leg's
+// key batches and rollovers draw per instance they key: a work count, the
+// same on every host and under --quick, whose ceiling is its committed
+// value, so a longer key epoch fails the gate.
 //
 // Output:
 //   --json PATH       turquois-bench/1 report, one cell per (n, leg), with
@@ -53,6 +57,11 @@ constexpr Leg kLegs[] = {
     {"pipe8", 8, 8},
     {"pipe64", 64, 8},
 };
+
+// ots_keys_per_instance: 16 processes × 14 keys of one 6-phase epoch, no
+// rollovers. A change that lowers it re-baselines this ceiling and
+// BENCH_service_throughput.json together.
+constexpr double kOtsKeysPerInstanceCeiling = 224.0;
 
 }  // namespace
 
@@ -178,6 +187,14 @@ int main(int argc, char** argv) {
       perf.add("instances_per_sim_s_" + tag, totals.instances_per_sim_sec(),
                "1/s", kSim, kHigher);
       perf.add("wall_" + tag, wall, "s", kHost, kLower);
+      if (n == 16 && leg.pipeline_depth == 8) {
+        const double keyed = static_cast<double>(totals.key_batches) *
+                             cfg.service.effective_key_batch();
+        perf.add("ots_keys_per_instance",
+                 static_cast<double>(totals.ots_keys) / keyed, "count", kSim,
+                 kLower)
+            .limit = kOtsKeysPerInstanceCeiling;
+      }
       if (n == 16 && leg.pipeline_depth == 64) {
         const SampleStats& latency = r.latency_ms;
         perf.add("latency_p50_ms", latency.percentile(0.5), "ms", kSim, kLower);

@@ -24,12 +24,19 @@ std::uint64_t modinv(std::uint64_t a, std::uint64_t m) {
 
 namespace {
 
+/// One Miller–Rabin round: false iff base `a` proves n = d * 2^r + 1
+/// composite. `mul` is (x * y) mod n.
+template <typename MulMod>
 bool miller_rabin_witness(std::uint64_t n, std::uint64_t a, std::uint64_t d,
-                          int r) {
-  std::uint64_t x = powmod(a, d, n);
+                          int r, MulMod mul) {
+  std::uint64_t x = 1;
+  for (std::uint64_t base = a % n, e = d; e > 0; e >>= 1) {
+    if (e & 1) x = mul(x, base);
+    base = mul(base, base);
+  }
   if (x == 1 || x == n - 1) return true;
   for (int i = 0; i < r - 1; ++i) {
-    x = mulmod(x, x, n);
+    x = mul(x, x);
     if (x == n - 1) return true;
   }
   return false;
@@ -51,9 +58,25 @@ bool is_prime_u64(std::uint64_t n) {
     d >>= 1;
     ++r;
   }
+  if (n < (1ULL << 32)) {
+    // Bases {2, 7, 61} are exact below 4 759 123 141 (Jaeschke 1993), and
+    // below 2^32 every product of two residues fits in 64 bits. The toy-RSA
+    // primes all land here.
+    const auto mul = [n](std::uint64_t x, std::uint64_t y) {
+      return x * y % n;
+    };
+    for (const std::uint64_t a : {2ULL, 7ULL, 61ULL}) {
+      if (a % n == 0) continue;  // n = 61: prime, and no witness to itself
+      if (!miller_rabin_witness(n, a, d, r, mul)) return false;
+    }
+    return true;
+  }
+  const auto mul = [n](std::uint64_t x, std::uint64_t y) {
+    return mulmod(x, y, n);
+  };
   for (const std::uint64_t a : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL,
                                 19ULL, 23ULL, 29ULL, 31ULL, 37ULL}) {
-    if (!miller_rabin_witness(n, a % n, d, r)) return false;
+    if (!miller_rabin_witness(n, a, d, r, mul)) return false;
   }
   return true;
 }

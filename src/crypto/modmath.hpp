@@ -46,8 +46,9 @@ constexpr std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
 /// Returns 0 if no inverse exists.
 std::uint64_t modinv(std::uint64_t a, std::uint64_t m);
 
-/// Deterministic Miller–Rabin, exact for all 64-bit integers
-/// (witness set {2,3,5,7,11,13,17,19,23,29,31,37}).
+/// Deterministic Miller–Rabin, exact for all 64-bit integers: witness set
+/// {2,7,61} with 64-bit products below 2^32, and
+/// {2,3,5,7,11,13,17,19,23,29,31,37} with 128-bit products above.
 bool is_prime_u64(std::uint64_t n);
 
 /// Random prime with exactly `bits` bits (top bit set), bits in [8, 63].

@@ -54,9 +54,13 @@ std::size_t VerificationKeyArray::index_of(Phase phase, Value v) const {
   return base + static_cast<std::size_t>(v);  // kZero=0, kOne=1, kBottom=2
 }
 
+std::size_t ots_key_count(Phase first_phase, Phase num_phases) {
+  const Phase end = first_phase + num_phases;
+  return 2 * std::size_t{num_phases} + (end - 1) / 3 - (first_phase - 1) / 3;
+}
+
 std::size_t VerificationKeyArray::slots() const {
-  const Phase end = first_phase_ + num_phases_;
-  return 2 * std::size_t{num_phases_} + (end - 1) / 3 - (first_phase_ - 1) / 3;
+  return ots_key_count(first_phase_, num_phases_);
 }
 
 BytesView VerificationKeyArray::key(Phase phase, Value v) const {

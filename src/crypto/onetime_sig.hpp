@@ -37,6 +37,10 @@ using Phase = std::uint32_t;
 /// True iff value v is in the signing domain for phase φ.
 bool ots_value_allowed(Phase phase, Value v);
 
+/// Keys in a chain covering phases [first_phase, first_phase + num_phases):
+/// two per phase plus one ⊥ key per DECIDE phase.
+std::size_t ots_key_count(Phase first_phase, Phase num_phases);
+
 /// Public verification-key array for one process and one key-exchange epoch,
 /// covering phases [first_phase, first_phase + num_phases).
 ///

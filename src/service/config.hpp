@@ -78,6 +78,11 @@ struct RepSummary {
   std::uint64_t instances_decided = 0;   // all n processes decided
   std::uint64_t instances_failed = 0;    // still undecided at the deadline
   std::uint64_t key_batches = 0;         // trusted-setup passes
+  /// One-time keys drawn: every key batch's epoch-0 chains plus each
+  /// later epoch an instance's processes rolled over to.
+  std::uint64_t ots_keys = 0;
+  /// Messages a process of an instance rejected as not authentic.
+  std::uint64_t auth_failures = 0;
   /// Decided instances destroyed before the repetition ended, and decided
   /// instances that finalized while a node's CPU still had work queued, so
   /// their reclaim waited for it to drain (DESIGN.md §15).
@@ -105,6 +110,8 @@ struct RepSummary {
     instances_decided += o.instances_decided;
     instances_failed += o.instances_failed;
     key_batches += o.key_batches;
+    ots_keys += o.ots_keys;
+    auth_failures += o.auth_failures;
     instances_reclaimed += o.instances_reclaimed;
     instances_drained += o.instances_drained;
     audit_checked_instances += o.audit_checked_instances;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "crypto/onetime_sig.hpp"
 #include "harness/deployment.hpp"
 #include "harness/scheduler.hpp"
 #include "net/frame_mux.hpp"
@@ -193,7 +194,21 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
   schedule_arrival(gen.next());
 
   const std::uint32_t kb = svc.effective_key_batch();
+  // Epochs are whole CONVERGE/LOCK/DECIDE cycles (validate_service), so
+  // every epoch's chain holds as many keys as the first.
+  const std::uint64_t keys_per_epoch =
+      crypto::ots_key_count(1, svc.phases_per_instance);
   std::uint32_t next_seq = 0;
+
+  // Key and authentication counters of an instance's processes, summed
+  // once they are done: at finalize, or at the end of the run for an
+  // instance that never decided.
+  auto tally_keys = [&](const Slot& slot) {
+    for (const auto& p : slot.procs) {
+      sum.ots_keys += p->stats().key_rollovers * keys_per_epoch;
+      sum.auth_failures += p->stats().auth_failures;
+    }
+  };
 
   auto launch = [&]() {
     const std::uint32_t seq = next_seq++;
@@ -205,6 +220,7 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
       key_batches.push_back(
           {turquois::KeyInfrastructure::setup_batch(tcfg, key_rng, kb)});
       ++sum.key_batches;
+      sum.ots_keys += std::uint64_t{kb} * cfg.n * keys_per_epoch;
     }
     const turquois::KeyInfrastructure& infra =
         key_batches[batch_index].keys[seq % kb];
@@ -275,6 +291,7 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
         rep_audit.violations.push_back(v);
       }
     }
+    tally_keys(slot);
     for (const auto& p : slot.procs) {
       result.app_messages += p->stats().broadcasts;
       p->crash();  // closes the instance port before the mux retires it
@@ -322,6 +339,7 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
   });
   sum.finished_at = sim.now();
   sum.instances_failed = active.size();
+  for (const auto& slot : active) tally_keys(*slot);
   // One latency sample per committed request, none for rejected or still
   // in-flight ones: rejection happens before the queue, so a rejected
   // arrival can never reach an instance batch and be stamped.

@@ -9,11 +9,12 @@
 namespace turq::turquois {
 
 /// Phases one key-exchange epoch covers (the paper's m), for a single run
-/// and for each service instance alike. No benchmark repetition gets past
-/// phase 7, so the trusted setup keys only what runs reach; a run that goes
-/// further rolls over to a freshly keyed epoch (KeyInfrastructure). 48 is a
-/// DECIDE phase, so an epoch ends where a consensus cycle does.
-inline constexpr std::uint32_t kPhasesPerEpoch = 48;
+/// and for each service instance alike: two CONVERGE/LOCK/DECIDE cycles,
+/// so an epoch ends where a consensus cycle does. Almost every instance
+/// decides inside it, so the trusted setup keys only what instances reach;
+/// a run that goes further rolls over to a freshly keyed epoch
+/// (KeyInfrastructure) at no simulated cost.
+inline constexpr std::uint32_t kPhasesPerEpoch = 6;
 
 struct Config {
   std::uint32_t n = 4;  // total processes

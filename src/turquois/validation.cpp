@@ -1,5 +1,10 @@
 #include "turquois/validation.hpp"
 
+#include <bit>
+#include <cstdint>
+
+#include "common/assert.hpp"
+
 namespace turq::turquois {
 
 bool authentic(const KeyInfrastructure& keys, const Config& cfg,
@@ -7,6 +12,45 @@ bool authentic(const KeyInfrastructure& keys, const Config& cfg,
   if (m.sender >= cfg.n) return false;
   return crypto::ots_verify(keys.verification_keys(m.sender, m.phase), m.phase,
                             m.value, m.auth_sk);
+}
+
+const VerifyMemo::Bucket* VerifyMemo::find(std::uint64_t key) const {
+  if (table_.empty()) return nullptr;
+  const Bucket& b = table_[probe(key)];
+  return b.count != 0 ? &b : nullptr;
+}
+
+std::size_t VerifyMemo::probe(std::uint64_t key) const {
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i =
+      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  while (table_[i].count != 0 && table_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void VerifyMemo::grow() {
+  constexpr std::size_t kInitialBuckets = 64;
+  std::vector<Bucket> old = std::move(table_);
+  const std::size_t size = old.empty() ? kInitialBuckets : 2 * old.size();
+  table_.assign(size, Bucket{});
+  shift_ = 64 - std::countr_zero(size);
+  for (const Bucket& b : old) {
+    if (b.count != 0) table_[probe(b.key)] = b;
+  }
+}
+
+void VerifyMemo::insert(std::uint64_t key, const AuthKey& sk, bool ok) {
+  if (2 * (occupied_ + 1) > table_.size()) grow();
+  Bucket& b = table_[probe(key)];
+  if (b.count == kMaxEntriesPerKey) return;
+  if (b.count == 0) {
+    b.key = key;
+    ++occupied_;
+  }
+  TURQ_ASSERT(entries_.size() < UINT32_MAX);
+  entries_.push_back({sk, ok, b.head});
+  b.head = static_cast<std::uint32_t>(entries_.size() - 1);
+  ++b.count;
 }
 
 void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
@@ -37,12 +81,17 @@ void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
                               (static_cast<std::uint64_t>(m.sender) << 8) |
                               static_cast<std::uint64_t>(m.value);
     bool found = false;
-    for (const Entry& e : cache_[key]) {
-      if (e.sk == m.auth_sk) {
-        ++hits_;
-        out[i] = e.ok ? 1 : 0;
-        found = true;
-        break;
+    if (const Bucket* b = find(key)) {
+      std::uint32_t e = b->head;
+      for (std::uint32_t left = b->count; left > 0; --left) {
+        const Entry& entry = entries_[e];
+        if (entry.sk == m.auth_sk) {
+          ++hits_;
+          out[i] = entry.ok ? 1 : 0;
+          found = true;
+          break;
+        }
+        e = entry.next;
       }
     }
     if (found) continue;
@@ -75,12 +124,8 @@ void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
   crypto::ots_verify_batch(checks.data(), checks.size(),
                            reinterpret_cast<bool*>(ok.data()));
   for (std::size_t j = 0; j < misses.size(); ++j) {
-    const Message& m = msg_at(misses[j].index);
     out[misses[j].index] = ok[j];
-    std::vector<Entry>& entries = cache_[misses[j].key];
-    if (entries.size() < kMaxEntriesPerKey) {
-      entries.push_back({m.auth_sk, ok[j] != 0});
-    }
+    insert(misses[j].key, msg_at(misses[j].index).auth_sk, ok[j] != 0);
   }
   for (const auto& [i, j] : aliases) out[i] = ok[j];
 }

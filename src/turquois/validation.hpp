@@ -13,7 +13,6 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sender_set.hpp"
@@ -36,7 +35,9 @@ bool authentic(const KeyInfrastructure& keys, const Config& cfg,
 /// This is a wall-clock optimization only: the *virtual* cost model keeps
 /// charging every verification (see Process::on_datagram), matching a real
 /// deployment where each receiver hashes independently. Each ExchangePool
-/// holds one, shared by all of its fills.
+/// holds one, shared by all of its fills. The memo is one open-addressing
+/// table of (sender, phase, value) buckets over one entry array, so a new
+/// key costs no allocation of its own.
 class VerifyMemo {
  public:
   /// Verdicts for one datagram, in Prepared::auth layout (justification
@@ -56,12 +57,32 @@ class VerifyMemo {
   static constexpr std::size_t kMaxEntriesPerKey = 8;
 
  private:
+  /// One memoized verdict. The entries of one (sender, phase, value) form
+  /// a chain through `next`, newest first, ended by the bucket's count.
   struct Entry {
     AuthKey sk;
     bool ok;
+    std::uint32_t next;
   };
+  /// An open-addressing slot: the packed (sender, phase, value), the index
+  /// of its newest entry and its entry count; count 0 marks an empty slot.
+  struct Bucket {
+    std::uint64_t key = 0;
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+  };
+  /// The occupied bucket of `key`, or nullptr.
+  [[nodiscard]] const Bucket* find(std::uint64_t key) const;
+  /// Memoizes one verdict unless `key` already holds kMaxEntriesPerKey.
+  void insert(std::uint64_t key, const AuthKey& sk, bool ok);
+  /// The bucket of `key` or the empty one it would take; table_ non-empty.
+  [[nodiscard]] std::size_t probe(std::uint64_t key) const;
+  void grow();
 
-  std::unordered_map<std::uint64_t, std::vector<Entry>> cache_;
+  std::vector<Bucket> table_;  // power-of-two size, at most half occupied
+  std::vector<Entry> entries_;
+  std::size_t occupied_ = 0;
+  int shift_ = 0;  // 64 - log2(table_.size()) once the table exists
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -152,6 +152,38 @@ TEST(ModMath, MillerRabinKnownPrimesAndComposites) {
   EXPECT_FALSE(is_prime_u64(1000000007ULL * 3));
 }
 
+TEST(ModMath, MillerRabinMatchesSieveBelowTwoToTheTwenty) {
+  constexpr std::uint64_t kLimit = 1ULL << 20;
+  std::vector<bool> composite(kLimit, false);
+  for (std::uint64_t p = 2; p * p < kLimit; ++p) {
+    if (composite[p]) continue;
+    for (std::uint64_t m = p * p; m < kLimit; m += p) composite[m] = true;
+  }
+  std::size_t mismatches = 0;
+  for (std::uint64_t n = 0; n < kLimit; ++n) {
+    const bool prime = n >= 2 && !composite[n];
+    if (is_prime_u64(n) != prime) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(ModMath, MillerRabinRejectsStrongPseudoprimes) {
+  // The smallest strong pseudoprimes to bases {2}, {2,3}, {2,3,5} and
+  // {2,3,5,7}: each is composite and below 2^32, where bases {2,7,61} run.
+  for (const std::uint64_t n :
+       {2047ULL, 1373653ULL, 25326001ULL, 3215031751ULL}) {
+    EXPECT_FALSE(is_prime_u64(n)) << n;
+  }
+  // The primes on each side of 2^32, where the two base sets meet.
+  EXPECT_TRUE(is_prime_u64(4294967291ULL));
+  EXPECT_TRUE(is_prime_u64(4294967311ULL));
+  // Above 2^32 all twelve bases run: 4 759 123 141 fools {2,7,61}, and
+  // 3 825 123 056 546 413 051 fools every base up to 31, so only base 37
+  // rejects it.
+  EXPECT_FALSE(is_prime_u64(4759123141ULL));
+  EXPECT_FALSE(is_prime_u64(3825123056546413051ULL));
+}
+
 TEST(ModMath, RandomPrimeHasRequestedBits) {
   Rng rng(5);
   for (const int bits : {16, 24, 31}) {

@@ -2,6 +2,7 @@
 // multiplexer, the batched trusted setup, and the service driver itself.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,6 +20,8 @@
 #include "net/medium.hpp"
 #include "service/service.hpp"
 #include "sim/simulator.hpp"
+#include "trace/metrics.hpp"
+#include "trace/sink.hpp"
 #include "turquois/config.hpp"
 #include "turquois/key_infra.hpp"
 
@@ -565,6 +568,48 @@ TEST(Service, ReclaimsAnInstanceOnlyAfterItsQueuedCompletionsRan) {
   // destroyed before the run ended: a reclaim waited for a drain.
   EXPECT_EQ(sum.instances_drained, sum.instances_decided);
   EXPECT_GT(sum.instances_reclaimed, 0u);
+}
+
+/// Sums each trace counter over the repetitions; events are ignored.
+class CounterSink final : public trace::Sink {
+ public:
+  void on_event(const trace::TraceEvent& /*event*/) override {}
+  void on_metrics(const trace::MetricsRegistry& metrics) override {
+    for (const auto& [name, counter] : metrics.counters()) {
+      totals[name] += counter.value();
+    }
+  }
+
+  std::map<std::string, std::uint64_t> totals;
+};
+
+TEST(Service, AmbientLossRollsInstancesPastTheFirstKeyEpoch) {
+  // 20 % frame loss keeps some instance undecided past phase 6, the last
+  // phase of its first key epoch, so its processes roll over to freshly
+  // keyed chains. Every request must still commit, no receiver may reject
+  // a message as forged, and the audit stays clean.
+  harness::ScenarioConfig cfg = small_service_config();
+  cfg.plan = *faultplan::plan_from_name("iid(p=0.2)", nullptr);
+  ASSERT_EQ(cfg.service.phases_per_instance, 6u);
+  CounterSink sink;
+  cfg.trace_sink = &sink;
+  const harness::ScenarioResult r = service::run_service(cfg);
+
+  EXPECT_EQ(r.failed_runs, 0u);
+  EXPECT_EQ(r.safety_violations, 0u);
+  ASSERT_TRUE(r.service_total.has_value());
+  const service::RepSummary& sum = *r.service_total;
+  EXPECT_EQ(sum.committed, 2 * cfg.service.total_requests);
+  EXPECT_EQ(sum.instances_failed, 0u);
+  EXPECT_EQ(sum.auth_failures, 0u);
+  const std::uint64_t rollovers = sink.totals["turquois.key_rollovers"];
+  EXPECT_GT(rollovers, 0u);
+  // Each rollover draws one more 6-phase chain of 14 keys.
+  const std::uint64_t keyed =
+      sum.key_batches * cfg.service.effective_key_batch() * cfg.n;
+  EXPECT_EQ(sum.ots_keys, (keyed + rollovers) * 14);
+  ASSERT_TRUE(r.audit.has_value());
+  EXPECT_TRUE(r.audit->passed());
 }
 
 TEST(Service, PooledResultsAreBitIdenticalAcrossJobCounts) {

@@ -684,7 +684,7 @@ class Receiver {
   /// A message carrying the sender's genuine one-time key.
   Message signed_msg(ProcessId sender, Phase phase, Value v,
                      Status status = Status::kUndecided) const {
-    const BytesView sk = keys_.chain(sender).secret_key(phase, v);
+    const BytesView sk = keys_.secret_key(sender, phase, v);
     return Message{.sender = sender,
                    .phase = phase,
                    .value = v,

@@ -1,7 +1,13 @@
 // Unit tests for the Turquois view (set V) and the §6 validation rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "crypto/onetime_sig.hpp"
 #include "turquois/config.hpp"
 #include "turquois/exchange_pool.hpp"
 #include "turquois/key_infra.hpp"
@@ -487,6 +493,113 @@ TEST(VerifyMemo, CheckBatchMatchesAuthenticAndCountsHitsAndMisses) {
   check(honest);
   EXPECT_EQ(memo.misses(), 3u + kFlood + 4);
   EXPECT_EQ(memo.hits(), 7u + VerifyMemo::kMaxEntriesPerKey);
+}
+
+TEST(VerifyMemo, TableGrowthKeepsEveryVerdict) {
+  // Thousands of distinct (sender, phase, value) keys take the memo's
+  // table through several doublings. Verdicts, hits and misses must match
+  // a std::map model of the memo: a (key, revealed SK) pair the memo or an
+  // earlier message of the same batch holds is a hit, anything else in
+  // range a miss, and each key keeps its first kMaxEntriesPerKey pairs.
+  Config cfg = Config::for_group(16);
+  cfg.phases_per_epoch = 120;
+  Rng rng(27);
+  const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
+
+  std::vector<Message> stream;
+  for (ProcessId s = 0; s < cfg.n; ++s) {
+    for (Phase p = 1; p <= cfg.phases_per_epoch; ++p) {
+      for (const Value v : {Value::kZero, Value::kOne, Value::kBottom}) {
+        if (!crypto::ots_value_allowed(p, v)) continue;
+        Message m = msg(s, p, v);
+        m.auth_sk = keys.secret_key(s, p, v);
+        stream.push_back(m);
+        if ((s + p) % 5 == 0) {
+          m.auth_sk.back() ^= 0x5A;  // a forgery of the same key
+          stream.push_back(m);
+        }
+      }
+    }
+  }
+  for (std::size_t i = stream.size() - 1; i > 0; --i) {
+    std::swap(stream[i], stream[rng.uniform(i + 1)]);
+  }
+  // Repeats of earlier messages (hits once the table has grown), key
+  // grinding past the per-key cap, and senders beyond n.
+  const std::size_t distinct = stream.size();
+  for (int i = 0; i < 2000; ++i) stream.push_back(stream[rng.uniform(distinct)]);
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < VerifyMemo::kMaxEntriesPerKey + 3; ++i) {
+      Message m = msg(3, 9, Value::kOne);
+      m.auth_sk = keys.secret_key(3, 9, Value::kOne);
+      m.auth_sk.back() ^= static_cast<std::uint8_t>(i + 1);
+      stream.push_back(m);
+    }
+  }
+  for (int i = 0; i < 50; ++i) {
+    Message m = stream[rng.uniform(distinct)];
+    m.sender = static_cast<ProcessId>(cfg.n + rng.uniform(8));
+    stream.push_back(m);
+  }
+
+  std::map<std::uint64_t, std::vector<std::pair<AuthKey, bool>>> model;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  VerifyMemo memo;
+  std::vector<std::uint8_t> verdicts;
+  for (std::size_t at = 0; at < stream.size();) {
+    const std::size_t len =
+        std::min<std::size_t>(1 + rng.uniform(8), stream.size() - at);
+    Datagram d;
+    d.justification.assign(stream.begin() + static_cast<long>(at),
+                           stream.begin() + static_cast<long>(at + len - 1));
+    d.main = stream[at + len - 1];
+    at += len;
+
+    const std::vector<std::uint8_t> expected = reference_verdicts(keys, cfg, d);
+    std::vector<std::pair<std::uint64_t, std::size_t>> batch_misses;
+    for (std::size_t i = 0; i < len; ++i) {
+      const Message& m = i + 1 < len ? d.justification[i] : d.main;
+      if (m.sender >= cfg.n) continue;
+      const std::uint64_t key = (std::uint64_t{m.phase} << 16) |
+                                (std::uint64_t{m.sender} << 8) |
+                                static_cast<std::uint64_t>(m.value);
+      const auto& held = model[key];
+      const bool memoized =
+          std::any_of(held.begin(), held.end(),
+                      [&](const auto& e) { return e.first == m.auth_sk; });
+      const bool earlier = std::any_of(
+          batch_misses.begin(), batch_misses.end(), [&](const auto& miss) {
+            const Message& prior = miss.second + 1 < len
+                                       ? d.justification[miss.second]
+                                       : d.main;
+            return miss.first == key && prior.auth_sk == m.auth_sk;
+          });
+      if (memoized || earlier) {
+        ++hits;
+      } else {
+        ++misses;
+        batch_misses.emplace_back(key, i);
+      }
+    }
+    for (const auto& [key, i] : batch_misses) {
+      auto& held = model[key];
+      if (held.size() < VerifyMemo::kMaxEntriesPerKey) {
+        held.emplace_back(i + 1 < len ? d.justification[i].auth_sk
+                                      : d.main.auth_sk,
+                          expected[i] != 0);
+      }
+    }
+
+    memo.check_batch(keys, cfg, d, verdicts);
+    ASSERT_EQ(verdicts, expected) << "datagram ending at " << at;
+    ASSERT_EQ(memo.hits(), hits) << "datagram ending at " << at;
+    ASSERT_EQ(memo.misses(), misses) << "datagram ending at " << at;
+  }
+  EXPECT_GT(model.size(), 4000u);
+  EXPECT_GT(hits, 2000u);
+  EXPECT_EQ(model[(std::uint64_t{9} << 16) | (3 << 8) | 1].size(),
+            VerifyMemo::kMaxEntriesPerKey);
 }
 
 // ---------------------------------------------------------- exchange pool
