@@ -12,11 +12,10 @@ namespace {
 /// enough for every correct process to reach its own decision.
 constexpr std::uint32_t kLingerRounds = 3;
 
-/// Modeled wire sizes of production (RSA-1024 class) threshold artifacts.
-constexpr std::size_t kModeledShareBytes = 200;  // share + correctness proof
-constexpr std::size_t kSigBytes = 128;           // combined signature
-/// The toy share occupies 28 bytes; pad the difference.
-constexpr std::size_t kSharePadBytes = kModeledShareBytes - 28;
+using baselines::kModeledShareBytes;
+using baselines::kSharePadBytes;
+/// Modeled wire size of a production (RSA-1024 class) combined signature.
+constexpr std::size_t kSigBytes = 128;
 
 Vote to_vote(Value v) { return v == Value::kOne ? Vote::kOne : Vote::kZero; }
 }  // namespace
@@ -33,8 +32,9 @@ Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
       rng_(rng),
       costs_(costs),
       strategy_(strategy),
-      on_decide_(std::move(hooks.on_decide)),
-      on_round_(std::move(hooks.on_round)) {
+      decision_(std::move(hooks.on_decide)),
+      on_round_(std::move(hooks.on_round)),
+      coin_(rt, costs, dealer.coin, "coin", id, stats_) {
   transport_.set_handler([this](ProcessId src, const Bytes& payload) {
     on_message(src, payload);
   });
@@ -83,13 +83,6 @@ Bytes Process::mv_name(std::uint32_t round, Vote v) {
   return w.take();
 }
 
-Bytes Process::coin_name(std::uint32_t round) {
-  Writer w;
-  w.str("coin");
-  w.u32(round);
-  return w.take();
-}
-
 // ------------------------------------------------------------------ wire --
 
 crypto::ThresholdShare Process::make_share(BytesView name) {
@@ -106,23 +99,6 @@ crypto::ThresholdShare Process::make_share(BytesView name) {
   return share;
 }
 
-void Process::encode_share(Writer& w, const crypto::ThresholdShare& s) const {
-  w.u32(s.party);
-  w.u64(s.sigma);
-  w.u64(s.proof.challenge);
-  w.u64(s.proof.response);
-}
-
-std::optional<crypto::ThresholdShare> Process::decode_share(Reader& r) const {
-  const auto party = r.u32();
-  const auto sigma = r.u64();
-  const auto c = r.u64();
-  const auto z = r.u64();
-  if (!party || !sigma || !c || !z) return std::nullopt;
-  return crypto::ThresholdShare{
-      .party = *party, .sigma = *sigma, .proof = {.challenge = *c, .response = *z}};
-}
-
 void Process::broadcast(const Bytes& payload) {
   for (ProcessId dst = 0; dst < cfg_.n; ++dst) {
     ++stats_.messages_sent;
@@ -132,54 +108,38 @@ void Process::broadcast(const Bytes& payload) {
 
 void Process::send_prevote(std::uint32_t round, Vote b) {
   TURQ_ASSERT(b != Vote::kAbstain);
-  Writer w;
-  w.u8(kPreVote);
-  w.u32(round);
-  w.u8(static_cast<std::uint8_t>(b));
-  encode_share(w, make_share(pv_name(round, b)));
+  const crypto::ThresholdShare share = make_share(pv_name(round, b));
   // Wire sizes model production RSA-1024 threshold artifacts: the toy
   // share is 28 bytes, a real Shoup share plus correctness proof ~200; a
   // combined signature ~128. Round-1 pre-votes need no justification;
   // later rounds carry the hard-lock or coin signature. Receivers charge
   // the verification price (see DESIGN.md on this simplification).
   const std::size_t just_size = kSharePadBytes + (round == 1 ? 0 : kSigBytes);
-  w.bytes(Bytes(just_size, 0));
-  broadcast(w.data());
+  broadcast(baselines::share_message(kPreVote, round,
+                                     static_cast<std::uint8_t>(b), share,
+                                     just_size));
 }
 
 void Process::send_mainvote(std::uint32_t round, Vote v) {
-  Writer w;
-  w.u8(kMainVote);
-  w.u32(round);
-  w.u8(static_cast<std::uint8_t>(v));
-  encode_share(w, make_share(mv_name(round, v)));
+  const crypto::ThresholdShare share = make_share(mv_name(round, v));
   // Justification: combined signature on the pre-votes (binary value) or
   // two conflicting pre-vote shares with proofs (abstain).
   const std::size_t just_size =
       kSharePadBytes +
       (v == Vote::kAbstain ? 2 * kModeledShareBytes : kSigBytes);
-  w.bytes(Bytes(just_size, 0));
-  broadcast(w.data());
+  broadcast(baselines::share_message(kMainVote, round,
+                                     static_cast<std::uint8_t>(v), share,
+                                     just_size));
 }
 
 void Process::send_coin_share(std::uint32_t round) {
-  RoundState& st = state(round);
-  if (st.coin_share_sent) return;
-  st.coin_share_sent = true;
-  ++stats_.shares_generated;
-  rt_.charge(costs_.threshold_share_generate());
-  crypto::ThresholdShare share =
-      dealer_.coin.generate_share(id_, coin_name(round), rng_);
+  std::optional<crypto::ThresholdShare> share = coin_.reveal(round, rng_);
+  if (!share.has_value()) return;
   if (strategy_ == Strategy::kInvalidCrypto) {
-    share.sigma = rng_.next() % dealer_.coin.group().p();
+    share->sigma = rng_.next() % dealer_.coin.group().p();
   }
-  Writer w;
-  w.u8(kCoinShare);
-  w.u32(round);
-  w.u8(0);
-  encode_share(w, share);
-  w.bytes(Bytes(kSharePadBytes, 0));
-  broadcast(w.data());
+  broadcast(
+      baselines::share_message(kCoinShare, round, 0, *share, kSharePadBytes));
 }
 
 // --------------------------------------------------------------- receive --
@@ -194,7 +154,7 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
   const auto type = r.u8();
   const auto round = r.u32();
   const auto vote_raw = r.u8();
-  auto share = decode_share(r);
+  auto share = baselines::decode_share(r);
   const auto justification = r.bytes();
   if (!type || !round || !vote_raw || !share || !justification) {
     TURQ_DEBUG("abba p%u: MALFORMED from=%u bytes=%zu", id_, src, payload.size());
@@ -221,7 +181,7 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
     ++stats_.shares_verified;
     const Bytes name = type == kPreVote    ? pv_name(round, static_cast<Vote>(vote_raw))
                        : type == kMainVote ? mv_name(round, static_cast<Vote>(vote_raw))
-                                           : coin_name(round);
+                                           : coin_.name(round);
     const auto& scheme = type == kCoinShare ? dealer_.coin : dealer_.sig;
     if (!scheme.verify_share(name, share)) {
       ++stats_.share_verify_failures;
@@ -237,7 +197,7 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
         handle_mainvote(src, round, static_cast<Vote>(vote_raw), share);
         break;
       case kCoinShare:
-        handle_coin_share(src, round, share);
+        if (coin_.add(round, share)) try_progress(round);
         break;
       default:
         break;
@@ -260,34 +220,14 @@ void Process::handle_mainvote(ProcessId src, std::uint32_t round, Vote v,
   try_progress(round);
 }
 
-void Process::handle_coin_share(ProcessId src, std::uint32_t round,
-                                const crypto::ThresholdShare& share) {
-  RoundState& st = state(round);
-  for (const auto& s : st.coin_shares) {
-    if (s.party == src) return;
-  }
-  st.coin_shares.push_back(share);
-  if (!st.coin_value.has_value() &&
-      st.coin_shares.size() >= cfg_.coin_threshold()) {
-    ++stats_.combines;
-    rt_.charge(costs_.threshold_combine(cfg_.coin_threshold()));
-    const Bytes name = coin_name(round);
-    const auto combined = dealer_.coin.combine(name, st.coin_shares);
-    TURQ_ASSERT(combined.has_value());
-    st.coin_value = dealer_.coin.coin_bit(name, *combined);
-  }
-  try_progress(round);
-}
-
 // -------------------------------------------------------------- protocol --
 
 void Process::try_progress(std::uint32_t round) {
   if (round != round_) return;
   RoundState& st = state(round);
-  TURQ_TRACE("abba p%u r%u: pv=%zu mv=%zu coin=%zu voted=%d adv=%d t=%.2f", id_,
-             round, st.pre_votes.size(), st.main_votes.size(),
-             st.coin_shares.size(), st.main_voted ? 1 : 0, st.advanced ? 1 : 0,
-             to_milliseconds(rt_.now()));
+  TURQ_TRACE("abba p%u r%u: pv=%zu mv=%zu voted=%d adv=%d t=%.2f", id_, round,
+             st.pre_votes.size(), st.main_votes.size(), st.main_voted ? 1 : 0,
+             st.advanced ? 1 : 0, to_milliseconds(rt_.now()));
 
   // Stage 1: enough pre-votes -> main-vote.
   if (!st.main_voted && st.pre_votes.size() >= cfg_.vote_quorum()) {
@@ -322,10 +262,10 @@ void Process::try_progress(std::uint32_t round) {
 
     std::optional<Vote> next;
     if (count[0] >= cfg_.vote_quorum()) {
-      decide(Value::kZero, round);
+      decision_.decide(rt_, id_, Value::kZero, round);
       next = Vote::kZero;
     } else if (count[1] >= cfg_.vote_quorum()) {
-      decide(Value::kOne, round);
+      decision_.decide(rt_, id_, Value::kOne, round);
       next = Vote::kOne;
     } else if (count[0] > 0) {
       next = Vote::kZero;  // hard pre-vote, justified by that main-vote
@@ -334,9 +274,10 @@ void Process::try_progress(std::uint32_t round) {
     } else {
       // All abstain: the common coin chooses the next pre-vote.
       send_coin_share(round);
-      if (!st.coin_value.has_value()) return;  // wait for f+1 shares
+      const std::optional<bool> coin = coin_.value(round);
+      if (!coin.has_value()) return;  // wait for f+1 shares
       ++stats_.coin_flips;
-      next = *st.coin_value ? Vote::kOne : Vote::kZero;
+      next = *coin ? Vote::kOne : Vote::kZero;
     }
 
     st.advanced = true;
@@ -345,7 +286,7 @@ void Process::try_progress(std::uint32_t round) {
     send_coin_share(round);
 
     if (decision_.has_value() &&
-        round >= decided_round_ + kLingerRounds) {
+        round >= decision_.round() + kLingerRounds) {
       return;  // done helping; go quiet
     }
     round_ = round + 1;
@@ -356,18 +297,6 @@ void Process::try_progress(std::uint32_t round) {
     send_prevote(round_, *next);
     try_progress(round_);
   }
-}
-
-void Process::decide(Value v, std::uint32_t round) {
-  if (decision_.has_value()) return;
-  decision_ = v;
-  decided_round_ = round;
-  TURQ_DEBUG("abba p%u decided %s in round %u t=%.3fms", id_,
-             to_string(v).c_str(), round, to_milliseconds(rt_.now()));
-  TURQ_TRACE_EVENT(.at = rt_.now(), .category = trace::Category::kProtocol,
-                   .kind = trace::Kind::kDecide, .process = id_, .phase = round,
-                   .value = static_cast<std::int64_t>(v));
-  if (on_decide_) on_decide_(v, round, rt_.now());
 }
 
 }  // namespace turq::abba

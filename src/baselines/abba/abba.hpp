@@ -12,7 +12,8 @@
 //                    `abstain` (justified by conflicting pre-vote shares);
 //   decision:        all n-f collected main-votes equal b -> decide b;
 //                    some b -> hard pre-vote b for r+1; all abstain ->
-//                    reveal coin share, combine f+1 shares, pre-vote coin.
+//                    reveal coin share, combine f+1 shares, pre-vote coin
+//                    (baselines::ThresholdCoin, the one Crain flips too).
 //
 // Every vote carries a signature share on its statement; receivers verify
 // each share and each justification. This is where ABBA's cost lives: the
@@ -24,13 +25,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
 
+#include "baselines/hooks.hpp"
+#include "baselines/threshold_coin.hpp"
 #include "common/rng.hpp"
-#include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/threshold.hpp"
@@ -76,23 +77,10 @@ enum class Strategy : std::uint8_t {
 
 enum class Vote : std::uint8_t { kZero = 0, kOne = 1, kAbstain = 2 };
 
-using DecideHandler = std::function<void(Value, std::uint32_t round, SimTime)>;
-/// Round-entry callback, fired whenever the process advances to a new
-/// round. Purely observational (consensus auditor); never steers the run.
-using RoundHandler = std::function<void(std::uint32_t round, SimTime)>;
-
-/// Construction-time observation hooks — the same surface shape as
-/// turquois::ProcessHooks, so all three protocols wire up identically.
-struct ProcessHooks {
-  DecideHandler on_decide;
-  RoundHandler on_round;
-};
+using baselines::ProcessHooks;
 
 class Process {
  public:
-  using DecideHandler = abba::DecideHandler;
-  using RoundHandler = abba::RoundHandler;
-
   /// Runtime-agnostic constructor; `rt` and `transport` must outlive the
   /// process.
   Process(runtime::Runtime& rt, net::TcpHost& transport, const Config& config,
@@ -109,16 +97,13 @@ class Process {
 
   [[nodiscard]] ProcessId id() const { return id_; }
   [[nodiscard]] bool decided() const { return decision_.has_value(); }
-  [[nodiscard]] Value decision() const { return *decision_; }
+  [[nodiscard]] Value decision() const { return decision_.value(); }
   [[nodiscard]] std::uint32_t round() const { return round_; }
 
-  struct Stats {
+  /// Share counters cover the vote signatures and the coin together.
+  struct Stats : baselines::ShareStats {
     std::uint64_t messages_sent = 0;
     std::uint64_t messages_received = 0;
-    std::uint64_t shares_generated = 0;
-    std::uint64_t shares_verified = 0;
-    std::uint64_t share_verify_failures = 0;
-    std::uint64_t combines = 0;
     std::uint64_t coin_flips = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -128,31 +113,16 @@ class Process {
   static constexpr std::uint8_t kMainVote = 2;
   static constexpr std::uint8_t kCoinShare = 3;
 
-  /// A combined threshold signature: the unique combined value plus the
-  /// contributing shares (our verifiable encoding; verification is charged
-  /// as one production signature check).
-  struct ThresholdSig {
-    std::uint64_t combined = 0;
-    std::vector<crypto::ThresholdShare> shares;
-  };
-
   struct RoundState {
     std::map<ProcessId, Vote> pre_votes;
     std::map<ProcessId, Vote> main_votes;
-    std::vector<crypto::ThresholdShare> coin_shares;
-    // Stored combined signatures for justifying later votes.
-    std::optional<ThresholdSig> prevote_sig[2];   // on "pv|r|b"
-    std::optional<ThresholdSig> abstain_sig;      // on "mv|r|abstain"
-    std::optional<bool> coin_value;
     bool main_voted = false;
     bool advanced = false;
-    bool coin_share_sent = false;
   };
 
   // Statement names for the threshold schemes.
   static Bytes pv_name(std::uint32_t round, Vote b);
   static Bytes mv_name(std::uint32_t round, Vote v);
-  static Bytes coin_name(std::uint32_t round);
 
   void send_prevote(std::uint32_t round, Vote b);
   void send_mainvote(std::uint32_t round, Vote v);
@@ -164,17 +134,11 @@ class Process {
                       const crypto::ThresholdShare& share);
   void handle_mainvote(ProcessId src, std::uint32_t round, Vote v,
                        const crypto::ThresholdShare& share);
-  void handle_coin_share(ProcessId src, std::uint32_t round,
-                         const crypto::ThresholdShare& share);
   void try_progress(std::uint32_t round);
-  void decide(Value v, std::uint32_t round);
 
   RoundState& state(std::uint32_t round) { return rounds_[round]; }
 
   [[nodiscard]] crypto::ThresholdShare make_share(BytesView name);
-  void encode_share(Writer& w, const crypto::ThresholdShare& share) const;
-  [[nodiscard]] std::optional<crypto::ThresholdShare> decode_share(
-      Reader& r) const;
 
   runtime::Runtime& rt_;
   net::TcpHost& transport_;
@@ -186,16 +150,15 @@ class Process {
   Strategy strategy_;
 
   std::uint32_t round_ = 1;
-  std::optional<Value> decision_;
-  std::uint32_t decided_round_ = 0;
   bool running_ = false;
   bool halted_ = false;
   std::vector<std::pair<ProcessId, Bytes>> prestart_;
   std::map<std::uint32_t, RoundState> rounds_;
 
-  DecideHandler on_decide_;
-  RoundHandler on_round_;
+  baselines::Decision decision_;
+  baselines::RoundHandler on_round_;
   Stats stats_;
+  baselines::ThresholdCoin coin_;
 };
 
 }  // namespace turq::abba

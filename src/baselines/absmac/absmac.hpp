@@ -7,17 +7,17 @@
 // relaying — the model the wireless-consensus literature converged on
 // after Turquois.
 //
-// Round structure: Bracha's three-step threshold logic, run *directly*
-// over the lossy broadcast medium (no reliable-broadcast sublayer — the
-// abstract MAC's guaranteed local delivery replaces it):
-//   step 1: broadcast est; at n-f accepted step-1 values adopt majority.
-//   step 2: broadcast majority; a value with > n/2 support gets flag=true.
-//   step 3: broadcast (value, flag); >= 2f+1 flagged v -> decide v,
-//           >= f+1 flagged v -> adopt v, else local coin.
-// Receiver-side plausibility gates (the same monotone claim checks as
-// our Bracha implementation) take the place of sender-attached proofs:
-// a step-k claim is buffered until the local step-(k-1) evidence could
-// justify it, so Byzantine claims can't outrun any honest schedule.
+// Round structure: Bracha's three steps (bracha::StepMachine, the same
+// step rules and receiver-side plausibility gates the Bracha baseline
+// runs), spread *directly* over the lossy broadcast medium — no reliable-
+// broadcast sublayer; the abstract MAC's guaranteed local delivery
+// replaces it. The gates take the place of sender-attached proofs: a
+// step-k claim is held until the local step-(k-1) evidence could justify
+// it, so Byzantine claims can't outrun any honest schedule. A decided
+// process never stops initiating steps: under injected omissions a quiet
+// decider's unretransmitted frames could strand a peer one message short
+// of a quorum forever. The harness stops the run once every correct
+// process has decided.
 //
 // Abstract-MAC mapping onto net::Medium:
 //   ack       — the medium loopback-delivers every broadcast to its
@@ -35,12 +35,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
+#include "baselines/bracha/step_machine.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/datagram_port.hpp"
@@ -57,8 +56,6 @@ struct Config {
   /// Maximum backoff multiplier applied to tick_interval.
   std::uint32_t backoff_cap = 4;
 
-  [[nodiscard]] std::uint32_t quorum() const { return n - f; }
-
   static Config for_group(std::uint32_t n) {
     return Config{.n = n, .f = (n - 1) / 3};
   }
@@ -66,26 +63,12 @@ struct Config {
 
 /// Byzantine strategy: broadcast the opposite value with the flag cleared
 /// (the receiver-side gates make a forged flag unprofitable).
-enum class Strategy : std::uint8_t {
-  kHonest = 0,
-  kValueInversion = 1,
-};
+using bracha::Strategy;
 
-using DecideHandler = std::function<void(Value, std::uint32_t round, SimTime)>;
-using RoundHandler = std::function<void(std::uint32_t round, SimTime)>;
-
-/// Construction-time observation hooks — the same surface shape as
-/// turquois::ProcessHooks, so all protocols wire up identically.
-struct ProcessHooks {
-  DecideHandler on_decide;
-  RoundHandler on_round;
-};
+using baselines::ProcessHooks;
 
 class Process {
  public:
-  using DecideHandler = absmac::DecideHandler;
-  using RoundHandler = absmac::RoundHandler;
-
   /// Runtime-agnostic constructor; `rt` and `port` must outlive the
   /// process. `port` is any broadcast datagram surface (single-hop Medium
   /// endpoint or a spatial RelayFabric endpoint).
@@ -100,9 +83,9 @@ class Process {
   void crash();
 
   [[nodiscard]] ProcessId id() const { return id_; }
-  [[nodiscard]] bool decided() const { return decision_.has_value(); }
-  [[nodiscard]] Value decision() const { return *decision_; }
-  [[nodiscard]] std::uint32_t round() const { return round_; }
+  [[nodiscard]] bool decided() const { return steps_.decided(); }
+  [[nodiscard]] Value decision() const { return steps_.decision(); }
+  [[nodiscard]] std::uint32_t round() const { return steps_.position().round; }
 
   struct Stats {
     std::uint64_t messages_sent = 0;  // datagrams put on the air
@@ -110,62 +93,28 @@ class Process {
     std::uint64_t retransmits = 0;
     std::uint64_t acks_observed = 0;  // own frames seen back (MAC acks)
     std::uint64_t contention_backoffs = 0;  // ticks with the ack outstanding
-    std::uint64_t buffered_claims = 0;  // claims held by plausibility gates
     std::uint64_t help_responses = 0;   // past frames re-sent for laggards
-    std::uint64_t coin_flips = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct StepValue {
-    Value value = Value::kZero;
-    bool flag = false;
-
-    auto operator<=>(const StepValue&) const = default;
-  };
-
-  struct StepKey {
-    std::uint32_t round = 0;
-    std::uint8_t step = 0;
-
-    auto operator<=>(const StepKey&) const = default;
-  };
+  using StepKey = bracha::StepKey;
 
   void broadcast_current(bool is_retransmit);
   void arm_tick();
   void on_tick();
   void maybe_help(const StepKey& behind);
   void on_datagram(ProcessId src, BytesView payload);
-  [[nodiscard]] bool claim_plausible(const StepKey& key,
-                                     const StepValue& sv) const;
-  void reprocess_buffered();
-  [[nodiscard]] std::size_t count_accepted(std::uint32_t round,
-                                           std::uint8_t step, Value v,
-                                           std::optional<bool> flag) const;
-  void try_advance();
-  void decide(Value v);
 
   runtime::Runtime& rt_;
   net::DatagramPort& port_;
   Config cfg_;
   ProcessId id_;
-  Rng rng_;
-  Strategy strategy_;
+  bracha::StepMachine steps_;
 
-  std::uint32_t round_ = 1;
-  std::uint8_t step_ = 0;  // 0 until propose()
-  Value value_ = Value::kZero;
-  bool flag_ = false;
-  std::optional<Value> decision_;
-  std::uint32_t decided_round_ = 0;
   bool running_ = false;
   bool halted_ = false;
   std::vector<std::pair<ProcessId, Bytes>> prestart_;
-
-  // Receive side: first accepted (round, step) claim per origin, plus the
-  // plausibility-gated holding buffer.
-  std::map<StepKey, std::map<ProcessId, StepValue>> accepted_;
-  std::vector<std::pair<StepKey, std::pair<ProcessId, StepValue>>> buffered_;
 
   // Abstract-MAC progress/ack state for the current (round, step) frame.
   SharedBytes current_frame_;
@@ -181,8 +130,6 @@ class Process {
   std::map<StepKey, SharedBytes> sent_frames_;
   std::map<StepKey, SimTime> helped_at_;
 
-  DecideHandler on_decide_;
-  RoundHandler on_round_;
   Stats stats_;
 };
 

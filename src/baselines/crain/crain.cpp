@@ -7,15 +7,6 @@
 
 namespace turq::crain {
 
-namespace {
-/// The toy threshold share is 28 wire bytes; pad the coin share to the
-/// modeled production size (share + correctness proof), matching ABBA's
-/// modeling so the coin cost is comparable across baselines. EST/AUX
-/// messages stay tiny — that asymmetry is Crain's headline.
-constexpr std::size_t kModeledShareBytes = 200;
-constexpr std::size_t kSharePadBytes = kModeledShareBytes - 28;
-}  // namespace
-
 Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
                  const Config& config, const Dealer& dealer, ProcessId id,
                  Rng rng, const crypto::CostModel& costs, Strategy strategy,
@@ -28,8 +19,10 @@ Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
       rng_(rng),
       costs_(costs),
       strategy_(strategy),
-      on_decide_(std::move(hooks.on_decide)),
-      on_round_(std::move(hooks.on_round)) {
+      outbox_(rt, transport),
+      decision_(std::move(hooks.on_decide)),
+      on_round_(std::move(hooks.on_round)),
+      coin_(rt, costs, dealer.coin, "crain-coin", id, stats_) {
   TURQ_ASSERT_MSG(cfg_.n <= SenderSet::kCapacity,
                   "crain tallies require n <= SenderSet::kCapacity");
   transport_.set_handler([this](ProcessId src, const Bytes& payload) {
@@ -57,40 +50,13 @@ void Process::crash() {
   running_ = false;
   halted_ = true;
   prestart_.clear();
+  outbox_.close();
   transport_.close();
 }
 
-Bytes Process::coin_name(std::uint32_t round) {
-  Writer w;
-  w.str("crain-coin");
-  w.u32(round);
-  return w.take();
-}
-
 void Process::broadcast(const Bytes& payload) {
-  for (ProcessId dst = 0; dst < cfg_.n; ++dst) {
-    ++stats_.messages_sent;
-    outbox_[dst].push_back(payload);
-  }
-  if (!flush_scheduled_) {
-    // Flush at the end of the current event turn so every reaction to one
-    // inbound segment (EST echoes, AUX, coin share) shares segments.
-    flush_scheduled_ = true;
-    rt_.schedule(0, [this] { flush_outbox(); });
-  }
-}
-
-void Process::flush_outbox() {
-  flush_scheduled_ = false;
-  if (!running_) {
-    outbox_.clear();
-    return;
-  }
-  std::map<ProcessId, std::vector<Bytes>> batch;
-  batch.swap(outbox_);
-  for (auto& [dst, messages] : batch) {
-    transport_.send_many(dst, messages);
-  }
+  stats_.messages_sent += cfg_.n;
+  outbox_.send_to_all(cfg_.n, payload);
 }
 
 void Process::send_est(std::uint32_t round, Value v) {
@@ -110,23 +76,13 @@ void Process::send_aux(std::uint32_t round, Value v) {
 }
 
 void Process::send_coin_share(std::uint32_t round) {
-  RoundState& st = state(round);
-  if (st.coin_share_sent) return;
-  st.coin_share_sent = true;
-  ++stats_.shares_generated;
-  rt_.charge(costs_.threshold_share_generate());
-  const crypto::ThresholdShare share =
-      dealer_.coin.generate_share(id_, coin_name(round), rng_);
-  Writer w;
-  w.u8(kCoinShare);
-  w.u32(round);
-  w.u8(0);
-  w.u32(share.party);
-  w.u64(share.sigma);
-  w.u64(share.proof.challenge);
-  w.u64(share.proof.response);
-  w.bytes(Bytes(kSharePadBytes, 0));
-  broadcast(w.take());
+  // The coin share is padded to the production size (the same modeling as
+  // ABBA's); EST/AUX messages stay tiny — that asymmetry is Crain's
+  // headline.
+  const std::optional<crypto::ThresholdShare> share = coin_.reveal(round, rng_);
+  if (!share.has_value()) return;
+  broadcast(baselines::share_message(kCoinShare, round, 0, *share,
+                                     baselines::kSharePadBytes));
 }
 
 void Process::enter_round(std::uint32_t round) {
@@ -167,28 +123,20 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
       return;
     }
     case kCoinShare: {
-      const auto party = r.u32();
-      const auto sigma = r.u64();
-      const auto challenge = r.u64();
-      const auto response = r.u64();
-      if (!party || !sigma || !challenge || !response) return;
-      if (*party != src) return;
+      const auto share = baselines::decode_share(r);
+      if (!share || share->party != src) return;
       ++stats_.messages_received;
-      const crypto::ThresholdShare share{
-          .party = *party,
-          .sigma = *sigma,
-          .proof = {.challenge = *challenge, .response = *response}};
       // Verifying the coin share is the only cryptographic work a Crain
       // process ever does; charge it before the share counts.
       rt_.execute(costs_.threshold_share_verify(),
-                  [this, src, round = *round, share] {
+                  [this, round = *round, share = *share] {
                     if (!running_) return;
                     ++stats_.shares_verified;
-                    if (!dealer_.coin.verify_share(coin_name(round), share)) {
+                    if (!dealer_.coin.verify_share(coin_.name(round), share)) {
                       ++stats_.share_verify_failures;
                       return;  // garbage — cost already paid
                     }
-                    handle_coin_share(src, round, share);
+                    if (coin_.add(round, share)) try_progress(round);
                   });
       return;
     }
@@ -228,25 +176,6 @@ void Process::handle_aux(ProcessId src, std::uint32_t round, Value v) {
   try_progress(round);
 }
 
-void Process::handle_coin_share(ProcessId /*src*/, std::uint32_t round,
-                                const crypto::ThresholdShare& share) {
-  RoundState& st = state(round);
-  for (const auto& s : st.coin_shares) {
-    if (s.party == share.party) return;
-  }
-  st.coin_shares.push_back(share);
-  if (!st.coin_value.has_value() &&
-      st.coin_shares.size() >= cfg_.coin_threshold()) {
-    ++stats_.combines;
-    rt_.charge(costs_.threshold_combine(cfg_.coin_threshold()));
-    const Bytes name = coin_name(round);
-    const auto combined = dealer_.coin.combine(name, st.coin_shares);
-    TURQ_ASSERT(combined.has_value());
-    st.coin_value = dealer_.coin.coin_bit(name, *combined);
-  }
-  try_progress(round);
-}
-
 void Process::try_progress(std::uint32_t round) {
   if (round != round_) return;  // only the current round can make progress
   RoundState& st = state(round);
@@ -278,14 +207,15 @@ void Process::try_progress(std::uint32_t round) {
   }
 
   // Stage 3: the combined common coin resolves the round.
-  if (st.vals_mask.has_value() && st.coin_value.has_value() && !st.advanced) {
+  const std::optional<bool> coin_bit = coin_.value(round);
+  if (st.vals_mask.has_value() && coin_bit.has_value() && !st.advanced) {
     st.advanced = true;
     ++stats_.coin_flips;
-    const Value coin = binary_value(*st.coin_value);
+    const Value coin = binary_value(*coin_bit);
     if (*st.vals_mask == 1 || *st.vals_mask == 2) {
       const Value b = *st.vals_mask == 1 ? Value::kZero : Value::kOne;
       est_ = b;
-      if (b == coin) decide(b, round);
+      if (b == coin) decision_.decide(rt_, id_, b, round);
     } else {
       est_ = coin;
     }
@@ -298,18 +228,6 @@ void Process::try_progress(std::uint32_t round) {
     enter_round(round + 1);
     try_progress(round_);
   }
-}
-
-void Process::decide(Value v, std::uint32_t round) {
-  if (decision_.has_value()) return;
-  decision_ = v;
-  decided_round_ = round;
-  TURQ_DEBUG("crain p%u decided %s in round %u t=%.3fms", id_,
-             to_string(v).c_str(), round, to_milliseconds(rt_.now()));
-  TURQ_TRACE_EVENT(.at = rt_.now(), .category = trace::Category::kProtocol,
-                   .kind = trace::Kind::kDecide, .process = id_, .phase = round,
-                   .value = static_cast<std::int64_t>(v));
-  if (on_decide_) on_decide_(v, round, rt_.now());
 }
 
 }  // namespace turq::crain

@@ -16,8 +16,8 @@
 //                  for the first admitted w. Wait for n-f AUX messages
 //                  whose values all lie inside bin_values[r]; the value
 //                  set of that quorum is `vals`.
-//   common coin:   reveal a threshold coin share (the same
-//                  crypto::ThresholdScheme machinery as ABBA's coin,
+//   common coin:   reveal a share of the round's threshold coin
+//                  (baselines::ThresholdCoin, the one ABBA flips too,
 //                  threshold f+1); combining yields the round's common
 //                  coin s. vals = {b}: decide b when b == s, else est = b.
 //                  vals = {0, 1}: est = s.
@@ -27,30 +27,26 @@
 // mirroring the paper's assumption of a pre-distributed common coin.
 //
 // Transport: reliable authenticated point-to-point channels (TcpHost with
-// authentication on), the paper's asynchronous-network model.
+// authentication on), the paper's asynchronous-network model, with each
+// event turn's sends batched through baselines::TcpOutbox as in Bracha.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
+#include "baselines/hooks.hpp"
+#include "baselines/tcp_outbox.hpp"
+#include "baselines/threshold_coin.hpp"
 #include "common/rng.hpp"
 #include "common/sender_set.hpp"
-#include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "crypto/cost_model.hpp"
 #include "crypto/threshold.hpp"
 #include "net/reliable_channel.hpp"
 #include "runtime/runtime.hpp"
-
-namespace turq::sim {
-class Simulator;
-class VirtualCpu;
-}  // namespace turq::sim
 
 namespace turq::crain {
 
@@ -95,22 +91,10 @@ enum class Strategy : std::uint8_t {
   kValueInversion = 1,
 };
 
-using DecideHandler = std::function<void(Value, std::uint32_t round, SimTime)>;
-/// Round-entry callback (consensus auditor); purely observational.
-using RoundHandler = std::function<void(std::uint32_t round, SimTime)>;
-
-/// Construction-time observation hooks — the same surface shape as
-/// turquois::ProcessHooks, so all protocols wire up identically.
-struct ProcessHooks {
-  DecideHandler on_decide;
-  RoundHandler on_round;
-};
+using baselines::ProcessHooks;
 
 class Process {
  public:
-  using DecideHandler = crain::DecideHandler;
-  using RoundHandler = crain::RoundHandler;
-
   /// Runtime-agnostic constructor; `rt` and `transport` must outlive the
   /// process. Requires config.n <= SenderSet::kCapacity.
   Process(runtime::Runtime& rt, net::TcpHost& transport, const Config& config,
@@ -126,18 +110,15 @@ class Process {
 
   [[nodiscard]] ProcessId id() const { return id_; }
   [[nodiscard]] bool decided() const { return decision_.has_value(); }
-  [[nodiscard]] Value decision() const { return *decision_; }
+  [[nodiscard]] Value decision() const { return decision_.value(); }
   [[nodiscard]] std::uint32_t round() const { return round_; }
 
-  struct Stats {
+  /// Share counters are the coin's: the only cryptography Crain does.
+  struct Stats : baselines::ShareStats {
     std::uint64_t messages_sent = 0;
     std::uint64_t messages_received = 0;
     std::uint64_t bv_echoes = 0;       // f+1 amplification rebroadcasts
     std::uint64_t bin_admissions = 0;  // values admitted into bin_values
-    std::uint64_t shares_generated = 0;
-    std::uint64_t shares_verified = 0;
-    std::uint64_t share_verify_failures = 0;
-    std::uint64_t combines = 0;
     std::uint64_t coin_flips = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -157,28 +138,19 @@ class Process {
     // `vals` frozen at the first n-f AUX quorum inside bin_values:
     // bit0 = zero present, bit1 = one present.
     std::optional<std::uint8_t> vals_mask;
-    std::vector<crypto::ThresholdShare> coin_shares;
-    bool coin_share_sent = false;
-    std::optional<bool> coin_value;
     bool advanced = false;
   };
-
-  static Bytes coin_name(std::uint32_t round);
 
   void send_est(std::uint32_t round, Value v);
   void send_aux(std::uint32_t round, Value v);
   void send_coin_share(std::uint32_t round);
   void broadcast(const Bytes& payload);
-  void flush_outbox();
 
   void on_message(ProcessId src, const Bytes& payload);
   void handle_est(ProcessId src, std::uint32_t round, Value v);
   void handle_aux(ProcessId src, std::uint32_t round, Value v);
-  void handle_coin_share(ProcessId src, std::uint32_t round,
-                         const crypto::ThresholdShare& share);
   void try_progress(std::uint32_t round);
   void enter_round(std::uint32_t round);
-  void decide(Value v, std::uint32_t round);
 
   RoundState& state(std::uint32_t round) { return rounds_[round]; }
 
@@ -193,21 +165,16 @@ class Process {
 
   std::uint32_t round_ = 1;
   Value est_ = Value::kBottom;
-  std::optional<Value> decision_;
-  std::uint32_t decided_round_ = 0;
   bool running_ = false;
   bool halted_ = false;
   std::vector<std::pair<ProcessId, Bytes>> prestart_;
   std::map<std::uint32_t, RoundState> rounds_;
+  baselines::TcpOutbox outbox_;
 
-  // End-of-turn send batching (same as Bracha): every reaction to one
-  // inbound segment shares outgoing segments.
-  std::map<ProcessId, std::vector<Bytes>> outbox_;
-  bool flush_scheduled_ = false;
-
-  DecideHandler on_decide_;
-  RoundHandler on_round_;
+  baselines::Decision decision_;
+  baselines::RoundHandler on_round_;
   Stats stats_;
+  baselines::ThresholdCoin coin_;
 };
 
 }  // namespace turq::crain
