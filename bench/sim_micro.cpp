@@ -1,4 +1,5 @@
-// Microbenchmark for the three hot paths of the simulation stack:
+// Microbenchmark for the hot paths of the simulation stack and the reliable
+// channel:
 //
 //   sim_events_per_wall_s — Simulator schedule/execute throughput on a
 //                  self-perpetuating event chain with a cancel-heavy side
@@ -9,7 +10,13 @@
 //   verifies_per_wall_s — memoized one-time-signature validation throughput
 //                  (VerifyMemo::check_batch, the path every ExchangePool
 //                  fill runs, over a realistic (sender, phase, value) mix
-//                  packed into datagrams).
+//                  packed into datagrams);
+//   tcp_allocs_per_message — heap allocations per message of the reliable
+//                  channel (net::TcpHost) once warm: an authenticated pair
+//                  trading bursts of small messages over a lossless medium,
+//                  with single sends and loopback. A deterministic count,
+//                  the same under --quick, declared with a ceiling at its
+//                  committed value.
 //
 // The binary also proves the zero-allocation claim of DESIGN.md §10: this
 // translation unit replaces the global allocator with a counting wrapper,
@@ -25,13 +32,18 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "crypto/cost_model.hpp"
 #include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "net/medium.hpp"
+#include "net/reliable_channel.hpp"
+#include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
 #include "turquois/key_infra.hpp"
@@ -216,6 +228,69 @@ void bench_verifies(std::uint64_t rounds, PerfReport& report) {
   report.add("verify_memo_misses", memo.misses(), "count", kHost, kLower);
 }
 
+// ---------------------------------------------------------------------------
+// tcp_allocs_per_message — the reliable channel's heap traffic once warm.
+// ---------------------------------------------------------------------------
+
+/// Committed ceiling, 163 allocations per 4 000 messages: the 76 frames
+/// each allocate their buffer and the medium's shared payload around it
+/// (152), and the medium's per-node frame queue takes 11 deque blocks.
+/// Fewer re-baselines this constant and BENCH_sim_micro.json together.
+constexpr double kTcpAllocsPerMessageCeiling = 0.04075;
+
+void bench_tcp(PerfReport& report) {
+  sim::Simulator sim;
+  net::Medium medium(sim, net::MediumConfig{}, Rng::stream(7, "medium", 1));
+  const crypto::CostModel costs;
+  net::TcpConfig cfg;
+  cfg.authenticate = true;
+  std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<net::TcpHost>> hosts;
+  std::uint64_t delivered = 0;
+  for (ProcessId id = 0; id < 2; ++id) {
+    cpus.push_back(std::make_unique<sim::VirtualCpu>(sim));
+    hosts.push_back(std::make_unique<net::TcpHost>(sim, medium, id, cfg,
+                                                   cpus.back().get(), &costs));
+    hosts.back()->set_peer_key(1 - id, Bytes(32, 0x5A));
+    hosts.back()->set_handler(
+        [&delivered](ProcessId, BytesView) { ++delivered; });
+  }
+  // Per round and host: a 480-message burst and 10 single sends to the
+  // peer, and 10 to itself, all 12-byte messages as Bracha sends them.
+  constexpr std::uint64_t kPerHost = 500;
+  Bytes framed;
+  for (int i = 0; i < 480; ++i) {
+    net::TcpHost::append_framed(framed, Bytes(12, static_cast<std::uint8_t>(i)));
+  }
+  const Bytes single(12, 0xAB);
+  const auto round = [&] {
+    for (ProcessId id = 0; id < 2; ++id) {
+      hosts[id]->send_framed(1 - id, framed, 480);
+      for (int i = 0; i < 10; ++i) {
+        hosts[id]->send(1 - id, single);
+        hosts[id]->send(id, single);
+      }
+    }
+    sim.run();
+  };
+  round();  // warmup: sizes every buffer
+
+  constexpr std::uint64_t kRounds = 4;
+  const std::uint64_t delivered_before = delivered;
+  const std::uint64_t allocs_before = g_alloc_count;
+  for (std::uint64_t r = 0; r < kRounds; ++r) round();
+  const std::uint64_t allocs = g_alloc_count - allocs_before;
+  const std::uint64_t messages = kRounds * 2 * kPerHost;
+  if (delivered - delivered_before != messages) {
+    std::fprintf(stderr, "sim_micro: tcp leg lost messages\n");
+    std::exit(1);
+  }
+  report.add("tcp_allocs_per_message",
+             static_cast<double>(allocs) / static_cast<double>(messages),
+             "count", kHost, kLower)
+      .limit = kTcpAllocsPerMessageCeiling;
+}
+
 int run(int argc, char** argv) {
   bool quick = false;
   std::string json_path;
@@ -237,6 +312,7 @@ int run(int argc, char** argv) {
   bench_events(event_iters, report);
   bench_frames(frame_iters, report);
   bench_verifies(verify_rounds, report);
+  bench_tcp(report);
   report.wall_seconds = seconds_since(started);
 
   harness::print_metrics(report);

@@ -35,7 +35,7 @@ Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
       decision_(std::move(hooks.on_decide)),
       on_round_(std::move(hooks.on_round)),
       coin_(rt, costs, dealer.coin, "coin", id, stats_) {
-  transport_.set_handler([this](ProcessId src, const Bytes& payload) {
+  transport_.set_handler([this](ProcessId src, BytesView payload) {
     on_message(src, payload);
   });
 }
@@ -99,7 +99,7 @@ crypto::ThresholdShare Process::make_share(BytesView name) {
   return share;
 }
 
-void Process::broadcast(const Bytes& payload) {
+void Process::broadcast(BytesView payload) {
   for (ProcessId dst = 0; dst < cfg_.n; ++dst) {
     ++stats_.messages_sent;
     transport_.send(dst, payload);
@@ -144,10 +144,11 @@ void Process::send_coin_share(std::uint32_t round) {
 
 // --------------------------------------------------------------- receive --
 
-void Process::on_message(ProcessId src, const Bytes& payload) {
+void Process::on_message(ProcessId src, BytesView payload) {
   if (halted_) return;
   if (!running_) {
-    prestart_.emplace_back(src, payload);  // OS buffer until propose()
+    // OS buffer until propose().
+    prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
     return;
   }
   Reader r(payload);
@@ -155,7 +156,7 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
   const auto round = r.u32();
   const auto vote_raw = r.u8();
   auto share = baselines::decode_share(r);
-  const auto justification = r.bytes();
+  const auto justification = r.bytes_view();
   if (!type || !round || !vote_raw || !share || !justification) {
     TURQ_DEBUG("abba p%u: MALFORMED from=%u bytes=%zu", id_, src, payload.size());
     return;

@@ -127,9 +127,9 @@ class Process {
   void send_prevote(std::uint32_t round, Vote b);
   void send_mainvote(std::uint32_t round, Vote v);
   void send_coin_share(std::uint32_t round);
-  void broadcast(const Bytes& payload);
+  void broadcast(BytesView payload);
 
-  void on_message(ProcessId src, const Bytes& payload);
+  void on_message(ProcessId src, BytesView payload);
   void handle_prevote(ProcessId src, std::uint32_t round, Vote b,
                       const crypto::ThresholdShare& share);
   void handle_mainvote(ProcessId src, std::uint32_t round, Vote v,

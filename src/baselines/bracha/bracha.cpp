@@ -1,5 +1,7 @@
 #include "baselines/bracha/bracha.hpp"
 
+#include <array>
+#include <bit>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -19,7 +21,7 @@ Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
     : transport_(transport),
       cfg_(config),
       id_(id),
-      outbox_(rt, transport),
+      outbox_(rt, transport, config.n),
       steps_(rt, id, config.n, config.f, rng, strategy, std::move(hooks),
              {.keep_initiating =
                   [this] {
@@ -31,7 +33,7 @@ Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
               .send = [this] { rbc_broadcast(); }}) {
   TURQ_ASSERT_MSG(cfg_.n <= SenderSet::kCapacity,
                   "bracha tallies require n <= SenderSet::kCapacity");
-  transport_.set_handler([this](ProcessId src, const Bytes& payload) {
+  transport_.set_handler([this](ProcessId src, BytesView payload) {
     on_message(src, payload);
   });
 }
@@ -62,21 +64,23 @@ void Process::rbc_broadcast() {
 
 void Process::send_to_all(std::uint32_t round, std::uint8_t step,
                           std::uint8_t kind, ProcessId origin, StepValue sv) {
-  Writer w;
-  w.u32(round);
-  w.u8(step);
-  w.u8(kind);
-  w.u32(origin);
-  w.u8(static_cast<std::uint8_t>(sv.value));
-  w.u8(sv.flag ? 1 : 0);
+  // round u32, step, kind, origin u32, value, flag: 12 bytes, little-endian.
+  std::array<std::uint8_t, 12> message{};
+  std::uint8_t* at = put_le(message.data(), round);
+  *at++ = step;
+  *at++ = kind;
+  at = put_le(at, origin);
+  *at++ = static_cast<std::uint8_t>(sv.value);
+  *at = sv.flag ? 1 : 0;
   stats_.messages_sent += cfg_.n;
-  outbox_.send_to_all(cfg_.n, w.take());
+  outbox_.send_to_all(message);
 }
 
-void Process::on_message(ProcessId src, const Bytes& payload) {
+void Process::on_message(ProcessId src, BytesView payload) {
   if (halted_) return;
   if (!running_) {
-    prestart_.emplace_back(src, payload);  // OS buffer until propose()
+    // OS buffer until propose().
+    prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
     return;
   }
   Reader r(payload);
@@ -93,11 +97,10 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
   if (*step < 1 || *step > 3 || *round == 0) return;
   ++stats_.messages_received;
 
-  const RbcKey key{.round = *round, .step = *step, .origin = *origin};
   const StepValue sv{.value = static_cast<Value>(*value_raw),
                      .flag = *flag_raw == 1};
   const std::size_t slot = 2 * std::size_t{*value_raw} + *flag_raw;
-  RbcState& state = rbc_[key];
+  RbcState& state = rbc_.at(*round, *step, *origin);
 
   switch (*kind) {
     case kInitial: {
@@ -105,7 +108,7 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
       if (src != *origin) return;  // initials must come from the origin
       if (!state.sent_echo) {
         state.sent_echo = true;
-        send_to_all(key.round, key.step, kEcho, key.origin, sv);
+        send_to_all(*round, *step, kEcho, *origin, sv);
       }
       break;
     }
@@ -116,7 +119,7 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
       if (!state.sent_ready &&
           cfg_.exceeds_echo_threshold(echoers.count())) {
         state.sent_ready = true;
-        send_to_all(key.round, key.step, kReady, key.origin, sv);
+        send_to_all(*round, *step, kReady, *origin, sv);
       }
       break;
     }
@@ -127,18 +130,51 @@ void Process::on_message(ProcessId src, const Bytes& payload) {
       // f+1 readies amplify into our own ready (if not yet sent).
       if (!state.sent_ready && readiers.count() >= cfg_.f + 1) {
         state.sent_ready = true;
-        send_to_all(key.round, key.step, kReady, key.origin, sv);
+        send_to_all(*round, *step, kReady, *origin, sv);
       }
       // 2f+1 readies deliver, once per instance.
       if (!state.delivered && readiers.count() >= 2 * cfg_.f + 1) {
         state.delivered = true;
         ++stats_.delivered;
-        steps_.offer({.round = key.round, .step = key.step}, key.origin, sv);
+        steps_.offer({.round = *round, .step = *step}, *origin, sv);
       }
       break;
     }
     default:
       return;
+  }
+}
+
+Process::RbcState& Process::RbcTable::at(std::uint32_t round,
+                                         std::uint8_t step, ProcessId origin) {
+  TURQ_ASSERT(origin < 256);
+  const std::uint64_t key = (std::uint64_t{round} << 16) |
+                            (std::uint64_t{step} << 8) | origin;
+  if (2 * (states_.size() + 1) > slots_.size()) grow();
+  Slot& slot = slots_[probe(key)];
+  if (slot.index == 0) {
+    states_.emplace_back();
+    slot = {.key = key, .index = static_cast<std::uint32_t>(states_.size())};
+  }
+  return states_[slot.index - 1];
+}
+
+std::size_t Process::RbcTable::probe(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i =
+      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  while (slots_[i].index != 0 && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void Process::RbcTable::grow() {
+  constexpr std::size_t kInitialSlots = 64;
+  std::vector<Slot> old = std::move(slots_);
+  const std::size_t size = old.empty() ? kInitialSlots : 2 * old.size();
+  slots_.assign(size, Slot{});
+  shift_ = 64 - std::countr_zero(size);
+  for (const Slot& s : old) {
+    if (s.index != 0) slots_[probe(s.key)] = s;
   }
 }
 

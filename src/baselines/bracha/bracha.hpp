@@ -15,8 +15,7 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <tuple>
+#include <deque>
 #include <vector>
 
 #include "baselines/bracha/step_machine.hpp"
@@ -64,6 +63,10 @@ class Process {
   [[nodiscard]] Value decision() const { return steps_.decision(); }
   [[nodiscard]] std::uint32_t round() const { return steps_.position().round; }
   [[nodiscard]] std::uint32_t step() const { return steps_.position().step; }
+  /// See StepMachine::split_tallies().
+  [[nodiscard]] std::uint64_t split_tallies() const {
+    return steps_.split_tallies();
+  }
 
   struct Stats {
     std::uint64_t rbc_broadcasts = 0;  // application-level broadcasts
@@ -79,16 +82,6 @@ class Process {
   static constexpr std::uint8_t kEcho = 2;
   static constexpr std::uint8_t kReady = 3;
 
-  /// Identifies one reliable-broadcast instance.
-  struct RbcKey {
-    std::uint32_t round = 0;
-    std::uint8_t step = 0;
-    ProcessId origin = kInvalidProcess;
-    bool operator<(const RbcKey& o) const {
-      return std::tie(round, step, origin) < std::tie(o.round, o.step, o.origin);
-    }
-  };
-
   /// Echo and ready senders per tally slot: (value, flag) are validated
   /// binary before any tally, so four slots (2 * value + flag) cover every
   /// pair. Thresholds count distinct senders, so a replayed echo or ready
@@ -101,10 +94,38 @@ class Process {
     bool delivered = false;
   };
 
+  /// The reliable-broadcast instances seen so far, in one open-addressing
+  /// table keyed by the packed (round, step, origin) over one state store,
+  /// like turquois::VerifyMemo: memory grows with the instances seen, so a
+  /// forged far-away round costs one entry, never a table sized by it.
+  class RbcTable {
+   public:
+    /// The state of instance (round, step, origin), created empty on first
+    /// use. Requires origin < 256. States never move.
+    RbcState& at(std::uint32_t round, std::uint8_t step, ProcessId origin);
+
+   private:
+    /// An open-addressing slot: a packed key and 1 + its state's index;
+    /// index 0 marks an empty slot.
+    struct Slot {
+      std::uint64_t key = 0;
+      std::uint32_t index = 0;
+    };
+    [[nodiscard]] std::size_t probe(std::uint64_t key) const;
+    void grow();
+
+    std::vector<Slot> slots_;  // power-of-two size, at most half occupied
+    // A deque grows in fixed blocks, so no state moves and a run ends
+    // without one large array to free. (A doubling vector here left glibc's
+    // heap in a state that made the next perfbench set-up ~25 % slower.)
+    std::deque<RbcState> states_;
+    int shift_ = 0;  // 64 - log2(slots_.size()) once the table exists
+  };
+
   void rbc_broadcast();
   void send_to_all(std::uint32_t round, std::uint8_t step, std::uint8_t kind,
                    ProcessId origin, StepValue sv);
-  void on_message(ProcessId src, const Bytes& payload);
+  void on_message(ProcessId src, BytesView payload);
 
   net::TcpHost& transport_;
   Config cfg_;
@@ -115,7 +136,7 @@ class Process {
   bool running_ = false;
   bool halted_ = false;
   std::vector<std::pair<ProcessId, Bytes>> prestart_;
-  std::map<RbcKey, RbcState> rbc_;
+  RbcTable rbc_;
   Stats stats_;
 };
 

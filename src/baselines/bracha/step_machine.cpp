@@ -132,7 +132,11 @@ void StepMachine::advance() {
             flag_ = true;
           }
         }
-        if (!flag_) value_ = majority;
+        if (!flag_) {
+          // A split tally: no value is held by more than n/2.
+          ++split_tallies_;
+          value_ = majority;
+        }
         next_step = 3;
         break;
       default: {  // step 3

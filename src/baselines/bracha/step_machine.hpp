@@ -104,6 +104,11 @@ class StepMachine {
   [[nodiscard]] std::size_t held() const { return held_.size(); }
   /// Step-3 coin draws so far.
   [[nodiscard]] std::uint64_t coin_flips() const { return coin_flips_; }
+  /// Split step-2 tallies so far: step-2 transitions whose n-f accepted
+  /// claims held no value more than n/2 times, so the step-3 claim went out
+  /// unflagged and the round could not decide. A tally such as 10-1 at
+  /// n=16 holds both values but is not split.
+  [[nodiscard]] std::uint64_t split_tallies() const { return split_tallies_; }
 
  private:
   struct Claim {
@@ -132,6 +137,7 @@ class StepMachine {
   Value value_ = Value::kZero;
   bool flag_ = false;
   std::uint64_t coin_flips_ = 0;
+  std::uint64_t split_tallies_ = 0;
 
   /// Accepted claims: (round, step) -> origin -> claim.
   std::map<StepKey, std::map<ProcessId, StepValue>> accepted_;

@@ -19,13 +19,13 @@ Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
       rng_(rng),
       costs_(costs),
       strategy_(strategy),
-      outbox_(rt, transport),
+      outbox_(rt, transport, config.n),
       decision_(std::move(hooks.on_decide)),
       on_round_(std::move(hooks.on_round)),
       coin_(rt, costs, dealer.coin, "crain-coin", id, stats_) {
   TURQ_ASSERT_MSG(cfg_.n <= SenderSet::kCapacity,
                   "crain tallies require n <= SenderSet::kCapacity");
-  transport_.set_handler([this](ProcessId src, const Bytes& payload) {
+  transport_.set_handler([this](ProcessId src, BytesView payload) {
     on_message(src, payload);
   });
 }
@@ -54,9 +54,9 @@ void Process::crash() {
   transport_.close();
 }
 
-void Process::broadcast(const Bytes& payload) {
+void Process::broadcast(BytesView payload) {
   stats_.messages_sent += cfg_.n;
-  outbox_.send_to_all(cfg_.n, payload);
+  outbox_.send_to_all(payload);
 }
 
 void Process::send_est(std::uint32_t round, Value v) {
@@ -96,10 +96,11 @@ void Process::enter_round(std::uint32_t round) {
   send_est(round, out);
 }
 
-void Process::on_message(ProcessId src, const Bytes& payload) {
+void Process::on_message(ProcessId src, BytesView payload) {
   if (halted_) return;
   if (!running_) {
-    prestart_.emplace_back(src, payload);  // OS buffer until propose()
+    // OS buffer until propose().
+    prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
     return;
   }
   if (src >= cfg_.n) return;  // not a group member

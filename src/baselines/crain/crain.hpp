@@ -144,9 +144,9 @@ class Process {
   void send_est(std::uint32_t round, Value v);
   void send_aux(std::uint32_t round, Value v);
   void send_coin_share(std::uint32_t round);
-  void broadcast(const Bytes& payload);
+  void broadcast(BytesView payload);
 
-  void on_message(ProcessId src, const Bytes& payload);
+  void on_message(ProcessId src, BytesView payload);
   void handle_est(ProcessId src, std::uint32_t round, Value v);
   void handle_aux(ProcessId src, std::uint32_t round, Value v);
   void try_progress(std::uint32_t round);

@@ -59,6 +59,17 @@ class Writer {
   Bytes buf_;
 };
 
+/// Stores `v` little-endian at `out` (sizeof(T) bytes, as Writer lays it
+/// out) and returns the byte after it: for fixed-size encoders that fill a
+/// buffer in place instead of appending to a Writer.
+template <typename T>
+std::uint8_t* put_le(std::uint8_t* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return out + sizeof(T);
+}
+
 /// Reader over a borrowed buffer. All accessors return std::nullopt once any
 /// read has failed; check ok() or the individual optionals.
 class Reader {

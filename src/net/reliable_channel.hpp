@@ -19,14 +19,23 @@
 //
 // Unicast frames below already get MAC-level ACK/retry, so the RTO mainly
 // fires under sustained injected omissions — matching real TCP over 802.11.
+//
+// Host path (DESIGN.md §10, "Reliable-channel host path"): once a
+// connection's buffers are warm, a message costs no heap allocation and a
+// segment costs only its frame. Each
+// connection keeps its unacknowledged and unsent bytes in one contiguous
+// send buffer, with the in-flight segments as (offset, length) records; a
+// segment is encoded straight into its frame. Received in-order data is
+// appended to one reassembly buffer and delivered from it as a view, one
+// event per message; only out-of-order segments are copied aside. A segment
+// outside the window changes nothing: an ACK of data never sent is ignored,
+// and data at or beyond recv_next + window_segments is dropped.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <optional>
-#include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -64,7 +73,8 @@ struct TcpConfig {
 
 class TcpHost {
  public:
-  using MessageHandler = std::function<void(ProcessId src, const Bytes& message)>;
+  /// The view is valid until the handler returns.
+  using MessageHandler = std::function<void(ProcessId src, BytesView message)>;
 
   /// `cpu` may be null when `config.authenticate` is false; with
   /// authentication on, HMAC costs are charged to it per segment.
@@ -84,16 +94,24 @@ class TcpHost {
 
   /// Sends a framed message reliably and in order to `dst`. Messages to a
   /// node's own id are delivered via loopback.
-  void send(ProcessId dst, Bytes message);
+  void send(ProcessId dst, BytesView message);
 
   /// Sends several framed messages in one burst: all of them enter the
   /// stream before segmentation, so they share segments (the writev-style
   /// batching a real application does on top of kernel TCP).
   void send_many(ProcessId dst, const std::vector<Bytes>& messages);
 
+  /// send_many() for a burst the caller already framed: `framed` holds
+  /// `count` messages, each as append_framed() lays it out.
+  void send_framed(ProcessId dst, BytesView framed, std::size_t count);
+
+  /// Appends one framed message (u32 little-endian length, then the bytes,
+  /// as Writer::bytes lays them out) to `out`.
+  static void append_framed(Bytes& out, BytesView message);
+
   /// Marks `peer` as unreachable (its process never came up): sends to it
   /// are dropped silently, with no frames or retransmissions on the air.
-  void disconnect_peer(ProcessId peer) { disconnected_.insert(peer); }
+  void disconnect_peer(ProcessId peer);
 
   /// Stops all activity (crash). Pending timers are cancelled.
   void close();
@@ -130,8 +148,10 @@ class TcpHost {
   static constexpr std::uint8_t kData = 1;
   static constexpr std::uint8_t kAck = 2;
 
-  struct SentSegment {
-    Bytes payload;
+  /// One cut, unacknowledged segment: its bytes in the send buffer.
+  struct Segment {
+    std::uint64_t begin = 0;  // stream offset of its first byte
+    std::uint32_t length = 0;
     SimTime first_sent = 0;
     SimTime last_sent = 0;
     bool retransmitted = false;
@@ -140,10 +160,15 @@ class TcpHost {
   /// Per-peer connection state (one object holds both directions).
   struct Connection {
     // --- send side ---
-    std::deque<std::uint8_t> out_stream;       // framed bytes not yet segmented
-    std::map<std::uint32_t, SentSegment> in_flight;
-    std::uint32_t next_seq = 0;                // next segment to cut
-    std::uint32_t send_base = 0;               // oldest unacked
+    // Framed bytes from the first unacknowledged segment on: the in-flight
+    // segments' bytes, then the bytes not yet cut. Offsets are stream
+    // offsets; send_buf[0] sits at stream offset send_origin.
+    Bytes send_buf;
+    std::uint64_t send_origin = 0;
+    std::uint64_t unsent = 0;              // stream offset of the first uncut byte
+    std::vector<Segment> in_flight;        // seqs send_base.. in order
+    std::uint32_t next_seq = 0;            // next segment to cut
+    std::uint32_t send_base = 0;           // oldest unacked
     std::uint32_t dup_acks = 0;
     sim::EventId rto_timer = sim::kInvalidEvent;
     SimDuration srtt = 0;
@@ -151,32 +176,54 @@ class TcpHost {
     SimDuration rto = 0;
     std::uint32_t backoff = 0;
     // --- receive side ---
-    std::uint32_t recv_next = 0;               // next in-order segment
+    std::uint32_t recv_next = 0;           // next in-order segment
     std::map<std::uint32_t, Bytes> out_of_order;
-    Bytes reassembly;                          // in-order byte stream tail
+    // In-order bytes: from recv_head to recv_scan the messages whose
+    // delivery events are pending, oldest first; then a partial message.
+    Bytes recv_buf;
+    std::size_t recv_head = 0;
+    std::size_t recv_scan = 0;
     std::uint32_t acks_owed = 0;
     sim::EventId ack_timer = sim::kInvalidEvent;
+    bool disconnected = false;
     // --- auth ---
-    Bytes key;
     // Pads pre-absorbed once per set_peer_key(); initialized to the empty
     // key so a keyless authenticated connection MACs exactly as before.
     crypto::HmacKey hmac{BytesView{}};
+
+    [[nodiscard]] std::size_t unsent_bytes() const {
+      return static_cast<std::size_t>(send_origin + send_buf.size() - unsent);
+    }
   };
 
+  /// `peer`'s connection, created on first use. Creating one may move the
+  /// others, so no Connection& is held across a call that could create one.
   Connection& conn(ProcessId peer);
-  void pump(ProcessId peer);
-  void transmit_segment(ProcessId peer, std::uint32_t seq, bool retransmit);
-  void send_ack(ProcessId peer);
-  void flush_ack(ProcessId peer);
-  void note_ack_owed(ProcessId peer, bool urgent);
-  void arm_rto(ProcessId peer);
+  /// The buffer a message to `dst` is framed into (the connection's send
+  /// buffer, or the loopback queue), or nullptr when it is dropped.
+  [[nodiscard]] Bytes* open_stream(ProcessId dst);
+  /// Counts `count` messages just framed into open_stream(dst) and sends
+  /// what the window and Nagle allow, or schedules their loopback events.
+  void commit(ProcessId dst, std::size_t count);
+  void pump(ProcessId peer, Connection& c);
+  void transmit_segment(ProcessId peer, Connection& c, std::uint32_t seq,
+                        bool retransmit);
+  void send_ack(ProcessId peer, Connection& c);
+  void flush_ack(ProcessId peer, Connection& c);
+  void note_ack_owed(ProcessId peer, Connection& c, bool urgent);
+  void arm_rto(ProcessId peer, Connection& c);
   void on_rto(ProcessId peer);
   void on_frame(ProcessId src, BytesView frame);
-  void on_data(ProcessId src, std::uint32_t seq, Bytes payload);
-  void on_ack(ProcessId src, std::uint32_t ack, bool pure_ack);
+  void on_data(ProcessId src, Connection& c, std::uint32_t seq,
+               BytesView payload);
+  void on_ack(ProcessId src, Connection& c, std::uint32_t ack, bool pure_ack);
   void extract_messages(ProcessId src, Connection& c);
+  void deliver(ProcessId src);
+  void deliver_loopback();
   void update_rtt(Connection& c, SimDuration sample);
-  [[nodiscard]] Bytes encode_segment(Connection& c, std::uint8_t type,
+  /// The frame of one segment: header, payload, the MAC over both when
+  /// authenticating, then zero padding for the TCP/IP headers.
+  [[nodiscard]] Bytes encode_segment(const Connection& c, std::uint8_t type,
                                      std::uint32_t seq, std::uint32_t ack,
                                      BytesView payload) const;
   void charge_auth(std::size_t bytes);
@@ -189,8 +236,13 @@ class TcpHost {
   const crypto::CostModel* costs_;
   bool open_ = true;
   MessageHandler handler_;
-  std::map<ProcessId, Connection> conns_;
-  std::set<ProcessId> disconnected_;
+  std::vector<Connection> conns_;  // indexed by the dense peer id
+  // Framed loopback messages from loopback_head_ on, one event each; the
+  // event copies its message to loopback_msg_ first, since a handler may
+  // send to itself and so grow loopback_ under a view.
+  Bytes loopback_;
+  std::size_t loopback_head_ = 0;
+  Bytes loopback_msg_;
 
   /// Counters resolved once against metrics_ (stable map-node addresses).
   struct HotCounters {

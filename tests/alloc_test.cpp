@@ -1,4 +1,5 @@
-// Allocation regression tests for the Turquois message path.
+// Allocation regression tests for the Turquois message path and the
+// reliable channel.
 //
 // Copying, decoding and storing messages sits on every broadcast and every
 // delivery, so it must not touch the heap beyond the few allocations the
@@ -21,7 +22,11 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "crypto/cost_model.hpp"
 #include "harness/experiment.hpp"
+#include "net/medium.hpp"
+#include "net/reliable_channel.hpp"
+#include "sim/cpu.hpp"
 #include "service/service.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/message.hpp"
@@ -251,6 +256,55 @@ TEST(Allocations, ServiceHeapIsBoundedByTheWindowNotTheRequestCount) {
   EXPECT_LE(static_cast<double>(large), 1.5 * static_cast<double>(small))
       << "peak live heap " << small << " B at 128 requests, " << large
       << " B at 1024";
+}
+
+TEST(Allocations, TcpSteadyStateAllocatesOnlyItsFrames) {
+  // An authenticated pair over a lossless medium, both directions busy.
+  // Once a first burst has sized every buffer, a burst of small messages
+  // allocates nothing per message. Per frame, the channel allocates the
+  // frame buffer and the medium the shared payload around it; the medium's
+  // per-node frame queue (a std::deque) also takes a block now and then as
+  // it cycles, well under one per frame. So 3 per frame is a bound that one
+  // more allocation per segment, or any per message, breaks.
+  sim::Simulator sim;
+  net::Medium medium(sim, net::MediumConfig{}, Rng(3));
+  const crypto::CostModel costs;
+  net::TcpConfig cfg;
+  cfg.authenticate = true;
+  std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<net::TcpHost>> hosts;
+  std::uint64_t delivered = 0;
+  for (ProcessId id = 0; id < 2; ++id) {
+    cpus.push_back(std::make_unique<sim::VirtualCpu>(sim));
+    hosts.push_back(std::make_unique<net::TcpHost>(sim, medium, id, cfg,
+                                                   cpus.back().get(), &costs));
+    hosts.back()->set_peer_key(1 - id, Bytes(32, 0x5A));
+    hosts.back()->set_handler([&](ProcessId, BytesView m) {
+      delivered += m.size();
+    });
+  }
+  Bytes framed;
+  constexpr std::size_t kBurst = 400;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    net::TcpHost::append_framed(framed, Bytes(12, static_cast<std::uint8_t>(i)));
+  }
+  const Bytes single(12, 0xAB);
+  const auto burst = [&] {
+    for (ProcessId id = 0; id < 2; ++id) {
+      hosts[id]->send_framed(1 - id, framed, kBurst);
+      hosts[id]->send(1 - id, single);
+      hosts[id]->send(id, single);  // loopback
+    }
+    sim.run();
+  };
+  burst();
+  const std::uint64_t frames_before = medium.stats().unicast_frames;
+  const std::uint64_t delivered_before = delivered;
+  const std::uint64_t allocs = allocations_in(burst);
+  const std::uint64_t frames = medium.stats().unicast_frames - frames_before;
+  EXPECT_EQ(delivered - delivered_before, 2 * (kBurst + 2) * 12);
+  EXPECT_GT(frames, 0u);
+  EXPECT_LE(allocs, 3 * frames) << frames << " frames";
 }
 
 }  // namespace

@@ -138,8 +138,8 @@ TEST(Bracha, ReplayedEchoesAndReadiesCountOnce) {
   // below both f+1 and 2f+1, so p0 neither sends READY nor delivers.
   BrachaRig rig(4);
   std::vector<Bytes> from_p0;
-  rig.hosts[1]->set_handler([&](ProcessId src, const Bytes& m) {
-    if (src == 0) from_p0.push_back(m);
+  rig.hosts[1]->set_handler([&](ProcessId src, BytesView m) {
+    if (src == 0) from_p0.emplace_back(m.begin(), m.end());
   });
   for (const ProcessId dead : {2u, 3u}) {
     rig.procs[dead]->crash();

@@ -9,7 +9,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "baselines/bracha/bracha.hpp"
 #include "faultplan/spec.hpp"
+#include "harness/deployment.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "harness/table.hpp"
@@ -41,6 +43,53 @@ ScenarioConfig quick(Protocol p, std::uint32_t n, ProposalDist dist,
   cfg.repetitions = 3;
   cfg.seed = 4207;
   return cfg;
+}
+
+// Split step-2 tallies (StepMachine::split_tallies) of every Bracha process
+// over `reps` repetitions of the divergent load at `seed`, each repetition
+// built as harness::deploy builds it (its latencies must match run_once's).
+std::uint64_t bracha_split_tallies(std::uint32_t n, std::uint64_t seed,
+                                   std::uint64_t reps) {
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kBracha;
+  cfg.n = n;
+  cfg.distribution = ProposalDist::kDivergent;
+  cfg.seed = seed;
+  const bracha::Config bcfg = bracha::Config::for_group(n);
+  std::uint64_t split = 0;
+  for (std::uint64_t rep = 0; rep < reps; ++rep) {
+    Deployment d(cfg, rep, Transport::kAuthenticatedTcp, nullptr);
+    std::vector<std::unique_ptr<bracha::Process>> procs;
+    for (ProcessId id = 0; id < n; ++id) {
+      runtime::Runtime& rt = d.add_node(id);
+      bracha::ProcessHooks hooks;
+      hooks.on_decide = [&d, id](Value v, std::uint32_t round, SimTime at) {
+        d.instance().on_decide(id, v, round, at);
+      };
+      procs.push_back(std::make_unique<bracha::Process>(
+          rt, d.host(id), bcfg, id, d.root.derive("proc", id), cfg.costs,
+          bracha::Strategy::kHonest, std::move(hooks)));
+    }
+    d.start(procs);
+    d.run([&d] { return !d.instance().all_decided(); });
+    for (const auto& p : procs) split += p->split_tallies();
+    EXPECT_EQ(d.collect(0).latencies_ms, run_once(cfg, rep).latencies_ms)
+        << "n=" << n << " rep " << rep;
+  }
+  return split;
+}
+
+// The finding behind ROADMAP item 9's Bracha anomaly, at `turquois_sim
+// --protocol bracha --dist divergent --seed 5 --reps 5`: at n=10 and n=16
+// no step-2 tally splits, so the divergent load decides in round 1 exactly
+// as the unanimous load does and prints the same latency line; at n=7 and
+// n=13 some tallies split and those runs go on to later rounds. A harness
+// check that a divergent cell exercises disagreement would read this count.
+TEST(HarnessBracha, DivergentLoadSplitsStepTwoOnlyAtSomeSizes) {
+  EXPECT_GT(bracha_split_tallies(7, 5, 5), 0u);
+  EXPECT_EQ(bracha_split_tallies(10, 5, 5), 0u);
+  EXPECT_GT(bracha_split_tallies(13, 5, 5), 0u);
+  EXPECT_EQ(bracha_split_tallies(16, 5, 5), 0u);
 }
 
 class HarnessGrid
