@@ -16,7 +16,11 @@
 //                     machine-dependent by nature) and
 //                     `sim_events_per_decision` (simulator dispatches per
 //                     correct-process decision, the same on every host and
-//                     at any --jobs; its ceiling is the committed value).
+//                     at any --jobs; its ceiling is the committed value)
+//                     and `datagram_decodes_per_decision` (exchange-pool
+//                     Datagram::decode calls per decision, just as
+//                     deterministic; senders publish what they encode, so
+//                     receivers decode only what no pool entry holds).
 //
 // That the receivers share one decode + verify per unique payload is
 // checked without host timing by tests/exchange_pool_test.cpp.
@@ -41,6 +45,10 @@ using enum Domain;
 // sim_events_per_decision at n = 64, seed 3, 5 repetitions. A change that
 // lowers it re-baselines this ceiling and BENCH_large_n.json together.
 constexpr double kSimEventsPerDecisionCeiling = 552.871875;
+// datagram_decodes_per_decision on the same run, under the same rule: 0,
+// since every payload is published by its correct sender (17.296875 when
+// the receivers decoded each new payload).
+constexpr double kDatagramDecodesPerDecisionCeiling = 0;
 
 int main(int argc, char** argv) {
   bool quick = false;
@@ -133,6 +141,11 @@ int main(int argc, char** argv) {
                    static_cast<double>(r.latency_ms.count()),
                "count", kSim, kLower)
           .limit = kSimEventsPerDecisionCeiling;
+      perf.add("datagram_decodes_per_decision",
+               static_cast<double>(r.datagram_decodes) /
+                   static_cast<double>(r.latency_ms.count()),
+               "count", kSim, kLower)
+          .limit = kDatagramDecodesPerDecisionCeiling;
     }
     std::printf("%5u | %9.3fs | %14.0f\n", n, wall, deliveries_per_s);
   }

@@ -52,12 +52,13 @@ void Process::crash() {
 void Process::broadcast_current(bool is_retransmit) {
   const StepKey at = steps_.position();
   const StepValue sv = steps_.claim();
-  Writer w;
-  w.u32(at.round);
-  w.u8(at.step);
-  w.u8(static_cast<std::uint8_t>(sv.value));
-  w.u8(sv.flag ? 1 : 0);
-  current_frame_ = std::make_shared<const Bytes>(w.take());
+  // u32 round, u8 step, u8 value, u8 flag, then the UDP/IP header room.
+  Bytes frame(4 + 3 + net::kUdpIpOverhead);
+  std::uint8_t* out = put_le(frame.data(), at.round);
+  out[0] = at.step;
+  out[1] = static_cast<std::uint8_t>(sv.value);
+  out[2] = sv.flag ? 1 : 0;
+  current_frame_ = net::FramedPayload(std::move(frame));
   sent_frames_[at] = current_frame_;
   ack_pending_ = true;
   ++stats_.messages_sent;
@@ -110,9 +111,8 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
   if (src == id_) {
     // Loopback: the medium delivered our own frame after it actually
     // cleared the air — this IS the abstract-MAC ack.
-    if (current_frame_ != nullptr &&
-        std::equal(payload.begin(), payload.end(), current_frame_->begin(),
-                   current_frame_->end())) {
+    if (current_frame_ &&
+        std::ranges::equal(payload, current_frame_.payload())) {
       if (ack_pending_) {
         ack_pending_ = false;
         ++stats_.acks_observed;

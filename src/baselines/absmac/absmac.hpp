@@ -117,7 +117,7 @@ class Process {
   std::vector<std::pair<ProcessId, Bytes>> prestart_;
 
   // Abstract-MAC progress/ack state for the current (round, step) frame.
-  SharedBytes current_frame_;
+  net::FramedPayload current_frame_;
   bool ack_pending_ = false;
   std::uint32_t backoff_ = 1;  // current tick multiplier
   runtime::TimerId tick_timer_ = runtime::kInvalidTimer;
@@ -127,7 +127,7 @@ class Process {
   // (collision, superseded MAC queue slot) would otherwise be stranded one
   // message short of a quorum forever. A frame from a position behind ours
   // triggers a rate-limited re-broadcast of our frame at that position.
-  std::map<StepKey, SharedBytes> sent_frames_;
+  std::map<StepKey, net::FramedPayload> sent_frames_;
   std::map<StepKey, SimTime> helped_at_;
 
   Stats stats_;

@@ -68,6 +68,7 @@ Repetition::Repetition(const ScenarioConfig& config, std::uint64_t rep_index,
       rep_index_(rep_index) {
   medium_ = std::make_unique<net::Medium>(sim_, cfg.medium,
                                           root.derive("medium", 0));
+  if (cfg.broadcast_tap) medium_->set_broadcast_tap(cfg.broadcast_tap);
   const faultplan::BuildContext ctx = fault_context(cfg, plan_, root);
   // Spatial scenarios force σ tracking: reachability-induced omissions
   // must count against the per-round budget so a transient partition makes
@@ -111,6 +112,9 @@ void Repetition::run(const std::function<bool()>& step) {
 void Repetition::measure(RunResult& result) {
   result.medium = medium_->stats();
   result.sim_events = sim_.events_executed();
+  if (exchange_pool.has_value()) {
+    result.datagram_decodes = exchange_pool->decodes;
+  }
   if (faults_.sigma != nullptr) result.sigma = faults_.sigma->summary();
   if (topology_ != nullptr) {
     // Sample connectivity up to the end of the run so a quiet tail (e.g.

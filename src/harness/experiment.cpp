@@ -220,6 +220,7 @@ ScenarioResult pool_repetitions(const ScenarioConfig& cfg,
     result.latency_ms.add_all(run.latencies_ms);
     result.app_messages += run.app_messages;
     result.sim_events += run.sim_events;
+    result.datagram_decodes += run.datagram_decodes;
     result.medium_total += run.medium;
     if (run.spatial.has_value()) {
       if (!result.spatial_total.has_value()) result.spatial_total.emplace();

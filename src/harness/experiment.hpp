@@ -164,6 +164,10 @@ struct ScenarioConfig {
   trace::Sink* trace_sink = nullptr;
   /// Also record one trace event per simulator dispatch (voluminous).
   bool trace_sim_events = false;
+  /// When set, installed on every repetition's medium
+  /// (net::Medium::BroadcastTap): sees each broadcast frame handed to it.
+  /// Observational only; with jobs > 1 it runs on the worker threads.
+  net::Medium::BroadcastTap broadcast_tap;
 
   /// Tolerated faults: f = floor((n-1)/3), the paper's resilience bound.
   [[nodiscard]] std::uint32_t f() const { return (n - 1) / 3; }
@@ -205,6 +209,10 @@ struct RunResult {
   /// paper quantity); bench/large_n gates it per decision. Reports do not
   /// print it.
   std::uint64_t sim_events = 0;
+  /// Datagram::decode calls of the repetition's exchange pools (host work,
+  /// the same on every host); bench/large_n gates it per decision. Reports
+  /// do not print it.
+  std::uint64_t datagram_decodes = 0;
   net::TcpHost::Stats tcp;           // summed over hosts (TCP transports)
   /// Per-round σ accounting; present iff the effective plan tracks σ
   /// (always the case for spatial scenarios).
@@ -249,6 +257,8 @@ struct ScenarioResult {
   std::uint64_t app_messages = 0;
   /// Simulator events dispatched, summed over completed repetitions.
   std::uint64_t sim_events = 0;
+  /// Exchange-pool datagram decodes, summed over completed repetitions.
+  std::uint64_t datagram_decodes = 0;
   net::MediumStats medium_total;     // channel counters summed over reps
   /// Pooled σ accounting; present iff the effective plan tracks σ. Failed
   /// (timed-out) repetitions still contribute — a σ-violating stall is the

@@ -2,7 +2,10 @@
 //
 // This is Turquois's transport: fire-and-forget datagrams with UDP/IP
 // overhead, delivered to every attached node subject to collisions and
-// injected omissions. The sender also delivers to itself via loopback
+// injected omissions. A sent FramedPayload already carries the header room
+// behind its payload (datagram_port.hpp), so the endpoint airs the sender's
+// buffer as it is: no copy, no padding, one frame shared by the loopback
+// and every receiver. The sender also delivers to itself via loopback
 // (the paper's broadcast(m) reaches every process *including* the sender).
 // The service below is usually the Medium itself (single-hop); under a
 // spatial topology it is a spatial::RelayFabric, and the protocol above
@@ -24,7 +27,7 @@ class BroadcastEndpoint final : public DatagramPort {
   /// Legacy alias; the handler type lives in datagram_port.hpp.
   using DatagramHandler = net::DatagramHandler;
 
-  static constexpr std::size_t kUdpIpOverhead = 28;  // IPv4 + UDP headers
+  static constexpr std::size_t kUdpIpOverhead = net::kUdpIpOverhead;
 
   BroadcastEndpoint(sim::Simulator& simulator, BroadcastService& service,
                     ProcessId self);
@@ -38,7 +41,7 @@ class BroadcastEndpoint final : public DatagramPort {
   }
 
   /// Broadcasts `payload` to every node, including the local one (loopback).
-  void send(SharedBytes payload) override {
+  void send(FramedPayload payload) override {
     send(std::move(payload), /*replace_queued=*/true);
   }
 
@@ -46,7 +49,7 @@ class BroadcastEndpoint final : public DatagramPort {
   /// still-queued broadcasts. The mux passes false for the continuation
   /// frames of a split flush so they don't cancel each other in the MAC
   /// queue.
-  void send(SharedBytes payload, bool replace_queued);
+  void send(FramedPayload payload, bool replace_queued);
 
   /// Stops sending and receiving (crash).
   void close() override;
@@ -61,13 +64,6 @@ class BroadcastEndpoint final : public DatagramPort {
   bool open_ = true;
   std::uint64_t sent_ = 0;
   DatagramHandler handler_;
-  // The last payload sent and its padded frame, while the sender still
-  // holds the payload too. A re-send of the same object reuses the frame
-  // instead of copying and padding the payload again; holding the payload
-  // keeps its address from being reused by a different buffer, so pointer
-  // equality implies the same bytes.
-  SharedBytes last_payload_;
-  BroadcastService::FramePayload last_frame_;
 };
 
 }  // namespace turq::net

@@ -54,7 +54,7 @@ void FrameMux::close() {
   endpoint_.close();
 }
 
-void FrameMux::stage(std::uint32_t instance, SharedBytes payload) {
+void FrameMux::stage(std::uint32_t instance, FramedPayload payload) {
   if (!open_) return;
   for (auto& [id, staged] : staged_) {
     if (id == instance) {
@@ -79,18 +79,20 @@ void FrameMux::flush() {
   bool first_frame = true;
   while (i < staged_.size()) {
     Writer w;
-    w.reserve(cfg_.max_payload_bytes);  // one allocation per frame
+    // One allocation per frame: the budget plus the header room.
+    w.reserve(cfg_.max_payload_bytes + kUdpIpOverhead);
     std::size_t count = 0;
     std::size_t used = kHeaderBytes;
     w.u32(0);  // patched below
     while (i < staged_.size()) {
-      const auto& [instance, payload] = staged_[i];
-      const std::size_t need = kPerPayloadBytes + payload->size();
+      const auto& [instance, staged] = staged_[i];
+      const BytesView payload = staged.payload();
+      const std::size_t need = kPerPayloadBytes + payload.size();
       TURQ_ASSERT_MSG(kHeaderBytes + need <= cfg_.max_payload_bytes,
                       "instance payload exceeds the mux frame budget");
       if (used + need > cfg_.max_payload_bytes) break;
       w.u32(instance);
-      w.bytes(*payload);
+      w.bytes(payload);
       used += need;
       ++count;
       ++i;
@@ -98,10 +100,11 @@ void FrameMux::flush() {
     Bytes frame = w.take();
     const auto count32 = static_cast<std::uint32_t>(count);
     std::memcpy(frame.data(), &count32, sizeof(count32));
+    frame.resize(frame.size() + kUdpIpOverhead);  // opaque header room
     // The first frame of a flush supersedes this node's stale queued mux
     // frames (their payloads were superseded in-place anyway); continuation
     // frames of the same flush must not cancel their siblings.
-    endpoint_.send(std::make_shared<const Bytes>(std::move(frame)),
+    endpoint_.send(FramedPayload(std::move(frame)),
                    /*replace_queued=*/first_frame);
     ++stats_.frames_sent;
     stats_.payloads_sent += count;

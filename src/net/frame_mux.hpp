@@ -18,9 +18,12 @@
 // payload costs at most one tick of that instance's progress.
 //
 // Wire format (fits the MSDU budget; flushes split when they don't):
-//   u32 count, then count × [u32 instance, u32 len, raw bytes].
-// A flush reserves the whole budget for each frame's buffer up front, so
-// packing a frame is one allocation, not one regrowth per appended field.
+//   u32 count, then count × [u32 instance, u32 len, raw bytes],
+// followed by the UDP/IP header room every FramedPayload ends in. A flush
+// packs the payload part of each staged buffer (never its header room) and
+// reserves the whole budget plus the room for each frame's buffer up
+// front, so packing a frame is one allocation and the endpoint airs it
+// as it is.
 //
 // Determinism: staging order is the deterministic send order of the
 // simulation, flushes run at scheduled sim times, and receivers route in
@@ -47,8 +50,8 @@ struct FrameMuxConfig {
   SimDuration window = 2 * kMillisecond;
   /// Largest mux payload handed to the endpoint; flushes exceeding it are
   /// split across frames. Defaults to the 802.11 MSDU limit minus the
-  /// UDP/IP overhead the endpoint pads on.
-  std::size_t max_payload_bytes = 2304 - BroadcastEndpoint::kUdpIpOverhead;
+  /// UDP/IP header room each frame ends in.
+  std::size_t max_payload_bytes = 2304 - kUdpIpOverhead;
 };
 
 class FrameMux {
@@ -92,7 +95,7 @@ class FrameMux {
     void set_handler(DatagramHandler handler) override {
       handler_ = std::move(handler);
     }
-    void send(SharedBytes payload) override {
+    void send(FramedPayload payload) override {
       if (open_) mux_.stage(instance_, std::move(payload));
     }
     void close() override { open_ = false; }
@@ -109,7 +112,7 @@ class FrameMux {
     bool open_ = true;
   };
 
-  void stage(std::uint32_t instance, SharedBytes payload);
+  void stage(std::uint32_t instance, FramedPayload payload);
   void flush();
   void on_frame(ProcessId src, BytesView frame);
 
@@ -120,8 +123,8 @@ class FrameMux {
   // Ordered map: deterministic routing/teardown order, stable addresses.
   std::map<std::uint32_t, std::unique_ptr<InstancePort>> ports_;
   // Staged payloads in first-staged order; at most one per instance. The
-  // instance's own payload object is held until the flush copies it in.
-  std::vector<std::pair<std::uint32_t, SharedBytes>> staged_;
+  // instance's own buffer is held until the flush copies its payload in.
+  std::vector<std::pair<std::uint32_t, FramedPayload>> staged_;
   bool flush_scheduled_ = false;
   bool open_ = true;
   Stats stats_;

@@ -98,6 +98,7 @@ void Medium::send_broadcast(ProcessId src, FramePayload payload,
   TURQ_ASSERT_MSG(payload != nullptr, "broadcast payload must be non-null");
   TURQ_ASSERT_MSG(payload->size() <= config_.max_frame_bytes,
                   "frame exceeds MSDU limit; fragment at a higher layer");
+  if (broadcast_tap_) broadcast_tap_(src, *payload);
   if (replace_queued) {
     if (NodeState* found = node_of(src)) {
       NodeState& node = *found;

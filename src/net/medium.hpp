@@ -126,6 +126,11 @@ class Medium final : public BroadcastService {
   /// omissions count against the paper's bound.
   using UnreachableHook = std::function<void(SimTime at)>;
 
+  /// Called with every broadcast frame handed to the medium, in hand-over
+  /// order and before the MAC queue sees it. Purely observational: tests
+  /// pin the wire bytes of whole runs with it.
+  using BroadcastTap = std::function<void(ProcessId src, BytesView frame)>;
+
   Medium(sim::Simulator& simulator, MediumConfig config, Rng rng);
 
   /// Registers a node. A node must be attached to send or receive.
@@ -145,6 +150,9 @@ class Medium final : public BroadcastService {
   void set_unreachable_hook(UnreachableHook hook) {
     unreachable_hook_ = std::move(hook);
   }
+
+  /// Observer for handed-over broadcast frames (see BroadcastTap).
+  void set_broadcast_tap(BroadcastTap tap) { broadcast_tap_ = std::move(tap); }
 
   /// Queues a broadcast frame. No ACK, no retry; delivery at each receiver
   /// is subject to collisions and injected omissions. When `replace_queued`
@@ -255,6 +263,7 @@ class Medium final : public BroadcastService {
   FaultInjector* faults_ = &no_faults_;
   SpatialModel* spatial_ = nullptr;
   UnreachableHook unreachable_hook_;
+  BroadcastTap broadcast_tap_;
   std::vector<NodeState> nodes_;
   std::vector<ProcessId> contenders_;
   // resolve_contention()'s scratch, reused every round. winners_ also

@@ -70,7 +70,9 @@ class UdpRuntime final : public Runtime {
   class UdpPort final : public net::DatagramPort {
    public:
     void set_handler(net::DatagramHandler handler) override;
-    void send(SharedBytes payload) override;
+    /// Sends the payload part only: the kernel writes the real UDP/IP
+    /// headers, so the modelled header room never goes onto the wire.
+    void send(net::FramedPayload payload) override;
     void close() override;
 
     /// The locally bound port (resolves 0 = ephemeral after binding).

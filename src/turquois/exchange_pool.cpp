@@ -1,6 +1,8 @@
 #include "turquois/exchange_pool.hpp"
 
+#include <bit>
 #include <cstring>
+#include <utility>
 
 namespace turq::turquois {
 
@@ -9,7 +11,7 @@ namespace {
 /// Content hash for the cache key: FNV-1a folded a word at a time (the
 /// byte-wise variant was the pool's hottest instruction stream at n=128 —
 /// every delivery hashes the whole payload). Collisions are harmless, the
-/// bucket scan compares full bytes.
+/// index probe compares full bytes.
 std::uint64_t content_hash(BytesView bytes) {
   std::uint64_t h = 1469598103934665603ULL;
   std::size_t i = 0;
@@ -27,42 +29,113 @@ std::uint64_t content_hash(BytesView bytes) {
   return h;
 }
 
-bool same_bytes(BytesView a, const Bytes& b) {
+bool same_bytes(BytesView a, BytesView b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size()) == 0;
 }
 
+/// The address rule: a view with an entry's address and size is the
+/// entry's bytes, since the entry keeps that buffer alive and unchanged.
+bool same_view(BytesView a, BytesView b) {
+  return a.data() == b.data() && a.size() == b.size();
+}
+
 }  // namespace
+
+void ExchangePool::publish(ProcessId src, const net::FramedPayload& buffer,
+                           const Datagram& datagram) {
+  const BytesView payload = buffer.payload();
+#ifndef NDEBUG
+  TURQ_ASSERT_MSG(Datagram::decode(payload) == datagram,
+                  "a published datagram must be what its payload decodes to");
+#endif
+  const std::uint64_t hash = content_hash(payload);
+  Prepared* entry = find(hash, payload);
+  if (entry == nullptr) {
+    entry = &add(hash, buffer.frame(), payload);
+    entry->datagram = datagram;
+    prepare(*entry);
+  }
+  if (src < last_by_sender_.size()) last_by_sender_[src] = entry;
+}
 
 const ExchangePool::Prepared& ExchangePool::acquire(ProcessId src,
                                                    BytesView payload) {
   ++stats_.acquires;
   // Every delivery of a sender's broadcast, and each of its unchanged
-  // re-sends, repeats that sender's previous payload: one memcmp against
-  // its memo short-circuits hash + bucket scan. Senders outside the group
+  // re-sends, repeats that sender's previous payload: its memo short-cuts
+  // hash + index probe, by address when the view is into the memo entry's
+  // own buffer and by one memcmp otherwise. Senders outside the group
   // (none in a deployment) take the hashed path every time.
-  const bool memoized = src < last_by_sender_.size();
-  Prepared* const memo = memoized ? last_by_sender_[src] : nullptr;
-  if (memo != nullptr && same_bytes(payload, memo->payload)) {
-    ++stats_.shared_hits;
-    return *memo;
+  Prepared* const memo =
+      src < last_by_sender_.size() ? last_by_sender_[src] : nullptr;
+  if (memo != nullptr && (same_view(payload, memo->payload) ||
+                          same_bytes(payload, memo->payload))) {
+    return consume(src, *memo);
   }
-  const auto remember = [&](Prepared& entry) -> Prepared& {
-    if (memoized) last_by_sender_[src] = &entry;
-    return entry;
-  };
-  auto& bucket = map_[content_hash(payload)];
-  for (const auto& entry : bucket) {
-    if (same_bytes(payload, entry->payload)) {
-      ++stats_.shared_hits;
-      return remember(*entry);
+  const std::uint64_t hash = content_hash(payload);
+  if (Prepared* entry = find(hash, payload)) return consume(src, *entry);
+  auto copy = std::make_shared<const Bytes>(payload.begin(), payload.end());
+  const BytesView owned(*copy);
+  Prepared& entry = add(hash, std::move(copy), owned);
+  ++stats_.decodes;
+  entry.datagram = Datagram::decode(entry.payload);
+  if (entry.datagram.has_value()) prepare(entry);
+  return consume(src, entry);
+}
+
+ExchangePool::Prepared* ExchangePool::find(std::uint64_t hash,
+                                           BytesView payload) const {
+  if (index_.empty()) return nullptr;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(hash); index_[i].entry != nullptr;
+       i = (i + 1) & mask) {
+    const Slot& slot = index_[i];
+    if (slot.hash == hash && same_bytes(payload, slot.entry->payload)) {
+      return slot.entry;
     }
   }
-  bucket.push_back(std::make_unique<Prepared>());
-  Prepared& entry = *bucket.back();
-  entry.payload.assign(payload.begin(), payload.end());
-  fill(entry);
-  return remember(entry);
+  return nullptr;
+}
+
+ExchangePool::Prepared& ExchangePool::add(std::uint64_t hash,
+                                          SharedBytes buffer,
+                                          BytesView payload) {
+  Prepared& entry = entries_.emplace_back();
+  entry.buffer = std::move(buffer);
+  entry.payload = payload;
+  if (2 * entries_.size() > index_.size()) grow_index();
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(hash);
+  while (index_[i].entry != nullptr) i = (i + 1) & mask;
+  index_[i] = {hash, &entry};
+  return entry;
+}
+
+void ExchangePool::grow_index() {
+  constexpr std::size_t kInitialSlots = 256;
+  const std::size_t size =
+      index_.empty() ? kInitialSlots : 2 * index_.size();
+  std::vector<Slot> old = std::exchange(index_, std::vector<Slot>(size));
+  index_shift_ = 64 - std::countr_zero(size);
+  const std::size_t mask = size - 1;
+  for (const Slot& slot : old) {
+    if (slot.entry == nullptr) continue;
+    std::size_t i = home(slot.hash);
+    while (index_[i].entry != nullptr) i = (i + 1) & mask;
+    index_[i] = slot;
+  }
+}
+
+const ExchangePool::Prepared& ExchangePool::consume(ProcessId src,
+                                                    Prepared& entry) {
+  if (entry.acquired) {
+    ++stats_.shared_hits;
+  } else {
+    entry.acquired = true;
+  }
+  if (src < last_by_sender_.size()) last_by_sender_[src] = &entry;
+  return entry;
 }
 
 ExchangeSummary ExchangeSummary::of(const Datagram& d, const Config& cfg) {
@@ -88,12 +161,10 @@ ExchangeSummary ExchangeSummary::of(const Datagram& d, const Config& cfg) {
   return s;
 }
 
-void ExchangePool::fill(Prepared& entry) {
-  entry.datagram = Datagram::decode(entry.payload);
-  if (!entry.datagram.has_value()) return;
+void ExchangePool::prepare(Prepared& entry) {
   entry.summary = ExchangeSummary::of(*entry.datagram, cfg_);
-  // Fills share a pool-wide memo: the same justification attachment (e.g.
-  // the phase-1 quorum) recurs across many senders' payloads, and
+  // Preparations share a pool-wide memo: the same justification attachment
+  // (e.g. the phase-1 quorum) recurs across many senders' payloads, and
   // VerifyMemo::check_batch collapses those repeats while still
   // 8-way-hashing the genuinely new keys.
   memo_.check_batch(keys_, cfg_, *entry.datagram, entry.auth);

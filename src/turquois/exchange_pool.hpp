@@ -10,6 +10,15 @@
 // (payload bytes, key infrastructure) — so sharing verdicts changes nothing
 // observable.
 //
+// Most entries are prepared at the sender. A correct process publishes
+// each payload it encodes (publish()): the entry keeps the process's own
+// buffer and a copy of the datagram it encoded, so nothing is decoded; its
+// verdicts and summary come from the same VerifyMemo::check_batch and
+// ExchangeSummary::of a receive-side preparation uses. Broadcasts that went
+// through a Byzantine mutator are never published. Payloads first seen on
+// receive (another pool's publisher, a mux frame's sub-payload, a relay
+// copy, Byzantine bytes) are copied into a buffer of their own and decoded.
+//
 // Every Process receives through a pool: the one its deployment shares
 // (ProcessHooks::exchange_pool), or else a private one it owns. A private
 // pool still collapses a sender's unchanged re-sends and repeated
@@ -18,10 +27,15 @@
 // Lookups go through a per-sender memo first: each sender's broadcasts
 // reach every receiver (and its own loopback) as the same bytes, and a
 // stalled sender re-sends an unchanged payload every tick, so the entry its
-// previous payload mapped to is the likely match. A memo hit is confirmed by
-// the full-byte compare the bucket scan uses; a miss falls through to the
-// content hash. The memo only decides how fast an entry is found, never
-// which entry, so every counter and verdict is the same without it.
+// previous payload mapped to is the likely match. The address rule makes
+// most memo hits free: every entry holds the buffer its payload view
+// points into for as long as the pool lives, so no other buffer can take
+// that address meanwhile, and a delivered view with the same data() and
+// size() is the same bytes. A view into another buffer (a mux frame, a
+// relay copy, an entry first seen on receive) is compared byte by byte
+// with the memo's entry and then found by content hash. The memo and the
+// address rule only decide how fast an entry is found, never which entry,
+// so every counter and verdict is the same without them.
 //
 // Each entry also carries an ExchangeSummary, the per-phase sender sets a
 // receiver compares with its view to skip the messages it already holds.
@@ -30,15 +44,14 @@
 // udp_recv + contained × ots_verify() to its own CPU (crypto::CostModel) —
 // in the simulated world each node hashes independently.
 //
-// The pool is single-threaded: acquire() runs on the simulator thread, in
-// delivery order.
+// The pool is single-threaded: publish() and acquire() run on the
+// simulator thread, in send and delivery order.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <memory>
+#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -73,12 +86,19 @@ struct ExchangeSummary {
 class ExchangePool {
  public:
   struct Prepared {
-    Bytes payload;                     // owned copy; hash-collision guard
+    /// The buffer `payload` points into, held as long as the pool lives:
+    /// the publisher's own frame, or a copy made on first receipt.
+    SharedBytes buffer;
+    BytesView payload;
     std::optional<Datagram> datagram;  // nullopt = malformed
     /// Authenticity verdict per contained message: justification entries
     /// in order, then the main message last (== authentic() per message).
     std::vector<std::uint8_t> auth;
     ExchangeSummary summary;  // of *datagram; empty when malformed
+    /// Set by the first acquire that resolves here. A published entry's
+    /// first acquire is its miss, exactly as if that acquire had prepared
+    /// it, so the counters do not depend on who prepared an entry.
+    bool acquired = false;
   };
 
   /// Measured in delivery order, so bit-identical run to run; exported as
@@ -86,10 +106,13 @@ class ExchangePool {
   /// service driver).
   struct Stats {
     std::uint64_t acquires = 0;  // total acquire() calls (deliveries)
-    /// Acquires of a payload some earlier acquire already prepared — the
+    /// Acquires of a payload some earlier acquire already consumed — the
     /// deliveries that shared another receiver's decode + verify.
     std::uint64_t shared_hits = 0;
-    /// First-consumption acquires, each of which paid one prepare.
+    /// Datagram::decode calls: entries first seen on receive. Published
+    /// entries are never decoded.
+    std::uint64_t decodes = 0;
+    /// First-consumption acquires of each entry, however it was prepared.
     [[nodiscard]] std::uint64_t misses() const {
       return acquires - shared_hits;
     }
@@ -97,6 +120,7 @@ class ExchangePool {
     Stats& operator+=(const Stats& o) {
       acquires += o.acquires;
       shared_hits += o.shared_hits;
+      decodes += o.decodes;
       return *this;
     }
   };
@@ -108,6 +132,15 @@ class ExchangePool {
                std::nullptr_t /*unused*/ = nullptr)
       : keys_(keys), cfg_(cfg), last_by_sender_(cfg.n) {}
 
+  /// Sender-side preparation: `buffer` is what correct process `src` just
+  /// encoded from `datagram` (Datagram::encode). Adds an entry that holds
+  /// the buffer and a copy of the datagram, unless equal bytes already
+  /// have one; either way the entry becomes `src`'s memo, so the loopback
+  /// and every delivery of the buffer itself hit by address. Counts no
+  /// acquire.
+  void publish(ProcessId src, const net::FramedPayload& buffer,
+               const Datagram& datagram);
+
   /// Delivery-time lookup of `payload` received from `src`; decodes and
   /// verifies it on first sight. The reference lives as long as the pool.
   const Prepared& acquire(ProcessId src, BytesView payload);
@@ -115,18 +148,42 @@ class ExchangePool {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  void fill(Prepared& entry);
+  /// The entry holding exactly `payload`'s bytes, whose content hash is
+  /// `hash`, or nullptr.
+  [[nodiscard]] Prepared* find(std::uint64_t hash, BytesView payload) const;
+  /// A new entry, indexed under `hash`, that holds `buffer` and views
+  /// `payload` in it.
+  Prepared& add(std::uint64_t hash, SharedBytes buffer, BytesView payload);
+  void grow_index();
+  /// The first slot `hash` probes: its top bits after a multiplicative mix.
+  [[nodiscard]] std::size_t home(std::uint64_t hash) const {
+    return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ULL) >>
+                                    index_shift_);
+  }
+  /// Verdicts and summary of the entry's datagram.
+  void prepare(Prepared& entry);
+  /// `entry` as the result of an acquire from `src`: counts the hit or
+  /// the miss and makes it `src`'s memo.
+  const Prepared& consume(ProcessId src, Prepared& entry);
 
   const KeyInfrastructure& keys_;
   const Config& cfg_;
-  /// Cross-payload verdict memo shared by every fill.
+  /// Cross-payload verdict memo shared by every preparation.
   VerifyMemo memo_;
-  // Buckets of owned entries; pointers stay stable across rehashes so
-  // Process callbacks can hold them.
-  std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<Prepared>>>
-      map_;
-  /// Per sender (ids below cfg.n), the entry its latest lookup resolved
-  /// to; entries are never freed.
+  /// Every entry, never freed before the pool; a deque keeps addresses
+  /// stable as it grows, so Process callbacks can hold them.
+  std::deque<Prepared> entries_;
+  /// Open-addressing index of entries_ by content hash (linear probing,
+  /// at most half full; a null entry marks an empty slot). Equal hashes
+  /// are told apart by the full-byte compare.
+  struct Slot {
+    std::uint64_t hash = 0;
+    Prepared* entry = nullptr;
+  };
+  std::vector<Slot> index_;
+  int index_shift_ = 64;  // 64 - log2(index_.size())
+  /// Per sender (ids below cfg.n), the entry its latest publish or lookup
+  /// resolved to; entries are never freed.
   std::vector<Prepared*> last_by_sender_;
   Stats stats_;
 };

@@ -1,5 +1,7 @@
 #include "turquois/message.hpp"
 
+#include <cstring>
+
 namespace turq::turquois {
 
 namespace {
@@ -13,13 +15,22 @@ std::uint32_t load_u32(const std::uint8_t* p) {
 }
 }  // namespace
 
-void Message::encode_core(Writer& w) const {
-  w.u32(sender);
-  w.u32(phase);
-  w.u8(static_cast<std::uint8_t>(value));
-  w.u8(static_cast<std::uint8_t>(status));
-  w.u8(from_coin ? 1 : 0);
-  w.bytes(auth_sk);
+std::uint8_t* Message::encode_core(std::uint8_t* out) const {
+  out = put_le(out, sender);
+  out = put_le(out, phase);
+  *out++ = static_cast<std::uint8_t>(value);
+  *out++ = static_cast<std::uint8_t>(status);
+  *out++ = from_coin ? 1 : 0;
+  const std::size_t key = auth_sk.size();
+  out = put_le(out, static_cast<std::uint32_t>(key));
+  // Revealed keys are almost always full length, and a copy of constant
+  // size is two vector moves where a variable one becomes a rep movs.
+  if (key == AuthKey::kMaxBytes) {
+    std::memcpy(out, auth_sk.data(), AuthKey::kMaxBytes);
+  } else {
+    std::memcpy(out, auth_sk.data(), key);
+  }
+  return out + key;
 }
 
 bool Message::decode_core(Reader& r, Message& out) {
@@ -46,16 +57,18 @@ bool Message::decode_core(Reader& r, Message& out) {
   return true;
 }
 
-Bytes Datagram::encode() const {
-  Writer w;
-  std::size_t total = 1 + 2 + main.encoded_core_size();
+net::FramedPayload Datagram::encode() const {
+  std::size_t total = 1 + main.encoded_core_size() + 2;
   for (const Message& m : justification) total += m.encoded_core_size();
-  w.reserve(total);
-  w.u8(kDatagramTag);
-  main.encode_core(w);
-  w.u16(static_cast<std::uint16_t>(justification.size()));
-  for (const Message& m : justification) m.encode_core(w);
-  return w.take();
+  // Zero-initialised, so the header room behind the payload is opaque zeros.
+  Bytes frame(total + net::kUdpIpOverhead);
+  std::uint8_t* out = frame.data();
+  *out++ = kDatagramTag;
+  out = main.encode_core(out);
+  out = put_le(out, static_cast<std::uint16_t>(justification.size()));
+  for (const Message& m : justification) out = m.encode_core(out);
+  TURQ_ASSERT(out == frame.data() + total);
+  return net::FramedPayload(std::move(frame));
 }
 
 std::optional<Datagram> Datagram::decode(BytesView bytes) {

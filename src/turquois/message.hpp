@@ -28,6 +28,7 @@
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "crypto/onetime_sig.hpp"
+#include "net/datagram_port.hpp"
 
 namespace turq::turquois {
 
@@ -92,16 +93,17 @@ struct Message {
   bool from_coin = false;
   AuthKey auth_sk;  // revealed SK[phase][value]
 
-  /// Serializes the core fields (no justification) — the unit attached as
-  /// justification inside other messages.
-  void encode_core(Writer& w) const;
+  /// Writes the core fields (no justification) at `out` — the unit
+  /// attached as justification inside other messages — and returns the
+  /// byte after them. `out` must have encoded_core_size() bytes.
+  std::uint8_t* encode_core(std::uint8_t* out) const;
 
   /// The fixed part of encode_core(): sender, phase, value, status,
   /// from_coin and the key's length prefix — the size of a core with an
   /// empty key.
   static constexpr std::size_t kCoreHeaderBytes = 4 + 4 + 1 + 1 + 1 + 4;
 
-  /// Exact number of bytes encode_core() appends.
+  /// Exact number of bytes encode_core() writes.
   [[nodiscard]] std::size_t encoded_core_size() const {
     return kCoreHeaderBytes + auth_sk.size();
   }
@@ -126,7 +128,10 @@ struct Datagram {
   Message main;
   std::vector<Message> justification;
 
-  [[nodiscard]] Bytes encode() const;
+  /// The wire bytes followed by the UDP/IP header room, sized once and
+  /// filled in place: the buffer a port airs as it is. payload() of the
+  /// result is what decode() reads.
+  [[nodiscard]] net::FramedPayload encode() const;
   /// Decodes every message in place into the returned datagram; the
   /// justification vector is its only allocation.
   static std::optional<Datagram> decode(BytesView bytes);

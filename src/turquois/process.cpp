@@ -117,7 +117,7 @@ void Process::broadcast_state() {
   ++stats_.broadcasts;
   rt_.charge(costs_.udp_send);
 
-  const auto assemble = [&]() -> SharedBytes {
+  const auto assemble = [&]() -> net::FramedPayload {
     Datagram& d = outgoing_;
     d.main = Message{.sender = id_,
                      .phase = phase_,
@@ -147,10 +147,15 @@ void Process::broadcast_state() {
     }
     const BytesView sk = keys_.secret_key(id_, d.main.phase, d.main.value);
     d.main.auth_sk.assign(sk.begin(), sk.end());
-    return std::make_shared<const Bytes>(d.encode());
+    net::FramedPayload encoded = d.encode();
+    // A correct process prepares its own pool entry from the datagram it
+    // holds, so no receiver decodes it. A mutated broadcast is an
+    // insider's: receivers judge its bytes themselves.
+    if (!mutator_) exchange_pool_.publish(id_, encoded, d);
+    return encoded;
   };
 
-  SharedBytes encoded;
+  net::FramedPayload encoded;
   if (justify && !mutator_) {
     // Stalled retransmissions re-send byte-identical justified payloads
     // whenever nothing the assembly reads has changed; skip the rebuild +
@@ -170,7 +175,8 @@ void Process::broadcast_state() {
                    .kind = trace::Kind::kStateBroadcast, .process = id_,
                    .phase = phase_,
                    .value = static_cast<std::int64_t>(value_),
-                   .bytes = static_cast<std::uint32_t>(encoded->size()));
+                   .bytes =
+                       static_cast<std::uint32_t>(encoded.payload().size()));
   trace::count("turquois.broadcasts");
   trace::observe("turquois.broadcast_phase",
                  {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20, 30}, phase_);

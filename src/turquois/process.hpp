@@ -12,8 +12,10 @@
 //
 // T1 mostly repeats itself: a stalled process re-broadcasts an unchanged,
 // explicitly justified state every tick. Such a re-send hands the port the
-// same shared payload object as the last one (see EncodedCache), so the
-// layers below copy and hash each distinct payload once.
+// same framed buffer as the last one (see EncodedCache). Each new buffer a
+// correct process encodes is published to its exchange pool with the
+// datagram it came from, so receivers of the shared pool find the entry by
+// the buffer's address and nobody decodes it.
 //
 // A `mutate_outgoing` hook lets the adversary module install the paper's
 // Byzantine strategies; the mutated message is re-signed with the process's
@@ -57,8 +59,9 @@ struct ProcessHooks {
   PhaseHandler on_phase;
   Mutator mutate_outgoing;
   /// Shares a per-repetition prepared-exchange cache (decode + batched
-  /// authenticity, computed once per unique payload across all receivers).
-  /// Optional; without it the process builds a private pool of its own.
+  /// authenticity, computed once per unique payload across all receivers;
+  /// correct senders publish their own payloads into it). Optional;
+  /// without it the process builds a private pool of its own.
   /// Verdicts are pure functions of the payload bytes, so the observable
   /// run is the same either way — see exchange_pool.hpp.
   ExchangePool* exchange_pool = nullptr;
@@ -243,12 +246,12 @@ class Process {
   // Whole-payload memo: when the fingerprint matches and no Byzantine
   // mutator is installed (a mutator may consume randomness, so it must
   // run every time), the previously encoded datagram is re-sent as the
-  // same shared object. Covers justification assembly, signing, and
-  // encoding; the endpoint below then reuses its padded frame, and the
-  // exchange pool finds the entry through this sender's memo.
+  // same framed buffer. Covers justification assembly, signing, encoding
+  // and publishing; the endpoint airs the buffer again, and the exchange
+  // pool finds its entry by address.
   struct EncodedCache {
     std::optional<BroadcastFingerprint> key;
-    SharedBytes payload;
+    net::FramedPayload payload;
   };
   EncodedCache encoded_cache_;
 

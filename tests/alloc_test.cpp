@@ -135,9 +135,10 @@ TEST(Allocations, DecodingAFullDatagramAllocatesOnlyItsJustification) {
     d.justification.push_back(
         keyed(static_cast<ProcessId>(i), 8, Value::kZero));
   }
-  const Bytes enc = d.encode();
+  const net::FramedPayload enc = d.encode();
   std::optional<Datagram> decoded;
-  EXPECT_EQ(allocations_in([&] { decoded = Datagram::decode(enc); }), 1u);
+  EXPECT_EQ(allocations_in([&] { decoded = Datagram::decode(enc.payload()); }),
+            1u);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->main, d.main);
   ASSERT_EQ(decoded->justification.size(), Process::kMaxAttachments);

@@ -29,7 +29,7 @@ TEST(BroadcastEndpoint, LoopbackAndAirDelivery) {
     EXPECT_EQ(src, 0u);
     ++b_got;
   });
-  a.send(std::make_shared<const Bytes>(10, 0x5A));
+  a.send(net::FramedPayload::copy_of(Bytes(10, 0x5A)));
   sim.run();
   EXPECT_EQ(a_got, 1);  // self-delivery is local and loss-free
   EXPECT_EQ(b_got, 1);
@@ -49,7 +49,7 @@ TEST(BroadcastEndpoint, PayloadSurvivesHeaderModeling) {
   }
   Bytes received;
   b.set_handler([&](ProcessId, BytesView p) { received = Bytes(p.begin(), p.end()); });
-  a.send(std::make_shared<const Bytes>(payload));
+  a.send(net::FramedPayload::copy_of(payload));
   sim.run();
   EXPECT_EQ(received, payload);
 }
@@ -62,11 +62,11 @@ TEST(BroadcastEndpoint, ClosedEndpointIsSilent) {
   int b_got = 0;
   b.set_handler([&](ProcessId, BytesView) { ++b_got; });
   b.close();
-  a.send(std::make_shared<const Bytes>(5, 1));
+  a.send(net::FramedPayload::copy_of(Bytes(5, 1)));
   sim.run();
   EXPECT_EQ(b_got, 0);
   // And a closed endpoint no longer transmits.
-  b.send(std::make_shared<const Bytes>(5, 2));
+  b.send(net::FramedPayload::copy_of(Bytes(5, 2)));
   sim.run();
   EXPECT_EQ(b.datagrams_sent(), 0u);
 }
@@ -81,7 +81,7 @@ TEST(BroadcastEndpoint, ReattachAfterCloseUnderSameId) {
   net::BroadcastEndpoint peer(sim, medium, 1);
   int got = 0;
   peer.set_handler([&](ProcessId, BytesView) { ++got; });
-  second.send(std::make_shared<const Bytes>(3, 9));
+  second.send(net::FramedPayload::copy_of(Bytes(3, 9)));
   sim.run();
   EXPECT_EQ(got, 1);
 }
@@ -106,10 +106,11 @@ class RecordingService final : public net::BroadcastService {
 };
 
 TEST(BroadcastEndpoint, ResentPayloadAirsEveryTime) {
-  // A re-send of the same payload object reuses the endpoint's padded
-  // frame, but it is still a new broadcast: it airs, costs the same
-  // airtime, and is delivered over the air and by loopback. An equal
-  // payload in a different object is delivered too.
+  // The sender's framed buffer is the frame that airs: no copy, and a
+  // re-send of the same object airs the same buffer again. It is still a
+  // new broadcast: it airs, costs the same airtime, and is delivered over
+  // the air and by loopback. An equal payload in a different object is
+  // delivered too.
   sim::Simulator sim;
   net::Medium medium(sim, net::MediumConfig{}, Rng(1));
   RecordingService service(medium);
@@ -129,7 +130,7 @@ TEST(BroadcastEndpoint, ResentPayloadAirsEveryTime) {
     aired.emplace_back(p.begin(), p.end());
   });
 
-  const SharedBytes payload = std::make_shared<const Bytes>(bytes);
+  const net::FramedPayload payload = net::FramedPayload::copy_of(bytes);
   const SimDuration airtime = medium.frame_airtime(
       bytes.size() + net::BroadcastEndpoint::kUdpIpOverhead,
       net::MediumConfig{}.broadcast_rate_bps);
@@ -140,14 +141,15 @@ TEST(BroadcastEndpoint, ResentPayloadAirsEveryTime) {
   sim.run();
   EXPECT_EQ(medium.stats().broadcast_frames, 2u);  // no suppression
   EXPECT_EQ(medium.stats().airtime, 2 * airtime);
-  a.send(std::make_shared<const Bytes>(bytes));
+  a.send(net::FramedPayload::copy_of(bytes));
   sim.run();
 
   EXPECT_EQ(a.datagrams_sent(), 3u);
   EXPECT_EQ(medium.stats().broadcast_frames, 3u);
   EXPECT_EQ(medium.stats().airtime, 3 * airtime);
   ASSERT_EQ(service.frames.size(), 3u);
-  EXPECT_EQ(service.frames[1], service.frames[0]);  // re-send: frame reused
+  EXPECT_EQ(service.frames[0], payload.frame());    // the sender's buffer
+  EXPECT_EQ(service.frames[1], service.frames[0]);  // re-send: same buffer
   EXPECT_NE(service.frames[2], service.frames[0]);  // new object: new frame
   for (const auto& frame : service.frames) {
     EXPECT_EQ(frame->size(),
@@ -155,7 +157,13 @@ TEST(BroadcastEndpoint, ResentPayloadAirsEveryTime) {
   }
   EXPECT_EQ(looped, std::vector<Bytes>(3, bytes));
   EXPECT_EQ(aired, std::vector<Bytes>(3, bytes));
-  EXPECT_EQ(*payload, bytes);  // the sent object is never modified
+  // The sent object is never modified, header room included.
+  EXPECT_EQ(Bytes(payload.payload().begin(), payload.payload().end()), bytes);
+  EXPECT_EQ(*payload.frame(), [&] {
+    Bytes frame = bytes;
+    frame.resize(bytes.size() + net::kUdpIpOverhead);
+    return frame;
+  }());
 }
 
 TEST(KeyInfrastructure, ChainsCoverEpochAndCrossVerify) {

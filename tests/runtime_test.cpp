@@ -5,8 +5,13 @@
 // deterministic simulator and real UDP loopback sockets), and the
 // sim-adapter golden: BENCH_table1_failure_free.json must stay
 // byte-identical now that every Process runs behind runtime::Runtime.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -191,7 +196,7 @@ TEST(UdpRuntime, LoopbackBroadcastReachesEveryPortIncludingSender) {
       got.emplace_back(id, src);
     });
   }
-  ports[1]->send(std::make_shared<const Bytes>(Bytes{0xAB, 0xCD}));
+  ports[1]->send(net::FramedPayload::copy_of(Bytes{0xAB, 0xCD}));
   rt.run([&] { return got.size() >= 3; }, 5 * kSecond);
 
   ASSERT_EQ(got.size(), 3u);  // all three ports, sender included
@@ -229,7 +234,7 @@ TEST(UdpRuntime, BroadcastBurstDrainsInOneWakeupPerSocket) {
   // polls: sends are synchronous sendto() calls.
   for (std::uint32_t i = 0; i < kBurst; ++i) {
     ports[0]->send(
-        std::make_shared<const Bytes>(Bytes{static_cast<std::uint8_t>(i)}));
+        net::FramedPayload::copy_of(Bytes{static_cast<std::uint8_t>(i)}));
   }
   ASSERT_EQ(rt.socket_wakeups(), 0u);
 
@@ -240,6 +245,57 @@ TEST(UdpRuntime, BroadcastBurstDrainsInOneWakeupPerSocket) {
   EXPECT_EQ(rt.datagrams_received(), 2 * kBurst);
   // One drain per socket read the whole burst.
   EXPECT_EQ(rt.socket_wakeups(), 2u);
+}
+
+TEST(UdpRuntime, SendsThePayloadWithoutItsHeaderRoom) {
+  // A FramedPayload ends in room for the modelled UDP/IP headers; on a
+  // real socket the kernel writes those, so only the payload may go out.
+  // A plain socket among the peers sees the runtime's 4-byte frame header
+  // and the payload, nothing more; both ports receive the payload bytes.
+  runtime::UdpRuntime rt(12);
+  std::vector<runtime::UdpRuntime::UdpPort*> ports;
+  std::vector<runtime::UdpEndpoint> peers;
+  for (ProcessId id = 0; id < 2; ++id) {
+    auto& port = rt.open_port(id, 0);
+    ports.push_back(&port);
+    peers.push_back(runtime::UdpEndpoint{.host = "127.0.0.1",
+                                         .port = port.local_port()});
+  }
+  const int wire = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+  ASSERT_GE(wire, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(wire, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(wire, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  peers.push_back(runtime::UdpEndpoint{.host = "127.0.0.1",
+                                       .port = ntohs(addr.sin_port)});
+  rt.set_peers(std::move(peers));
+
+  Bytes payload(100);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 29 + 3);
+  }
+  std::vector<Bytes> got(2);
+  for (ProcessId id = 0; id < 2; ++id) {
+    ports[id]->set_handler([&, id](ProcessId src, BytesView p) {
+      EXPECT_EQ(src, 1u);
+      got[id].assign(p.begin(), p.end());
+    });
+  }
+  ports[1]->send(net::FramedPayload::copy_of(payload));
+  rt.run([&] { return !got[0].empty() && !got[1].empty(); }, 5 * kSecond);
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(got[1], payload);  // loopback included
+
+  std::uint8_t buf[512];
+  const ssize_t n = ::recv(wire, buf, sizeof(buf), 0);
+  ::close(wire);
+  EXPECT_EQ(n, static_cast<ssize_t>(4 + payload.size()));
+  EXPECT_TRUE(n > 4 && std::equal(payload.begin(), payload.end(), buf + 4));
 }
 
 // ---------------------------------------------- cross-runtime equivalence --

@@ -37,8 +37,8 @@ Bytes make_payload(std::size_t len, std::uint8_t tag) {
 }
 
 /// make_payload() as the shared object a DatagramPort sends.
-SharedBytes shared_payload(std::size_t len, std::uint8_t tag) {
-  return std::make_shared<const Bytes>(make_payload(len, tag));
+net::FramedPayload shared_payload(std::size_t len, std::uint8_t tag) {
+  return net::FramedPayload::copy_of(make_payload(len, tag));
 }
 
 // ---------------------------------------------------------------- FrameMux --

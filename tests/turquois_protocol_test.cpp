@@ -69,6 +69,9 @@ class Cluster {
   }
 
   Config& config() { return cfg_; }
+  const KeyInfrastructure& keys() const { return keys_; }
+  /// The shared pool; null unless built with `shared_pool`.
+  ExchangePool* pool() { return pool_.get(); }
   sim::Simulator& simulator() { return sim_; }
   net::Medium& medium() { return medium_; }
   Process& process(ProcessId id) { return *processes_[id]; }
@@ -331,6 +334,61 @@ TEST(TurquoisReceivePath, PrivatePoolsRunLikeOneSharedPool) {
   }
 }
 
+TEST(TurquoisReceivePath, CorrectProcessesPublishWhatTheyEncodeInsidersDoNot) {
+  // Every payload a correct process encodes is in the shared pool before
+  // it airs, held in the very buffer that airs, with the datagram its
+  // bytes decode to and the verdicts a fresh check gives. An insider's
+  // mutated broadcast is never published: its entry is a receive-side
+  // copy of the bytes.
+  constexpr std::uint32_t kInsiders = 2;
+  Cluster cluster(7, /*seed=*/12, {}, kInsiders, /*shared_pool=*/true);
+  struct Sent {
+    ProcessId src;
+    const std::uint8_t* frame;
+    std::string payload;
+  };
+  std::vector<Sent> sent;
+  cluster.medium().set_broadcast_tap([&](ProcessId src, BytesView frame) {
+    const BytesView payload = frame.first(frame.size() - net::kUdpIpOverhead);
+    sent.push_back(
+        {src, frame.data(), std::string(payload.begin(), payload.end())});
+  });
+  const auto proposals = divergent(7);
+  cluster.propose_all(proposals);
+  std::vector<ProcessId> correct;
+  for (ProcessId id = 0; id < 7 - kInsiders; ++id) correct.push_back(id);
+  ASSERT_TRUE(cluster.run_until_decided(correct, 120 * kSecond));
+
+  ExchangePool& pool = *cluster.pool();
+  std::set<std::string> seen;
+  std::size_t published = 0;
+  std::size_t mutated = 0;
+  for (const Sent& s : sent) {
+    if (!seen.insert(s.payload).second) continue;  // first airing only
+    const bool insider = s.src >= 7 - kInsiders;
+    const std::uint64_t decodes = pool.stats().decodes;
+    const ExchangePool::Prepared& entry =
+        pool.acquire(s.src, as_bytes(s.payload));
+    ASSERT_TRUE(entry.datagram.has_value());
+    EXPECT_EQ(entry.datagram, Datagram::decode(entry.payload));
+    VerifyMemo fresh;
+    std::vector<std::uint8_t> verdicts;
+    fresh.check_batch(cluster.keys(), cluster.config(), *entry.datagram,
+                      verdicts);
+    EXPECT_EQ(entry.auth, verdicts);
+    if (insider) {
+      EXPECT_NE(entry.buffer->data(), s.frame) << "p" << s.src;
+      ++mutated;
+    } else {
+      EXPECT_EQ(entry.buffer->data(), s.frame) << "p" << s.src;
+      EXPECT_EQ(pool.stats().decodes, decodes) << "p" << s.src;
+      ++published;
+    }
+  }
+  EXPECT_GT(published, 0u);
+  EXPECT_GT(mutated, 0u);
+}
+
 // --------------------------------------------------------------- Byzantine
 
 TEST(TurquoisByzantine, ValueInversionCannotBreakValidity) {
@@ -588,9 +646,12 @@ class InjectPort final : public net::DatagramPort {
   void set_handler(net::DatagramHandler handler) override {
     handler_ = std::move(handler);
   }
-  void send(SharedBytes) override {}
+  void send(net::FramedPayload) override {}
   void close() override {}
-  void deliver(ProcessId src, const Bytes& payload) { handler_(src, payload); }
+  void deliver(ProcessId src, BytesView payload) { handler_(src, payload); }
+  void deliver(ProcessId src, const net::FramedPayload& framed) {
+    deliver(src, framed.payload());
+  }
 
  private:
   net::DatagramHandler handler_;

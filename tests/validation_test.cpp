@@ -18,6 +18,13 @@
 namespace turq::turquois {
 namespace {
 
+/// The wire bytes of `d`: the payload part of its encoded frame.
+Bytes wire(const Datagram& d) {
+  const net::FramedPayload framed = d.encode();
+  const BytesView payload = framed.payload();
+  return {payload.begin(), payload.end()};
+}
+
 Message msg(ProcessId sender, Phase phase, Value v,
             Status status = Status::kUndecided, bool from_coin = false) {
   return Message{.sender = sender,
@@ -621,8 +628,8 @@ TEST(ExchangePool, PerSenderMemoConfirmsBytes) {
   d.main.auth_sk.assign(sk.begin(), sk.end());
   Datagram forged = d;
   forged.main.auth_sk.back() ^= 0x01;
-  const Bytes genuine = d.encode();
-  const Bytes tampered = forged.encode();
+  const Bytes genuine = wire(d);
+  const Bytes tampered = wire(forged);
   ASSERT_EQ(tampered.size(), genuine.size());
   std::size_t differing = 0;
   for (std::size_t i = 0; i < genuine.size(); ++i) {
@@ -652,6 +659,59 @@ TEST(ExchangePool, PerSenderMemoConfirmsBytes) {
   EXPECT_EQ(s.acquires, 7u);
   EXPECT_EQ(s.shared_hits, 5u);  // every acquire after each payload's first
   EXPECT_EQ(s.misses(), 2u);     // one prepare per distinct payload
+}
+
+TEST(ExchangePool, PublishedEntriesHitByAddressAndByContent) {
+  // A published entry is found by the address of the publisher's buffer
+  // and, from any other buffer, by its bytes. Its first acquire is the
+  // miss, as if that acquire had prepared it, and nothing is decoded.
+  const Config cfg = Config::for_group(4);
+  Rng rng(5);
+  const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
+  ExchangePool pool(keys, cfg);
+  Datagram d;
+  d.main = msg(1, 2, Value::kOne);
+  const BytesView sk = keys.chain(1).secret_key(2, Value::kOne);
+  d.main.auth_sk.assign(sk.begin(), sk.end());
+  d.justification = {msg(0, 1, Value::kOne), msg(2, 1, Value::kZero)};
+
+  const net::FramedPayload framed = d.encode();
+  pool.publish(1, framed, d);
+  EXPECT_EQ(pool.stats().acquires, 0u);
+
+  const ExchangePool::Prepared& entry = pool.acquire(1, framed.payload());
+  EXPECT_EQ(entry.buffer, framed.frame());  // the publisher's own buffer
+  EXPECT_EQ(entry.payload.data(), framed.payload().data());
+  EXPECT_EQ(entry.datagram, d);
+  std::vector<std::uint8_t> verdicts;
+  VerifyMemo().check_batch(keys, cfg, d, verdicts);
+  EXPECT_EQ(entry.auth, verdicts);
+  EXPECT_EQ(pool.stats().misses(), 1u);
+  EXPECT_EQ(pool.stats().shared_hits, 0u);
+
+  // Byte-equal views in other buffers, from the publisher and from a
+  // sender whose memo has never seen the entry.
+  const Bytes copy = wire(d);
+  EXPECT_EQ(&pool.acquire(1, copy), &entry);
+  EXPECT_EQ(&pool.acquire(3, copy), &entry);
+  EXPECT_EQ(&pool.acquire(2, framed.payload()), &entry);
+  // Equal bytes published again from a new buffer keep the first entry.
+  const net::FramedPayload again = d.encode();
+  pool.publish(2, again, d);
+  EXPECT_EQ(&pool.acquire(2, again.payload()), &entry);
+
+  const ExchangePool::Stats& s = pool.stats();
+  EXPECT_EQ(s.acquires, 5u);
+  EXPECT_EQ(s.shared_hits, 4u);
+  EXPECT_EQ(s.misses(), 1u);
+  EXPECT_EQ(s.decodes, 0u);
+
+  // A payload first seen on receive is decoded once.
+  Datagram other = d;
+  other.justification.pop_back();
+  EXPECT_NE(&pool.acquire(1, wire(other)), &entry);
+  EXPECT_EQ(pool.stats().decodes, 1u);
+  EXPECT_EQ(pool.stats().misses(), 2u);
 }
 
 TEST(ExchangeSummary, GroupsInRangeSendersByPhase) {
@@ -705,7 +765,7 @@ TEST(ExchangeSummary, PoolEntriesCarryTheSummaryOfTheirDatagram) {
   Datagram d;
   d.main = msg(1, 2, Value::kOne);
   d.justification = {msg(0, 1, Value::kOne), msg(2, 1, Value::kZero)};
-  const ExchangePool::Prepared& entry = pool.acquire(1, d.encode());
+  const ExchangePool::Prepared& entry = pool.acquire(1, wire(d));
   const ExchangeSummary expected = ExchangeSummary::of(d, cfg);
   ASSERT_EQ(entry.summary.count, expected.count);
   EXPECT_EQ(entry.summary.phases, expected.phases);
@@ -723,7 +783,7 @@ TEST(MessageCodec, DatagramRoundTrip) {
   d.justification.push_back(msg(1, 5, Value::kOne));
   d.justification.push_back(msg(2, 5, Value::kZero, Status::kDecided, true));
 
-  const auto decoded = Datagram::decode(d.encode());
+  const auto decoded = Datagram::decode(wire(d));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->main, d.main);
   ASSERT_EQ(decoded->justification.size(), 2u);
@@ -737,7 +797,7 @@ TEST(MessageCodec, RejectsGarbage) {
   // Valid tag but truncated body.
   Datagram d;
   d.main = msg(3, 7, Value::kOne);
-  Bytes enc = d.encode();
+  Bytes enc = wire(d);
   enc.resize(enc.size() - 3);
   EXPECT_FALSE(Datagram::decode(enc).has_value());
 }
@@ -745,7 +805,7 @@ TEST(MessageCodec, RejectsGarbage) {
 TEST(MessageCodec, RejectsInvalidEnumValues) {
   Datagram d;
   d.main = msg(3, 7, Value::kOne);
-  Bytes enc = d.encode();
+  Bytes enc = wire(d);
   // Value byte sits after tag(1) + sender(4) + phase(4).
   enc[9] = 7;  // not a Value
   EXPECT_FALSE(Datagram::decode(enc).has_value());
