@@ -24,9 +24,6 @@ namespace turq::net {
 
 class BroadcastEndpoint final : public DatagramPort {
  public:
-  /// Legacy alias; the handler type lives in datagram_port.hpp.
-  using DatagramHandler = net::DatagramHandler;
-
   static constexpr std::size_t kUdpIpOverhead = net::kUdpIpOverhead;
 
   BroadcastEndpoint(sim::Simulator& simulator, BroadcastService& service,

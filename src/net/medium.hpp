@@ -112,10 +112,8 @@ struct MediumStats {
 
 class Medium final : public BroadcastService {
  public:
-  /// See BroadcastService for the delivery-view and shared-payload
-  /// contracts; the aliases predate the interface and stay for callers.
-  using ReceiveHandler = BroadcastService::ReceiveHandler;
-  using FramePayload = BroadcastService::FramePayload;
+  // See BroadcastService for the delivery-view and shared-payload
+  // contracts of ReceiveHandler and FramePayload.
 
   /// Called when a unicast send completes: true = MAC-acknowledged,
   /// false = dropped after the retry limit.

@@ -56,6 +56,12 @@ void ExchangePool::publish(ProcessId src, const net::FramedPayload& buffer,
     entry->datagram = datagram;
     prepare(*entry);
   }
+#ifndef NDEBUG
+  // A correct sender's datagram spans at most kMaxPhases phases (DESIGN.md
+  // §14); a justification rule that reaches further must keep it so.
+  TURQ_ASSERT_MSG(!entry->summary.overflow,
+                  "a correct sender's datagram must fit its summary");
+#endif
   if (src < last_by_sender_.size()) last_by_sender_[src] = entry;
 }
 

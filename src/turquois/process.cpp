@@ -117,19 +117,29 @@ void Process::broadcast_state() {
   ++stats_.broadcasts;
   rt_.charge(costs_.udp_send);
 
-  const auto assemble = [&]() -> net::FramedPayload {
-    Datagram& d = outgoing_;
+  Datagram& d = outgoing_;
+  const BroadcastKey key = justification_key(justify, root_evidence);
+  if (memo_key_ == key) {
+#ifndef NDEBUG
+    std::vector<Message> fresh;
+    pick(key, fresh);
+    TURQ_ASSERT_MSG(fresh == d.justification,
+                    "a broadcast memo hit must attach what a fresh pick would");
+#endif
+  } else {
+    pick(key, d.justification);
+    memo_key_ = key;
+    memo_payload_ = {};
+  }
+
+  net::FramedPayload encoded = memo_payload_;
+  if (!encoded) {
     d.main = Message{.sender = id_,
                      .phase = phase_,
                      .value = value_,
                      .status = status_,
                      .from_coin = from_coin_,
                      .auth_sk = {}};
-    d.justification.clear();
-    if (justify) {
-      const std::vector<Message>& picked = build_justification(root_evidence);
-      d.justification.assign(picked.begin(), picked.end());
-    }
     if (mutator_) mutator_(d.main);
     // Sign (reveal the one-time key) after any Byzantine mutation: insiders
     // hold real keys and can authenticate any value in the allowed domain.
@@ -147,29 +157,15 @@ void Process::broadcast_state() {
     }
     const BytesView sk = keys_.secret_key(id_, d.main.phase, d.main.value);
     d.main.auth_sk.assign(sk.begin(), sk.end());
-    net::FramedPayload encoded = d.encode();
+    encoded = d.encode();
     // A correct process prepares its own pool entry from the datagram it
-    // holds, so no receiver decodes it. A mutated broadcast is an
-    // insider's: receivers judge its bytes themselves.
-    if (!mutator_) exchange_pool_.publish(id_, encoded, d);
-    return encoded;
-  };
-
-  net::FramedPayload encoded;
-  if (justify && !mutator_) {
-    // Stalled retransmissions re-send byte-identical justified payloads
-    // whenever nothing the assembly reads has changed; skip the rebuild +
-    // re-encode. (A mutator may consume randomness, so mutated broadcasts
-    // always run the full path.)
-    const BroadcastFingerprint fp = fingerprint(root_evidence);
-    if (encoded_cache_.key == fp) {
-      encoded = encoded_cache_.payload;
-    } else {
-      encoded = assemble();
-      encoded_cache_ = {fp, encoded};
+    // holds, so no receiver decodes it, and keeps the buffer for re-sends.
+    // A mutated broadcast is an insider's: receivers judge its bytes
+    // themselves.
+    if (!mutator_) {
+      exchange_pool_.publish(id_, encoded, d);
+      memo_payload_ = encoded;
     }
-  } else {
-    encoded = assemble();
   }
   TURQ_TRACE_EVENT(.at = rt_.now(), .category = trace::Category::kProtocol,
                    .kind = trace::Kind::kStateBroadcast, .process = id_,
@@ -185,32 +181,20 @@ void Process::broadcast_state() {
   schedule_tick();
 }
 
-Process::BroadcastFingerprint Process::fingerprint(bool root_evidence) const {
-  BroadcastFingerprint fp;
-  fp.phase = phase_;
-  fp.value = value_;
-  fp.status = status_;
-  fp.from_coin = from_coin_;
-  fp.root_evidence = root_evidence;
-  const auto count = [&](Phase p) { return p == 0 ? 0 : view_.count_phase(p); };
-  // Every phase book build_justification can consult for this state.
-  fp.phase_counts = {
-      count(1),
-      count(phase_ > 1 ? phase_ - 1 : 0),
-      count(phase_ > 2 ? phase_ - 2 : 0),
-      count(decide_phase_),
-      count(SemanticValidator::highest_lock_phase_below(phase_)),
-      count(SemanticValidator::highest_decide_phase_below(phase_)),
+Process::BroadcastKey Process::justification_key(bool justify,
+                                                 bool root_evidence) const {
+  BroadcastKey key{.phase = phase_,
+                   .value = value_,
+                   .status = status_,
+                   .from_coin = from_coin_,
+                   .root_evidence = root_evidence};
+  if (!justify) return key;
+  const auto request = [&](Phase p, std::optional<Value> v, std::size_t limit) {
+    TURQ_ASSERT_MSG(key.request_count < BroadcastKey::kMaxRequests,
+                    "a new justification rule needs a larger request list");
+    key.requests[key.request_count++] = {
+        .phase = p, .value = v, .limit = limit, .count = view_.count_phase(p)};
   };
-  return fp;
-}
-
-const std::vector<Message>& Process::build_justification(
-    bool with_root_evidence) const {
-  const BroadcastFingerprint fp = fingerprint(with_root_evidence);
-  if (just_cache_.key == fp) return just_cache_.messages;
-  std::vector<const Message*>& out = just_cache_.candidates;
-  out.clear();
 
   // Phase-1 evidence first (stall escalation only): every deeper
   // validation chain (⊥ values, undecided statuses, converge majorities)
@@ -218,17 +202,17 @@ const std::vector<Message>& Process::build_justification(
   // themselves — re-attaching them repairs receivers that missed the
   // opening exchange and would otherwise be permanently unable to validate
   // legitimate ⊥ states.
-  if (with_root_evidence && phase_ > 2) {
-    view_.append_at(out, 1, Value::kZero, cfg_.half_quorum_size());
-    view_.append_at(out, 1, Value::kOne, cfg_.half_quorum_size());
+  if (root_evidence && phase_ > 2) {
+    request(1, Value::kZero, cfg_.half_quorum_size());
+    request(1, Value::kOne, cfg_.half_quorum_size());
   }
 
   // Phase justification: a quorum at φ-1, or the message we jumped on.
   if (phase_ > 1) {
     if (cfg_.exceeds_quorum(view_.count_phase(phase_ - 1))) {
-      view_.append_at(out, phase_ - 1, std::nullopt, cfg_.quorum_size());
+      request(phase_ - 1, std::nullopt, cfg_.quorum_size());
     } else if (jump_source_.has_value()) {
-      out.push_back(&*jump_source_);
+      request(0, std::nullopt, 1);  // phase 0: the jump source
     }
   }
 
@@ -237,57 +221,66 @@ const std::vector<Message>& Process::build_justification(
     case 1:
       if (phase_ > 1) {
         if (from_coin_) {
-          view_.append_at(out, phase_ - 1, Value::kBottom, cfg_.quorum_size());
+          request(phase_ - 1, Value::kBottom, cfg_.quorum_size());
         } else {
-          view_.append_at(out, phase_ - 2, value_, cfg_.quorum_size());
+          request(phase_ - 2, value_, cfg_.quorum_size());
         }
       }
       break;
     case 2:
-      view_.append_at(out, phase_ - 1, value_, cfg_.half_quorum_size());
+      request(phase_ - 1, value_, cfg_.half_quorum_size());
       break;
     default:  // phase_ % 3 == 0
       if (is_binary(value_)) {
-        view_.append_at(out, phase_ - 1, value_, cfg_.quorum_size());
+        request(phase_ - 1, value_, cfg_.quorum_size());
       } else {
-        view_.append_at(out, phase_ - 2, Value::kZero, cfg_.half_quorum_size());
-        view_.append_at(out, phase_ - 2, Value::kOne, cfg_.half_quorum_size());
+        request(phase_ - 2, Value::kZero, cfg_.half_quorum_size());
+        request(phase_ - 2, Value::kOne, cfg_.half_quorum_size());
       }
       break;
   }
 
   // Status justification.
   if (status_ == Status::kDecided && decide_phase_ >= 3) {
-    view_.append_at(out, decide_phase_, value_, cfg_.quorum_size());
+    request(decide_phase_, value_, cfg_.quorum_size());
   } else if (status_ == Status::kUndecided && phase_ > 3) {
     const Phase lock = SemanticValidator::highest_lock_phase_below(phase_);
-    view_.append_at(out, lock, Value::kZero, cfg_.half_quorum_size());
-    view_.append_at(out, lock, Value::kOne, cfg_.half_quorum_size());
+    request(lock, Value::kZero, cfg_.half_quorum_size());
+    request(lock, Value::kOne, cfg_.half_quorum_size());
     // Direct evidence of a non-uniform DECIDE quorum (see validation.cpp).
     const Phase decide = SemanticValidator::highest_decide_phase_below(phase_);
-    view_.append_at(out, decide, Value::kBottom, 1);
-    view_.append_at(out, decide, Value::kZero, 1);
-    view_.append_at(out, decide, Value::kOne, 1);
+    request(decide, Value::kBottom, 1);
+    request(decide, Value::kZero, 1);
+    request(decide, Value::kOne, 1);
+  }
+  return key;
+}
+
+void Process::pick(const BroadcastKey& key, std::vector<Message>& out) {
+  candidates_.clear();
+  for (std::size_t i = 0; i < key.request_count; ++i) {
+    const BookRequest& r = key.requests[i];
+    if (r.phase == 0) {
+      candidates_.push_back(&*jump_source_);
+    } else {
+      view_.append_at(candidates_, r.phase, r.value, r.limit);
+    }
   }
 
   // Keep the first occurrence of each (sender, phase) in rule order, up to
   // the cap; justification messages never nest. The candidates span a
   // handful of phases, so one sender set per phase makes each check O(1).
-  std::vector<std::pair<Phase, SenderSet>>& seen = just_cache_.seen;
-  seen.clear();
-  std::vector<Message>& picked = just_cache_.messages;
-  picked.clear();
-  for (const Message* m : out) {
-    auto book = std::find_if(seen.begin(), seen.end(),
+  seen_.clear();
+  out.clear();
+  for (const Message* m : candidates_) {
+    auto book = std::find_if(seen_.begin(), seen_.end(),
                              [&](const auto& s) { return s.first == m->phase; });
-    if (book == seen.end()) book = seen.insert(seen.end(), {m->phase, {}});
+    if (book == seen_.end()) book = seen_.insert(seen_.end(), {m->phase, {}});
     if (book->second.contains(m->sender)) continue;
     book->second.insert(m->sender);
-    picked.push_back(*m);
-    if (picked.size() == kMaxAttachments) break;
+    out.push_back(*m);
+    if (out.size() == kMaxAttachments) break;
   }
-  just_cache_.key = fp;
-  return picked;
 }
 
 // ---------------------------------------------------------------- task T2 --

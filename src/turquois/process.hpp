@@ -11,8 +11,11 @@
 //        CONVERGE / LOCK / DECIDE transition and advance one phase.
 //
 // T1 mostly repeats itself: a stalled process re-broadcasts an unchanged,
-// explicitly justified state every tick. Such a re-send hands the port the
-// same framed buffer as the last one (see EncodedCache). Each new buffer a
+// explicitly justified state every tick. The justification rules are
+// written once, as a list of view-book requests (justification_key()); the
+// list with each book's size is the key of the one broadcast memo, and the
+// attachments are picked from the same list. A re-send whose key matches
+// hands the port the same framed buffer as the last one. Each new buffer a
 // correct process encodes is published to its exchange pool with the
 // datagram it came from, so receivers of the shared pool find the entry by
 // the buffer's address and nobody decodes it.
@@ -163,11 +166,41 @@ class Process {
   void maybe_decide();                    // lines 40-42
   void prune_pending();
 
-  /// The attachments for a justified broadcast of the current state: the
-  /// rule-ordered candidates, deduplicated by (sender, phase) and capped at
-  /// kMaxAttachments. The reference stays valid until the next call.
-  [[nodiscard]] const std::vector<Message>& build_justification(
-      bool with_root_evidence) const;
+  /// One justification rule's request: up to `limit` messages of the view's
+  /// phase-`phase` book (only those carrying `value`, if given) in sender
+  /// order, and the book's size when the request was made. Phase 0 requests
+  /// the jump source instead.
+  struct BookRequest {
+    Phase phase = 0;
+    std::optional<Value> value;
+    std::size_t limit = 0;
+    std::size_t count = 0;
+    bool operator==(const BookRequest&) const = default;
+  };
+  /// A broadcast of the current state: its tuple and the requests of the
+  /// justification rules in rule order (none when it is not justified).
+  /// Books only grow, so equal counts mean equal books; jump_source_ and
+  /// decide_phase_ change only together with the phase. Equal keys
+  /// therefore pick equal attachments and encode equal bytes.
+  struct BroadcastKey {
+    /// Root evidence 2, phase rule 1, value rule 2, undecided status 5.
+    static constexpr std::size_t kMaxRequests = 10;
+    Phase phase = 0;
+    Value value = Value::kZero;
+    Status status = Status::kUndecided;
+    bool from_coin = false;
+    bool root_evidence = false;
+    std::array<BookRequest, kMaxRequests> requests{};
+    std::size_t request_count = 0;
+    bool operator==(const BroadcastKey&) const = default;
+  };
+  /// The justification rules: the only place that says which books a
+  /// broadcast reads.
+  [[nodiscard]] BroadcastKey justification_key(bool justify,
+                                               bool root_evidence) const;
+  /// The attachments `key` requests: the rule-ordered candidates,
+  /// deduplicated by (sender, phase) and capped at kMaxAttachments.
+  void pick(const BroadcastKey& key, std::vector<Message>& out);
 
   runtime::Runtime& rt_;
   net::DatagramPort& endpoint_;
@@ -205,55 +238,21 @@ class Process {
   /// The latest key epoch this process has signed in.
   std::uint32_t signing_epoch_ = 0;
 
-  // Memos for the broadcast path. A stalled process re-sends the same
-  // justified state every tick, reassembling (and re-encoding) up to 42
-  // attachments from fresh view scans each time — the single hottest host
-  // cost at n=128. Both caches key on a *fingerprint* of exactly the view
-  // state the assembly reads: the broadcast tuple plus the message count
-  // of each phase book the justification rules consult (phase 1, φ-1,
-  // φ-2, the decide phase, and the lock/decide phases below φ). Phase
-  // books only grow, and every selection rule (quorum thresholds,
-  // first-`want` picks in sender order) changes its output only when one
-  // of those books gains a message — which bumps that book's count. The
-  // jump_source_ and decide_phase_ inputs only ever change together with
-  // phase or status, which the tuple already carries.
-  struct BroadcastFingerprint {
-    Phase phase = 0;
-    Value value = Value::kZero;
-    Status status = Status::kUndecided;
-    bool from_coin = false;
-    bool root_evidence = false;
-    std::array<std::size_t, 6> phase_counts{};
-    bool operator==(const BroadcastFingerprint&) const = default;
-  };
-  [[nodiscard]] BroadcastFingerprint fingerprint(bool root_evidence) const;
-
-  struct JustificationCache {
-    std::optional<BroadcastFingerprint> key;
-    std::vector<Message> messages;
-    // Scratch reused across rebuilds, so a rebuild allocates nothing once
-    // the vectors have grown: the rule-ordered candidates (pointers into
-    // the view, which is not mutated during assembly) and one sender set
-    // per phase they span.
-    std::vector<const Message*> candidates;
-    std::vector<std::pair<Phase, SenderSet>> seen;
-  };
-  mutable JustificationCache just_cache_;
-  /// The outgoing datagram, reused by every broadcast for its
-  /// justification vector's capacity.
+  // The broadcast memo. A stalled process re-sends the same justified
+  // state every tick; while the key holds, the attachments are not picked
+  // again, and a correct process re-sends the buffer it encoded last (the
+  // endpoint airs it again and the exchange pool finds its entry by
+  // address). A Byzantine mutator may consume randomness, so it still runs
+  // on every broadcast, over the memoized picks.
+  std::optional<BroadcastKey> memo_key_;
+  net::FramedPayload memo_payload_;  // unset when a mutator is installed
+  /// The outgoing datagram; its justification holds the memoized picks.
   Datagram outgoing_;
-
-  // Whole-payload memo: when the fingerprint matches and no Byzantine
-  // mutator is installed (a mutator may consume randomness, so it must
-  // run every time), the previously encoded datagram is re-sent as the
-  // same framed buffer. Covers justification assembly, signing, encoding
-  // and publishing; the endpoint airs the buffer again, and the exchange
-  // pool finds its entry by address.
-  struct EncodedCache {
-    std::optional<BroadcastFingerprint> key;
-    net::FramedPayload payload;
-  };
-  EncodedCache encoded_cache_;
+  // pick() scratch, reused so a pick allocates nothing once the vectors
+  // have grown: the candidates (pointers into the view, which is not
+  // mutated while picking) and one sender set per phase they span.
+  std::vector<const Message*> candidates_;
+  std::vector<std::pair<Phase, SenderSet>> seen_;
 
   DecideHandler on_decide_;
   PhaseHandler on_phase_;

@@ -640,21 +640,29 @@ TEST(TurquoisByzantine, ReplayedStatusCannotForgeDecision) {
 }
 
 /// A port that hands inbound payloads straight to the process's handler
-/// and drops whatever the process sends: no loopback, no medium.
+/// and keeps whatever the process sends, delivering it nowhere: no
+/// loopback, no medium.
 class InjectPort final : public net::DatagramPort {
  public:
   void set_handler(net::DatagramHandler handler) override {
     handler_ = std::move(handler);
   }
-  void send(net::FramedPayload) override {}
+  void send(net::FramedPayload payload) override {
+    sent_.push_back(std::move(payload));
+  }
   void close() override {}
   void deliver(ProcessId src, BytesView payload) { handler_(src, payload); }
   void deliver(ProcessId src, const net::FramedPayload& framed) {
     deliver(src, framed.payload());
   }
+  /// Every payload the process sent, in order.
+  [[nodiscard]] const std::vector<net::FramedPayload>& sent() const {
+    return sent_;
+  }
 
  private:
   net::DatagramHandler handler_;
+  std::vector<net::FramedPayload> sent_;
 };
 
 /// A datagram from `sender` at phase 1 revealing `key`, encoded by hand so
@@ -728,7 +736,7 @@ TEST(TurquoisCodec, OversizedKeyIsMalformedNotAnAuthFailure) {
 /// anywhere, so its view holds only what the tests deliver.
 class Receiver {
  public:
-  Receiver(bool pooled, Config cfg)
+  Receiver(bool pooled, Config cfg, Mutator mutator = {})
       : cfg_(cfg),
         keys_rng_(21),
         keys_(KeyInfrastructure::setup(cfg_, keys_rng_)),
@@ -737,6 +745,7 @@ class Receiver {
     if (pooled) pool_ = std::make_unique<ExchangePool>(keys_, cfg_);
     ProcessHooks hooks;
     hooks.exchange_pool = pool_.get();
+    hooks.mutate_outgoing = std::move(mutator);
     process_ = std::make_unique<Process>(rt_, port_, cfg_, keys_, 0, Rng(22),
                                          costs_, std::move(hooks));
     process_->propose(Value::kOne);
@@ -768,6 +777,7 @@ class Receiver {
 
   Process& process() { return *process_; }
   sim::Simulator& simulator() { return sim_; }
+  const std::vector<net::FramedPayload>& sent() const { return port_.sent(); }
   const sim::VirtualCpu& cpu() const { return cpu_; }
   const crypto::CostModel& costs() const { return costs_; }
 
@@ -966,6 +976,139 @@ INSTANTIATE_TEST_SUITE_P(PoolOnOff, ReceiveFilter, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& param) {
                            return param.param ? "Pooled" : "PoolLess";
                          });
+
+// ------------------------------------------------------- broadcast memo
+
+/// A receiver of n = 7 (quorum 5) with no tick jitter, so that each tick
+/// sends exactly one broadcast.
+Config memo_config() {
+  Config cfg = Config::for_group(7);
+  cfg.tick_jitter = 0;
+  return cfg;
+}
+
+/// Runs the receiver in 1 ms steps until `done()` holds.
+template <typename Done>
+void run_until(Receiver& r, Done done) {
+  for (int ms = 0; ms < 1000 && !done(); ++ms) {
+    r.simulator().run_until(r.simulator().now() + kMillisecond);
+  }
+  ASSERT_TRUE(done());
+}
+
+/// Delivers value-1 messages at `phase` from `senders`, the last one
+/// injected, and runs until the receiver leaves the phase, so that the
+/// test sees the next phase's broadcasts from the first. Returns the
+/// number of sends up to and including the next phase's entry broadcast.
+std::size_t complete_phase(Receiver& r, Phase phase,
+                           const std::vector<ProcessId>& senders,
+                           Status status = Status::kUndecided) {
+  for (std::size_t i = 0; i + 1 < senders.size(); ++i) {
+    r.deliver(senders[i],
+              datagram_of({r.signed_msg(senders[i], phase, Value::kOne,
+                                        status)}));
+  }
+  const ProcessId last = senders.back();
+  r.inject(last,
+           datagram_of({r.signed_msg(last, phase, Value::kOne, status)}));
+  run_until(r, [&] { return r.process().phase() > phase; });
+  return r.sent().size();
+}
+
+/// The buffer of the receiver's `i`-th send.
+const Bytes* buffer(const Receiver& r, std::size_t i) {
+  return r.sent()[i].frame().get();
+}
+
+std::vector<Message> attachments(const net::FramedPayload& sent) {
+  const std::optional<Datagram> d = Datagram::decode(sent.payload());
+  return d.has_value() ? d->justification : std::vector<Message>{};
+}
+
+TEST(TurquoisBroadcastMemo, LateMessagesTheRulesSkipKeepTheResentBuffer) {
+  // At DECIDE phase 3 with a binary value, before the stall escalates to
+  // root evidence, the rules read only the phase-2 book. Phase-1 messages
+  // arriving then change nothing the broadcast attaches, so the next
+  // re-send hands the port the very buffer of the last one.
+  Receiver r(true, memo_config());
+  complete_phase(r, 1, {1, 2, 3, 4, 5});
+  const std::size_t entered = complete_phase(r, 2, {1, 2, 3, 4, 5});
+  ASSERT_EQ(r.process().phase(), 3u);
+  run_until(r, [&] { return r.sent().size() == entered + 1; });
+  ASSERT_EQ(attachments(r.sent().back()).size(), 5u);
+
+  r.inject(6, datagram_of({r.signed_msg(6, 1, Value::kOne)}));
+  run_until(r, [&] { return r.process().view().has(6, 1); });
+  ASSERT_EQ(r.sent().size(), entered + 1);
+  run_until(r, [&] { return r.sent().size() == entered + 2; });
+  EXPECT_EQ(r.process().phase(), 3u);
+  EXPECT_EQ(buffer(r, entered + 1), buffer(r, entered));
+}
+
+TEST(TurquoisBroadcastMemo, GrowthOfARequestedBookRepicksTheAttachments) {
+  // A process that decided at phase 3 and stalls at phase 6 attaches the
+  // phase-5 quorum and, for its status, the phase-3 quorum of its value:
+  // the one rule that reads the phase-3 book. That book gains sender 1,
+  // which sorts before the five attached, so the next re-send is a new
+  // buffer whose attachments are what a fresh pick of the grown view gives.
+  Receiver r(true, memo_config());
+  complete_phase(r, 1, {1, 2, 3, 4, 5});
+  complete_phase(r, 2, {1, 2, 3, 4, 5});
+  complete_phase(r, 3, {2, 3, 4, 5, 6});
+  ASSERT_EQ(r.process().status(), Status::kDecided);
+  complete_phase(r, 4, {1, 2, 3, 4, 5}, Status::kDecided);
+  const std::size_t entered =
+      complete_phase(r, 5, {1, 2, 3, 4, 5}, Status::kDecided);
+  ASSERT_EQ(r.process().phase(), 6u);
+  run_until(r, [&] { return r.sent().size() == entered + 1; });
+  const auto quorum = [&](Phase phase, std::vector<ProcessId> senders,
+                          Status status) {
+    std::vector<Message> out;
+    for (ProcessId s : senders) {
+      out.push_back(r.signed_msg(s, phase, Value::kOne, status));
+    }
+    return out;
+  };
+  std::vector<Message> expected =
+      quorum(5, {1, 2, 3, 4, 5}, Status::kDecided);
+  const std::vector<Message> phase3 =
+      quorum(3, {2, 3, 4, 5, 6}, Status::kUndecided);
+  expected.insert(expected.end(), phase3.begin(), phase3.end());
+  EXPECT_EQ(attachments(r.sent().back()), expected);
+
+  r.inject(1, datagram_of({r.signed_msg(1, 3, Value::kOne)}));
+  run_until(r, [&] { return r.process().view().has(1, 3); });
+  run_until(r, [&] { return r.sent().size() == entered + 2; });
+  EXPECT_NE(buffer(r, entered + 1), buffer(r, entered));
+  expected.resize(5);
+  const std::vector<Message> grown =
+      quorum(3, {1, 2, 3, 4, 5}, Status::kUndecided);
+  expected.insert(expected.end(), grown.begin(), grown.end());
+  EXPECT_EQ(attachments(r.sent()[entered + 1]), expected);
+}
+
+TEST(TurquoisBroadcastMemo, InsiderResendsRunTheMutatorEveryTick) {
+  // A mutator may consume randomness, so a stalled insider runs it on
+  // every broadcast and encodes a new buffer each time, while a correct
+  // process in the same state re-sends one buffer.
+  std::uint64_t mutations = 0;
+  Receiver insider(true, memo_config(), [&](Message&) { ++mutations; });
+  Receiver correct(true, memo_config());
+  for (Receiver* r : {&insider, &correct}) {
+    complete_phase(*r, 1, {1, 2, 3, 4, 5});
+    ASSERT_EQ(r->process().phase(), 2u);
+    r->simulator().run_until(r->simulator().now() + 100 * kMillisecond);
+  }
+  EXPECT_EQ(mutations, insider.process().stats().broadcasts);
+  const std::size_t sends = insider.sent().size();
+  ASSERT_GE(sends, 10u);
+  ASSERT_EQ(correct.sent().size(), sends);
+  for (std::size_t i = sends - 5; i < sends; ++i) {
+    EXPECT_FALSE(attachments(insider.sent()[i]).empty());
+    EXPECT_NE(buffer(insider, i), buffer(insider, i - 1));
+    EXPECT_EQ(buffer(correct, i), buffer(correct, i - 1));
+  }
+}
 
 TEST(TurquoisDiagnostics, ExplainPendingJudgesByTheDrainRules) {
   // Two authentic phase-5 messages with different values: neither is
