@@ -152,7 +152,10 @@ void bench_frames(std::uint64_t frames, PerfReport& report) {
   for (std::uint64_t i = 0; i < frames; ++i) {
     // One frame per round trip: send, then drain, so replace_queued never
     // coalesces and every frame reaches every other node exactly once.
-    medium.send_broadcast(static_cast<ProcessId>(i % kNodes), payload);
+    // Each frame gets its own copy of the payload, as a sender's would.
+    medium.broadcast(static_cast<ProcessId>(i % kNodes),
+                     std::make_shared<const Bytes>(payload),
+                     /*replace_queued=*/true);
     sim.run_until(sim.now() + kSecond);
   }
   const double elapsed = seconds_since(start);

@@ -1,6 +1,7 @@
 #include "harness/deployment.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "trace/trace.hpp"
 #include "turquois/process.hpp"
@@ -61,11 +62,12 @@ faultplan::BuildContext fault_context(const ScenarioConfig& cfg,
 }  // namespace
 
 Repetition::Repetition(const ScenarioConfig& config, std::uint64_t rep_index,
-                       bool relay)
+                       Transport transport)
     : cfg(config),
       root(Rng::stream(config.seed, "rep", rep_index)),
       plan_(config.effective_plan()),
-      rep_index_(rep_index) {
+      rep_index_(rep_index),
+      transport_(transport) {
   medium_ = std::make_unique<net::Medium>(sim_, cfg.medium,
                                           root.derive("medium", 0));
   if (cfg.broadcast_tap) medium_->set_broadcast_tap(cfg.broadcast_tap);
@@ -86,7 +88,7 @@ Repetition::Repetition(const ScenarioConfig& config, std::uint64_t rep_index,
     }
     // Multi-hop endpoints route through the gossip relay so every frame
     // still reaches the whole group; the protocol above is none the wiser.
-    if (relay && cfg.relay_enabled) {
+    if (transport_ == Transport::kBroadcast && cfg.relay_enabled) {
       relay_ = std::make_unique<spatial::RelayFabric>(
           sim_, *medium_, cfg.relay, cfg.n, root.derive("relay", 0));
     }
@@ -120,16 +122,8 @@ void Repetition::measure(RunResult& result) {
     // Sample connectivity up to the end of the run so a quiet tail (e.g.
     // everyone decided, no frames moving) still contributes samples.
     topology_->advance(sim_.now());
-    spatial::SpatialStats sp = topology_->stats();
-    if (relay_ != nullptr) {
-      const spatial::RelayFabric::Stats rs = relay_->stats();
-      sp.relay_origin_frames = rs.origin_frames;
-      sp.relay_forwards = rs.forwards;
-      sp.relay_suppressed = rs.suppressed;
-      sp.relay_duplicates = rs.duplicates;
-      sp.relay_deliveries = rs.deliveries;
-    }
-    result.spatial = sp;
+    result.spatial = topology_->stats();
+    if (relay_ != nullptr) result.spatial->relay = relay_->stats();
   }
 }
 
@@ -138,37 +132,86 @@ void Repetition::report([[maybe_unused]] const RunResult& result) {
   trace::Tracer* t = trace::current();
   if (t == nullptr) return;
   auto& m = t->metrics();
-  m.merge(medium_->metrics());
-  if (topology_ != nullptr) m.merge(topology_->metrics());
-  if (relay_ != nullptr) m.merge(relay_->metrics());
-  m.counter("app.messages").add(static_cast<std::int64_t>(result.app_messages));
+  const auto put = [&m](std::string_view name, std::uint64_t value) {
+    m.counter(name).add(value);
+  };
+  const net::MediumStats& md = result.medium;
+  put("medium.broadcast_frames", md.broadcast_frames);
+  put("medium.unicast_frames", md.unicast_frames);
+  put("medium.mac_retries", md.mac_retries);
+  put("medium.collisions", md.collisions);
+  put("medium.frames_collided", md.frames_collided);
+  put("medium.unicast_drops", md.unicast_drops);
+  put("medium.deliveries", md.deliveries);
+  put("medium.omissions", md.omissions);
+  put("medium.unreachable", md.unreachable);
+  put("medium.hidden_terminal", md.hidden_terminal);
+  put("medium.bytes_on_air", md.bytes_on_air);
+  put("medium.airtime_ns", static_cast<std::uint64_t>(md.airtime));
+  if (transport_ != Transport::kBroadcast) {
+    // Summed over the hosts (Deployment::collect).
+    const net::TcpHost::Stats& tcp = result.tcp;
+    put("tcp.messages_sent", tcp.messages_sent);
+    put("tcp.segments_sent", tcp.segments_sent);
+    put("tcp.segments_retransmitted", tcp.segments_retransmitted);
+    put("tcp.rto_fires", tcp.rto_fires);
+    put("tcp.fast_retransmits", tcp.fast_retransmits);
+    put("tcp.auth_failures", tcp.auth_failures);
+  }
+  if (result.spatial.has_value()) {
+    const spatial::SpatialStats& sp = *result.spatial;
+    put("spatial.samples", sp.samples);
+    put("spatial.partition_events", sp.partition_events);
+    put("spatial.partitioned_samples", sp.partitioned_samples);
+    put("spatial.path_hops_sum", sp.path_hops_sum);
+    put("spatial.path_pairs", sp.path_pairs);
+    put("spatial.cs_domains_sum", sp.cs_domains_sum);
+    if (relay_ != nullptr) {
+      put("spatial.relay.origin_frames", sp.relay.origin_frames);
+      put("spatial.relay.forwards", sp.relay.forwards);
+      put("spatial.relay.suppressed", sp.relay.suppressed);
+      put("spatial.relay.duplicates", sp.relay.duplicates);
+      put("spatial.relay.deliveries", sp.relay.deliveries);
+    }
+  }
+  put("app.messages", result.app_messages);
   if (result.sigma.has_value()) {
     const faultplan::SigmaSummary& s = *result.sigma;
-    m.counter("sigma.tracked_reps").add(1);
-    m.counter("sigma.bound").add(s.bound);
-    m.counter("sigma.rounds").add(static_cast<std::int64_t>(s.rounds));
-    m.counter("sigma.violating_rounds")
-        .add(static_cast<std::int64_t>(s.violating_rounds));
-    m.counter("sigma.omissions").add(static_cast<std::int64_t>(s.omissions));
-    m.counter("sigma.eligible_reps").add(s.liveness_eligible() ? 1 : 0);
+    put("sigma.tracked_reps", 1);
+    put("sigma.bound", static_cast<std::uint64_t>(s.bound));
+    put("sigma.rounds", s.rounds);
+    put("sigma.violating_rounds", s.violating_rounds);
+    put("sigma.omissions", s.omissions);
+    put("sigma.eligible_reps", s.liveness_eligible() ? 1 : 0);
   }
   if (result.audit.has_value()) {
-    m.counter("audit.checked_reps").add(1);
-    m.counter("audit.violations")
-        .add(static_cast<std::int64_t>(result.audit->violations.size()));
-    m.counter("audit.violating_reps").add(result.audit->passed() ? 0 : 1);
+    put("audit.checked_reps", 1);
+    put("audit.violations", result.audit->violations.size());
+    put("audit.violating_reps", result.audit->passed() ? 0 : 1);
     for (const audit::Violation& v : result.audit->violations) {
-      m.counter(std::string("audit.") + audit::to_string(v.property)).add(1);
+      put(std::string("audit.") + audit::to_string(v.property), 1);
     }
   }
   if (exchange_pool.has_value()) {
     // Measured in delivery order, so deterministic (ExchangePool::Stats).
-    m.counter("exchange_pool.acquires")
-        .add(static_cast<std::int64_t>(exchange_pool->acquires));
-    m.counter("exchange_pool.hits")
-        .add(static_cast<std::int64_t>(exchange_pool->shared_hits));
-    m.counter("exchange_pool.misses")
-        .add(static_cast<std::int64_t>(exchange_pool->misses()));
+    put("exchange_pool.acquires", exchange_pool->acquires);
+    put("exchange_pool.hits", exchange_pool->shared_hits);
+    put("exchange_pool.misses", exchange_pool->misses());
+  }
+  if (result.service.has_value()) {
+    const service::RepSummary& sv = *result.service;
+    put("service.arrivals", sv.arrivals);
+    put("service.committed", sv.committed);
+    put("service.rejected", sv.rejected);
+    put("service.instances_launched", sv.instances_launched);
+    put("service.instances_decided", sv.instances_decided);
+    put("service.instances_failed", sv.instances_failed);
+    put("service.key_batches", sv.key_batches);
+    put("service.mux_frames", sv.mux_frames);
+    put("service.mux_payloads", sv.mux_payloads);
+    put("service.mux_splits", sv.mux_splits);
+    put("service.mux_late_drops", sv.mux_late_drops);
+    put("service.mux_superseded", sv.mux_superseded);
   }
   t->emit(trace::TraceEvent{
       .at = sim_.now(), .category = trace::Category::kHarness,
@@ -261,14 +304,13 @@ std::optional<audit::AuditReport> ConsensusInstance::finish(
 
 Deployment::Deployment(const ScenarioConfig& config, std::uint64_t rep_index,
                        Transport transport, const ScenarioSetup* setup)
-    : Repetition(config, rep_index, transport == Transport::kBroadcast),
+    : Repetition(config, rep_index, transport),
       // The last f processes take the faulty role, keeping the odd/even
       // proposal pattern of the survivors intact.
       first_faulty_(plan().role == faultplan::Role::kNone
                         ? config.n
                         : config.n - config.f()),
-      instance_(config, first_faulty_),
-      transport_(transport) {
+      instance_(config, first_faulty_) {
   for (ProcessId id = 0; id < first_faulty_; ++id) correct_.push_back(id);
   if (transport == Transport::kAuthenticatedTcp) {
     // make_sa_keys only derives a stream, so hoisting it is stream-neutral
@@ -299,14 +341,14 @@ Value Deployment::proposal(ProcessId id) const {
 
 runtime::Runtime& Deployment::add_node(ProcessId id) {
   runtimes_.push_back(std::make_unique<runtime::SimRuntime>(sim(), cpu(id)));
-  if (transport_ == Transport::kBroadcast) {
+  if (transport() == Transport::kBroadcast) {
     endpoints_.push_back(
         std::make_unique<net::BroadcastEndpoint>(sim(), bus(), id));
   } else {
     // The TCP baselines keep direct unicast even multi-hop: out of range
     // their segments are simply lost (counted `unreachable`).
     net::TcpConfig tcp = cfg.tcp;
-    tcp.authenticate = transport_ == Transport::kAuthenticatedTcp;
+    tcp.authenticate = transport() == Transport::kAuthenticatedTcp;
     hosts_.push_back(std::make_unique<net::TcpHost>(sim(), medium(), id, tcp,
                                                     &cpu(id), &cfg.costs));
     if (sa_keys_ != nullptr) {
@@ -329,11 +371,6 @@ RunResult Deployment::collect(std::uint64_t app_messages) {
   for (const auto& host : hosts_) result.tcp += host->stats();
   measure(result);
   result.audit = instance_.finish(result.sigma, result.all_correct_decided);
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    for (const auto& host : hosts_) t->metrics().merge(host->metrics());
-  }
-#endif
   report(result);
   return result;
 }

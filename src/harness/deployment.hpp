@@ -7,7 +7,8 @@
 //   - a Repetition is the world: the simulator, the medium, the fault plan
 //     with its σ meter, the spatial layer and gossip relay, one virtual CPU
 //     per node, the 1 ms-slice run loop, and the medium/σ/spatial side of
-//     the outcome with the trace counters every repetition reports;
+//     the outcome; its report() is the one place a repetition's counters
+//     reach the trace;
 //   - a ConsensusInstance is one run of consensus inside it: its auditor,
 //     its start offsets, its decisions, and the verdicts on agreement,
 //     validity and (for Turquois) quorum sanity.
@@ -64,10 +65,11 @@ enum class Transport : std::uint8_t {
 class Repetition {
  public:
   /// Builds the medium, the fault plan with its σ meter and the spatial
-  /// layer of repetition `rep_index` of `cfg`, the gossip relay when
-  /// `relay` is set and the scenario is multi-hop, and one virtual CPU per
-  /// node.
-  Repetition(const ScenarioConfig& cfg, std::uint64_t rep_index, bool relay);
+  /// layer of repetition `rep_index` of `cfg`, the gossip relay when the
+  /// processes `transport` is broadcast and the scenario is multi-hop, and
+  /// one virtual CPU per node.
+  Repetition(const ScenarioConfig& cfg, std::uint64_t rep_index,
+             Transport transport);
 
   const ScenarioConfig& cfg;
   /// The repetition's stream; only ever derive()d from.
@@ -78,6 +80,7 @@ class Repetition {
   std::optional<turquois::ExchangePool::Stats> exchange_pool;
 
   [[nodiscard]] const faultplan::FaultPlan& plan() const { return plan_; }
+  [[nodiscard]] Transport transport() const { return transport_; }
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] net::Medium& medium() { return *medium_; }
   /// What a broadcast endpoint attaches to: the relay when there is one,
@@ -93,13 +96,17 @@ class Repetition {
   void run(const std::function<bool()>& step);
   /// Fills the medium, σ and spatial side of `result`.
   void measure(RunResult& result);
-  /// Adds the repetition's trace counters (medium, spatial, app.messages,
-  /// sigma.*, audit.*, exchange_pool.*) and ends its trace block.
+  /// Exports `result`'s counters to the ambient tracer under their trace
+  /// names — medium.*, tcp.* (TCP transports), spatial.* and
+  /// spatial.relay.* (multi-hop, with the relay), app.messages, sigma.*,
+  /// audit.*, exchange_pool.* and service.* when present — and ends the
+  /// repetition's trace block.
   void report(const RunResult& result);
 
  private:
   const faultplan::FaultPlan plan_;
   const std::uint64_t rep_index_;
+  const Transport transport_;
   sim::Simulator sim_;
   std::unique_ptr<net::Medium> medium_;
   std::unique_ptr<spatial::Topology> topology_;  // set iff spatial.active()
@@ -199,7 +206,6 @@ class Deployment : public Repetition {
   std::vector<ProcessId> correct_;
   ConsensusInstance instance_;
 
-  const Transport transport_;
   std::vector<std::vector<Bytes>> local_sa_keys_;
   const std::vector<std::vector<Bytes>>* sa_keys_ = nullptr;
   std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes_;

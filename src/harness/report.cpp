@@ -95,11 +95,11 @@ void append_cell(std::string& out, const ReportCell& cell) {
     out += ",\"path_hops_sum\":" + json_u64(sp.path_hops_sum);
     out += ",\"path_pairs\":" + json_u64(sp.path_pairs);
     out += ",\"cs_domains_sum\":" + json_u64(sp.cs_domains_sum);
-    out += ",\"relay_origin_frames\":" + json_u64(sp.relay_origin_frames);
-    out += ",\"relay_forwards\":" + json_u64(sp.relay_forwards);
-    out += ",\"relay_suppressed\":" + json_u64(sp.relay_suppressed);
-    out += ",\"relay_duplicates\":" + json_u64(sp.relay_duplicates);
-    out += ",\"relay_deliveries\":" + json_u64(sp.relay_deliveries);
+    out += ",\"relay_origin_frames\":" + json_u64(sp.relay.origin_frames);
+    out += ",\"relay_forwards\":" + json_u64(sp.relay.forwards);
+    out += ",\"relay_suppressed\":" + json_u64(sp.relay.suppressed);
+    out += ",\"relay_duplicates\":" + json_u64(sp.relay.duplicates);
+    out += ",\"relay_deliveries\":" + json_u64(sp.relay.deliveries);
     out += "}";
   }
   if (cell.sigma.has_value()) {

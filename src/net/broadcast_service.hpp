@@ -39,7 +39,7 @@ class BroadcastService {
 
   /// Queues a broadcast frame; no ACK, no retry. `replace_queued` keeps
   /// the sender's MAC queue bounded by superseding still-waiting broadcast
-  /// frames (see Medium::send_broadcast).
+  /// frames (see Medium::broadcast).
   virtual void broadcast(ProcessId src, FramePayload payload,
                          bool replace_queued) = 0;
 };

@@ -10,40 +10,24 @@ namespace turq::net {
 
 Medium::Medium(sim::Simulator& simulator, MediumConfig config, Rng rng)
     : sim_(simulator), config_(config), rng_(rng) {
-  // Resolve the hot-path counters once; map nodes are address-stable.
-  ctr_.broadcast_frames = &metrics_.counter("medium.broadcast_frames");
-  ctr_.unicast_frames = &metrics_.counter("medium.unicast_frames");
-  ctr_.mac_retries = &metrics_.counter("medium.mac_retries");
-  ctr_.collisions = &metrics_.counter("medium.collisions");
-  ctr_.frames_collided = &metrics_.counter("medium.frames_collided");
-  ctr_.unicast_drops = &metrics_.counter("medium.unicast_drops");
-  ctr_.deliveries = &metrics_.counter("medium.deliveries");
-  ctr_.omissions = &metrics_.counter("medium.omissions");
-  ctr_.unreachable = &metrics_.counter("medium.unreachable");
-  ctr_.hidden_terminal = &metrics_.counter("medium.hidden_terminal");
-  ctr_.bytes_on_air = &metrics_.counter("medium.bytes_on_air");
-  ctr_.airtime_ns = &metrics_.counter("medium.airtime_ns");
-  ctr_.backoff_slots = &metrics_.histogram(
-      "medium.backoff_slots", {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-  ctr_.frame_airtime_us = &metrics_.histogram(
-      "medium.frame_airtime_us", {250, 500, 1000, 2000, 4000, 8000, 16000});
+  if (trace::active()) {
+    trace::Tracer* t = trace::current();
+    hist_ = Histograms{
+        .tracer = t,
+        .backoff_slots = &t->metrics().histogram(
+            "medium.backoff_slots",
+            {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
+        .frame_airtime_us = &t->metrics().histogram(
+            "medium.frame_airtime_us",
+            {250, 500, 1000, 2000, 4000, 8000, 16000})};
+  }
 }
 
-MediumStats Medium::stats() const {
-  return MediumStats{
-      .broadcast_frames = ctr_.broadcast_frames->value(),
-      .unicast_frames = ctr_.unicast_frames->value(),
-      .mac_retries = ctr_.mac_retries->value(),
-      .collisions = ctr_.collisions->value(),
-      .frames_collided = ctr_.frames_collided->value(),
-      .unicast_drops = ctr_.unicast_drops->value(),
-      .deliveries = ctr_.deliveries->value(),
-      .omissions = ctr_.omissions->value(),
-      .unreachable = ctr_.unreachable->value(),
-      .hidden_terminal = ctr_.hidden_terminal->value(),
-      .bytes_on_air = ctr_.bytes_on_air->value(),
-      .airtime = static_cast<SimDuration>(ctr_.airtime_ns->value()),
-  };
+const Medium::Histograms* Medium::traced() const {
+  if (hist_.tracer == nullptr || trace::current() != hist_.tracer) {
+    return nullptr;
+  }
+  return &hist_;
 }
 
 void Medium::attach(ProcessId id, ReceiveHandler handler) {
@@ -88,13 +72,8 @@ SimDuration Medium::ack_airtime() const {
   return config_.preamble + tx;
 }
 
-void Medium::send_broadcast(ProcessId src, Bytes payload, bool replace_queued) {
-  send_broadcast(src, std::make_shared<const Bytes>(std::move(payload)),
-                 replace_queued);
-}
-
-void Medium::send_broadcast(ProcessId src, FramePayload payload,
-                            bool replace_queued) {
+void Medium::broadcast(ProcessId src, FramePayload payload,
+                       bool replace_queued) {
   TURQ_ASSERT_MSG(payload != nullptr, "broadcast payload must be non-null");
   TURQ_ASSERT_MSG(payload->size() <= config_.max_frame_bytes,
                   "frame exceeds MSDU limit; fragment at a higher layer");
@@ -200,7 +179,7 @@ void Medium::resolve_contention() {
     TURQ_ASSERT(!node.queue.empty());
     const std::uint32_t cw = node.queue.front().cw;
     const auto slot = static_cast<std::uint32_t>(rng_.uniform(cw + 1));
-    if (trace::active()) ctr_.backoff_slots->observe(slot);
+    if (const Histograms* h = traced()) h->backoff_slots->observe(slot);
     TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                      .kind = trace::Kind::kBackoffDraw, .process = id,
                      .value = slot, .frame = node.queue.front().trace_id);
@@ -250,10 +229,10 @@ void Medium::resolve_contention() {
     const ProcessId winner = winners_.front();
     const Frame& frame = nodes_[winner].queue.front();
     const SimDuration air = airtime_of(frame);
-    ctr_.bytes_on_air->add(frame.size() + config_.mac_overhead_bytes);
-    ctr_.airtime_ns->add(static_cast<std::uint64_t>(air));
-    if (trace::active()) {
-      ctr_.frame_airtime_us->observe(static_cast<double>(air) / 1000.0);
+    stats_.bytes_on_air += frame.size() + config_.mac_overhead_bytes;
+    stats_.airtime += air;
+    if (const Histograms* h = traced()) {
+      h->frame_airtime_us->observe(static_cast<double>(air) / 1000.0);
     }
     TURQ_TRACE_EVENT(.at = start, .category = trace::Category::kMedium,
                      .kind = trace::Kind::kFrameTxStart, .process = winner,
@@ -268,14 +247,14 @@ void Medium::resolve_contention() {
     // receiver. Spatial: an overlap corrupts only receivers in range of
     // two or more of the transmissions; finish_overlap() resolves capture
     // per receiver and charges frames_collided there.
-    ctr_.collisions->add();
+    ++stats_.collisions;
     SimDuration longest = 0;
     for (const ProcessId id : winners_) {
       const Frame& frame = nodes_[id].queue.front();
       const SimDuration air = airtime_of(frame);
-      ctr_.bytes_on_air->add(frame.size() + config_.mac_overhead_bytes);
-      if (trace::active()) {
-        ctr_.frame_airtime_us->observe(static_cast<double>(air) / 1000.0);
+      stats_.bytes_on_air += frame.size() + config_.mac_overhead_bytes;
+      if (const Histograms* h = traced()) {
+        h->frame_airtime_us->observe(static_cast<double>(air) / 1000.0);
       }
       TURQ_TRACE_EVENT(.at = start, .category = trace::Category::kMedium,
                        .kind = trace::Kind::kFrameTxStart, .process = id,
@@ -284,16 +263,17 @@ void Medium::resolve_contention() {
                        .frame = frame.trace_id,
                        .bytes = static_cast<std::uint32_t>(frame.size()));
       longest = std::max(longest, air);
-      if (spatial_ == nullptr) ctr_.frames_collided->add();
+      if (spatial_ == nullptr) ++stats_.frames_collided;
     }
-    ctr_.airtime_ns->add(static_cast<std::uint64_t>(longest));
+    stats_.airtime += longest;
     busy_until_ = start + longest;
     sim_.schedule_at(busy_until_, [this] { finish_collision(); });
   }
 }
 
-void Medium::note_unreachable(const Frame& frame, ProcessId receiver) {
-  ctr_.unreachable->add();
+void Medium::note_unreachable([[maybe_unused]] const Frame& frame,
+                              [[maybe_unused]] ProcessId receiver) {
+  ++stats_.unreachable;
   TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                    .kind = trace::Kind::kFrameUnreachable,
                    .process = frame.src,
@@ -319,14 +299,14 @@ void Medium::deliver(const Frame& frame) {
       continue;
     }
     if (faults_->drop(frame.src, id, sim_.now(), frame.size())) {
-      ctr_.omissions->add();
+      ++stats_.omissions;
       TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                        .kind = trace::Kind::kFrameOmitted, .process = frame.src,
                        .value = static_cast<std::int64_t>(id),
                        .frame = frame.trace_id);
       continue;
     }
-    ctr_.deliveries->add();
+    ++stats_.deliveries;
     TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                      .kind = trace::Kind::kFrameDelivered, .process = frame.src,
                      .value = static_cast<std::int64_t>(id),
@@ -351,13 +331,13 @@ void Medium::finish_single(ProcessId winner) {
   Frame& frame = node.queue.front();
 
   if (frame.is_broadcast()) {
-    ctr_.broadcast_frames->add();
+    ++stats_.broadcast_frames;
     deliver(frame);
     complete_frame(winner, true);
     return;
   }
 
-  ctr_.unicast_frames->add();
+  ++stats_.unicast_frames;
   // The data frame is subject to injected omission at the destination; the
   // MAC ACK can also be lost on the way back. Spatially, unicast has no
   // relay: the destination must be in direct range (multi-hop runs route
@@ -372,7 +352,7 @@ void Medium::finish_single(ProcessId winner) {
       !faults_->drop(frame.src, frame.dst, sim_.now(), frame.size());
 
   if (data_ok) {
-    ctr_.deliveries->add();
+    ++stats_.deliveries;
     TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                      .kind = trace::Kind::kFrameDelivered, .process = frame.src,
                      .value = static_cast<std::int64_t>(frame.dst),
@@ -384,27 +364,14 @@ void Medium::finish_single(ProcessId winner) {
                        (*handler)(src, *payload, false);
                      });
   } else if (dst != nullptr && in_range) {
-    ctr_.omissions->add();
+    ++stats_.omissions;
     TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                      .kind = trace::Kind::kFrameOmitted, .process = frame.src,
                      .value = static_cast<std::int64_t>(frame.dst),
                      .frame = frame.trace_id);
   }
 
-  const bool ack_ok =
-      data_ok &&
-      (spatial_ == nullptr ||
-       spatial_->reachable(frame.dst, frame.src, sim_.now())) &&
-      !faults_->drop(frame.dst, frame.src, sim_.now(), config_.ack_bytes);
-  if (data_ok) {
-    // ACK occupies the channel after SIFS whether or not the sender hears it.
-    const SimDuration ack_time = config_.sifs + ack_airtime();
-    ctr_.airtime_ns->add(static_cast<std::uint64_t>(ack_airtime()));
-    ctr_.bytes_on_air->add(config_.ack_bytes);
-    busy_until_ = sim_.now() + ack_time;
-  }
-
-  if (ack_ok) {
+  if (data_ok && acked(frame)) {
     complete_frame(winner, true);
   } else {
     retry_or_drop(winner);
@@ -426,10 +393,10 @@ void Medium::finish_collision() {
                      .frame = frame.trace_id);
     if (frame.is_broadcast()) {
       // 802.11 never retransmits broadcast: the frame is simply lost.
-      ctr_.broadcast_frames->add();
+      ++stats_.broadcast_frames;
       complete_frame(id, false);
     } else {
-      ctr_.unicast_frames->add();
+      ++stats_.unicast_frames;
       retry_or_drop(id);
     }
   }
@@ -483,7 +450,7 @@ void Medium::finish_overlap(const std::vector<ProcessId>& winners) {
             break;
           }
         }
-        if (hidden) ctr_.hidden_terminal->add();
+        if (hidden) ++stats_.hidden_terminal;
         TURQ_TRACE_EVENT(.at = now, .category = trace::Category::kMedium,
                          .kind = trace::Kind::kFrameCollided,
                          .process = live[i], .phase = hidden ? 2u : 0u,
@@ -492,7 +459,7 @@ void Medium::finish_overlap(const std::vector<ProcessId>& winners) {
         continue;
       }
       if (faults_->drop(frame.src, r, now, frame.size())) {
-        ctr_.omissions->add();
+        ++stats_.omissions;
         TURQ_TRACE_EVENT(.at = now, .category = trace::Category::kMedium,
                          .kind = trace::Kind::kFrameOmitted,
                          .process = frame.src,
@@ -500,7 +467,7 @@ void Medium::finish_overlap(const std::vector<ProcessId>& winners) {
                          .frame = frame.trace_id);
         continue;
       }
-      ctr_.deliveries->add();
+      ++stats_.deliveries;
       TURQ_TRACE_EVENT(.at = now, .category = trace::Category::kMedium,
                        .kind = trace::Kind::kFrameDelivered,
                        .process = frame.src,
@@ -519,31 +486,32 @@ void Medium::finish_overlap(const std::vector<ProcessId>& winners) {
   for (std::size_t i = 0; i < live.size(); ++i) {
     const ProcessId id = live[i];
     const Frame& frame = nodes_[id].queue.front();
-    if (corrupted_any[i] != 0) ctr_.frames_collided->add();
+    if (corrupted_any[i] != 0) ++stats_.frames_collided;
     if (frame.is_broadcast()) {
-      ctr_.broadcast_frames->add();
+      ++stats_.broadcast_frames;
       complete_frame(id, true);
       continue;
     }
-    ctr_.unicast_frames->add();
-    if (unicast_data_ok[i] != 0) {
-      // The destination decoded the data cleanly; the ACK occupies the
-      // channel after SIFS and can itself be lost to injected faults.
-      const bool ack_ok =
-          !faults_->drop(frame.dst, frame.src, now, config_.ack_bytes);
-      ctr_.airtime_ns->add(static_cast<std::uint64_t>(ack_airtime()));
-      ctr_.bytes_on_air->add(config_.ack_bytes);
-      busy_until_ = std::max(busy_until_, now + config_.sifs + ack_airtime());
-      if (ack_ok) {
-        complete_frame(id, true);
-      } else {
-        retry_or_drop(id);
-      }
+    ++stats_.unicast_frames;
+    if (unicast_data_ok[i] != 0 && acked(frame)) {
+      complete_frame(id, true);
     } else {
       retry_or_drop(id);
     }
   }
   maybe_schedule_resolution();
+}
+
+bool Medium::acked(const Frame& frame) {
+  // The ACK occupies the channel after SIFS whether or not the sender hears
+  // it. Spatially, the reverse link must be up: links may be asymmetric
+  // (fading draws are per direction).
+  stats_.airtime += ack_airtime();
+  stats_.bytes_on_air += config_.ack_bytes;
+  busy_until_ = std::max(busy_until_, sim_.now() + config_.sifs + ack_airtime());
+  return (spatial_ == nullptr ||
+          spatial_->reachable(frame.dst, frame.src, sim_.now())) &&
+         !faults_->drop(frame.dst, frame.src, sim_.now(), config_.ack_bytes);
 }
 
 void Medium::complete_frame(ProcessId id, bool delivered) {
@@ -561,7 +529,7 @@ void Medium::retry_or_drop(ProcessId id) {
   node.transmitting = false;
   Frame& frame = node.queue.front();
   if (frame.retries >= config_.retry_limit) {
-    ctr_.unicast_drops->add();
+    ++stats_.unicast_drops;
     TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                      .kind = trace::Kind::kFrameDropped, .process = id,
                      .frame = frame.trace_id);
@@ -569,7 +537,7 @@ void Medium::retry_or_drop(ProcessId id) {
     return;
   }
   ++frame.retries;
-  ctr_.mac_retries->add();
+  ++stats_.mac_retries;
   TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kMedium,
                    .kind = trace::Kind::kFrameRetry, .process = id,
                    .value = frame.retries, .frame = frame.trace_id);

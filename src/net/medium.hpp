@@ -62,8 +62,8 @@ struct MediumConfig {
 };
 
 /// Medium-level activity counters, used by the evaluation harness and the
-/// broadcast-vs-unicast ablation. This is a snapshot view assembled from
-/// the medium's MetricsRegistry — the registry is the single counting path.
+/// broadcast-vs-unicast ablation. The medium counts in this struct directly;
+/// harness::Repetition::report exports it to the trace as `medium.*`.
 ///
 /// Receiver-side counters are per-(frame, receiver) PAIRS, not per frame:
 /// one broadcast reaching 6 of 9 receivers scores 6 deliveries. The three
@@ -154,32 +154,20 @@ class Medium final : public BroadcastService {
 
   /// Queues a broadcast frame. No ACK, no retry; delivery at each receiver
   /// is subject to collisions and injected omissions. When `replace_queued`
-  /// is set (the default), any broadcast frames of this sender still waiting
-  /// in its MAC queue (not yet on the air) are superseded — a protocol
-  /// state datagram is stale the moment a newer one exists, and this is
-  /// what keeps queues bounded when the channel saturates.
-  void send_broadcast(ProcessId src, Bytes payload, bool replace_queued = true);
-  /// As above, with a payload the caller already shares (e.g. a loopback
-  /// copy of the same datagram): no further payload allocation happens.
-  void send_broadcast(ProcessId src, FramePayload payload,
-                      bool replace_queued = true);
-  /// BroadcastService spelling of the shared-payload overload.
+  /// is set, any broadcast frames of this sender still waiting in its MAC
+  /// queue (not yet on the air) are superseded — a protocol state datagram
+  /// is stale the moment a newer one exists, and this is what keeps queues
+  /// bounded when the channel saturates. The payload is shared as is: no
+  /// further payload allocation happens.
   void broadcast(ProcessId src, FramePayload payload,
-                 bool replace_queued) override {
-    send_broadcast(src, std::move(payload), replace_queued);
-  }
+                 bool replace_queued) override;
 
   /// Queues a unicast frame with MAC ACK/retry semantics.
   void send_unicast(ProcessId src, ProcessId dst, Bytes payload,
                     SendResult on_result = {});
 
-  /// Snapshot of the medium counters (thin view over metrics()).
-  [[nodiscard]] MediumStats stats() const;
-  /// The live counter/histogram registry (includes backoff-slot and frame
-  /// airtime histograms that have no MediumStats field).
-  [[nodiscard]] const trace::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
+  /// The medium counters so far.
+  [[nodiscard]] const MediumStats& stats() const { return stats_; }
   [[nodiscard]] const MediumConfig& config() const { return config_; }
 
   /// Airtime of a frame carrying `payload_bytes` at `rate_bps`.
@@ -202,20 +190,10 @@ class Medium final : public BroadcastService {
     [[nodiscard]] std::size_t size() const { return payload->size(); }
   };
 
-  /// Counters resolved once against metrics_ (stable map-node addresses).
-  struct HotCounters {
-    trace::Counter* broadcast_frames = nullptr;
-    trace::Counter* unicast_frames = nullptr;
-    trace::Counter* mac_retries = nullptr;
-    trace::Counter* collisions = nullptr;
-    trace::Counter* frames_collided = nullptr;
-    trace::Counter* unicast_drops = nullptr;
-    trace::Counter* deliveries = nullptr;
-    trace::Counter* omissions = nullptr;
-    trace::Counter* unreachable = nullptr;
-    trace::Counter* hidden_terminal = nullptr;
-    trace::Counter* bytes_on_air = nullptr;
-    trace::Counter* airtime_ns = nullptr;
+  /// The backoff-slot and frame-airtime histograms (no MediumStats field)
+  /// live in the tracer the medium was built under, resolved once there.
+  struct Histograms {
+    trace::Tracer* tracer = nullptr;
     trace::Histogram* backoff_slots = nullptr;
     trace::Histogram* frame_airtime_us = nullptr;
   };
@@ -249,6 +227,13 @@ class Medium final : public BroadcastService {
   void finish_overlap(const std::vector<ProcessId>& winners);
   void complete_frame(ProcessId node, bool popped_ok);
   void retry_or_drop(ProcessId node);
+  /// Puts the MAC ACK of a unicast frame whose data arrived on the air and
+  /// returns whether its sender hears it: the reverse link first, then the
+  /// injected-fault draw.
+  [[nodiscard]] bool acked(const Frame& frame);
+  /// The histograms to observe into, or nullptr when the tracer they live
+  /// in is not the one installed now (untraced, or built under another).
+  [[nodiscard]] const Histograms* traced() const;
   void deliver(const Frame& frame);
   void note_unreachable(const Frame& frame, ProcessId receiver);
   [[nodiscard]] SimDuration airtime_of(const Frame& frame) const;
@@ -273,8 +258,8 @@ class Medium final : public BroadcastService {
   bool resolution_pending_ = false;
   SimTime busy_until_ = 0;
   std::uint64_t next_trace_id_ = 0;
-  trace::MetricsRegistry metrics_;
-  HotCounters ctr_;
+  MediumStats stats_;
+  Histograms hist_;
 };
 
 }  // namespace turq::net

@@ -6,6 +6,7 @@
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/serialize.hpp"
+#include "trace/trace.hpp"
 
 namespace turq::net {
 
@@ -55,12 +56,6 @@ TcpHost::TcpHost(sim::Simulator& simulator, Medium& medium, ProcessId self,
     TURQ_ASSERT_MSG(cpu_ != nullptr && costs_ != nullptr,
                     "authentication requires a CPU and cost model");
   }
-  ctr_.messages_sent = &metrics_.counter("tcp.messages_sent");
-  ctr_.segments_sent = &metrics_.counter("tcp.segments_sent");
-  ctr_.segments_retransmitted = &metrics_.counter("tcp.segments_retransmitted");
-  ctr_.rto_fires = &metrics_.counter("tcp.rto_fires");
-  ctr_.fast_retransmits = &metrics_.counter("tcp.fast_retransmits");
-  ctr_.auth_failures = &metrics_.counter("tcp.auth_failures");
   medium_.attach(self_, [this](ProcessId src, BytesView frame, bool bc) {
     if (!open_ || bc) return;
     on_frame(src, frame);
@@ -68,17 +63,6 @@ TcpHost::TcpHost(sim::Simulator& simulator, Medium& medium, ProcessId self,
 }
 
 TcpHost::~TcpHost() { close(); }
-
-TcpHost::Stats TcpHost::stats() const {
-  return Stats{
-      .messages_sent = ctr_.messages_sent->value(),
-      .segments_sent = ctr_.segments_sent->value(),
-      .segments_retransmitted = ctr_.segments_retransmitted->value(),
-      .rto_fires = ctr_.rto_fires->value(),
-      .fast_retransmits = ctr_.fast_retransmits->value(),
-      .auth_failures = ctr_.auth_failures->value(),
-  };
-}
 
 void TcpHost::close() {
   if (!open_) return;
@@ -161,7 +145,7 @@ Bytes* TcpHost::open_stream(ProcessId dst) {
 }
 
 void TcpHost::commit(ProcessId dst, std::size_t count) {
-  ctr_.messages_sent->add(count);
+  stats_.messages_sent += count;
   if (dst == self_) {
     // Loopback: ordered and loss-free but still asynchronous, one event per
     // message.
@@ -220,10 +204,10 @@ void TcpHost::transmit_segment(ProcessId peer, Connection& c,
   Segment& s = c.in_flight[seq - c.send_base];
   if (retransmit) {
     s.retransmitted = true;
-    ctr_.segments_retransmitted->add();
+    ++stats_.segments_retransmitted;
   }
   s.last_sent = sim_.now();
-  ctr_.segments_sent->add();
+  ++stats_.segments_sent;
   TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kChannel,
                    .kind = retransmit ? trace::Kind::kSegmentRetransmit
                                       : trace::Kind::kSegmentSend,
@@ -284,7 +268,7 @@ void TcpHost::on_rto(ProcessId peer) {
   Connection& c = conn(peer);
   c.rto_timer = sim::kInvalidEvent;
   if (c.in_flight.empty()) return;
-  ctr_.rto_fires->add();
+  ++stats_.rto_fires;
   TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kChannel,
                    .kind = trace::Kind::kRtoFire, .process = self_,
                    .value = static_cast<std::int64_t>(peer));
@@ -312,7 +296,7 @@ void TcpHost::on_frame(ProcessId src, BytesView frame) {
     std::copy_n(frame.begin() + static_cast<std::ptrdiff_t>(authed),
                 mac.size(), mac.begin());
     if (!c.hmac.verify(frame.first(authed), mac)) {
-      ctr_.auth_failures->add();
+      ++stats_.auth_failures;
       return;
     }
   }
@@ -443,7 +427,7 @@ void TcpHost::on_ack(ProcessId src, Connection& c, std::uint32_t ack,
     // Duplicate ACK; three in a row trigger fast retransmit.
     if (++c.dup_acks == 3) {
       c.dup_acks = 0;
-      ctr_.fast_retransmits->add();
+      ++stats_.fast_retransmits;
       TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kChannel,
                        .kind = trace::Kind::kFastRetransmit, .process = self_,
                        .value = static_cast<std::int64_t>(src));

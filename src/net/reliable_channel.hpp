@@ -44,7 +44,6 @@
 #include "net/medium.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
-#include "trace/trace.hpp"
 
 namespace turq::net {
 
@@ -118,8 +117,9 @@ class TcpHost {
 
   [[nodiscard]] ProcessId self() const { return self_; }
 
-  /// Snapshot view assembled from metrics() — the registry is the single
-  /// counting path.
+  /// The host's counters. The host counts in this struct directly;
+  /// harness::Repetition::report exports the sum over hosts to the trace as
+  /// `tcp.*`.
   struct Stats {
     std::uint64_t messages_sent = 0;
     std::uint64_t segments_sent = 0;
@@ -138,10 +138,7 @@ class TcpHost {
       return *this;
     }
   };
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] const trace::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   // Wire segment types.
@@ -243,18 +240,7 @@ class TcpHost {
   Bytes loopback_;
   std::size_t loopback_head_ = 0;
   Bytes loopback_msg_;
-
-  /// Counters resolved once against metrics_ (stable map-node addresses).
-  struct HotCounters {
-    trace::Counter* messages_sent = nullptr;
-    trace::Counter* segments_sent = nullptr;
-    trace::Counter* segments_retransmitted = nullptr;
-    trace::Counter* rto_fires = nullptr;
-    trace::Counter* fast_retransmits = nullptr;
-    trace::Counter* auth_failures = nullptr;
-  };
-  trace::MetricsRegistry metrics_;
-  HotCounters ctr_;
+  Stats stats_;
 };
 
 }  // namespace turq::net

@@ -15,7 +15,6 @@
 #include "net/frame_mux.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "sim/simulator.hpp"
-#include "trace/trace.hpp"
 #include "turquois/exchange_pool.hpp"
 #include "turquois/process.hpp"
 
@@ -139,7 +138,7 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
   const ServiceConfig& svc = cfg.service;
   // validate_service pins the plan to the failure-free role and a single
   // hop, so only ambient clauses inject and no relay is needed.
-  harness::Repetition rep(cfg, rep_index, /*relay=*/false);
+  harness::Repetition rep(cfg, rep_index, harness::Transport::kBroadcast);
   sim::Simulator& sim = rep.sim();
 
   turquois::Config tcfg = turquois::Config::for_group(cfg.n);
@@ -362,34 +361,6 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
   rep.measure(result);
   if (cfg.audit) result.audit = std::move(rep_audit);
   result.service = sum;
-
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    auto& m = t->metrics();
-    m.counter("service.arrivals").add(static_cast<std::int64_t>(sum.arrivals));
-    m.counter("service.committed")
-        .add(static_cast<std::int64_t>(sum.committed));
-    m.counter("service.rejected").add(static_cast<std::int64_t>(sum.rejected));
-    m.counter("service.instances_launched")
-        .add(static_cast<std::int64_t>(sum.instances_launched));
-    m.counter("service.instances_decided")
-        .add(static_cast<std::int64_t>(sum.instances_decided));
-    m.counter("service.instances_failed")
-        .add(static_cast<std::int64_t>(sum.instances_failed));
-    m.counter("service.key_batches")
-        .add(static_cast<std::int64_t>(sum.key_batches));
-    m.counter("service.mux_frames")
-        .add(static_cast<std::int64_t>(sum.mux_frames));
-    m.counter("service.mux_payloads")
-        .add(static_cast<std::int64_t>(sum.mux_payloads));
-    m.counter("service.mux_splits")
-        .add(static_cast<std::int64_t>(sum.mux_splits));
-    m.counter("service.mux_late_drops")
-        .add(static_cast<std::int64_t>(sum.mux_late_drops));
-    m.counter("service.mux_superseded")
-        .add(static_cast<std::int64_t>(sum.mux_superseded));
-  }
-#endif
   rep.report(result);
   return result;
 }

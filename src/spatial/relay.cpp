@@ -30,11 +30,6 @@ RelayFabric::RelayFabric(sim::Simulator& simulator, net::Medium& medium,
     : sim_(simulator), medium_(medium), cfg_(cfg), rng_(rng), nodes_(n),
       next_seq_(n, 0) {
   TURQ_ASSERT_MSG(n <= 256, "relay header encodes the origin in one byte");
-  origin_frames_ = &metrics_.counter("spatial.relay.origin_frames");
-  forwards_ = &metrics_.counter("spatial.relay.forwards");
-  suppressed_ = &metrics_.counter("spatial.relay.suppressed");
-  duplicates_ = &metrics_.counter("spatial.relay.duplicates");
-  deliveries_ = &metrics_.counter("spatial.relay.deliveries");
 }
 
 void RelayFabric::attach(ProcessId id,
@@ -110,13 +105,13 @@ void RelayFabric::broadcast(ProcessId src, FramePayload payload,
   // Marked so forwards of our own frame count as dupes. The seq is fresh,
   // so the "already seen" result is always false and carries nothing.
   (void)mark_seen(nodes_[src], src, seq);
-  origin_frames_->add();
+  ++stats_.origin_frames;
   Bytes wrapped(kHeaderBytes + payload->size());
   write_header(wrapped, src, 0, seq);
   std::copy(payload->begin(), payload->end(),
             wrapped.begin() + kHeaderBytes);
-  medium_.send_broadcast(src, std::make_shared<const Bytes>(std::move(wrapped)),
-                         replace_queued);
+  medium_.broadcast(src, std::make_shared<const Bytes>(std::move(wrapped)),
+                    replace_queued);
 }
 
 void RelayFabric::on_frame(ProcessId self, ProcessId from, BytesView frame) {
@@ -134,13 +129,13 @@ void RelayFabric::on_frame(ProcessId self, ProcessId from, BytesView frame) {
   if (!node.attached) return;
 
   if (!mark_seen(node, origin, seq)) {
-    duplicates_->add();
+    ++stats_.duplicates;
     const auto it = node.pending.find(key_of(origin, seq));
     if (it != node.pending.end()) {
       if (++it->second->duplicates >= cfg_.counter_threshold) {
         // Enough neighbours already cover this frame: stay quiet.
         it->second->cancelled = true;
-        suppressed_->add();
+        ++stats_.suppressed;
         TURQ_TRACE_EVENT(.at = sim_.now(),
                          .category = trace::Category::kSpatial,
                          .kind = trace::Kind::kRelaySuppressed,
@@ -153,7 +148,7 @@ void RelayFabric::on_frame(ProcessId self, ProcessId from, BytesView frame) {
     return;
   }
 
-  deliveries_->add();
+  ++stats_.deliveries;
   if (node.app) node.app(origin, frame.subspan(kHeaderBytes), true);
 
   if (hops + 1 >= cfg_.max_hops) return;  // TTL exhausted
@@ -177,28 +172,19 @@ void RelayFabric::on_frame(ProcessId self, ProcessId from, BytesView frame) {
 }
 
 void RelayFabric::forward(ProcessId self, ProcessId origin, std::uint32_t seq,
-                          std::uint32_t hops, FramePayload wrapped) {
+                          [[maybe_unused]] std::uint32_t hops,
+                          FramePayload wrapped) {
   Node& node = nodes_[self];
   if (!node.attached) return;
   node.pending.erase(key_of(origin, seq));
-  forwards_->add();
+  ++stats_.forwards;
   TURQ_TRACE_EVENT(.at = sim_.now(), .category = trace::Category::kSpatial,
                    .kind = trace::Kind::kRelayForward, .process = self,
                    .value = static_cast<std::int64_t>(origin), .frame = seq,
                    .bytes = static_cast<std::uint32_t>(hops));
   // Forwards never supersede queued frames: gossip coverage depends on
   // them going out even when the origin keeps producing fresher state.
-  medium_.send_broadcast(self, std::move(wrapped), /*replace_queued=*/false);
-}
-
-RelayFabric::Stats RelayFabric::stats() const {
-  return Stats{
-      .origin_frames = origin_frames_->value(),
-      .forwards = forwards_->value(),
-      .suppressed = suppressed_->value(),
-      .duplicates = duplicates_->value(),
-      .deliveries = deliveries_->value(),
-  };
+  medium_.broadcast(self, std::move(wrapped), /*replace_queued=*/false);
 }
 
 }  // namespace turq::spatial

@@ -31,7 +31,7 @@
 #include "net/broadcast_service.hpp"
 #include "net/medium.hpp"
 #include "sim/simulator.hpp"
-#include "trace/metrics.hpp"
+#include "spatial/topology.hpp"
 
 namespace turq::spatial {
 
@@ -88,18 +88,9 @@ class RelayFabric final : public net::BroadcastService {
   void broadcast(ProcessId src, FramePayload payload,
                  bool replace_queued) override;
 
-  [[nodiscard]] const trace::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
-  /// Relay counters for this repetition (topology fields stay zero).
-  struct Stats {
-    std::uint64_t origin_frames = 0;
-    std::uint64_t forwards = 0;
-    std::uint64_t suppressed = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t deliveries = 0;
-  };
-  [[nodiscard]] Stats stats() const;
+  /// Relay counters for this repetition.
+  using Stats = RelayStats;
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   /// Shared cancellation state for one pending rebroadcast.
@@ -132,12 +123,7 @@ class RelayFabric final : public net::BroadcastService {
   Rng rng_;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> next_seq_;
-  trace::MetricsRegistry metrics_;
-  trace::Counter* origin_frames_ = nullptr;
-  trace::Counter* forwards_ = nullptr;
-  trace::Counter* suppressed_ = nullptr;
-  trace::Counter* duplicates_ = nullptr;
-  trace::Counter* deliveries_ = nullptr;
+  Stats stats_;
 };
 
 }  // namespace turq::spatial

@@ -23,12 +23,6 @@ Topology::Topology(const SpatialConfig& config, std::uint32_t n, Rng rng)
     : config_(config), n_(n), fading_rng_(rng.derive("fading", 0)) {
   TURQ_ASSERT_MSG(config_.topology_set(),
                   "single-hop needs no Topology; install none instead");
-  samples_ = &metrics_.counter("spatial.samples");
-  partition_events_ = &metrics_.counter("spatial.partition_events");
-  partitioned_samples_ = &metrics_.counter("spatial.partitioned_samples");
-  path_hops_sum_ = &metrics_.counter("spatial.path_hops_sum");
-  path_pairs_ = &metrics_.counter("spatial.path_pairs");
-  cs_domains_sum_ = &metrics_.counter("spatial.cs_domains_sum");
 
   Rng place = rng.derive("place", 0);
   nodes_.resize(n_);
@@ -168,7 +162,7 @@ bool Topology::carrier_sense(ProcessId a, ProcessId b, SimTime now) {
 void Topology::sample_connectivity(SimTime at) {
   // Metrics describe the deterministic unit-disk graph at the sample
   // instant; per-frame fading luck is deliberately excluded.
-  samples_->add();
+  ++stats_.samples;
   const std::uint32_t n = n_;
   if (n == 0) return;
   std::vector<std::uint8_t> adj(static_cast<std::size_t>(n) * n, 0);
@@ -206,12 +200,12 @@ void Topology::sample_connectivity(SimTime at) {
         connected = false;
         continue;
       }
-      path_hops_sum_->add(hops[t]);
-      path_pairs_->add();
+      stats_.path_hops_sum += hops[t];
+      ++stats_.path_pairs;
     }
   }
-  if (!connected) partitioned_samples_->add();
-  if (was_connected_ && !connected) partition_events_->add();
+  if (!connected) ++stats_.partitioned_samples;
+  if (was_connected_ && !connected) ++stats_.partition_events;
   was_connected_ = connected;
 
   // Carrier-sense domains: connected components of the sense graph — the
@@ -233,18 +227,7 @@ void Topology::sample_connectivity(SimTime at) {
       }
     }
   }
-  cs_domains_sum_->add(domains);
-}
-
-SpatialStats Topology::stats() const {
-  SpatialStats s;
-  s.samples = samples_->value();
-  s.partition_events = partition_events_->value();
-  s.partitioned_samples = partitioned_samples_->value();
-  s.path_hops_sum = path_hops_sum_->value();
-  s.path_pairs = path_pairs_->value();
-  s.cs_domains_sum = cs_domains_sum_->value();
-  return s;
+  stats_.cs_domains_sum += domains;
 }
 
 // ------------------------------------------------------------------ specs --

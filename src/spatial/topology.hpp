@@ -29,7 +29,6 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/spatial_model.hpp"
-#include "trace/metrics.hpp"
 
 namespace turq::spatial {
 
@@ -82,9 +81,28 @@ struct SpatialConfig {
   }
 };
 
-/// Pooled spatial counters for one repetition (topology fields filled by
-/// Topology::stats(), relay fields by RelayFabric::stats(); the harness
-/// composes them and sums across repetitions).
+/// Gossip relay counters for one repetition (RelayFabric::Stats; the
+/// relay counts in it directly).
+struct RelayStats {
+  std::uint64_t origin_frames = 0;  // application broadcasts entering
+  std::uint64_t forwards = 0;       // gossip rebroadcasts sent
+  std::uint64_t suppressed = 0;     // forwards cancelled by duplicates
+  std::uint64_t duplicates = 0;     // duplicate receptions discarded
+  std::uint64_t deliveries = 0;     // unique non-origin app deliveries
+
+  RelayStats& operator+=(const RelayStats& o) {
+    origin_frames += o.origin_frames;
+    forwards += o.forwards;
+    suppressed += o.suppressed;
+    duplicates += o.duplicates;
+    deliveries += o.deliveries;
+    return *this;
+  }
+};
+
+/// Spatial counters for one repetition: the topology counts the
+/// connectivity fields directly, the harness adds the relay's counters and
+/// sums the whole across repetitions.
 struct SpatialStats {
   // Connectivity sampling (unit disk, fixed cadence).
   std::uint64_t samples = 0;
@@ -93,12 +111,7 @@ struct SpatialStats {
   std::uint64_t path_hops_sum = 0;        // over connected ordered pairs
   std::uint64_t path_pairs = 0;
   std::uint64_t cs_domains_sum = 0;       // carrier-sense components
-  // Relay/gossip (zero when the relay is not installed).
-  std::uint64_t relay_origin_frames = 0;  // application broadcasts entering
-  std::uint64_t relay_forwards = 0;       // gossip rebroadcasts sent
-  std::uint64_t relay_suppressed = 0;     // forwards cancelled by duplicates
-  std::uint64_t relay_duplicates = 0;     // duplicate receptions discarded
-  std::uint64_t relay_deliveries = 0;     // unique non-origin app deliveries
+  RelayStats relay;  // zero when the relay is not installed
 
   SpatialStats& operator+=(const SpatialStats& o) {
     samples += o.samples;
@@ -107,11 +120,7 @@ struct SpatialStats {
     path_hops_sum += o.path_hops_sum;
     path_pairs += o.path_pairs;
     cs_domains_sum += o.cs_domains_sum;
-    relay_origin_frames += o.relay_origin_frames;
-    relay_forwards += o.relay_forwards;
-    relay_suppressed += o.relay_suppressed;
-    relay_duplicates += o.relay_duplicates;
-    relay_deliveries += o.relay_deliveries;
+    relay += o.relay;
     return *this;
   }
 };
@@ -143,10 +152,8 @@ class Topology final : public net::SpatialModel {
   /// hook for exact-geometry cases (radius edge, colinear hidden triple).
   void pin(ProcessId id, Position p);
 
-  [[nodiscard]] SpatialStats stats() const;
-  [[nodiscard]] const trace::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
+  /// The connectivity counters so far (relay fields stay zero).
+  [[nodiscard]] const SpatialStats& stats() const { return stats_; }
   [[nodiscard]] const SpatialConfig& config() const { return config_; }
 
  private:
@@ -175,13 +182,7 @@ class Topology final : public net::SpatialModel {
   SimTime advanced_to_ = 0;
   SimTime next_sample_ = 0;
   bool was_connected_ = true;
-  trace::MetricsRegistry metrics_;
-  trace::Counter* samples_ = nullptr;
-  trace::Counter* partition_events_ = nullptr;
-  trace::Counter* partitioned_samples_ = nullptr;
-  trace::Counter* path_hops_sum_ = nullptr;
-  trace::Counter* path_pairs_ = nullptr;
-  trace::Counter* cs_domains_sum_ = nullptr;
+  SpatialStats stats_;
 };
 
 [[nodiscard]] std::string to_string(Placement p);

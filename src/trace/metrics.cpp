@@ -32,20 +32,18 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  return counters_[name];
+Counter& MetricsRegistry::counter(std::string_view name) {
+  const auto it = counters_.find(name);
+  if (it != counters_.end()) return it->second;
+  return counters_.emplace(name, Counter{}).first->second;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::initializer_list<double> bounds) {
-  return histogram(name, std::vector<double>(bounds));
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, Histogram(std::move(bounds))).first->second;
+  return histograms_.emplace(name, Histogram(std::vector<double>(bounds)))
+      .first->second;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {

@@ -1,17 +1,23 @@
 // Named counters and fixed-bucket histograms.
 //
-// One MetricsRegistry is the single counting path for a component: the
-// Medium and each TcpHost own one (their legacy Stats structs are assembled
-// from it on demand), and a Tracer owns one for run-level metrics. Storage
-// is std::map so iteration — and therefore every exported summary — is in
-// deterministic (lexicographic) order. Map nodes have stable addresses, so
-// hot paths resolve a Counter*/Histogram* once and bump through the pointer.
+// A Tracer owns one MetricsRegistry for the metrics of its repetition.
+// Components count in their own plain Stats structs (MediumStats,
+// TcpHost::Stats, SpatialStats, ...); harness::Repetition::report exports
+// those into the tracer's registry once per repetition, and ambient
+// instrumentation (trace::count/observe) bumps it directly. Storage is
+// std::map so iteration — and therefore every exported summary — is in
+// deterministic (lexicographic) order. Lookups take a std::string_view and
+// allocate only when they create the name. Map nodes have stable
+// addresses, so hot paths may resolve a Counter*/Histogram* once and bump
+// through the pointer.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace turq::trace {
@@ -58,18 +64,19 @@ class MetricsRegistry {
  public:
   /// Finds or creates the named counter. The reference stays valid for the
   /// registry's lifetime.
-  Counter& counter(const std::string& name);
+  Counter& counter(std::string_view name);
 
   /// Finds or creates the named histogram; `bounds` (ascending upper
   /// bounds) apply only on creation.
-  Histogram& histogram(const std::string& name,
+  Histogram& histogram(std::string_view name,
                        std::initializer_list<double> bounds);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const {
+  [[nodiscard]] const std::map<std::string, Counter, std::less<>>& counters()
+      const {
     return counters_;
   }
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
+  [[nodiscard]] const std::map<std::string, Histogram, std::less<>>&
+  histograms() const {
     return histograms_;
   }
 
@@ -78,8 +85,8 @@ class MetricsRegistry {
   void merge(const MetricsRegistry& other);
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 }  // namespace turq::trace

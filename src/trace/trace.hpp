@@ -199,8 +199,8 @@ inline bool active() {
 }
 
 /// Bumps a named counter in the ambient tracer's registry (no-op when
-/// tracing is off or compiled out). For always-on counters components own
-/// their own MetricsRegistry instead.
+/// tracing is off or compiled out). Always-on counters live in the
+/// components' own Stats structs instead, exported once per repetition.
 inline void count(const char* name, std::uint64_t delta = 1) {
 #if TURQ_TRACE_ENABLED
   if (Tracer* t = current()) t->metrics().counter(name).add(delta);

@@ -1,5 +1,5 @@
-// Allocation regression tests for the Turquois message path and the
-// reliable channel.
+// Allocation regression tests for the Turquois message path, the reliable
+// channel and traced metric lookups.
 //
 // Copying, decoding and storing messages sits on every broadcast and every
 // delivery, so it must not touch the heap beyond the few allocations the
@@ -29,6 +29,7 @@
 #include "sim/cpu.hpp"
 #include "service/service.hpp"
 #include "sim/simulator.hpp"
+#include "trace/trace.hpp"
 #include "turquois/message.hpp"
 #include "turquois/process.hpp"
 #include "turquois/view.hpp"
@@ -217,6 +218,28 @@ TEST(Allocations, SameInstantLaneReusesItsCapacity) {
             0u);
   EXPECT_EQ(fired - warm, 1000u * 64u);
   EXPECT_EQ(sim.queue_entries(), 0u);
+}
+
+TEST(Allocations, TracedCounterAndHistogramHitsAllocateNothing) {
+#if !TURQ_TRACE_ENABLED
+  GTEST_SKIP() << "built with TURQ_TRACE_DISABLED";
+#endif
+  // Two of the protocol's names, both longer than the small-string buffer:
+  // once the first call has created them, counting and observing look the
+  // names up without building a string or a bounds vector.
+  trace::Tracer tracer;
+  const trace::TraceScope scope(&tracer);
+  const auto bump = [] {
+    trace::count("turquois.broadcasts");
+    trace::observe("crypto.verify_us", {10, 20, 50, 100, 200, 500}, 15.0);
+  };
+  bump();
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < 64; ++i) bump();
+            }),
+            0u);
+  EXPECT_EQ(tracer.metrics().counter("turquois.broadcasts").value(), 65u);
+  EXPECT_EQ(tracer.metrics().histogram("crypto.verify_us", {}).count(), 65u);
 }
 
 TEST(Allocations, LiveBytesFollowAllocationAndRelease) {

@@ -399,9 +399,9 @@ std::string dump(const RunResult& r) {
                ull{s.samples}, ull{s.partition_events},
                ull{s.partitioned_samples}, ull{s.path_hops_sum},
                ull{s.path_pairs}, ull{s.cs_domains_sum},
-               ull{s.relay_origin_frames}, ull{s.relay_forwards},
-               ull{s.relay_suppressed}, ull{s.relay_duplicates},
-               ull{s.relay_deliveries});
+               ull{s.relay.origin_frames}, ull{s.relay.forwards},
+               ull{s.relay.suppressed}, ull{s.relay.duplicates},
+               ull{s.relay.deliveries});
   } else {
     out += "  spatial -\n";
   }

@@ -3,10 +3,14 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "net/fault_injector.hpp"
 #include "net/medium.hpp"
+#include "net/spatial_model.hpp"
 #include "sim/simulator.hpp"
 
 namespace turq::net {
@@ -25,6 +29,12 @@ struct Rig {
       received[id].emplace_back(src, Bytes(payload.begin(), payload.end()));
     });
   }
+
+  /// Broadcasts `payload` from `src`, superseding its queued broadcasts.
+  void broadcast(ProcessId src, Bytes payload) {
+    medium.broadcast(src, std::make_shared<const Bytes>(std::move(payload)),
+                     /*replace_queued=*/true);
+  }
 };
 
 TEST(Medium, AirtimeMath) {
@@ -42,7 +52,7 @@ TEST(Medium, AirtimeMath) {
 TEST(Medium, BroadcastReachesAllOthers) {
   Rig rig;
   for (ProcessId id = 0; id < 5; ++id) rig.attach(id);
-  rig.medium.send_broadcast(0, Bytes(10, 0xAA));
+  rig.broadcast(0, Bytes(10, 0xAA));
   rig.sim.run();
   EXPECT_TRUE(rig.received[0].empty());  // no self-delivery at the MAC layer
   for (ProcessId id = 1; id < 5; ++id) {
@@ -87,7 +97,7 @@ TEST(Medium, SimultaneousBroadcastsCanCollide) {
   Rig rig(cfg, /*seed=*/3);
   for (ProcessId id = 0; id < 8; ++id) rig.attach(id);
   for (ProcessId id = 0; id < 8; ++id) {
-    rig.medium.send_broadcast(id, Bytes(10, id));
+    rig.broadcast(id, Bytes(10, id));
   }
   rig.sim.run();
   EXPECT_GT(rig.medium.stats().collisions, 0u);
@@ -116,7 +126,7 @@ TEST(Medium, FaultInjectorDropsPerReceiver) {
   TargetedOmission faults(
       [](ProcessId, ProcessId dst, SimTime) { return dst == 2; });
   rig.medium.set_fault_injector(&faults);
-  rig.medium.send_broadcast(0, Bytes(10, 0xCC));
+  rig.broadcast(0, Bytes(10, 0xCC));
   rig.sim.run();
   EXPECT_EQ(rig.received[1].size(), 1u);
   EXPECT_TRUE(rig.received[2].empty());
@@ -131,7 +141,7 @@ TEST(Medium, BroadcastQueueReplacement) {
   rig.attach(0);
   rig.attach(1);
   for (int i = 0; i < 20; ++i) {
-    rig.medium.send_broadcast(0, Bytes{static_cast<std::uint8_t>(i)});
+    rig.broadcast(0, Bytes{static_cast<std::uint8_t>(i)});
   }
   rig.sim.run();
   // Far fewer than 20 frames hit the air…
@@ -148,7 +158,7 @@ TEST(Medium, BroadcastQueueReplacementKeepsUnicast) {
   int acked = 0;
   rig.medium.send_unicast(0, 1, Bytes{0x55}, [&](bool ok) { acked += ok; });
   for (int i = 0; i < 10; ++i) {
-    rig.medium.send_broadcast(0, Bytes{static_cast<std::uint8_t>(i)});
+    rig.broadcast(0, Bytes{static_cast<std::uint8_t>(i)});
   }
   rig.sim.run();
   EXPECT_EQ(acked, 1);  // replacement never drops unicast frames
@@ -158,13 +168,53 @@ TEST(Medium, AirtimeAccumulates) {
   Rig rig;
   rig.attach(0);
   rig.attach(1);
-  rig.medium.send_broadcast(0, Bytes(100, 0xAA));
+  rig.broadcast(0, Bytes(100, 0xAA));
   rig.sim.run();
   EXPECT_EQ(rig.medium.stats().airtime, rig.medium.frame_airtime(100, 2e6));
   EXPECT_EQ(rig.medium.stats().bytes_on_air, 134u);  // 100 + MAC overhead
 }
 
 // ----------------------------------------------------------- fault models
+
+/// A spatial model of one-way links in which nobody senses anybody, so
+/// every pair of contenders transmits concurrently.
+class OneWayLinks final : public SpatialModel {
+ public:
+  explicit OneWayLinks(std::set<std::pair<ProcessId, ProcessId>> links)
+      : links_(std::move(links)) {}
+
+  bool reachable(ProcessId src, ProcessId dst, SimTime /*now*/) override {
+    return links_.contains({src, dst});
+  }
+  bool carrier_sense(ProcessId /*a*/, ProcessId /*b*/,
+                     SimTime /*now*/) override {
+    return false;
+  }
+
+ private:
+  std::set<std::pair<ProcessId, ProcessId>> links_;
+};
+
+TEST(Medium, OverlappedUnicastNeedsTheReverseLinkForItsAck) {
+  // 0 unicasts to 1 while the hidden 2 broadcasts to 3: the two frames
+  // overlap, and 1 decodes 0's data cleanly since it hears nothing of 2.
+  // The link 1 -> 0 is down, so 0 never hears the MAC ACK: it retries up
+  // to the limit and gives up, exactly as a lone unicast would.
+  Rig rig;
+  OneWayLinks links({{0, 1}, {2, 3}});
+  rig.medium.set_spatial(&links);
+  for (ProcessId id = 0; id < 4; ++id) rig.attach(id);
+  std::optional<bool> acked;
+  rig.medium.send_unicast(0, 1, Bytes(10, 0xBB), [&](bool ok) { acked = ok; });
+  rig.broadcast(2, Bytes(10, 0xCC));
+  rig.sim.run();
+  ASSERT_FALSE(rig.received[1].empty());  // the data itself got through
+  ASSERT_EQ(rig.received[3].size(), 1u);
+  ASSERT_TRUE(acked.has_value());
+  EXPECT_FALSE(*acked);
+  EXPECT_EQ(rig.medium.stats().unicast_drops, 1u);
+  EXPECT_EQ(rig.medium.stats().mac_retries, MediumConfig{}.retry_limit);
+}
 
 TEST(FaultInjectors, IidLossRateApproximatelyMatches) {
   IidLoss loss(0.3, Rng(7));

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 
 #include "common/rng.hpp"
@@ -516,7 +517,9 @@ TEST_P(MediumConservation, DeliveriesPlusOmissionsMatchExpectations) {
   // Staggered broadcasts (no collisions: one sender at a time).
   for (int i = 0; i < 50; ++i) {
     sim.schedule(i * 10 * kMillisecond, [&medium, i] {
-      medium.send_broadcast(static_cast<ProcessId>(i % kNodes), Bytes(20, 1));
+      medium.broadcast(static_cast<ProcessId>(i % kNodes),
+                       std::make_shared<const Bytes>(20, 1),
+                       /*replace_queued=*/true);
     });
   }
   sim.run();

@@ -22,6 +22,7 @@
 #include "sim/simulator.hpp"
 #include "trace/metrics.hpp"
 #include "trace/sink.hpp"
+#include "trace/trace.hpp"
 #include "turquois/config.hpp"
 #include "turquois/key_infra.hpp"
 
@@ -602,12 +603,15 @@ TEST(Service, AmbientLossRollsInstancesPastTheFirstKeyEpoch) {
   EXPECT_EQ(sum.committed, 2 * cfg.service.total_requests);
   EXPECT_EQ(sum.instances_failed, 0u);
   EXPECT_EQ(sum.auth_failures, 0u);
-  const std::uint64_t rollovers = sink.totals["turquois.key_rollovers"];
-  EXPECT_GT(rollovers, 0u);
-  // Each rollover draws one more 6-phase chain of 14 keys.
+  // Each instance's processes start on the key batches' epoch-0 chains of
+  // 14 keys per 6 phases; each rollover draws one more such chain.
   const std::uint64_t keyed =
       sum.key_batches * cfg.service.effective_key_batch() * cfg.n;
+  EXPECT_GT(sum.ots_keys, keyed * 14);
+#if TURQ_TRACE_ENABLED
+  const std::uint64_t rollovers = sink.totals["turquois.key_rollovers"];
   EXPECT_EQ(sum.ots_keys, (keyed + rollovers) * 14);
+#endif
   ASSERT_TRUE(r.audit.has_value());
   EXPECT_TRUE(r.audit->passed());
 }

@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -126,6 +127,12 @@ struct SpatialRig {
       received[id].emplace_back(src, Bytes(payload.begin(), payload.end()));
     });
   }
+
+  /// Broadcasts `payload` from `src`, superseding its queued broadcasts.
+  void broadcast(ProcessId src, Bytes payload) {
+    medium.broadcast(src, std::make_shared<const Bytes>(std::move(payload)),
+                     /*replace_queued=*/true);
+  }
 };
 
 TEST(SpatialMedium, OutOfRangeReceiverCountsUnreachable) {
@@ -135,7 +142,7 @@ TEST(SpatialMedium, OutOfRangeReceiverCountsUnreachable) {
   rig.topo.pin(1, {90.0, 0.0});    // in range of 0
   rig.topo.pin(2, {1000.0, 0.0});  // far out of range
   for (ProcessId id = 0; id < 3; ++id) rig.attach(id);
-  rig.medium.send_broadcast(0, Bytes(10, 0xAA));
+  rig.broadcast(0, Bytes(10, 0xAA));
   rig.sim.run();
   ASSERT_EQ(rig.received[1].size(), 1u);
   EXPECT_TRUE(rig.received[2].empty());
@@ -155,8 +162,8 @@ TEST(SpatialMedium, ColinearHiddenTerminalTripleCorruptsTheMiddle) {
   rig.topo.pin(1, {90.0, 0.0});
   rig.topo.pin(2, {180.0, 0.0});
   for (ProcessId id = 0; id < 3; ++id) rig.attach(id);
-  rig.medium.send_broadcast(0, Bytes(10, 0xAA));
-  rig.medium.send_broadcast(2, Bytes(10, 0xCC));
+  rig.broadcast(0, Bytes(10, 0xAA));
+  rig.broadcast(2, Bytes(10, 0xCC));
   rig.sim.run();
   EXPECT_TRUE(rig.received[1].empty());  // both frames corrupted at B
   EXPECT_EQ(rig.medium.stats().deliveries, 0u);
@@ -174,8 +181,8 @@ TEST(SpatialMedium, SensingSendersStillDeferToEachOther) {
   rig.topo.pin(1, {90.0, 0.0});
   rig.topo.pin(2, {180.0, 0.0});
   for (ProcessId id = 0; id < 3; ++id) rig.attach(id);
-  rig.medium.send_broadcast(0, Bytes(10, 0xAA));
-  rig.medium.send_broadcast(2, Bytes(10, 0xCC));
+  rig.broadcast(0, Bytes(10, 0xAA));
+  rig.broadcast(2, Bytes(10, 0xCC));
   rig.sim.run();
   ASSERT_EQ(rig.received[1].size(), 2u);  // B hears both, in some order
   EXPECT_EQ(rig.medium.stats().hidden_terminal, 0u);
@@ -400,7 +407,7 @@ TEST(SpatialHarness, MultiHopCampaignStyleRunDecides) {
   EXPECT_EQ(r.safety_violations, 0u);
   ASSERT_TRUE(r.spatial_total.has_value());
   EXPECT_GT(r.spatial_total->samples, 0u);
-  EXPECT_GT(r.spatial_total->relay_origin_frames, 0u);
+  EXPECT_GT(r.spatial_total->relay.origin_frames, 0u);
   EXPECT_GT(r.medium_total.unreachable, 0u);  // the grid is genuinely sparse
   ASSERT_TRUE(r.sigma.has_value());  // spatial scenarios force sigma tracking
   ASSERT_TRUE(r.audit.has_value());

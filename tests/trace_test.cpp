@@ -1,15 +1,18 @@
 // Tests for the structured event-tracing subsystem: ring-buffer semantics,
 // histogram bucketing, trace determinism (same seed => byte-identical
-// JSONL), and a golden-file check of the trace_inspect report.
+// JSONL), a golden-file check of the trace_inspect report, and the
+// repetition's export of its channel counters.
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
+#include "spatial/topology.hpp"
 #include "trace/inspect.hpp"
 #include "trace/metrics.hpp"
 #include "trace/sink.hpp"
@@ -218,15 +221,126 @@ TEST(TraceInspect, GoldenReport) {
   EXPECT_EQ(report, golden.str());
 }
 
-TEST(MediumStatsView, MatchesRegistry) {
-  harness::ScenarioConfig cfg = tiny_scenario();
-  cfg.repetitions = 1;
-  const harness::RunResult r = harness::run_once(cfg, 0);
-  // The legacy stats struct is assembled from the registry, so a run that
-  // put frames on the air must show them in both.
-  EXPECT_GT(r.medium.broadcast_frames, 0u);
-  EXPECT_GT(r.medium.airtime, 0);
-  EXPECT_GT(r.medium.deliveries, 0u);
+/// Keeps the metrics registry of the last flushed repetition.
+class MetricsSink final : public trace::Sink {
+ public:
+  void on_event(const TraceEvent& /*event*/) override {}
+  void on_metrics(const trace::MetricsRegistry& m) override { metrics = m; }
+
+  trace::MetricsRegistry metrics;
+};
+
+/// How many of `m`'s counters start with `prefix`.
+std::size_t counters_named(const trace::MetricsRegistry& m,
+                           std::string_view prefix) {
+  std::size_t count = 0;
+  for (const auto& [name, counter] : m.counters()) {
+    if (name.starts_with(prefix)) ++count;
+  }
+  return count;
+}
+
+/// Expects the exported counter `name` to exist and equal `value`.
+void expect_exported(const trace::MetricsRegistry& m, std::string_view name,
+                     std::uint64_t value) {
+  const auto it = m.counters().find(name);
+  ASSERT_NE(it, m.counters().end()) << name << " not exported";
+  EXPECT_EQ(it->second.value(), value) << name;
+}
+
+// The components count in their own Stats structs and the repetition
+// exports them: a traced repetition's channel counters must equal its
+// RunResult, each family present exactly when its component ran.
+TEST(TraceExport, ChannelCountersMatchTheRunResult) {
+#if !TURQ_TRACE_ENABLED
+  GTEST_SKIP() << "built with TURQ_TRACE_DISABLED";
+#endif
+  struct Case {
+    const char* label;
+    harness::Protocol protocol;
+    std::uint32_t n;
+    const char* topology;
+    bool relay;
+  };
+  for (const Case& c :
+       {Case{"turquois", harness::Protocol::kTurquois, 4, "single", true},
+        Case{"bracha", harness::Protocol::kBracha, 4, "single", true},
+        Case{"grid relay", harness::Protocol::kTurquois, 9, "grid(r=150)",
+             true},
+        Case{"grid no relay", harness::Protocol::kTurquois, 9, "grid(r=150)",
+             false}}) {
+    SCOPED_TRACE(c.label);
+    harness::ScenarioConfig cfg = tiny_scenario();
+    cfg.protocol = c.protocol;
+    cfg.n = c.n;
+    std::string error;
+    ASSERT_TRUE(spatial::parse_topology(c.topology, &cfg.spatial, &error))
+        << error;
+    cfg.relay_enabled = c.relay;
+    MetricsSink sink;
+    cfg.trace_sink = &sink;
+    const harness::RunResult r = harness::run_once(cfg, 0);
+    const trace::MetricsRegistry& m = sink.metrics;
+
+    const net::MediumStats& md = r.medium;
+    EXPECT_GT(md.deliveries, 0u);
+    EXPECT_EQ(counters_named(m, "medium."), 12u);
+    expect_exported(m, "medium.broadcast_frames", md.broadcast_frames);
+    expect_exported(m, "medium.unicast_frames", md.unicast_frames);
+    expect_exported(m, "medium.mac_retries", md.mac_retries);
+    expect_exported(m, "medium.collisions", md.collisions);
+    expect_exported(m, "medium.frames_collided", md.frames_collided);
+    expect_exported(m, "medium.unicast_drops", md.unicast_drops);
+    expect_exported(m, "medium.deliveries", md.deliveries);
+    expect_exported(m, "medium.omissions", md.omissions);
+    expect_exported(m, "medium.unreachable", md.unreachable);
+    expect_exported(m, "medium.hidden_terminal", md.hidden_terminal);
+    expect_exported(m, "medium.bytes_on_air", md.bytes_on_air);
+    expect_exported(m, "medium.airtime_ns",
+                    static_cast<std::uint64_t>(md.airtime));
+    EXPECT_EQ(m.histograms().count("medium.backoff_slots"), 1u);
+    EXPECT_EQ(m.histograms().count("medium.frame_airtime_us"), 1u);
+
+    if (c.protocol == harness::Protocol::kBracha) {
+      const net::TcpHost::Stats& tcp = r.tcp;
+      EXPECT_GT(tcp.segments_sent, 0u);
+      EXPECT_EQ(counters_named(m, "tcp."), 6u);
+      expect_exported(m, "tcp.messages_sent", tcp.messages_sent);
+      expect_exported(m, "tcp.segments_sent", tcp.segments_sent);
+      expect_exported(m, "tcp.segments_retransmitted",
+                      tcp.segments_retransmitted);
+      expect_exported(m, "tcp.rto_fires", tcp.rto_fires);
+      expect_exported(m, "tcp.fast_retransmits", tcp.fast_retransmits);
+      expect_exported(m, "tcp.auth_failures", tcp.auth_failures);
+    } else {
+      EXPECT_EQ(counters_named(m, "tcp."), 0u);
+    }
+
+    if (!r.spatial.has_value()) {
+      EXPECT_EQ(std::string(c.topology), "single");
+      EXPECT_EQ(counters_named(m, "spatial."), 0u);
+      continue;
+    }
+    const spatial::SpatialStats& sp = *r.spatial;
+    EXPECT_GT(sp.samples, 0u);
+    expect_exported(m, "spatial.samples", sp.samples);
+    expect_exported(m, "spatial.partition_events", sp.partition_events);
+    expect_exported(m, "spatial.partitioned_samples", sp.partitioned_samples);
+    expect_exported(m, "spatial.path_hops_sum", sp.path_hops_sum);
+    expect_exported(m, "spatial.path_pairs", sp.path_pairs);
+    expect_exported(m, "spatial.cs_domains_sum", sp.cs_domains_sum);
+    if (!c.relay) {
+      EXPECT_EQ(counters_named(m, "spatial."), 6u);
+      continue;
+    }
+    EXPECT_GT(sp.relay.origin_frames, 0u);
+    EXPECT_EQ(counters_named(m, "spatial.relay."), 5u);
+    expect_exported(m, "spatial.relay.origin_frames", sp.relay.origin_frames);
+    expect_exported(m, "spatial.relay.forwards", sp.relay.forwards);
+    expect_exported(m, "spatial.relay.suppressed", sp.relay.suppressed);
+    expect_exported(m, "spatial.relay.duplicates", sp.relay.duplicates);
+    expect_exported(m, "spatial.relay.deliveries", sp.relay.deliveries);
+  }
 }
 
 }  // namespace

@@ -275,15 +275,15 @@ int main(int argc, char** argv) {
                                 static_cast<double>(sp.path_pairs)
                           : 0.0,
         static_cast<unsigned long long>(sp.partition_events));
-    if (sp.relay_origin_frames > 0) {
+    if (sp.relay.origin_frames > 0) {
       std::printf(
           "relay (totals): %llu origin frames, %llu forwards, %llu "
           "suppressed, %.2f unique deliveries per origin frame\n",
-          static_cast<unsigned long long>(sp.relay_origin_frames),
-          static_cast<unsigned long long>(sp.relay_forwards),
-          static_cast<unsigned long long>(sp.relay_suppressed),
-          static_cast<double>(sp.relay_deliveries) /
-              static_cast<double>(sp.relay_origin_frames));
+          static_cast<unsigned long long>(sp.relay.origin_frames),
+          static_cast<unsigned long long>(sp.relay.forwards),
+          static_cast<unsigned long long>(sp.relay.suppressed),
+          static_cast<double>(sp.relay.deliveries) /
+              static_cast<double>(sp.relay.origin_frames));
     }
   }
   print_sigma(r.sigma);
