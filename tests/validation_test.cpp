@@ -368,6 +368,27 @@ TEST_F(ValidationFixture, UndecidedAcceptedViaBottomAtDecidePhase) {
   EXPECT_TRUE(val.status_valid(msg(6, 4, Value::kOne)));
 }
 
+TEST_F(ValidationFixture, UndecidedAcceptedViaValueSplitAtDecidePhase) {
+  // Extension: one 0 and one 1 at the last DECIDE phase, with no ⊥, also
+  // prove the quorum there was non-uniform.
+  view_.insert(msg(1, 3, Value::kZero));
+  SemanticValidator val(cfg_, view_);
+  EXPECT_FALSE(val.status_valid(msg(6, 4, Value::kOne)));  // one value only
+  view_.insert(msg(2, 3, Value::kOne));
+  EXPECT_TRUE(val.status_valid(msg(6, 4, Value::kOne)));
+}
+
+TEST_F(ValidationFixture, UndecidedRejectedWhenOneValueMissesLockHalf) {
+  // The paper rule wants both values at the LOCK phase: 3 zeros reach the
+  // half quorum (3), 2 ones do not, and phase 3 holds no evidence.
+  fill(view_, 2, Value::kZero, 3, 0);
+  fill(view_, 2, Value::kOne, 2, 3);
+  SemanticValidator val(cfg_, view_);
+  EXPECT_FALSE(val.status_valid(msg(6, 4, Value::kOne)));
+  fill(view_, 2, Value::kOne, 1, 5);
+  EXPECT_TRUE(val.status_valid(msg(6, 4, Value::kOne)));
+}
+
 TEST_F(ValidationFixture, UndecidedRejectedWithoutAnyEvidence) {
   fill(view_, 3, Value::kOne, 5);  // uniform decide quorum, no ⊥, no split
   const SemanticValidator val(cfg_, view_);
