@@ -5,7 +5,7 @@
 
 #include "trace/trace.hpp"
 #include "turquois/process.hpp"
-#include "turquois/view.hpp"
+#include "turquois/validation.hpp"
 
 namespace turq::harness {
 
@@ -263,8 +263,10 @@ audit::ConsensusAuditor* ConsensusInstance::auditor_for(ProcessId id) const {
 
 void ConsensusInstance::check_decide_quorum(const turquois::Process& p,
                                             const turquois::Config& tcfg) {
-  if (auditor_ == nullptr || !p.decided() ||
-      turquois::has_decide_quorum(p.view(), tcfg, p.decision())) {
+  if (auditor_ == nullptr || !p.decided()) return;
+  const turquois::Message* top = p.view().highest_phase_message();
+  if (top != nullptr &&
+      turquois::has_decide_quorum(p.view(), tcfg, top->phase, p.decision())) {
     return;
   }
   auditor_->note_violation(

@@ -189,11 +189,14 @@ Process::BroadcastKey Process::justification_key(bool justify,
                    .from_coin = from_coin_,
                    .root_evidence = root_evidence};
   if (!justify) return key;
-  const auto request = [&](Phase p, std::optional<Value> v, std::size_t limit) {
+  const auto request = [&](const EvidenceRow& row) {
     TURQ_ASSERT_MSG(key.request_count < BroadcastKey::kMaxRequests,
                     "a new justification rule needs a larger request list");
-    key.requests[key.request_count++] = {
-        .phase = p, .value = v, .limit = limit, .count = view_.count_phase(p)};
+    key.requests[key.request_count++] = {.row = row,
+                                         .count = view_.count_phase(row.phase)};
+  };
+  const auto request_all = [&](const Evidence& e) {
+    for (const EvidenceRow& row : e.rows()) request(row);
   };
 
   // Phase-1 evidence first (stall escalation only): every deeper
@@ -203,55 +206,22 @@ Process::BroadcastKey Process::justification_key(bool justify,
   // opening exchange and would otherwise be permanently unable to validate
   // legitimate ⊥ states.
   if (root_evidence && phase_ > 2) {
-    request(1, Value::kZero, cfg_.half_quorum_size());
-    request(1, Value::kOne, cfg_.half_quorum_size());
+    request({1, Value::kZero, cfg_.half_quorum_size()});
+    request({1, Value::kOne, cfg_.half_quorum_size()});
   }
 
-  // Phase justification: a quorum at φ-1, or the message we jumped on.
-  if (phase_ > 1) {
-    if (cfg_.exceeds_quorum(view_.count_phase(phase_ - 1))) {
-      request(phase_ - 1, std::nullopt, cfg_.quorum_size());
-    } else if (jump_source_.has_value()) {
-      request(0, std::nullopt, 1);  // phase 0: the jump source
-    }
+  // Phase justification: the phase rows, or the message we jumped on.
+  const Evidence phase = phase_evidence(cfg_, phase_);
+  if (phase.holds(view_)) {
+    request_all(phase);
+  } else if (jump_source_.has_value()) {
+    request({0, std::nullopt, 1});  // phase 0: the jump source
   }
-
-  // Proposal-value justification, per the rule for this phase class.
-  switch (phase_ % 3) {
-    case 1:
-      if (phase_ > 1) {
-        if (from_coin_) {
-          request(phase_ - 1, Value::kBottom, cfg_.quorum_size());
-        } else {
-          request(phase_ - 2, value_, cfg_.quorum_size());
-        }
-      }
-      break;
-    case 2:
-      request(phase_ - 1, value_, cfg_.half_quorum_size());
-      break;
-    default:  // phase_ % 3 == 0
-      if (is_binary(value_)) {
-        request(phase_ - 1, value_, cfg_.quorum_size());
-      } else {
-        request(phase_ - 2, Value::kZero, cfg_.half_quorum_size());
-        request(phase_ - 2, Value::kOne, cfg_.half_quorum_size());
-      }
-      break;
-  }
-
-  // Status justification.
-  if (status_ == Status::kDecided && decide_phase_ >= 3) {
-    request(decide_phase_, value_, cfg_.quorum_size());
-  } else if (status_ == Status::kUndecided && phase_ > 3) {
-    const Phase lock = SemanticValidator::highest_lock_phase_below(phase_);
-    request(lock, Value::kZero, cfg_.half_quorum_size());
-    request(lock, Value::kOne, cfg_.half_quorum_size());
-    // Direct evidence of a non-uniform DECIDE quorum (see validation.cpp).
-    const Phase decide = SemanticValidator::highest_decide_phase_below(phase_);
-    request(decide, Value::kBottom, 1);
-    request(decide, Value::kZero, 1);
-    request(decide, Value::kOne, 1);
+  request_all(value_evidence(cfg_, phase_, value_, from_coin_));
+  if (status_ == Status::kUndecided) {
+    request_all(undecided_status_evidence(cfg_, phase_));
+  } else if (decide_phase_ != 0) {  // 0: a decision adopted from others
+    request_all(decided_status_evidence(cfg_, decide_phase_, value_));
   }
   return key;
 }
@@ -259,11 +229,11 @@ Process::BroadcastKey Process::justification_key(bool justify,
 void Process::pick(const BroadcastKey& key, std::vector<Message>& out) {
   candidates_.clear();
   for (std::size_t i = 0; i < key.request_count; ++i) {
-    const BookRequest& r = key.requests[i];
+    const EvidenceRow& r = key.requests[i].row;
     if (r.phase == 0) {
       candidates_.push_back(&*jump_source_);
     } else {
-      view_.append_at(candidates_, r.phase, r.value, r.limit);
+      view_.append_at(candidates_, r.phase, r.value, r.need);
     }
   }
 

@@ -166,14 +166,12 @@ class Process {
   void maybe_decide();                    // lines 40-42
   void prune_pending();
 
-  /// One justification rule's request: up to `limit` messages of the view's
-  /// phase-`phase` book (only those carrying `value`, if given) in sender
-  /// order, and the book's size when the request was made. Phase 0 requests
-  /// the jump source instead.
+  /// One evidence row a broadcast attaches: up to `row.need` messages of
+  /// the view's book at `row.phase` (only those carrying `row.value`, if
+  /// given) in sender order, and the book's size when the request was made.
+  /// Phase 0 requests the jump source instead.
   struct BookRequest {
-    Phase phase = 0;
-    std::optional<Value> value;
-    std::size_t limit = 0;
+    EvidenceRow row;
     std::size_t count = 0;
     bool operator==(const BookRequest&) const = default;
   };
@@ -194,8 +192,8 @@ class Process {
     std::size_t request_count = 0;
     bool operator==(const BroadcastKey&) const = default;
   };
-  /// The justification rules: the only place that says which books a
-  /// broadcast reads.
+  /// The §6.2 rows (validation.hpp) plus the sender-only requests: the
+  /// only place that says which books a broadcast reads.
   [[nodiscard]] BroadcastKey justification_key(bool justify,
                                                bool root_evidence) const;
   /// The attachments `key` requests: the rule-ordered candidates,

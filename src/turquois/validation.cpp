@@ -1,5 +1,6 @@
 #include "turquois/validation.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -130,30 +131,95 @@ void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
   for (const auto& [i, j] : aliases) out[i] = ok[j];
 }
 
-Phase SemanticValidator::highest_lock_phase_below(Phase phase) {
-  if (phase <= 2) return 0;
-  switch (phase % 3) {
-    case 0: return phase - 1;
-    case 1: return phase - 2;
-    default: return phase - 3;  // phase % 3 == 2
+bool Evidence::holds(const View& view) const {
+  for (std::size_t a = 0; a < alternatives_; ++a) {
+    const std::size_t end = a + 1 < alternatives_ ? starts_[a + 1] : size_;
+    bool all = true;
+    for (std::size_t i = starts_[a]; i < end && all; ++i) {
+      all = rows_[i].holds(view);
+    }
+    if (all) return true;
   }
+  return false;
+}
+
+Evidence phase_evidence(const Config& cfg, Phase phase) {
+  Evidence e;
+  e.alternative();
+  if (phase > 1) e.row(phase - 1, std::nullopt, cfg.quorum_size());
+  return e;
+}
+
+Evidence value_evidence(const Config& cfg, Phase phase, Value v,
+                        bool from_coin) {
+  Evidence e;
+  if (phase % 3 != 0 && !is_binary(v)) return e;  // only LOCK produces ⊥
+  e.alternative();
+  const std::size_t quorum = cfg.quorum_size();
+  const std::size_t half = cfg.half_quorum_size();
+  if (phase % 3 == 0 && v == Value::kBottom) {
+    // LOCK found no quorum: both values had support two phases back.
+    e.row(phase - 2, Value::kZero, half).row(phase - 2, Value::kOne, half);
+  } else if (phase % 3 == 0) {  // LOCK: a full quorum behind v at φ-1
+    e.row(phase - 1, v, quorum);
+  } else if (phase % 3 == 2) {  // CONVERGE: a plausible majority at φ-1
+    e.row(phase - 1, v, half);
+  } else if (phase > 1) {  // DECIDE: a coin needs all ⊥ at φ-1, v the lock
+    e.row(phase - (from_coin ? 1 : 2), from_coin ? Value::kBottom : v, quorum);
+  }  // phase-1 proposals are accepted as is
+  return e;
+}
+
+Evidence decided_status_evidence(const Config& cfg, Phase decide, Value v) {
+  Evidence e;
+  return e.alternative().row(decide, v, cfg.quorum_size());
+}
+
+Evidence undecided_status_evidence(const Config& cfg, Phase phase) {
+  Evidence e;
+  e.alternative();
+  if (phase <= 3) return e;
+  // The paper's rule: both values had more than ((n+f)/2)/2 support at the
+  // last LOCK phase. As printed it can reject *truthful* undecided states
+  // and deadlock the run (DESIGN.md §5), so a ⊥ or a value split at the last
+  // DECIDE phase also shows that a correct process passed it undecided.
+  // Accepting more undecided messages cannot break safety: agreement rests
+  // on value quorums, not status.
+  const Phase lock = SemanticValidator::highest_lock_phase_below(phase);
+  const Phase decide = SemanticValidator::highest_decide_phase_below(phase);
+  const std::size_t half = cfg.half_quorum_size();
+  return e.row(lock, Value::kZero, half).row(lock, Value::kOne, half)
+      .alternative().row(decide, Value::kBottom, 1)
+      .alternative().row(decide, Value::kZero, 1).row(decide, Value::kOne, 1);
+}
+
+bool has_decide_quorum(const View& view, const Config& cfg, Phase phase,
+                       Value v) {
+  for (Phase d = phase / 3 * 3; d >= 3; d -= 3) {
+    if (decided_status_evidence(cfg, d, v).holds(view)) return true;
+  }
+  return false;
+}
+
+Phase SemanticValidator::highest_lock_phase_below(Phase phase) {
+  return phase <= 2 ? 0 : phase - 1 - phase % 3;
+}
+
+Phase SemanticValidator::highest_decide_phase_below(Phase phase) {
+  return phase <= 3 ? 0 : (phase - 1) / 3 * 3;
 }
 
 bool SemanticValidator::phase_valid(const Message& m) const {
-  if (m.phase == 1) return true;
-  if (cfg_.exceeds_quorum(view_.count_phase(m.phase - 1))) return true;
+  if (phase_evidence(cfg_, m.phase).holds(view_)) return true;
   if (cfg_.transitive_phase_rule) {
     if (view_.count_phase_at_least(m.phase) >= cfg_.f + 1) return true;
-    if (claimed_ != nullptr) {
-      // Authentic claims are enough for phase existence: at least one of
-      // f+1 distinct claimants is correct, and a correct process only
-      // broadcasts a phase it validly reached.
-      std::size_t claimants = 0;
-      for (const Phase c : *claimed_) {
-        if (c >= m.phase) ++claimants;
-      }
-      if (claimants >= cfg_.f + 1) return true;
-    }
+    // Authentic claims are enough for phase existence: at least one of f+1
+    // distinct claimants is correct, and a correct process only broadcasts
+    // a phase it validly reached.
+    return claimed_ != nullptr &&
+           std::ranges::count_if(*claimed_, [&](Phase c) {
+             return c >= m.phase;
+           }) >= static_cast<std::ptrdiff_t>(cfg_.f + 1);
   }
   return false;
 }
@@ -162,99 +228,27 @@ bool SemanticValidator::corroborated(const Message& m) const {
   if (!cfg_.corroboration_rule || corroboration_ == nullptr) return false;
   const auto it = corroboration_->find(
       {m.phase, static_cast<std::uint8_t>(m.value)});
-  if (it == corroboration_->end()) return false;
-  return it->second.count() >= cfg_.f + 1;
-}
-
-bool SemanticValidator::has_decide_quorum(Phase phase, Value v) const {
-  if (phase < 3) return false;
-  for (Phase d = (phase / 3) * 3; d >= 3; d -= 3) {
-    if (cfg_.exceeds_quorum(view_.count_phase_value(d, v))) return true;
-    if (d == 3) break;
-  }
-  return false;
+  return it != corroboration_->end() && it->second.count() >= cfg_.f + 1;
 }
 
 bool SemanticValidator::value_valid(const Message& m) const {
-  const Phase phi = m.phase;
-  if (phi == 1) return is_binary(m.value);  // phase-1 values accepted as is
-
   // Catch-up extension (DESIGN.md §5): the value of a decided message is
   // already pinned by its decide-phase quorum; per-phase evidence chains
   // are unnecessary (and unavailable to a process that fell behind).
   if (m.status == Status::kDecided && is_binary(m.value) &&
-      has_decide_quorum(phi, m.value)) {
+      has_decide_quorum(view_, cfg_, m.phase, m.value)) {
     return true;
   }
-
-  switch (phi % 3) {
-    case 2: {  // message produced by a CONVERGE transition
-      // v must be a plausible majority: more than ((n+f)/2)/2 messages at
-      // φ-1 with value v.
-      if (!is_binary(m.value)) return false;
-      return cfg_.exceeds_half_quorum(view_.count_phase_value(phi - 1, m.value));
-    }
-    case 0: {  // message produced by a LOCK transition
-      if (is_binary(m.value)) {
-        // A locked value needs a full quorum behind it at φ-1.
-        return cfg_.exceeds_quorum(view_.count_phase_value(phi - 1, m.value));
-      }
-      // ⊥ means no value reached a quorum: both values must have had
-      // meaningful support two phases back.
-      return cfg_.exceeds_half_quorum(
-                 view_.count_phase_value(phi - 2, Value::kZero)) &&
-             cfg_.exceeds_half_quorum(
-                 view_.count_phase_value(phi - 2, Value::kOne));
-    }
-    default: {  // phi % 3 == 1: message produced by a DECIDE transition
-      if (!is_binary(m.value)) return false;
-      if (m.from_coin) {
-        // A random value is only legitimate when the previous phase was all
-        // ⊥ (no value survived the lock).
-        return cfg_.exceeds_quorum(
-            view_.count_phase_value(phi - 1, Value::kBottom));
-      }
-      // Deterministically adopted values trace back to the lock quorum.
-      return cfg_.exceeds_quorum(view_.count_phase_value(phi - 2, m.value));
-    }
-  }
+  return value_evidence(cfg_, m.phase, m.value, m.from_coin).holds(view_);
 }
 
 bool SemanticValidator::status_valid(const Message& m) const {
-  if (m.phase <= 3) {
-    // No process can decide before completing phase 3.
-    return m.status == Status::kUndecided;
+  if (m.status == Status::kUndecided) {
+    return undecided_status_evidence(cfg_, m.phase).holds(view_);
   }
-  if (m.status == Status::kDecided) {
-    // Some DECIDE phase at or below the message's phase must show a quorum
-    // for the decided value.
-    return is_binary(m.value) && has_decide_quorum(m.phase, m.value);
-  }
-  // Undecided past phase 3. The paper's rule: both values had more than
-  // ((n+f)/2)/2 support at the most recent LOCK phase. As printed this can
-  // reject *truthful* undecided states (the required evidence may not exist
-  // system-wide even though a correct process legitimately failed to
-  // decide), deadlocking the run — see DESIGN.md §5. We therefore also
-  // accept direct evidence that the last DECIDE phase was non-uniform:
-  // a correct process that passed DECIDE undecided must have had a ⊥ or a
-  // value split in its quorum there. Accepting more undecided messages
-  // cannot break safety: agreement rests on value quorums, not status.
-  const Phase lock = highest_lock_phase_below(m.phase);
-  if (cfg_.exceeds_half_quorum(view_.count_phase_value(lock, Value::kZero)) &&
-      cfg_.exceeds_half_quorum(view_.count_phase_value(lock, Value::kOne))) {
-    return true;
-  }
-  const Phase decide = highest_decide_phase_below(m.phase);
-  if (decide == 0) return false;
-  if (view_.count_phase_value(decide, Value::kBottom) >= 1) return true;
-  return view_.count_phase_value(decide, Value::kZero) >= 1 &&
-         view_.count_phase_value(decide, Value::kOne) >= 1;
-}
-
-Phase SemanticValidator::highest_decide_phase_below(Phase phase) {
-  if (phase <= 3) return 0;
-  const Phase d = ((phase - 1) / 3) * 3;
-  return d >= 3 ? d : 0;
+  // No process can decide before completing phase 3.
+  return m.phase > 3 && is_binary(m.value) &&
+         has_decide_quorum(view_, cfg_, m.phase, m.value);
 }
 
 }  // namespace turq::turquois

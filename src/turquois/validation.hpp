@@ -5,14 +5,17 @@
 //
 // Semantic validation checks each state variable against the receiver's
 // set V of already-validated messages (implicit validation). Explicit
-// justification is handled upstream: attached messages flow through the
-// same pipeline and, once valid, land in V, after which the main message's
-// implicit check succeeds. Because every rule is monotone in V, a message
-// that fails now may pass later; the process keeps it pending and retries
-// when V grows.
+// justification attaches the messages that the same rule's rows name
+// (Evidence); they flow through the same pipeline and, once valid, land in
+// V, after which the main message's implicit check succeeds. Because every
+// rule is monotone in V, a message that fails now may pass later; the
+// process keeps it pending and retries when V grows.
 #pragma once
 
+#include <array>
 #include <map>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/sender_set.hpp"
@@ -93,6 +96,64 @@ class VerifyMemo {
 using CorroborationIndex =
     std::map<std::pair<Phase, std::uint8_t>, SenderSet>;
 
+/// One row of §6.2 evidence: V holds at least `need` messages at `phase`
+/// (only those carrying `value`, if given). `need` is the smallest count the
+/// rule's threshold admits: Config::quorum_size(), half_quorum_size() or 1.
+struct EvidenceRow {
+  Phase phase = 0;
+  std::optional<Value> value;
+  std::size_t need = 0;
+  [[nodiscard]] bool holds(const View& view) const {
+    return (value ? view.count_phase_value(phase, *value)
+                  : view.count_phase(phase)) >= need;
+  }
+  bool operator==(const EvidenceRow&) const = default;
+};
+
+/// What one §6.2 rule asks of a state variable: alternatives of rows. The
+/// variable is valid when every row of some alternative holds in V, and a
+/// stalled sender attaches the messages of every row, in order. With no
+/// alternative nothing justifies it; one empty alternative needs nothing.
+class Evidence {
+ public:
+  /// Opens an alternative; the rows added after it belong to it.
+  Evidence& alternative() {
+    TURQ_ASSERT(alternatives_ < starts_.size());
+    starts_[alternatives_++] = size_;
+    return *this;
+  }
+  Evidence& row(Phase phase, std::optional<Value> value, std::size_t need) {
+    TURQ_ASSERT(alternatives_ > 0 && size_ < rows_.size());
+    rows_[size_++] = {.phase = phase, .value = value, .need = need};
+    return *this;
+  }
+  [[nodiscard]] bool holds(const View& view) const;
+  [[nodiscard]] std::span<const EvidenceRow> rows() const {
+    return {rows_.data(), size_};
+  }
+
+ private:
+  std::array<EvidenceRow, 5> rows_{};
+  std::array<std::size_t, 3> starts_{};  // each alternative's first row
+  std::size_t size_ = 0;
+  std::size_t alternatives_ = 0;
+};
+
+// The §6.2 rules. Phase φ: a quorum at φ-1 (nothing at phase 1).
+Evidence phase_evidence(const Config& cfg, Phase phase);
+// The value `v` at `phase`, per the transition that produced it.
+Evidence value_evidence(const Config& cfg, Phase phase, Value v,
+                        bool from_coin);
+// A decision on `v` reached at the DECIDE phase `decide`.
+Evidence decided_status_evidence(const Config& cfg, Phase decide, Value v);
+// An undecided status at `phase` (nothing up to phase 3).
+Evidence undecided_status_evidence(const Config& cfg, Phase phase);
+
+/// True if some DECIDE phase <= `phase` shows a quorum for `v` in `view`:
+/// the decided-status rule, its catch-up extension and the auditor's check.
+[[nodiscard]] bool has_decide_quorum(const View& view, const Config& cfg,
+                                     Phase phase, Value v);
+
 class SemanticValidator {
  public:
   /// `claimed_phases` (optional): per-sender maximum phase seen in any
@@ -126,11 +187,6 @@ class SemanticValidator {
   /// The highest DECIDE phase (φ' ≡ 0 mod 3, φ' >= 3) strictly below
   /// `phase` (0 if none exists, i.e. phase <= 3).
   static Phase highest_decide_phase_below(Phase phase);
-
-  /// True if some DECIDE phase <= `phase` shows a quorum for `v` in V —
-  /// the evidence behind a decided status, and (extension) sufficient to
-  /// accept the value of a decided message during catch-up.
-  [[nodiscard]] bool has_decide_quorum(Phase phase, Value v) const;
 
   /// Corroboration rule (catch-up extension, DESIGN.md §5.1): f+1 distinct
   /// authentic senders carrying the same (φ, v) include at least one

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "turquois/config.hpp"
+#include "common/assert.hpp"
 
 namespace turq::turquois {
 
@@ -105,15 +105,6 @@ void View::append_at(std::vector<const Message*>& out, Phase phase,
     out.push_back(&m);
     ++added;
   }
-}
-
-bool has_decide_quorum(const View& view, const Config& cfg, Value v) {
-  const Message* highest = view.highest_phase_message();
-  if (highest == nullptr) return false;
-  for (Phase phase = 3; phase <= highest->phase; phase += 3) {
-    if (cfg.exceeds_quorum(view.count_phase_value(phase, v))) return true;
-  }
-  return false;
 }
 
 }  // namespace turq::turquois

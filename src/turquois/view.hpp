@@ -30,8 +30,6 @@
 
 namespace turq::turquois {
 
-struct Config;
-
 class View {
  public:
   /// Inserts a validated message. Returns false on duplicate (sender, phase).
@@ -106,15 +104,5 @@ class View {
   /// Slot count new books start with: the widest book so far.
   std::size_t slot_width_ = 0;
 };
-
-/// Quorum sanity for a decision on `v`: true when some DECIDE phase (every
-/// third phase, up to the highest phase in `view`) holds more than (n+f)/2
-/// messages carrying `v`. Every correct decision passes — an own quorum
-/// transition counts its own view, an adopted kDecided message passed
-/// status_valid only once the receiver's view held the decide quorum, and
-/// views never shrink — so the consensus auditor flags any decision that
-/// fails it.
-[[nodiscard]] bool has_decide_quorum(const View& view, const Config& cfg,
-                                     Value v);
 
 }  // namespace turq::turquois
