@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       perf.add("wall_" + tag, wall, "s", kHost, kLower);
       if (n == 16 && leg.pipeline_depth == 8) {
         const double keyed = static_cast<double>(totals.key_batches) *
-                             cfg.service.effective_key_batch();
+                             cfg.service.pipeline_depth;
         perf.add("ots_keys_per_instance",
                  static_cast<double>(totals.ots_keys) / keyed, "count", kSim,
                  kLower)

@@ -51,17 +51,17 @@ struct ServiceConfig {
   /// an instance that runs past it rolls over to a freshly keyed epoch.
   /// Must be a multiple of 3 so every epoch ends on a DECIDE phase.
   std::uint32_t phases_per_instance = turquois::kPhasesPerEpoch;
-  /// Instances keyed per trusted-setup pass (KeyInfrastructure::
-  /// setup_batch); 0 = pipeline_depth.
-  std::uint32_t key_batch = 0;
 
   // Bursty arrivals (Arrival::kBursty).
   double burst_factor = 8.0;              ///< burst-state rate multiplier
   double burst_fraction = 0.125;          ///< long-run fraction of time bursting
   SimDuration burst_dwell = 250 * kMillisecond;  ///< mean burst episode length
 
+  /// Instances keyed per trusted-setup pass (KeyInfrastructure::
+  /// setup_batch): the window. Kept for the benchmark runner, which calls
+  /// it; the program reads pipeline_depth.
   [[nodiscard]] std::uint32_t effective_key_batch() const {
-    return key_batch != 0 ? key_batch : pipeline_depth;
+    return pipeline_depth;
   }
 };
 

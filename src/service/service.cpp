@@ -192,7 +192,8 @@ RunResult run_service_rep(const ScenarioConfig& cfg, std::uint64_t rep_index) {
   };
   schedule_arrival(gen.next());
 
-  const std::uint32_t kb = svc.effective_key_batch();
+  // One trusted-setup pass keys a window's worth of instances.
+  const std::uint32_t kb = svc.pipeline_depth;
   // Epochs are whole CONVERGE/LOCK/DECIDE cycles (validate_service), so
   // every epoch's chain holds as many keys as the first.
   const std::uint64_t keys_per_epoch =

@@ -33,10 +33,6 @@ struct Config {
   /// Number of phases covered by one key-exchange epoch (the paper's m).
   std::uint32_t phases_per_epoch = kPhasesPerEpoch;
 
-  /// Attach explicit justification when re-broadcasting an unchanged state
-  /// (paper §6.2: implicit first, explicit on the following tick).
-  bool explicit_justification = true;
-
   /// Extension (documented in DESIGN.md): also accept a message's phase φ
   /// when f+1 distinct senders claim phase >= φ — sound because at least
   /// one of them is correct and correct processes only reach justified

@@ -110,7 +110,6 @@ void Process::broadcast_state() {
   const auto state_key = std::make_tuple(phase_, value_, status_);
   const bool repeat = last_sent_.has_value() && *last_sent_ == state_key;
   repeat_count_ = repeat ? repeat_count_ + 1 : 0;
-  const bool justify = repeat && cfg_.explicit_justification;
   const bool root_evidence = repeat_count_ >= 3;
 
   last_sent_ = state_key;
@@ -118,7 +117,7 @@ void Process::broadcast_state() {
   rt_.charge(costs_.udp_send);
 
   Datagram& d = outgoing_;
-  const BroadcastKey key = justification_key(justify, root_evidence);
+  const BroadcastKey key = justification_key(repeat, root_evidence);
   if (memo_key_ == key) {
 #ifndef NDEBUG
     std::vector<Message> fresh;

@@ -606,7 +606,7 @@ TEST(Service, AmbientLossRollsInstancesPastTheFirstKeyEpoch) {
   // Each instance's processes start on the key batches' epoch-0 chains of
   // 14 keys per 6 phases; each rollover draws one more such chain.
   const std::uint64_t keyed =
-      sum.key_batches * cfg.service.effective_key_batch() * cfg.n;
+      sum.key_batches * cfg.service.pipeline_depth * cfg.n;
   EXPECT_GT(sum.ots_keys, keyed * 14);
 #if TURQ_TRACE_ENABLED
   const std::uint64_t rollovers = sink.totals["turquois.key_rollovers"];
