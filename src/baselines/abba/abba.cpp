@@ -51,17 +51,13 @@ void Process::propose(Value initial) {
                    .kind = trace::Kind::kRoundEnter, .process = id_,
                    .phase = 1);
   send_prevote(1, to_vote(initial));
-  // Messages that arrived before the start signal sat in the (modeled) OS
-  // receive buffer; process them now.
-  std::vector<std::pair<ProcessId, Bytes>> queued;
-  queued.swap(prestart_);
-  for (auto& [src, payload] : queued) on_message(src, payload);
+  inbox_.start(
+      [this](ProcessId src, BytesView payload) { on_message(src, payload); });
 }
 
 void Process::crash() {
   running_ = false;
-  halted_ = true;
-  prestart_.clear();
+  inbox_.halt();
   transport_.close();
 }
 
@@ -145,12 +141,7 @@ void Process::send_coin_share(std::uint32_t round) {
 // --------------------------------------------------------------- receive --
 
 void Process::on_message(ProcessId src, BytesView payload) {
-  if (halted_) return;
-  if (!running_) {
-    // OS buffer until propose().
-    prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
-    return;
-  }
+  if (!inbox_.admit(src, payload)) return;  // buffered until propose()
   Reader r(payload);
   const auto type = r.u8();
   const auto round = r.u32();

@@ -36,6 +36,7 @@
 #include "crypto/cost_model.hpp"
 #include "crypto/threshold.hpp"
 #include "net/reliable_channel.hpp"
+#include "runtime/receive_buffer.hpp"
 #include "runtime/runtime.hpp"
 
 namespace turq::abba {
@@ -151,8 +152,7 @@ class Process {
 
   std::uint32_t round_ = 1;
   bool running_ = false;
-  bool halted_ = false;
-  std::vector<std::pair<ProcessId, Bytes>> prestart_;
+  runtime::ReceiveBuffer inbox_;  // the modeled OS buffer
   std::map<std::uint32_t, RoundState> rounds_;
 
   baselines::Decision decision_;

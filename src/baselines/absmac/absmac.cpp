@@ -34,16 +34,13 @@ void Process::propose(Value initial) {
   running_ = true;
   steps_.start(initial);
   arm_tick();
-  // Drain messages buffered before the start signal (modeled OS buffer).
-  std::vector<std::pair<ProcessId, Bytes>> queued;
-  queued.swap(prestart_);
-  for (auto& [src, payload] : queued) on_datagram(src, payload);
+  inbox_.start(
+      [this](ProcessId src, BytesView payload) { on_datagram(src, payload); });
 }
 
 void Process::crash() {
   running_ = false;
-  halted_ = true;
-  prestart_.clear();
+  inbox_.halt();
   rt_.cancel(tick_timer_);
   tick_timer_ = runtime::kInvalidTimer;
   port_.close();
@@ -86,7 +83,7 @@ void Process::arm_tick() {
 }
 
 void Process::on_tick() {
-  if (halted_ || !running_) return;
+  if (!running_) return;
   if (ack_pending_) {
     // The previous frame has not cleared the channel within a tick: the
     // abstract MAC is reporting contention. Stretch the interval.
@@ -103,11 +100,7 @@ void Process::on_tick() {
 }
 
 void Process::on_datagram(ProcessId src, BytesView payload) {
-  if (halted_) return;
-  if (!running_) {
-    prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
-    return;
-  }
+  if (!inbox_.admit(src, payload)) return;  // buffered until propose()
   if (src == id_) {
     // Loopback: the medium delivered our own frame after it actually
     // cleared the air — this IS the abstract-MAC ack.

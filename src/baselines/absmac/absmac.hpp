@@ -43,6 +43,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/datagram_port.hpp"
+#include "runtime/receive_buffer.hpp"
 #include "runtime/runtime.hpp"
 
 namespace turq::absmac {
@@ -113,8 +114,7 @@ class Process {
   bracha::StepMachine steps_;
 
   bool running_ = false;
-  bool halted_ = false;
-  std::vector<std::pair<ProcessId, Bytes>> prestart_;
+  runtime::ReceiveBuffer inbox_;  // the modeled OS buffer
 
   // Abstract-MAC progress/ack state for the current (round, step) frame.
   net::FramedPayload current_frame_;

@@ -42,16 +42,13 @@ void Process::propose(Value initial) {
   TURQ_ASSERT_MSG(!running_, "propose() may be called once");
   running_ = true;
   steps_.start(initial);
-  // Drain messages buffered before the start signal (modeled OS buffer).
-  std::vector<std::pair<ProcessId, Bytes>> queued;
-  queued.swap(prestart_);
-  for (auto& [src, payload] : queued) on_message(src, payload);
+  inbox_.start(
+      [this](ProcessId src, BytesView payload) { on_message(src, payload); });
 }
 
 void Process::crash() {
   running_ = false;
-  halted_ = true;
-  prestart_.clear();
+  inbox_.halt();
   outbox_.close();
   transport_.close();
 }
@@ -77,12 +74,7 @@ void Process::send_to_all(std::uint32_t round, std::uint8_t step,
 }
 
 void Process::on_message(ProcessId src, BytesView payload) {
-  if (halted_) return;
-  if (!running_) {
-    // OS buffer until propose().
-    prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
-    return;
-  }
+  if (!inbox_.admit(src, payload)) return;  // buffered until propose()
   Reader r(payload);
   const auto round = r.u32();
   const auto step = r.u8();

@@ -25,6 +25,7 @@
 #include "common/types.hpp"
 #include "crypto/cost_model.hpp"
 #include "net/reliable_channel.hpp"
+#include "runtime/receive_buffer.hpp"
 #include "runtime/runtime.hpp"
 
 namespace turq::bracha {
@@ -134,8 +135,7 @@ class Process {
   StepMachine steps_;
 
   bool running_ = false;
-  bool halted_ = false;
-  std::vector<std::pair<ProcessId, Bytes>> prestart_;
+  runtime::ReceiveBuffer inbox_;  // the modeled OS buffer
   RbcTable rbc_;
   Stats stats_;
 };

@@ -39,17 +39,13 @@ void Process::propose(Value initial) {
                    .kind = trace::Kind::kPropose, .process = id_, .phase = 1,
                    .value = static_cast<std::int64_t>(initial));
   enter_round(1);
-  // Messages that arrived before the start signal sat in the (modeled) OS
-  // receive buffer; process them now.
-  std::vector<std::pair<ProcessId, Bytes>> queued;
-  queued.swap(prestart_);
-  for (auto& [src, payload] : queued) on_message(src, payload);
+  inbox_.start(
+      [this](ProcessId src, BytesView payload) { on_message(src, payload); });
 }
 
 void Process::crash() {
   running_ = false;
-  halted_ = true;
-  prestart_.clear();
+  inbox_.halt();
   outbox_.close();
   transport_.close();
 }
@@ -97,12 +93,7 @@ void Process::enter_round(std::uint32_t round) {
 }
 
 void Process::on_message(ProcessId src, BytesView payload) {
-  if (halted_) return;
-  if (!running_) {
-    // OS buffer until propose().
-    prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
-    return;
-  }
+  if (!inbox_.admit(src, payload)) return;  // buffered until propose()
   if (src >= cfg_.n) return;  // not a group member
   Reader r(payload);
   const auto type = r.u8();

@@ -46,6 +46,7 @@
 #include "crypto/cost_model.hpp"
 #include "crypto/threshold.hpp"
 #include "net/reliable_channel.hpp"
+#include "runtime/receive_buffer.hpp"
 #include "runtime/runtime.hpp"
 
 namespace turq::crain {
@@ -166,8 +167,7 @@ class Process {
   std::uint32_t round_ = 1;
   Value est_ = Value::kBottom;
   bool running_ = false;
-  bool halted_ = false;
-  std::vector<std::pair<ProcessId, Bytes>> prestart_;
+  runtime::ReceiveBuffer inbox_;  // the modeled OS buffer
   std::map<std::uint32_t, RoundState> rounds_;
   baselines::TcpOutbox outbox_;
 

@@ -62,10 +62,8 @@ void Process::propose(Value initial) {
                    .phase = phase_);
   if (on_phase_) on_phase_(phase_, rt_.now());
   broadcast_state();
-  // Drain datagrams buffered before the start signal (modeled OS buffer).
-  std::vector<std::pair<ProcessId, Bytes>> queued;
-  queued.swap(prestart_);
-  for (auto& [src, payload] : queued) on_datagram(src, payload);
+  inbox_.start(
+      [this](ProcessId src, BytesView payload) { on_datagram(src, payload); });
 }
 
 void Process::crash() {
@@ -73,8 +71,7 @@ void Process::crash() {
                    .kind = trace::Kind::kCrash, .process = id_,
                    .phase = phase_);
   running_ = false;
-  halted_ = true;
-  prestart_.clear();
+  inbox_.halt();
   if (tick_timer_ != runtime::kInvalidTimer) {
     rt_.cancel(tick_timer_);
     tick_timer_ = runtime::kInvalidTimer;
@@ -255,12 +252,7 @@ void Process::pick(const BroadcastKey& key, std::vector<Message>& out) {
 // ---------------------------------------------------------------- task T2 --
 
 void Process::on_datagram(ProcessId src, BytesView payload) {
-  if (halted_) return;
-  if (!running_) {
-    // OS buffer until propose(); the view dies with this call, so copy.
-    prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
-    return;
-  }
+  if (!inbox_.admit(src, payload)) return;  // buffered until propose()
   // Decode, summarize and authenticate on the host through the pool: once
   // per unique payload, shared by every receiver of a shared pool.
   const ExchangePool::Prepared& prep = exchange_pool_.acquire(src, payload);

@@ -34,6 +34,7 @@
 #include "common/rng.hpp"
 #include "crypto/cost_model.hpp"
 #include "net/datagram_port.hpp"
+#include "runtime/receive_buffer.hpp"
 #include "runtime/runtime.hpp"
 #include "turquois/config.hpp"
 #include "turquois/exchange_pool.hpp"
@@ -224,9 +225,8 @@ class Process {
   ExchangePool& exchange_pool_;             // decodes + verifies deliveries
   std::optional<Message> jump_source_;      // justification for a jumped phase
   bool running_ = false;
-  bool halted_ = false;
   bool proposed_ = false;
-  std::vector<std::pair<ProcessId, Bytes>> prestart_;
+  runtime::ReceiveBuffer inbox_;  // the modeled OS buffer
   runtime::TimerId tick_timer_ = runtime::kInvalidTimer;
 
   // Explicit-justification trigger: last broadcast state and how many

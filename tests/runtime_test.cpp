@@ -24,6 +24,7 @@
 #include "harness/flags.hpp"
 #include "harness/report.hpp"
 #include "harness/table.hpp"
+#include "runtime/receive_buffer.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "runtime/udp_runtime.hpp"
 #include "sim/cpu.hpp"
@@ -103,6 +104,34 @@ TEST(ParseDuration, DoubleIsStrict) {
 }
 
 // ----------------------------------------------------------- SimRuntime ---
+
+TEST(ReceiveBuffer, ReplaysCopiesInArrivalOrderThenAdmits) {
+  runtime::ReceiveBuffer inbox;
+  Bytes first = {1, 2};
+  EXPECT_FALSE(inbox.admit(3, first));
+  EXPECT_FALSE(inbox.admit(1, Bytes{9}));
+  first[0] = 7;  // the buffer holds its own copy
+  std::vector<std::pair<ProcessId, Bytes>> seen;
+  inbox.start([&](ProcessId src, BytesView payload) {
+    seen.emplace_back(src, Bytes(payload.begin(), payload.end()));
+  });
+  const std::vector<std::pair<ProcessId, Bytes>> want = {{3, {1, 2}},
+                                                         {1, {9}}};
+  EXPECT_EQ(seen, want);
+  EXPECT_TRUE(inbox.admit(2, Bytes{5}));
+  inbox.halt();
+  EXPECT_FALSE(inbox.admit(2, Bytes{5}));
+}
+
+TEST(ReceiveBuffer, HaltBeforeStartDropsEverything) {
+  runtime::ReceiveBuffer inbox;
+  EXPECT_FALSE(inbox.admit(0, Bytes{1}));
+  inbox.halt();
+  std::size_t replayed = 0;
+  inbox.start([&](ProcessId, BytesView) { ++replayed; });
+  EXPECT_EQ(replayed, 0u);
+  EXPECT_FALSE(inbox.admit(0, Bytes{1}));
+}
 
 TEST(SimRuntime, ForwardsClockTimersAndRng) {
   sim::Simulator sim;
