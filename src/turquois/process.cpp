@@ -213,6 +213,15 @@ Process::BroadcastKey Process::justification_key(bool justify,
   } else if (jump_source_.has_value()) {
     request({0, std::nullopt, 1});  // phase 0: the jump source
   }
+  // Stall escalation, undecided only: a DECIDE-phase quorum in the phase
+  // rows may hold ⊥s, whose own evidence lies two phases further back, and
+  // attachments do not nest. Attach the rows of a ⊥ there too (DESIGN.md
+  // §5.1); a decided sender's datagram would span a sixth phase.
+  if (root_evidence && status_ == Status::kUndecided) {
+    for (const EvidenceRow& row : phase.rows()) {
+      request_all(value_evidence(cfg_, row.phase, Value::kBottom, false));
+    }
+  }
   request_all(value_evidence(cfg_, phase_, value_, from_coin_));
   if (status_ == Status::kUndecided) {
     request_all(undecided_status_evidence(cfg_, phase_));

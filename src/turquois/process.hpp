@@ -182,8 +182,9 @@ class Process {
   /// decide_phase_ change only together with the phase. Equal keys
   /// therefore pick equal attachments and encode equal bytes.
   struct BroadcastKey {
-    /// Root evidence 2, phase rule 1, value rule 2, undecided status 5.
-    static constexpr std::size_t kMaxRequests = 10;
+    /// Root evidence 2, phase rule 1, nested ⊥ 2, value rule 2, undecided
+    /// status 5 (nested ⊥ rows only come with a one-row value rule).
+    static constexpr std::size_t kMaxRequests = 12;
     Phase phase = 0;
     Value value = Value::kZero;
     Status status = Status::kUndecided;

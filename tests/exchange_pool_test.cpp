@@ -164,7 +164,9 @@ void expect_answer(const WireAnswer& got, const WireAnswer& want) {
 
 // The known answers below were taken before senders prepared their own
 // exchange-pool entries and before the encoder wrote the header room
-// itself: every frame byte and every pool counter must stay as it was.
+// itself: every frame byte and every pool counter must stay as it was. The
+// Byzantine one was re-taken when stalled undecided senders began to attach
+// the evidence of the ⊥s in their phase quorum (DESIGN.md §5.1).
 
 TEST(ExchangePool, ByzantineDivergentWireMatchesKnownAnswer) {
 #if !TURQ_TRACE_ENABLED
@@ -178,9 +180,9 @@ TEST(ExchangePool, ByzantineDivergentWireMatchesKnownAnswer) {
   cfg.repetitions = 8;
   cfg.seed = 0xB42;
   expect_answer(wire_answer(cfg, run_scenario),
-                {"d7f88bcc6fa72d6e77c4fa64257e3354"
-                 "7e955409342e7b27872d3a0f52cd86e8",
-                 766, 3434, 2860, 574});
+                {"b66107d20fba45fe4f898131da89d466"
+                 "96d79128459046a8ad587065d7a458db",
+                 764, 3448, 2860, 588});
 }
 
 TEST(ExchangePool, MultiHopRelayWireMatchesKnownAnswer) {

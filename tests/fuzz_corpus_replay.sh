@@ -4,8 +4,10 @@
 #   tests/fuzz_corpus_replay.sh TURQUOIS_SIM CORPUS_DIR
 #
 # Each *.repro file ends in one turquois_sim command line; on fixed code it
-# must exit 0 with a passing audit. CORPUS_DIR/stalls/ holds known liveness
-# limits that are expected to keep failing, so the glob leaves it out.
+# must exit 0 with a passing audit and with every repetition decided (a run
+# without a sigma meter reports a stall only as a missed deadline).
+# CORPUS_DIR/stalls/ holds known liveness limits that are expected to keep
+# failing, so the glob leaves it out.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -26,6 +28,11 @@ for repro in "$corpus"/*.repro; do
   fi
   if ! grep -q '^audit: .*(pass)$' <<<"$out"; then
     echo "FAIL: $repro has no passing audit line"
+    echo "$out"
+    exit 1
+  fi
+  if grep -q '^warning: .* repetitions' <<<"$out"; then
+    echo "FAIL: $repro leaves repetitions undecided"
     echo "$out"
     exit 1
   fi

@@ -8,8 +8,8 @@
 # deployment golden (n <= 7) does not reach: n=16 under the Byzantine and
 # adaptive-omission adversaries, n=16 Byzantine with divergent proposals,
 # and n=64 failure-free. Seed 5 is one whose eight
-# divergent Byzantine repetitions all decide; some seeds stall (see the
-# ROADMAP's livelock item).
+# divergent Byzantine repetitions all decided even before stalled undecided
+# senders attached the evidence of their bottoms (DESIGN.md §5.1).
 #
 # --update rewrites the golden after an intentional change; the commit
 # that does so must say which lines moved and why.

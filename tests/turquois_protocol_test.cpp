@@ -736,7 +736,7 @@ TEST(TurquoisCodec, OversizedKeyIsMalformedNotAnAuthFailure) {
 /// anywhere, so its view holds only what the tests deliver.
 class Receiver {
  public:
-  Receiver(bool pooled, Config cfg, Mutator mutator = {})
+  Receiver(bool pooled, Config cfg, Mutator mutator = {}, ProcessId id = 0)
       : cfg_(cfg),
         keys_rng_(21),
         keys_(KeyInfrastructure::setup(cfg_, keys_rng_)),
@@ -746,8 +746,8 @@ class Receiver {
     ProcessHooks hooks;
     hooks.exchange_pool = pool_.get();
     hooks.mutate_outgoing = std::move(mutator);
-    process_ = std::make_unique<Process>(rt_, port_, cfg_, keys_, 0, Rng(22),
-                                         costs_, std::move(hooks));
+    process_ = std::make_unique<Process>(rt_, port_, cfg_, keys_, id,
+                                         Rng(22), costs_, std::move(hooks));
     process_->propose(Value::kOne);
   }
 
@@ -1108,6 +1108,87 @@ TEST(TurquoisBroadcastMemo, InsiderResendsRunTheMutatorEveryTick) {
     EXPECT_NE(buffer(insider, i), buffer(insider, i - 1));
     EXPECT_EQ(buffer(correct, i), buffer(correct, i - 1));
   }
+}
+
+TEST(TurquoisJustification, StalledLeaderCarriesTheEvidenceOfItsBottom) {
+  // The divergent livelock at n = 7 (quorum 5, half quorum 3, f + 1 = 3):
+  // the laggard never receives the leader's own phase-4 message. A ⊥ at
+  // DECIDE phase 6 needs three 0s and three 1s at phase 4; the leader holds
+  // them, the laggard lacks the leader's one. The leader (p0) enters phase 6
+  // on p2's ⊥, reaches phase 7 undecided with its own ⊥ in its phase-6
+  // quorum, and stalls there. The laggard (p1) sits at phase 6 with three
+  // valid 0s and the two ⊥s pending, one short of a quorum. Only the
+  // leader's stall escalation can carry the missing message.
+  Config cfg = Config::for_group(7);
+  cfg.tick_jitter = 0;
+  Receiver leader(true, cfg);
+  Receiver laggard(true, cfg, {}, 1);
+  const auto sent_main = [](const net::FramedPayload& p) {
+    return Datagram::decode(p.payload())->main;
+  };
+  const auto loop_back = [&](Phase phase) {
+    for (const net::FramedPayload& p : leader.sent()) {
+      if (sent_main(p).phase == phase) {
+        leader.deliver(0, *Datagram::decode(p.payload()));
+        return;
+      }
+    }
+    FAIL() << "the leader never sent phase " << phase;
+  };
+  const auto to_both = [&](const Message& m) {
+    leader.deliver(m.sender, datagram_of({m}));
+    laggard.deliver(m.sender, datagram_of({m}));
+  };
+
+  // A ⊥ quorum at phase 3: both flip a coin into phase 4.
+  for (ProcessId s = 2; s < 7; ++s) to_both(leader.signed_msg(s, 3, Value::kBottom));
+  ASSERT_EQ(leader.process().phase(), 4u);
+  ASSERT_EQ(laggard.process().phase(), 4u);
+  const Value coin = leader.process().value();
+  const Value other = coin == Value::kZero ? Value::kOne : Value::kZero;
+  loop_back(4);
+  for (ProcessId s = 2; s < 7; ++s) {
+    Message m = leader.signed_msg(s, 4, s < 5 ? other : coin);
+    m.from_coin = true;
+    to_both(m);
+  }
+  ASSERT_TRUE(leader.process().view().has(0, 4));
+  ASSERT_FALSE(laggard.process().view().has(0, 4));
+
+  // Phase 6: p2's ⊥ first, then three 0s.
+  to_both(leader.signed_msg(2, 6, Value::kBottom));
+  for (ProcessId s = 4; s < 7; ++s) to_both(leader.signed_msg(s, 6, Value::kZero));
+  ASSERT_EQ(leader.process().phase(), 6u);
+  ASSERT_EQ(leader.process().value(), Value::kBottom);
+  loop_back(6);
+  ASSERT_EQ(leader.process().phase(), 7u);
+  ASSERT_EQ(leader.process().status(), Status::kUndecided);
+
+  // The laggard hears the leader's first, unjustified send of phases 5 and
+  // 6, as if the leader had left each at once, and every phase-7 send:
+  // first up to the third, the last one before the stall escalates.
+  leader.simulator().run_until(leader.simulator().now() + 100 * kMillisecond);
+  std::size_t relayed = 0;
+  std::size_t phase7_sends = 0;
+  std::set<Phase> heard;
+  const auto relay = [&](std::size_t max_phase7_sends) {
+    for (; relayed < leader.sent().size(); ++relayed) {
+      const Message main = sent_main(leader.sent()[relayed]);
+      if (main.phase == 7 && ++phase7_sends > max_phase7_sends) return;
+      if (main.phase != 4 && (main.phase == 7 || heard.insert(main.phase).second)) {
+        laggard.deliver(
+            0, *Datagram::decode(leader.sent()[relayed].payload()));
+      }
+    }
+  };
+  relay(3);
+  ASSERT_EQ(phase7_sends, 4u);
+  EXPECT_EQ(laggard.process().phase(), 6u);
+  EXPECT_EQ(laggard.process().view().count_phase(6), 3u);
+
+  relay(leader.sent().size());
+  EXPECT_TRUE(laggard.process().view().has(0, 4));
+  EXPECT_GT(laggard.process().phase(), 6u);
 }
 
 TEST(TurquoisDiagnostics, ExplainPendingJudgesByTheDrainRules) {
