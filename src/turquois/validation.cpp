@@ -172,7 +172,8 @@ Evidence value_evidence(const Config& cfg, Phase phase, Value v,
 
 Evidence decided_status_evidence(const Config& cfg, Phase decide, Value v) {
   Evidence e;
-  return e.alternative().row(decide, v, cfg.quorum_size());
+  e.alternative().row(decide, v, cfg.quorum_size());
+  return e;
 }
 
 Evidence undecided_status_evidence(const Config& cfg, Phase phase) {
@@ -188,9 +189,10 @@ Evidence undecided_status_evidence(const Config& cfg, Phase phase) {
   const Phase lock = SemanticValidator::highest_lock_phase_below(phase);
   const Phase decide = SemanticValidator::highest_decide_phase_below(phase);
   const std::size_t half = cfg.half_quorum_size();
-  return e.row(lock, Value::kZero, half).row(lock, Value::kOne, half)
+  e.row(lock, Value::kZero, half).row(lock, Value::kOne, half)
       .alternative().row(decide, Value::kBottom, 1)
       .alternative().row(decide, Value::kZero, 1).row(decide, Value::kOne, 1);
+  return e;
 }
 
 bool has_decide_quorum(const View& view, const Config& cfg, Phase phase,

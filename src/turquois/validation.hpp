@@ -99,10 +99,12 @@ using CorroborationIndex =
 /// One row of §6.2 evidence: V holds at least `need` messages at `phase`
 /// (only those carrying `value`, if given). `need` is the smallest count the
 /// rule's threshold admits: Config::quorum_size(), half_quorum_size() or 1.
+/// No member initializers: an Evidence leaves its unused rows unset, which
+/// keeps building one, on every validation, as cheap as the check itself.
 struct EvidenceRow {
-  Phase phase = 0;
+  Phase phase;
   std::optional<Value> value;
-  std::size_t need = 0;
+  std::size_t need;
   [[nodiscard]] bool holds(const View& view) const {
     return (value ? view.count_phase_value(phase, *value)
                   : view.count_phase(phase)) >= need;
@@ -133,8 +135,8 @@ class Evidence {
   }
 
  private:
-  std::array<EvidenceRow, 5> rows_{};
-  std::array<std::size_t, 3> starts_{};  // each alternative's first row
+  std::array<EvidenceRow, 5> rows_;
+  std::array<std::size_t, 3> starts_;  // each alternative's first row
   std::size_t size_ = 0;
   std::size_t alternatives_ = 0;
 };
