@@ -1141,7 +1141,9 @@ TEST(TurquoisJustification, StalledLeaderCarriesTheEvidenceOfItsBottom) {
   };
 
   // A ⊥ quorum at phase 3: both flip a coin into phase 4.
-  for (ProcessId s = 2; s < 7; ++s) to_both(leader.signed_msg(s, 3, Value::kBottom));
+  for (ProcessId s = 2; s < 7; ++s) {
+    to_both(leader.signed_msg(s, 3, Value::kBottom));
+  }
   ASSERT_EQ(leader.process().phase(), 4u);
   ASSERT_EQ(laggard.process().phase(), 4u);
   const Value coin = leader.process().value();
@@ -1157,7 +1159,9 @@ TEST(TurquoisJustification, StalledLeaderCarriesTheEvidenceOfItsBottom) {
 
   // Phase 6: p2's ⊥ first, then three 0s.
   to_both(leader.signed_msg(2, 6, Value::kBottom));
-  for (ProcessId s = 4; s < 7; ++s) to_both(leader.signed_msg(s, 6, Value::kZero));
+  for (ProcessId s = 4; s < 7; ++s) {
+    to_both(leader.signed_msg(s, 6, Value::kZero));
+  }
   ASSERT_EQ(leader.process().phase(), 6u);
   ASSERT_EQ(leader.process().value(), Value::kBottom);
   loop_back(6);
@@ -1175,7 +1179,8 @@ TEST(TurquoisJustification, StalledLeaderCarriesTheEvidenceOfItsBottom) {
     for (; relayed < leader.sent().size(); ++relayed) {
       const Message main = sent_main(leader.sent()[relayed]);
       if (main.phase == 7 && ++phase7_sends > max_phase7_sends) return;
-      if (main.phase != 4 && (main.phase == 7 || heard.insert(main.phase).second)) {
+      if (main.phase != 4 &&
+          (main.phase == 7 || heard.insert(main.phase).second)) {
         laggard.deliver(
             0, *Datagram::decode(leader.sent()[relayed].payload()));
       }
