@@ -4,8 +4,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "common/assert.hpp"
-
 namespace turq::turquois {
 
 bool authentic(const KeyInfrastructure& keys, const Config& cfg,

@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/sender_set.hpp"
 #include "turquois/config.hpp"
 #include "turquois/key_infra.hpp"
